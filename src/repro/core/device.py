@@ -13,6 +13,7 @@ all metered; the simulator turns those meters into run times.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,12 @@ from repro.sqlir.expr import (
     evaluate,
 )
 from repro.storage.catalog import Catalog
-from repro.storage.layout import PAGE_BYTES, ROW_VECTOR_SIZE, FlashLayout
+from repro.storage.layout import (
+    PAGE_BYTES,
+    ROW_VECTOR_SIZE,
+    ColumnExtent,
+    FlashLayout,
+)
 from repro.util.bitvector import BitVector
 from repro.util.units import GB
 
@@ -92,11 +98,14 @@ class AquomanDevice:
         catalog: Catalog,
         config: DeviceConfig | None = None,
         tracer: Tracer | NullTracer | None = None,
+        layout: FlashLayout | None = None,
     ):
         self.catalog = catalog
         self.config = config or DeviceConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.layout = FlashLayout(catalog)
+        # Callers running many queries on one catalog pass the layout
+        # in; walking every column file per device is measurable.
+        self.layout = layout if layout is not None else FlashLayout(catalog)
         self.memory = DeviceMemory(
             capacity_bytes=self.config.dram_bytes,
             scale_ratio=self.config.scale_ratio,
@@ -127,15 +136,26 @@ class AquomanDevice:
         """
         extent = self.layout.extent(table, column)
         if mask is None:
-            touched = extent.n_pages
-            touched_pages = None  # the whole extent
-        else:
-            per_page = extent.rows_per_page()
-            touched_pages = mask.group_any(per_page)
-            touched = int(touched_pages.sum())
+            return self.charge_pages(extent)
+        return self.charge_pages(
+            extent, mask.group_any(extent.rows_per_page())
+        )
+
+    def charge_pages(
+        self, extent: ColumnExtent, flags: np.ndarray | None = None
+    ) -> int:
+        """Meter reading the flagged pages of one column extent.
+
+        ``flags`` holds one flag per extent-local page; ``None`` reads
+        the whole extent.
+        """
+        touched = (
+            extent.n_pages if flags is None
+            else int(np.count_nonzero(flags))
+        )
         nbytes = touched * PAGE_BYTES
         self.meters.flash_bytes += nbytes
-        self._inject_page_faults(extent, touched_pages, touched)
+        self._inject_page_faults(extent, flags, touched)
         METRICS.counter(
             "device.flash_pages_read", "pages streamed off flash"
         ).inc(touched)
@@ -145,7 +165,7 @@ class AquomanDevice:
         ).inc(extent.n_pages - touched)
         return nbytes
 
-    def _inject_page_faults(self, extent, touched_pages, touched) -> None:
+    def _inject_page_faults(self, extent, flags, touched) -> None:
         """Consult the fault injector for the pages just charged.
 
         Channels stream in parallel, so the batch's marginal wall time
@@ -157,8 +177,8 @@ class AquomanDevice:
             return
         local = (
             np.arange(extent.n_pages, dtype=np.int64)
-            if touched_pages is None
-            else np.flatnonzero(touched_pages)
+            if flags is None
+            else np.flatnonzero(flags)
         )
         stall = injector.charge_page_reads(
             extent.first_page + local, self.config.flash.n_channels
@@ -475,81 +495,73 @@ class AquomanDevice:
         columns: dict[str, TypedArray],
     ) -> tuple[list[tuple[str, Expr]], dict[str, TypedArray]]:
         """Replace string predicates with regex-accelerator bit columns."""
+        prepped = dict(columns)
+        names = (f"@regex{i}" for i in itertools.count(1))
+        lowered = [
+            (name, self._lower(expr, prepped, names))
+            for name, expr in row_transf
+        ]
+        return lowered, prepped
+
+    def _lower(
+        self, expr: Expr, prepped: dict[str, TypedArray], names
+    ) -> Expr:
+        """One expression of :meth:`_prelower_strings`, recursively.
+
+        A method taking ``prepped``, not a closure over it: a recursive
+        closure is a reference cycle, and this one would keep every
+        column of the relation alive until the cyclic collector ran.
+        """
         from repro.sqlir.expr import ColumnRef, Compare, CompareOp, Literal
 
-        prepped = dict(columns)
-        counter = 0
+        def bit_column(bits: np.ndarray) -> Expr:
+            name = next(names)
+            prepped[name] = TypedArray(bits.astype(np.int64), Kind.INT, 0)
+            return ColumnRef(name)
 
-        def lower(expr: Expr) -> Expr:
-            nonlocal counter
-            if isinstance(expr, Like) and isinstance(expr.column, ColumnRef):
-                source = prepped[expr.column.name]
-                bits = self.regex_accel.match_like(
+        if isinstance(expr, Like) and isinstance(expr.column, ColumnRef):
+            source = prepped[expr.column.name]
+            return bit_column(self.regex_accel.match_like(
+                source.values,
+                source.heap,
+                expr.regex(),
+                expr.negated,
+                self.effective_heap_bytes(source.heap),
+            ))
+        if isinstance(expr, InList) and isinstance(expr.column, ColumnRef):
+            source = prepped[expr.column.name]
+            if source.kind is Kind.STR:
+                return bit_column(self.regex_accel.match_in(
                     source.values,
                     source.heap,
-                    expr.regex(),
+                    expr.options,
                     expr.negated,
                     self.effective_heap_bytes(source.heap),
-                )
-                counter += 1
-                name = f"@regex{counter}"
-                prepped[name] = TypedArray(
-                    bits.astype(np.int64), Kind.INT, 0
-                )
-                return ColumnRef(name)
-            if isinstance(expr, InList) and isinstance(
-                expr.column, ColumnRef
+                ))
+            return expr
+        if isinstance(expr, Compare):
+            for col_side, lit_side in (
+                (expr.left, expr.right), (expr.right, expr.left)
             ):
-                source = prepped[expr.column.name]
-                if source.kind is Kind.STR:
-                    bits = self.regex_accel.match_in(
+                if (
+                    isinstance(col_side, ColumnRef)
+                    and isinstance(lit_side, Literal)
+                    and lit_side.kind is Kind.STR
+                    and expr.op in (CompareOp.EQ, CompareOp.NE)
+                ):
+                    source = prepped[col_side.name]
+                    return bit_column(self.regex_accel.match_equals(
                         source.values,
                         source.heap,
-                        expr.options,
-                        expr.negated,
+                        lit_side.raw,
+                        expr.op is CompareOp.NE,
                         self.effective_heap_bytes(source.heap),
-                    )
-                    counter += 1
-                    name = f"@regex{counter}"
-                    prepped[name] = TypedArray(
-                        bits.astype(np.int64), Kind.INT, 0
-                    )
-                    return ColumnRef(name)
-                return expr
-            if isinstance(expr, Compare):
-                for col_side, lit_side, negated in (
-                    (expr.left, expr.right, expr.op is CompareOp.NE),
-                    (expr.right, expr.left, expr.op is CompareOp.NE),
-                ):
-                    if (
-                        isinstance(col_side, ColumnRef)
-                        and isinstance(lit_side, Literal)
-                        and lit_side.kind is Kind.STR
-                        and expr.op in (CompareOp.EQ, CompareOp.NE)
-                    ):
-                        source = prepped[col_side.name]
-                        bits = self.regex_accel.match_equals(
-                            source.values,
-                            source.heap,
-                            lit_side.raw,
-                            negated,
-                            self.effective_heap_bytes(source.heap),
-                        )
-                        counter += 1
-                        name = f"@regex{counter}"
-                        prepped[name] = TypedArray(
-                            bits.astype(np.int64), Kind.INT, 0
-                        )
-                        return ColumnRef(name)
-                return _rebuild(expr, [lower(c) for c in expr.children()])
-            kids = expr.children()
-            if not kids:
-                return expr
-            return _rebuild(expr, [lower(c) for c in kids])
-
-        return (
-            [(name, lower(expr)) for name, expr in row_transf],
-            prepped,
+                    ))
+        kids = expr.children()
+        if not kids:
+            return expr
+        return _rebuild(
+            expr, [self._lower(c, prepped, names) for c in kids]
         )
 
     # -- swissknife -----------------------------------------------------------------

@@ -18,7 +18,7 @@ recording a combined :class:`~repro.perf.trace.QueryTrace`:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,8 +55,8 @@ from repro.sqlir.plan import (
     Scan,
 )
 from repro.storage.catalog import join_index_name
+from repro.storage.layout import ColumnExtent, FlashLayout
 from repro.storage.table import Table
-from repro.util.bitvector import BitVector
 
 
 @dataclass
@@ -85,6 +85,21 @@ class _DeviceRel:
     # relation column -> (base table, base column) for pass-throughs
     origin: dict[str, tuple[str, str]]
     charged: set[tuple[str, str]]
+    # (base table, rows per page) -> page flags under ``rowid_map``: the
+    # columns of one table share a selection, so its page-skip answer
+    # is worked out once per value width.  Valid only for this
+    # ``rowid_map`` — whatever re-selects rows starts empty.
+    pages: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
+
+    def touched_pages(self, extent: ColumnExtent) -> np.ndarray:
+        """Pages of ``extent`` the current selection lands on, memoised."""
+        key = (extent.table, extent.rows_per_page())
+        flags = self.pages.get(key)
+        if flags is None:
+            flags = self.pages[key] = extent.touched_pages(
+                self.rowid_map[extent.table]
+            )
+        return flags
 
     def gathered(self, indices: np.ndarray) -> "_DeviceRel":
         return _DeviceRel(
@@ -136,22 +151,34 @@ class DeviceExecutor:
 
     # -- traffic -----------------------------------------------------------------
 
-    def _consume(self, dev: _DeviceRel, column: str) -> None:
+    def _consume(
+        self, dev: _DeviceRel, column: str, whole_if_all_rows: bool = True
+    ) -> None:
         """Meter the flash read feeding a column, once, page-skipped."""
         origin = dev.origin.get(column)
         if origin is None or origin in dev.charged:
             return
-        table, base_column = origin
-        rowids = dev.rowid_map.get(table)
-        nrows = self.catalog.table(table).nrows
-        if rowids is None or len(rowids) == nrows:
-            mask = None
-        else:
-            mask = BitVector.from_indices(
-                np.unique(rowids.astype(np.int64)), nrows
-            )
-        self.device.charge_column_read(table, base_column, mask)
+        self._charge(dev, *origin, whole_if_all_rows)
         dev.charged.add(origin)
+
+    def _charge(
+        self, dev: _DeviceRel, table: str, column: str,
+        whole_if_all_rows: bool = True,
+    ) -> None:
+        """Charge the pages of a base column that ``dev``'s rows touch.
+
+        A selection as long as the table streams the whole column file
+        without looking at the row ids; the join-index gather opts out
+        because its row ids repeat.
+        """
+        extent = self.device.layout.extent(table, column)
+        rowids = dev.rowid_map.get(table)
+        if rowids is None or (
+            whole_if_all_rows and len(rowids) == extent.nrows
+        ):
+            self.device.charge_pages(extent)
+        else:
+            self.device.charge_pages(extent, dev.touched_pages(extent))
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -296,6 +323,7 @@ class DeviceExecutor:
             rowid_map=dev.rowid_map,
             origin=origin,
             charged=dev.charged,
+            pages=dev.pages,
         )
 
     # -- joins ---------------------------------------------------------------------
@@ -449,32 +477,18 @@ class DeviceExecutor:
                 return None
 
         index_column = join_index_name(fk_column)
+        self._charge(left, fk_table, index_column)
         left_rowids = left.rowid_map[fk_table]
         base = self.catalog.table(fk_table)
-        if len(left_rowids) == base.nrows:
-            mask = None
-        else:
-            mask = BitVector.from_indices(np.unique(left_rowids),
-                                          base.nrows)
-        self.device.charge_column_read(fk_table, index_column, mask)
         right_rowids = base.column(index_column).values[left_rowids]
 
         columns = dict(left.relation.columns)
-        gather_mask = BitVector.from_indices(
-            np.unique(right_rowids), ref_nrows
-        )
-        ref = self.catalog.table(fk.ref_table)
         origin = dict(left.origin)
-        charged = left.charged | right.charged
+        ref = self.catalog.table(fk.ref_table)
         for name in right.relation.names:
             if name in columns:
                 raise ValueError(f"join column collision on {name!r}")
             _, base_name = right.origin[name]
-            if (fk.ref_table, base_name) not in charged:
-                self.device.charge_column_read(
-                    fk.ref_table, base_name, gather_mask
-                )
-                charged.add((fk.ref_table, base_name))
             src = typed_array_from_column(ref.column(base_name))
             columns[name] = TypedArray(
                 src.values[right_rowids], src.kind, src.scale, src.heap
@@ -483,12 +497,22 @@ class DeviceExecutor:
 
         rowid_map = dict(left.rowid_map)
         rowid_map[fk.ref_table] = right_rowids.astype(np.int64)
-        return _DeviceRel(
+        out = _DeviceRel(
             relation=Relation(columns),
             rowid_map=rowid_map,
             origin=origin,
-            charged=charged,
+            charged=left.charged | right.charged,
+            # The probe side's rows are unchanged, so is what they touch.
+            pages={
+                key: flags for key, flags in left.pages.items()
+                if key[0] != fk.ref_table
+            },
         )
+        # The gathered columns stream now, under the gather's row ids —
+        # which repeat, so their count says nothing about coverage.
+        for name in right.relation.names:
+            self._consume(out, name, whole_if_all_rows=False)
+        return out
 
     # -- reductions -----------------------------------------------------------------
 
@@ -687,6 +711,8 @@ class AquomanSimulator:
         self.compiler = QueryCompiler(
             catalog, scale_ratio=self.config.scale_ratio
         )
+        # One layout for every query's device, not one per run.
+        self.layout = FlashLayout(catalog)
 
     def run(self, plan: Plan, query: str = "") -> SimulationResult:
         # Own the query scope before compiling so the compile span and
@@ -709,7 +735,8 @@ class AquomanSimulator:
             offload_roots.update(id(r) for r in unit.offload_roots())
 
         device = AquomanDevice(
-            self.catalog, self.config, tracer=self.tracer
+            self.catalog, self.config, tracer=self.tracer,
+            layout=self.layout,
         )
         trace = QueryTrace(
             query=query,

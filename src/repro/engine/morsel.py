@@ -297,6 +297,7 @@ class _SpanReads:
         self.table = table
         self.lo = lo
         self.hi = hi
+        # column -> flag per page of the span's window, or _FULL
         self._touched: dict[str, np.ndarray | None] = {}
 
     def full(self, column: str) -> None:
@@ -307,11 +308,9 @@ class _SpanReads:
         if column in self._touched and self._touched[column] is self._FULL:
             return
         ext = self.layout.extent(self.table, column)
-        pages = np.unique(rowids // ext.rows_per_page())
+        flags = ext.touched_pages(rowids, self.lo, self.hi - self.lo)
         prev = self._touched.get(column)
-        self._touched[column] = (
-            pages if prev is None else np.union1d(prev, pages)
-        )
+        self._touched[column] = flags if prev is None else prev | flags
 
     def summary(self):
         """(pages_read, pages_total, global page ids) for this span."""
@@ -326,7 +325,7 @@ class _SpanReads:
             pages = (
                 np.arange(span_lo, span_hi, dtype=np.int64)
                 if touched is self._FULL
-                else touched
+                else span_lo + np.flatnonzero(touched)
             )
             pages_read[column] = len(pages)
             pages_total[column] = span_hi - span_lo

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 from repro.util.units import KB
@@ -45,6 +47,33 @@ class ColumnExtent:
         lo = first_row // per_page
         hi = (first_row + n_rows - 1) // per_page
         return range(self.first_page + lo, self.first_page + hi + 1)
+
+    def touched_pages(
+        self, rowids: np.ndarray, first_row: int = 0,
+        n_rows: int | None = None,
+    ) -> np.ndarray:
+        """One flag per page of the row window: does a row id land on it?
+
+        This is the Table Reader's page-skip question (Sec. VI-B) for a
+        selection given as row ids — unsorted and repeated ids are fine.
+        The window is rows ``[first_row, first_row + n_rows)``, the
+        whole column by default; flag ``i`` stands for extent-local page
+        ``first_row // rows_per_page + i``.  A row id outside the window
+        is an ``IndexError``.  Cost is linear in ``len(rowids)``: one
+        scatter, no sort and no per-row temporary.
+        """
+        per_page = self.rows_per_page()
+        stop = self.nrows if n_rows is None else first_row + n_rows
+        first_local = first_row // per_page
+        flags = np.zeros(-(-stop // per_page) - first_local, dtype=np.bool_)
+        if len(rowids):
+            if rowids.min() < first_row or rowids.max() >= stop:
+                raise IndexError("bit index out of range")
+            pages = rowids // per_page
+            if first_local:
+                pages -= first_local
+            flags[pages] = True
+        return flags
 
     def page_for_row_vector(self, row_vector_id: int) -> int:
         """Physical page holding the given 32-row vector's first value."""

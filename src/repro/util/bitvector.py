@@ -39,7 +39,10 @@ class BitVector:
     def from_indices(cls, indices: Iterable[int], n: int) -> "BitVector":
         """Vector of length ``n`` with exactly the given positions set."""
         bits = np.zeros(n, dtype=np.bool_)
-        idx = np.fromiter(indices, dtype=np.int64)
+        if isinstance(indices, np.ndarray):
+            idx = indices.astype(np.int64, copy=False)
+        else:
+            idx = np.fromiter(indices, dtype=np.int64)
         if idx.size:
             if idx.min() < 0 or idx.max() >= n:
                 raise IndexError("bit index out of range")

@@ -1,0 +1,325 @@
+"""Table-Reader page accounting: the page-touch primitive and its golden.
+
+Two halves.  The property half checks ``ColumnExtent.touched_pages``
+against the route it replaced (sort + de-duplicate the row ids, build an
+``nrows``-long bit vector, OR it per page).  The golden half pins what
+the accounting *charges* — flash bytes, page counters, the morsel
+trace's per-column page dicts and the fault injector's event log — to
+numbers recorded at the commit before the primitive existed, so a
+faster accounting that charges different pages cannot pass.
+
+``python tests/test_page_accounting.py`` rewrites the golden file from
+whatever ``repro`` is on ``PYTHONPATH``; only run it against a commit
+whose accounting is trusted.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import tpch
+from repro.core import AquomanDevice, AquomanSimulator, DeviceConfig
+from repro.core.simulator import _DeviceRel
+from repro.engine import Engine, MorselConfig
+from repro.engine.relation import Relation
+from repro.engine.morsel import TUNED_MORSEL_ROWS
+from repro.faults.injector import FaultInjector, set_fault_injector
+from repro.faults.plan import FaultConfig, FaultPlan
+from repro.obs import METRICS
+from repro.perf.trace import QueryTrace
+from repro.sqlir import AggFunc, col, lit, scan
+from repro.sqlir.expr import Kind, TypedArray
+from repro.storage.layout import PAGE_BYTES, ColumnExtent, FlashLayout
+from repro.util.bitvector import BitVector
+
+GOLDEN = Path(__file__).parent / "fixtures" / "page_accounting_golden.json"
+SF, SEED = 0.01, 1
+MORSEL_ROWS = (TUNED_MORSEL_ROWS, 4096)
+
+
+def _clustered_plan():
+    """Survivors sit at the head of lineitem (order keys ascend), so
+    whole pages have none: TPC-H's own predicates skip no page on the
+    morsel path, this one does."""
+    return (
+        scan("lineitem")
+        .filter(col("l_orderkey") < lit(3000))
+        .aggregate(
+            aggs=[
+                ("qty", AggFunc.SUM, col("l_quantity")),
+                ("price", AggFunc.SUM, col("l_extendedprice")),
+            ]
+        )
+        .plan
+    )
+
+
+PLANS = {f"q{n:02d}": tpch.query(n) for n in sorted(tpch.ALL_QUERIES)}
+PLANS["clustered"] = _clustered_plan()
+
+# Page faults only: a device fault or worker crash would take the run
+# off the accounting under test.
+CHAOS_SEED = 11
+CHAOS = FaultConfig(page_error_rate=0.02, latency_spike_rate=0.05)
+CHAOS_QUERIES = ("q01", "q03", "q06", "q10", "q14", "q19", "clustered")
+
+
+# -- what the golden file records --------------------------------------------
+
+
+def _device_config() -> DeviceConfig:
+    return DeviceConfig(scale_ratio=1000.0 / SF)
+
+
+def _morsels(morsel_rows: int) -> MorselConfig:
+    return MorselConfig(
+        parallel=True, morsel_rows=morsel_rows, n_workers=1,
+        worker_backend="serial",
+    )
+
+
+def _page_counters() -> tuple[int, int]:
+    return (
+        METRICS.counter("device.flash_pages_read").value,
+        METRICS.counter("device.flash_pages_skipped").value,
+    )
+
+
+def device_record(db, name: str) -> dict:
+    read0, skipped0 = _page_counters()
+    result = AquomanSimulator(db, _device_config()).run(PLANS[name])
+    read1, skipped1 = _page_counters()
+    return {
+        "flash_bytes": result.device.meters.flash_bytes,
+        "pages_read": read1 - read0,
+        "pages_skipped": skipped1 - skipped0,
+    }
+
+
+def _by_column(pages: dict) -> dict:
+    return {f"{t}.{c}": n for (t, c), n in sorted(pages.items())}
+
+
+def morsel_record(db, name: str, morsel_rows: int) -> dict:
+    trace = QueryTrace(query=name, scale_factor=SF)
+    Engine(db, trace, morsels=_morsels(morsel_rows)).execute_relation(
+        PLANS[name]
+    )
+    return {
+        "pages_read": _by_column(trace.flash_pages_read),
+        "pages_skipped": _by_column(trace.flash_pages_skipped),
+    }
+
+
+def chaos_record(db, name: str) -> dict:
+    """Event log (site, page id) of one query on both paths.
+
+    Sorted, and the stall rounded: the device charges a node's columns
+    in set-iteration order, which moves with the process's hash seed.
+    """
+    injector = FaultInjector(FaultPlan(CHAOS_SEED, CHAOS))
+    set_fault_injector(injector)
+    try:
+        Engine(
+            db, QueryTrace(), morsels=_morsels(TUNED_MORSEL_ROWS)
+        ).execute_relation(PLANS[name])
+        result = AquomanSimulator(db, _device_config()).run(PLANS[name])
+    finally:
+        set_fault_injector(None)
+    return {
+        "events": [list(e) for e in injector.sorted_events()],
+        "summary": injector.summary(),
+        "device_fault_stall_s": round(
+            result.device.meters.fault_stall_s, 9
+        ),
+    }
+
+
+def collect(db) -> dict:
+    return {
+        "device": {name: device_record(db, name) for name in PLANS},
+        "morsel": {
+            str(rows): {
+                name: morsel_record(db, name, rows) for name in PLANS
+            }
+            for rows in MORSEL_ROWS
+        },
+        "chaos": {name: chaos_record(db, name) for name in CHAOS_QUERIES},
+    }
+
+
+# -- golden differential -------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def db():
+    return tpch.generate(SF, SEED)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+class TestGoldenAccounting:
+    @pytest.mark.parametrize("name", PLANS)
+    def test_device_charges(self, db, golden, name):
+        assert device_record(db, name) == golden["device"][name]
+
+    @pytest.mark.parametrize("morsel_rows", MORSEL_ROWS)
+    @pytest.mark.parametrize("name", PLANS)
+    def test_morsel_trace_pages(self, db, golden, name, morsel_rows):
+        want = golden["morsel"][str(morsel_rows)][name]
+        assert morsel_record(db, name, morsel_rows) == want
+
+    @pytest.mark.parametrize("name", CHAOS_QUERIES)
+    def test_chaos_event_log(self, db, golden, name):
+        want = golden["chaos"][name]
+        assert want["events"], "campaign must actually inject faults"
+        assert chaos_record(db, name) == want
+
+
+# -- the primitive against the route it replaced -------------------------------
+
+
+def _extent(nrows: int, width: int, first_page: int = 7) -> ColumnExtent:
+    return ColumnExtent(
+        table="t", column="c", first_page=first_page,
+        n_pages=max(1, -(-nrows * width // PAGE_BYTES)),
+        value_width=width, nrows=nrows,
+    )
+
+
+def _legacy(extent: ColumnExtent, rowids: np.ndarray) -> np.ndarray:
+    mask = BitVector.from_indices(
+        np.unique(rowids.astype(np.int64)), extent.nrows
+    )
+    return mask.group_any(extent.rows_per_page())
+
+
+@st.composite
+def _selections(draw):
+    width = draw(st.sampled_from([1, 4, 8]))
+    per_page = PAGE_BYTES // width
+    # Up to ~3 pages, biased so the last page is usually partial.
+    nrows = draw(st.integers(1, 3 * per_page + 5))
+    rowids = draw(
+        st.lists(st.integers(0, nrows - 1), max_size=60)
+    )
+    dtype = draw(st.sampled_from([np.int64, np.int32]))
+    return _extent(nrows, width), np.array(rowids, dtype=dtype)
+
+
+class TestTouchedPages:
+    @given(_selections())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_legacy_route(self, case):
+        extent, rowids = case
+        flags = extent.touched_pages(rowids)
+        assert flags.dtype == np.bool_
+        assert np.array_equal(flags, _legacy(extent, rowids))
+
+    @pytest.mark.parametrize("width", [1, 4, 8])
+    def test_partial_last_page(self, width):
+        per_page = PAGE_BYTES // width
+        extent = _extent(2 * per_page + 1, width)
+        assert extent.n_pages == 3
+        flags = extent.touched_pages(np.array([2 * per_page, 0, 0]))
+        assert flags.tolist() == [True, False, True]
+
+    def test_empty_selection_touches_nothing(self):
+        extent = _extent(5000, 8)
+        flags = extent.touched_pages(np.empty(0, dtype=np.int64))
+        assert flags.tolist() == [False] * extent.n_pages
+
+    @pytest.mark.parametrize("bad", [[-1], [3, 5000], [0, -7, 2]])
+    def test_out_of_range_raises(self, bad):
+        extent = _extent(5000, 8)
+        with pytest.raises(IndexError):
+            extent.touched_pages(np.array(bad, dtype=np.int64))
+
+    def test_row_window(self):
+        # Rows [1024, 3072) of an 8-byte column: pages 1 and 2.
+        extent = _extent(5000, 8)
+        flags = extent.touched_pages(
+            np.array([2047, 1024]), first_row=1024, n_rows=2048
+        )
+        assert flags.tolist() == [True, False]
+        with pytest.raises(IndexError):
+            extent.touched_pages(
+                np.array([1023]), first_row=1024, n_rows=2048
+            )
+
+
+# -- the per-selection memo and the shared layout -------------------------------
+
+
+class TestSelectionMemo:
+    def _rel(self, rowids):
+        return _DeviceRel(
+            relation=Relation(
+                {"x": TypedArray(np.asarray(rowids), Kind.INT, 0)}
+            ),
+            rowid_map={"lineitem": np.asarray(rowids, dtype=np.int64)},
+            origin={},
+            charged=set(),
+        )
+
+    def test_columns_of_one_width_share_one_pass(self, db):
+        layout = FlashLayout(db)
+        rel = self._rel([5, 9000, 5])
+        first = rel.touched_pages(layout.extent("lineitem", "l_quantity"))
+        again = rel.touched_pages(layout.extent("lineitem", "l_tax"))
+        assert first is again
+        assert first.sum() == 2  # rows 5 and 9000 of an 8-byte column
+        narrow = rel.touched_pages(layout.extent("lineitem", "l_shipdate"))
+        assert narrow is not first
+        assert set(rel.pages) == {("lineitem", 1024), ("lineitem", 2048)}
+
+    def test_reselecting_rows_starts_empty(self, db):
+        rel = self._rel([5, 9000, 5])
+        rel.touched_pages(FlashLayout(db).extent("lineitem", "l_tax"))
+        assert rel.gathered(np.array([0])).pages == {}
+        assert rel.masked(np.array([True, False, True])).pages == {}
+
+    def test_query_scans_row_ids_once_per_width(self, db, monkeypatch):
+        """Q1 reads six columns of two widths under one selection."""
+        calls = []
+        real = ColumnExtent.touched_pages
+
+        def counting(self, rowids, *args):
+            calls.append(self.column)
+            return real(self, rowids, *args)
+
+        monkeypatch.setattr(ColumnExtent, "touched_pages", counting)
+        AquomanSimulator(db, _device_config()).run(PLANS["q01"])
+        assert len(calls) == 2
+
+
+class TestSharedLayout:
+    def test_simulator_hands_one_layout_to_every_device(self, db):
+        sim = AquomanSimulator(db, _device_config())
+        first = sim.run(PLANS["q06"]).device
+        second = sim.run(PLANS["q14"]).device
+        assert first is not second
+        assert first.layout is sim.layout is second.layout
+
+    def test_device_builds_its_own_without_one(self, db):
+        device = AquomanDevice(db)
+        assert device.layout is not AquomanDevice(db).layout
+        assert device.charge_column_read("lineitem", "l_tax") == (
+            device.layout.extent("lineitem", "l_tax").n_pages * PAGE_BYTES
+        )
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(
+        json.dumps(collect(tpch.generate(SF, SEED)), indent=1,
+                   sort_keys=True) + "\n"
+    )
+    print(f"wrote {GOLDEN}")

@@ -149,3 +149,40 @@ class TestSuspensionRollback:
         # traffic must appear in host reads, not double-billed.
         assert SuspendReason.DRAM_EXCEEDED in result.suspend_reasons
         assert result.trace.total_flash_bytes > 0
+
+
+class TestMemoryRelease:
+    @pytest.mark.parametrize("number", [1, 21])
+    def test_columns_are_not_parked_in_reference_cycles(
+        self, small_db, config, number
+    ):
+        """Intermediate columns must die by reference count.
+
+        A cycle holding them survives until the cyclic collector next
+        runs, so the peak footprint would swing with collector timing
+        (q1 and q21 each used to park megabytes this way).
+        """
+        import gc
+
+        import numpy as np
+
+        simulator = AquomanSimulator(small_db, config)
+        plan = tpch.query(number)
+        simulator.run(plan)  # one-time caches first
+        gc.collect()
+        gc.disable()
+        try:
+            simulator.run(plan)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            parked = {
+                id(ref): ref.nbytes
+                for obj in gc.garbage
+                for ref in gc.get_referents(obj)
+                if isinstance(ref, np.ndarray)
+            }
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert sum(parked.values()) == 0

@@ -37,6 +37,30 @@ class TestConstruction:
         with pytest.raises(IndexError):
             BitVector.from_indices([9], 4)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_from_indices_ndarray(self, dtype):
+        # Arrays skip the element-by-element route; unsorted and
+        # repeated positions behave as they do for any iterable.
+        bv = BitVector.from_indices(np.array([5, 1, 5, 3], dtype=dtype), 8)
+        assert bv == BitVector.from_indices([1, 3, 5], 8)
+
+    def test_from_indices_ndarray_empty(self):
+        bv = BitVector.from_indices(np.empty(0, dtype=np.int64), 4)
+        assert len(bv) == 4 and bv.count() == 0
+
+    @pytest.mark.parametrize("bad", [[4], [0, 9], [-1], [2, -5]])
+    def test_from_indices_ndarray_out_of_range(self, bad):
+        with pytest.raises(IndexError):
+            BitVector.from_indices(np.array(bad, dtype=np.int64), 4)
+
+    def test_from_indices_negative(self):
+        with pytest.raises(IndexError):
+            BitVector.from_indices([-1], 4)
+
+    def test_from_indices_generator(self):
+        bv = BitVector.from_indices((i for i in (0, 2)), 3)
+        assert bv.indices().tolist() == [0, 2]
+
     def test_nonbool_array_coerced(self):
         bv = BitVector(np.array([0, 1, 2]))
         assert bv.count() == 2
