@@ -278,7 +278,7 @@ class DeviceExecutor:
                 "device.transformer", lane="device.transformer",
                 rows_in=selected.relation.nrows,
             ):
-                for name in leftover.column_refs():
+                for name in sorted(leftover.column_refs()):
                     self._consume(selected, name)
                 self.device.meters.rows_transformed += (
                     selected.relation.nrows
@@ -299,7 +299,7 @@ class DeviceExecutor:
         self.rows_processed += nrows
 
         for _, expr in plan.outputs:
-            for name in expr.column_refs():
+            for name in sorted(expr.column_refs()):
                 self._consume(dev, name)
 
         with self.tracer.span(
@@ -376,7 +376,7 @@ class DeviceExecutor:
         li, ri = inner_join_indices(left_keys, right_keys)
         if plan.residual is not None:
             pair = self._pair(left, right, li, ri)
-            for name in plan.residual.column_refs():
+            for name in sorted(plan.residual.column_refs()):
                 self._consume(pair, name)
             mask_rel = self.device._transform(
                 (("@res", plan.residual),),
@@ -525,7 +525,7 @@ class DeviceExecutor:
         for spec in plan.aggregates:
             if spec.expr is not None:
                 needed |= spec.expr.column_refs()
-        for name in needed:
+        for name in sorted(needed):
             self._consume(dev, name)
 
         # The hash-table model: spills counted against 1024 buckets.

@@ -62,7 +62,7 @@ from repro.engine.operators.grouping import (
     group_rows,
 )
 from repro.engine.operators.sorting import multi_key_order
-from repro.engine.relation import Relation
+from repro.engine.relation import Relation, typed_array_from_column
 from repro.flash.channels import ChannelMeter
 from repro.obs import METRICS
 from repro.perf.trace import OpTrace
@@ -84,7 +84,6 @@ from repro.sqlir.plan import (
     Scan,
     Sort,
 )
-from repro.storage.column import Column
 from repro.storage.layout import PAGE_BYTES, FlashLayout
 from repro.storage.stringheap import StringHeap
 from repro.storage.types import TypeKind
@@ -257,22 +256,6 @@ def _needed_scan_columns(frag: Fragment) -> set[str] | None:
 # ---------------------------------------------------------------------------
 # Morsel execution
 # ---------------------------------------------------------------------------
-
-
-def _typed_values(col: Column, values: np.ndarray) -> TypedArray:
-    """Lift raw column values into the evaluation domain.
-
-    Mirrors :func:`~repro.engine.relation.typed_array_from_column` but
-    for a morsel-sized slice or gather of the column.
-    """
-    kind = col.ctype.kind
-    if kind is TypeKind.CHAR:
-        return TypedArray(values, Kind.STR, 0, col.heap)
-    if kind is TypeKind.DECIMAL:
-        return TypedArray(values.astype(np.int64), Kind.INT, 2)
-    if kind is TypeKind.BOOL:
-        return TypedArray(values.astype(np.bool_), Kind.BOOL, 0)
-    return TypedArray(values.astype(np.int64), Kind.INT, 0)
 
 
 def _apply_step(step: Plan, rel: Relation) -> Relation:
@@ -470,7 +453,9 @@ class SpanRunner:
         for name in self.base_names:
             col = self.table.column(name)
             reads.full(name)
-            columns[name] = _typed_values(col, col.slice_rows(lo, hi))
+            columns[name] = typed_array_from_column(
+                col, col.slice_rows(lo, hi)
+            )
         return Relation(columns), 0
 
     def _filtered_base(
@@ -540,7 +525,7 @@ class SpanRunner:
         else:
             reads.rows(name, lo + local)
             raw = col.gather_raw(lo + local)
-        return _typed_values(col, raw)
+        return typed_array_from_column(col, raw)
 
     # -- partial reduction ---------------------------------------------------------
 

@@ -1,14 +1,35 @@
 """Equi-join kernels.
 
-The software baseline joins the way MonetDB does for unsorted inputs:
-sort one side, binary-search the other, expand duplicate runs.  The same
-kernel yields inner pair lists; semi/anti reduce the pair list (or, when
-no residual predicate is involved, short-circuit to a membership test).
+One kernel, :func:`inner_join_indices`, serves the monolithic engine,
+the morsel path and the device executor.  It finds, for every probe
+(left) row, the run of build (right) rows holding the same key, by one
+of two routes chosen from the inputs alone:
+
+* **direct-address** — integer keys whose build-side span
+  ``max - min + 1`` is at most ``DIRECT_SPAN_FACTOR`` cells per input
+  row are counted into a table indexed by ``key - min``; each probe is
+  one O(1) look-up, the whole join O(rows + span).  A unique build side
+  (the usual primary-key case) needs no sort at all.
+* **sort + binary search** — everything else (non-integer keys,
+  composite keys spanning ~10^12, spans beyond int64): sort the build
+  side, ``searchsorted`` the probe keys, the way MonetDB joins unsorted
+  inputs.
+
+Both routes describe the matches as ``(order, lo, counts)`` and share
+one expansion into pair lists, so the output does not depend on the
+route.  Semi/anti joins reduce the pair list (or, when no residual
+predicate is involved, short-circuit to a membership test).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Table cells the direct-address route may spend per input row
+# (len(left) + len(right)); keeps its scratch memory O(rows).
+DIRECT_SPAN_FACTOR = 4
+
+_Probe = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def inner_join_indices(
@@ -16,8 +37,9 @@ def inner_join_indices(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All matching (left_row, right_row) pairs of an inner equi-join.
 
-    Pairs are produced in left-row-major order, so downstream gathers
-    keep the left relation's row order — like MonetDB's fetch joins.
+    Pairs are produced in left-row-major order — and, within one left
+    row, in ascending right-row order — so downstream gathers keep the
+    left relation's row order, like MonetDB's fetch joins.
     """
     left_keys = np.asarray(left_keys)
     right_keys = np.asarray(right_keys)
@@ -25,26 +47,76 @@ def inner_join_indices(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
 
+    probe = _probe_direct(left_keys, right_keys)
+    if probe is None:
+        probe = _probe_sorted(left_keys, right_keys)
+    return _expand(*probe)
+
+
+def _probe_sorted(left_keys: np.ndarray, right_keys: np.ndarray) -> _Probe:
+    """Sort the build side, binary-search every probe key into it."""
     order = np.argsort(right_keys, kind="stable")
     sorted_right = right_keys[order]
-
     lo = np.searchsorted(sorted_right, left_keys, side="left")
     hi = np.searchsorted(sorted_right, left_keys, side="right")
-    counts = hi - lo
+    return order, lo, hi - lo
 
+
+def _probe_direct(
+    left_keys: np.ndarray, right_keys: np.ndarray
+) -> _Probe | None:
+    """Probe through a table indexed by ``key - min``; None if unfit."""
+    for keys in (left_keys, right_keys):
+        if keys.dtype.kind not in "iu" or not np.can_cast(
+            keys.dtype, np.int64
+        ):
+            return None
+    kmin = int(right_keys.min())
+    span = int(right_keys.max()) - kmin + 1  # Python ints: cannot overflow
+    if span > DIRECT_SPAN_FACTOR * (len(left_keys) + len(right_keys)):
+        return None
+
+    right_cell = np.subtract(right_keys, kmin, dtype=np.int64)
+    # One spare cell past the window collects every probe key outside
+    # it.  ``left - kmin`` may wrap for far-away keys, but never into
+    # [0, span): read as unsigned, all out-of-window differences are
+    # >= span, so one ``minimum`` both masks and clamps them.
+    left_cell = np.minimum(
+        np.subtract(left_keys, kmin, dtype=np.int64).view(np.uint64),
+        np.uint64(span),
+    ).view(np.int64)
+    per_key = np.bincount(right_cell, minlength=span + 1)
+    counts = per_key[left_cell]
+
+    if len(right_keys) == np.count_nonzero(per_key):
+        # Unique build keys: the table holds the build row itself.
+        slot = np.empty(span + 1, dtype=np.int64)
+        slot[right_cell] = np.arange(len(right_keys), dtype=np.int64)
+        return slot, left_cell, counts
+    order = np.argsort(right_cell, kind="stable")
+    starts = np.cumsum(per_key) - per_key
+    return order, starts[left_cell], counts
+
+
+def _expand(
+    order: np.ndarray, lo: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair lists from per-left-row runs ``order[lo : lo + counts]``."""
     total = int(counts.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
+    matched = np.flatnonzero(counts)
+    if len(matched) == total:
+        # At most one match per left row: no runs to enumerate.
+        return matched, order[lo[matched]]
 
-    left_out = np.repeat(np.arange(len(left_keys), dtype=np.int64), counts)
-    # For each left row, enumerate its run [lo, hi) in the sorted right.
+    left_out = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     starts = np.repeat(lo, counts)
     within = np.arange(total, dtype=np.int64) - np.repeat(
         np.cumsum(counts) - counts, counts
     )
-    right_out = order[starts + within]
-    return left_out, right_out
+    return left_out, order[starts + within]
 
 
 def semi_join_mask(

@@ -92,16 +92,26 @@ class Relation:
         return Table(name, out)
 
 
-def typed_array_from_column(col: Column) -> TypedArray:
-    """Lift a storage column into the evaluation domain."""
+def typed_array_from_column(
+    col: Column, values: np.ndarray | None = None
+) -> TypedArray:
+    """Lift a storage column into the evaluation domain.
+
+    ``values`` stands in for the whole column when only a slice or a
+    gather of it is lifted.  Values already of the evaluation dtype are
+    shared, not copied: nothing downstream writes into a
+    :class:`TypedArray` in place.
+    """
+    if values is None:
+        values = col.values
     kind = col.ctype.kind
     if kind is TypeKind.CHAR:
-        return TypedArray(col.values, Kind.STR, 0, col.heap)
+        return TypedArray(values, Kind.STR, 0, col.heap)
     if kind is TypeKind.DECIMAL:
-        return TypedArray(col.values.astype(np.int64), Kind.INT, 2)
+        return TypedArray(values.astype(np.int64, copy=False), Kind.INT, 2)
     if kind is TypeKind.BOOL:
-        return TypedArray(col.values.astype(np.bool_), Kind.BOOL, 0)
-    return TypedArray(col.values.astype(np.int64), Kind.INT, 0)
+        return TypedArray(values.astype(np.bool_, copy=False), Kind.BOOL, 0)
+    return TypedArray(values.astype(np.int64, copy=False), Kind.INT, 0)
 
 
 def _column_from_typed(name: str, arr: TypedArray) -> Column:

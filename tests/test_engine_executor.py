@@ -1,9 +1,13 @@
 """The software baseline engine: per-operator behaviour on real plans."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.engine import MATCH_FLAG, Engine
+from repro import tpch
+from repro.core import AquomanSimulator, DeviceConfig
+from repro.engine import MATCH_FLAG, Engine, MorselConfig
 from repro.sqlir import AggFunc, JoinKind, col, lit, lit_date, scan
 from repro.sqlir.builder import desc
 from repro.sqlir.expr import ScalarSubquery
@@ -60,6 +64,42 @@ class TestScanFilterProject:
         out = Engine(sales_db).execute(scan("sales", ("price",)).plan)
         assert out.column_names == ["price"]
         assert out.nrows == 6
+
+    def test_scan_shares_the_catalog_columns(self, sales_db):
+        out = Engine(sales_db).execute_relation(scan("sales").plan)
+        table = sales_db.table("sales")
+        for name in ("sale_id", "price", "dept"):
+            assert np.shares_memory(
+                out.column(name).values, table.column(name).values
+            ), name
+        # Narrower on flash than in the evaluation domain: widened.
+        day = out.column("day").values
+        assert day.dtype == np.int64
+        assert np.array_equal(day, table.column("day").values)
+
+    def test_queries_leave_the_catalog_untouched(self, small_db):
+        """Scans hand out the catalog's own arrays, so no operator on
+        any path may write into a column it was given."""
+
+        def checksums():
+            return {
+                (table.name, column.name): hashlib.sha1(
+                    np.ascontiguousarray(column.values).tobytes()
+                ).hexdigest()
+                for table in small_db.tables.values()
+                for column in table.columns
+            }
+
+        before = checksums()
+        assert before
+        morsels = MorselConfig(parallel=True, morsel_rows=8192, n_workers=1)
+        simulator = AquomanSimulator(small_db, DeviceConfig())
+        for n in sorted(tpch.ALL_QUERIES):
+            plan = tpch.query(n)
+            Engine(small_db).execute_relation(plan)
+            Engine(small_db, morsels=morsels).execute_relation(plan)
+            simulator.run(plan)
+        assert checksums() == before
 
     def test_filter_by_date(self, sales_db):
         plan = (
@@ -141,6 +181,62 @@ class TestJoins:
         flags = out.column(MATCH_FLAG).logical()
         assert out.nrows == 7  # 6 matches + unmatched item 4
         assert sum(flags) == 6
+
+    @pytest.mark.parametrize(
+        "kind, residual",
+        [
+            (JoinKind.INNER, col("bval") > col("pval")),
+            (JoinKind.SEMI, col("bval") > col("pval")),
+            (JoinKind.ANTI, col("bval") > col("pval")),
+            (JoinKind.LEFT_OUTER, None),
+            (JoinKind.INNER, None),
+        ],
+    )
+    def test_same_relation_on_dense_and_sparse_keys(self, kind, residual):
+        """Keys k take the direct-address route, the same keys as
+        k * 10^12 + 3 the sort route; the join must not tell them apart."""
+        rng = np.random.default_rng(14)
+        pkey = rng.integers(-5, 16, size=60)   # duplicated, some unmatched
+        bkey = rng.integers(1, 22, size=45)    # 0 is left for outer NULLs
+        vals = rng.integers(0, 100, size=105)
+
+        def sparse_key(k):
+            return k * 10**12 + 3
+
+        def run(encode):
+            cat = Catalog()
+            cat.add_table(Table("probe", [
+                Column("pid", INT64, np.arange(60, dtype=np.int64)),
+                Column("pkey", INT64, encode(pkey)),
+                Column("pval", INT64, vals[:60]),
+            ]))
+            cat.add_table(Table("build", [
+                Column("bid", INT64, np.arange(45, dtype=np.int64)),
+                Column("bkey", INT64, encode(bkey)),
+                Column("bval", INT64, vals[60:]),
+            ]))
+            plan = (
+                scan("probe")
+                .join(scan("build"), "pkey", "bkey", kind=kind,
+                      residual=residual)
+                .plan
+            )
+            return Engine(cat).execute_relation(plan)
+
+        dense = run(lambda k: k)
+        sparse = run(sparse_key)
+        assert dense.nrows > 0
+        assert set(pkey.tolist()) - set(bkey.tolist())  # unmatched rows
+        assert dense.names == sparse.names
+        for name in dense.names:
+            a, b = dense.column(name), sparse.column(name)
+            assert (a.kind, a.scale) == (b.kind, b.scale), name
+            want = a.values
+            if name == "pkey":
+                want = sparse_key(want)
+            elif name == "bkey":
+                want = np.where(want == 0, 0, sparse_key(want))
+            assert np.array_equal(want, b.values), name
 
     def test_join_collision_raises(self, sales_db):
         plan = (

@@ -13,12 +13,57 @@ from repro.engine.operators.grouping import (
     aggregate_sum,
     group_rows,
 )
+from repro.engine.operators import joins
 from repro.engine.operators.joins import inner_join_indices, semi_join_mask
 from repro.engine.operators.sorting import multi_key_order
 from repro.sqlir.expr import Kind, TypedArray
 from repro.storage.stringheap import StringHeap
 
 keys_lists = st.lists(st.integers(0, 20), max_size=50)
+
+I64 = np.iinfo(np.int64)
+
+
+def _reference_pairs(left, right) -> list[tuple[int, int]]:
+    """Nested loop: left-row-major, ascending right row within a key."""
+    return [
+        (i, j)
+        for i, lv in enumerate(left)
+        for j, rv in enumerate(right)
+        if lv == rv
+    ]
+
+
+def _assert_exact_pairs(left: np.ndarray, right: np.ndarray) -> None:
+    li, ri = inner_join_indices(left, right)
+    assert li.dtype == np.int64 and ri.dtype == np.int64
+    assert list(zip(li.tolist(), ri.tolist())) == _reference_pairs(
+        left.tolist(), right.tolist()
+    )
+
+
+# Small integers re-encoded so that each route of the kernel is taken:
+# a shifted dense window, TPC-H-style composite keys 10^12 apart, and
+# keys saturating at both ends of int64 (span overflows int64).
+_ENCODINGS = {
+    "dense": lambda k, shift: k + shift,
+    "sparse": lambda k, shift: k * 10**12 + shift,
+    "extreme": lambda k, shift: max(I64.min, min(I64.max, k * 2**60)),
+}
+
+
+@st.composite
+def _encoded_keys(draw):
+    encode = _ENCODINGS[draw(st.sampled_from(sorted(_ENCODINGS)))]
+    shift = draw(st.integers(-1000, 1000))
+    # Probe keys range wider than build keys: some fall outside the
+    # build window on either side.
+    left = draw(st.lists(st.integers(-30, 30), max_size=40))
+    right = draw(st.lists(st.integers(-12, 12), max_size=40))
+    return (
+        np.array([encode(k, shift) for k in left], dtype=np.int64),
+        np.array([encode(k, shift) for k in right], dtype=np.int64),
+    )
 
 
 class TestInnerJoin:
@@ -34,6 +79,11 @@ class TestInnerJoin:
     def test_empty_sides(self):
         li, ri = inner_join_indices(np.array([]), np.array([1]))
         assert len(li) == 0 and len(ri) == 0
+        for left, right in ([[], [1]], [[1], []], [[], []]):
+            _assert_exact_pairs(
+                np.array(left, dtype=np.int64),
+                np.array(right, dtype=np.int64),
+            )
 
     def test_no_matches(self):
         li, ri = inner_join_indices(np.array([1]), np.array([2]))
@@ -42,17 +92,78 @@ class TestInnerJoin:
     @given(keys_lists, keys_lists)
     @settings(max_examples=60)
     def test_matches_nested_loop_reference(self, left, right):
-        left = np.array(left, dtype=np.int64)
-        right = np.array(right, dtype=np.int64)
-        li, ri = inner_join_indices(left, right)
-        got = sorted(zip(li.tolist(), ri.tolist()))
-        expected = sorted(
-            (i, j)
-            for i, lv in enumerate(left)
-            for j, rv in enumerate(right)
-            if lv == rv
+        _assert_exact_pairs(
+            np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
         )
-        assert got == expected
+
+    @given(_encoded_keys())
+    @settings(max_examples=300, deadline=None)
+    def test_exact_pair_order_on_every_route(self, keys):
+        _assert_exact_pairs(*keys)
+
+    @pytest.mark.parametrize(
+        "left_dtype, right_dtype",
+        [
+            (np.int32, np.int32),
+            (np.uint8, np.uint8),
+            (np.int32, np.int64),
+            (np.int64, np.uint8),
+            (np.uint64, np.uint64),
+            (np.float64, np.float64),
+            (np.bool_, np.bool_),
+        ],
+    )
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_key_dtypes(self, left_dtype, right_dtype, data):
+        def keys(dtype):
+            if dtype is np.bool_:
+                elements = st.booleans()
+            elif dtype is np.float64:
+                elements = st.integers(-8, 8).map(lambda k: k / 2)
+            elif np.issubdtype(dtype, np.unsignedinteger):
+                elements = st.integers(0, 12)
+            else:
+                elements = st.integers(-12, 12)
+            return np.array(
+                data.draw(st.lists(elements, max_size=30)), dtype=dtype
+            )
+
+        _assert_exact_pairs(keys(left_dtype), keys(right_dtype))
+
+    def test_probe_keys_that_wrap_around_the_window(self):
+        # ``left - min(right)`` overflows int64 for these probes; none
+        # may land inside the table.
+        for right in ([I64.max - 1, I64.max], [I64.min, I64.min + 1], [0, 1]):
+            right = np.array(right, dtype=np.int64)
+            assert joins._probe_direct(right, right) is not None
+            left = np.array(
+                [I64.min, I64.min + 1, -1, 0, 1, 2, I64.max - 1, I64.max],
+                dtype=np.int64,
+            )
+            _assert_exact_pairs(left, right)
+
+    def test_route_follows_dtype_span_and_row_counts(self):
+        def direct(left, right):
+            return joins._probe_direct(
+                np.asarray(left), np.asarray(right)
+            ) is not None
+
+        rows = np.arange(50)
+        assert direct(rows, rows)
+        assert direct(rows.astype(np.int32), rows.astype(np.uint8))
+        assert direct(rows - 7, -rows)                    # negative keys
+        assert direct(rows, np.repeat(rows, 2))           # duplicated build
+        # Span bounded by a multiple of the rows on both sides.
+        limit = joins.DIRECT_SPAN_FACTOR * 100
+        assert direct(rows, np.linspace(0, limit - 1, 50).astype(np.int64))
+        assert not direct(rows, np.linspace(0, limit, 50).astype(np.int64))
+        assert not direct(rows, rows * 10**12)            # composite keys
+        assert not direct(rows, np.array([I64.min, I64.max]))
+        assert not direct(rows.astype(np.float64), rows)
+        assert not direct(rows, rows.astype(np.float64))
+        assert not direct(rows > 3, rows > 3)
+        assert not direct(rows.astype(np.uint64), rows)
 
     @given(keys_lists, keys_lists)
     @settings(max_examples=40)
