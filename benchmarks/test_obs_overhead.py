@@ -107,7 +107,7 @@ def _sampler_tick_s() -> float:
     latency = registry.histogram(
         "query.latency_ms", buckets=LATENCY_BUCKETS_MS
     )
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process", "device"):
         completed.labels(backend=backend).inc(10)
         for i in range(20):
             latency.labels(backend=backend).observe(5.0 + i)

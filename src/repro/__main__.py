@@ -58,7 +58,11 @@ from repro import tpch
 from repro.core import AquomanSimulator, DeviceConfig
 from repro.core.compiler import QueryCompiler
 from repro.engine import Engine
-from repro.engine.morsel import TUNED_MORSEL_ROWS, WORKER_BACKENDS
+from repro.engine.morsel import (
+    TUNED_MORSEL_ROWS,
+    WORKER_BACKENDS,
+    MorselConfig,
+)
 from repro.obs import (
     METRICS,
     QueryLog,
@@ -251,8 +255,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_profile(args) -> int:
     """Run one query under the tracer and export its span timeline."""
-    from repro.engine.morsel import MorselConfig
-
     db = tpch.generate(args.sf)
     plan = _plan_of(args, db)
     name = _query_name(args)
@@ -533,8 +535,6 @@ def cmd_serve(args) -> int:
         set_timeseries,
     )
 
-    from repro.engine.morsel import MorselConfig
-
     db = tpch.generate(args.sf)
     warm = [int(q) for q in args.warm.split(",") if q.strip()] \
         if args.warm else []
@@ -654,7 +654,6 @@ def cmd_top(args) -> int:
 
     # Demo mode: run a handful of queries in-process and render from
     # the local store — no server needed.
-    from repro.engine.morsel import MorselConfig
     from repro.obs.slo import BurnWindows, SloEngine, default_objectives
     from repro.obs.timeseries import TimeSeriesStore
 
@@ -723,9 +722,10 @@ def main(argv: list[str] | None = None) -> int:
         help="morsel workers = trace lanes (default 4)",
     )
     p_profile.add_argument(
-        "--backend", choices=WORKER_BACKENDS, default="thread",
+        "--backend", choices=WORKER_BACKENDS,
+        default=MorselConfig.worker_backend,
         help="morsel worker backend; 'process' adds proc-worker-N "
-        "lanes to the trace (default thread)",
+        "lanes to the trace (default %(default)s)",
     )
     p_profile.add_argument(
         "--morsel-rows", type=int, default=TUNED_MORSEL_ROWS,
@@ -813,8 +813,9 @@ def main(argv: list[str] | None = None) -> int:
         help="morsel workers (default 4)",
     )
     p_doctor.add_argument(
-        "--backend", choices=WORKER_BACKENDS, default="thread",
-        help="morsel worker backend (default thread)",
+        "--backend", choices=WORKER_BACKENDS,
+        default=MorselConfig.worker_backend,
+        help="morsel worker backend (default %(default)s)",
     )
     p_doctor.add_argument(
         "--morsel-rows", type=int, default=TUNED_MORSEL_ROWS,
@@ -897,7 +898,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_chaos.add_argument(
         "--workers", type=int, default=4,
-        help="morsel worker threads (default 4)",
+        help="morsel workers (default 4)",
     )
     p_chaos.add_argument(
         "--morsel-rows", type=int, default=8192,
@@ -905,9 +906,10 @@ def main(argv: list[str] | None = None) -> int:
         "density high (default 8192)",
     )
     p_chaos.add_argument(
-        "--backend", choices=WORKER_BACKENDS, default="thread",
+        "--backend", choices=WORKER_BACKENDS,
+        default=MorselConfig.worker_backend,
         help="morsel worker backend; reports are identical across "
-        "backends (default thread)",
+        "backends (default %(default)s)",
     )
     p_chaos.add_argument(
         "--out", metavar="FILE",

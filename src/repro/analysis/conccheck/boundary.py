@@ -22,7 +22,7 @@ dicts, comprehension elements, conditional arms, starred elements and
 single-assignment local names — but **not** into arbitrary call
 arguments: a call's *result* crosses the boundary, not its operands,
 so ``pool.run(requests, batch_opts(self.tracer))`` is clean while
-``pool.run([("morsel", self.tracer, b) for b in batches])`` is not.
+``pool.run([(self.tracer, b) for b in batches])`` is not.
 """
 
 from __future__ import annotations

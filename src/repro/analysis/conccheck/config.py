@@ -31,7 +31,7 @@ class LintConfig:
     run needs besides the sources."""
 
     package: str = "repro"
-    # Functions whose bodies execute on worker threads / forked workers.
+    # Functions whose bodies execute on forked workers / other threads.
     worker_roots: tuple[str, ...] = ()
     # Merge / partial-(un)pack functions: deterministic by contract.
     result_roots: tuple[str, ...] = ()
@@ -79,20 +79,15 @@ def default_config() -> LintConfig:
             # forked process worker: batch loop and dispatcher
             "repro.engine.procpool:_worker_main",
             "repro.engine.procpool:_handle",
-            # shared thread pool worker loop
-            "repro.engine.procpool:SpanThreadPool._worker_loop",
             # the per-span pipeline both backends execute
             "repro.engine.morsel:SpanRunner.run_span_safe",
-            # the device's streamed Row Selector chunk closure
-            "repro.core.device:AquomanDevice._select_streamed"
-            ".<locals>.run_span",
             # the time-series sampler thread (rollup-ring writes)
             "repro.obs.timeseries:Sampler._loop",
             "repro.obs.timeseries:Sampler.tick",
         ),
         result_roots=(
-            "repro.engine.morsel:MorselExecutor._merge",
-            "repro.engine.morsel:MorselExecutor._merge_aggregate",
+            "repro.engine.morsel:merge_plan",
+            "repro.engine.morsel:_reduce",
             "repro.engine.morsel:pack_partial",
             "repro.engine.morsel:unpack_partial",
             "repro.engine.morsel:_concat_relations",

@@ -63,7 +63,7 @@ __all__ = [
     "MATCH_FLAG",
 ]
 
-# Mirror of repro.engine.executor.MATCH_FLAG (analysis must not import
+# Mirror of repro.engine.MATCH_FLAG (analysis must not import
 # the engine — see the package layering note in analysis/__init__.py).
 MATCH_FLAG = "@matched"
 

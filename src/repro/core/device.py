@@ -30,6 +30,13 @@ from repro.core.swissknife.merger import Merger
 from repro.core.swissknife.sorter import StreamingSorter
 from repro.core.swissknife.topk import TopKAccelerator
 from repro.core.tabletask import SwissknifeOp, TableTask, TaskOutput
+from repro.engine.operators.grouping import (
+    aggregate_count,
+    aggregate_max,
+    aggregate_min,
+    aggregate_sum,
+    group_rows,
+)
 from repro.engine.relation import Relation, typed_array_from_column
 from repro.faults.injector import get_fault_injector
 from repro.flash.nand import FlashConfig
@@ -46,7 +53,6 @@ from repro.sqlir.expr import (
 from repro.storage.catalog import Catalog
 from repro.storage.layout import (
     PAGE_BYTES,
-    ROW_VECTOR_SIZE,
     ColumnExtent,
     FlashLayout,
 )
@@ -66,13 +72,6 @@ class DeviceConfig:
     pe_imem_size: int | None = None  # None = "as big as needed" (Sec. VII)
     scale_ratio: float = 1.0         # simulated SF / data SF
     flash: FlashConfig = field(default_factory=FlashConfig)
-    # Streaming knobs: rows per morsel fed through the selector/
-    # transformer pipeline (None = monolithic, the original behaviour),
-    # workers evaluating independent morsels, and the worker backend
-    # ("serial" | "thread" | "process", as in MorselConfig).
-    morsel_rows: int | None = None
-    n_workers: int = 1
-    worker_backend: str = "thread"
 
 
 @dataclass
@@ -273,110 +272,11 @@ class AquomanDevice:
             col = base.column(name)
             self.charge_column_read(task.table, name, None)
             columns[name] = col.values
-        if self.config.morsel_rows:
-            selected = self._select_streamed(
-                task.row_sel, columns, base.nrows, mask,
-                table=task.table,
-            )
-        else:
-            selected = self.row_selector.select(
-                task.row_sel, columns, base.nrows, mask
-            )
+        selected = self.row_selector.select(
+            task.row_sel, columns, base.nrows, mask
+        )
         self.meters.rows_selected += selected.count()
         return selected
-
-    def _select_streamed(
-        self, program, columns, nrows: int, mask: BitVector | None,
-        table: str = "",
-    ) -> BitVector:
-        """Row Selector over morsel-sized chunks of the column stream.
-
-        Chunks are independent, so with ``n_workers > 1`` they run on
-        the shared persistent worker pool (thread or forked-process,
-        per ``worker_backend``); the concatenated chunk masks are
-        bit-identical to one monolithic select, and the selector meters
-        are charged the monolithic amounts so traces stay comparable
-        across configurations.
-        """
-        step = self.config.morsel_rows
-        spans = [
-            (lo, min(lo + step, nrows)) for lo in range(0, nrows, step)
-        ]
-
-        def run_span(span):
-            lo, hi = span
-            chunk_cols = {n: v[lo:hi] for n, v in columns.items()}
-            base_chunk = (
-                BitVector(mask.bits[lo:hi]) if mask is not None else None
-            )
-            sel = RowSelector(self.config.n_predicate_evaluators)
-            return sel.select(program, chunk_cols, hi - lo, base_chunk).bits
-
-        parts = None
-        if self.config.n_workers > 1 and len(spans) > 1:
-            if self.config.worker_backend == "process" and table:
-                parts = self._select_process(
-                    program, table, mask, spans, run_span
-                )
-            if parts is None:
-                from repro.engine.procpool import get_thread_pool
-
-                pool = get_thread_pool(self.config.n_workers)
-                parts = list(pool.map(run_span, spans))
-        else:
-            parts = [run_span(span) for span in spans]
-        bits = (
-            np.concatenate(parts)
-            if parts
-            else np.ones(nrows, dtype=np.bool_)
-        )
-        self.row_selector.rows_scanned += nrows
-        self.row_selector.masks_produced += -(-nrows // ROW_VECTOR_SIZE)
-        return BitVector(bits)
-
-    def _select_process(
-        self, program, table: str, mask: BitVector | None, spans,
-        run_span,
-    ) -> list | None:
-        """Fan select batches out to the forked pool; None = no pool.
-
-        Batches lost to a dead worker re-run inline (chunks are pure
-        functions of their span), and an unusable pool returns None so
-        the caller falls back to the thread path.
-        """
-        from repro.engine import procpool
-
-        pool = procpool.get_process_pool(
-            self.catalog, self.config.n_workers
-        )
-        if pool is None:
-            return None
-        payload = (
-            table,
-            program,
-            self.config.n_predicate_evaluators,
-            mask.bits if mask is not None else None,
-        )
-        batches = procpool.make_batches(spans, pool.n_workers)
-        requests = [("select", payload, batch) for batch in batches]
-        try:
-            replies = pool.run(requests, procpool.batch_opts(self.tracer))
-        except procpool.PoolBroken:
-            return None
-        injector = get_fault_injector()
-        parts: list = []
-        for reply, batch in zip(replies, batches):
-            if reply.status == "lost":
-                parts.extend(run_span(span) for span in batch)
-                continue
-            procpool.absorb_obs(reply, self.tracer, injector)
-            if reply.status == "done":
-                parts.extend(reply.result)
-            else:
-                raise RuntimeError(
-                    f"select worker failed:\n{reply.message}"
-                )
-        return parts
 
     def _run_row_transformer(
         self, task: TableTask, base, mask: BitVector | None
@@ -398,31 +298,13 @@ class AquomanDevice:
             self.charge_column_read(task.table, name, mask)
             arr = typed_array_from_column(col)
             raw_columns[name] = TypedArray(
-                self._gather(arr.values, rowids), arr.kind, arr.scale,
-                arr.heap,
+                arr.values[rowids], arr.kind, arr.scale, arr.heap
             )
         raw_columns[ROWID] = TypedArray(rowids, Kind.INT, 0)
 
         outputs = self._transform(task.row_transf, raw_columns, len(rowids))
         self.meters.rows_transformed += len(rowids)
         return outputs
-
-    def _gather(self, values: np.ndarray, rowids: np.ndarray) -> np.ndarray:
-        """Gather selected rows, morsel-at-a-time when streaming.
-
-        Per-morsel fancy indexing touches only the pages holding the
-        morsel's selected rows — on an mmap-backed column this is the
-        physical half of the Table Reader's page skip.  Concatenating
-        the chunk gathers equals one monolithic gather exactly.
-        """
-        step = self.config.morsel_rows
-        if not step or len(rowids) <= step:
-            return values[rowids]
-        cuts = np.searchsorted(
-            rowids, np.arange(step, len(values), step, dtype=np.int64)
-        )
-        parts = [p for p in np.split(rowids, cuts) if len(p)]
-        return np.concatenate([values[p] for p in parts])
 
     def _transform(
         self,
@@ -596,32 +478,11 @@ class AquomanDevice:
         for name, func, column in args["aggs"]:
             arr = stream.column(column)
             values = arr.values.astype(np.int64)
-            result = self._reduce_stream(func, values)
+            result = _reduce_int(func, values)
             out[name] = TypedArray(
                 np.array([result], dtype=np.int64), arr.kind, arr.scale
             )
         return Relation(out)
-
-    def _reduce_stream(self, func: str, values: np.ndarray):
-        """AGGREGATE one int64 stream, morsel partials when streaming.
-
-        All four Swissknife scalar aggregates are associative on int64,
-        so merging per-morsel partials (sum of sums, min of mins, ...)
-        is exact — unlike floats, there is no rounding order to care
-        about.
-        """
-        step = self.config.morsel_rows
-        if step and len(values) > step:
-            partials = np.array(
-                [
-                    _reduce_int(func, values[lo:lo + step])
-                    for lo in range(0, len(values), step)
-                ],
-                dtype=np.int64,
-            )
-            merge = "sum" if func == "cnt" else func
-            return _reduce_int(merge, partials)
-        return _reduce_int(func, values)
 
     def _swiss_groupby(self, stream: Relation, args: dict) -> Relation:
         keys: list[str] = args["keys"]
@@ -646,8 +507,6 @@ class AquomanDevice:
         return merged
 
     def _merge_spills(self, stream, keys, aggs, device_result, zipped):
-        from repro.engine.operators.grouping import group_rows
-
         groups = group_rows([stream.column(k).values for k in keys])
         out: dict[str, TypedArray] = {}
         for k in keys:
@@ -658,22 +517,9 @@ class AquomanDevice:
             )
         for name, func, column in aggs:
             arr = stream.column(column)
-            values = arr.values.astype(np.int64)
-            n = groups.n_groups
-            if func == "sum":
-                acc = np.zeros(n, dtype=np.int64)
-                np.add.at(acc, groups.group_of_row, values)
-            elif func == "min":
-                acc = np.full(n, np.iinfo(np.int64).max)
-                np.minimum.at(acc, groups.group_of_row, values)
-            elif func == "max":
-                acc = np.full(n, np.iinfo(np.int64).min)
-                np.maximum.at(acc, groups.group_of_row, values)
-            elif func == "cnt":
-                acc = np.zeros(n, dtype=np.int64)
-                np.add.at(acc, groups.group_of_row, 1)
-            else:
+            if func not in _GROUP_KERNELS:
                 raise ValueError(f"unknown aggregate {func!r}")
+            acc = _GROUP_KERNELS[func](arr.values.astype(np.int64), groups)
             out[name] = TypedArray(acc, arr.kind, arr.scale)
         return Relation(out)
 
@@ -719,6 +565,14 @@ class AquomanDevice:
         accel = TopKAccelerator(k=args["k"])
         top = accel.run(stream.column(key).values.astype(np.int64))
         return Relation({key: TypedArray(top, Kind.INT, 0)})
+
+
+_GROUP_KERNELS = {
+    "sum": aggregate_sum,
+    "min": aggregate_min,
+    "max": aggregate_max,
+    "cnt": lambda values, groups: aggregate_count(groups),
+}
 
 
 def _reduce_int(func: str, values: np.ndarray):

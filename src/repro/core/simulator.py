@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -37,13 +38,19 @@ from repro.faults.injector import get_fault_injector
 from repro.core.regex_accel import HeapTooLarge
 from repro.core.row_selector import extract_predicate_program
 from repro.core.swissknife.groupby import HASH_BUCKETS, zip_group_columns
-from repro.engine.executor import Engine, aggregate_relation
-from repro.engine.operators.joins import inner_join_indices, semi_join_mask
+from repro.engine.executor import Engine
+from repro.engine.operators.relational import (
+    aggregate_relation,
+    distinct_relation,
+    join_keep,
+    join_pairs,
+    pair_relation,
+)
 from repro.engine.relation import Relation, typed_array_from_column
 from repro.obs import METRICS, NULL_TRACER, NullTracer, Tracer
 from repro.obs.qlog import query_scope
 from repro.perf.trace import OpTrace, QueryTrace
-from repro.sqlir.expr import ColumnRef, Kind, TypedArray
+from repro.sqlir.expr import ColumnRef, Expr, Kind, TypedArray
 from repro.sqlir.plan import (
     Aggregate,
     Distinct,
@@ -329,6 +336,11 @@ class DeviceExecutor:
     # -- joins ---------------------------------------------------------------------
 
     def _exec_join(self, plan: Join) -> _DeviceRel:
+        if plan.kind is JoinKind.LEFT_OUTER:
+            # Never offloaded by the compiler; no NULL padding here.
+            raise NotImplementedError(
+                f"device cannot execute {plan.kind.name} Join"
+            )
         left = self._exec(plan.left)
         right = self._exec(plan.right)
         self.rows_processed += left.relation.nrows + right.relation.nrows
@@ -365,62 +377,45 @@ class DeviceExecutor:
             len(left_keys) + len(right_keys)
         ) * (key_bytes + payload_bytes)
 
-        if plan.kind in (JoinKind.SEMI, JoinKind.ANTI) and plan.residual is None:
-            matched = semi_join_mask(left_keys, right_keys)
-            keep = matched if plan.kind is JoinKind.SEMI else ~matched
-            out = left.masked(keep)
-            self.device.memory.free(build_name)
-            self._allocations.remove(build_name)
-            return out
-
-        li, ri = inner_join_indices(left_keys, right_keys)
-        if plan.residual is not None:
-            pair = self._pair(left, right, li, ri)
-            for name in sorted(plan.residual.column_refs()):
-                self._consume(pair, name)
-            mask_rel = self.device._transform(
-                (("@res", plan.residual),),
-                pair.relation.columns,
-                pair.relation.nrows,
-                subquery_executor=self.scalar_executor,
-            )
-            ok = mask_rel.column("@res").values.astype(np.bool_)
-            li, ri = li[ok], ri[ok]
-
-        if plan.kind is JoinKind.SEMI:
-            keep = np.zeros(left.relation.nrows, dtype=np.bool_)
-            keep[li] = True
-            out = left.masked(keep)
-        elif plan.kind is JoinKind.ANTI:
-            keep = np.ones(left.relation.nrows, dtype=np.bool_)
-            keep[li] = False
-            out = left.masked(keep)
-        else:
+        residual = None if plan.residual is None else partial(
+            self._residual_mask, left, right, plan.residual
+        )
+        if plan.kind is JoinKind.INNER:
+            li, ri, _ = join_pairs(left_keys, right_keys, residual)
             out = self._pair(left, right, li, ri)
             # Matched RowID pairs persist for the query's lifetime
             # (the backward pointers of Sec. VI-D).
             pairs_name = f"join-pairs-{next(self._names)}"
             self.device.memory.allocate(pairs_name, len(li) * 16)
             self._allocations.append(pairs_name)
+        else:
+            keep, _ = join_keep(
+                plan.kind, left_keys, right_keys, residual
+            )
+            out = left.masked(keep)
 
         self.device.memory.free(build_name)
         self._allocations.remove(build_name)
         return out
 
+    def _residual_mask(
+        self, left: _DeviceRel, right: _DeviceRel, predicate: Expr,
+        li: np.ndarray, ri: np.ndarray,
+    ) -> np.ndarray:
+        pair = self._pair(left, right, li, ri)
+        for name in sorted(predicate.column_refs()):
+            self._consume(pair, name)
+        mask_rel = self.device._transform(
+            (("@res", predicate),),
+            pair.relation.columns,
+            pair.relation.nrows,
+            subquery_executor=self.scalar_executor,
+        )
+        return mask_rel.column("@res").values.astype(np.bool_)
+
     def _pair(
         self, left: _DeviceRel, right: _DeviceRel, li, ri
     ) -> _DeviceRel:
-        columns: dict[str, TypedArray] = {}
-        for name, arr in left.relation.columns.items():
-            columns[name] = TypedArray(
-                arr.values[li], arr.kind, arr.scale, arr.heap
-            )
-        for name, arr in right.relation.columns.items():
-            if name in columns:
-                raise ValueError(f"join column collision on {name!r}")
-            columns[name] = TypedArray(
-                arr.values[ri], arr.kind, arr.scale, arr.heap
-            )
         rowid_map = {t: ids[li] for t, ids in left.rowid_map.items()}
         rowid_map.update(
             {t: ids[ri] for t, ids in right.rowid_map.items()}
@@ -428,7 +423,7 @@ class DeviceExecutor:
         origin = dict(left.origin)
         origin.update(right.origin)
         return _DeviceRel(
-            relation=Relation(columns),
+            relation=pair_relation(left.relation, right.relation, li, ri),
             rowid_map=rowid_map,
             origin=origin,
             charged=left.charged | right.charged,
@@ -562,14 +557,9 @@ class DeviceExecutor:
         self.rows_processed += nrows
         for name in dev.relation.names:
             self._consume(dev, name)
-        from repro.engine.operators.grouping import group_rows
-
-        groups = group_rows(
-            [arr.values for arr in dev.relation.columns.values()]
-        )
-        out = dev.relation.take(np.sort(groups.representative))
         return _DeviceRel(
-            relation=out, rowid_map={}, origin={}, charged=dev.charged
+            relation=distinct_relation(dev.relation), rowid_map={},
+            origin={}, charged=dev.charged,
         )
 
 

@@ -1,7 +1,8 @@
 """Software baseline engine (the MonetDB stand-in) and host models."""
 
-from repro.engine.executor import Engine, MATCH_FLAG
+from repro.engine.executor import Engine
 from repro.engine.morsel import MorselConfig
+from repro.engine.operators.relational import MATCH_FLAG
 from repro.engine.relation import Relation, typed_array_from_column
 from repro.engine.pagecache import LruPageCache
 

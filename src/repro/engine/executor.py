@@ -9,32 +9,28 @@ paper's trace-based simulator, with the roles swapped.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from repro.engine.operators.grouping import (
-    GroupedKeys,
-    aggregate_count,
-    aggregate_count_distinct,
-    aggregate_max,
-    aggregate_min,
-    aggregate_sum,
-    group_rows,
+from repro.engine.operators.relational import (
+    aggregate_relation,
+    distinct_relation,
+    filter_relation,
+    join_keep,
+    join_pairs,
+    left_outer_relation,
+    pair_relation,
+    predicate_mask,
+    project_relation,
+    sort_relation,
 )
-from repro.engine.operators.joins import inner_join_indices, semi_join_mask
-from repro.engine.operators.sorting import multi_key_order
 from repro.engine.relation import Relation, typed_array_from_column
 from repro.obs import METRICS, NULL_TRACER, NullTracer, Tracer
 from repro.obs.qlog import query_scope
 from repro.perf.trace import OpTrace, QueryTrace
-from repro.sqlir.expr import (
-    AggFunc,
-    EvalContext,
-    Kind,
-    TypedArray,
-    evaluate,
-)
+from repro.sqlir.expr import Expr, TypedArray
 from repro.sqlir.plan import (
     Aggregate,
     Distinct,
@@ -50,8 +46,6 @@ from repro.sqlir.plan import (
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
-MATCH_FLAG = "@matched"
-
 
 class Engine:
     """Executes logical plans against a catalog, tracing as it goes.
@@ -59,7 +53,7 @@ class Engine:
     With a ``morsels`` config (``MorselConfig(parallel=True, ...)``),
     streamable fragments — scan → Filter/Project chain → mergeable
     Aggregate/Sort/top-k — run morsel-at-a-time through the morsel
-    executor (page-skip reads, optional worker threads) instead of the
+    executor (page-skip reads, optional worker processes) instead of the
     monolithic operators; results are bit-identical either way.
 
     ``analyze`` gates the static analyzer's host-relevant passes
@@ -127,9 +121,9 @@ class Engine:
                 return self._run(plan)
 
     def backend_name(self) -> str:
-        """The worker backend this engine streams morsels on."""
+        """The worker backend this engine's morsels actually run on."""
         if self.morsels is not None and self.morsels.parallel:
-            return self.morsels.worker_backend
+            return self.morsels.effective_backend()
         return "serial"
 
     def _maybe_analyze(self, plan: Plan, scope=None) -> None:
@@ -228,13 +222,6 @@ class Engine:
             return None  # single-morsel tables gain nothing
         return MorselExecutor(self, fragment).run(spans)
 
-    def _context(self, relation: Relation) -> EvalContext:
-        return EvalContext(
-            columns=relation.columns,
-            nrows=relation.nrows,
-            subquery_executor=self.scalar,
-        )
-
     # -- operators ------------------------------------------------------------------
 
     def _run_scan(self, plan: Scan) -> Relation:
@@ -263,9 +250,7 @@ class Engine:
 
     def _run_filter(self, plan: Filter) -> Relation:
         child = self._run(plan.child)
-        mask = evaluate(plan.predicate, self._context(child))
-        keep = mask.values.astype(np.bool_)
-        out = child.mask(keep)
+        out = filter_relation(child, plan.predicate, self.scalar)
         self.trace.record_op(
             OpTrace(
                 "filter",
@@ -284,11 +269,7 @@ class Engine:
 
     def _run_project(self, plan: Project) -> Relation:
         child = self._run(plan.child)
-        ctx = self._context(child)
-        columns = {
-            name: evaluate(expr, ctx) for name, expr in plan.outputs
-        }
-        out = Relation(columns)
+        out = project_relation(child, plan.outputs, self.scalar)
         self.trace.record_op(
             OpTrace(
                 "project",
@@ -309,37 +290,20 @@ class Engine:
         left_keys = left.column(plan.left_key).values
         right_keys = right.column(plan.right_key).values
 
-        if plan.kind in (JoinKind.SEMI, JoinKind.ANTI) and plan.residual is None:
-            matched = semi_join_mask(left_keys, right_keys)
-            keep = matched if plan.kind is JoinKind.SEMI else ~matched
+        residual = None if plan.residual is None else partial(
+            self._residual_mask, left, right, plan.residual
+        )
+        if plan.kind in (JoinKind.SEMI, JoinKind.ANTI):
+            keep, pairs = join_keep(
+                plan.kind, left_keys, right_keys, residual
+            )
             out = left.mask(keep)
-            pairs = int(matched.sum())
         else:
-            li, ri = inner_join_indices(left_keys, right_keys)
-            pairs = len(li)
-            if plan.residual is not None:
-                joined = _pair_relation(left, right, li, ri, plan.left_key)
-                residual = evaluate(
-                    plan.residual, self._context(joined)
-                ).values.astype(np.bool_)
-                li, ri = li[residual], ri[residual]
-
-            if plan.kind is JoinKind.INNER:
-                out = _pair_relation(left, right, li, ri, plan.left_key)
-            elif plan.kind is JoinKind.SEMI:
-                keep = np.zeros(left.nrows, dtype=np.bool_)
-                keep[li] = True
-                out = left.mask(keep)
-            elif plan.kind is JoinKind.ANTI:
-                keep = np.ones(left.nrows, dtype=np.bool_)
-                keep[li] = False
-                out = left.mask(keep)
-            elif plan.kind is JoinKind.LEFT_OUTER:
-                out = _left_outer_relation(
-                    left, right, li, ri, plan.left_key
-                )
-            else:  # pragma: no cover - exhaustive over JoinKind
-                raise NotImplementedError(plan.kind)
+            li, ri, pairs = join_pairs(left_keys, right_keys, residual)
+            if plan.kind is JoinKind.LEFT_OUTER:
+                out = left_outer_relation(left, right, li, ri)
+            else:
+                out = pair_relation(left, right, li, ri)
 
         self.trace.record_op(
             OpTrace(
@@ -360,6 +324,14 @@ class Engine:
             + _column_live_bytes(out)
         )
         return out
+
+    def _residual_mask(
+        self, left: Relation, right: Relation, predicate: Expr,
+        li: np.ndarray, ri: np.ndarray,
+    ) -> np.ndarray:
+        return predicate_mask(
+            pair_relation(left, right, li, ri), predicate, self.scalar
+        )
 
     def _run_aggregate(self, plan: Aggregate) -> Relation:
         child = self._run(plan.child)
@@ -384,11 +356,7 @@ class Engine:
 
     def _run_sort(self, plan: Sort) -> Relation:
         child = self._run(plan.child)
-        keys = [
-            (child.column(k.column), k.ascending) for k in plan.keys
-        ]
-        order = multi_key_order(keys)
-        out = child.take(order)
+        out = sort_relation(child, plan.keys)
         self.trace.record_op(
             OpTrace(
                 "sort",
@@ -419,10 +387,7 @@ class Engine:
 
     def _run_distinct(self, plan: Distinct) -> Relation:
         child = self._run(plan.child)
-        groups = group_rows(
-            [arr.values for arr in child.columns.values()]
-        )
-        out = child.take(np.sort(groups.representative))
+        out = distinct_relation(child)
         self.trace.record_op(
             OpTrace(
                 "distinct",
@@ -445,155 +410,3 @@ def _column_live_bytes(relation: Relation, n_columns: int = 2) -> int:
     """
     ncols = max(len(relation.columns), 1)
     return relation.nbytes() // ncols * n_columns
-
-
-def _numeric(arr: TypedArray) -> np.ndarray:
-    if arr.kind is Kind.FLOAT:
-        return arr.values.astype(np.float64)
-    return arr.values.astype(np.int64)
-
-
-def aggregate_relation(
-    child: Relation,
-    plan: Aggregate,
-    subquery_executor=None,
-) -> tuple[Relation, GroupedKeys]:
-    """Group ``child`` by the plan's keys and compute its aggregates.
-
-    Shared by the software engine and the AQUOMAN device model so both
-    produce bit-identical results; returns the output relation and the
-    grouping (for spill/group accounting).
-    """
-    ctx = EvalContext(
-        columns=child.columns,
-        nrows=child.nrows,
-        subquery_executor=subquery_executor,
-    )
-    key_arrays = [child.column(k) for k in plan.keys]
-    groups = group_rows([k.values for k in key_arrays])
-    if not plan.keys and child.nrows:
-        groups = GroupedKeys(
-            group_of_row=np.zeros(child.nrows, dtype=np.int64),
-            representative=np.zeros(1, dtype=np.int64),
-        )
-
-    columns: dict[str, TypedArray] = {}
-    for name, key in zip(plan.keys, key_arrays):
-        columns[name] = TypedArray(
-            key.values[groups.representative], key.kind, key.scale, key.heap
-        )
-    for spec in plan.aggregates:
-        columns[spec.name] = _aggregate_one(spec, ctx, groups)
-
-    out = Relation(columns)
-    if plan.having is not None:
-        having_ctx = EvalContext(
-            columns=out.columns,
-            nrows=out.nrows,
-            subquery_executor=subquery_executor,
-        )
-        keep = evaluate(plan.having, having_ctx).values.astype(np.bool_)
-        out = out.mask(keep)
-    return out, groups
-
-
-def _aggregate_one(spec, ctx: EvalContext, groups: GroupedKeys) -> TypedArray:
-    if spec.func is AggFunc.COUNT and spec.expr is None:
-        return TypedArray(aggregate_count(groups), Kind.INT, 0)
-    values = evaluate(spec.expr, ctx)
-    if spec.func is AggFunc.COUNT:
-        return TypedArray(aggregate_count(groups), Kind.INT, 0)
-    if spec.func is AggFunc.COUNT_DISTINCT:
-        return TypedArray(
-            aggregate_count_distinct(values.values, groups), Kind.INT, 0
-        )
-    if spec.func is AggFunc.SUM:
-        return TypedArray(
-            aggregate_sum(_numeric(values), groups),
-            values.kind,
-            values.scale,
-        )
-    if spec.func is AggFunc.AVG:
-        sums = aggregate_sum(_numeric(values).astype(np.float64), groups)
-        counts = aggregate_count(groups)
-        means = np.where(counts == 0, 0.0, sums / np.maximum(counts, 1))
-        if values.kind is Kind.INT and values.scale:
-            means = means / (10**values.scale)
-        return TypedArray(means, Kind.FLOAT, 0)
-    if spec.func is AggFunc.MIN:
-        return TypedArray(
-            aggregate_min(_numeric(values), groups),
-            values.kind,
-            values.scale,
-        )
-    if spec.func is AggFunc.MAX:
-        return TypedArray(
-            aggregate_max(_numeric(values), groups),
-            values.kind,
-            values.scale,
-        )
-    raise NotImplementedError(spec.func)
-
-
-def _pair_relation(
-    left: Relation,
-    right: Relation,
-    li: np.ndarray,
-    ri: np.ndarray,
-    left_key: str,
-) -> Relation:
-    """Materialise inner-join pairs: left columns then right columns.
-
-    Column names must be disjoint (TPC-H prefixes guarantee it; self-join
-    builders rename first).
-    """
-    columns: dict[str, TypedArray] = {}
-    for name, arr in left.columns.items():
-        columns[name] = TypedArray(arr.values[li], arr.kind, arr.scale, arr.heap)
-    for name, arr in right.columns.items():
-        if name in columns:
-            raise ValueError(
-                f"join column collision on {name!r}; rename inputs first"
-            )
-        columns[name] = TypedArray(arr.values[ri], arr.kind, arr.scale, arr.heap)
-    return Relation(columns)
-
-
-def _left_outer_relation(
-    left: Relation,
-    right: Relation,
-    li: np.ndarray,
-    ri: np.ndarray,
-    left_key: str,
-) -> Relation:
-    """Left-outer pairs plus a ``@matched`` flag column.
-
-    Unmatched left rows appear once with zeroed right columns and a
-    false flag (SQL NULLs; TPC-H's only outer join immediately counts
-    the matched side, which the flag expresses exactly).
-    """
-    matched_any = np.zeros(left.nrows, dtype=np.bool_)
-    matched_any[li] = True
-    missing = np.flatnonzero(~matched_any)
-
-    all_left = np.concatenate([li, missing])
-    flag = np.concatenate(
-        [np.ones(len(li), dtype=np.bool_), np.zeros(len(missing), dtype=np.bool_)]
-    )
-
-    columns: dict[str, TypedArray] = {}
-    for name, arr in left.columns.items():
-        columns[name] = TypedArray(
-            arr.values[all_left], arr.kind, arr.scale, arr.heap
-        )
-    for name, arr in right.columns.items():
-        if name in columns:
-            raise ValueError(
-                f"join column collision on {name!r}; rename inputs first"
-            )
-        padded = np.concatenate(
-            [arr.values[ri], np.zeros(len(missing), dtype=arr.values.dtype)]
-        )
-        columns[name] = TypedArray(padded, arr.kind, arr.scale, arr.heap)
-    columns[MATCH_FLAG] = TypedArray(flag, Kind.BOOL)
-    return Relation(columns)

@@ -11,12 +11,18 @@ that keep the result bit-identical to the monolithic executor:
 
 - Filter/Project chains concatenate in morsel order (row-wise pure
   expressions commute with splitting);
-- group-by partials re-reduce: group numbering is first-appearance
-  order, which composes under concatenation, and COUNT/INT-SUM/MIN/MAX
-  are associative on int64;
+- group-by partials re-reduce through the same aggregate operator
+  under :func:`merge_plan`: group numbering is first-appearance order,
+  which composes under concatenation, and COUNT/INT-SUM/MIN/MAX are
+  associative on int64;
 - sort partials are presorted runs merged by one stable lexsort, so tie
   order (original row order) survives exactly;
 - top-k partials keep each run's first k rows and re-select.
+
+Partial and merge both call the operator functions of
+:mod:`repro.engine.operators.relational` — the ones the monolithic
+engine calls — so this module owns only span splitting, page
+accounting, fault retry and tracing.
 
 Aggregates whose merge would change float rounding order (AVG, SUM over
 float values) and COUNT DISTINCT are *not* reduced per morsel: the
@@ -29,23 +35,22 @@ Morsels are aligned so every column's page boundary is also a morsel
 boundary; morsels therefore touch disjoint page sets and the per-morsel
 page-skip counts add up exactly in the trace.
 
-Three ``worker_backend`` settings run the spans (all bit-identical):
-``"serial"`` runs them inline, ``"thread"`` uses the shared persistent
-thread pool (the NumPy kernels release the GIL, but Python-level
-dispatch stays serialised), and ``"process"`` dispatches span batches
+Two ``worker_backend`` settings run the spans (bit-identical):
+``"serial"`` runs them inline and ``"process"`` dispatches span batches
 to the persistent forked worker pool in
 :mod:`repro.engine.procpool` — genuinely concurrent interpreters over
-the same (copy-on-write / page-cache-shared) column data.  The
-per-span work lives in :class:`SpanRunner`, which both the parent and
-the pool workers instantiate; partials cross the process boundary via
-:func:`pack_partial`/:func:`unpack_partial`, which serialise values
-but replace base-column string heaps with name tokens so the parent
-re-attaches its own heap objects.
+the same (copy-on-write / page-cache-shared) column data.  Where the
+pool cannot be had (one worker, no ``fork``, every worker dead) the
+spans run inline.  The per-span work lives in :class:`SpanRunner`,
+which both the parent and the pool workers instantiate; partials cross
+the process boundary via :func:`pack_partial`/:func:`unpack_partial`,
+which serialise values but replace base-column string heaps with name
+tokens so the parent re-attaches its own heap objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,29 +58,26 @@ from repro.analysis.morselsafety import aggregate_merge_verdict
 from repro.core.row_selector import RowSelector, extract_predicate_program
 from repro.faults.errors import UnrecoverableFault, WorkerCrash
 from repro.faults.injector import get_fault_injector
-from repro.engine.operators.grouping import (
-    GroupedKeys,
-    aggregate_count,
-    aggregate_max,
-    aggregate_min,
-    aggregate_sum,
-    group_rows,
+from repro.engine.operators.relational import (
+    aggregate_relation,
+    filter_relation,
+    predicate_mask,
+    project_relation,
+    sort_relation,
 )
-from repro.engine.operators.sorting import multi_key_order
 from repro.engine.relation import Relation, typed_array_from_column
 from repro.flash.channels import ChannelMeter
 from repro.obs import METRICS
 from repro.perf.trace import OpTrace
 from repro.sqlir.expr import (
     AggFunc,
-    EvalContext,
+    ColumnRef,
     Expr,
-    Kind,
     ScalarSubquery,
     TypedArray,
-    evaluate,
 )
 from repro.sqlir.plan import (
+    AggSpec,
     Aggregate,
     Filter,
     Limit,
@@ -106,7 +108,7 @@ MAX_FRAGMENT_MORSELS = 32
 # The software selector is not bound by the FPGA's 4-evaluator budget.
 HOST_CP_EVALUATORS = 64
 
-WORKER_BACKENDS = ("serial", "thread", "process")
+WORKER_BACKENDS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ class MorselConfig:
     parallel: bool = True        # off = monolithic execution everywhere
     morsel_rows: int = DEFAULT_MORSEL_ROWS
     n_workers: int = 1
-    worker_backend: str = "thread"   # "serial" | "thread" | "process"
+    worker_backend: str = "process"  # "serial" | "process"
 
     def __post_init__(self):
         if self.worker_backend not in WORKER_BACKENDS:
@@ -124,6 +126,21 @@ class MorselConfig:
                 f"worker_backend={self.worker_backend!r}; "
                 f"choose from {WORKER_BACKENDS}"
             )
+
+    def effective_backend(self) -> str:
+        """The backend a fragment's spans actually run on.
+
+        ``"process"`` needs more than one worker and the ``fork`` start
+        method; anything less runs the spans inline.
+        """
+        if self.worker_backend == "serial" or self.n_workers <= 1:
+            return "serial"
+        from repro.engine import procpool
+
+        if not procpool.process_backend_available():
+            procpool.warn_once_no_process_backend()
+            return "serial"
+        return "process"
 
     def aligned_rows(self) -> int:
         """``morsel_rows`` rounded up to the page-alignment quantum."""
@@ -258,18 +275,6 @@ def _needed_scan_columns(frag: Fragment) -> set[str] | None:
 # ---------------------------------------------------------------------------
 
 
-def _apply_step(step: Plan, rel: Relation) -> Relation:
-    ctx = EvalContext(
-        columns=rel.columns, nrows=rel.nrows, subquery_executor=None
-    )
-    if isinstance(step, Filter):
-        keep = evaluate(step.predicate, ctx).values.astype(np.bool_)
-        return rel.mask(keep)
-    return Relation(
-        {name: evaluate(expr, ctx) for name, expr in step.outputs}
-    )
-
-
 class _SpanReads:
     """Per-morsel page accounting: which pages of which columns we read."""
 
@@ -336,9 +341,8 @@ class SpanRunner:
 
     Holds exactly the state one morsel needs — table, flash layout,
     fragment, column lists and a tracer — so the same code runs in the
-    parent (serial/thread backends) and inside a forked pool worker
-    (process backend), where it is rebuilt from the worker's inherited
-    catalog.
+    parent (inline spans) and inside a forked pool worker (process
+    backend), where it is rebuilt from the worker's inherited catalog.
     """
 
     def __init__(
@@ -395,7 +399,7 @@ class SpanRunner:
         died picking the morsel up), so failed attempts charge no page
         reads and re-execution is trivially bit-identical — the span is
         a pure function of its ``[lo, hi)`` range.  Fault decisions are
-        addressed by the span's stable site name, never by thread
+        addressed by the span's stable site name, never by worker
         scheduling, so campaigns reproduce across worker counts.
         """
         injector = get_fault_injector()
@@ -424,13 +428,16 @@ class SpanRunner:
 
     def _run_span(self, span: tuple[int, int]) -> _Partial:
         lo, hi = span
-        # Each worker thread records into its own ring buffer, so this
+        # Each worker records into its own ring buffer, so this
         # per-morsel span costs no synchronisation.
         with self.tracer.span("morsel.span", lo=lo, hi=hi) as tspan:
             reads = _SpanReads(self.layout, self.table.name, lo, hi)
             rel, steps_done = self._base_relation(lo, hi, reads)
             for step in self.fragment.steps[steps_done:]:
-                rel = _apply_step(step, rel)
+                if isinstance(step, Filter):
+                    rel = filter_relation(rel, step.predicate)
+                else:
+                    rel = project_relation(rel, step.outputs)
             pages_read, pages_total, page_ids = reads.summary()
             injector = get_fault_injector()
             stall = (
@@ -440,8 +447,8 @@ class SpanRunner:
             )
             tspan.set(rows_out=rel.nrows,
                       pages_read=sum(pages_read.values()))
-            return _Partial(self._partial(rel), pages_read, pages_total,
-                            page_ids, stall)
+            return _Partial(_reduce(rel, self.fragment, merge=False),
+                            pages_read, pages_total, page_ids, stall)
 
     def _base_relation(
         self, lo: int, hi: int, reads: _SpanReads
@@ -499,11 +506,7 @@ class SpanRunner:
                 name: self._gather(name, lo, local, cp_slices, reads)
                 for name in sorted(leftover.column_refs())
             }
-            ctx = EvalContext(
-                columns=cols, nrows=len(local), subquery_executor=None
-            )
-            keep = evaluate(leftover, ctx).values.astype(np.bool_)
-            local = local[keep]
+            local = local[predicate_mask(Relation(cols), leftover)]
 
         columns = {
             name: self._gather(name, lo, local, cp_slices, reads)
@@ -527,19 +530,6 @@ class SpanRunner:
             raw = col.gather_raw(lo + local)
         return typed_array_from_column(col, raw)
 
-    # -- partial reduction ---------------------------------------------------------
-
-    def _partial(self, rel: Relation) -> Relation:
-        frag = self.fragment
-        if frag.kind == "chain":
-            return rel
-        if frag.kind == "sort":
-            return rel.take(_sort_order(rel, frag.terminal.keys))
-        if frag.kind == "topk":
-            order = _sort_order(rel, frag.terminal.child.keys)
-            return rel.take(order[: frag.terminal.count])
-        return _aggregate_partial(rel, frag.terminal)
-
 
 # ---------------------------------------------------------------------------
 # Partial serialization (process backend)
@@ -554,7 +544,7 @@ def pack_partial(partial: _Partial, heap_names: dict[int, str]) -> tuple:
     travel by content when they are base-column heaps: those become
     ``("col", name)`` tokens the parent resolves against its own
     catalog, so the merged relation carries the parent's heap objects
-    exactly as the thread backend would.  Expression-built heaps
+    exactly as inline spans would.  Expression-built heaps
     (e.g. substring outputs) are inlined as their code-ordered string
     list and rebuilt verbatim.
     """
@@ -616,7 +606,6 @@ class MorselExecutor:
             engine.catalog, engine.flash_layout(), fragment, engine.tracer
         )
         self.table = self.runner.table
-        self.layout = self.runner.layout
 
     # -- driver ----------------------------------------------------------------
 
@@ -636,20 +625,8 @@ class MorselExecutor:
         ids = [getattr(n, "node_id", None) for n in nodes]
         return sorted(i for i in ids if i is not None)
 
-    def _effective_backend(self, n_spans: int) -> str:
-        if self.config.n_workers <= 1 or n_spans < 2:
-            return "serial"
-        backend = self.config.worker_backend
-        if backend == "process":
-            from repro.engine import procpool
-
-            if not procpool.process_backend_available():
-                procpool.warn_once_no_process_backend()
-                return "thread"
-        return backend
-
     def run(self, spans: list[tuple[int, int]]) -> Relation:
-        backend = self._effective_backend(len(spans))
+        backend = self.config.effective_backend()
         with self.tracer.span(
             "morsel.fragment",
             table=self.table.name,
@@ -662,7 +639,11 @@ class MorselExecutor:
             partials = self._execute(spans, backend)
             with self.tracer.span("morsel.merge",
                                   kind=self.fragment.kind):
-                result = self._merge(partials)
+                result = _reduce(
+                    _concat_relations([p.relation for p in partials]),
+                    self.fragment, merge=True,
+                    subquery_executor=self.engine.scalar,
+                )
             self._record(partials, result)
             fspan.set(rows_out=result.nrows,
                       bytes_out=result.nbytes())
@@ -675,12 +656,6 @@ class MorselExecutor:
             partials = self._execute_process(spans)
             if partials is not None:
                 return partials
-            backend = "thread"  # pool unavailable: degrade gracefully
-        if backend == "thread":
-            from repro.engine.procpool import get_thread_pool
-
-            pool = get_thread_pool(self.config.n_workers)
-            return list(pool.map(self.runner.run_span_safe, spans))
         return [self.runner.run_span_safe(span) for span in spans]
 
     def _execute_process(
@@ -689,10 +664,9 @@ class MorselExecutor:
         """Dispatch span batches to the forked pool; None = no pool.
 
         Replies repatriate each worker's span records and fault deltas
-        before any fault is re-raised, so counters and traces match the
-        thread backend (where every submitted span still runs even
-        when one raises).  Batches lost to a dead worker re-run inline
-        — spans are pure functions of their range.
+        before any fault is re-raised, so the counters of every span
+        that ran reach the parent.  Batches lost to a dead worker
+        re-run inline — spans are pure functions of their range.
         """
         from repro.engine import procpool
 
@@ -702,10 +676,12 @@ class MorselExecutor:
         if pool is None:
             return None
         batches = procpool.make_batches(spans, pool.n_workers)
-        requests = [("morsel", self.fragment, batch) for batch in batches]
+        requests = [(self.fragment, batch) for batch in batches]
         try:
             replies = pool.run(requests, procpool.batch_opts(self.tracer))
         except procpool.PoolBroken:
+            # Every worker is dead: the caller runs the spans inline.
+            procpool.warn_once_no_process_backend()
             return None
         injector = get_fault_injector()
         partials: list[_Partial] = []
@@ -736,65 +712,6 @@ class MorselExecutor:
                 set_degraded(info.pop("reason", "worker fault"), **info)
             raise UnrecoverableFault(failure.message, site=failure.site)
         return partials
-
-    # -- merge ---------------------------------------------------------------------
-
-    def _merge(self, partials: list[_Partial]) -> Relation:
-        frag = self.fragment
-        merged = _concat_relations([p.relation for p in partials])
-        if frag.kind == "chain":
-            return merged
-        if frag.kind == "sort":
-            return merged.take(_sort_order(merged, frag.terminal.keys))
-        if frag.kind == "topk":
-            order = _sort_order(merged, frag.terminal.child.keys)
-            return merged.take(order[: frag.terminal.count])
-        return self._merge_aggregate(merged, frag.terminal)
-
-    def _merge_aggregate(
-        self, parts: Relation, plan: Aggregate
-    ) -> Relation:
-        """Re-reduce concatenated per-morsel group partials.
-
-        Re-grouping the concatenated key rows reproduces the monolithic
-        group order exactly: first-appearance numbering composes under
-        concatenation in morsel (= row) order.
-        """
-        key_arrays = [parts.column(k) for k in plan.keys]
-        groups = group_rows([k.values for k in key_arrays])
-        if not plan.keys:
-            groups = GroupedKeys(
-                group_of_row=np.zeros(parts.nrows, dtype=np.int64),
-                representative=np.zeros(1, dtype=np.int64),
-            )
-        columns: dict[str, TypedArray] = {}
-        for name, key in zip(plan.keys, key_arrays):
-            columns[name] = TypedArray(
-                key.values[groups.representative],
-                key.kind,
-                key.scale,
-                key.heap,
-            )
-        for spec in plan.aggregates:
-            arr = parts.column(spec.name)
-            ints = arr.values.astype(np.int64)
-            if spec.func is AggFunc.MIN:
-                merged = aggregate_min(ints, groups)
-            elif spec.func is AggFunc.MAX:
-                merged = aggregate_max(ints, groups)
-            else:  # COUNT and SUM partials both add
-                merged = aggregate_sum(ints, groups)
-            columns[spec.name] = TypedArray(merged, arr.kind, arr.scale)
-        out = Relation(columns)
-        if plan.having is not None:
-            ctx = EvalContext(
-                columns=out.columns,
-                nrows=out.nrows,
-                subquery_executor=self.engine.scalar,
-            )
-            keep = evaluate(plan.having, ctx).values.astype(np.bool_)
-            out = out.mask(keep)
-        return out
 
     # -- trace -----------------------------------------------------------------------
 
@@ -863,57 +780,49 @@ class MorselExecutor:
         )
 
 
-def _sort_order(rel: Relation, keys) -> np.ndarray:
-    return multi_key_order(
-        [(rel.column(k.column), k.ascending) for k in keys]
+_MERGE_FUNC = {
+    AggFunc.COUNT: AggFunc.SUM,
+    AggFunc.SUM: AggFunc.SUM,
+    AggFunc.MIN: AggFunc.MIN,
+    AggFunc.MAX: AggFunc.MAX,
+}
+
+
+def merge_plan(plan: Aggregate) -> Aggregate:
+    """The Aggregate that reduces concatenated partials of ``plan``.
+
+    Each partial column is re-reduced under its own name (counts and
+    sums add, minima and maxima nest), then the original HAVING
+    applies.  Re-grouping the concatenated key rows reproduces the
+    monolithic group order: first-appearance numbering composes under
+    concatenation in morsel (= row) order.  Exact only for the
+    int64-associative aggregates the merge-safety verdict admits;
+    anything else has no merge rule here.
+    """
+    return replace(
+        plan,
+        aggregates=tuple(
+            AggSpec(spec.name, _MERGE_FUNC[spec.func], ColumnRef(spec.name))
+            for spec in plan.aggregates
+        ),
     )
 
 
-def _aggregate_partial(child: Relation, plan: Aggregate) -> Relation:
-    """One morsel's pre-reduction: key rows + partial accumulators."""
-    ctx = EvalContext(
-        columns=child.columns, nrows=child.nrows, subquery_executor=None
-    )
-    key_arrays = [child.column(k) for k in plan.keys]
-    groups = group_rows([k.values for k in key_arrays])
-    if not plan.keys:
-        groups = GroupedKeys(
-            group_of_row=np.zeros(child.nrows, dtype=np.int64),
-            representative=np.zeros(1, dtype=np.int64),
-        )
-    columns: dict[str, TypedArray] = {}
-    for name, key in zip(plan.keys, key_arrays):
-        columns[name] = TypedArray(
-            key.values[groups.representative],
-            key.kind,
-            key.scale,
-            key.heap,
-        )
-    for spec in plan.aggregates:
-        columns[spec.name] = _partial_one(spec, ctx, groups)
-    return Relation(columns)
-
-
-def _partial_one(spec, ctx: EvalContext, groups: GroupedKeys) -> TypedArray:
-    if spec.func is AggFunc.COUNT and spec.expr is None:
-        return TypedArray(aggregate_count(groups), Kind.INT, 0)
-    values = evaluate(spec.expr, ctx)
-    if spec.func is AggFunc.COUNT:
-        return TypedArray(aggregate_count(groups), Kind.INT, 0)
-    ints = values.values.astype(np.int64)
-    if spec.func is AggFunc.SUM:
-        return TypedArray(
-            aggregate_sum(ints, groups), values.kind, values.scale
-        )
-    if spec.func is AggFunc.MIN:
-        return TypedArray(
-            aggregate_min(ints, groups), values.kind, values.scale
-        )
-    if spec.func is AggFunc.MAX:
-        return TypedArray(
-            aggregate_max(ints, groups), values.kind, values.scale
-        )
-    raise NotImplementedError(spec.func)
+def _reduce(
+    rel: Relation, frag: Fragment, merge: bool, subquery_executor=None
+) -> Relation:
+    """Apply a fragment's terminal: to one span's rows (the partial),
+    or with ``merge`` to the concatenated partials of every span."""
+    terminal = frag.terminal
+    if frag.kind == "chain":
+        return rel
+    if frag.kind == "sort":
+        return sort_relation(rel, terminal.keys)
+    if frag.kind == "topk":
+        return sort_relation(rel, terminal.child.keys, terminal.count)
+    # A span sees only part of each group: HAVING waits for the merge.
+    plan = merge_plan(terminal) if merge else replace(terminal, having=None)
+    return aggregate_relation(rel, plan, subquery_executor)[0]
 
 
 def _concat_relations(parts: list[Relation]) -> Relation:

@@ -1,24 +1,14 @@
-"""Persistent worker pools: shared threads and forked processes.
+"""The persistent forked worker pool behind ``worker_backend="process"``.
 
-The morsel engine and the device's streamed Row Selector both fan
-span-shaped work out to workers.  Before this module each call site
-built (and tore down) a fresh ``ThreadPoolExecutor`` per fragment,
-and the GIL capped the thread backend at sub-1x scaling on real
-multi-core hosts.  This module provides the two persistent pools
-behind ``worker_backend``:
-
-- :func:`get_thread_pool` — one process-wide :class:`SpanThreadPool`
-  per worker count, reused across fragments, queries and engines (no
-  per-fragment pool churn), dispatching round-robin so lane
-  attribution is deterministic;
-- :func:`get_process_pool` — one :class:`ProcessPool` per
-  ``(catalog, n_workers)``: workers are **forked once** and reused.
-  Forking shares the catalog's column arrays copy-on-write, and each
-  worker re-opens mmap-backed column files by path
-  (:func:`repro.storage.io.reopen_mapped_columns`), so column pages
-  flow zero-copy through the OS page cache — the only things pickled
-  per dispatch are the fragment description, ``[lo, hi)`` span
-  batches, and the serialized partials coming back.
+The morsel engine fans span-shaped work out to workers.
+:func:`get_process_pool` keeps one :class:`ProcessPool` per
+``(catalog, n_workers)``: workers are **forked once** and reused.
+Forking shares the catalog's column arrays copy-on-write, and each
+worker re-opens mmap-backed column files by path
+(:func:`repro.storage.io.reopen_mapped_columns`), so column pages
+flow zero-copy through the OS page cache — the only things pickled
+per dispatch are the fragment description, ``[lo, hi)`` span
+batches, and the serialized partials coming back.
 
 Dispatch is **batched**: :func:`make_batches` sends several morsels
 per IPC round-trip (a :data:`DISPATCH_ROUNDS`-deep queue per worker),
@@ -33,13 +23,14 @@ the parent's epoch), ``faults.*`` counter deltas from a per-batch
 ``(seed, config)`` plan, and the degraded flag.  The parent adopts
 the records into its tracer lanes (``proc-worker-N``) and absorbs the
 fault deltas, so the doctor, Chrome-trace export and chaos reports
-see exactly what the thread backend would have recorded.
+see exactly what inline spans would have recorded.
 
 A worker that dies mid-run (``kill -9``, OOM) is detected by pipe
 EOF; its unfinished batches are reported ``lost`` and the caller
 re-runs them inline — spans are pure functions of their range, so
 recovery is bit-identical.  When the platform has no ``fork`` start
-method the process backend degrades to threads with one warning.
+method, or no worker is left alive, the spans run inline with one
+warning.
 """
 
 from __future__ import annotations
@@ -47,13 +38,10 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-import queue
-import threading
 import traceback
 import warnings
 import weakref
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable
 from multiprocessing.connection import wait as _wait_readable
 from typing import Any
 
@@ -78,11 +66,9 @@ __all__ = [
     "PoolBroken",
     "ProcessPool",
     "Reply",
-    "SpanThreadPool",
     "absorb_obs",
     "batch_opts",
     "get_process_pool",
-    "get_thread_pool",
     "make_batches",
     "process_backend_available",
 ]
@@ -99,95 +85,7 @@ class PoolBroken(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Shared thread pool (fixes the per-fragment executor churn)
-# ---------------------------------------------------------------------------
-
-class SpanThreadPool:
-    """Persistent named worker threads with static round-robin dispatch.
-
-    ``ThreadPoolExecutor.map`` lets whichever worker wakes first drain
-    the whole span queue — on a busy single-core host one thread
-    routinely ends up running *every* morsel, which makes lane
-    attribution (worker fan-out in traces, the doctor's per-lane
-    utilization) nondeterministic.  Per-worker queues give threads the
-    same static round-robin contract the process backend's pipes have:
-    worker ``i`` always runs items ``i, i + n, ...`` and records them
-    in its own ``morsel-worker_i`` lane.  Spans are equal-sized by
-    construction, so static assignment balances.
-    """
-
-    def __init__(self, n_workers: int) -> None:
-        self.n_workers = n_workers
-        self._queues = [queue.SimpleQueue() for _ in range(n_workers)]
-        for wid, inbox in enumerate(self._queues):
-            threading.Thread(
-                target=self._worker_loop,
-                args=(inbox,),
-                name=f"morsel-worker_{wid}",
-                daemon=True,
-            ).start()
-
-    @staticmethod
-    def _worker_loop(inbox: queue.SimpleQueue) -> None:
-        while True:
-            task = inbox.get()
-            if task is None:
-                return
-            fn, arg, slot, results, errors, done = task
-            try:
-                results[slot] = fn(arg)
-            except BaseException as exc:  # repatriated to the caller
-                errors[slot] = exc
-            finally:
-                done.release()
-
-    def map(self, fn: Callable[[Any], Any],
-            items: Iterable[Any]) -> list:
-        """``fn`` over ``items`` in item order, round-robin per worker.
-
-        Every item completes before the first error (in item order) is
-        re-raised — the same submit-everything semantics the process
-        backend's batch protocol has, so fault counters are charged on
-        every span regardless of where a budget runs out.
-        """
-        items = list(items)
-        results: list[Any] = [None] * len(items)
-        errors: list[BaseException | None] = [None] * len(items)
-        done = threading.Semaphore(0)
-        for slot, arg in enumerate(items):
-            self._queues[slot % self.n_workers].put(
-                (fn, arg, slot, results, errors, done)
-            )
-        for _ in items:
-            done.acquire()
-        for exc in errors:
-            if exc is not None:
-                raise exc
-        return results
-
-    def shutdown(self) -> None:
-        for inbox in self._queues:
-            inbox.put(None)
-
-
-_THREAD_POOLS: dict[int, SpanThreadPool] = {}
-
-
-def get_thread_pool(n_workers: int) -> SpanThreadPool:
-    """The persistent shared thread pool for ``n_workers`` threads.
-
-    Thread names stay ``morsel-worker_N`` so existing tracer lanes and
-    the doctor's lane attribution are unchanged.
-    """
-    pool = _THREAD_POOLS.get(n_workers)
-    if pool is None:
-        pool = SpanThreadPool(n_workers)
-        _THREAD_POOLS[n_workers] = pool
-    return pool
-
-
-# ---------------------------------------------------------------------------
-# Batch protocol helpers (used by morsel.py and core/device.py)
+# Batch protocol helpers
 # ---------------------------------------------------------------------------
 
 
@@ -204,7 +102,7 @@ def batch_opts(tracer: Any) -> dict:
 
     Fault decisions are pure functions of ``(seed, site)``, so shipping
     the plan's seed and config — never the injector's mutable state —
-    reproduces the exact fault placement the thread backend sees.
+    reproduces the exact fault placement inline spans see.
     """
     injector = get_fault_injector()
     fault = None
@@ -310,27 +208,8 @@ def _run_morsel_batch(state: _WorkerState, fragment: Any,
     ]
 
 
-def _run_select_batch(state: _WorkerState, payload: tuple,
-                      spans: list) -> list:
-    from repro.core.row_selector import RowSelector
-    from repro.util.bitvector import BitVector
-
-    table, program, n_evaluators, mask_bits = payload
-    base = state.catalog.table(table)
-    columns = {n: base.column(n).values for n in program.columns}
-    parts = []
-    for lo, hi in spans:
-        chunk = {n: v[lo:hi] for n, v in columns.items()}
-        base_chunk = (
-            BitVector(mask_bits[lo:hi]) if mask_bits is not None else None
-        )
-        sel = RowSelector(n_evaluators)
-        parts.append(sel.select(program, chunk, hi - lo, base_chunk).bits)
-    return parts
-
-
 def _handle(state: _WorkerState, wid: int, msg: tuple) -> tuple:
-    _, req_id, kind, payload, spans, opts = msg
+    _, req_id, fragment, spans, opts = msg
     tracer = Tracer() if opts.get("trace") else None
     injector = _injector_from(opts.get("fault"))
     ctx_wire = opts.get("ctx")
@@ -344,12 +223,7 @@ def _handle(state: _WorkerState, wid: int, msg: tuple) -> tuple:
     )
     clear_degraded()
     try:
-        if kind == "morsel":
-            result = _run_morsel_batch(state, payload, spans, tracer)
-        elif kind == "select":
-            result = _run_select_batch(state, payload, spans)
-        else:
-            raise ValueError(f"unknown batch kind {kind!r}")
+        result = _run_morsel_batch(state, fragment, spans, tracer)
         return ("done", req_id, wid, result, _obs(tracer, injector))
     except UnrecoverableFault as fault:
         return (
@@ -437,7 +311,7 @@ class ProcessPool:
             pass
 
     def run(self, requests: list[tuple], opts: dict) -> list[Reply]:
-        """Dispatch ``(kind, payload, spans)`` batches round-robin.
+        """Dispatch ``(fragment, spans)`` batches round-robin.
 
         Returns one :class:`Reply` per request, in request order.  A
         request whose worker died before answering comes back with
@@ -451,13 +325,13 @@ class ProcessPool:
         replies = [Reply("lost") for _ in requests]
         pending: dict[int, _Worker] = {}
         cursor = 0
-        for req_id, (kind, payload, spans) in enumerate(requests):
+        for req_id, (fragment, spans) in enumerate(requests):
             while alive:
                 worker = alive[cursor % len(alive)]
                 cursor += 1
                 try:
                     worker.conn.send(
-                        ("batch", req_id, kind, payload, spans, opts)
+                        ("batch", req_id, fragment, spans, opts)
                     )
                 except (BrokenPipeError, OSError):
                     self._mark_dead(worker)
@@ -533,8 +407,8 @@ def warn_once_no_process_backend() -> None:
     if not _warned_no_fork:
         _warned_no_fork = True
         warnings.warn(
-            "worker_backend='process' needs the fork start method; "
-            "falling back to the thread backend",
+            "worker_backend='process' needs the fork start method and "
+            "a live worker; running morsel spans inline",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -575,19 +449,15 @@ def _close_pool(key: tuple[int, int]) -> None:
 def _close_all_pools() -> None:
     for key in list(_PROCESS_POOLS):
         _close_pool(key)
-    for pool in _THREAD_POOLS.values():
-        pool.shutdown()
-    _THREAD_POOLS.clear()
 
 
 atexit.register(_close_all_pools)
 
 
 def _reset_after_fork() -> None:
-    # A forked child inherits registry entries whose threads and pipe
-    # ends belong to the parent; they must not be used (or closed) here.
+    # A forked child inherits registry entries whose pipe ends belong
+    # to the parent; they must not be used (or closed) here.
     _PROCESS_POOLS.clear()
-    _THREAD_POOLS.clear()
 
 
 if hasattr(os, "register_at_fork"):

@@ -55,7 +55,7 @@ def run_campaign(
     target_sf: float = 1000.0,
     workers: int = 4,
     morsel_rows: int = 8192,
-    backend: str = "thread",
+    backend: str = MorselConfig.worker_backend,
     log: Callable[[str], None] = _quiet,
     tracer=None,
 ) -> dict:

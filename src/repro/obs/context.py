@@ -49,7 +49,7 @@ class QueryContext:
     query_id: int
     query: str                 # human label, e.g. "q06"
     fingerprint: str           # structural plan digest (plan_fingerprint)
-    backend: str               # serial | thread | process | device
+    backend: str               # serial | process | device
     seed: int | None = None    # fault seed when a chaos campaign runs
 
     def to_wire(self) -> tuple:

@@ -572,7 +572,7 @@ def diagnose(
     dram_gb: float = 40.0,
     workers: int = 4,
     morsel_rows: int = DEFAULT_MORSEL_ROWS,
-    backend: str = "thread",
+    backend: str = MorselConfig.worker_backend,
     host: HostConfig = HOST_S,
     ring_capacity: int | None = None,
 ) -> DoctorReport:

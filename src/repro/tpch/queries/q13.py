@@ -5,7 +5,7 @@ matches '%special%requests%'.  The left-outer join's ``@matched`` flag
 column stands in for SQL's NULL-aware count(o_orderkey).
 """
 
-from repro.engine.executor import MATCH_FLAG
+from repro.engine import MATCH_FLAG
 from repro.sqlir import AggFunc, JoinKind, col, scan
 from repro.sqlir.builder import desc
 from repro.sqlir.expr import Like

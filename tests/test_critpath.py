@@ -11,6 +11,7 @@ import pytest
 from repro import tpch
 from repro.engine import Engine
 from repro.engine.morsel import MorselConfig
+from repro.engine.procpool import process_backend_available
 from repro.obs import Tracer
 from repro.obs.critpath import (
     BUCKETS,
@@ -29,7 +30,7 @@ FIXED_RECORDS = [
     ("MainThread", ("io.read_pages", None, 420, 80, 1, 80, None)),
     ("MainThread", ("morsel.fragment", None, 500, 480, 1, 480, None)),
     ("MainThread", ("doctor.query", None, 0, 1000, 0, 120, None)),
-    ("morsel-worker_0",
+    ("proc-worker-0",
      ("morsel.span", None, 520, 400, 0, 400, None)),
 ]
 
@@ -74,7 +75,7 @@ class TestInvariants:
 
     def test_path_bounds_lane_busy(self, fixed):
         assert fixed.lane_busy_ns["MainThread"] == 980
-        assert fixed.lane_busy_ns["morsel-worker_0"] == 400
+        assert fixed.lane_busy_ns["proc-worker-0"] == 400
         assert max(fixed.lane_busy_ns.values()) <= fixed.path_ns
 
     def test_attribution_sums_to_one(self, fixed):
@@ -133,7 +134,7 @@ class TestClassify:
 class TestLiveRun:
     def test_invariants_hold_on_a_real_trace(self, small_db):
         # morsel_rows aligns up to 8192, so the ~60k-row catalog is the
-        # smallest that actually fans out to worker threads.
+        # smallest that actually fans out to pool workers.
         tracer = Tracer()
         engine = Engine(
             small_db,
@@ -151,8 +152,10 @@ class TestLiveRun:
         assert analysis.path_ns == analysis.wall_ns
         assert sum(analysis.attribution.values()) == pytest.approx(1.0)
         assert max(analysis.lane_busy_ns.values()) <= analysis.path_ns
+        if not process_backend_available():
+            pytest.skip("no fork start method: spans ran inline")
         assert any(
-            lane.startswith("morsel-worker")
+            lane.startswith("proc-worker")
             for lane in analysis.lane_busy_ns
         )
 

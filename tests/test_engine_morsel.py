@@ -3,25 +3,37 @@
 The bit-for-bit differential against the monolithic engine lives in
 ``test_morsel_differential.py``; this file covers the pieces in
 isolation — span arithmetic, which plans are (and are not) streamable,
-channel striping, and per-morsel page accounting.
+channel striping, per-morsel page accounting, and the partial → merge
+rules as properties over arbitrary span splits.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_procpool import assert_identical
 
 from repro.engine.morsel import (
     DEFAULT_MORSEL_ROWS,
     MORSEL_ALIGN_ROWS,
+    Fragment,
     MorselConfig,
     _SpanReads,
+    _concat_relations,
+    _reduce,
     extract_fragment,
     split_morsels,
 )
+from repro.engine.operators.relational import (
+    aggregate_relation,
+    sort_relation,
+)
+from repro.engine.relation import Relation
 from repro.flash import ChannelMeter
 from repro.flash.nand import FlashConfig
 from repro.sqlir import AggFunc, col, lit, scan
-from repro.sqlir.expr import ScalarSubquery
-from repro.sqlir.plan import Scan
+from repro.sqlir.expr import Kind, ScalarSubquery, TypedArray
+from repro.sqlir.plan import Aggregate, AggSpec, Limit, Scan, Sort, SortKey
 from repro.storage.layout import PAGE_BYTES, FlashLayout
 
 
@@ -223,3 +235,102 @@ class TestSpanReads:
         reads.rows("l_orderkey", np.array([3], dtype=np.int64))
         pages_read, pages_total, _ = reads.summary()
         assert pages_read["l_orderkey"] == pages_total["l_orderkey"]
+
+
+# -- partial → merge, under any span split ---------------------------------
+
+_INT_EDGE = 2 ** 62  # sums of a few of these wrap int64: still exact
+
+
+@st.composite
+def _split_relations(draw):
+    """A small relation, a row filter, and arbitrary cut points.
+
+    Returns ``(whole, spans)``: the filtered relation and its filtered
+    row spans.  Repeated cuts make empty spans, no cut a single span,
+    and the filter empties some spans that do hold rows.
+    """
+    n = draw(st.integers(0, 24))
+    ints = st.integers(-_INT_EDGE, _INT_EDGE)
+    rel = Relation({
+        "k1": TypedArray(np.array(
+            draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+            dtype=np.int64)),
+        "k2": TypedArray(np.array(
+            draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)),
+            dtype=np.int64)),
+        "v": TypedArray(np.array(
+            draw(st.lists(ints, min_size=n, max_size=n)),
+            dtype=np.int64)),
+        "d": TypedArray(np.array(
+            draw(st.lists(st.integers(-999, 999), min_size=n, max_size=n)),
+            dtype=np.int64), Kind.INT, 2),
+        "row": TypedArray(np.arange(n, dtype=np.int64)),
+    })
+    keep = np.array(
+        draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        dtype=np.bool_,
+    )
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    bounds = [0, *cuts, n]
+    spans = [
+        rel.take(np.arange(lo, hi)).mask(keep[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    return rel.mask(keep), spans
+
+
+_AGGREGATES = (
+    AggSpec("n", AggFunc.COUNT, None),
+    AggSpec("nv", AggFunc.COUNT, col("v")),
+    AggSpec("sv", AggFunc.SUM, col("v")),
+    AggSpec("sd", AggFunc.SUM, col("d") * lit(2)),
+    AggSpec("lo", AggFunc.MIN, col("d")),
+    AggSpec("hi", AggFunc.MAX, col("v")),
+)
+
+
+def _partial_then_merge(spans, kind, terminal):
+    """What the morsel executor computes: ``_reduce`` per span, then
+    ``_reduce`` once more over the concatenated partials."""
+    frag = Fragment(Scan("t"), (), terminal, kind)
+    partials = [_reduce(span, frag, merge=False) for span in spans]
+    return _reduce(_concat_relations(partials), frag, merge=True)
+
+
+class TestMergeRules:
+    """AQ4xx mergeable ⇒ bit-identical under any span split."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        _split_relations(),
+        st.sampled_from([(), ("k1",), ("k1", "k2")]),
+        st.sampled_from([None, col("n") > lit(1), col("hi") < lit(0)]),
+    )
+    def test_aggregate(self, split, keys, having):
+        whole, spans = split
+        plan = Aggregate(Scan("t"), keys, _AGGREGATES, having)
+        assert_identical(
+            _partial_then_merge(spans, "aggregate", plan),
+            aggregate_relation(whole, plan)[0],
+        )
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        _split_relations(),
+        st.sampled_from([
+            (SortKey("k1"),),
+            (SortKey("k1", ascending=False), SortKey("k2")),
+            (SortKey("d", ascending=False),),
+        ]),
+        st.sampled_from([None, 0, 1, 5]),
+    )
+    def test_sort_and_topk(self, split, keys, limit):
+        whole, spans = split
+        sort = Sort(Scan("t"), keys)
+        merged = (
+            _partial_then_merge(spans, "sort", sort)
+            if limit is None
+            else _partial_then_merge(spans, "topk", Limit(sort, limit))
+        )
+        assert_identical(merged, sort_relation(whole, keys, limit))

@@ -67,7 +67,9 @@ def _injector(seed=7, metrics=None, **rates) -> FaultInjector:
     )
 
 
-MORSELS = MorselConfig(parallel=True, morsel_rows=8192, n_workers=4)
+# One worker = inline spans: recovery on the serial backend.  The same
+# faults through the worker pool are tests/test_procpool.py's.
+MORSELS = MorselConfig(parallel=True, morsel_rows=8192, n_workers=1)
 
 
 # ---------------------------------------------------------------------------

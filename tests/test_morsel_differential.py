@@ -3,7 +3,8 @@
 The streaming layer's contract is *exact* equivalence — not approximate:
 every TPC-H query must produce identical values, kinds and scales
 whether the engine runs monolithically or morsel-at-a-time, at any
-morsel size and worker count.  On top of that, the trace must show the
+morsel size (``tests/test_procpool.py`` holds inline spans against the
+worker pool).  On top of that, the trace must show the
 Table Reader's page skip actually saving flash bytes under a clustered
 selective predicate, and the channel meter must account for every page.
 """
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro import tpch
-from repro.core import AquomanSimulator, DeviceConfig
 from repro.engine import Engine, MorselConfig
 from repro.perf.trace import QueryTrace
 from repro.sqlir import AggFunc, col, lit, scan
@@ -46,9 +46,7 @@ class TestAllQueriesBitIdentical:
     def test_query(self, small_db, monolithic, n, morsel_rows):
         engine = Engine(
             small_db,
-            morsels=MorselConfig(
-                parallel=True, morsel_rows=morsel_rows, n_workers=2
-            ),
+            morsels=MorselConfig(parallel=True, morsel_rows=morsel_rows),
         )
         assert_identical(
             engine.execute_relation(tpch.query(n)), monolithic[n]
@@ -140,19 +138,3 @@ class TestChannelAccounting:
         # Page-striped sequential reads differ by at most a few pages
         # per channel across all columns.
         assert max(counts) - min(counts) <= len(trace.flash_pages_read)
-
-
-class TestDeviceStreaming:
-    """DeviceConfig's chunked Row Selector / reduction path must agree
-    with the unchunked device, through the full simulator."""
-
-    @pytest.mark.parametrize("n", [1, 6, 12, 14])
-    def test_simulator_differential(self, small_db, n):
-        base = AquomanSimulator(small_db, DeviceConfig()).run(
-            tpch.query(n), query=f"q{n}"
-        )
-        chunked = AquomanSimulator(
-            small_db,
-            DeviceConfig(morsel_rows=8192, n_workers=2),
-        ).run(tpch.query(n), query=f"q{n}")
-        assert_identical(chunked.relation, base.relation)

@@ -10,6 +10,7 @@ from repro import tpch
 from repro.core import AquomanSimulator, DeviceConfig
 from repro.engine import Engine
 from repro.engine.morsel import MorselConfig
+from repro.engine.procpool import process_backend_available
 from repro.obs import (
     METRICS,
     NULL_TRACER,
@@ -282,6 +283,10 @@ class TestExecutorIntegration:
         engine = Engine(tiny_db)
         assert engine.tracer is NULL_TRACER
 
+    @pytest.mark.skipif(
+        not process_backend_available(),
+        reason="no fork start method on this platform",
+    )
     def test_morsel_workers_get_own_lanes(self, small_db):
         # Morsels align to 8192 rows, so the ~60k-row catalog is the
         # smallest that fans out across workers.
@@ -300,7 +305,7 @@ class TestExecutorIntegration:
             if rec[0] == "morsel.span"
         }
         assert len(lanes) >= 2
-        assert all(lane.startswith("morsel-worker") for lane in lanes)
+        assert all(lane.startswith("proc-worker") for lane in lanes)
 
     def test_simulator_records_device_stage_lanes(self, tiny_db):
         t = Tracer()

@@ -1,21 +1,22 @@
 """Process-based morsel execution: pools, zero-copy reopen, parity.
 
 The process backend's contract is that it is *invisible* except for
-speed: all 22 TPC-H queries bit-identical to the serial and thread
-backends, fault campaigns reproducing the exact same counters and
-events (placement is pure ``(seed, site)``), worker span records
-landing in the parent tracer's lanes, and a worker killed mid-run
-degrading to inline re-execution without changing a single output bit.
+speed: all 22 TPC-H queries bit-identical to inline (serial) spans,
+fault campaigns reproducing the exact same counters and events
+(placement is pure ``(seed, site)``), worker span records landing in
+the parent tracer's lanes, and a worker killed mid-run — or a pool
+that cannot be had at all — degrading to inline execution without
+changing a single output bit.
 """
 
 import os
 import signal
+import warnings
 
 import numpy as np
 import pytest
 
 from repro import tpch
-from repro.core import AquomanSimulator, DeviceConfig
 from repro.engine import Engine, MorselConfig
 from repro.engine import procpool
 from repro.engine.morsel import (
@@ -61,24 +62,25 @@ def assert_identical(a, b):
         x, y = a.column(name), b.column(name)
         assert x.kind is y.kind, name
         assert x.scale == y.scale, name
+        assert x.values.dtype == y.values.dtype, name
         assert np.array_equal(x.values, y.values), name
 
 
 class TestBackendDifferential:
-    """All 22 queries bit-identical across serial / thread / process."""
+    """All 22 queries: inline spans and the pool against monolithic."""
 
     @pytest.fixture(scope="class")
-    def serial(self, small_db):
+    def monolithic(self, small_db):
         return {
-            n: _engine(small_db, "serial").execute_relation(tpch.query(n))
+            n: Engine(small_db).execute_relation(tpch.query(n))
             for n in tpch.ALL_QUERIES
         }
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("n", sorted(tpch.ALL_QUERIES))
-    def test_query(self, small_db, serial, n, backend):
+    def test_query(self, small_db, monolithic, n, backend):
         out = _engine(small_db, backend).execute_relation(tpch.query(n))
-        assert_identical(out, serial[n])
+        assert_identical(out, monolithic[n])
 
     def test_string_heaps_reattach_to_parent_catalog(self, small_db):
         # q1 groups by two CHAR columns; the partials cross the process
@@ -106,12 +108,12 @@ class TestFaultDeterminism:
         return out, injector
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_summary_and_events_match_thread(self, small_db, seed):
-        thread_out, thread_inj = self._run(small_db, "thread", seed)
+    def test_summary_and_events_match_serial(self, small_db, seed):
+        serial_out, serial_inj = self._run(small_db, "serial", seed)
         proc_out, proc_inj = self._run(small_db, "process", seed)
-        assert proc_inj.summary() == thread_inj.summary()
-        assert proc_inj.sorted_events() == thread_inj.sorted_events()
-        assert_identical(proc_out, thread_out)
+        assert proc_inj.summary() == serial_inj.summary()
+        assert proc_inj.sorted_events() == serial_inj.sorted_events()
+        assert_identical(proc_out, serial_out)
 
     def test_worker_count_does_not_move_faults(self, small_db):
         _, one = self._run(small_db, "process", 3, workers=1)
@@ -130,8 +132,8 @@ class TestFaultDeterminism:
         finally:
             set_fault_injector(None)
         assert exc.value.site.startswith("morsel/lineitem/")
-        # every span still charged its crashes before the raise, same
-        # as the thread pool's submit-everything semantics
+        # every dispatched span still charged its crashes before the
+        # raise: workers finish their batches, replies are absorbed
         assert injector.counts["worker_crashes"] > 0
         assert injector.counts["morsel_retries"] > 0
 
@@ -142,11 +144,11 @@ class TestFaultDeterminism:
             backend: run_campaign(
                 [6, 14], [0, 1], CHAOS, sf=0.01, backend=backend
             )
-            for backend in ("thread", "process")
+            for backend in ("serial", "process")
         }
-        assert reports["thread"]["backend"] == "thread"
+        assert reports["serial"]["backend"] == "serial"
         assert reports["process"]["backend"] == "process"
-        for t, p in zip(reports["thread"]["runs"],
+        for t, p in zip(reports["serial"]["runs"],
                         reports["process"]["runs"]):
             assert t == p
 
@@ -176,6 +178,46 @@ class TestWorkerDeath:
         ref = _engine(small_db, "serial").execute_relation(tpch.query(6))
         out = _engine(small_db, "process").execute_relation(tpch.query(6))
         assert_identical(out, ref)
+
+
+class TestPoolUnavailable:
+    """No fork, or no live worker: inline spans, one warning, same bits."""
+
+    @pytest.fixture()
+    def fresh_warning(self, monkeypatch):
+        monkeypatch.setattr(procpool, "_warned_no_fork", False)
+
+    def _run_twice(self, db):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outs = [
+                _engine(db, "process").execute_relation(tpch.query(6))
+                for _ in range(2)
+            ]
+        return outs, [w for w in caught if w.category is RuntimeWarning]
+
+    def test_missing_fork(self, small_db, monkeypatch, fresh_warning):
+        ref = _engine(small_db, "serial").execute_relation(tpch.query(6))
+        monkeypatch.setattr(
+            procpool, "process_backend_available", lambda: False
+        )
+        outs, caught = self._run_twice(small_db)
+        assert len(caught) == 1 and "inline" in str(caught[0].message)
+        assert _engine(small_db, "process").backend_name() == "serial"
+        for out in outs:
+            assert_identical(out, ref)
+
+    def test_broken_pool(self, small_db, monkeypatch, fresh_warning):
+        ref = _engine(small_db, "serial").execute_relation(tpch.query(6))
+
+        def broken(self, requests, opts):
+            raise procpool.PoolBroken("no live workers")
+
+        monkeypatch.setattr(procpool.ProcessPool, "run", broken)
+        outs, caught = self._run_twice(small_db)
+        assert len(caught) == 1 and "inline" in str(caught[0].message)
+        for out in outs:
+            assert_identical(out, ref)
 
 
 class TestSpanClamp:
@@ -278,58 +320,3 @@ class TestTracerAdoption:
             if thread == "proc-worker-0"
         ]
         assert [r[0] for r in records] == ["a", "b"]
-
-
-class TestDeviceProcessBackend:
-    @pytest.mark.parametrize("n", [6, 14])
-    def test_simulator_differential(self, small_db, n):
-        base = AquomanSimulator(small_db, DeviceConfig()).run(
-            tpch.query(n), query=f"q{n}"
-        )
-        chunked = AquomanSimulator(
-            small_db,
-            DeviceConfig(
-                morsel_rows=8192, n_workers=2, worker_backend="process"
-            ),
-        ).run(tpch.query(n), query=f"q{n}")
-        assert_identical(chunked.relation, base.relation)
-
-
-class TestThreadPoolSharing:
-    def test_pool_is_persistent_per_worker_count(self):
-        assert procpool.get_thread_pool(3) is procpool.get_thread_pool(3)
-        assert procpool.get_thread_pool(3) is not procpool.get_thread_pool(2)
-
-    def test_round_robin_is_deterministic(self):
-        # item i always lands on worker i % n — lane attribution (and
-        # any test asserting worker fan-out) must not depend on which
-        # thread wakes first
-        import threading
-
-        pool = procpool.SpanThreadPool(2)
-        try:
-            names = pool.map(
-                lambda _: threading.current_thread().name, range(6)
-            )
-            assert names == [
-                "morsel-worker_0", "morsel-worker_1",
-            ] * 3
-        finally:
-            pool.shutdown()
-
-    def test_map_runs_every_item_before_raising(self):
-        ran = []
-
-        def work(i):
-            ran.append(i)
-            if i == 0:
-                raise ValueError("first")
-            return i
-
-        pool = procpool.SpanThreadPool(2)
-        try:
-            with pytest.raises(ValueError, match="first"):
-                pool.map(work, range(5))
-        finally:
-            pool.shutdown()
-        assert sorted(ran) == [0, 1, 2, 3, 4]

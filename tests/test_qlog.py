@@ -1,7 +1,7 @@
 """Query-lifecycle wide events: ids, scopes, sampling, tracediff.
 
 The contract under test: every span and fault instant a query produces
-carries that query's ``qid`` — across serial / thread / process
+carries that query's ``qid`` — across the serial and process
 backends, through a SIGKILL'd worker's inline re-run, and through the
 device-fault host fallback — and each query's wide event reports only
 its own metric movement (no cross-query bleed), validates against the
@@ -44,7 +44,7 @@ CHAOS = FaultConfig(
     channel_stall_rate=0.25,
 )
 
-BACKENDS = ["serial", "thread"] + (
+BACKENDS = ["serial"] + (
     ["process"] if procpool.process_backend_available() else []
 )
 
@@ -65,8 +65,6 @@ def _events(log):
 
 
 def _engine(db, backend, tracer=None, workers=2):
-    if backend == "serial":
-        return Engine(db, tracer=tracer)
     return Engine(
         db,
         tracer=tracer,
@@ -137,6 +135,17 @@ class TestQueryScope:
         _engine(small_db, "serial").execute_relation(tpch.query(6))
         for event in _events(qlog):
             assert validate_wide_event(event) == []
+
+    def test_one_worker_engine_is_labelled_serial(self, small_db, qlog):
+        # ``repro serve`` / ``top --demo`` shape: process is only the
+        # *configured* backend; one worker runs every span inline.
+        engine = Engine(
+            small_db,
+            morsels=MorselConfig(parallel=True, morsel_rows=8192),
+        )
+        assert engine.morsels.worker_backend == "process"
+        engine.execute_relation(tpch.query(6))
+        assert _events(qlog)[0]["backend"] == "serial"
 
     def test_seed_adopted_from_ambient_injector(self, small_db, qlog):
         injector = FaultInjector(FaultPlan(11, CHAOS))
@@ -225,7 +234,7 @@ class TestQidPropagation:
         injector = FaultInjector(FaultPlan(0, CHAOS))
         set_fault_injector(injector)
         try:
-            _engine(small_db, "thread", tracer=tracer).execute_relation(
+            _engine(small_db, "serial", tracer=tracer).execute_relation(
                 tpch.query(6)
             )
         finally:
@@ -318,9 +327,7 @@ class TestBitIdentityWithQueryLog:
             log.close()
         assert log.n_emitted == len(tpch.ALL_QUERIES)
 
-    @pytest.mark.parametrize("backend", [
-        b for b in BACKENDS if b != "serial"
-    ])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("n", [1, 6, 14])
     def test_parallel_backends(
         self, small_db, reference, tmp_path, backend, n
@@ -427,7 +434,7 @@ class TestTailSampling:
 class TestWideEventContent:
     def test_critpath_buckets_sum_to_path(self, small_db, qlog):
         tracer = Tracer()
-        _engine(small_db, "thread", tracer=tracer).execute_relation(
+        _engine(small_db, "serial", tracer=tracer).execute_relation(
             tpch.query(6)
         )
         event = _events(qlog)[0]
@@ -563,7 +570,7 @@ class TestTraceDiff:
         assert diff.regressions
 
 
-class TestThreadVsProcessAttribution:
+class TestSerialVsProcessAttribution:
     """Acceptance: per-bucket deltas reconcile with measured wall."""
 
     @pytest.mark.skipif(
@@ -576,7 +583,7 @@ class TestThreadVsProcessAttribution:
         from repro.obs.tracediff import diff_runs, load_wide_events
 
         logs = {}
-        for backend in ("thread", "process"):
+        for backend in ("serial", "process"):
             log = QueryLog(str(tmp_path / f"{backend}.jsonl"))
             set_query_log(log)
             try:
@@ -590,7 +597,7 @@ class TestThreadVsProcessAttribution:
                 log.close()
             logs[backend] = log.path
         diff = diff_runs(
-            load_wide_events(logs["thread"]),
+            load_wide_events(logs["serial"]),
             load_wide_events(logs["process"]),
         )
         assert len(diff.entries) == 2

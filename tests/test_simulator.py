@@ -10,8 +10,10 @@ import pytest
 from repro import tpch
 from repro.core import AquomanSimulator, DeviceConfig
 from repro.core.compiler import SuspendReason
+from repro.core.device import AquomanDevice
+from repro.core.simulator import DeviceExecutor
 from repro.engine import Engine
-from repro.sqlir import AggFunc, col, lit_date, scan
+from repro.sqlir import AggFunc, JoinKind, col, lit_date, scan
 from repro.util.units import GB, MB
 
 SF1000_RATIO = 1000 / 0.01
@@ -128,6 +130,21 @@ class TestOffloadBehaviour:
     def test_trace_scale_factor_recorded(self, small_db, config):
         result = AquomanSimulator(small_db, config).run(tpch.query(6))
         assert result.trace.scale_factor == small_db.scale_factor
+
+    def test_device_executor_refuses_left_outer(self, tiny_db, config):
+        # The compiler never offloads one, but DeviceExecutor.run is
+        # callable directly; INNER semantics would be silently wrong.
+        plan = (
+            scan("customer", ("c_custkey",))
+            .join(
+                scan("orders", ("o_orderkey", "o_custkey")),
+                "c_custkey", "o_custkey", kind=JoinKind.LEFT_OUTER,
+            )
+            .plan
+        )
+        device = AquomanDevice(tiny_db, config)
+        with pytest.raises(NotImplementedError, match="cannot execute"):
+            DeviceExecutor(device, Engine(tiny_db).scalar).run(plan)
 
 
 class TestSuspensionRollback:
