@@ -14,13 +14,6 @@ a log installed (context mint, plan fingerprint, metrics delta, wide
 event build + JSONL append; sampling off) is microbenchmarked per
 query, multiplied by the wide events a run emits, and the product must
 stay under 3% of the disabled runtime.
-
-The time-series sampler is gated on duty cycle rather than per-query
-cost: one ``store.sample()`` tick over a realistically populated
-registry (fleet counters, labeled latency histograms) is
-microbenchmarked, and at the default 1 Hz cadence the tick must
-occupy under 1% of wall time — the sampler holds the store lock for
-that fraction, so this is also the worst-case read-path stall.
 Results land in ``BENCH_obs_overhead.json``.
 """
 
@@ -46,9 +39,6 @@ NULL_SITE_CALLS = 200_000
 QLOG_CYCLES = 200
 # One _run_both = engine query + simulator run = two wide events.
 EVENTS_PER_RUN = 2
-SAMPLER_BUDGET_PCT = 1.0
-SAMPLER_HZ = 1.0
-SAMPLE_TICKS = 300
 
 
 def _best_of(fn, repeats=REPEATS):
@@ -97,35 +87,6 @@ def _qlog_cycle_s(plan, name, tmp_path) -> float:
     return best / QLOG_CYCLES
 
 
-def _sampler_tick_s() -> float:
-    """Cost of one rollup-ring sample over a fleet-shaped registry."""
-    from repro.obs.metrics import LATENCY_BUCKETS_MS, MetricsRegistry
-    from repro.obs.timeseries import TimeSeriesStore
-
-    registry = MetricsRegistry()
-    completed = registry.counter("query.completed")
-    latency = registry.histogram(
-        "query.latency_ms", buckets=LATENCY_BUCKETS_MS
-    )
-    for backend in ("serial", "process", "device"):
-        completed.labels(backend=backend).inc(10)
-        for i in range(20):
-            latency.labels(backend=backend).observe(5.0 + i)
-    registry.counter("query.faulted").labels(backend="serial").inc()
-    registry.gauge("serve.depth").set(2)
-    store = TimeSeriesStore(registry)
-    store.sample()  # baselines outside the timed loop
-
-    def loop():
-        for i in range(SAMPLE_TICKS):
-            # Keep counters moving so every tick writes real deltas.
-            completed.labels(backend="serial").inc()
-            latency.labels(backend="serial").observe(float(i % 50))
-            store.sample()
-
-    return _best_of(loop) / SAMPLE_TICKS
-
-
 def test_obs_overhead(benchmark, db, tmp_path):
     def run():
         site_ns = _null_site_ns()
@@ -155,12 +116,9 @@ def test_obs_overhead(benchmark, db, tmp_path):
                 disabled_s, enabled_s, n_sites, disabled_pct,
                 cycle_s, qlog_pct,
             )
-        return site_ns, rows, _sampler_tick_s()
+        return site_ns, rows
 
-    site_ns, rows, tick_s = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    sampler_pct = tick_s * SAMPLER_HZ * 100.0
+    site_ns, rows = benchmark.pedantic(run, rounds=1, iterations=1)
 
     print_table(
         f"Tracing overhead per query (SF-0.01, best of {REPEATS}; "
@@ -181,11 +139,6 @@ def test_obs_overhead(benchmark, db, tmp_path):
             for name, (d, e, sites, pct, cyc, qpct) in rows.items()
         ],
     )
-    print(
-        f"sampler tick {tick_s * 1e6:.1f} us -> "
-        f"{sampler_pct:.4f}% duty at {SAMPLER_HZ:g} Hz "
-        f"(budget {SAMPLER_BUDGET_PCT:g}%)"
-    )
 
     worst = max(rows, key=lambda n: rows[n][3])
     worst_qlog = max(rows, key=lambda n: rows[n][5])
@@ -202,9 +155,6 @@ def test_obs_overhead(benchmark, db, tmp_path):
                 "worst_disabled_overhead_pct": rows[worst][3],
                 "worst_qlog_query": worst_qlog,
                 "worst_qlog_overhead_pct": rows[worst_qlog][5],
-                "sampler_budget_pct": SAMPLER_BUDGET_PCT,
-                "sampler_tick_s": tick_s,
-                "sampler_overhead_pct_1hz": sampler_pct,
                 "per_query": {
                     name: {
                         "disabled_s": d,
@@ -234,7 +184,3 @@ def test_obs_overhead(benchmark, db, tmp_path):
             f"{name}: {EVENTS_PER_RUN} wide events cost {qpct:.3f}% "
             "of the query with the log enabled"
         )
-    assert sampler_pct < SAMPLER_BUDGET_PCT, (
-        f"one sampler tick takes {tick_s * 1e6:.1f} us: "
-        f"{sampler_pct:.4f}% duty cycle at {SAMPLER_HZ:g} Hz"
-    )

@@ -32,20 +32,14 @@ Commands:
   attribute the wall-time delta per critical-path bucket and span
   prefix; ``--strict`` exits 1 on regressions beyond the noise bands;
 - ``serve``    — stdlib HTTP endpoint exposing every route in
-  :data:`repro.obs.server.ROUTES` (Prometheus scrape, health,
-  windowed time-series JSON, SLO burn-rate status, a self-contained
-  HTML dashboard, traces and the query log); a background sampler and
-  SLO engine run by default (``--sample-interval 0`` / ``--no-slo``
-  disable them);
-- ``top``      — curses-free ANSI terminal view of the same fleet
-  signals (QPS, rolling p50/p99 per backend, fault rate, SLO status,
-  slowest recent queries), polling a served URL or ``--demo``
-  in-process data.
+  :data:`repro.obs.server.ROUTES` (Prometheus scrape, health, the last
+  trace and the query log) from a warm process.
 
 ``query`` and ``evaluate`` also accept ``--trace-out``/``--metrics-out``
-to record without the profile-specific defaults, and — like ``chaos``
-— ``--query-log FILE`` to append one wide event per query (add
-``--qlog-sample-k``/``--qlog-trace-dir`` for tail-sampled full traces).
+to record without the profile-specific defaults, and — like ``profile``
+and ``chaos`` — ``--query-log FILE`` to append one wide event per query
+(add ``--qlog-sample-k``/``--qlog-trace-dir`` for tail-sampled full
+traces).  One :func:`_obs_session` runs that sequence for all four.
 """
 
 from __future__ import annotations
@@ -53,6 +47,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
+from typing import Iterator
 
 from repro import tpch
 from repro.core import AquomanSimulator, DeviceConfig
@@ -80,14 +76,88 @@ from repro.sqlir import plan_sql
 from repro.util.units import GB, fmt_bytes
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, target_sf: bool = True
+) -> None:
     parser.add_argument(
         "--sf", type=float, default=0.01,
         help="functional TPC-H scale factor (default 0.01)",
     )
+    if target_sf:
+        parser.add_argument(
+            "--target-sf", type=float, default=1000.0,
+            help="simulated scale factor for device decisions "
+            "(default 1000)",
+        )
+
+
+def _add_query(parser: argparse.ArgumentParser) -> None:
+    """The query selector: a TPC-H number or a SQL string."""
+    parser.add_argument("number", type=int, nargs="?",
+                        help="TPC-H query number (1-22)")
+    parser.add_argument("--sql", help="a SQL string instead")
+
+
+def _add_device(
+    parser: argparse.ArgumentParser, no_device: bool = False
+) -> None:
+    parser.add_argument("--dram-gb", type=float, default=40.0)
+    if no_device:
+        parser.add_argument("--no-device", action="store_true")
+
+
+def _add_morsel(
+    parser: argparse.ArgumentParser,
+    *,
+    workers_help: str = "morsel workers (default 4)",
+    backend_help: str = "morsel worker backend",
+    morsel_rows: int = TUNED_MORSEL_ROWS,
+    morsel_rows_help: str = "rows per morsel (default %(default)s, "
+    "bench-tuned)",
+) -> None:
+    parser.add_argument("--workers", type=int, default=4,
+                        help=workers_help)
     parser.add_argument(
-        "--target-sf", type=float, default=1000.0,
-        help="simulated scale factor for device decisions (default 1000)",
+        "--backend", choices=WORKER_BACKENDS,
+        default=MorselConfig.worker_backend,
+        help=backend_help + " (default %(default)s)",
+    )
+    parser.add_argument("--morsel-rows", type=int, default=morsel_rows,
+                        help=morsel_rows_help)
+
+
+def _add_ring(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--ring-capacity", type=int, default=None,
+        help="per-thread span ring size (default 65536); the run "
+        "warns when spans were dropped",
+    )
+
+
+def _add_report(
+    parser: argparse.ArgumentParser,
+    *,
+    strict: str,
+    json: bool = True,
+    verbose: str | None = None,
+) -> None:
+    """How a command reports: ``--json``, ``--strict``, ``--verbose``
+    (``strict`` / ``verbose`` are the per-command help texts)."""
+    if json:
+        parser.add_argument("--json", action="store_true",
+                            help="machine-readable report")
+    parser.add_argument("--strict", action="store_true", help=strict)
+    if verbose:
+        parser.add_argument("--verbose", action="store_true",
+                            help=verbose)
+
+
+def _add_top(
+    parser: argparse.ArgumentParser, default: int, what: str
+) -> None:
+    parser.add_argument(
+        "--top", type=int, default=default,
+        help=f"{what} (default {default})",
     )
 
 
@@ -103,12 +173,16 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
     _add_query_log(parser)
 
 
-def _add_query_log(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--query-log", metavar="FILE",
-        help="append one wide event per query (JSONL): fingerprint, "
-        "wall time, critical-path buckets, counters, faults",
-    )
+def _add_query_log(
+    parser: argparse.ArgumentParser,
+    *,
+    sampling: bool = True,
+    help: str = "append one wide event per query (JSONL): fingerprint, "
+    "wall time, critical-path buckets, counters, faults",
+) -> None:
+    parser.add_argument("--query-log", metavar="FILE", help=help)
+    if not sampling:
+        return
     parser.add_argument(
         "--qlog-sample-k", type=int, default=0, metavar="K",
         help="tail sampling: retain full Chrome traces for the "
@@ -133,46 +207,67 @@ def _query_name(args) -> str:
     return args.sql or f"q{args.number:02d}"
 
 
-def _obs_tracer(args) -> Tracer | None:
-    """A live tracer when any observability export was requested."""
-    if (
-        getattr(args, "trace_out", None)
-        or getattr(args, "metrics_out", None)
-        or getattr(args, "query_log", None)
-    ):
-        METRICS.reset()
-        return Tracer()
-    return None
-
-
-def _install_query_log(args) -> QueryLog | None:
-    """Create + install the ambient query log when requested."""
-    path = getattr(args, "query_log", None)
-    if not path:
-        return None
-    log = QueryLog(
-        path,
-        sample_slowest_k=getattr(args, "qlog_sample_k", 0),
-        trace_dir=getattr(args, "qlog_trace_dir", None),
+def _device_config(args) -> DeviceConfig:
+    return DeviceConfig(
+        dram_bytes=int(args.dram_gb * GB),
+        scale_ratio=args.target_sf / args.sf,
     )
+
+
+@contextmanager
+def _obs_session(
+    args, where: str, metadata: dict | None = None
+) -> Iterator[Tracer | None]:
+    """One command's observability session.
+
+    Yields a live tracer when any export was requested, else ``None``
+    and does nothing.  Around the block: fresh
+    metrics, the tracer installed as the ambient one (so module-level
+    spans — storage I/O, the analysis passes, injector fault instants —
+    land in the same timeline) and the query log installed; after it:
+    both uninstalled, the log summarised, a dropped-span warning, and
+    the ``--trace-out`` / ``--metrics-out`` exports stamped with
+    ``metadata`` (a dict the caller may fill in during the block).
+    """
+    query_log = getattr(args, "query_log", None)
+    if not (
+        query_log
+        or getattr(args, "trace_out", None)
+        or getattr(args, "metrics_out", None)
+    ):
+        yield None
+        return
+    METRICS.reset()
+    ring_capacity = getattr(args, "ring_capacity", None)
+    tracer = (
+        Tracer(ring_capacity=ring_capacity)
+        if ring_capacity is not None
+        else Tracer()
+    )
+    log = None
+    if query_log:
+        log = QueryLog(
+            query_log,
+            sample_slowest_k=args.qlog_sample_k,
+            trace_dir=args.qlog_trace_dir,
+        )
+    set_global_tracer(tracer)
     set_query_log(log)
-    return log
+    try:
+        yield tracer
+    finally:
+        set_query_log(None)
+        set_global_tracer(None)
+        if log is not None:
+            log.close()
+            print(f"query log: {log.path} ({log.n_emitted} wide events)",
+                  file=sys.stderr)
+    warn_dropped_spans(tracer.n_dropped, where)
+    _export_obs(tracer, args, **(metadata or {}))
 
 
-def _report_query_log(log: QueryLog | None) -> None:
-    """Uninstall the ambient log and print a one-line summary."""
-    if log is None:
-        return
-    set_query_log(None)
-    log.close()
-    print(f"query log: {log.path} ({log.n_emitted} wide events)",
-          file=sys.stderr)
-
-
-def _export_obs(tracer: Tracer | None, args, **metadata) -> None:
-    if tracer is None:
-        return
-    if args.trace_out:
+def _export_obs(tracer: Tracer, args, **metadata) -> None:
+    if getattr(args, "trace_out", None):
         doc = write_chrome_trace(tracer, args.trace_out,
                                  metadata=metadata)
         problems = validate_chrome_trace(doc)
@@ -182,7 +277,7 @@ def _export_obs(tracer: Tracer | None, args, **metadata) -> None:
             )
         print(f"chrome trace: {args.trace_out} "
               f"(load in chrome://tracing)")
-    if args.metrics_out:
+    if getattr(args, "metrics_out", None):
         with open(args.metrics_out, "w") as fh:
             fh.write(prometheus_text(METRICS))
         print(f"metrics: {args.metrics_out}")
@@ -193,23 +288,17 @@ def cmd_query(args) -> int:
     # Plan once; both executors take the same plan object.
     plan = _plan_of(args, db)
     name = _query_name(args)
-    tracer = _obs_tracer(args)
-    qlog = _install_query_log(args)
 
-    try:
+    with _obs_session(args, "query", {"query": name}) as tracer:
         engine_trace = QueryTrace(query=name)
         table = Engine(db, engine_trace, tracer=tracer).execute(plan)
         print(table.head(args.rows))
         print(f"({table.nrows} rows)")
 
         if not args.no_device:
-            config = DeviceConfig(
-                dram_bytes=int(args.dram_gb * GB),
-                scale_ratio=args.target_sf / args.sf,
-            )
-            result = AquomanSimulator(db, config, tracer=tracer).run(
-                plan, query=name
-            )
+            result = AquomanSimulator(
+                db, _device_config(args), tracer=tracer
+            ).run(plan, query=name)
             trace = result.trace
             match = table.equals(result.table.renamed("result"))
             print(
@@ -218,9 +307,6 @@ def cmd_query(args) -> int:
                 f"flash={fmt_bytes(trace.aquoman_flash_bytes)} "
                 f"suspended={trace.suspend_reason or 'no'}"
             )
-    finally:
-        _report_query_log(qlog)
-    _export_obs(tracer, args, query=name)
     return 0
 
 
@@ -228,14 +314,12 @@ def cmd_evaluate(args) -> int:
     from repro.perf.tpch_eval import collect_traces
 
     db = tpch.generate(args.sf)
-    tracer = _obs_tracer(args)
-    qlog = _install_query_log(args)
-    try:
+    metadata: dict = {}
+    with _obs_session(args, "evaluate", metadata) as tracer:
         evaluation = collect_traces(db, target_sf=args.target_sf,
                                     tracer=tracer)
-    finally:
-        _report_query_log(qlog)
-    report = evaluation.report(args.target_sf)
+        report = evaluation.report(args.target_sf)
+        metadata["queries"] = len(report.queries)
 
     print(f"{'query':>6} " + " ".join(f"{s:>10}" for s in report.systems))
     for q in report.queries:
@@ -249,7 +333,6 @@ def cmd_evaluate(args) -> int:
     print(f"{'total':>6} {totals}")
     print(f"mean CPU saving : {report.mean_cpu_saving():.0%}")
     print(f"mean DRAM saving: {report.mean_dram_saving():.0%}")
-    _export_obs(tracer, args, queries=len(report.queries))
     return 0
 
 
@@ -262,16 +345,8 @@ def cmd_profile(args) -> int:
         stem = f"q{args.number:02d}" if args.number is not None else "sql"
         args.trace_out = f"{stem}.trace.json"
 
-    METRICS.reset()
-    tracer = (
-        Tracer(ring_capacity=args.ring_capacity)
-        if args.ring_capacity is not None
-        else Tracer()
-    )
-    # The ambient tracer lets module-level spans (storage I/O, the
-    # analysis passes) land in the same timeline.
-    set_global_tracer(tracer)
-    try:
+    metadata = {"query": name}
+    with _obs_session(args, "profile", metadata) as tracer:
         wall0 = time.monotonic_ns()
         with tracer.span("profile.query", query=name):
             engine = Engine(
@@ -286,32 +361,25 @@ def cmd_profile(args) -> int:
             )
             table = engine.execute(plan)
             if not args.no_device:
-                config = DeviceConfig(
-                    dram_bytes=int(args.dram_gb * GB),
-                    scale_ratio=args.target_sf / args.sf,
-                )
-                AquomanSimulator(db, config, tracer=tracer).run(
-                    plan, query=name
-                )
+                AquomanSimulator(
+                    db, _device_config(args), tracer=tracer
+                ).run(plan, query=name)
         wall_ns = time.monotonic_ns() - wall0
-    finally:
-        set_global_tracer(None)
 
-    root_ns = tracer.total_ns("profile.query")
-    coverage = root_ns / wall_ns if wall_ns else 0.0
-    print(flame_summary(tracer, top=args.top))
-    dropped = tracer.n_dropped
-    suffix = " (coverage undercounts: spans were dropped)" if dropped \
-        else ""
-    print(
-        f"\n{name}: {table.nrows} rows, "
-        f"wall {wall_ns / 1e6:.1f} ms, span coverage {coverage:.1%}"
-        f"{suffix}"
-    )
-    if dropped:
-        print(f"WARNING: {dropped} spans dropped (raise ring_capacity)")
-    _export_obs(tracer, args, query=name, coverage=round(coverage, 4),
-                wall_ms=round(wall_ns / 1e6, 3))
+        root_ns = tracer.total_ns("profile.query")
+        coverage = root_ns / wall_ns if wall_ns else 0.0
+        print(flame_summary(tracer, top=args.top))
+        suffix = (
+            " (coverage undercounts: spans were dropped)"
+            if tracer.n_dropped else ""
+        )
+        print(
+            f"\n{name}: {table.nrows} rows, "
+            f"wall {wall_ns / 1e6:.1f} ms, span coverage {coverage:.1%}"
+            f"{suffix}"
+        )
+        metadata.update(coverage=round(coverage, 4),
+                        wall_ms=round(wall_ns / 1e6, 3))
     return 0
 
 
@@ -344,11 +412,7 @@ def cmd_analyze(args) -> int:
 
     db = tpch.generate(args.sf)
     plan = _plan_of(args, db)
-    config = DeviceConfig(
-        dram_bytes=int(args.dram_gb * GB),
-        scale_ratio=args.target_sf / args.sf,
-    )
-    report = analyze_plan(plan, db, device=config)
+    report = analyze_plan(plan, db, device=_device_config(args))
     if args.json:
         print(report.to_json_str())
     else:
@@ -406,9 +470,7 @@ def cmd_doctor(args) -> int:
         ring_capacity=args.ring_capacity,
     )
     print(report_json(report) if args.json else report.format())
-    warn_dropped_spans(
-        getattr(report, "n_dropped_spans", 0), "doctor"
-    )
+    warn_dropped_spans(report.n_dropped_spans, "doctor")
     if args.strict and report.mispredictions:
         return 1
     return 0
@@ -453,13 +515,7 @@ def cmd_chaos(args) -> int:
         channel_stall_rate=args.channel_stall_rate,
         retry_budget=args.retry_budget,
     )
-    tracer = Tracer() if args.query_log else None
-    qlog = _install_query_log(args)
-    if tracer is not None:
-        # Ambient too, so injector fault instants join the timeline
-        # (and the wide events) alongside the engine's spans.
-        set_global_tracer(tracer)
-    try:
+    with _obs_session(args, "chaos campaign") as tracer:
         report = run_campaign(
             queries,
             seeds,
@@ -472,12 +528,6 @@ def cmd_chaos(args) -> int:
             log=lambda line: print(f"  {line}", file=sys.stderr),
             tracer=tracer,
         )
-    finally:
-        if tracer is not None:
-            set_global_tracer(None)
-        _report_query_log(qlog)
-    if tracer is not None:
-        warn_dropped_spans(tracer.n_dropped, "chaos campaign")
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -518,22 +568,9 @@ def cmd_tracediff(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """Serve every obs route over stdlib HTTP, sampling by default."""
-    import threading
-
+    """Serve every obs route over stdlib HTTP from a warm process."""
     from repro.obs import chrome_trace
     from repro.obs.server import ObsServer, route_summary, set_last_trace
-    from repro.obs.slo import (
-        BurnWindows,
-        SloEngine,
-        default_objectives,
-        set_slo_engine,
-    )
-    from repro.obs.timeseries import (
-        Sampler,
-        TimeSeriesStore,
-        set_timeseries,
-    )
 
     db = tpch.generate(args.sf)
     warm = [int(q) for q in args.warm.split(",") if q.strip()] \
@@ -542,12 +579,10 @@ def cmd_serve(args) -> int:
     METRICS.reset()
     tracer = Tracer()
     set_global_tracer(tracer)
-    # An in-memory query log (no JSONL) feeds the wide-event ring and
-    # the query.* fleet instruments the rings and SLOs read.
+    # Without --query-log the log is in-memory (no JSONL): it still
+    # feeds the wide-event ring and the query.* fleet instruments a
+    # /metrics scraper reads.
     set_query_log(QueryLog(args.query_log))
-    sampler = None
-    stop_loop = threading.Event()
-    loop_thread = None
     try:
         engine = Engine(
             db,
@@ -556,58 +591,21 @@ def cmd_serve(args) -> int:
                 parallel=True, morsel_rows=TUNED_MORSEL_ROWS
             ),
         )
-
-        def run_warm(number: int) -> None:
-            plan = tpch.query(number)
+        for number in warm:
             t0 = time.monotonic_ns()
             engine.trace.query = f"q{number:02d}"
             with tracer.span("serve.warm", query=f"q{number:02d}"):
-                engine.execute_relation(plan)
+                engine.execute_relation(tpch.query(number))
             METRICS.counter(
                 "serve.warm_queries", "queries run before serving"
             ).inc()
             METRICS.histogram(
                 "serve.warm_ms", "warm query wall time (ms)"
             ).observe((time.monotonic_ns() - t0) / 1e6)
-
-        for number in warm:
-            run_warm(number)
         if warm:
             set_last_trace(chrome_trace(
                 tracer, metadata={"warm_queries": warm, "sf": args.sf}
             ))
-
-        if args.sample_interval > 0:
-            store = TimeSeriesStore(METRICS)
-            set_timeseries(store)
-            engine_slo = None
-            if not args.no_slo:
-                engine_slo = SloEngine(
-                    store,
-                    default_objectives(p99_ms=args.slo_p99_ms),
-                    BurnWindows(),
-                )
-                set_slo_engine(engine_slo)
-            sampler = Sampler(
-                store, interval_s=args.sample_interval,
-                slo_engine=engine_slo,
-            ).start()
-
-        if args.loop and warm:
-            # Replay the warm queries forever so the dashboard and SLO
-            # windows have live traffic to show.
-            def replay() -> None:
-                while not stop_loop.is_set():
-                    for number in warm:
-                        if stop_loop.is_set():
-                            return
-                        run_warm(number)
-                    stop_loop.wait(args.loop_interval)
-
-            loop_thread = threading.Thread(
-                target=replay, name="serve-loop", daemon=True
-            )
-            loop_thread.start()
 
         server = ObsServer(host=args.host, port=args.port)
         print(f"serving on {server.url}  "
@@ -619,70 +617,9 @@ def cmd_serve(args) -> int:
         finally:
             server.stop()
     finally:
-        stop_loop.set()
-        if loop_thread is not None:
-            loop_thread.join(timeout=5)
-        if sampler is not None:
-            sampler.stop()
-        from repro.obs.slo import set_slo_engine as _set_slo
-        from repro.obs.timeseries import set_timeseries as _set_ts
-
-        _set_slo(None)
-        _set_ts(None)
         set_query_log(None)
         set_global_tracer(None)
     return 0
-
-
-def cmd_top(args) -> int:
-    """Terminal fleet view over a served or in-process registry."""
-    from repro.obs.top import (
-        run_top,
-        snapshot_from_http,
-        snapshot_local,
-    )
-
-    iterations = 1 if args.once else args.iterations
-    color = not args.no_color
-    if not args.demo:
-        return run_top(
-            lambda: snapshot_from_http(args.url, args.window),
-            interval_s=args.interval,
-            iterations=iterations,
-            color=color,
-        )
-
-    # Demo mode: run a handful of queries in-process and render from
-    # the local store — no server needed.
-    from repro.obs.slo import BurnWindows, SloEngine, default_objectives
-    from repro.obs.timeseries import TimeSeriesStore
-
-    METRICS.reset()
-    set_query_log(QueryLog(None))
-    try:
-        db = tpch.generate(args.sf)
-        engine = Engine(
-            db,
-            morsels=MorselConfig(
-                parallel=True, morsel_rows=TUNED_MORSEL_ROWS
-            ),
-        )
-        store = TimeSeriesStore(METRICS)
-        slo = SloEngine(store, default_objectives(),
-                        BurnWindows(short_s=5.0, long_s=30.0))
-        for _ in range(3):
-            for number in (1, 6):
-                engine.trace.query = f"q{number:02d}"
-                engine.execute_relation(tpch.query(number))
-            store.sample()
-        return run_top(
-            lambda: snapshot_local(store, slo, args.window),
-            interval_s=args.interval,
-            iterations=iterations if iterations else 1,
-            color=color,
-        )
-    finally:
-        set_query_log(None)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -693,12 +630,9 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_query = sub.add_parser("query", help="run one query both ways")
-    p_query.add_argument("number", type=int, nargs="?",
-                         help="TPC-H query number (1-22)")
-    p_query.add_argument("--sql", help="a SQL string instead")
+    _add_query(p_query)
     p_query.add_argument("--rows", type=int, default=10)
-    p_query.add_argument("--dram-gb", type=float, default=40.0)
-    p_query.add_argument("--no-device", action="store_true")
+    _add_device(p_query, no_device=True)
     _add_common(p_query)
     _add_obs(p_query)
     p_query.set_defaults(func=cmd_query)
@@ -712,34 +646,16 @@ def main(argv: list[str] | None = None) -> int:
         "profile",
         help="trace one query's runtime and export the timeline",
     )
-    p_profile.add_argument("number", type=int, nargs="?",
-                           help="TPC-H query number (1-22)")
-    p_profile.add_argument("--sql", help="a SQL string instead")
-    p_profile.add_argument("--dram-gb", type=float, default=40.0)
-    p_profile.add_argument("--no-device", action="store_true")
-    p_profile.add_argument(
-        "--workers", type=int, default=4,
-        help="morsel workers = trace lanes (default 4)",
+    _add_query(p_profile)
+    _add_device(p_profile, no_device=True)
+    _add_morsel(
+        p_profile,
+        workers_help="morsel workers = trace lanes (default 4)",
+        backend_help="morsel worker backend; 'process' adds "
+        "proc-worker-N lanes to the trace",
     )
-    p_profile.add_argument(
-        "--backend", choices=WORKER_BACKENDS,
-        default=MorselConfig.worker_backend,
-        help="morsel worker backend; 'process' adds proc-worker-N "
-        "lanes to the trace (default %(default)s)",
-    )
-    p_profile.add_argument(
-        "--morsel-rows", type=int, default=TUNED_MORSEL_ROWS,
-        help="rows per morsel (default %(default)s, bench-tuned)",
-    )
-    p_profile.add_argument(
-        "--top", type=int, default=15,
-        help="flame-summary rows to print (default 15)",
-    )
-    p_profile.add_argument(
-        "--ring-capacity", type=int, default=None,
-        help="per-thread span ring size (default 65536); the run "
-        "warns when spans were dropped",
-    )
+    _add_top(p_profile, 15, "flame-summary rows to print")
+    _add_ring(p_profile)
     _add_common(p_profile)
     _add_obs(p_profile)
     p_profile.set_defaults(func=cmd_profile)
@@ -752,24 +668,17 @@ def main(argv: list[str] | None = None) -> int:
     p_generate.set_defaults(func=cmd_generate)
 
     p_explain = sub.add_parser("explain", help="offload decisions")
-    p_explain.add_argument("number", type=int, nargs="?")
-    p_explain.add_argument("--sql")
+    _add_query(p_explain)
     _add_common(p_explain)
     p_explain.set_defaults(func=cmd_explain)
 
     p_analyze = sub.add_parser(
         "analyze", help="static analysis without executing"
     )
-    p_analyze.add_argument("number", type=int, nargs="?",
-                           help="TPC-H query number (1-22)")
-    p_analyze.add_argument("--sql", help="a SQL string instead")
-    p_analyze.add_argument("--json", action="store_true",
-                           help="machine-readable report")
-    p_analyze.add_argument("--dram-gb", type=float, default=40.0)
-    p_analyze.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 when the analyzer finds errors",
-    )
+    _add_query(p_analyze)
+    _add_device(p_analyze)
+    _add_report(p_analyze,
+                strict="exit 1 when the analyzer finds errors")
     _add_common(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 
@@ -777,11 +686,11 @@ def main(argv: list[str] | None = None) -> int:
         "lint",
         help="AQ5xx concurrency & determinism lint of the sources",
     )
-    p_lint.add_argument("--json", action="store_true",
-                        help="machine-readable report")
-    p_lint.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 when the lint finds errors",
+    _add_report(
+        p_lint,
+        strict="exit 1 when the lint finds errors",
+        verbose="also list # conc: safe suppressions and baselined "
+        "findings",
     )
     p_lint.add_argument(
         "--baseline", action="store_true",
@@ -792,11 +701,6 @@ def main(argv: list[str] | None = None) -> int:
         "--selfcheck", action="store_true",
         help="verify each pass still catches its seeded violations",
     )
-    p_lint.add_argument(
-        "--verbose", action="store_true",
-        help="also list # conc: safe suppressions and baselined "
-        "findings",
-    )
     p_lint.set_defaults(func=cmd_lint)
 
     p_doctor = sub.add_parser(
@@ -804,32 +708,13 @@ def main(argv: list[str] | None = None) -> int:
         help="diagnose one query: critical path, bottleneck, "
         "explain-analyze",
     )
-    p_doctor.add_argument("number", type=int, nargs="?",
-                          help="TPC-H query number (1-22)")
-    p_doctor.add_argument("--sql", help="a SQL string instead")
-    p_doctor.add_argument("--dram-gb", type=float, default=40.0)
-    p_doctor.add_argument(
-        "--workers", type=int, default=4,
-        help="morsel workers (default 4)",
-    )
-    p_doctor.add_argument(
-        "--backend", choices=WORKER_BACKENDS,
-        default=MorselConfig.worker_backend,
-        help="morsel worker backend (default %(default)s)",
-    )
-    p_doctor.add_argument(
-        "--morsel-rows", type=int, default=TUNED_MORSEL_ROWS,
-        help="rows per morsel (default %(default)s, bench-tuned)",
-    )
-    p_doctor.add_argument(
-        "--ring-capacity", type=int, default=None,
-        help="per-thread span ring size (default 65536)",
-    )
-    p_doctor.add_argument("--json", action="store_true",
-                          help="machine-readable report")
-    p_doctor.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 when any estimate-vs-actual row mispredicts",
+    _add_query(p_doctor)
+    _add_device(p_doctor)
+    _add_morsel(p_doctor)
+    _add_ring(p_doctor)
+    _add_report(
+        p_doctor,
+        strict="exit 1 when any estimate-vs-actual row mispredicts",
     )
     _add_common(p_doctor)
     p_doctor.set_defaults(func=cmd_doctor)
@@ -841,17 +726,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_diff.add_argument("baseline", help="baseline run-record JSONL")
     p_diff.add_argument("current", help="current run-record JSONL")
-    p_diff.add_argument(
-        "--strict", action="store_true",
-        help="also fail when a baseline metric went missing",
+    _add_report(
+        p_diff,
+        json=False,
+        strict="also fail when a baseline metric went missing",
+        verbose="print every metric, not just changes",
     )
     p_diff.add_argument(
         "--threshold", action="append", metavar="METRIC=REL",
         help="override a relative threshold, e.g. wall.=0.4 "
         "(prefix match, repeatable)",
     )
-    p_diff.add_argument("--verbose", action="store_true",
-                        help="print every metric, not just changes")
     p_diff.set_defaults(func=cmd_perf_diff)
 
     p_chaos = sub.add_parser(
@@ -896,20 +781,13 @@ def main(argv: list[str] | None = None) -> int:
         help="retries after the first failure; 0 makes any transient "
         "fault terminal (default 3)",
     )
-    p_chaos.add_argument(
-        "--workers", type=int, default=4,
-        help="morsel workers (default 4)",
-    )
-    p_chaos.add_argument(
-        "--morsel-rows", type=int, default=8192,
-        help="rows per morsel; small default keeps fault-site "
-        "density high (default 8192)",
-    )
-    p_chaos.add_argument(
-        "--backend", choices=WORKER_BACKENDS,
-        default=MorselConfig.worker_backend,
-        help="morsel worker backend; reports are identical across "
-        "backends (default %(default)s)",
+    _add_morsel(
+        p_chaos,
+        backend_help="morsel worker backend; reports are identical "
+        "across backends",
+        morsel_rows=8192,
+        morsel_rows_help="rows per morsel; small default keeps "
+        "fault-site density high (default %(default)s)",
     )
     p_chaos.add_argument(
         "--out", metavar="FILE",
@@ -926,10 +804,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_tracediff.add_argument("run_a", help="baseline query-log JSONL")
     p_tracediff.add_argument("run_b", help="candidate query-log JSONL")
-    p_tracediff.add_argument(
-        "--top", type=int, default=10,
-        help="entries to print, largest |delta| first (default 10)",
-    )
+    _add_top(p_tracediff, 10, "entries to print, largest |delta| first")
     p_tracediff.add_argument(
         "--rel-band", type=float, default=0.10,
         help="relative noise band before a delta counts as a "
@@ -939,11 +814,10 @@ def main(argv: list[str] | None = None) -> int:
         "--abs-band-ms", type=float, default=0.5,
         help="absolute noise floor in ms (default 0.5)",
     )
-    p_tracediff.add_argument("--json", action="store_true",
-                             help="machine-readable report")
-    p_tracediff.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 when any aligned query regresses beyond the bands",
+    _add_report(
+        p_tracediff,
+        strict="exit 1 when any aligned query regresses beyond the "
+        "bands",
     )
     p_tracediff.set_defaults(func=cmd_tracediff)
 
@@ -962,77 +836,14 @@ def main(argv: list[str] | None = None) -> int:
         help="TPC-H queries to run before serving, populating metrics "
         "and /trace/last (default 1,6; empty string skips)",
     )
-    p_serve.add_argument(
-        "--sf", type=float, default=0.01,
-        help="functional TPC-H scale factor (default 0.01)",
-    )
-    p_serve.add_argument(
-        "--sample-interval", type=float, default=1.0, metavar="S",
-        help="time-series sampler cadence in seconds; 0 disables the "
-        "sampler, /timeseries and /dashboard (default 1.0)",
-    )
-    p_serve.add_argument(
-        "--slo-p99-ms", type=float, default=250.0, metavar="MS",
-        help="latency-SLO threshold: fraction of queries above this "
-        "drives the burn rate (default 250)",
-    )
-    p_serve.add_argument(
-        "--no-slo", action="store_true",
-        help="sample without evaluating SLO objectives",
-    )
-    p_serve.add_argument(
-        "--loop", action="store_true",
-        help="replay the --warm queries forever on a background "
-        "thread, so the dashboard shows live traffic",
-    )
-    p_serve.add_argument(
-        "--loop-interval", type=float, default=1.0, metavar="S",
-        help="pause between --loop replay rounds (default 1.0)",
-    )
-    p_serve.add_argument(
-        "--query-log", metavar="FILE", default=None,
+    _add_common(p_serve, target_sf=False)
+    _add_query_log(
+        p_serve,
+        sampling=False,
         help="also append wide events to FILE (JSONL); without it the "
         "query log stays in-memory (ring + fleet metrics only)",
     )
     p_serve.set_defaults(func=cmd_serve)
-
-    p_top = sub.add_parser(
-        "top", help="live terminal fleet view (QPS, p50/p99, SLOs)"
-    )
-    p_top.add_argument(
-        "--url", default="http://127.0.0.1:9463",
-        help="base URL of a running `repro serve` (default "
-        "http://127.0.0.1:9463)",
-    )
-    p_top.add_argument(
-        "--window", type=float, default=60.0, metavar="S",
-        help="rolling window in seconds (default 60)",
-    )
-    p_top.add_argument(
-        "--interval", type=float, default=2.0, metavar="S",
-        help="repaint interval in seconds (default 2.0)",
-    )
-    p_top.add_argument(
-        "--once", action="store_true",
-        help="print a single frame and exit (pipe-friendly)",
-    )
-    p_top.add_argument(
-        "--iterations", type=int, default=None, metavar="N",
-        help="stop after N frames (default: run until Ctrl-C)",
-    )
-    p_top.add_argument(
-        "--no-color", action="store_true",
-        help="plain text without ANSI styling",
-    )
-    p_top.add_argument(
-        "--demo", action="store_true",
-        help="no server: run a few queries in-process and show them",
-    )
-    p_top.add_argument(
-        "--sf", type=float, default=0.001,
-        help="--demo scale factor (default 0.001)",
-    )
-    p_top.set_defaults(func=cmd_top)
 
     args = parser.parse_args(argv)
     return args.func(args)

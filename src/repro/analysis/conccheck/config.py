@@ -42,7 +42,7 @@ class LintConfig:
     ambient_installers: tuple[str, ...] = (
         "set_global_tracer", "set_fault_injector", "set_degraded",
         "clear_degraded", "set_last_trace", "set_query_context",
-        "set_query_log", "set_timeseries", "set_slo_engine",
+        "set_query_log",
     )
     # Worker-reachable functions allowed to call the installers.
     sanctioned_installers: tuple[str, ...] = ()
@@ -81,9 +81,6 @@ def default_config() -> LintConfig:
             "repro.engine.procpool:_handle",
             # the per-span pipeline both backends execute
             "repro.engine.morsel:SpanRunner.run_span_safe",
-            # the time-series sampler thread (rollup-ring writes)
-            "repro.obs.timeseries:Sampler._loop",
-            "repro.obs.timeseries:Sampler.tick",
         ),
         result_roots=(
             "repro.engine.morsel:merge_plan",
@@ -104,9 +101,6 @@ def default_config() -> LintConfig:
             "repro.faults.injector:FaultInjector.charge_page_reads",
             "repro.faults.injector:FaultInjector.record_fallback",
             "repro.faults.injector:FaultInjector.record_unrecoverable",
-            # SLO transitions flip the same degraded flag from the
-            # sampler thread (fire → set, drain → clear)
-            "repro.obs.slo:SloEngine._sync_degraded",
         ),
         sanctioned_repatriation=(
             "repro.engine.procpool:absorb_obs",

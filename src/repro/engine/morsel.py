@@ -68,6 +68,7 @@ from repro.engine.operators.relational import (
 from repro.engine.relation import Relation, typed_array_from_column
 from repro.flash.channels import ChannelMeter
 from repro.obs import METRICS
+from repro.obs.context import set_degraded
 from repro.perf.trace import OpTrace
 from repro.sqlir.expr import (
     AggFunc,
@@ -706,8 +707,6 @@ class MorselExecutor:
                 )
         if failure is not None:
             if failure.degraded:
-                from repro.obs.server import set_degraded
-
                 info = dict(failure.degraded)
                 set_degraded(info.pop("reason", "worker fault"), **info)
             raise UnrecoverableFault(failure.message, site=failure.site)

@@ -55,10 +55,11 @@ from repro.faults.plan import FaultConfig, FaultPlan
 from repro.obs import NULL_TRACER
 from repro.obs.context import (
     QueryContext,
+    clear_degraded,
+    get_degraded,
     get_query_context,
     set_query_context,
 )
-from repro.obs.server import clear_degraded, get_degraded
 from repro.obs.spans import Tracer, set_global_tracer
 
 __all__ = [

@@ -28,8 +28,8 @@ from repro.engine.morsel import MorselConfig
 from repro.faults.errors import UnrecoverableFault
 from repro.faults.injector import FaultInjector, set_fault_injector
 from repro.faults.plan import FaultConfig, FaultPlan
+from repro.obs.context import clear_degraded, get_degraded
 from repro.obs.qlog import get_query_log, set_query_log
-from repro.obs.server import clear_degraded, get_degraded
 from repro.perf.trace import QueryTrace
 
 # A mixed-rate default that exercises every fault class at once while

@@ -30,7 +30,7 @@ from repro.faults.errors import (
 )
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.obs import METRICS, get_tracer
-from repro.obs.server import set_degraded
+from repro.obs.context import set_degraded
 
 # Default channel count mirrors FlashConfig.n_channels (the flash
 # package depends on us, so the constant is repeated, not imported).

@@ -25,27 +25,20 @@ this package is to the Python runtime's *actual* behaviour:
 ``baseline``
     JSONL run-record store plus the median-of-N, noise-aware
     comparator behind ``python -m repro perf diff``.
-``server``
-    Stdlib HTTP endpoint behind ``python -m repro serve`` — every
-    path in :data:`~repro.obs.server.ROUTES` (metrics scrape, health,
-    time-series JSON, SLO status, HTML dashboard, traces, query log).
-``timeseries`` / ``slo``
-    The fleet signal plane: a background sampler folds the registry
-    into bounded multi-resolution rollup rings (rates, last-values,
-    mergeable histogram bucket-deltas → windowed percentiles), and the
-    SLO engine evaluates declarative objectives as multi-window burn
-    rates over those rings, flipping the server's degraded flag.
-``dashboard`` / ``top``
-    Pure renderers over the same data: a self-contained HTML page with
-    inline SVG sparklines, and the ANSI terminal view behind
-    ``python -m repro top``.
+``context`` / ``qlog``
+    The ambient state: per-query identity and the process-wide
+    degraded flag (``context``); the query log, its wide events and
+    the in-process ring of recent ones (``qlog``).
 
 Layering: this package imports nothing from the rest of ``repro`` (the
 executors, storage and analysis import *us*), so it can be threaded
-through every layer without cycles.  The one exception is
-``obs.doctor`` — the query doctor *drives* the engine, simulator and
-perf model, so it sits above them and is deliberately not re-exported
-here; import it as :mod:`repro.obs.doctor`.
+through every layer without cycles.  Two modules sit above it and are
+deliberately not imported here — import them by name: ``obs.doctor``,
+the query doctor, *drives* the engine, simulator and perf model; and
+``obs.server``, the stdlib HTTP endpoint behind ``python -m repro
+serve`` (``/metrics`` and the other :data:`~repro.obs.server.ROUTES`),
+is a pure reader of the state above that only the CLI needs, so the
+engine never loads ``http.server``.
 """
 
 from __future__ import annotations
@@ -59,9 +52,12 @@ from repro.obs.baseline import (
 )
 from repro.obs.context import (
     QueryContext,
+    clear_degraded,
     current_query_id,
+    get_degraded,
     get_query_context,
     plan_fingerprint,
+    set_degraded,
     set_query_context,
 )
 from repro.obs.critpath import (
@@ -85,32 +81,6 @@ from repro.obs.export import (
     validate_prometheus_text,
     write_chrome_trace,
 )
-from repro.obs.server import (
-    ObsServer,
-    ROUTES,
-    clear_degraded,
-    get_degraded,
-    route_summary,
-    set_degraded,
-    set_last_trace,
-)
-from repro.obs.slo import (
-    BurnWindows,
-    LatencySLO,
-    RatioSLO,
-    SloEngine,
-    default_objectives,
-    get_slo_engine,
-    set_slo_engine,
-    validate_slo_doc,
-)
-from repro.obs.timeseries import (
-    Sampler,
-    TimeSeriesStore,
-    get_timeseries,
-    set_timeseries,
-    validate_timeseries_doc,
-)
 from repro.obs.metrics import (
     METRICS,
     Counter,
@@ -130,15 +100,8 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "BurnWindows",
-    "LatencySLO",
     "METRICS",
     "NULL_TRACER",
-    "ROUTES",
-    "RatioSLO",
-    "Sampler",
-    "SloEngine",
-    "TimeSeriesStore",
     "Counter",
     "CritPathAnalysis",
     "DiffReport",
@@ -147,7 +110,6 @@ __all__ = [
     "MetricsDelta",
     "MetricsRegistry",
     "NullTracer",
-    "ObsServer",
     "QueryContext",
     "QueryLog",
     "RunRecord",
@@ -170,19 +132,10 @@ __all__ = [
     "set_degraded",
     "set_query_context",
     "set_query_log",
-    "default_objectives",
-    "get_slo_engine",
-    "get_timeseries",
     "load_records",
     "prometheus_text",
-    "route_summary",
     "set_global_tracer",
-    "set_last_trace",
-    "set_slo_engine",
-    "set_timeseries",
     "traced",
-    "validate_slo_doc",
-    "validate_timeseries_doc",
     "validate_wide_event",
     "warn_dropped_spans",
     "validate_chrome_trace",

@@ -31,7 +31,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from statistics import median
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 __all__ = [
     "DiffEntry",
@@ -41,6 +41,7 @@ __all__ = [
     "compare",
     "load_records",
     "median_by_metric",
+    "read_jsonl",
 ]
 
 # Relative noise band by metric-name prefix, checked longest-first.
@@ -93,19 +94,32 @@ def append_records(path: str, records: Iterable[RunRecord]) -> int:
     return n
 
 
-def load_records(path: str) -> list[RunRecord]:
-    records: list[RunRecord] = []
+def read_jsonl(path: str, what: str) -> Iterator[tuple[int, Any]]:
+    """``(line number, parsed object)`` per non-blank line of a JSONL
+    file; a line that is not JSON raises ``ValueError`` naming it."""
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(RunRecord.from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
                 raise ValueError(
-                    f"{path}:{ln}: bad run record ({exc})"
+                    f"{path}:{ln}: bad {what} ({exc})"
                 ) from exc
+            yield ln, doc
+
+
+def load_records(path: str) -> list[RunRecord]:
+    records: list[RunRecord] = []
+    for ln, doc in read_jsonl(path, "run record"):
+        try:
+            records.append(RunRecord.from_json(doc))
+        except KeyError as exc:
+            raise ValueError(
+                f"{path}:{ln}: bad run record ({exc})"
+            ) from exc
     return records
 
 
@@ -208,8 +222,15 @@ def compare(
     baseline: Iterable[RunRecord],
     current: Iterable[RunRecord],
     thresholds: dict[str, float] | None = None,
+    abs_floor: float = 0.0,
 ) -> DiffReport:
-    """Median-of-N comparison of two run-record sets."""
+    """Median-of-N comparison of two run-record sets.
+
+    A change is noise (``ok``) while ``|Δ| ≤ max(threshold·|baseline|,
+    abs_floor)``: the relative band scales with the metric, the
+    absolute floor (in the metric's own unit) keeps near-zero baselines
+    from turning jitter into a regression.
+    """
     base = median_by_metric(baseline)
     cur = median_by_metric(current)
     entries: list[DiffEntry] = []
@@ -235,7 +256,7 @@ def compare(
             rel = 0.0 if c_val == 0 else float("inf")
         else:
             rel = (c_val - b_val) / abs(b_val)
-        if abs(rel) <= threshold:
+        if abs(rel) <= threshold or abs(c_val - b_val) <= abs_floor:
             status = "ok"
         elif (rel < 0) == _higher_is_better(metric):
             status = "regressed"

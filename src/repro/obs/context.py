@@ -22,6 +22,12 @@ same discipline as the ambient tracer in :mod:`repro.obs.spans`:
 Identity, not state: a context is frozen at creation.  Everything
 mutable about a query (annotations, counters, the wide event) lives in
 :mod:`repro.obs.qlog`.
+
+The process-wide **degraded flag** lives here too, under the same
+swap discipline: the fault layer sets it when a recovery path had to
+run, the process pool repatriates it from workers, and ``/healthz``
+(:mod:`repro.obs.server`) only reads it — so the engine and the fault
+injector never import the HTTP module.
 """
 
 from __future__ import annotations
@@ -33,10 +39,13 @@ from typing import Any
 
 __all__ = [
     "QueryContext",
+    "clear_degraded",
     "current_query_id",
+    "get_degraded",
     "get_query_context",
     "next_query_id",
     "plan_fingerprint",
+    "set_degraded",
     "set_query_context",
     "sql_digest",
 ]
@@ -124,3 +133,27 @@ def get_query_context() -> QueryContext | None:
 def current_query_id() -> int | None:
     ctx = _context
     return ctx.query_id if ctx is not None else None
+
+
+# -- the degraded flag ---------------------------------------------------------
+
+# None = healthy; a dict = the most recent degradation and its context.
+# Writers replace the whole dict, readers use whatever reference they
+# grabbed.
+_degraded: dict[str, Any] | None = None
+
+
+def set_degraded(reason: str, **info: Any) -> None:
+    """Mark the process degraded (a recovery path had to run)."""
+    global _degraded
+    # conc: safe — GIL-atomic reference swap (documented above)
+    _degraded = {"reason": reason, **info}
+
+
+def clear_degraded() -> None:
+    global _degraded
+    _degraded = None  # conc: safe — GIL-atomic reference swap
+
+
+def get_degraded() -> dict[str, Any] | None:
+    return _degraded

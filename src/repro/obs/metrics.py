@@ -38,8 +38,8 @@ __all__ = [
 DEFAULT_BUCKETS = tuple(10.0 ** e for e in range(13))
 
 # 1-2.5-5 decades from 1 ms to 1 min: one bucket is narrow enough that
-# a bucket-interpolated p99 stays within a small factor of the true
-# quantile (the acceptance bound of the time-series rollups).
+# a bucket-interpolated p99 (``histogram_quantile`` on the scraper's
+# side) stays within a small factor of the true quantile.
 LATENCY_BUCKETS_MS = (
     1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
     1000.0, 2500.0, 5000.0, 10000.0, 30000.0, 60000.0,
@@ -306,7 +306,7 @@ class MetricsRegistry:
         """Metric *families* (labeled children hang off each parent).
 
         Cached sorted view: families register once and then the delta
-        ledger, exporter and sampler walk this list constantly.
+        ledger and exporter walk this list constantly.
         """
         cached = self._sorted
         if cached is None:

@@ -35,7 +35,9 @@ import heapq
 import json
 import os
 import sys
+import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from typing import Any, Iterator
 
@@ -54,14 +56,17 @@ from repro.obs.metrics import (
     METRICS,
     MetricsRegistry,
 )
-from repro.obs.server import record_wide_event
 from repro.obs.spans import INSTANT
 
 __all__ = [
     "QueryLog",
     "QueryScope",
+    "clear_wide_events",
     "get_query_log",
+    "get_wide_event",
     "query_scope",
+    "recent_wide_events",
+    "record_wide_event",
     "set_query_log",
     "validate_wide_event",
     "warn_dropped_spans",
@@ -88,6 +93,44 @@ def warn_dropped_spans(n_dropped: int, where: str,
         f"({where}); raise --ring-capacity for a complete trace",
         file=stream if stream is not None else sys.stderr,
     )
+
+
+# Ring of the most recent query wide events, read by the server's
+# /query-log/recent and /query/<id>.  Writers append whole immutable
+# dicts; the lock guards the deque's append/iterate pair (a scraper
+# iterating while a query completes would otherwise race the ring
+# rotation).
+_RECENT_CAPACITY = 256
+_recent_events: deque[dict[str, Any]] = deque(maxlen=_RECENT_CAPACITY)
+_recent_lock = threading.Lock()
+
+
+def record_wide_event(doc: dict[str, Any]) -> None:
+    """Publish one query's wide event to the in-process ring."""
+    with _recent_lock:
+        _recent_events.append(doc)
+
+
+def clear_wide_events() -> None:
+    """Empty the ring (test isolation; a fresh serve run)."""
+    with _recent_lock:
+        _recent_events.clear()
+
+
+def recent_wide_events(limit: int = 50) -> list[dict[str, Any]]:
+    """Most recent wide events, newest first."""
+    with _recent_lock:
+        events = list(_recent_events)
+    return events[::-1][:limit]
+
+
+def get_wide_event(query_id: int) -> dict[str, Any] | None:
+    with _recent_lock:
+        events = list(_recent_events)
+    for doc in reversed(events):
+        if doc.get("query_id") == query_id:
+            return doc
+    return None
 
 
 class _WindowTracer:
@@ -154,8 +197,9 @@ class QueryLog:
     def _record_fleet_metrics(self, doc: dict[str, Any]) -> None:
         """Fold the finished query into the fleet instruments.
 
-        These ``query.*`` series feed the rollup rings and SLO engine
-        (QPS, windowed p99, fault/mispredict rates).  Labels carry the
+        These ``query.*`` series are what a scraper of ``/metrics``
+        turns into QPS, windowed p99 and fault/mispredict burn rates
+        (README "Scraping /metrics").  Labels carry the
         backend only — the fingerprint stays in the qlog ring, per the
         cardinality policy (DESIGN.md §13).  Recording happens *after*
         the event's own counter delta was collected, so a query's

@@ -4,43 +4,40 @@
 
 ``/metrics``
     Prometheus text exposition (0.0.4) of the process registry —
-    scrape-safe because histograms snapshot under their lock.
+    scrape-safe because histograms snapshot under their lock.  This is
+    the fleet interface: rates, windowed quantiles and burn-rate alerts
+    are the scraper's job (README "Scraping /metrics").
 ``/healthz``
     JSON liveness: status, uptime, and counts of served scrapes.
     When a recovery path had to run (host fallback, retry-budget
-    exhaustion) the fault layer flips a process-wide degraded flag and
-    the status reads ``"degraded"`` with the reason attached.
-``/timeseries?window=<seconds>``
-    Windowed rollup-ring series JSON (rates, gauge levels, histogram
-    p50/p95/p99 and per-cell points) from the ambient
-    :class:`~repro.obs.timeseries.TimeSeriesStore`; 503 until a
-    sampler is installed (``repro serve`` does this by default).
-``/slo``
-    Burn-rate status of every declared objective, freshly evaluated;
-    503 until an :class:`~repro.obs.slo.SloEngine` is installed.
-``/dashboard``
-    Self-contained HTML dashboard (inline SVG sparklines, no external
-    assets) over the same data — open it in a browser.
+    exhaustion) the fault layer flips the process-wide degraded flag
+    (:mod:`repro.obs.context`) and the status reads ``"degraded"``
+    with the reason attached.
 ``/trace/last``
     The Chrome-trace JSON of the most recent traced query (404 until
     one ran), so a dashboard can deep-link "open last trace".
 ``/query-log/recent``
     The most recent query wide events (newest first) from the
-    in-process ring the query log publishes to.
+    in-process ring the query log publishes to
+    (:mod:`repro.obs.qlog`).
 ``/query/<id>``
     One query's wide event by its ``query_id`` (404 when it has
     rotated out of the ring or never ran).
 
-The authoritative route list is :data:`ROUTES`; the CLI renders its
-help and startup banner from it so they cannot drift from the handler
-(which dispatches over the same table).
+:data:`ROUTES` is the dispatch table: ``do_GET`` looks the path up in
+it and calls the handler it finds, and the CLI renders its help and
+startup banner from the same mapping, so a documented route without a
+handler cannot exist.
 
 A :class:`~http.server.ThreadingHTTPServer` keeps a slow scraper from
 blocking the next one; all state it reads (the metrics registry, the
-last-trace document slot) is already thread-safe or swapped
-atomically.  Port 0 binds an ephemeral port — tests use this.
+degraded flag, the wide-event ring, the last-trace slot) is already
+thread-safe or swapped atomically.  Port 0 binds an ephemeral port —
+tests use this.
 
-Layering: imports only sibling ``obs`` modules, never the engine.
+Layering: a pure *reader* of sibling ``obs`` modules, never the
+engine — and nothing but the CLI imports this module, so only ``repro
+serve`` pays for ``http.server``.
 """
 
 from __future__ import annotations
@@ -48,48 +45,28 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
+from repro.obs.context import get_degraded
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import METRICS, MetricsRegistry
+from repro.obs.qlog import get_wide_event, recent_wide_events
 
 __all__ = [
     "ObsServer",
     "ROUTES",
+    "Route",
     "route_summary",
     "set_last_trace",
     "get_last_trace",
-    "set_degraded",
-    "clear_degraded",
-    "get_degraded",
-    "record_wide_event",
-    "recent_wide_events",
-    "clear_wide_events",
-    "get_wide_event",
 ]
 
 PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-# The route table: (display path, one-line description).  The handler
-# dispatches on these paths and the CLI generates its `serve` help and
-# startup banner from this tuple — one source of truth, no drift.
-ROUTES: tuple[tuple[str, str], ...] = (
-    ("/metrics", "Prometheus text exposition (0.0.4)"),
-    ("/healthz", "liveness JSON; degraded reason when a recovery ran"),
-    ("/timeseries", "windowed rollup-ring series JSON (?window=s)"),
-    ("/slo", "SLO burn-rate status JSON"),
-    ("/dashboard", "self-contained HTML dashboard"),
-    ("/trace/last", "Chrome trace of the most recent traced query"),
-    ("/query-log/recent", "recent query wide events, newest first"),
-    ("/query/<id>", "one query's wide event by id"),
-)
-
-
-def route_summary() -> str:
-    """Space-joined route paths, for banners and help strings."""
-    return " ".join(path for path, _ in ROUTES)
+# Longest /query/<id> the handler will parse: a process-monotonic id
+# never needs more digits, and int() refuses very long strings.
+MAX_ID_DIGITS = 18
 
 # The most recent query's Chrome-trace document.  A plain slot guarded
 # by the GIL's atomic attribute swap: writers replace the whole dict,
@@ -106,62 +83,77 @@ def get_last_trace() -> dict[str, Any] | None:
     return _last_trace
 
 
-# Degraded-state flag: same GIL-atomic-swap discipline as _last_trace.
-# None = healthy; a dict = the most recent degradation and its context.
-_degraded: dict[str, Any] | None = None
+# (status code, content type, body)
+Reply = tuple[int, str, bytes]
 
 
-def set_degraded(reason: str, **info: Any) -> None:
-    """Mark the process degraded (a recovery path had to run)."""
-    global _degraded
-    # conc: safe — GIL-atomic reference swap (documented above)
-    _degraded = {"reason": reason, **info}
+def _json(code: int, doc: Any) -> Reply:
+    return code, "application/json", json.dumps(doc).encode()
 
 
-def clear_degraded() -> None:
-    global _degraded
-    _degraded = None  # conc: safe — GIL-atomic reference swap
+def _metrics(srv: "ObsServer", _arg: str) -> Reply:
+    return 200, PROM_CONTENT_TYPE, prometheus_text(srv.registry).encode()
 
 
-def get_degraded() -> dict[str, Any] | None:
-    return _degraded
+def _healthz(srv: "ObsServer", _arg: str) -> Reply:
+    degraded = get_degraded()
+    doc = {
+        "status": "degraded" if degraded else "ok",
+        "uptime_s": round(time.monotonic() - srv.t0, 3),
+        "scrapes": srv.n_requests,
+    }
+    if degraded:
+        doc["degraded"] = degraded
+    return _json(200, doc)
 
 
-# Ring of the most recent query wide events, for /query-log/recent and
-# /query/<id>.  Writers append whole immutable dicts; the lock guards
-# the deque's append/iterate pair (a scraper iterating while a query
-# completes would otherwise race the ring rotation).
-_RECENT_CAPACITY = 256
-_recent_events: deque[dict[str, Any]] = deque(maxlen=_RECENT_CAPACITY)
-_recent_lock = threading.Lock()
+def _trace_last(_srv: "ObsServer", _arg: str) -> Reply:
+    doc = get_last_trace()
+    if doc is None:
+        return _json(404, {"error": "no trace recorded yet"})
+    return _json(200, doc)
 
 
-def record_wide_event(doc: dict[str, Any]) -> None:
-    """Publish one query's wide event to the in-process ring."""
-    with _recent_lock:
-        _recent_events.append(doc)
+def _query_log_recent(_srv: "ObsServer", _arg: str) -> Reply:
+    return _json(200, {"events": recent_wide_events()})
 
 
-def clear_wide_events() -> None:
-    """Empty the ring (test isolation; a fresh serve run)."""
-    with _recent_lock:
-        _recent_events.clear()
+def _query_by_id(_srv: "ObsServer", arg: str) -> Reply:
+    # str.isdigit() alone accepts non-ASCII digits such as "²" that
+    # int() rejects; the path arrives from the network, so check both.
+    doc = None
+    if arg.isascii() and arg.isdigit() and len(arg) <= MAX_ID_DIGITS:
+        doc = get_wide_event(int(arg))
+    if doc is None:
+        return _json(404, {"error": "no such query id"})
+    return _json(200, doc)
 
 
-def recent_wide_events(limit: int = 50) -> list[dict[str, Any]]:
-    """Most recent wide events, newest first."""
-    with _recent_lock:
-        events = list(_recent_events)
-    return events[::-1][:limit]
+class Route(NamedTuple):
+    description: str
+    handler: Callable[["ObsServer", str], Reply]
 
 
-def get_wide_event(query_id: int) -> dict[str, Any] | None:
-    with _recent_lock:
-        events = list(_recent_events)
-    for doc in reversed(events):
-        if doc.get("query_id") == query_id:
-            return doc
-    return None
+# The dispatch table.  A path ending in ``/<id>`` matches any single
+# trailing segment, which the handler receives as its argument.
+ROUTES: dict[str, Route] = {
+    "/metrics": Route("Prometheus text exposition (0.0.4)", _metrics),
+    "/healthz": Route(
+        "liveness JSON; degraded reason when a recovery ran", _healthz
+    ),
+    "/trace/last": Route(
+        "Chrome trace of the most recent traced query", _trace_last
+    ),
+    "/query-log/recent": Route(
+        "recent query wide events, newest first", _query_log_recent
+    ),
+    "/query/<id>": Route("one query's wide event by id", _query_by_id),
+}
+
+
+def route_summary() -> str:
+    """Space-joined route paths, for banners and help strings."""
+    return " ".join(ROUTES)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -170,128 +162,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         srv: "ObsServer" = self.server.obs  # type: ignore[attr-defined]
-        raw_path, _, query = self.path.partition("?")
-        path = raw_path.rstrip("/") or "/"
-        if path == "/metrics":
-            body = prometheus_text(srv.registry).encode()
-            self._reply(200, PROM_CONTENT_TYPE, body)
-        elif path == "/timeseries":
-            self._reply_timeseries(query)
-        elif path == "/slo":
-            self._reply_slo()
-        elif path == "/dashboard":
-            self._reply_dashboard(query)
-        elif path == "/healthz":
-            degraded = get_degraded()
-            doc = {
-                "status": "degraded" if degraded else "ok",
-                "uptime_s": round(time.monotonic() - srv.t0, 3),
-                "scrapes": srv.n_requests,
-            }
-            if degraded:
-                doc["degraded"] = degraded
-            self._reply(200, "application/json",
-                        json.dumps(doc).encode())
-        elif path == "/trace/last":
-            doc = get_last_trace()
-            if doc is None:
-                self._reply(404, "application/json",
-                            b'{"error": "no trace recorded yet"}')
-            else:
-                self._reply(200, "application/json",
-                            json.dumps(doc).encode())
-        elif path == "/query-log/recent":
-            events = recent_wide_events()
-            self._reply(200, "application/json",
-                        json.dumps({"events": events}).encode())
-        elif path.startswith("/query/"):
-            tail = path.rsplit("/", 1)[1]
-            doc = get_wide_event(int(tail)) if tail.isdigit() else None
-            if doc is None:
-                self._reply(404, "application/json",
-                            b'{"error": "no such query id"}')
-            else:
-                self._reply(200, "application/json",
-                            json.dumps(doc).encode())
+        path = self.path.partition("?")[0].rstrip("/") or "/"
+        route, arg = ROUTES.get(path), ""
+        if route is None:
+            head, _, arg = path.rpartition("/")
+            route = ROUTES.get(head + "/<id>")
+        if route is None:
+            reply = _json(404, {"error": "unknown path"})
         else:
-            self._reply(404, "application/json",
-                        b'{"error": "unknown path"}')
-        srv.n_requests += 1
-
-    # Lazy imports below: timeseries/slo/dashboard import this module
-    # for the degraded machinery, so importing them at module top would
-    # cycle.  A handler-time import is a dict hit after the first call.
-
-    def _window_arg(self, query: str, default: float = 60.0) -> float:
-        """Parse ``?window=<seconds>``; raises ValueError on junk so
-        callers answer 400 rather than silently serving the default."""
-        from urllib.parse import parse_qs
-
-        values = parse_qs(query).get("window")
-        if not values:
-            return default
-        seconds = float(values[0])  # ValueError on junk
-        if seconds <= 0:
-            raise ValueError("window must be positive")
-        return seconds
-
-    def _reply_timeseries(self, query: str) -> None:
-        from repro.obs.timeseries import get_timeseries
-
-        store = get_timeseries()
-        if store is None:
-            self._reply(503, "application/json",
-                        b'{"error": "no time-series sampler installed"}')
-            return
-        try:
-            window = self._window_arg(query)
-        except ValueError:
-            self._reply(400, "application/json",
-                        b'{"error": "bad window= parameter"}')
-            return
-        doc = store.to_dict(window)
-        self._reply(200, "application/json",
-                    json.dumps(doc).encode())
-
-    def _reply_slo(self) -> None:
-        from repro.obs.slo import get_slo_engine
-
-        engine = get_slo_engine()
-        if engine is None:
-            self._reply(503, "application/json",
-                        b'{"error": "no SLO engine installed"}')
-            return
-        engine.evaluate()
-        self._reply(200, "application/json",
-                    json.dumps(engine.to_dict()).encode())
-
-    def _reply_dashboard(self, query: str) -> None:
-        from repro.obs.dashboard import render_dashboard
-        from repro.obs.slo import get_slo_engine
-        from repro.obs.timeseries import get_timeseries
-
-        store = get_timeseries()
-        if store is None:
-            self._reply(503, "text/plain; charset=utf-8",
-                        b"no time-series sampler installed")
-            return
-        try:
-            window = self._window_arg(query)
-        except ValueError:
-            self._reply(400, "text/plain; charset=utf-8",
-                        b"bad window= parameter")
-            return
-        engine = get_slo_engine()
-        if engine is not None:
-            engine.evaluate()
-        html = render_dashboard(
-            store,
-            engine=engine,
-            events=recent_wide_events(),
-            degraded=get_degraded(),
-            window_s=window,
-        )
-        self._reply(200, "text/html; charset=utf-8", html.encode())
+            reply = route.handler(srv, arg)
+        self._reply(*reply)
+        # Handler threads run concurrently; += is a read-modify-write.
+        with srv.count_lock:
+            srv.n_requests += 1
 
     def _reply(self, code: int, ctype: str, body: bytes) -> None:
         self.send_response(code)
@@ -316,6 +199,7 @@ class ObsServer:
         self.registry = registry if registry is not None else METRICS
         self.t0 = time.monotonic()
         self.n_requests = 0
+        self.count_lock = threading.Lock()
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.obs = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None

@@ -5,9 +5,13 @@ runs' wide events by **plan fingerprint** (the structural digest from
 :func:`repro.obs.context.plan_fingerprint` — stable across processes,
 backends and machines), then explains where the time went:
 
-1. Per aligned fingerprint, take the median ``wall_ms`` and the median
-   per-bucket critical-path milliseconds on each side (medians resist
-   one-off scheduler noise the same way ``repro perf diff`` does).
+1. Each wide event becomes one :class:`~repro.obs.baseline.RunRecord`
+   (``bench`` = fingerprint; metrics = ``wall_ms``, ``path_ms``, one
+   per critical-path bucket, one per ``top_spans`` prefix), and
+   :func:`repro.obs.baseline.compare` — the comparator behind ``repro
+   perf diff`` — groups, takes medians, aligns the two sides and
+   applies the noise band.  This module only adapts events in and
+   formats entries out.
 2. The per-bucket deltas *sum to the critical-path delta by
    construction* (buckets partition the path, the path spans the root
    window), so "process is slower than thread" decomposes into "+3.1ms
@@ -27,11 +31,11 @@ from other checkouts and CI artifacts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from statistics import median
+from itertools import groupby
 from typing import Any, Iterable
 
+from repro.obs import baseline
 from repro.obs.critpath import BUCKETS
 
 __all__ = [
@@ -47,16 +51,38 @@ __all__ = [
 DEFAULT_REL_BAND = 0.10     # 10% of the baseline wall time
 DEFAULT_ABS_BAND_MS = 0.5   # absolute floor for tiny queries
 
+# Metric-name namespaces of the per-event run record.
+_BUCKET = "bucket."
+_PREFIX = "prefix."
+
 
 def load_wide_events(path: str) -> list[dict[str, Any]]:
     """Parse a query-log JSONL file (ignoring blank lines)."""
-    events = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
+    return [doc for _ln, doc in baseline.read_jsonl(path, "wide event")]
+
+
+def _span_prefix(name: str) -> str:
+    return name.split(".", 1)[0] + ".*" if "." in name else name
+
+
+def _to_record(event: dict[str, Any]) -> baseline.RunRecord:
+    """One wide event as a run record keyed by its fingerprint."""
+    metrics = {"wall_ms": float(event["wall_ms"])}
+    critpath = event.get("critpath")
+    if critpath:
+        metrics["path_ms"] = float(critpath["path_ms"])
+        # Zero-filled: a bucket the path never entered spent 0 ms, so
+        # medians over repeats count it rather than skip the event.
+        for bucket in BUCKETS:
+            metrics[_BUCKET + bucket] = float(
+                critpath["buckets"].get(bucket, 0.0)
+            )
+        for name, _bucket, ms in critpath.get("top_spans", ()):
+            key = _PREFIX + _span_prefix(name)
+            metrics[key] = metrics.get(key, 0.0) + float(ms)
+    return baseline.RunRecord(
+        event["fingerprint"], metrics, {"query": event.get("query", "")}
+    )
 
 
 @dataclass
@@ -64,59 +90,32 @@ class RunSummary:
     """One side's per-fingerprint aggregate."""
 
     query: str
-    n_events: int
-    wall_ms: float
-    path_ms: float | None
-    buckets: dict[str, float]        # bucket -> median ms
-    prefixes: dict[str, float]       # span prefix -> median ms
-
-
-def _span_prefix(name: str) -> str:
-    return name.split(".", 1)[0] + ".*" if "." in name else name
+    n_events: int = 0
+    wall_ms: float = 0.0
+    path_ms: float | None = None
+    buckets: dict[str, float] = field(default_factory=dict)
+    prefixes: dict[str, float] = field(default_factory=dict)
 
 
 def summarize(
     events: Iterable[dict[str, Any]],
 ) -> dict[str, RunSummary]:
     """Aggregate events by fingerprint (median over repeats)."""
-    by_fp: dict[str, list[dict]] = {}
-    for event in events:
-        by_fp.setdefault(event["fingerprint"], []).append(event)
-
+    records = [_to_record(event) for event in events]
     out: dict[str, RunSummary] = {}
-    for fp, group in by_fp.items():
-        walls = [float(e["wall_ms"]) for e in group]
-        with_cp = [e for e in group if e.get("critpath")]
-        paths = [float(e["critpath"]["path_ms"]) for e in with_cp]
-        buckets: dict[str, float] = {}
-        prefixes: dict[str, float] = {}
-        if with_cp:
-            for bucket in BUCKETS:
-                vals = [
-                    float(e["critpath"]["buckets"].get(bucket, 0.0))
-                    for e in with_cp
-                ]
-                if any(vals):
-                    buckets[bucket] = median(vals)
-            prefix_vals: dict[str, list[float]] = {}
-            for e in with_cp:
-                per_event: dict[str, float] = {}
-                for name, _bucket, ms in e["critpath"]["top_spans"]:
-                    key = _span_prefix(name)
-                    per_event[key] = per_event.get(key, 0.0) + float(ms)
-                for key, ms in per_event.items():
-                    prefix_vals.setdefault(key, []).append(ms)
-            prefixes = {
-                k: median(v) for k, v in prefix_vals.items()
-            }
-        out[fp] = RunSummary(
-            query=group[0].get("query", ""),
-            n_events=len(group),
-            wall_ms=median(walls),
-            path_ms=median(paths) if paths else None,
-            buckets=buckets,
-            prefixes=prefixes,
-        )
+    for record in records:
+        out.setdefault(record.bench, RunSummary(record.meta["query"]))
+    medians = baseline.median_by_metric(records)
+    for (fp, metric), (value, n) in medians.items():
+        summary = out[fp]
+        if metric == "wall_ms":
+            summary.wall_ms, summary.n_events = value, n
+        elif metric == "path_ms":
+            summary.path_ms = value
+        elif metric.startswith(_PREFIX):
+            summary.prefixes[metric[len(_PREFIX):]] = value
+        elif value:
+            summary.buckets[metric[len(_BUCKET):]] = value
     return out
 
 
@@ -249,42 +248,54 @@ def diff_runs(
     abs_band_ms: float = DEFAULT_ABS_BAND_MS,
 ) -> TraceDiff:
     """Diff run B against baseline run A, aligned by fingerprint."""
-    a = summarize(events_a)
-    b = summarize(events_b)
-    entries: list[DiffEntry] = []
-    for fp in sorted(set(a) & set(b)):
-        sa, sb = a[fp], b[fp]
-        buckets = {
-            bucket: sb.buckets.get(bucket, 0.0)
-            - sa.buckets.get(bucket, 0.0)
-            for bucket in BUCKETS
-            if bucket in sa.buckets or bucket in sb.buckets
-        }
-        prefixes = {
-            key: sb.prefixes.get(key, 0.0) - sa.prefixes.get(key, 0.0)
-            for key in sorted(set(sa.prefixes) | set(sb.prefixes))
-        }
-        delta = sb.wall_ms - sa.wall_ms
-        band = max(abs_band_ms, rel_band * sa.wall_ms)
-        path_delta = (
-            sb.path_ms - sa.path_ms
-            if sa.path_ms is not None and sb.path_ms is not None
-            else None
-        )
-        entries.append(DiffEntry(
-            fingerprint=fp,
-            query=sa.query or sb.query,
-            wall_a_ms=sa.wall_ms,
-            wall_b_ms=sb.wall_ms,
-            bucket_delta_ms=buckets,
-            prefix_delta_ms=prefixes,
-            path_delta_ms=path_delta,
-            regression=delta > band,
-        ))
-    return TraceDiff(
-        entries=entries,
-        only_a=sorted(set(a) - set(b)),
-        only_b=sorted(set(b) - set(a)),
-        rel_band=rel_band,
-        abs_band_ms=abs_band_ms,
+    records_a = [_to_record(event) for event in events_a]
+    records_b = [_to_record(event) for event in events_b]
+    report = baseline.compare(
+        records_a, records_b,
+        thresholds={"": rel_band}, abs_floor=abs_band_ms,
     )
+    labels: dict[str, str] = {}
+    for record in (*records_a, *records_b):
+        if not labels.get(record.bench):
+            labels[record.bench] = record.meta["query"]
+
+    diff = TraceDiff(
+        entries=[], rel_band=rel_band, abs_band_ms=abs_band_ms
+    )
+    # compare() returns entries sorted by (bench, metric).
+    for fp, group in groupby(report.entries, key=lambda e: e.bench):
+        by_metric = {entry.metric: entry for entry in group}
+        wall = by_metric["wall_ms"]
+        if wall.status == "missing":
+            diff.only_a.append(fp)
+            continue
+        if wall.status == "new":
+            diff.only_b.append(fp)
+            continue
+        # A metric measured on one side only moved from / to zero.
+        delta = {
+            metric: (entry.current or 0.0) - (entry.baseline or 0.0)
+            for metric, entry in by_metric.items()
+            if entry.current or entry.baseline
+        }
+        path = by_metric.get("path_ms")
+        one_sided = path is None or path.status in ("missing", "new")
+        diff.entries.append(DiffEntry(
+            fingerprint=fp,
+            query=labels[fp],
+            wall_a_ms=wall.baseline,
+            wall_b_ms=wall.current,
+            bucket_delta_ms={
+                bucket: delta[_BUCKET + bucket]
+                for bucket in BUCKETS if _BUCKET + bucket in delta
+            },
+            prefix_delta_ms={
+                metric[len(_PREFIX):]: delta.get(metric, 0.0)
+                for metric in by_metric if metric.startswith(_PREFIX)
+            },
+            path_delta_ms=(
+                None if one_sided else path.current - path.baseline
+            ),
+            regression=wall.status == "regressed",
+        ))
+    return diff

@@ -41,13 +41,9 @@ from repro.flash.controller import (
     FlashController,
     FlashReadError,
 )
+from repro.obs.context import clear_degraded, get_degraded, set_degraded
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.server import (
-    ObsServer,
-    clear_degraded,
-    get_degraded,
-    set_degraded,
-)
+from repro.obs.server import ObsServer
 
 
 @pytest.fixture(autouse=True)

@@ -1,19 +1,24 @@
 """The /metrics, /healthz, /trace/last and query-log HTTP endpoints."""
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.obs import validate_prometheus_text
+from repro.obs.context import clear_degraded
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.qlog import clear_wide_events, record_wide_event
 from repro.obs.server import (
     PROM_CONTENT_TYPE,
+    ROUTES,
     ObsServer,
-    clear_degraded,
-    clear_wide_events,
-    record_wide_event,
+    Route,
     set_last_trace,
 )
 
@@ -126,110 +131,51 @@ class TestQueryLogEndpoints:
         assert status == 404
 
 
-class TestTimeSeriesEndpoints:
-    """/timeseries, /slo and /dashboard with and without ambient
-    stores installed."""
-
-    @pytest.fixture()
-    def wired(self, registry, server):
-        from repro.obs.slo import (
-            BurnWindows,
-            RatioSLO,
-            SloEngine,
-            set_slo_engine,
+def _raw_get(server, target: bytes) -> bytes:
+    """Status line of a GET whose target urllib would refuse to send."""
+    with socket.create_connection(
+        ("127.0.0.1", server.port), timeout=5
+    ) as sock:
+        sock.sendall(
+            b"GET " + target + b" HTTP/1.1\r\nHost: x\r\n"
+            b"Connection: close\r\n\r\n"
         )
-        from repro.obs.timeseries import TimeSeriesStore, set_timeseries
+        return sock.makefile("rb").readline()
 
-        # Pinned clock: server-side to_dict() reads "now" from the
-        # store's clock, which must line up with the synthetic cells.
-        store = TimeSeriesStore(registry, clock=lambda: 2.0)
-        store.sample(now=1.0)
-        registry.counter("test.requests").inc(4)
-        store.sample(now=2.0)
-        engine = SloEngine(
-            store,
-            [RatioSLO("errs", "test.bad", "test.requests",
-                      objective=0.95)],
-            BurnWindows(short_s=5.0, long_s=20.0, threshold=2.0),
-        )
-        set_timeseries(store)
-        set_slo_engine(engine)
-        yield store, engine
-        set_timeseries(None)
-        set_slo_engine(None)
 
-    def test_timeseries_503_without_store(self, server):
-        status, _, body = _get(server.url + "/timeseries")
-        assert status == 503
-        assert b"sampler" in body
+class TestHostileRequests:
+    """A bad request gets a 4xx, never a traceback + dropped socket."""
 
-    def test_slo_503_without_engine(self, server):
-        status, _, _ = _get(server.url + "/slo")
-        assert status == 503
+    @pytest.mark.parametrize("target", [
+        # str.isdigit() says yes to a superscript two, int() says no
+        pytest.param(b"/query/\xb2", id="non-ascii-digit"),
+        # past int()'s 4300-digit conversion limit
+        pytest.param(b"/query/" + b"9" * 5000, id="5000-digits"),
+        pytest.param(b"/query/-1", id="negative"),
+        pytest.param(b"/query/1/2", id="extra-segment"),
+    ])
+    def test_bad_query_id_is_404(self, server, capfd, target):
+        assert _raw_get(server, target).split()[1] == b"404"
+        assert capfd.readouterr().err == ""
 
-    def test_dashboard_503_without_store(self, server):
-        status, _, _ = _get(server.url + "/dashboard")
-        assert status == 503
-
-    def test_timeseries_document_validates(self, server, wired):
-        from repro.obs.timeseries import validate_timeseries_doc
-
-        status, headers, body = _get(
-            server.url + "/timeseries?window=10"
-        )
-        assert status == 200
-        assert headers["Content-Type"] == "application/json"
-        doc = json.loads(body)
-        assert validate_timeseries_doc(doc) == []
-        assert doc["window_s"] == 10.0
-        by_key = {s["key"]: s for s in doc["series"]}
-        assert by_key["test.requests"]["rate"] == pytest.approx(0.4)
-
-    def test_timeseries_bad_window_is_400(self, server, wired):
-        for bad in ("0", "-5", "fish"):
-            status, _, _ = _get(
-                server.url + "/timeseries?window=" + bad
-            )
-            assert status == 400, bad
-
-    def test_slo_document_validates(self, server, wired):
-        from repro.obs.slo import validate_slo_doc
-
-        status, _, body = _get(server.url + "/slo")
-        assert status == 200
-        doc = json.loads(body)
-        assert validate_slo_doc(doc) == []
-        assert [o["name"] for o in doc["objectives"]] == ["errs"]
-        # Hitting /slo evaluated the engine server-side.
-        assert doc["n_evaluations"] >= 1
-
-    def test_dashboard_is_parseable_html(self, server, wired):
-        from html.parser import HTMLParser
-
-        status, headers, body = _get(server.url + "/dashboard")
-        assert status == 200
-        assert headers["Content-Type"].startswith("text/html")
-        html_text = body.decode()
-
-        class Audit(HTMLParser):
-            svg = 0
-            def handle_starttag(self, tag, attrs):
-                if tag == "svg":
-                    Audit.svg += 1
-
-        Audit().feed(html_text)
-        assert Audit.svg >= 1
-        assert "Throughput" in html_text
+    def test_junk_around_every_route(self, server, capfd):
+        for path in ROUTES:
+            for probe in (
+                path + "?window=fish&%00=%ff&&=",
+                path + "/../junk",
+                path + "%2e%2e/" + "x" * 2000,
+            ):
+                status = _raw_get(server, probe.encode()).split()[1]
+                assert status in (b"200", b"404"), probe
+        assert capfd.readouterr().err == ""
 
 
 class TestRouteTable:
     def test_every_declared_route_is_handled(self, server):
-        """ROUTES is the authoritative table: each path must resolve
-        to a real handler — anything hitting the unknown-path 404
-        means the banner/help advertises a dead endpoint."""
-        from repro.obs.server import ROUTES
-
-        for path, _desc in ROUTES:
+        """Each ROUTES path must resolve to its handler — anything
+        hitting the unknown-path 404 means the banner/help advertises
+        a dead endpoint."""
+        for path in ROUTES:
             probe = path.replace("<id>", "12345")
             status, _, body = _get(server.url + probe)
             if status == 404:
@@ -238,8 +184,45 @@ class TestRouteTable:
                 assert b"unknown path" not in body, path
 
     def test_route_summary_names_every_path(self):
-        from repro.obs.server import ROUTES, route_summary
+        from repro.obs.server import route_summary
 
         summary = route_summary()
-        for path, _desc in ROUTES:
+        for path in ROUTES:
             assert path in summary
+
+    def test_dispatch_goes_through_the_table(self, server, monkeypatch):
+        """A route exists exactly when ROUTES holds it: adding an
+        entry is all it takes to serve a path."""
+        monkeypatch.setitem(ROUTES, "/ping/<id>", Route(
+            "test route",
+            lambda srv, arg: (200, "text/plain", arg.encode()),
+        ))
+        status, _, body = _get(server.url + "/ping/pong")
+        assert (status, body) == (200, b"pong")
+
+    def test_route_without_handler_cannot_be_declared(self):
+        with pytest.raises(TypeError):
+            Route("documented but unhandled")
+
+
+def test_engine_imports_do_not_load_http_server():
+    """Only ``repro serve`` pays for ``http.server``: the ambient state
+    the engine and fault layer touch lives in ``obs.context`` /
+    ``obs.qlog``, not in the HTTP module."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import sys, repro.engine, repro.core, repro.faults, "
+        "repro.storage, repro.analysis\n"
+        "loaded = [m for m in ('http.server', 'repro.obs.server') "
+        "if m in sys.modules]\n"
+        "sys.exit(', '.join(loaded) or 0)"
+    )
+    pythonpath = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -24,6 +24,7 @@ from repro.faults.plan import FaultConfig, FaultPlan
 from repro.obs import MetricsRegistry, Tracer, set_global_tracer
 from repro.obs.context import (
     QueryContext,
+    clear_degraded,
     next_query_id,
     plan_fingerprint,
     sql_digest,
@@ -201,6 +202,75 @@ class TestMetricsDelta:
         delta = registry.delta()
         hist.observe(4.0)
         assert delta.collect() == {"x.ms": {"count": 1, "sum": 4.0}}
+
+
+class TestFleetMetrics:
+    """``QueryLog.emit`` folds each query into the labeled ``query.*``
+    instruments a ``/metrics`` scraper turns into QPS, p99 and burn
+    rates."""
+
+    @pytest.fixture()
+    def fleet(self):
+        registry = MetricsRegistry()
+        return registry, QueryLog(None, registry=registry)
+
+    def test_one_labeled_child_per_backend(self, fleet):
+        registry, log = fleet
+        for qid, (backend, wall_ms) in enumerate(
+            [("serial", 3.0), ("process", 5.0), ("serial", 4.0)], 1
+        ):
+            log.emit({"query_id": qid, "backend": backend,
+                      "wall_ms": wall_ms})
+        snap = registry.snapshot()
+        assert snap["query.completed{backend=serial}"] == 2
+        assert snap["query.completed{backend=process}"] == 1
+        assert snap["query.latency_ms{backend=serial}"]["sum"] == 7.0
+        assert snap["query.latency_ms{backend=process}"]["count"] == 1
+        assert not any(k.startswith("query.faulted{") for k in snap)
+
+    def test_faulted_and_mispredicted_bump_their_counters(self, fleet):
+        registry, log = fleet
+        log.emit({"query_id": 1, "backend": "device", "wall_ms": 9.0,
+                  "faults": {"counts": {"device_fault": 1}},
+                  "suspend": {"mispredicted": True}})
+        log.emit({"query_id": 2, "backend": "device", "wall_ms": 9.0,
+                  "faults": None, "suspend": {"mispredicted": False}})
+        snap = registry.snapshot()
+        assert snap["query.completed{backend=device}"] == 2
+        assert snap["query.faulted{backend=device}"] == 1
+        assert snap["query.suspend_mispredicted{backend=device}"] == 1
+
+    def test_injected_faults_reach_the_fleet_counters(self, small_db):
+        registry = MetricsRegistry()
+        set_query_log(QueryLog(None, registry=registry))
+        set_fault_injector(FaultInjector(FaultPlan(
+            seed=7, config=FaultConfig(device_fault_rate=1.0)
+        )))
+        try:
+            AquomanSimulator(small_db, DeviceConfig()).run(
+                tpch.query(6), query="q06"
+            )
+        finally:
+            set_fault_injector(None)
+            set_query_log(None)
+            clear_degraded()  # the host fallback flipped it
+        snap = registry.snapshot()
+        assert snap["query.completed{backend=device}"] == 1
+        assert snap["query.faulted{backend=device}"] == 1
+
+    def test_own_ledger_excludes_fleet_bookkeeping(self, small_db, qlog):
+        # The log records into the same registry the event's counter
+        # delta is taken from; recording after collect() keeps a
+        # query's ledger free of its own query.* bookkeeping.
+        for _ in range(2):
+            Engine(small_db).execute_relation(tpch.query(6))
+        assert qlog.registry.snapshot()[
+            "query.completed{backend=serial}"
+        ] >= 2
+        for event in _events(qlog):
+            assert not any(
+                k.startswith("query.") for k in event["counters"]
+            )
 
 
 class TestQidPropagation:
