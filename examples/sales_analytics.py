@@ -16,13 +16,13 @@ Builds the intro's ``sales_transactions`` / ``inventory`` store
 import numpy as np
 
 from repro.core import AquomanDevice, SwissknifeOp, TableTask, TaskOutput
-from repro.core.device import ROWID
 from repro.core.row_selector import (
     ColumnPredicate,
     PredicateOp,
     PredicateProgram,
 )
-from repro.sqlir.expr import col, lit
+from repro.sqlir.expr import AggFunc, col, lit
+from repro.sqlir.plan import AggSpec
 from repro.storage import Catalog, Column, Table
 from repro.storage.types import DECIMAL, INT64, date_to_days
 from repro.util.rng import RngStream
@@ -130,15 +130,15 @@ def fig1_aggregate_query(device: AquomanDevice) -> None:
         operator=SwissknifeOp.AGGREGATE_GROUPBY,
         operator_args={
             "keys": ["department"],
-            "aggs": [
-                ("netsale", "sum", "netsale"),
-                ("revenue", "sum", "revenue"),
+            "aggregates": [
+                AggSpec("netsale", AggFunc.SUM, col("netsale")),
+                AggSpec("revenue", AggFunc.SUM, col("revenue")),
             ],
         },
         output=TaskOutput.HOST,
     )
     print(f"  {task}")
-    out = device.run_table_task(task)
+    out = device.run_table_task(task).relation
     for dept, net, rev in zip(
         out.column("department").heap.decode_many(
             out.column("department").values

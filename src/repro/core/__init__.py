@@ -16,11 +16,13 @@ three programmable accelerators (Sec. IV):
 - :mod:`repro.core.memory` — the device DRAM manager for join
   intermediates;
 - :mod:`repro.core.tabletask` / :mod:`repro.core.device` — the Table
-  Task model and the device that runs them against flash;
+  Task model and the device that runs them against flash
+  (``run_table_task``, the one place the stages are sequenced);
 - :mod:`repro.core.compiler` — the query compiler: offload analysis,
   suspension rules (Sec. VI-E), Table Task emission;
-- :mod:`repro.core.simulator` — end-to-end query execution combining
-  the device with the host engine, emitting performance traces.
+- :mod:`repro.core.simulator` — end-to-end query execution: schedules
+  each offloaded subtree as Table Tasks on the device, runs the rest
+  on the host engine, and emits performance traces.
 """
 
 from repro.core.pe import PE, PEProgram, Instruction, Opcode
@@ -29,7 +31,7 @@ from repro.core.row_selector import RowSelector, ColumnPredicate, PredicateProgr
 from repro.core.regex_accel import RegexAccelerator, REGEX_CACHE_BYTES
 from repro.core.memory import DeviceMemory, MemoryExceeded
 from repro.core.tabletask import TableTask, SwissknifeOp, TaskOutput
-from repro.core.device import AquomanDevice, DeviceConfig
+from repro.core.device import AquomanDevice, DeviceConfig, DeviceStream
 from repro.core.compiler import (
     OffloadDecision,
     QueryCompiler,
@@ -57,6 +59,7 @@ __all__ = [
     "TaskOutput",
     "AquomanDevice",
     "DeviceConfig",
+    "DeviceStream",
     "QueryCompiler",
     "OffloadDecision",
     "SuspendReason",

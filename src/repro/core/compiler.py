@@ -16,19 +16,23 @@ pipeline can execute it, and why not when it can't:
 4. **DRAM exceeded** — join intermediates over device capacity;
    detected at execution, the subtree re-runs on the host.
 
-The compiler also emits the Table Task chain for the offloaded parts
-(the paper's programming model, Fig. 5), which the examples show and
-the tests execute directly on the device.
+The compiler also emits the Table Tasks of the offloaded parts (the
+paper's programming model, Fig. 5): every chain of unary nodes between
+a scan or join and the next join folds into as few selector →
+transformer → Swissknife passes as its order allows.  The simulator's
+scheduler emits and runs them one by one; ``emit_table_tasks`` lists
+them for a whole plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from repro.core.regex_accel import REGEX_CACHE_BYTES
+from repro.core.regex_accel import REGEX_CACHE_BYTES, effective_heap_bytes
 from repro.core.row_selector import (
-    PredicateProgram,
+    DEFAULT_N_EVALUATORS,
     extract_predicate_program,
 )
 from repro.core.tabletask import SwissknifeOp, TableTask, TaskOutput
@@ -48,6 +52,7 @@ from repro.sqlir.expr import (
     Literal,
     ScalarSubquery,
     Substring,
+    TypedArray,
 )
 from repro.sqlir.plan import (
     Aggregate,
@@ -63,6 +68,9 @@ from repro.sqlir.plan import (
 )
 from repro.storage.catalog import Catalog
 from repro.storage.types import TypeKind
+
+if TYPE_CHECKING:  # the device's import chain reaches this module
+    from repro.core.device import DeviceConfig
 
 
 class SuspendReason(Enum):
@@ -176,6 +184,7 @@ class QueryCompiler:
         self.catalog = catalog
         self.scale_ratio = scale_ratio
         self.regex_cache_bytes = regex_cache_bytes
+        self._provenance_memo: dict[int, dict[str, tuple[str, str]]] = {}
 
     # -- public ------------------------------------------------------------
 
@@ -183,7 +192,7 @@ class QueryCompiler:
         decisions: dict[int, OffloadDecision] = {}
         subqueries: list[CompiledQuery] = []
         tail = self._tail_nodes(plan)
-        self._provenance_memo: dict[int, dict[str, tuple[str, str]]] = {}
+        self._provenance_memo = {}
 
         def analyze(node: Plan) -> OffloadDecision:
             for child in node.children():
@@ -463,8 +472,6 @@ class QueryCompiler:
         self, heap, base_rows: int, table_name: str | None
     ) -> int:
         """Heap size at the simulated SF (fixed domains don't grow)."""
-        from repro.core.device import effective_heap_bytes
-
         constant = table_name in self.catalog.constant_tables
         return effective_heap_bytes(
             heap, base_rows, self.scale_ratio, constant=constant
@@ -494,112 +501,134 @@ class QueryCompiler:
     # -- table task emission ----------------------------------------------------------
 
     def emit_table_tasks(
-        self, root: Plan, n_evaluators: int = 6
+        self, root: Plan, config: "DeviceConfig | None" = None
     ) -> list[TableTask]:
-        """Table Tasks for a simple offloadable pipeline.
+        """Every Table Task of ``root``, bottom-up, without running any.
 
-        Covers the paper's Fig. 1/Fig. 5 shapes — scan, filter,
-        transform, optional terminal reduction — which is what the
-        examples display and the device executes literally.  (The
-        simulator handles general trees component-wise.)  The default
-        evaluator budget is the paper's "4 to 6 are enough" upper end —
-        Q6's five CP terms need it.
+        Tasks over a base table are complete.  One over a join's pairs
+        or an earlier task's output names no table: the scheduler hands
+        it that stream — and emits it with the stream in hand, so there
+        column kinds are exact where this listing has the catalog's
+        (see :meth:`_input_kinds`).  Joins are the scheduler's glue and
+        emit nothing.  The Row Selector's evaluator count is
+        ``config``'s (the prototype's when omitted).
         """
-        chain: list[Plan] = []
-        node = root
-        while True:
-            chain.append(node)
-            kids = node.children()
-            if not kids:
-                break
-            if len(kids) > 1:
-                raise ValueError(
-                    "emit_table_tasks covers single-table pipelines; "
-                    "use the simulator for join trees"
-                )
-            node = kids[0]
-
-        chain.reverse()
-        if not isinstance(chain[0], Scan):
-            raise ValueError("pipeline must start at a Scan")
-        scan = chain[0]
-
-        base_table = self.catalog.table(scan.table)
-        string_columns = frozenset(
-            c.name for c in base_table.columns if c.ctype.is_string
+        n_evaluators = (
+            DEFAULT_N_EVALUATORS if config is None
+            else config.n_predicate_evaluators
         )
-        column_scales = {
-            c.name: (2 if c.ctype.kind is TypeKind.DECIMAL else 0)
-            for c in base_table.columns
-        }
+        self._provenance_memo = {}
+        tasks: list[TableTask] = []
 
-        row_sel_terms = None
-        leftover_filters: list[Expr] = []
-        transform: tuple[tuple[str, Expr], ...] | None = None
-        operator = SwissknifeOp.NOP
-        operator_args: dict = {}
+        def walk(node: Plan) -> None:
+            chain, source = unary_chain(node)
+            for child in source.children():
+                walk(child)
+            opened = not isinstance(source, Scan)
+            while chain or not opened:
+                task, rest = self.emit_table_task(
+                    chain, source, n_evaluators
+                )
+                tasks.append(task)
+                if chain:
+                    # The next task reads what the last folded node makes.
+                    source = chain[-len(rest) - 1]
+                chain, opened = rest, True
 
-        for node in chain[1:]:
+        walk(root)
+        return tasks
+
+    def emit_table_task(
+        self,
+        chain: list[Plan],
+        source: Plan | dict[str, TypedArray],
+        n_evaluators: int,
+    ) -> tuple[TableTask, list[Plan]]:
+        """Fold the longest prefix of ``chain`` into one task on ``source``.
+
+        ``chain`` holds unary nodes bottom-up; ``source`` is what the
+        first of them reads: a :class:`Scan`, the columns of a stream,
+        or the plan node whose not-yet-run output it will be.  A node
+        joins the task while its stage comes later in the pipeline than
+        the last one used; the first node that does not closes the
+        task, whose output feeds the next.  Returns the task and the
+        nodes left.
+        """
+        task = TableTask(output=TaskOutput.STREAM)
+        if isinstance(source, Scan):
+            task.table, task.columns = source.table, source.columns
+            task.nodes["scan"] = getattr(source, "node_id", None)
+        stage = 0
+        for taken, node in enumerate(chain):
+            if _STAGE[type(node)] <= stage:
+                return task, chain[taken:]
+            stage = _STAGE[type(node)]
+            kind = type(node).__name__.lower()
+            task.nodes[kind] = getattr(node, "node_id", None)
             if isinstance(node, Filter):
-                program, leftover = extract_predicate_program(
+                strings, scales = self._input_kinds(source, node.predicate)
+                task.row_sel, task.row_filter = extract_predicate_program(
                     node.predicate,
                     n_evaluators=n_evaluators,
-                    string_columns=string_columns,
-                    column_scales=column_scales,
+                    string_columns=strings,
+                    column_scales=scales,
                 )
-                if row_sel_terms is None:
-                    row_sel_terms = program
-                else:
-                    leftover_filters.extend(program.terms)  # second filter
-                if leftover is not None:
-                    leftover_filters.append(leftover)
             elif isinstance(node, Project):
-                transform = node.outputs
+                task.row_transf = node.outputs
             elif isinstance(node, Aggregate):
-                aggs = [
-                    (s.name, _swiss_func(s.func), s.expr.name
-                     if isinstance(s.expr, ColumnRef) else s.name)
-                    for s in node.aggregates
-                ]
-                if node.keys:
-                    operator = SwissknifeOp.AGGREGATE_GROUPBY
-                    operator_args = {"keys": list(node.keys), "aggs": aggs}
-                else:
-                    operator = SwissknifeOp.AGGREGATE
-                    operator_args = {"aggs": aggs}
-            elif isinstance(node, (Sort, Limit)):
-                continue
+                task.operator = (
+                    SwissknifeOp.AGGREGATE_GROUPBY if node.keys
+                    else SwissknifeOp.AGGREGATE
+                )
+                task.operator_args = {
+                    "keys": node.keys,
+                    "aggregates": node.aggregates,
+                    "having": node.having,
+                }
             else:
-                raise ValueError(f"cannot emit a Table Task for {node!r}")
+                task.operator = SwissknifeOp.AGGREGATE_GROUPBY
+                task.operator_args = {"distinct": True}
+        return task, []
 
-        if leftover_filters:
-            raise ValueError(
-                "pipeline filter does not fit the Row Selector; "
-                "use the simulator"
+    def _input_kinds(
+        self, source: Plan | dict[str, TypedArray], predicate: Expr
+    ) -> tuple[frozenset[str], dict[str, int]]:
+        """(columns the selector cannot compare, fixed-point scales).
+
+        The Row Selector compares raw integers, so a CP term needs its
+        column's scale.  A stream carries it; for an input that has not
+        run yet the catalog knows it for base columns (through
+        renames), and a computed column stays with the row filter.
+        """
+        if isinstance(source, dict):
+            return (
+                frozenset(
+                    n for n, a in source.items() if a.kind is Kind.STR
+                ),
+                {n: a.scale for n, a in source.items() if a.kind is Kind.INT},
             )
-        if transform is None:
-            table = self.catalog.table(scan.table)
-            names = scan.columns or tuple(table.column_names)
-            transform = tuple((n, ColumnRef(n)) for n in names)
-
-        task = TableTask(
-            table=scan.table,
-            row_transf=transform,
-            row_sel=row_sel_terms
-            if row_sel_terms is not None
-            else PredicateProgram(()),
-            operator=operator,
-            operator_args=operator_args,
-            output=TaskOutput.HOST,
-        )
-        return [task]
+        prov = self._provenance(source)
+        unselectable = set(predicate.column_refs()) - set(prov)
+        scales: dict[str, int] = {}
+        for name, (table, base) in prov.items():
+            ctype = self.catalog.table(table).column(base).ctype
+            if ctype.is_string:
+                unselectable.add(name)
+            scales[name] = 2 if ctype.kind is TypeKind.DECIMAL else 0
+        return frozenset(unselectable), scales
 
 
-def _swiss_func(func: AggFunc) -> str:
-    return {
-        AggFunc.SUM: "sum",
-        AggFunc.MIN: "min",
-        AggFunc.MAX: "max",
-        AggFunc.COUNT: "cnt",
-        AggFunc.AVG: "sum",  # avg = device sum + host divide by count
-    }[func]
+# Pipeline position of each unary plan node: selector, transformer,
+# Swissknife.
+_STAGE = {Filter: 1, Project: 2, Aggregate: 3, Distinct: 3}
+
+
+def unary_chain(node: Plan) -> tuple[list[Plan], Plan]:
+    """The unary device nodes from ``node`` down, bottom-up, and the
+    scan, join or host operator they sit on."""
+    chain: list[Plan] = []
+    while type(node) in _STAGE:
+        chain.append(node)
+        node = node.children()[0]
+    chain.reverse()
+    return chain, node

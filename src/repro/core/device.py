@@ -1,11 +1,15 @@
 """The AQUOMAN device: flash + the three accelerators + DRAM.
 
-Executes literal :class:`~repro.core.tabletask.TableTask` chains the
-way the hardware does (Sec. VI): the Row Selector builds row masks
-from its predicate program, the Table Reader streams only the flash
-pages holding selected row vectors, the PE array applies the transform
-graph, and the configured Swissknife operator reduces the stream —
-into device DRAM or back to the host.
+Executes :class:`~repro.core.tabletask.TableTask` s the way the
+hardware does (Sec. VI): the Table Reader opens a stream over the
+flash pages holding selected row vectors, the Row Selector builds the
+row mask from its predicate program, the PE array applies the
+transform graph, and the configured Swissknife operator reduces the
+stream — into device DRAM, back to the host, or on to the next task.
+:meth:`AquomanDevice.run_table_task` is the only place those stages
+are sequenced: hand-written task chains (``examples/``, the tests) and
+the simulator's scheduler (:mod:`repro.core.simulator`), which folds
+every unary plan chain into tasks, both go through it.
 
 Flash traffic, sorter traffic, DRAM residency and group-by spills are
 all metered; the simulator turns those meters into run times.
@@ -14,7 +18,7 @@ all metered; the simulator turns those meters into run times.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,33 +27,40 @@ from repro.core.dataflow import (
     build_transform_graph,
 )
 from repro.core.memory import DeviceMemory
-from repro.core.regex_accel import RegexAccelerator
+from repro.core.regex_accel import RegexAccelerator, effective_heap_bytes
 from repro.core.row_selector import RowSelector
 from repro.core.swissknife.groupby import AggregateGroupBy, zip_group_columns
 from repro.core.swissknife.merger import Merger
 from repro.core.swissknife.sorter import StreamingSorter
 from repro.core.swissknife.topk import TopKAccelerator
 from repro.core.tabletask import SwissknifeOp, TableTask, TaskOutput
-from repro.engine.operators.grouping import (
-    aggregate_count,
-    aggregate_max,
-    aggregate_min,
-    aggregate_sum,
-    group_rows,
+from repro.engine.operators.relational import (
+    aggregate_relation,
+    distinct_relation,
 )
 from repro.engine.relation import Relation, typed_array_from_column
 from repro.faults.injector import get_fault_injector
 from repro.flash.nand import FlashConfig
 from repro.obs import METRICS, NULL_TRACER, NullTracer, Tracer
 from repro.sqlir.expr import (
+    Arith,
+    BoolExpr,
+    CaseWhen,
+    ColumnRef,
+    Compare,
+    CompareOp,
     EvalContext,
     Expr,
+    ExtractYear,
     InList,
     Kind,
     Like,
+    Literal,
+    Substring,
     TypedArray,
     evaluate,
 )
+from repro.sqlir.plan import Aggregate, Scan
 from repro.storage.catalog import Catalog
 from repro.storage.layout import (
     PAGE_BYTES,
@@ -81,12 +92,55 @@ class DeviceMeters:
     flash_bytes: int = 0
     sorter_bytes: int = 0
     output_bytes: int = 0
+    rows_streamed: int = 0  # rows into each pipeline stage and join
     rows_selected: int = 0
     rows_transformed: int = 0
     spilled_groups: int = 0
+    spilled_rows: int = 0  # group-by rows the host must accumulate
     tasks_run: int = 0
     pe_fallback_exprs: int = 0  # transforms evaluated off the PE path
     fault_stall_s: float = 0.0  # injected stalls on the critical channel
+
+
+@dataclass
+class DeviceStream:
+    """What flows between pipeline stages, tasks and the join glue."""
+
+    relation: Relation
+    # base table -> RowID per current row (for join indices & page skip)
+    rowid_map: dict[str, np.ndarray]
+    # relation column -> (base table, base column) for pass-throughs
+    origin: dict[str, tuple[str, str]]
+    # base columns already read off flash somewhere in this lineage
+    charged: set[tuple[str, str]]
+    # (base table, rows per page) -> page flags under ``rowid_map``: the
+    # columns of one table share a selection, so its page-skip answer
+    # is worked out once per value width.  Valid only for this
+    # ``rowid_map`` — whatever re-selects rows starts empty.
+    pages: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
+
+    def touched_pages(self, extent: ColumnExtent) -> np.ndarray:
+        """Pages of ``extent`` the current selection lands on, memoised."""
+        key = (extent.table, extent.rows_per_page())
+        flags = self.pages.get(key)
+        if flags is None:
+            flags = self.pages[key] = extent.touched_pages(
+                self.rowid_map[extent.table]
+            )
+        return flags
+
+    def gathered(self, indices: np.ndarray) -> "DeviceStream":
+        return DeviceStream(
+            relation=self.relation.take(indices),
+            rowid_map={
+                t: ids[indices] for t, ids in self.rowid_map.items()
+            },
+            origin=dict(self.origin),
+            charged=self.charged,
+        )
+
+    def masked(self, keep: np.ndarray) -> "DeviceStream":
+        return self.gathered(np.flatnonzero(keep))
 
 
 class AquomanDevice:
@@ -114,31 +168,61 @@ class AquomanDevice:
         self.groupby_accel = AggregateGroupBy()
         self.merger = Merger()
         self.meters = DeviceMeters()
+        # Numbers the scheduler's DRAM allocations on this device.
+        self.allocation_ids = itertools.count()
         self._mem_tables: dict[str, Relation] = {}
 
-    @classmethod
-    def from_database(
-        cls, catalog: Catalog, **config_kwargs
-    ) -> "AquomanDevice":
-        return cls(catalog, DeviceConfig(**config_kwargs))
+    # -- activity roll-back ------------------------------------------------------
+
+    def checkpoint(self) -> tuple:
+        """The activity counters the timing models read, to roll back to
+        when a subtree is handed back to the host."""
+        selector = self.row_selector
+        return (
+            replace(self.meters),
+            selector.rows_scanned,
+            selector.masks_produced,
+        )
+
+    def rollback(self, checkpoint: tuple) -> None:
+        meters, rows_scanned, masks_produced = checkpoint
+        self.meters.__dict__.update(meters.__dict__)
+        self.row_selector.rows_scanned = rows_scanned
+        self.row_selector.masks_produced = masks_produced
 
     # -- flash traffic ---------------------------------------------------------
 
-    def charge_column_read(
-        self, table: str, column: str, mask: BitVector | None = None
-    ) -> int:
-        """Meter reading one column, with page skipping under a mask.
+    def charge(
+        self, stream: DeviceStream, column: str,
+        whole_if_all_rows: bool = True,
+    ) -> None:
+        """Meter the flash read feeding a stream column: once per
+        lineage, page-skipped under the stream's current selection."""
+        origin = stream.origin.get(column)
+        if origin is None or origin in stream.charged:
+            return
+        self.charge_base(stream, *origin, whole_if_all_rows)
+        stream.charged.add(origin)
+
+    def charge_base(
+        self, stream: DeviceStream, table: str, column: str,
+        whole_if_all_rows: bool = True,
+    ) -> None:
+        """Charge the pages of a base column that ``stream``'s rows touch.
 
         The Table Reader skips a flash page when every row vector on it
-        is masked out (Sec. VI-B); an unmasked read streams the whole
-        column file.
+        is masked out (Sec. VI-B).  A selection as long as the table
+        streams the whole column file without looking at the row ids;
+        the join-index gather opts out because its row ids repeat.
         """
         extent = self.layout.extent(table, column)
-        if mask is None:
-            return self.charge_pages(extent)
-        return self.charge_pages(
-            extent, mask.group_any(extent.rows_per_page())
-        )
+        rowids = stream.rowid_map.get(table)
+        if rowids is None or (
+            whole_if_all_rows and len(rowids) == extent.nrows
+        ):
+            self.charge_pages(extent)
+        else:
+            self.charge_pages(extent, stream.touched_pages(extent))
 
     def charge_pages(
         self, extent: ColumnExtent, flags: np.ndarray | None = None
@@ -195,46 +279,75 @@ class AquomanDevice:
 
     # -- table task execution -----------------------------------------------------
 
-    def run_table_tasks(self, tasks: list[TableTask]) -> Relation | None:
-        """Execute a chain of Table Tasks sequentially (Sec. V).
+    def run_table_task(
+        self,
+        task: TableTask,
+        stream: DeviceStream | None = None,
+        scalar_executor=None,
+    ) -> DeviceStream:
+        """Execute one Table Task through the full pipeline.
 
-        Returns the relation of the last host-output task, if any.
+        ``stream`` is the input of a task that names no ``table``;
+        ``scalar_executor`` evaluates scalar subqueries in its
+        expressions.
         """
-        result: Relation | None = None
-        for task in tasks:
-            out = self.run_table_task(task)
-            if task.output is TaskOutput.HOST:
-                result = out
-        return result
-
-    def run_table_task(self, task: TableTask) -> Relation:
-        """Execute one Table Task through the full pipeline."""
         self.meters.tasks_run += 1
-        base = self.catalog.table(task.table)
-        nrows = base.nrows
-
-        tracer = self.tracer
-        with tracer.span("device.table_task", lane="device",
-                         table=task.table):
-            mask = self._resolve_mask(task, nrows)
-            with tracer.span("device.row_selector",
-                             lane="device.row_selector", rows_in=nrows):
-                mask = self._run_row_selector(task, base, mask)
-            with tracer.span("device.transformer",
-                             lane="device.transformer"):
-                transformed = self._run_row_transformer(task, base, mask)
-            with tracer.span("device.swissknife",
-                             lane="device.swissknife",
-                             op=task.operator.name.lower()):
-                output = self._run_swissknife(task, transformed)
+        with self.tracer.span("device.table_task", lane="device",
+                              table=task.table):
+            if task.table is not None:
+                stream = self._stage(task, "scan", self._open_stream, task)
+            elif stream is None:
+                raise ValueError("a task without a table needs a stream")
+            if len(task.row_sel) or task.row_filter is not None:
+                stream = self._stage(
+                    task, "filter", self._select_rows,
+                    task, stream, scalar_executor,
+                )
+            if task.row_transf is not None:
+                stream = self._stage(
+                    task, "project", self._transform_rows,
+                    task, stream, scalar_executor,
+                )
+            if task.operator is not SwissknifeOp.NOP:
+                stream = self._stage(
+                    task,
+                    "distinct" if task.operator_args.get("distinct")
+                    else "aggregate",
+                    self._run_swissknife, task, stream, scalar_executor,
+                )
 
         if task.output is TaskOutput.AQUOMAN_MEM:
             if not task.output_name:
                 raise ValueError("AQUOMAN_MEM output needs output_name")
-            self.store_intermediate(task.output_name, output)
-        else:
-            self.meters.output_bytes += output.nbytes()
-        return output
+            self.store_intermediate(task.output_name, stream.relation)
+        elif task.output is TaskOutput.HOST:
+            self.meters.output_bytes += stream.relation.nbytes()
+        return stream
+
+    def _stage(self, task: TableTask, kind: str, run, *args) -> DeviceStream:
+        """Run one pipeline stage, under its plan node's span if the
+        task was emitted from one."""
+        if kind not in task.nodes:
+            return run(*args)
+        return self.node_span(kind, task.nodes[kind], run, *args)
+
+    def node_span(self, kind: str, node, run, *args) -> DeviceStream:
+        """Run one plan node's share of the work under ``device.<kind>``.
+
+        ``node`` mirrors the engine spans: the analyzer's plan-node id,
+        the doctor's key for joining predictions to actuals.
+        """
+        if not self.tracer.enabled:
+            return run(*args)
+        with self.tracer.span(
+            "device." + kind, lane="device", node=node
+        ) as span:
+            out = run(*args)
+            span.set(
+                rows_out=out.relation.nrows,
+                bytes_out=out.relation.nbytes(),
+            )
+            return out
 
     def store_intermediate(self, name: str, relation: Relation) -> None:
         if self.memory.holds(name):
@@ -255,56 +368,120 @@ class AquomanDevice:
 
     # -- pipeline stages ---------------------------------------------------------
 
-    def _resolve_mask(self, task: TableTask, nrows: int) -> BitVector | None:
-        if task.mask_src is None:
-            return None
-        source = self.load_intermediate(task.mask_src)
-        rowids = source.column(ROWID).values
-        return BitVector.from_indices(rowids.astype(np.int64), nrows)
+    def _open_stream(self, task: TableTask) -> DeviceStream:
+        """Table Reader: a stream over a base table's column files.
 
-    def _run_row_selector(
-        self, task: TableTask, base, mask: BitVector | None
-    ) -> BitVector | None:
-        if not len(task.row_sel):
-            return mask
-        columns = {}
-        for name in task.row_sel.columns:
-            col = base.column(name)
-            self.charge_column_read(task.table, name, None)
-            columns[name] = col.values
-        selected = self.row_selector.select(
-            task.row_sel, columns, base.nrows, mask
+        Nothing is charged yet — a column's pages are read when a
+        stage first consumes it, under the selection of that moment.
+        """
+        base = self.catalog.table(task.table)
+        names = task.columns if task.columns is not None else tuple(
+            base.column_names
         )
-        self.meters.rows_selected += selected.count()
-        return selected
-
-    def _run_row_transformer(
-        self, task: TableTask, base, mask: BitVector | None
-    ) -> Relation:
-        rowids = (
-            mask.indices()
-            if mask is not None
-            else np.arange(base.nrows, dtype=np.int64)
+        self.meters.rows_streamed += base.nrows
+        stream = DeviceStream(
+            relation=Relation({
+                n: typed_array_from_column(base.column(n)) for n in names
+            }),
+            rowid_map={task.table: np.arange(base.nrows, dtype=np.int64)},
+            origin={n: (task.table, n) for n in names},
+            charged=set(),
         )
+        if task.mask_src is not None:
+            rowids = self.load_intermediate(task.mask_src).column(ROWID)
+            stream = stream.masked(BitVector.from_indices(
+                rowids.values.astype(np.int64), base.nrows
+            ).bits)
+        return stream
 
-        needed = set()
-        for _, expr in task.row_transf:
-            needed |= expr.column_refs()
-        needed.discard(ROWID)
-
-        raw_columns: dict[str, TypedArray] = {}
-        for name in sorted(needed):
-            col = base.column(name)
-            self.charge_column_read(task.table, name, mask)
-            arr = typed_array_from_column(col)
-            raw_columns[name] = TypedArray(
-                arr.values[rowids], arr.kind, arr.scale, arr.heap
+    def _select_rows(
+        self, task: TableTask, stream: DeviceStream, scalar_executor
+    ) -> DeviceStream:
+        nrows = stream.relation.nrows
+        self.meters.rows_streamed += nrows
+        # Row Selector: CP columns stream in full (under the incoming
+        # selection) and produce the first-cut row mask.
+        with self.tracer.span(
+            "device.row_selector", lane="device.row_selector",
+            rows_in=nrows,
+        ):
+            program = task.row_sel
+            for term in program.terms:
+                self.charge(stream, term.column)
+            mask = self.row_selector.select(
+                program,
+                {n: stream.relation.column(n).values
+                 for n in program.columns},
+                nrows,
             )
-        raw_columns[ROWID] = TypedArray(rowids, Kind.INT, 0)
+            self.meters.rows_selected += mask.count()
+            stream = stream.masked(mask.bits)
 
-        outputs = self._transform(task.row_transf, raw_columns, len(rowids))
-        self.meters.rows_transformed += len(rowids)
-        return outputs
+        if task.row_filter is not None:
+            # Forwarded to the Row Transformer (Sec. VI-A): remaining
+            # columns stream under the selector's mask.
+            nrows = stream.relation.nrows
+            with self.tracer.span(
+                "device.transformer", lane="device.transformer",
+                rows_in=nrows,
+            ):
+                self.meters.rows_transformed += nrows
+                stream = stream.masked(self.row_mask(
+                    stream, task.row_filter, scalar_executor
+                ))
+        return stream
+
+    def row_mask(
+        self, stream: DeviceStream, predicate: Expr, scalar_executor=None
+    ) -> np.ndarray:
+        """The PE array's verdict of ``predicate`` on each stream row."""
+        for name in sorted(predicate.column_refs()):
+            self.charge(stream, name)
+        verdict = self._transform(
+            (("@mask", predicate),),
+            stream.relation.columns,
+            stream.relation.nrows,
+            subquery_executor=scalar_executor,
+        )
+        return verdict.column("@mask").values.astype(np.bool_)
+
+    def _transform_rows(
+        self, task: TableTask, stream: DeviceStream, scalar_executor
+    ) -> DeviceStream:
+        nrows = stream.relation.nrows
+        self.meters.rows_streamed += nrows
+        refs: set[str] = set()
+        for _, expr in task.row_transf:
+            needed = expr.column_refs()
+            refs |= needed
+            for name in sorted(needed):
+                self.charge(stream, name)
+        columns = stream.relation.columns
+        if ROWID in refs:
+            # One base table underneath: its row ids are the stream's.
+            (rowids,) = stream.rowid_map.values()
+            columns = {**columns, ROWID: TypedArray(rowids, Kind.INT, 0)}
+
+        with self.tracer.span(
+            "device.transformer", lane="device.transformer",
+            rows_in=nrows,
+        ):
+            transformed = self._transform(
+                task.row_transf, columns, nrows,
+                subquery_executor=scalar_executor,
+            )
+        self.meters.rows_transformed += nrows
+        return DeviceStream(
+            relation=transformed,
+            rowid_map=stream.rowid_map,
+            origin={
+                name: stream.origin[expr.name]
+                for name, expr in task.row_transf
+                if isinstance(expr, ColumnRef) and expr.name in stream.origin
+            },
+            charged=stream.charged,
+            pages=stream.pages,
+        )
 
     def _transform(
         self,
@@ -325,8 +502,6 @@ class AquomanDevice:
         pe_outputs: list[tuple[str, Expr]] = []
         passthrough: dict[str, TypedArray] = {}
         fallback: list[tuple[str, Expr]] = []
-        from repro.sqlir.expr import ColumnRef
-
         for name, expr in lowered:
             if isinstance(expr, ColumnRef):
                 passthrough[name] = prepped[expr.name]
@@ -394,8 +569,6 @@ class AquomanDevice:
         closure is a reference cycle, and this one would keep every
         column of the relation alive until the cyclic collector ran.
         """
-        from repro.sqlir.expr import ColumnRef, Compare, CompareOp, Literal
-
         def bit_column(bits: np.ndarray) -> Expr:
             name = next(names)
             prepped[name] = TypedArray(bits.astype(np.int64), Kind.INT, 0)
@@ -448,80 +621,74 @@ class AquomanDevice:
 
     # -- swissknife -----------------------------------------------------------------
 
-    def _run_swissknife(self, task: TableTask, stream: Relation) -> Relation:
+    def _run_swissknife(
+        self, task: TableTask, stream: DeviceStream, scalar_executor
+    ) -> DeviceStream:
         op = task.operator
         args = task.operator_args
+        rel = stream.relation
+        self.meters.rows_streamed += rel.nrows
 
-        if op is SwissknifeOp.NOP:
-            return stream
-
-        if op is SwissknifeOp.AGGREGATE:
-            return self._swiss_aggregate(stream, args)
-
-        if op is SwissknifeOp.AGGREGATE_GROUPBY:
-            return self._swiss_groupby(stream, args)
-
-        if op is SwissknifeOp.SORT:
-            return self._swiss_sort(stream, args)
-
-        if op in (SwissknifeOp.MERGE, SwissknifeOp.SORT_MERGE):
-            return self._swiss_merge(stream, args, sort_first=(
-                op is SwissknifeOp.SORT_MERGE))
-
-        if op is SwissknifeOp.TOPK:
-            return self._swiss_topk(stream, args)
-
-        raise NotImplementedError(op)
-
-    def _swiss_aggregate(self, stream: Relation, args: dict) -> Relation:
-        out: dict[str, TypedArray] = {}
-        for name, func, column in args["aggs"]:
-            arr = stream.column(column)
-            values = arr.values.astype(np.int64)
-            result = _reduce_int(func, values)
-            out[name] = TypedArray(
-                np.array([result], dtype=np.int64), arr.kind, arr.scale
-            )
-        return Relation(out)
-
-    def _swiss_groupby(self, stream: Relation, args: dict) -> Relation:
-        keys: list[str] = args["keys"]
-        key_arrays = [stream.column(k) for k in keys]
-        widths = [4 if a.kind is Kind.STR else 8 for a in key_arrays]
-        zipped, id_bytes = zip_group_columns(
-            [a.values for a in key_arrays], widths
+        reduces = op in (
+            SwissknifeOp.AGGREGATE, SwissknifeOp.AGGREGATE_GROUPBY
         )
-        funcs = {c: f for _, f, c in args["aggs"]}
-        result = self.groupby_accel.run(
-            zipped,
-            {c: stream.column(c).values for c in funcs},
-            funcs,
-            group_id_bytes=id_bytes,
+        if reduces:
+            # Its inputs may come straight off flash, not through a
+            # transform; the other operators read transformer outputs.
+            for name in _reduce_inputs(rel, args):
+                self.charge(stream, name)
+        with self.tracer.span(
+            "device.swissknife", lane="device.swissknife",
+            op=op.name.lower(), rows_in=rel.nrows,
+        ):
+            if reduces:
+                out = self._swiss_reduce(rel, args, scalar_executor)
+            elif op is SwissknifeOp.SORT:
+                out = self._swiss_sort(rel, args)
+            elif op in (SwissknifeOp.MERGE, SwissknifeOp.SORT_MERGE):
+                out = self._swiss_merge(
+                    rel, args, sort_first=op is SwissknifeOp.SORT_MERGE
+                )
+            elif op is SwissknifeOp.TOPK:
+                out = self._swiss_topk(rel, args)
+            else:
+                raise NotImplementedError(op)
+        # No row of a Swissknife result maps to a base-table row.
+        return DeviceStream(out, {}, {}, stream.charged)
+
+    def _swiss_reduce(
+        self, rel: Relation, args: dict, scalar_executor
+    ) -> Relation:
+        """AGGREGATE / AGGREGATE_GROUPBY, and DISTINCT as the key-only
+        group-by it is (its small key sets never meet the hash model)."""
+        if args.get("distinct"):
+            return distinct_relation(rel)
+        # The host's operator takes the plan node; of it, it reads only
+        # keys, aggregates and having — the child is a label.
+        plan = Aggregate(
+            Scan("stream"),
+            tuple(args.get("keys", ())),
+            tuple(args["aggregates"]),
+            args.get("having"),
         )
-        self.meters.spilled_groups += result.n_spilled_groups
-
-        # Spilled rows are accumulated by the host (Sec. VI-E); the
-        # functional result merges both halves so outputs stay exact.
-        merged = self._merge_spills(stream, keys, args["aggs"], result,
-                                    zipped)
-        return merged
-
-    def _merge_spills(self, stream, keys, aggs, device_result, zipped):
-        groups = group_rows([stream.column(k).values for k in keys])
-        out: dict[str, TypedArray] = {}
-        for k in keys:
-            arr = stream.column(k)
-            out[k] = TypedArray(
-                arr.values[groups.representative], arr.kind, arr.scale,
-                arr.heap,
+        key_arrays = [rel.column(k) for k in plan.keys]
+        if key_arrays and rel.nrows:
+            # The hash-table model: spills counted against 1024
+            # buckets.  Spilled rows are accumulated by the host
+            # (Sec. VI-E); the functional result below is exact.
+            widths = [4 if a.kind is Kind.STR else 8 for a in key_arrays]
+            zipped, id_bytes = zip_group_columns(
+                [a.values for a in key_arrays], widths
             )
-        for name, func, column in aggs:
-            arr = stream.column(column)
-            if func not in _GROUP_KERNELS:
-                raise ValueError(f"unknown aggregate {func!r}")
-            acc = _GROUP_KERNELS[func](arr.values.astype(np.int64), groups)
-            out[name] = TypedArray(acc, arr.kind, arr.scale)
-        return Relation(out)
+            stats = self.groupby_accel.run(
+                zipped,
+                {"@count": np.ones(rel.nrows, dtype=np.int64)},
+                {"@count": "cnt"},
+                group_id_bytes=id_bytes,
+            )
+            self.meters.spilled_groups += stats.n_spilled_groups
+            self.meters.spilled_rows += len(stats.spilled_rows)
+        return aggregate_relation(rel, plan, scalar_executor)[0]
 
     def _swiss_sort(self, stream: Relation, args: dict) -> Relation:
         key = args["key"]
@@ -567,43 +734,15 @@ class AquomanDevice:
         return Relation({key: TypedArray(top, Kind.INT, 0)})
 
 
-_GROUP_KERNELS = {
-    "sum": aggregate_sum,
-    "min": aggregate_min,
-    "max": aggregate_max,
-    "cnt": lambda values, groups: aggregate_count(groups),
-}
-
-
-def _reduce_int(func: str, values: np.ndarray):
-    if func == "sum":
-        return values.sum() if len(values) else 0
-    if func == "min":
-        return values.min() if len(values) else 0
-    if func == "max":
-        return values.max() if len(values) else 0
-    if func == "cnt":
-        return len(values)
-    raise ValueError(f"unknown aggregate {func!r}")
-
-
-def effective_heap_bytes(
-    heap, base_rows: int, scale_ratio: float, constant: bool = False
-) -> int:
-    """Heap size at the simulated scale factor.
-
-    Constant tables (nation, region) never grow.  Elsewhere,
-    enumerated domains (ship modes, brands, part types...) have heaps
-    that do not grow with SF while free-text heaps grow linearly; the
-    signature of a fixed domain is a distinct count far below the
-    column's row count (and absolutely small).
-    """
-    if constant:
-        return heap.heap_bytes
-    fixed_domain = heap.unique_count <= min(1024, max(1, base_rows // 10))
-    if fixed_domain:
-        return heap.heap_bytes
-    return int(heap.heap_bytes * scale_ratio)
+def _reduce_inputs(rel: Relation, args: dict) -> list[str]:
+    """Stream columns an aggregate Swissknife operator consumes."""
+    if args.get("distinct"):
+        return rel.names
+    needed = set(args.get("keys", ()))
+    for spec in args["aggregates"]:
+        if spec.expr is not None:
+            needed |= spec.expr.column_refs()
+    return sorted(needed)
 
 
 def _heap_base(catalog: Catalog, heap) -> tuple[str | None, int]:
@@ -617,15 +756,6 @@ def _heap_base(catalog: Catalog, heap) -> tuple[str | None, int]:
 
 def _rebuild(expr: Expr, children: list[Expr]) -> Expr:
     """Clone an expression node with replaced children."""
-    from repro.sqlir.expr import (
-        Arith,
-        BoolExpr,
-        CaseWhen,
-        Compare,
-        ExtractYear,
-        Substring,
-    )
-
     if isinstance(expr, Arith):
         return Arith(expr.op, children[0], children[1])
     if isinstance(expr, Compare):

@@ -29,6 +29,25 @@ class HeapTooLarge(Exception):
     """The column's string heap exceeds the accelerator's 1 MB cache."""
 
 
+def effective_heap_bytes(
+    heap, base_rows: int, scale_ratio: float, constant: bool = False
+) -> int:
+    """Heap size at the simulated scale factor.
+
+    Constant tables (nation, region) never grow.  Elsewhere,
+    enumerated domains (ship modes, brands, part types...) have heaps
+    that do not grow with SF while free-text heaps grow linearly; the
+    signature of a fixed domain is a distinct count far below the
+    column's row count (and absolutely small).
+    """
+    if constant:
+        return heap.heap_bytes
+    fixed_domain = heap.unique_count <= min(1024, max(1, base_rows // 10))
+    if fixed_domain:
+        return heap.heap_bytes
+    return int(heap.heap_bytes * scale_ratio)
+
+
 @dataclass
 class RegexAccelerator:
     """Matches patterns against a heap-resident string column."""

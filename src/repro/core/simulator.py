@@ -6,9 +6,11 @@ functional results are bit-identical to the software baseline — while
 routing maximal offloadable subtrees through the device model and
 recording a combined :class:`~repro.perf.trace.QueryTrace`:
 
-- device subtrees stream from flash through the Row Selector / PE
-  array / Swissknife with page-skip traffic accounting, DRAM residency
-  and group-by spill stats;
+- device subtrees are scheduled as Table Tasks — every unary chain
+  streams from flash through the Row Selector / PE array / Swissknife
+  in ``AquomanDevice.run_table_task``, with page-skip traffic
+  accounting and group-by spill stats; joins between chains are glue
+  here (sorter traffic, DRAM residency);
 - the non-offloaded remainder runs on the host engine, whose operator
   records feed the host cost model;
 - runtime suspensions (DRAM overflow, condition 4) roll the subtree
@@ -18,7 +20,7 @@ recording a combined :class:`~repro.perf.trace.QueryTrace`:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -30,18 +32,17 @@ from repro.core.compiler import (
     QueryCompiler,
     REAL_SUSPENSIONS,
     SuspendReason,
+    unary_chain,
 )
-from repro.core.device import AquomanDevice, DeviceConfig
+from repro.core.device import AquomanDevice, DeviceConfig, DeviceStream
 from repro.core.memory import MemoryExceeded
+from repro.core.tabletask import TableTask
 from repro.faults.errors import DeviceFault
 from repro.faults.injector import get_fault_injector
 from repro.core.regex_accel import HeapTooLarge
-from repro.core.row_selector import extract_predicate_program
-from repro.core.swissknife.groupby import HASH_BUCKETS, zip_group_columns
+from repro.core.swissknife.groupby import HASH_BUCKETS
 from repro.engine.executor import Engine
 from repro.engine.operators.relational import (
-    aggregate_relation,
-    distinct_relation,
     join_keep,
     join_pairs,
     pair_relation,
@@ -50,19 +51,10 @@ from repro.engine.relation import Relation, typed_array_from_column
 from repro.obs import METRICS, NULL_TRACER, NullTracer, Tracer
 from repro.obs.qlog import query_scope
 from repro.perf.trace import OpTrace, QueryTrace
-from repro.sqlir.expr import ColumnRef, Expr, Kind, TypedArray
-from repro.sqlir.plan import (
-    Aggregate,
-    Distinct,
-    Filter,
-    Join,
-    JoinKind,
-    Plan,
-    Project,
-    Scan,
-)
+from repro.sqlir.expr import Expr, TypedArray
+from repro.sqlir.plan import Aggregate, Join, JoinKind, Plan, Scan
 from repro.storage.catalog import join_index_name
-from repro.storage.layout import ColumnExtent, FlashLayout
+from repro.storage.layout import FlashLayout
 from repro.storage.table import Table
 
 
@@ -76,281 +68,112 @@ class SimulationResult:
     compiled: CompiledQuery
     suspend_reasons: set[SuspendReason]
     device: AquomanDevice | None = None
+    # The Table Tasks the scheduler emitted and ran, in order; those of
+    # subtrees rolled back to the host are not among them.
+    tasks: list[TableTask] = field(default_factory=list)
 
     @property
     def offloaded(self) -> bool:
         return self.trace.aquoman_flash_bytes > 0
 
 
-@dataclass
-class _DeviceRel:
-    """A device-resident intermediate during subtree execution."""
-
-    relation: Relation
-    # base table -> RowID per current row (for join indices & page skip)
-    rowid_map: dict[str, np.ndarray]
-    # relation column -> (base table, base column) for pass-throughs
-    origin: dict[str, tuple[str, str]]
-    charged: set[tuple[str, str]]
-    # (base table, rows per page) -> page flags under ``rowid_map``: the
-    # columns of one table share a selection, so its page-skip answer
-    # is worked out once per value width.  Valid only for this
-    # ``rowid_map`` — whatever re-selects rows starts empty.
-    pages: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
-
-    def touched_pages(self, extent: ColumnExtent) -> np.ndarray:
-        """Pages of ``extent`` the current selection lands on, memoised."""
-        key = (extent.table, extent.rows_per_page())
-        flags = self.pages.get(key)
-        if flags is None:
-            flags = self.pages[key] = extent.touched_pages(
-                self.rowid_map[extent.table]
-            )
-        return flags
-
-    def gathered(self, indices: np.ndarray) -> "_DeviceRel":
-        return _DeviceRel(
-            relation=self.relation.take(indices),
-            rowid_map={
-                t: ids[indices] for t, ids in self.rowid_map.items()
-            },
-            origin=dict(self.origin),
-            charged=self.charged,
-        )
-
-    def masked(self, keep: np.ndarray) -> "_DeviceRel":
-        return self.gathered(np.flatnonzero(keep))
-
-
 class DeviceExecutor:
-    """Runs one offloadable subtree on the device model."""
+    """Schedules one offloadable subtree onto the device.
 
-    _names = itertools.count()
+    Every chain of unary nodes — over a scan or over a join's pairs —
+    is folded into Table Tasks by the compiler and run by
+    ``AquomanDevice.run_table_task``; what stays here is the plan walk
+    and the join glue around the shared join kernel (sorter traffic,
+    DRAM residency, the join-index shortcut), which the device has no
+    Table Task for yet.
+    """
 
     def __init__(self, device: AquomanDevice, scalar_executor):
         self.device = device
         self.catalog = device.catalog
         self.tracer = device.tracer
         self.scalar_executor = scalar_executor
-        self.rows_processed = 0
-        self.spilled_rows = 0  # group-by rows the host must accumulate
+        self.compiler = QueryCompiler(
+            self.catalog, scale_ratio=device.config.scale_ratio
+        )
+        self.tasks: list[TableTask] = []  # emitted and run, in order
         self._allocations: list[str] = []
 
     # -- entry ----------------------------------------------------------------
 
     def run(self, plan: Plan) -> Relation:
         try:
-            dev = self._exec(plan)
+            out = self._exec(plan)
             with self.tracer.span("device.output_dma", lane="device"):
-                self._finalize_output(dev)
-            return dev.relation
+                self._finalize_output(out)
+            return out.relation
         finally:
             for name in self._allocations:
                 if self.device.memory.holds(name):
                     self.device.memory.free(name)
             self._allocations.clear()
 
-    def _finalize_output(self, dev: _DeviceRel) -> None:
+    def _finalize_output(self, out: DeviceStream) -> None:
         """Charge pass-through columns and meter the DMA back to host."""
-        for name in dev.relation.names:
-            self._consume(dev, name)
-        self.device.meters.output_bytes += dev.relation.nbytes()
+        for name in out.relation.names:
+            self.device.charge(out, name)
+        self.device.meters.output_bytes += out.relation.nbytes()
 
-    # -- traffic -----------------------------------------------------------------
+    def _allocate(self, prefix: str, nbytes: int) -> str:
+        name = f"{prefix}-{next(self.device.allocation_ids)}"
+        self.device.memory.allocate(name, nbytes)
+        self._allocations.append(name)
+        return name
 
-    def _consume(
-        self, dev: _DeviceRel, column: str, whole_if_all_rows: bool = True
-    ) -> None:
-        """Meter the flash read feeding a column, once, page-skipped."""
-        origin = dev.origin.get(column)
-        if origin is None or origin in dev.charged:
-            return
-        self._charge(dev, *origin, whole_if_all_rows)
-        dev.charged.add(origin)
+    # -- plan walk ---------------------------------------------------------------
 
-    def _charge(
-        self, dev: _DeviceRel, table: str, column: str,
-        whole_if_all_rows: bool = True,
-    ) -> None:
-        """Charge the pages of a base column that ``dev``'s rows touch.
-
-        A selection as long as the table streams the whole column file
-        without looking at the row ids; the join-index gather opts out
-        because its row ids repeat.
-        """
-        extent = self.device.layout.extent(table, column)
-        rowids = dev.rowid_map.get(table)
-        if rowids is None or (
-            whole_if_all_rows and len(rowids) == extent.nrows
-        ):
-            self.device.charge_pages(extent)
+    def _exec(self, plan: Plan) -> DeviceStream:
+        chain, source = unary_chain(plan)
+        if isinstance(source, Join):
+            stream = self._exec_join(source)
+        elif isinstance(source, Scan):
+            stream = None  # the first task opens it
         else:
-            self.device.charge_pages(extent, dev.touched_pages(extent))
-
-    # -- dispatch ----------------------------------------------------------------
-
-    def _exec(self, plan: Plan) -> _DeviceRel:
-        handler = {
-            Scan: self._exec_scan,
-            Filter: self._exec_filter,
-            Project: self._exec_project,
-            Join: self._exec_join,
-            Aggregate: self._exec_aggregate,
-            Distinct: self._exec_distinct,
-        }.get(type(plan))
-        if handler is None:
             raise NotImplementedError(
-                f"device cannot execute {type(plan).__name__}"
+                f"device cannot execute {type(source).__name__}"
             )
-        if not self.tracer.enabled:
-            return handler(plan)
-        # ``node`` mirrors the engine spans: the analyzer's plan-node
-        # id, the doctor's key for joining predictions to actuals.
-        with self.tracer.span(
-            "device." + type(plan).__name__.lower(), lane="device",
-            node=getattr(plan, "node_id", None),
-        ) as span:
-            out = handler(plan)
-            span.set(
-                rows_out=out.relation.nrows,
-                bytes_out=out.relation.nbytes(),
+        while chain or stream is None:
+            task, chain = self.compiler.emit_table_task(
+                chain,
+                source if stream is None else stream.relation.columns,
+                self.device.config.n_predicate_evaluators,
             )
-            return out
-
-    # -- operators ------------------------------------------------------------------
-
-    def _exec_scan(self, plan: Scan) -> _DeviceRel:
-        table = self.catalog.table(plan.table)
-        names = plan.columns if plan.columns is not None else tuple(
-            table.column_names
-        )
-        columns = {
-            n: typed_array_from_column(table.column(n)) for n in names
-        }
-        rowids = np.arange(table.nrows, dtype=np.int64)
-        self.rows_processed += table.nrows
-        return _DeviceRel(
-            relation=Relation(columns),
-            rowid_map={plan.table: rowids},
-            origin={n: (plan.table, n) for n in names},
-            charged=set(),
-        )
-
-    def _exec_filter(self, plan: Filter) -> _DeviceRel:
-        dev = self._exec(plan.child)
-        nrows = dev.relation.nrows
-        self.rows_processed += nrows
-
-        string_columns = frozenset(
-            n
-            for n, arr in dev.relation.columns.items()
-            if arr.kind is Kind.STR
-        )
-        program, leftover = extract_predicate_program(
-            plan.predicate,
-            n_evaluators=self.device.config.n_predicate_evaluators,
-            string_columns=string_columns,
-            column_scales={
-                n: arr.scale
-                for n, arr in dev.relation.columns.items()
-                if arr.kind is Kind.INT
-            },
-        )
-
-        # Row Selector: CP columns stream in full (under the current
-        # mask) and produce the first-cut row mask.
-        with self.tracer.span(
-            "device.row_selector", lane="device.row_selector",
-            rows_in=nrows,
-        ):
-            for term in program.terms:
-                self._consume(dev, term.column)
-            # One cast per distinct CP column, not one per term.
-            cast: dict[str, np.ndarray] = {}
-            for name in program.columns:
-                values = dev.relation.column(name).values
-                if values.dtype != np.int64:
-                    values = values.astype(np.int64)
-                cast[name] = values
-            keep = np.ones(nrows, dtype=np.bool_)
-            for term in program.terms:
-                keep &= term.evaluate(cast[term.column])
-            self.device.meters.rows_selected += int(keep.sum())
-            selected = dev.masked(keep)
-
-        if leftover is not None:
-            # Forwarded to the Row Transformer (Sec. VI-A): remaining
-            # columns stream under the selector's mask.
-            with self.tracer.span(
-                "device.transformer", lane="device.transformer",
-                rows_in=selected.relation.nrows,
-            ):
-                for name in sorted(leftover.column_refs()):
-                    self._consume(selected, name)
-                self.device.meters.rows_transformed += (
-                    selected.relation.nrows
-                )
-                mask_rel = self.device._transform(
-                    (("@mask", leftover),),
-                    selected.relation.columns,
-                    selected.relation.nrows,
-                    subquery_executor=self.scalar_executor,
-                )
-                keep2 = mask_rel.column("@mask").values.astype(np.bool_)
-                selected = selected.masked(keep2)
-        return selected
-
-    def _exec_project(self, plan: Project) -> _DeviceRel:
-        dev = self._exec(plan.child)
-        nrows = dev.relation.nrows
-        self.rows_processed += nrows
-
-        for _, expr in plan.outputs:
-            for name in sorted(expr.column_refs()):
-                self._consume(dev, name)
-
-        with self.tracer.span(
-            "device.transformer", lane="device.transformer",
-            rows_in=nrows,
-        ):
-            transformed = self.device._transform(
-                plan.outputs,
-                dev.relation.columns,
-                nrows,
-                subquery_executor=self.scalar_executor,
+            self.tasks.append(task)
+            stream = self.device.run_table_task(
+                task, stream, self.scalar_executor
             )
-        self.device.meters.rows_transformed += nrows
-
-        origin: dict[str, tuple[str, str]] = {}
-        for name, expr in plan.outputs:
-            if isinstance(expr, ColumnRef) and expr.name in dev.origin:
-                origin[name] = dev.origin[expr.name]
-        return _DeviceRel(
-            relation=transformed,
-            rowid_map=dev.rowid_map,
-            origin=origin,
-            charged=dev.charged,
-            pages=dev.pages,
-        )
+        return stream
 
     # -- joins ---------------------------------------------------------------------
 
-    def _exec_join(self, plan: Join) -> _DeviceRel:
+    def _exec_join(self, plan: Join) -> DeviceStream:
         if plan.kind is JoinKind.LEFT_OUTER:
             # Never offloaded by the compiler; no NULL padding here.
             raise NotImplementedError(
                 f"device cannot execute {plan.kind.name} Join"
             )
+        return self.device.node_span(
+            "join", getattr(plan, "node_id", None), self._join, plan
+        )
+
+    def _join(self, plan: Join) -> DeviceStream:
         left = self._exec(plan.left)
         right = self._exec(plan.right)
-        self.rows_processed += left.relation.nrows + right.relation.nrows
+        self.device.meters.rows_streamed += (
+            left.relation.nrows + right.relation.nrows
+        )
 
         shortcut = self._try_join_index(plan, left, right)
         if shortcut is not None:
             return shortcut
 
-        self._consume(left, plan.left_key)
-        self._consume(right, plan.right_key)
+        self.device.charge(left, plan.left_key)
+        self.device.charge(right, plan.right_key)
         left_keys = left.relation.column(plan.left_key).values
         right_keys = right.relation.column(plan.right_key).values
 
@@ -363,16 +186,14 @@ class DeviceExecutor:
         payload_bytes = 8 if plan.kind is JoinKind.INNER else 0
         residual_bytes = 8 if plan.residual is not None else 0
         per_row = key_bytes + payload_bytes + residual_bytes
-        build_name = f"join-build-{next(self._names)}"
         try:
-            self.device.memory.allocate(
-                build_name, len(right_keys) * per_row
+            build_name = self._allocate(
+                "join-build", len(right_keys) * per_row
             )
         except MemoryExceeded:
-            self.device.memory.allocate(
-                build_name, len(left_keys) * per_row
+            build_name = self._allocate(
+                "join-build", len(left_keys) * per_row
             )
-        self._allocations.append(build_name)
         self.device.meters.sorter_bytes += (
             len(left_keys) + len(right_keys)
         ) * (key_bytes + payload_bytes)
@@ -385,9 +206,7 @@ class DeviceExecutor:
             out = self._pair(left, right, li, ri)
             # Matched RowID pairs persist for the query's lifetime
             # (the backward pointers of Sec. VI-D).
-            pairs_name = f"join-pairs-{next(self._names)}"
-            self.device.memory.allocate(pairs_name, len(li) * 16)
-            self._allocations.append(pairs_name)
+            self._allocate("join-pairs", len(li) * 16)
         else:
             keep, _ = join_keep(
                 plan.kind, left_keys, right_keys, residual
@@ -399,30 +218,24 @@ class DeviceExecutor:
         return out
 
     def _residual_mask(
-        self, left: _DeviceRel, right: _DeviceRel, predicate: Expr,
+        self, left: DeviceStream, right: DeviceStream, predicate: Expr,
         li: np.ndarray, ri: np.ndarray,
     ) -> np.ndarray:
-        pair = self._pair(left, right, li, ri)
-        for name in sorted(predicate.column_refs()):
-            self._consume(pair, name)
-        mask_rel = self.device._transform(
-            (("@res", predicate),),
-            pair.relation.columns,
-            pair.relation.nrows,
-            subquery_executor=self.scalar_executor,
+        return self.device.row_mask(
+            self._pair(left, right, li, ri), predicate,
+            self.scalar_executor,
         )
-        return mask_rel.column("@res").values.astype(np.bool_)
 
     def _pair(
-        self, left: _DeviceRel, right: _DeviceRel, li, ri
-    ) -> _DeviceRel:
+        self, left: DeviceStream, right: DeviceStream, li, ri
+    ) -> DeviceStream:
         rowid_map = {t: ids[li] for t, ids in left.rowid_map.items()}
         rowid_map.update(
             {t: ids[ri] for t, ids in right.rowid_map.items()}
         )
         origin = dict(left.origin)
         origin.update(right.origin)
-        return _DeviceRel(
+        return DeviceStream(
             relation=pair_relation(left.relation, right.relation, li, ri),
             rowid_map=rowid_map,
             origin=origin,
@@ -430,8 +243,8 @@ class DeviceExecutor:
         )
 
     def _try_join_index(
-        self, plan: Join, left: _DeviceRel, right: _DeviceRel
-    ) -> _DeviceRel | None:
+        self, plan: Join, left: DeviceStream, right: DeviceStream
+    ) -> DeviceStream | None:
         """MonetDB join-index shortcut (Sec. VI-D).
 
         When the probe key is a foreign key whose referenced table is
@@ -472,7 +285,7 @@ class DeviceExecutor:
                 return None
 
         index_column = join_index_name(fk_column)
-        self._charge(left, fk_table, index_column)
+        self.device.charge_base(left, fk_table, index_column)
         left_rowids = left.rowid_map[fk_table]
         base = self.catalog.table(fk_table)
         right_rowids = base.column(index_column).values[left_rowids]
@@ -492,7 +305,7 @@ class DeviceExecutor:
 
         rowid_map = dict(left.rowid_map)
         rowid_map[fk.ref_table] = right_rowids.astype(np.int64)
-        out = _DeviceRel(
+        out = DeviceStream(
             relation=Relation(columns),
             rowid_map=rowid_map,
             origin=origin,
@@ -506,61 +319,8 @@ class DeviceExecutor:
         # The gathered columns stream now, under the gather's row ids —
         # which repeat, so their count says nothing about coverage.
         for name in right.relation.names:
-            self._consume(out, name, whole_if_all_rows=False)
+            self.device.charge(out, name, whole_if_all_rows=False)
         return out
-
-    # -- reductions -----------------------------------------------------------------
-
-    def _exec_aggregate(self, plan: Aggregate) -> _DeviceRel:
-        dev = self._exec(plan.child)
-        nrows = dev.relation.nrows
-        self.rows_processed += nrows
-
-        needed = set(plan.keys)
-        for spec in plan.aggregates:
-            if spec.expr is not None:
-                needed |= spec.expr.column_refs()
-        for name in sorted(needed):
-            self._consume(dev, name)
-
-        # The hash-table model: spills counted against 1024 buckets.
-        with self.tracer.span(
-            "device.swissknife", lane="device.swissknife",
-            op="aggregate_groupby", rows_in=nrows,
-        ):
-            key_arrays = [dev.relation.column(k) for k in plan.keys]
-            if key_arrays and nrows:
-                widths = [
-                    4 if a.kind is Kind.STR else 8 for a in key_arrays
-                ]
-                zipped, id_bytes = zip_group_columns(
-                    [a.values for a in key_arrays], widths
-                )
-                stats = self.device.groupby_accel.run(
-                    zipped,
-                    {"@count": np.ones(nrows, dtype=np.int64)},
-                    {"@count": "cnt"},
-                    group_id_bytes=id_bytes,
-                )
-                self.device.meters.spilled_groups += stats.n_spilled_groups
-                self.spilled_rows += len(stats.spilled_rows)
-
-            out, _ = aggregate_relation(dev.relation, plan,
-                                        self.scalar_executor)
-        return _DeviceRel(
-            relation=out, rowid_map={}, origin={}, charged=dev.charged
-        )
-
-    def _exec_distinct(self, plan: Distinct) -> _DeviceRel:
-        dev = self._exec(plan.child)
-        nrows = dev.relation.nrows
-        self.rows_processed += nrows
-        for name in dev.relation.names:
-            self._consume(dev, name)
-        return _DeviceRel(
-            relation=distinct_relation(dev.relation), rowid_map={},
-            origin={}, charged=dev.charged,
-        )
 
 
 class HybridEngine(Engine):
@@ -579,7 +339,7 @@ class HybridEngine(Engine):
         self.device = device
         self.decisions = decisions
         self.offload_roots = offload_roots
-        self.device_rows = 0
+        self.tasks: list[TableTask] = []  # of subtrees not rolled back
         self.runtime_suspensions: set[SuspendReason] = set()
         # Deterministic device-fault addressing: the host plan walk is
         # single-threaded, so offload attempts have a stable order and
@@ -592,7 +352,8 @@ class HybridEngine(Engine):
             decision is not None and decision.stream_for_assist
         )
         if id(plan) in self.offload_roots and worth_offloading:
-            meters_snapshot = replace(self.device.meters)
+            checkpoint = self.device.checkpoint()
+            spilled_before = self.device.meters.spilled_rows
             executor = DeviceExecutor(self.device, self.scalar)
             subtree = self.tracer.span(
                 "device.subtree", lane="device",
@@ -606,16 +367,19 @@ class HybridEngine(Engine):
                     if injector.enabled:
                         injector.check_device(fault_site)
                     relation = executor.run(plan)
-                self.device_rows += executor.rows_processed
-                if executor.spilled_rows:
+                self.tasks.extend(executor.tasks)
+                spilled_rows = (
+                    self.device.meters.spilled_rows - spilled_before
+                )
+                if spilled_rows:
                     # Spilled group-by buckets accumulate on the host
                     # at the Sec. VI-E lookup rate.
                     self.trace.record_op(
                         OpTrace(
                             "aggregate",
-                            rows_in=executor.spilled_rows,
+                            rows_in=spilled_rows,
                             rows_out=0,
-                            bytes_in=executor.spilled_rows * 16,
+                            bytes_in=spilled_rows * 16,
                             bytes_out=0,
                             detail="device spill accumulate",
                             groups=0,
@@ -626,28 +390,16 @@ class HybridEngine(Engine):
             except MemoryExceeded:
                 # Condition 4: hand the whole subtree back to the host
                 # at baseline speed (the paper's conservative
-                # assumption); roll the device meters back.
-                self.device.meters.__dict__.update(
-                    meters_snapshot.__dict__
-                )
-                self.runtime_suspensions.add(SuspendReason.DRAM_EXCEEDED)
-                self._record_suspend(SuspendReason.DRAM_EXCEEDED)
+                # assumption).
+                self._suspend(SuspendReason.DRAM_EXCEEDED, checkpoint)
             except HeapTooLarge:
-                self.device.meters.__dict__.update(
-                    meters_snapshot.__dict__
-                )
-                self.runtime_suspensions.add(SuspendReason.STRING_HEAP)
-                self._record_suspend(SuspendReason.STRING_HEAP)
+                self._suspend(SuspendReason.STRING_HEAP, checkpoint)
             except DeviceFault as fault:
                 # Injected mid-task device death: same conservative
-                # recovery as the planned suspensions — roll the meters
-                # back and re-run the whole subtree on the host, which
-                # is ground truth and therefore bit-identical.
-                self.device.meters.__dict__.update(
-                    meters_snapshot.__dict__
-                )
-                self.runtime_suspensions.add(SuspendReason.DEVICE_FAULT)
-                self._record_suspend(SuspendReason.DEVICE_FAULT)
+                # recovery as the planned suspensions — re-run the
+                # whole subtree on the host, which is ground truth and
+                # therefore bit-identical.
+                self._suspend(SuspendReason.DEVICE_FAULT, checkpoint)
                 injector.record_fallback(
                     fault.site, SuspendReason.DEVICE_FAULT.value
                 )
@@ -658,8 +410,11 @@ class HybridEngine(Engine):
                     return super()._run(plan)
         return super()._run(plan)
 
-    def _record_suspend(self, reason: SuspendReason) -> None:
-        """Mark a runtime suspension + rollback in spans and metrics."""
+    def _suspend(self, reason: SuspendReason, checkpoint: tuple) -> None:
+        """Roll the device's activity back to before the subtree and
+        mark the suspension in spans and metrics."""
+        self.device.rollback(checkpoint)
+        self.runtime_suspensions.add(reason)
         self.tracer.instant(
             "device.suspend", lane="device", reason=reason.value
         )
@@ -755,9 +510,9 @@ class AquomanSimulator:
             ).inc(meters.spilled_groups)
 
         host_rows = sum(op.rows_in for op in trace.ops)
-        total_rows = host_rows + engine.device_rows
+        total_rows = host_rows + meters.rows_streamed
         trace.offload_fraction_rows = (
-            engine.device_rows / total_rows if total_rows else 0.0
+            meters.rows_streamed / total_rows if total_rows else 0.0
         )
         reasons = compiled.suspend_reasons() | engine.runtime_suspensions
         reasons &= REAL_SUSPENSIONS  # host finalisation is not a suspension
@@ -789,4 +544,5 @@ class AquomanSimulator:
             compiled=compiled,
             suspend_reasons=reasons,
             device=device,
+            tasks=engine.tasks,
         )

@@ -49,6 +49,42 @@ class DeviceTimingPair:
         return abs(self.prototype_s - self.simulator_s) / self.simulator_s
 
 
+def prototype_stage_seconds(
+    trace: QueryTrace,
+    device: AquomanDevice,
+    scale_ratio: float,
+    config: AquomanConfig | None = None,
+) -> dict[str, float]:
+    """Each pipeline stage's time from its own activity counter,
+    scaled to the simulated SF, at prototype clocks."""
+    cfg = config or AquomanConfig("AQUOMAN", dram_bytes=40 * GB)
+    meters = device.meters
+    return {
+        "flash": (
+            trace.aquoman_flash_bytes * scale_ratio
+            / cfg.flash_read_bandwidth
+        ),
+        "selector": (
+            device.row_selector.rows_scanned
+            * scale_ratio
+            / (SELECTOR_VALUES_PER_CYCLE * PIPELINE_CLOCK_HZ)
+        ),
+        # One row vector per ~4-instruction initiation interval: the
+        # prototype's 4 PEs x 8-entry imem pipeline (Sec. VII).
+        "transform": (
+            meters.rows_transformed
+            * scale_ratio
+            / TRANSFORM_VECTOR_ROWS
+            * 4
+            / PIPELINE_CLOCK_HZ
+        ),
+        "sorter": SorterThroughputModel().sort_seconds(
+            int(meters.sorter_bytes * scale_ratio), alternation=0.5
+        ),
+        "dma": meters.output_bytes * scale_ratio / cfg.dma_bandwidth,
+    }
+
+
 def prototype_device_seconds(
     trace: QueryTrace,
     device: AquomanDevice,
@@ -57,36 +93,12 @@ def prototype_device_seconds(
 ) -> float:
     """The component-cycle ("FPGA") estimate of device time.
 
-    Stage times come from per-component activity counters scaled to the
-    simulated SF; the pipeline overlaps stages, so the device time is
-    the slowest stage plus the DMA drain.
+    The pipeline overlaps its stages, so the device time is the
+    slowest stage plus the DMA drain.
     """
-    cfg = config or AquomanConfig("AQUOMAN", dram_bytes=40 * GB)
-    meters = device.meters
-
-    flash_s = (
-        trace.aquoman_flash_bytes * scale_ratio / cfg.flash_read_bandwidth
-    )
-    selector_s = (
-        device.row_selector.rows_scanned
-        * scale_ratio
-        / (SELECTOR_VALUES_PER_CYCLE * PIPELINE_CLOCK_HZ)
-    )
-    # One row vector per ~4-instruction initiation interval: the
-    # prototype's 4 PEs x 8-entry imem pipeline (Sec. VII).
-    transform_s = (
-        meters.rows_transformed
-        * scale_ratio
-        / TRANSFORM_VECTOR_ROWS
-        * 4
-        / PIPELINE_CLOCK_HZ
-    )
-    sorter_model = SorterThroughputModel()
-    sorter_s = sorter_model.sort_seconds(
-        int(meters.sorter_bytes * scale_ratio), alternation=0.5
-    )
-    dma_s = meters.output_bytes * scale_ratio / cfg.dma_bandwidth
-    return max(flash_s, selector_s, transform_s, sorter_s) + dma_s
+    stages = prototype_stage_seconds(trace, device, scale_ratio, config)
+    dma_s = stages.pop("dma")
+    return max(stages.values()) + dma_s
 
 
 def validate_device_timing(

@@ -1,10 +1,13 @@
 """Query compiler: offload decisions and the paper's suspension classes."""
 
+import numpy as np
 import pytest
 
 from repro import tpch
+from repro.core import AquomanDevice, AquomanSimulator, DeviceConfig
 from repro.core.compiler import QueryCompiler, SuspendReason
 from repro.core.tabletask import SwissknifeOp
+from repro.engine import Engine
 from repro.sqlir import AggFunc, col, lit, lit_date, scan
 from repro.sqlir.expr import Like, ScalarSubquery, Substring
 from repro.sqlir.plan import Aggregate, Scan
@@ -194,27 +197,107 @@ class TestTpchClasses:
 
 
 class TestTableTaskEmission:
+    """What is emitted is what runs: lists are executed, not read."""
+
+    @staticmethod
+    def _run(db, tasks, config=None):
+        device = AquomanDevice(db, config)
+        engine = Engine(db)
+        stream = None
+        for task in tasks:
+            stream = device.run_table_task(task, stream, engine.scalar)
+        return device, stream.relation
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert got.names == want.names
+        for name in want.names:
+            a, b = got.column(name), want.column(name)
+            assert (a.kind, a.scale) == (b.kind, b.scale), name
+            assert np.array_equal(a.values, b.values), name
+
     def test_q6_single_task(self, small_db):
-        compiler = QueryCompiler(small_db)
-        tasks = compiler.emit_table_tasks(tpch.query(6))
+        plan = tpch.query(6)
+        config = DeviceConfig(scale_ratio=SF1000_RATIO)
+        tasks = QueryCompiler(small_db).emit_table_tasks(plan, config)
         assert len(tasks) == 1
         task = tasks[0]
         assert task.table == "lineitem"
-        # shipdate x2, discount x2, quantity: five CP terms (the paper's
-        # "4 to 6 evaluators" upper end).
-        assert len(task.row_sel) == 5
+        # shipdate x2, discount x2, quantity: five CP terms, one more
+        # than the prototype's evaluators; the fifth rides with the
+        # transformer.
+        assert len(task.row_sel) == 4
+        assert task.row_filter is not None
         assert task.operator is SwissknifeOp.AGGREGATE
 
+        device, got = self._run(small_db, tasks, config)
+        self._assert_same(got, Engine(small_db).execute_relation(plan))
+        sim = AquomanSimulator(small_db, config).run(plan)
+        assert device.meters.flash_bytes == sim.trace.aquoman_flash_bytes
+        assert device.meters.tasks_run == 1
+
+    @pytest.mark.parametrize("n_evaluators", [0, 1, 4, 6])
+    def test_q6_under_any_evaluator_budget(self, small_db, n_evaluators):
+        plan = tpch.query(6)
+        config = DeviceConfig(n_predicate_evaluators=n_evaluators)
+        (task,) = QueryCompiler(small_db).emit_table_tasks(plan, config)
+        assert len(task.row_sel) == min(n_evaluators, 5)
+        assert (task.row_filter is None) == (n_evaluators >= 5)
+        _, got = self._run(small_db, [task], config)
+        self._assert_same(got, Engine(small_db).execute_relation(plan))
+
     def test_q1_single_task_groupby(self, small_db):
-        compiler = QueryCompiler(small_db)
-        tasks = compiler.emit_table_tasks(tpch.query(1))
-        task = tasks[0]
+        plan = tpch.query(1)
+        config = DeviceConfig(scale_ratio=SF1000_RATIO)
+        tasks = QueryCompiler(small_db).emit_table_tasks(plan, config)
+        (task,) = tasks
         assert task.operator is SwissknifeOp.AGGREGATE_GROUPBY
-        assert task.operator_args["keys"] == [
+        assert list(task.operator_args["keys"]) == [
             "l_returnflag", "l_linestatus",
         ]
 
-    def test_join_tree_rejected(self, small_db):
-        compiler = QueryCompiler(small_db)
-        with pytest.raises(ValueError, match="single-table"):
-            compiler.emit_table_tasks(tpch.query(3))
+        device, got = self._run(small_db, tasks, config)
+        # COUNT(*) and the three AVGs come out of the task itself.
+        assert {"count_order", "avg_qty", "avg_price", "avg_disc"} <= set(
+            got.names
+        )
+        # The plan's root Sort is host finalisation, not a task.
+        self._assert_same(
+            got, Engine(small_db).execute_relation(plan.child)
+        )
+        sim = AquomanSimulator(small_db, config).run(plan)
+        assert device.meters.flash_bytes == sim.trace.aquoman_flash_bytes
+
+    def test_q3_emits_scan_and_post_join_chains(self, small_db):
+        tasks = QueryCompiler(small_db).emit_table_tasks(tpch.query(3))
+        assert [t.table for t in tasks] == [
+            "lineitem", "orders", "customer", None, None,
+        ]
+        # Project then Aggregate fold into one pass over the join's
+        # pairs; the Project above the Aggregate needs a second.
+        assert tasks[3].row_transf is not None
+        assert tasks[3].operator is SwissknifeOp.AGGREGATE_GROUPBY
+        assert tasks[4].operator is SwissknifeOp.NOP
+        # c_mktsegment = 'BUILDING' is a string compare: nothing for
+        # the selector, all of it for the regex path.
+        assert len(tasks[2].row_sel) == 0
+        assert tasks[2].row_filter is not None
+
+    def test_stacked_filters_split_and_each_get_a_full_budget(self, small_db):
+        plan = (
+            scan("lineitem", ("l_quantity", "l_discount", "l_tax"))
+            .filter(
+                (col("l_quantity") < lit(30)) & (col("l_discount") > lit(0.02))
+            )
+            .filter(col("l_tax") < lit(0.05))
+            .aggregate(aggs=[("n", AggFunc.COUNT, None)])
+            .plan
+        )
+        config = DeviceConfig(n_predicate_evaluators=2)
+        tasks = QueryCompiler(small_db).emit_table_tasks(plan, config)
+        assert [len(t.row_sel) for t in tasks] == [2, 1]
+        assert tasks[1].table is None
+        assert tasks[1].operator is SwissknifeOp.AGGREGATE
+        device, got = self._run(small_db, tasks, config)
+        self._assert_same(got, Engine(small_db).execute_relation(plan))
+        assert device.meters.tasks_run == 2

@@ -16,9 +16,14 @@ from repro.core.row_selector import (
     PredicateOp,
     PredicateProgram,
 )
-from repro.sqlir.expr import col, lit
+from repro.engine.relation import Relation
+from repro.sqlir.expr import AggFunc, Kind, TypedArray, col, lit
+from repro.sqlir.plan import AggSpec
 from repro.storage import Catalog, Column, Table
 from repro.storage.types import DECIMAL, INT64, date_to_days
+
+
+TOTAL_PRICE = AggSpec("total", AggFunc.SUM, col("price"))
 
 
 @pytest.fixture()
@@ -69,6 +74,13 @@ def store_db():
     return cat
 
 
+def _rowids(rowids):
+    """A DRAM intermediate naming rows, as ``mask_src`` reads it."""
+    return Relation(
+        {ROWID: TypedArray(np.array(rowids, dtype=np.int64), Kind.INT, 0)}
+    )
+
+
 class TestSingleTableTask:
     def test_filter_transform_aggregate(self, store_db):
         """The Fig. 1 aggregate query as one Table Task."""
@@ -86,10 +98,10 @@ class TestSingleTableTask:
             ),
             row_transf=(("price", col("price")),),
             operator=SwissknifeOp.AGGREGATE,
-            operator_args={"aggs": [("total", "sum", "price")]},
+            operator_args={"aggregates": [TOTAL_PRICE]},
             output=TaskOutput.HOST,
         )
-        out = device.run_table_task(task)
+        out = device.run_table_task(task).relation
         # Sales after 2018-03-15: 20.0? no - txn 2 is 03-20 -> included.
         # Included: 20 + 8 + 12 + 21 + 6 = 67.
         assert out.column("total").values.tolist() == [6700]
@@ -107,10 +119,10 @@ class TestSingleTableTask:
             operator=SwissknifeOp.AGGREGATE_GROUPBY,
             operator_args={
                 "keys": ["s_invt_id"],
-                "aggs": [("total", "sum", "price")],
+                "aggregates": [TOTAL_PRICE],
             },
         )
-        out = device.run_table_task(task)
+        out = device.run_table_task(task).relation
         got = dict(
             zip(
                 out.column("s_invt_id").values.tolist(),
@@ -128,7 +140,7 @@ class TestSingleTableTask:
             operator=SwissknifeOp.TOPK,
             operator_args={"k": 2, "key": "price"},
         )
-        out = device.run_table_task(task)
+        out = device.run_table_task(task).relation
         assert out.column("price").values.tolist() == [2100, 2000]
 
     def test_transform_runs_on_pes(self, store_db):
@@ -137,7 +149,7 @@ class TestSingleTableTask:
             table="sales_transactions",
             row_transf=(("net", col("price") * (1 - lit(0.5))),),
         )
-        out = device.run_table_task(task)
+        out = device.run_table_task(task).relation
         assert out.column("net").values[0] == 10.0 * 100 * 50
         assert device.meters.pe_fallback_exprs == 0  # pure PE path
 
@@ -150,7 +162,7 @@ class TestSingleTableTask:
                 ("invt_id", col("invt_id")),
             ),
         )
-        out = device.run_table_task(task)
+        out = device.run_table_task(task).relation
         assert out.column("is_shoe").values.tolist() == [1, 0, 1, 0, 1, 0]
         assert device.regex_accel.rows_evaluated == 6
 
@@ -185,7 +197,8 @@ class TestJoinTaskChain:
                 output_name="MEM_1",
             ),
         ]
-        device.run_table_tasks(tasks)
+        for task in tasks:
+            device.run_table_task(task)
         merged = device.load_intermediate("MEM_1")
         # Matched inventory ids of post-03-15 sales: {3, 4, 5, 6} each 1.
         assert sorted(merged.column("s_invt_id").values.tolist()) == [
@@ -195,21 +208,15 @@ class TestJoinTaskChain:
 
     def test_mask_src_from_dram(self, store_db):
         device = AquomanDevice(store_db)
-        selected = np.array([0, 2, 4], dtype=np.int64)
-        from repro.engine.relation import Relation
-        from repro.sqlir.expr import Kind, TypedArray
-
-        device.store_intermediate(
-            "MASK", Relation({ROWID: TypedArray(selected, Kind.INT, 0)})
-        )
+        device.store_intermediate("MASK", _rowids([0, 2, 4]))
         task = TableTask(
             table="sales_transactions",
             mask_src="MASK",
             row_transf=(("price", col("price")),),
             operator=SwissknifeOp.AGGREGATE,
-            operator_args={"aggs": [("total", "sum", "price")]},
+            operator_args={"aggregates": [TOTAL_PRICE]},
         )
-        out = device.run_table_task(task)
+        out = device.run_table_task(task).relation
         assert out.column("total").values.tolist() == [4200]  # 10+20+12
 
     def test_sort_task_stores_sorted_keys(self, store_db):
@@ -233,13 +240,7 @@ class TestJoinTaskChain:
 
     def test_memory_lifecycle(self, store_db):
         device = AquomanDevice(store_db)
-        from repro.engine.relation import Relation
-        from repro.sqlir.expr import Kind, TypedArray
-
-        rel = Relation(
-            {ROWID: TypedArray(np.arange(4), Kind.INT, 0)}
-        )
-        device.store_intermediate("X", rel)
+        device.store_intermediate("X", _rowids(range(4)))
         assert device.memory.holds("X")
         device.free_intermediate("X")
         assert not device.memory.holds("X")
@@ -250,21 +251,43 @@ class TestJoinTaskChain:
 class TestTrafficAccounting:
     def test_unmasked_read_charges_whole_column(self, store_db):
         device = AquomanDevice(store_db)
-        nbytes = device.charge_column_read("sales_transactions", "price")
-        assert nbytes == 8192  # one 8 KB page
+        task = TableTask(
+            table="sales_transactions",
+            row_transf=(("price", col("price")),),
+        )
+        device.run_table_task(task)
+        assert device.meters.flash_bytes == 8192  # one 8 KB page
 
     def test_masked_read_skips_pages(self, small_db):
-        from repro.util.bitvector import BitVector
-
         device = AquomanDevice(small_db)
         extent = device.layout.extent("lineitem", "l_orderkey")
+        task = TableTask(
+            table="lineitem",
+            mask_src="ONE_ROW",
+            row_transf=(("l_orderkey", col("l_orderkey")),),
+        )
         # Selecting one row touches exactly one page.
-        mask = BitVector.from_indices([0], extent.nrows)
-        assert device.charge_column_read(
-            "lineitem", "l_orderkey", mask
-        ) == 8192
-        full = device.charge_column_read("lineitem", "l_orderkey")
-        assert full == extent.n_pages * 8192
+        device.store_intermediate("ONE_ROW", _rowids([0]))
+        device.run_table_task(task)
+        assert device.meters.flash_bytes == 8192
+        device.store_intermediate("ONE_ROW", _rowids(range(extent.nrows)))
+        device.run_table_task(task)
+        assert device.meters.flash_bytes == 8192 + extent.n_pages * 8192
+
+    def test_a_column_is_read_once_per_stream(self, store_db):
+        """The selector's column is not charged again by the transform."""
+        device = AquomanDevice(store_db)
+        task = TableTask(
+            table="sales_transactions",
+            row_sel=PredicateProgram(
+                (ColumnPredicate("price", PredicateOp.GT, 1000),)
+            ),
+            row_transf=(("price", col("price")),),
+        )
+        out = device.run_table_task(task).relation
+        assert out.column("price").values.tolist() == [2000, 1200, 1100, 2100]
+        assert device.meters.flash_bytes == 8192
+        assert device.row_selector.rows_scanned == 8
 
     def test_effective_heap_scaling(self, small_db):
         cfg = DeviceConfig(scale_ratio=1000.0)

@@ -88,6 +88,12 @@ def plans(draw):
     if draw(st.booleans()):
         threshold = draw(st.integers(0, 10_000))
         builder = builder.filter(col("f_price") > lit(threshold) * 1)
+        if draw(st.booleans()):
+            # A second stacked Filter, as the SQL planner emits one per
+            # conjunct: it cannot share the first one's Table Task.
+            builder = builder.filter(
+                col("f_qty") <= lit(draw(st.integers(1, 50)))
+            )
 
     if draw(st.booleans()):
         builder = builder.join(
@@ -110,7 +116,16 @@ def plans(draw):
                 ("total", AggFunc.SUM, col(value_col)),
                 ("n", AggFunc.COUNT, None),
             ],
-        ).sort("f_key")
+        )
+        if draw(st.booleans()):
+            # A Project over the Aggregate (the SQL planner's select
+            # list): a second task behind the Swissknife.
+            builder = builder.project(
+                f_key=col("f_key"),
+                total=col("total") * 2,
+                n=col("n"),
+            )
+        builder = builder.sort("f_key")
     return builder.plan
 
 
@@ -122,6 +137,9 @@ class TestDifferential:
         config = DeviceConfig(dram_bytes=40 * GB, scale_ratio=ratio)
         result = AquomanSimulator(catalog, config).run(plan)
         assert baseline.equals(result.table.renamed("result"))
+        assert result.device.meters.tasks_run == len(result.tasks)
+        if result.offloaded:
+            assert result.tasks
 
     @given(catalogs(), plans())
     @settings(max_examples=30, deadline=None)

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro import tpch
 from repro.core import AquomanDevice, AquomanSimulator, DeviceConfig
-from repro.core.simulator import _DeviceRel
+from repro.core.device import DeviceStream
 from repro.engine import Engine, MorselConfig
 from repro.engine.relation import Relation
 from repro.engine.morsel import TUNED_MORSEL_ROWS
@@ -319,7 +319,7 @@ class TestTouchedPages:
 
 class TestSelectionMemo:
     def _rel(self, rowids):
-        return _DeviceRel(
+        return DeviceStream(
             relation=Relation(
                 {"x": TypedArray(np.asarray(rowids), Kind.INT, 0)}
             ),
@@ -370,9 +370,8 @@ class TestSharedLayout:
     def test_device_builds_its_own_without_one(self, db):
         device = AquomanDevice(db)
         assert device.layout is not AquomanDevice(db).layout
-        assert device.charge_column_read("lineitem", "l_tax") == (
-            device.layout.extent("lineitem", "l_tax").n_pages * PAGE_BYTES
-        )
+        extent = device.layout.extent("lineitem", "l_tax")
+        assert device.charge_pages(extent) == extent.n_pages * PAGE_BYTES
 
 
 if __name__ == "__main__":

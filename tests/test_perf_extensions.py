@@ -13,6 +13,7 @@ from repro.perf.tpch_eval import collect_traces
 from repro.perf.trace import OpTrace, QueryTrace
 from repro.perf.validation import (
     prototype_device_seconds,
+    prototype_stage_seconds,
     validate_device_timing,
 )
 from repro.util.units import GB
@@ -100,6 +101,17 @@ class TestValidation:
             q6_sim.trace, q6_sim.device, scale_ratio=1e5
         )
         assert seconds > 0
+
+    def test_every_stage_q6_uses_is_timed(self, q6_sim):
+        """The Row Selector's counter is fed by the simulated run, so
+        its stage is part of the estimate (it read 0 until the
+        simulator ran Table Tasks)."""
+        stages = prototype_stage_seconds(
+            q6_sim.trace, q6_sim.device, scale_ratio=1e5
+        )
+        assert stages["selector"] > 0
+        assert stages["transform"] > 0
+        assert stages["flash"] > stages["selector"]  # flash still binds
 
     def test_two_models_agree_on_q6(self, q6_sim):
         pair = validate_device_timing(

@@ -13,7 +13,7 @@ from repro.core.compiler import SuspendReason
 from repro.core.device import AquomanDevice
 from repro.core.simulator import DeviceExecutor
 from repro.engine import Engine
-from repro.sqlir import AggFunc, JoinKind, col, lit_date, scan
+from repro.sqlir import AggFunc, JoinKind, col, lit, lit_date, scan
 from repro.util.units import GB, MB
 
 SF1000_RATIO = 1000 / 0.01
@@ -145,6 +145,76 @@ class TestOffloadBehaviour:
         device = AquomanDevice(tiny_db, config)
         with pytest.raises(NotImplementedError, match="cannot execute"):
             DeviceExecutor(device, Engine(tiny_db).scalar).run(plan)
+
+
+class TestTableTaskScheduling:
+    """The simulator runs its subtrees as Table Tasks on the device."""
+
+    @pytest.mark.parametrize("number", [1, 6, 3, 10])
+    def test_fig17_queries_feed_the_unit_counters(
+        self, small_db, config, number
+    ):
+        device = AquomanSimulator(small_db, config).run(
+            tpch.query(number)
+        ).device
+        assert device.meters.tasks_run >= 1
+        assert device.row_selector.rows_scanned > 0
+
+    def test_task_census(self, small_db, config):
+        """tasks_run counts exactly the tasks the scheduler emitted for
+        subtrees it did not roll back."""
+        sim = AquomanSimulator(small_db, config)
+        for n in tpch.ALL_QUERIES:
+            result = sim.run(tpch.query(n), query=f"q{n:02d}")
+            tasks_run = result.device.meters.tasks_run
+            assert tasks_run == len(result.tasks), n
+            if result.trace.aquoman_flash_bytes > 0:
+                assert tasks_run >= 1, n
+            if n in (13, 22):  # nothing of these offloads at SF 1000
+                assert tasks_run == 0, n
+
+    def test_a_chain_folds_into_one_task_per_pipeline_pass(
+        self, small_db, config
+    ):
+        plan = (
+            scan("lineitem", ("l_quantity", "l_tax", "l_discount"))
+            .filter(col("l_quantity") < lit(30))
+            .filter(col("l_tax") < lit(0.05))
+            .project(d=col("l_discount") * 2)
+            .aggregate(aggs=[("s", AggFunc.SUM, col("d"))])
+            .project(twice=col("s") * 2)
+            .plan
+        )
+        result = AquomanSimulator(small_db, config).run(plan)
+        assert Engine(small_db).execute(plan).equals(
+            result.table.renamed("result")
+        )
+        # filter | filter, project, aggregate | project
+        assert [
+            sorted(task.nodes) for task in result.tasks
+        ] == [
+            ["filter", "scan"], ["aggregate", "filter", "project"],
+            ["project"],
+        ]
+        assert [task.table for task in result.tasks] == [
+            "lineitem", None, None,
+        ]
+
+    def test_rolled_back_subtree_leaves_no_device_activity(self, small_db):
+        """Everything the timing models read goes back with the
+        subtree: meters and the Row Selector's own counters."""
+        cfg = DeviceConfig(dram_bytes=1 * MB, scale_ratio=SF1000_RATIO)
+        result = AquomanSimulator(small_db, cfg).run(tpch.query(3))
+        # The scan chains ran as tasks before the join overflowed DRAM.
+        assert SuspendReason.DRAM_EXCEEDED in result.suspend_reasons
+        device = result.device
+        assert result.tasks == []
+        assert device.meters.tasks_run == 0
+        assert device.meters.flash_bytes == 0
+        assert device.meters.rows_streamed == 0
+        assert device.row_selector.rows_scanned == 0
+        assert device.row_selector.masks_produced == 0
+        assert result.trace.offload_fraction_rows == 0.0
 
 
 class TestSuspensionRollback:
