@@ -9,11 +9,17 @@ query's runtime.  That product is deterministic where a direct A/B
 timing of millisecond-scale queries is noise-bound; the A/B ratio is
 still reported informationally, along with the enabled-mode cost.
 
-The query log gets the same treatment: one ``query_scope`` cycle with
-a log installed (context mint, plan fingerprint, metrics delta, wide
-event build + JSONL append; sampling off) is microbenchmarked per
-query, multiplied by the wide events a run emits, and the product must
-stay under 3% of the disabled runtime.
+The query log is gated in absolute time: one ``query_scope`` cycle with
+a log installed (context mint, plan fingerprint — computed once per
+plan object — metrics delta, wide event build + JSONL append; sampling
+off) is microbenchmarked per query and must stay under
+``QLOG_BUDGET_US`` per event.  Its share of the disabled runtime
+(``qlog_overhead_pct``) is still reported, but not gated: a percentage
+of an ever-faster query fails every engine speed-up while the event
+costs what it always did.  Budget from 5 runs of this file on the
+2-core box (3 queries each, best of 5 x 200 cycles): 30-64 us per
+event, median 47; the parent of the fingerprint memo measured 63-103 us
+in 3 runs.  90 us is 1.4x the worst run seen and 1.9x the median.
 Results land in ``BENCH_obs_overhead.json``.
 """
 
@@ -34,7 +40,7 @@ ARTIFACT = (
 REPEATS = 5
 QUERIES = (1, 6, 14)
 DISABLED_BUDGET_PCT = 2.0
-QLOG_BUDGET_PCT = 3.0
+QLOG_BUDGET_US = 90.0
 NULL_SITE_CALLS = 200_000
 QLOG_CYCLES = 200
 # One _run_both = engine query + simulator run = two wide events.
@@ -141,7 +147,7 @@ def test_obs_overhead(benchmark, db, tmp_path):
     )
 
     worst = max(rows, key=lambda n: rows[n][3])
-    worst_qlog = max(rows, key=lambda n: rows[n][5])
+    worst_qlog = max(rows, key=lambda n: rows[n][4])
     ARTIFACT.write_text(
         json.dumps(
             {
@@ -150,11 +156,15 @@ def test_obs_overhead(benchmark, db, tmp_path):
                 "repeats_best_of": REPEATS,
                 "null_span_site_ns": site_ns,
                 "disabled_budget_pct": DISABLED_BUDGET_PCT,
-                "qlog_budget_pct": QLOG_BUDGET_PCT,
+                "qlog_budget_us_per_event": QLOG_BUDGET_US,
                 "worst_query": worst,
                 "worst_disabled_overhead_pct": rows[worst][3],
                 "worst_qlog_query": worst_qlog,
-                "worst_qlog_overhead_pct": rows[worst_qlog][5],
+                "worst_qlog_event_us": rows[worst_qlog][4] * 1e6,
+                # reported, not gated
+                "worst_qlog_overhead_pct": max(
+                    r[5] for r in rows.values()
+                ),
                 "per_query": {
                     name: {
                         "disabled_s": d,
@@ -174,13 +184,13 @@ def test_obs_overhead(benchmark, db, tmp_path):
         + "\n"
     )
 
-    for name, (_d, _e, sites, pct, _cyc, qpct) in rows.items():
+    for name, (_d, _e, sites, pct, cyc, _qpct) in rows.items():
         assert sites > 0, f"{name}: tracer saw no instrumentation sites"
         assert pct < DISABLED_BUDGET_PCT, (
             f"{name}: {sites} disabled span sites at {site_ns:.0f} ns "
             f"each cost {pct:.3f}% of the query"
         )
-        assert qpct < QLOG_BUDGET_PCT, (
-            f"{name}: {EVENTS_PER_RUN} wide events cost {qpct:.3f}% "
-            "of the query with the log enabled"
+        assert cyc * 1e6 < QLOG_BUDGET_US, (
+            f"{name}: one wide event costs {cyc * 1e6:.1f} us "
+            f"with the log enabled (budget {QLOG_BUDGET_US:.0f})"
         )

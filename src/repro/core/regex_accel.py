@@ -84,15 +84,13 @@ class RegexAccelerator:
     ) -> np.ndarray:
         """Evaluate a compiled pattern into a one-bit column."""
         self.check_heap(heap, effective_heap_bytes)
-        per_code = np.fromiter(
-            (regex.match(s) is not None for s in heap.strings()),
-            dtype=np.bool_,
-            count=heap.unique_count,
-        )
+        # The meters count the modelled accelerator, which matches the
+        # cached heap anew for every pattern it is handed — not what the
+        # heap's verdict memo saved this process.
         self.patterns_compiled += 1
         self.unique_matches += heap.unique_count
         self.rows_evaluated += len(codes)
-        mask = per_code[codes]
+        mask = heap.verdicts(regex)[codes]
         return ~mask if negated else mask
 
     def match_equals(
@@ -122,10 +120,6 @@ class RegexAccelerator:
         effective_heap_bytes: int | None = None,
     ) -> np.ndarray:
         self.check_heap(heap, effective_heap_bytes)
-        targets = [heap.lookup(v) for v in values]
-        targets = np.array(
-            sorted(t for t in targets if t is not None), dtype=np.int64
-        )
         self.rows_evaluated += len(codes)
-        mask = np.isin(codes, targets)
+        mask = heap.members(values)[codes]
         return ~mask if negated else mask

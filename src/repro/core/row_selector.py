@@ -79,9 +79,9 @@ class ColumnPredicate:
     constant: int
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
-        if values.dtype != np.int64:
-            values = values.astype(np.int64)
-        return _NUMPY_PREDICATE[self.op](values, np.int64(self.constant))
+        return _NUMPY_PREDICATE[self.op](
+            values.astype(np.int64, copy=False), np.int64(self.constant)
+        )
 
     def __repr__(self) -> str:
         return f"CP({self.column} {self.op.value} {self.constant})"
@@ -219,12 +219,10 @@ class RowSelector:
         )
         # Cast each column to the comparison domain once, not per term —
         # a column referenced by k CP terms was previously copied k times.
-        cast: dict[str, np.ndarray] = {}
-        for name in program.columns:
-            values = columns[name]
-            if values.dtype != np.int64:
-                values = values.astype(np.int64)
-            cast[name] = values
+        cast = {
+            name: columns[name].astype(np.int64, copy=False)
+            for name in program.columns
+        }
         for term in program.terms:
             mask &= term.evaluate(cast[term.column])
         self.rows_scanned += nrows

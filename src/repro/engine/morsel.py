@@ -55,7 +55,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.analysis.morselsafety import aggregate_merge_verdict
-from repro.core.row_selector import RowSelector, extract_predicate_program
+from repro.core.row_selector import (
+    PredicateProgram,
+    RowSelector,
+    extract_predicate_program,
+)
 from repro.faults.errors import UnrecoverableFault, WorkerCrash
 from repro.faults.injector import get_fault_injector
 from repro.engine.operators.relational import (
@@ -288,6 +292,11 @@ class _SpanReads:
         self.hi = hi
         # column -> flag per page of the span's window, or _FULL
         self._touched: dict[str, np.ndarray | None] = {}
+        # The row-id array last charged, and its page flags per rows
+        # per page: the columns gathered under one selection get one
+        # page-skip answer per value width.
+        self._selection: np.ndarray | None = None
+        self._selection_pages: dict[int, np.ndarray] = {}
 
     def full(self, column: str) -> None:
         self._touched[column] = self._FULL
@@ -296,8 +305,15 @@ class _SpanReads:
         """Charge the pages holding the given global row ids."""
         if column in self._touched and self._touched[column] is self._FULL:
             return
+        if rowids is not self._selection:
+            self._selection, self._selection_pages = rowids, {}
         ext = self.layout.extent(self.table, column)
-        flags = ext.touched_pages(rowids, self.lo, self.hi - self.lo)
+        per_page = ext.rows_per_page()
+        flags = self._selection_pages.get(per_page)
+        if flags is None:
+            flags = self._selection_pages[per_page] = ext.touched_pages(
+                rowids, self.lo, self.hi - self.lo
+            )
         prev = self._touched.get(column)
         self._touched[column] = flags if prev is None else prev | flags
 
@@ -361,6 +377,37 @@ class SpanRunner:
         self.scan_names = scan_names
         self.base_names = base_names
         self.tracer = tracer
+        # The bottom filter's selector program depends on the fragment
+        # alone: built here, once, not per span.
+        steps = fragment.steps
+        self.bottom = (
+            self._selector_program(steps[0].predicate)
+            if steps and isinstance(steps[0], Filter)
+            else None
+        )
+
+    def _selector_program(
+        self, predicate: Expr
+    ) -> tuple[PredicateProgram, Expr | None, list[str]]:
+        """``(program, leftover, leftover's columns)`` of a scan filter."""
+        scales: dict[str, int] = {}
+        excluded: set[str] = set()
+        for name in self.scan_names:
+            kind = self.table.column(name).ctype.kind
+            if kind in (TypeKind.CHAR, TypeKind.BOOL):
+                excluded.add(name)
+            elif kind is TypeKind.DECIMAL:
+                scales[name] = 2
+            else:
+                scales[name] = 0
+        program, leftover = extract_predicate_program(
+            predicate,
+            n_evaluators=HOST_CP_EVALUATORS,
+            string_columns=frozenset(excluded),
+            column_scales=scales,
+        )
+        reads = [] if leftover is None else sorted(leftover.column_refs())
+        return program, leftover, reads
 
     @classmethod
     def for_catalog(cls, catalog, layout, fragment: Fragment, tracer):
@@ -454,9 +501,8 @@ class SpanRunner:
     def _base_relation(
         self, lo: int, hi: int, reads: _SpanReads
     ) -> tuple[Relation, int]:
-        steps = self.fragment.steps
-        if steps and isinstance(steps[0], Filter):
-            return self._filtered_base(steps[0], lo, hi, reads), 1
+        if self.bottom is not None:
+            return self._filtered_base(lo, hi, reads), 1
         columns = {}
         for name in self.base_names:
             col = self.table.column(name)
@@ -466,9 +512,7 @@ class SpanRunner:
             )
         return Relation(columns), 0
 
-    def _filtered_base(
-        self, filt: Filter, lo: int, hi: int, reads: _SpanReads
-    ) -> Relation:
+    def _filtered_base(self, lo: int, hi: int, reads: _SpanReads) -> Relation:
         """Bottom filter: Row Selector first cut, then page-skip gathers.
 
         CP columns stream whole (the selector sees every row); every
@@ -476,60 +520,39 @@ class SpanRunner:
         pages with no survivor are neither read nor charged — the Table
         Reader's page skip, end to end.
         """
-        nrows = hi - lo
-        scales: dict[str, int] = {}
-        excluded: set[str] = set()
-        for name in self.scan_names:
-            kind = self.table.column(name).ctype.kind
-            if kind in (TypeKind.CHAR, TypeKind.BOOL):
-                excluded.add(name)
-            elif kind is TypeKind.DECIMAL:
-                scales[name] = 2
-            else:
-                scales[name] = 0
-        program, leftover = extract_predicate_program(
-            filt.predicate,
-            n_evaluators=HOST_CP_EVALUATORS,
-            string_columns=frozenset(excluded),
-            column_scales=scales,
-        )
-
+        program, leftover, leftover_reads = self.bottom
         selector = RowSelector(n_evaluators=HOST_CP_EVALUATORS)
         cp_slices: dict[str, np.ndarray] = {}
         for name in program.columns:
             col = self.table.column(name)
             reads.full(name)
             cp_slices[name] = col.slice_rows(lo, hi)
-        local = selector.select(program, cp_slices, nrows).indices()
-
+        local = selector.select(program, cp_slices, hi - lo).indices()
         if leftover is not None:
-            cols = {
-                name: self._gather(name, lo, local, cp_slices, reads)
-                for name in sorted(leftover.column_refs())
-            }
-            local = local[predicate_mask(Relation(cols), leftover)]
-
-        columns = {
-            name: self._gather(name, lo, local, cp_slices, reads)
-            for name in self.base_names
-        }
-        return Relation(columns)
+            cut = self._gather(leftover_reads, lo, local, cp_slices, reads)
+            local = local[predicate_mask(cut, leftover)]
+        return self._gather(self.base_names, lo, local, cp_slices, reads)
 
     def _gather(
         self,
-        name: str,
+        names: list[str] | tuple[str, ...],
         lo: int,
         local: np.ndarray,
         cp_slices: dict[str, np.ndarray],
         reads: _SpanReads,
-    ) -> TypedArray:
-        col = self.table.column(name)
-        if name in cp_slices:
-            raw = cp_slices[name][local]
-        else:
-            reads.rows(name, lo + local)
-            raw = col.gather_raw(lo + local)
-        return typed_array_from_column(col, raw)
+    ) -> Relation:
+        """The named columns at the span's ``local`` rows."""
+        rowids = lo + local  # once per selection, not per column
+        columns = {}
+        for name in names:
+            col = self.table.column(name)
+            if name in cp_slices:
+                raw = cp_slices[name][local]
+            else:
+                reads.rows(name, rowids)
+                raw = col.gather_raw(rowids)
+            columns[name] = typed_array_from_column(col, raw)
+        return Relation(columns)
 
 
 # ---------------------------------------------------------------------------

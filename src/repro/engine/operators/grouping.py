@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine.operators.joins import DIRECT_SPAN_FACTOR, direct_window
+
 
 @dataclass
 class GroupedKeys:
@@ -26,34 +28,78 @@ class GroupedKeys:
         return len(self.representative)
 
 
-def group_rows(key_columns: list[np.ndarray]) -> GroupedKeys:
+def group_rows(key_columns: list[np.ndarray], nrows: int = 0) -> GroupedKeys:
     """Factorise one or more equal-length key columns.
 
-    With no key columns, all rows fall into a single global group
-    (SQL's implicit group for aggregate-only queries).
+    With no key columns, all ``nrows`` rows fall into a single global
+    group (SQL's implicit group for aggregate-only queries).
+
+    Two routes, chosen from the inputs alone, give the same numbering:
+    integer keys whose value grid — the product of the per-key spans
+    ``max - min + 1`` — has at most ``DIRECT_SPAN_FACTOR`` cells per
+    row are numbered through a table indexed by the mixed-radix cell
+    (the accelerator's look-up, Sec. VI-C); anything else (floats,
+    sparse or composite-overflowing keys) is sorted.
     """
     if not key_columns:
-        n = 0
         return GroupedKeys(
-            group_of_row=np.zeros(n, dtype=np.int64),
+            group_of_row=np.zeros(nrows, dtype=np.int64),
             representative=np.zeros(1, dtype=np.int64),
         )
 
-    n = len(key_columns[0])
+    keys = [np.asarray(k) for k in key_columns]
+    n = len(keys[0])
     if n == 0:
         return GroupedKeys(
             group_of_row=np.empty(0, dtype=np.int64),
             representative=np.empty(0, dtype=np.int64),
         )
+    cell = _grid_cells(keys)
+    if cell is None:
+        return _group_sorted(keys)
+    return _group_direct(*cell)
 
-    # Lexicographic factorisation: sort rows by the key tuple, mark
-    # boundaries, then renumber groups by first appearance.
-    order = np.lexsort(tuple(reversed([np.asarray(k) for k in key_columns])))
+
+def _grid_cells(keys: list[np.ndarray]) -> tuple[np.ndarray, int] | None:
+    """Each row's cell in the keys' value grid, and the grid's size;
+    None when the grid is not integer or over the cell budget."""
+    budget = DIRECT_SPAN_FACTOR * len(keys[0])
+    cell, cells = None, 1
+    for key in keys:
+        window = direct_window(key, budget // cells)
+        if window is None:
+            return None
+        kmin, span = window
+        digit = np.subtract(key, kmin, dtype=np.int64)
+        cell = digit if cell is None else cell * span + digit
+        cells *= span
+    return cell, cells
+
+
+def _group_direct(cell: np.ndarray, cells: int) -> GroupedKeys:
+    """Number groups through a table over the grid cells: O(rows)."""
+    rows = np.arange(len(cell), dtype=np.int64)
+    # Only cells some row lands on are ever read, so no fill.  Scattered
+    # back to front, the write that survives in a cell is its first row.
+    table = np.empty(cells, dtype=np.int64)
+    table[cell[::-1]] = rows[::-1]
+    representative = np.flatnonzero(table[cell] == rows)
+    table[cell[representative]] = np.arange(
+        len(representative), dtype=np.int64
+    )
+    return GroupedKeys(table[cell], representative)
+
+
+def _group_sorted(keys: list[np.ndarray]) -> GroupedKeys:
+    """Lexicographic factorisation: sort rows by the key tuple, mark
+    boundaries, then renumber groups by first appearance."""
+    n = len(keys[0])
+    order = np.lexsort(tuple(reversed(keys)))
     boundaries = np.zeros(n, dtype=np.bool_)
     boundaries[0] = True
-    for key in key_columns:
-        key = np.asarray(key)
-        boundaries[1:] |= key[order][1:] != key[order][:-1]
+    for key in keys:
+        ordered = key[order]
+        boundaries[1:] |= ordered[1:] != ordered[:-1]
     sorted_gid = np.cumsum(boundaries) - 1
 
     gid_by_row = np.empty(n, dtype=np.int64)
@@ -78,9 +124,7 @@ def aggregate_sum(values: np.ndarray, groups: GroupedKeys) -> np.ndarray:
 
 
 def aggregate_count(groups: GroupedKeys) -> np.ndarray:
-    out = np.zeros(groups.n_groups, dtype=np.int64)
-    np.add.at(out, groups.group_of_row, 1)
-    return out
+    return np.bincount(groups.group_of_row, minlength=groups.n_groups)
 
 
 def aggregate_min(values: np.ndarray, groups: GroupedKeys) -> np.ndarray:

@@ -32,6 +32,23 @@ DIRECT_SPAN_FACTOR = 4
 _Probe = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+def _fits_int64(keys: np.ndarray) -> bool:
+    """Integer keys whose every value int64 arithmetic can hold."""
+    return keys.dtype.kind in "iu" and np.can_cast(keys.dtype, np.int64)
+
+
+def direct_window(keys: np.ndarray, cells: int) -> tuple[int, int] | None:
+    """``(min, span)`` of non-empty integer ``keys`` for a table indexed
+    by ``key - min``, or None when ``span = max - min + 1`` exceeds
+    ``cells`` (or the keys are not integers).
+    """
+    if not _fits_int64(keys):
+        return None
+    kmin = int(keys.min())
+    span = int(keys.max()) - kmin + 1  # Python ints: cannot overflow
+    return (kmin, span) if span <= cells else None
+
+
 def inner_join_indices(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -66,15 +83,14 @@ def _probe_direct(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> _Probe | None:
     """Probe through a table indexed by ``key - min``; None if unfit."""
-    for keys in (left_keys, right_keys):
-        if keys.dtype.kind not in "iu" or not np.can_cast(
-            keys.dtype, np.int64
-        ):
-            return None
-    kmin = int(right_keys.min())
-    span = int(right_keys.max()) - kmin + 1  # Python ints: cannot overflow
-    if span > DIRECT_SPAN_FACTOR * (len(left_keys) + len(right_keys)):
+    if not _fits_int64(left_keys):
         return None
+    window = direct_window(
+        right_keys, DIRECT_SPAN_FACTOR * (len(left_keys) + len(right_keys))
+    )
+    if window is None:
+        return None
+    kmin, span = window
 
     right_cell = np.subtract(right_keys, kmin, dtype=np.int64)
     # One spare cell past the window collects every probe key outside

@@ -56,7 +56,7 @@ def predicate_mask(
     """Boolean keep-mask of ``predicate`` over the rows of ``rel``."""
     return evaluate(
         predicate, _context(rel, subquery_executor)
-    ).values.astype(np.bool_)
+    ).values.astype(np.bool_, copy=False)
 
 
 def filter_relation(
@@ -178,12 +178,7 @@ def aggregate_relation(
     """
     ctx = _context(child, subquery_executor)
     key_arrays = [child.column(k) for k in plan.keys]
-    groups = group_rows([k.values for k in key_arrays])
-    if not plan.keys and child.nrows:
-        groups = GroupedKeys(
-            group_of_row=np.zeros(child.nrows, dtype=np.int64),
-            representative=np.zeros(1, dtype=np.int64),
-        )
+    groups = group_rows([k.values for k in key_arrays], child.nrows)
 
     columns: dict[str, TypedArray] = {}
     for name, key in zip(plan.keys, key_arrays):
@@ -201,8 +196,8 @@ def aggregate_relation(
 
 def _numeric(arr: TypedArray) -> np.ndarray:
     if arr.kind is Kind.FLOAT:
-        return arr.values.astype(np.float64)
-    return arr.values.astype(np.int64)
+        return arr.values.astype(np.float64, copy=False)
+    return arr.values.astype(np.int64, copy=False)
 
 
 def _aggregate_one(spec, ctx: EvalContext, groups: GroupedKeys) -> TypedArray:

@@ -15,15 +15,15 @@ def _orderable(arr: TypedArray) -> np.ndarray:
         # Rank heap codes by their string value; map codes through ranks.
         uniques = np.array(arr.heap.strings())
         rank_of_code = np.argsort(np.argsort(uniques, kind="stable"))
-        return rank_of_code[arr.values].astype(np.int64)
+        return rank_of_code[arr.values].astype(np.int64, copy=False)
     if arr.kind is Kind.FLOAT:
         # IEEE-754 total order: negatives flip all bits, positives are
         # already ordered; expressed in signed space.
-        bits = arr.values.astype(np.float64).view(np.int64)
+        bits = arr.values.astype(np.float64, copy=False).view(np.int64)
         unsigned = bits.view(np.uint64)
         flipped = (~unsigned) ^ np.uint64(1 << 63)
         return np.where(bits < 0, flipped.view(np.int64), bits)
-    return arr.values.astype(np.int64)
+    return arr.values.astype(np.int64, copy=False)
 
 
 def multi_key_order(

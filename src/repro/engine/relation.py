@@ -61,15 +61,9 @@ class Relation:
         )
 
     def mask(self, keep: np.ndarray) -> "Relation":
-        """Boolean row filter across all columns."""
-        return Relation(
-            {
-                name: TypedArray(
-                    arr.values[keep], arr.kind, arr.scale, arr.heap
-                )
-                for name, arr in self.columns.items()
-            }
-        )
+        """Boolean row filter across all columns: the mask is scanned
+        once, every column is an index gather."""
+        return self.take(np.flatnonzero(keep))
 
     def nbytes(self) -> int:
         """Approximate resident bytes of the relation."""

@@ -96,11 +96,16 @@ def plan_fingerprint(plan: Any) -> str:
     include operator type, predicate/key expressions, and child shape,
     so two plans collide only when they are structurally identical.
     This is the alignment key ``repro tracediff`` joins runs on.
+    Computed once per plan object and kept on its root
+    (:attr:`repro.sqlir.plan.Plan.fingerprint`): a plan executed many
+    times is not re-``repr``-ed per execution.
     """
-    h = hashlib.sha256()
-    for node in plan.walk():
-        h.update(f"{type(node).__name__}:{node!r}\n".encode())
-    return h.hexdigest()[:16]
+    if plan.fingerprint is None:
+        h = hashlib.sha256()
+        for node in plan.walk():
+            h.update(f"{type(node).__name__}:{node!r}\n".encode())
+        plan.fingerprint = h.hexdigest()[:16]
+    return plan.fingerprint
 
 
 def sql_digest(sql: str | None) -> str | None:

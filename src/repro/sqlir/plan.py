@@ -20,6 +20,11 @@ class Plan:
     # by the static analyzer as the diagnostic locus.  ``None`` until a
     # numbering pass runs.
     node_id: int | None = None
+    # Memo of :func:`repro.obs.context.plan_fingerprint` on the root it
+    # was computed for.  A plan is not edited once built (``replace``
+    # makes a new node, without the memo), so the digest lives and dies
+    # with the tree it describes.
+    fingerprint: str | None = None
 
     def children(self) -> tuple["Plan", ...]:
         return ()

@@ -12,13 +12,37 @@ Two heap properties drive AQUOMAN behaviour:
   host (suspension condition 2, Sec. VI-E).
 - small-domain columns (country names, ship modes) fit trivially and can
   be pre-evaluated to a one-bit column at line rate.
+
+A string predicate is answered per *code*, never per row: the heap
+matches each unique string once and keeps the verdicts
+(:meth:`StringHeap.verdicts`), rows are a gather through their codes.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Sequence
 
 import numpy as np
+
+# Verdict tables one heap keeps (one byte per unique string each); the
+# oldest pattern is dropped first.  TPC-H asks at most two per column.
+MAX_VERDICT_PATTERNS = 16
+_NO_VERDICTS = np.empty(0, dtype=np.bool_)
+_NO_VERDICTS.flags.writeable = False
+
+
+def like_regex(pattern: str) -> re.Pattern:
+    """The anchored regex of a SQL LIKE pattern (``%``, ``_`` wildcards)."""
+    parts = []
+    for ch in pattern:
+        if ch == "%":
+            parts.append(".*")
+        elif ch == "_":
+            parts.append(".")
+        else:
+            parts.append(re.escape(ch))
+    return re.compile("^" + "".join(parts) + "$")
 
 
 class StringHeap:
@@ -28,6 +52,9 @@ class StringHeap:
         self._strings: list[str] = []
         self._codes: dict[str, int] = {}
         self._payload_bytes = 0
+        # pattern -> read-only verdict per code, for the codes that
+        # existed when it was last asked for
+        self._verdicts: dict[str | re.Pattern, np.ndarray] = {}
 
     @classmethod
     def from_values(cls, values: Iterable[str]) -> tuple["StringHeap", np.ndarray]:
@@ -65,6 +92,47 @@ class StringHeap:
     def decode_many(self, codes: Sequence[int] | np.ndarray) -> list[str]:
         strings = self._strings
         return [strings[int(c)] for c in codes]
+
+    # -- predicates ----------------------------------------------------------
+
+    def verdicts(self, pattern: str | re.Pattern) -> np.ndarray:
+        """Read-only per-code table: does the code's string match?
+
+        ``pattern`` is a SQL LIKE pattern, or a compiled regex applied
+        with ``match``.  Each unique string is matched once per heap
+        and pattern: the table is kept on the heap, and when the heap
+        has grown since, only the new codes are matched.
+        """
+        strings = self._strings
+        table = self._verdicts.get(pattern, _NO_VERDICTS)
+        if len(table) < len(strings):
+            regex = (
+                like_regex(pattern) if isinstance(pattern, str) else pattern
+            )
+            tail = strings[len(table):]
+            fresh = np.fromiter(
+                (regex.match(s) is not None for s in tail),
+                dtype=np.bool_,
+                count=len(tail),
+            )
+            table = np.concatenate([table, fresh])
+            table.flags.writeable = False
+            if (
+                pattern not in self._verdicts
+                and len(self._verdicts) >= MAX_VERDICT_PATTERNS
+            ):
+                del self._verdicts[next(iter(self._verdicts))]
+            # conc: safe — per-process memo, filled worker-side after a
+            # fork; under the GIL a racing fill stores the same table twice
+            self._verdicts[pattern] = table
+        return table
+
+    def members(self, values: Iterable[str]) -> np.ndarray:
+        """Per-code table: is the code's string one of ``values``?"""
+        table = np.zeros(len(self._strings), dtype=np.bool_)
+        found = [c for c in map(self._codes.get, values) if c is not None]
+        table[found] = True
+        return table
 
     # -- properties ----------------------------------------------------------
 

@@ -5,6 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from repro import tpch
+from repro.core import AquomanSimulator, DeviceConfig
+from repro.core.compiler import SuspendReason
 from repro.core.regex_accel import HeapTooLarge, RegexAccelerator
 from repro.storage.stringheap import StringHeap
 
@@ -80,3 +83,72 @@ class TestMatching:
         accel = RegexAccelerator()
         accel.match_like(codes, heap, re.compile("a"))
         assert accel.unique_matches == 2  # per unique string, not per row
+
+
+class TestMetersCountTheModel:
+    """The heap keeps a pattern's verdicts; the accelerator being
+    modelled does not, so its meters charge every call in full."""
+
+    def test_repeated_pattern_is_charged_every_time(self, heap_and_codes):
+        heap, codes = heap_and_codes
+        accel = RegexAccelerator()
+        first = accel.match_like(codes, heap, re.compile("^PROMO.*$"))
+        again = accel.match_like(
+            codes, heap, re.compile("^PROMO.*$"), negated=True
+        )
+        assert again.tolist() == (~first).tolist()
+        assert len(heap._verdicts) == 1
+        assert accel.patterns_compiled == 2
+        assert accel.unique_matches == 2 * heap.unique_count
+        assert accel.rows_evaluated == 2 * len(codes)
+
+    def test_oversized_heap_raises_before_any_match(self, heap_and_codes):
+        heap, codes = heap_and_codes
+        accel = RegexAccelerator(cache_bytes=4)
+        for _ in range(2):
+            with pytest.raises(HeapTooLarge):
+                accel.match_like(codes, heap, re.compile("^PROMO.*$"))
+        assert accel.unique_matches == accel.patterns_compiled == 0
+        assert not heap._verdicts
+
+
+class TestDeviceMeterInvariance:
+    """Two runs in one process — the second on warm verdict tables —
+    meter the same work, equal to what PR 17 metered (SF 0.01)."""
+
+    # query -> (unique_matches, patterns_compiled, rows_evaluated)
+    AT_SF1000 = {2: (150, 1, 54), 14: (150, 1, 724)}
+    HEAPS_FIT = {13: (15000, 1, 15000), 16: (250, 2, 4100),
+                 20: (2000, 1, 2025)}
+
+    @staticmethod
+    def _meters(db, n, scale_ratio):
+        result = AquomanSimulator(
+            db, DeviceConfig(scale_ratio=scale_ratio)
+        ).run(tpch.query(n), f"q{n:02d}")
+        accel = result.device.regex_accel
+        return (
+            (accel.unique_matches, accel.patterns_compiled,
+             accel.rows_evaluated),
+            result.suspend_reasons,
+        )
+
+    @pytest.mark.parametrize("n", sorted(AT_SF1000))
+    def test_bench_scale_ratio(self, small_db, n):
+        for _ in range(2):
+            meters, _ = self._meters(small_db, n, 1000 / 0.01)
+            assert meters == self.AT_SF1000[n]
+
+    @pytest.mark.parametrize("n", sorted(HEAPS_FIT))
+    def test_heaps_that_fit_the_cache(self, small_db, n):
+        for _ in range(2):
+            meters, reasons = self._meters(small_db, n, 1.0)
+            assert meters == self.HEAPS_FIT[n]
+            assert SuspendReason.STRING_HEAP not in reasons
+
+    def test_q13_still_suspends_at_sf1000(self, small_db):
+        # Warm o_comment's table first: the cache rule must not care.
+        self._meters(small_db, 13, 1.0)
+        meters, reasons = self._meters(small_db, 13, 1000 / 0.01)
+        assert meters == (0, 0, 0)
+        assert SuspendReason.STRING_HEAP in reasons

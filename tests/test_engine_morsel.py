@@ -237,6 +237,100 @@ class TestSpanReads:
         assert pages_read["l_orderkey"] == pages_total["l_orderkey"]
 
 
+    def test_one_selection_is_charged_per_value_width(
+        self, layout, monkeypatch
+    ):
+        """Columns of one width share a page-skip answer; a narrower
+        column under the same row ids is charged its own pages."""
+        from repro.storage.layout import ColumnExtent
+
+        calls = []
+        real = ColumnExtent.touched_pages
+
+        def counting(self, rowids, *args):
+            calls.append(self.column)
+            return real(self, rowids, *args)
+
+        monkeypatch.setattr(ColumnExtent, "touched_pages", counting)
+        wide = layout.extent("lineitem", "l_quantity").rows_per_page()
+        narrow = layout.extent("lineitem", "l_shipdate").rows_per_page()
+        assert narrow == 2 * wide
+        reads = _SpanReads(layout, "lineitem", 0, 8192)
+        rows = np.array([0, wide, 3 * wide + 1], dtype=np.int64)
+        for name in ("l_quantity", "l_tax", "l_shipdate", "l_discount"):
+            reads.rows(name, rows)
+        assert calls == ["l_quantity", "l_shipdate"]
+        pages_read, _, _ = reads.summary()
+        assert pages_read == {
+            "l_quantity": 3, "l_tax": 3, "l_shipdate": 2, "l_discount": 3
+        }
+        # Other row ids are another selection, and add to the column.
+        reads.rows("l_tax", np.array([5 * wide], dtype=np.int64))
+        assert calls[-1] == "l_tax"
+        assert reads.summary()[0]["l_tax"] == 4
+        assert reads.summary()[0]["l_quantity"] == 3
+
+
+class TestSpanSetUp:
+    """What is constant per fragment is worked out once, not per span."""
+
+    def _engine(self, db):
+        from repro.engine import Engine
+
+        return Engine(
+            db, morsels=MorselConfig(morsel_rows=8192, n_workers=1)
+        )
+
+    def test_selector_program_is_built_once_per_fragment(
+        self, small_db, monkeypatch
+    ):
+        from repro.engine import Engine, morsel
+
+        built = []
+        real = morsel.extract_predicate_program
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(morsel, "extract_predicate_program", counting)
+        plan = (
+            scan("lineitem")
+            .filter((col("l_quantity") < lit(10))
+                    & (col("l_shipmode") == lit("MAIL")))
+            .plan
+        )
+        engine = self._engine(small_db)
+        streamed = engine.execute_relation(plan)
+        spans = MorselConfig(morsel_rows=8192).spans_for(
+            small_db.table("lineitem").nrows
+        )
+        assert len(spans) > 4 and len(built) == 1
+        assert_identical(streamed, Engine(small_db).execute_relation(plan))
+
+    def test_cold_pattern_is_matched_once_however_many_spans(
+        self, small_db, monkeypatch
+    ):
+        from test_storage import _CountingRegex
+
+        from repro.sqlir.expr import Like
+        from repro.storage import stringheap
+
+        pattern = "%zq7 never asked before%"
+        counting = _CountingRegex(stringheap.like_regex(pattern).pattern)
+        monkeypatch.setattr(stringheap, "like_regex", lambda p: counting)
+        heap = small_db.table("lineitem").column("l_comment").heap
+        assert pattern not in heap._verdicts
+        plan = scan("lineitem").filter(
+            Like(col("l_comment"), pattern, negated=True)
+        ).plan
+        engine = self._engine(small_db)
+        for _ in range(2):  # cold, then warm
+            out = engine.execute_relation(plan)
+            assert out.nrows == small_db.table("lineitem").nrows
+            assert counting.calls == heap.unique_count
+
+
 # -- partial → merge, under any span split ---------------------------------
 
 _INT_EDGE = 2 ** 62  # sums of a few of these wrap int64: still exact

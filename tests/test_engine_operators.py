@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.operators import grouping
 from repro.engine.operators.grouping import (
     aggregate_count,
     aggregate_count_distinct,
@@ -222,6 +223,95 @@ class TestGrouping:
             for i in range(g.n_groups)
         }
         assert got == reference
+
+
+def _assert_routes_agree(keys: list[np.ndarray]) -> None:
+    """``group_rows`` ≡ the sort route: values, dtypes, group count."""
+    got = group_rows(keys)
+    want = grouping._group_sorted(keys)
+    for attr in ("group_of_row", "representative"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype == np.int64
+        assert a.tolist() == b.tolist()
+    assert got.n_groups == want.n_groups
+
+
+@st.composite
+def _key_sets(draw):
+    """1–4 equal-length integer key columns around varied origins."""
+    n = draw(st.integers(1, 40))
+    keys = []
+    for _ in range(draw(st.integers(1, 4))):
+        dtype = draw(st.sampled_from([np.int32, np.int64]))
+        info = np.iinfo(dtype)
+        width = draw(st.integers(1, 12))
+        origin = draw(st.one_of(
+            st.integers(-20, 20),
+            st.sampled_from([info.min, info.max - width + 1]),
+        ))
+        values = draw(st.lists(
+            st.integers(origin, origin + width - 1), min_size=n, max_size=n
+        ))
+        keys.append(np.array(values, dtype=dtype))
+    return keys
+
+
+class TestGroupingRoutes:
+    @given(_key_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_direct_route_equals_sort_route(self, keys):
+        _assert_routes_agree(keys)
+
+    def test_degenerate_shapes(self):
+        one_row = [np.array([7]), np.array([-3], dtype=np.int32)]
+        assert grouping._grid_cells(one_row) is not None
+        _assert_routes_agree(one_row)
+        _assert_routes_agree([np.full(9, -4), np.full(9, 11)])  # all equal
+        _assert_routes_agree([np.arange(30)[::-1] - 15])     # all distinct
+
+    def test_product_of_spans_at_and_past_the_budget(self):
+        n = 25
+        budget = grouping.DIRECT_SPAN_FACTOR * n  # 100 cells
+        a = np.arange(n) % 10                     # span 10
+        at = [a, np.arange(n) % 10 - 4]           # 10 x 10 = budget
+        past = [a, np.arange(n) % 11 - 4]         # 10 x 11
+        assert grouping._grid_cells(at)[1] == budget
+        assert grouping._grid_cells(past) is None
+        _assert_routes_agree(at)
+        _assert_routes_agree(past)
+
+    def test_int64_extremes_fall_back_without_overflow(self):
+        wide = np.array([I64.min, I64.max, 0, I64.min], dtype=np.int64)
+        assert grouping._grid_cells([wide]) is None
+        _assert_routes_agree([wide])
+        _assert_routes_agree([np.arange(4), wide])
+        # A narrow window at either end of int64 is still addressable.
+        for origin in (I64.min, I64.max - 2):
+            edge = np.array([origin + 2, origin, origin + 2], dtype=np.int64)
+            assert grouping._grid_cells([edge]) is not None
+            _assert_routes_agree([edge])
+
+    def test_route_follows_dtype_and_span(self):
+        def direct(*keys):
+            return grouping._grid_cells([np.asarray(k) for k in keys])
+
+        rows = np.arange(3000)
+        # Q1: (l_returnflag, l_linestatus) heap codes, a 3 x 2 grid.
+        assert direct((rows % 3).astype(np.int32), (rows % 2).astype(np.int32))
+        # Q17: one dense key (l_partkey), far fewer values than rows.
+        assert direct(rows % 200 + 1)
+        assert not direct(rows.astype(np.float64))
+        assert not direct(rows % 3, rows / 2)             # one float key
+        assert not direct(rows * 10**12)                  # composite keys
+        assert not direct(rows > 5)
+        assert not direct(rows.astype(np.uint64))
+
+    def test_keyless_group_covers_every_row(self):
+        g = group_rows([], 5)
+        assert g.group_of_row.tolist() == [0] * 5
+        assert g.representative.tolist() == [0]
+        assert aggregate_count(g).tolist() == [5]
+        assert aggregate_count(g).dtype == np.int64
 
 
 class TestSorting:

@@ -168,6 +168,24 @@ class TestStringPredicates:
                                         "nothing here")))
         assert out.values.tolist() == [True, False]
 
+    def test_like_and_not_like_share_one_verdict_table(self):
+        s = strings("abc", "ac", "abc")
+        hit = evaluate(Like(col("s"), "a_c"), ctx_of(s=s))
+        miss = evaluate(Like(col("s"), "a_c", negated=True), ctx_of(s=s))
+        assert hit.values.tolist() == [True, False, True]
+        assert miss.values.tolist() == [False, True, False]
+        assert list(s.heap._verdicts) == ["a_c"]
+        # The row masks are the caller's own; the shared table is not.
+        assert hit.values.flags.writeable
+        assert miss.values.flags.writeable
+
+    def test_in_list_strings_negated_and_unknown_options(self):
+        s = strings("MAIL", "RAIL", "SHIP", "RAIL")
+        out = evaluate(InList(col("s"), ("AIR", "RAIL"), negated=True),
+                       ctx_of(s=s))
+        assert out.values.tolist() == [True, False, True, False]
+        assert "AIR" not in s.heap
+
     def test_in_list_strings(self):
         out = evaluate(InList(col("s"), ("MAIL", "SHIP")),
                        ctx_of(s=strings("MAIL", "RAIL", "SHIP")))

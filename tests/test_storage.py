@@ -1,6 +1,7 @@
 """Storage substrate: types, heaps, columns, tables, catalog, layout."""
 
 import datetime
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.storage import (
     decimal_to_int,
     int_to_decimal,
 )
+from repro.storage import stringheap
 from repro.storage.catalog import join_index_name
 from repro.storage.layout import PAGE_BYTES
 
@@ -90,6 +92,87 @@ class TestStringHeap:
         heap, codes = StringHeap.from_values(values)
         assert heap.decode_many(codes) == values
         assert heap.unique_count == len(set(values))
+
+
+class _CountingRegex:
+    """Stands in for a compiled pattern; counts ``match`` calls."""
+
+    def __init__(self, source: str):
+        self.regex = re.compile(source)
+        self.calls = 0
+
+    def match(self, string):
+        self.calls += 1
+        return self.regex.match(string)
+
+
+class TestHeapVerdicts:
+    def test_like_and_regex_patterns(self):
+        heap, _ = StringHeap.from_values(["PROMO TIN", "SMALL TIN", "PROMO"])
+        assert heap.verdicts("PROMO%").tolist() == [True, False, True]
+        assert heap.verdicts("_____ TIN").tolist() == [True, True, False]
+        assert heap.verdicts("%").dtype == np.bool_
+        # A compiled regex is applied with ``match``, as handed over.
+        assert heap.verdicts(re.compile("S")).tolist() == [False, True, False]
+        # ... and is a different key from the LIKE text that spells it.
+        assert heap.verdicts("S").tolist() == [False, False, False]
+
+    def test_each_unique_string_is_matched_once(self):
+        heap, _ = StringHeap.from_values(["ab", "cd", "ab", "ae"] * 50)
+        regex = _CountingRegex("^a")
+        first = heap.verdicts(regex)
+        assert regex.calls == heap.unique_count == 3
+        assert heap.verdicts(regex) is first
+        assert regex.calls == 3
+
+    def test_same_pattern_on_two_heaps_does_not_alias(self):
+        a, _ = StringHeap.from_values(["x1", "y"])
+        b, _ = StringHeap.from_values(["y", "x2", "x3"])
+        assert a.verdicts("x%").tolist() == [True, False]
+        assert b.verdicts("x%").tolist() == [False, True, True]
+        assert a.verdicts("x%").tolist() == [True, False]
+
+    def test_growth_extends_the_table_by_the_new_tail_only(self):
+        heap, _ = StringHeap.from_values(["ab", "cd"])
+        regex = _CountingRegex("^a")
+        before = heap.verdicts(regex)
+        assert heap.encode("ax") == 2 and heap.encode("zz") == 3
+        after = heap.verdicts(regex)
+        assert regex.calls == 4                  # 2 + the 2 new strings
+        assert before.tolist() == [True, False]  # never rewritten
+        assert after.tolist() == [True, False, True, False]
+        assert heap.verdicts(regex) is after
+
+    def test_tables_are_read_only(self):
+        heap, _ = StringHeap.from_values(["ab", "cd"])
+        for table in (heap.verdicts("a%"), heap.verdicts("a%")):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = False
+        heap.encode("ae")
+        assert not heap.verdicts("a%").flags.writeable
+
+    def test_oldest_pattern_is_evicted_at_the_bound(self):
+        heap, _ = StringHeap.from_values(["ab", "cd"])
+        bound = stringheap.MAX_VERDICT_PATTERNS
+        patterns = [f"a{'_' * i}" for i in range(bound + 3)]
+        for pattern in patterns:
+            heap.verdicts(pattern)
+            assert len(heap._verdicts) <= bound
+        assert list(heap._verdicts) == patterns[3:]
+        assert heap.verdicts(patterns[0]).tolist() == [False, False]
+
+    def test_empty_heap(self):
+        assert StringHeap().verdicts("%").tolist() == []
+        assert StringHeap().members(("a",)).tolist() == []
+
+    def test_members(self):
+        heap, codes = StringHeap.from_values(["a", "b", "a", "c"])
+        table = heap.members(("c", "a", "nope"))
+        assert table.tolist() == [True, False, True]
+        assert table[codes].tolist() == [True, False, True, True]
+        assert heap.members(()).tolist() == [False, False, False]
+        assert "nope" not in heap  # looked up, never interned
 
 
 class TestColumn:
