@@ -7,14 +7,20 @@ holds a whole base column.  This module gives the software engine the
 same shape.  A plan fragment rooted at a base-table scan is split into
 page-aligned **morsels**; each morsel runs Row Selector → transform
 chain → partial Swissknife reduction, and the partials merge with rules
-that keep the result bit-identical to the monolithic executor:
+that keep the result bit-identical to the monolithic executor.  A span
+is its window of rows plus one ascending selection of them: a column
+first read under the whole window streams as a slice, anything read
+later is gathered at the selected rows only, and page-skip accounting
+asks once per selection which pages those rows land on.  The rules:
 
 - Filter/Project chains concatenate in morsel order (row-wise pure
   expressions commute with splitting);
 - group-by partials re-reduce through the same aggregate operator
   under :func:`merge_plan`: group numbering is first-appearance order,
   which composes under concatenation, and COUNT/INT-SUM/MIN/MAX are
-  associative on int64;
+  associative on int64; once a span has shown that the partial reduce
+  does not shrink it, later spans skip it and pass their rows through
+  as one-row partials;
 - sort partials are presorted runs merged by one stable lexsort, so tie
   order (original row order) survives exactly;
 - top-k partials keep each run's first k rows and re-select.
@@ -65,6 +71,7 @@ from repro.faults.injector import get_fault_injector
 from repro.engine.operators.relational import (
     aggregate_relation,
     filter_relation,
+    partial_rows,
     predicate_mask,
     project_relation,
     sort_relation,
@@ -110,6 +117,10 @@ TUNED_MORSEL_ROWS = 4 * MORSEL_ALIGN_ROWS
 # are named morsel/{table}/{lo}-{hi}, so span boundaries must reproduce
 # across worker counts for chaos campaigns to stay deterministic.
 MAX_FRAGMENT_MORSELS = 32
+# A span whose partial aggregate kept more than this share of its rows
+# as groups did not reduce: the fragment's later spans skip the partial
+# reduce and hand their rows to the merge in partial shape.
+PASSTHROUGH_GROUP_SHARE = 0.5
 # The software selector is not bound by the FPGA's 4-evaluator budget.
 HOST_CP_EVALUATORS = 64
 
@@ -280,6 +291,25 @@ def _needed_scan_columns(frag: Fragment) -> set[str] | None:
 # ---------------------------------------------------------------------------
 
 
+def selection_pages(
+    rowids: np.ndarray, lo: int, hi: int, per_page: int
+) -> np.ndarray:
+    """One flag per page of rows ``[lo, hi)``: does a selected row land on it?
+
+    The Table Reader's page-skip question for a span's selection, which
+    is *ascending*: the page boundaries are binary-searched in the row
+    ids, O(pages · log rows), and the window check is the first and the
+    last id.  :meth:`ColumnExtent.touched_pages` is the general answer
+    (unsorted, repeated ids — the device's row-id maps) and scatters per
+    row; the two agree on every ascending selection.
+    """
+    if len(rowids) and (rowids[0] < lo or rowids[-1] >= hi):
+        raise IndexError("bit index out of range")
+    bounds = np.arange(lo // per_page, -(-hi // per_page) + 1) * per_page
+    at = np.searchsorted(rowids, bounds)
+    return at[1:] > at[:-1]
+
+
 class _SpanReads:
     """Per-morsel page accounting: which pages of which columns we read."""
 
@@ -302,17 +332,16 @@ class _SpanReads:
         self._touched[column] = self._FULL
 
     def rows(self, column: str, rowids: np.ndarray) -> None:
-        """Charge the pages holding the given global row ids."""
+        """Charge the pages holding the given ascending global row ids."""
         if column in self._touched and self._touched[column] is self._FULL:
             return
         if rowids is not self._selection:
             self._selection, self._selection_pages = rowids, {}
-        ext = self.layout.extent(self.table, column)
-        per_page = ext.rows_per_page()
+        per_page = self.layout.extent(self.table, column).rows_per_page()
         flags = self._selection_pages.get(per_page)
         if flags is None:
-            flags = self._selection_pages[per_page] = ext.touched_pages(
-                rowids, self.lo, self.hi - self.lo
+            flags = self._selection_pages[per_page] = selection_pages(
+                rowids, self.lo, self.hi, per_page
             )
         prev = self._touched.get(column)
         self._touched[column] = flags if prev is None else prev | flags
@@ -351,6 +380,8 @@ class _Partial:
     page_ids: np.ndarray
     # Injected per-channel fault stall (seconds); None when fault-free.
     stall_s: np.ndarray | None = None
+    # The relation is the span's rows in partial shape, not reduced.
+    passthrough: bool = False
 
 
 class SpanRunner:
@@ -377,14 +408,21 @@ class SpanRunner:
         self.scan_names = scan_names
         self.base_names = base_names
         self.tracer = tracer
-        # The bottom filter's selector program depends on the fragment
-        # alone: built here, once, not per span.
+        # The bottom filter's selector and its program depend on the
+        # fragment alone: built here, once, not per span.  A chain with
+        # no bottom filter selects under the empty program.
         steps = fragment.steps
-        self.bottom = (
-            self._selector_program(steps[0].predicate)
-            if steps and isinstance(steps[0], Filter)
-            else None
-        )
+        if steps and isinstance(steps[0], Filter):
+            self.bottom = self._selector_program(steps[0].predicate)
+            self.upper_steps = steps[1:]
+        else:
+            self.bottom = (PredicateProgram(()), None, [])
+            self.upper_steps = steps
+        self.selector = RowSelector(n_evaluators=HOST_CP_EVALUATORS)
+        # Whether spans skip the partial reduce: None until the first
+        # span with rows has shown what a reduce keeps.  Per runner, so
+        # each pool worker decides from the first span it executes.
+        self.passthrough: bool | None = None
 
     def _selector_program(
         self, predicate: Expr
@@ -480,8 +518,8 @@ class SpanRunner:
         # per-morsel span costs no synchronisation.
         with self.tracer.span("morsel.span", lo=lo, hi=hi) as tspan:
             reads = _SpanReads(self.layout, self.table.name, lo, hi)
-            rel, steps_done = self._base_relation(lo, hi, reads)
-            for step in self.fragment.steps[steps_done:]:
+            rel = self._base_relation(reads)
+            for step in self.upper_steps:
                 if isinstance(step, Filter):
                     rel = filter_relation(rel, step.predicate)
                 else:
@@ -495,60 +533,90 @@ class SpanRunner:
             )
             tspan.set(rows_out=rel.nrows,
                       pages_read=sum(pages_read.values()))
-            return _Partial(_reduce(rel, self.fragment, merge=False),
-                            pages_read, pages_total, page_ids, stall)
+            partial, passthrough = self._partial(rel)
+            return _Partial(partial, pages_read, pages_total, page_ids,
+                            stall, passthrough)
 
-    def _base_relation(
-        self, lo: int, hi: int, reads: _SpanReads
-    ) -> tuple[Relation, int]:
-        if self.bottom is not None:
-            return self._filtered_base(lo, hi, reads), 1
-        columns = {}
-        for name in self.base_names:
-            col = self.table.column(name)
-            reads.full(name)
-            columns[name] = typed_array_from_column(
-                col, col.slice_rows(lo, hi)
+    def _partial(self, rel: Relation) -> tuple[Relation, bool]:
+        """The span's rows under the fragment's terminal; passed through?
+
+        A grouped aggregate whose first span with rows kept more than
+        :data:`PASSTHROUGH_GROUP_SHARE` of them as groups stops
+        reducing per span: a one-row group is its own partial, so the
+        merge sees the same groups in the same first-appearance order
+        wherever the switch falls.
+        """
+        frag = self.fragment
+        if self.passthrough:
+            return partial_rows(rel, frag.terminal), True
+        partial = _reduce(rel, frag, merge=False)
+        if (
+            self.passthrough is None
+            and frag.kind == "aggregate"
+            and frag.terminal.keys
+            and rel.nrows
+        ):
+            self.passthrough = (
+                partial.nrows > PASSTHROUGH_GROUP_SHARE * rel.nrows
             )
-        return Relation(columns), 0
+        return partial, False
 
-    def _filtered_base(self, lo: int, hi: int, reads: _SpanReads) -> Relation:
-        """Bottom filter: Row Selector first cut, then page-skip gathers.
+    def _base_relation(self, reads: _SpanReads) -> Relation:
+        """The span's rows that pass the bottom filter.
 
-        CP columns stream whole (the selector sees every row); every
-        other column is gathered at the surviving rows only, so flash
-        pages with no survivor are neither read nor charged — the Table
-        Reader's page skip, end to end.
+        A span is a page-aligned window (``reads`` holds its ``[lo,
+        hi)`` and what was read of it) plus one ascending
+        selection of its rows: the Row Selector's first cut over the CP
+        columns — the whole window under the empty program — then the
+        leftover conjuncts over the survivors.
         """
         program, leftover, leftover_reads = self.bottom
-        selector = RowSelector(n_evaluators=HOST_CP_EVALUATORS)
-        cp_slices: dict[str, np.ndarray] = {}
-        for name in program.columns:
-            col = self.table.column(name)
-            reads.full(name)
-            cp_slices[name] = col.slice_rows(lo, hi)
-        local = selector.select(program, cp_slices, hi - lo).indices()
+        nrows = reads.hi - reads.lo
+        # CP columns stream whole: the selector sees every row.
+        streamed = {
+            name: self._stream(name, reads) for name in program.columns
+        }
+        local = self.selector.select(program, streamed, nrows).indices()
         if leftover is not None:
-            cut = self._gather(leftover_reads, lo, local, cp_slices, reads)
-            local = local[predicate_mask(cut, leftover)]
-        return self._gather(self.base_names, lo, local, cp_slices, reads)
+            cut = self._cut(leftover_reads, local, streamed, reads)
+            keep = np.flatnonzero(predicate_mask(cut, leftover))
+            local = keep if len(local) == nrows else local[keep]
+        return self._cut(self.base_names, local, streamed, reads)
 
-    def _gather(
+    def _stream(self, name: str, reads: _SpanReads) -> np.ndarray:
+        """The column's whole window: a view, charged every page."""
+        reads.full(name)
+        return self.table.column(name).slice_rows(reads.lo, reads.hi)
+
+    def _cut(
         self,
         names: list[str] | tuple[str, ...],
-        lo: int,
         local: np.ndarray,
-        cp_slices: dict[str, np.ndarray],
+        streamed: dict[str, np.ndarray],
         reads: _SpanReads,
     ) -> Relation:
-        """The named columns at the span's ``local`` rows."""
-        rowids = lo + local  # once per selection, not per column
+        """The named columns at the window's ascending ``local`` rows.
+
+        A column is read one of three ways.  Under a selection that is
+        the whole window it streams: a slice, charged every page, and
+        kept in ``streamed``.  A column already in ``streamed`` is
+        re-cut from that read.  Anything else is gathered at the
+        selected rows only, so flash pages with no survivor are neither
+        read nor charged — the Table Reader's page skip, end to end.
+        A column is charged under the selection it is first read under.
+        """
+        whole = len(local) == reads.hi - reads.lo
+        rowids = None
         columns = {}
         for name in names:
             col = self.table.column(name)
-            if name in cp_slices:
-                raw = cp_slices[name][local]
+            if whole and name not in streamed:
+                streamed[name] = self._stream(name, reads)
+            if name in streamed:
+                raw = streamed[name] if whole else streamed[name][local]
             else:
+                if rowids is None:
+                    rowids = reads.lo + local  # once per selection
                 reads.rows(name, rowids)
                 raw = col.gather_raw(rowids)
             columns[name] = typed_array_from_column(col, raw)
@@ -595,12 +663,14 @@ def pack_partial(partial: _Partial, heap_names: dict[int, str]) -> tuple:
         partial.pages_total,
         partial.page_ids,
         partial.stall_s,
+        partial.passthrough,
     )
 
 
 def unpack_partial(packed: tuple, table) -> _Partial:
     """Rebuild a worker's :class:`_Partial` against the parent catalog."""
-    packed_columns, pages_read, pages_total, page_ids, stall_s = packed
+    (packed_columns, pages_read, pages_total, page_ids, stall_s,
+     passthrough) = packed
     columns: dict[str, TypedArray] = {}
     for name, values, kind, scale, token in packed_columns:
         if token is None:
@@ -613,7 +683,8 @@ def unpack_partial(packed: tuple, table) -> _Partial:
                 heap.encode(value)
         columns[name] = TypedArray(values, kind, scale, heap)
     return _Partial(
-        Relation(columns), pages_read, pages_total, page_ids, stall_s
+        Relation(columns), pages_read, pages_total, page_ids, stall_s,
+        passthrough,
     )
 
 
@@ -651,6 +722,7 @@ class MorselExecutor:
 
     def run(self, spans: list[tuple[int, int]]) -> Relation:
         backend = self.config.effective_backend()
+        program, _, leftover_reads = self.runner.bottom
         with self.tracer.span(
             "morsel.fragment",
             table=self.table.name,
@@ -659,6 +731,9 @@ class MorselExecutor:
             workers=self.config.n_workers,
             backend=backend,
             nodes=self._fragment_nodes(),
+            rows_in=self.table.nrows,
+            cp_terms=len(program),
+            leftover_columns=len(leftover_reads),
         ) as fspan:
             partials = self._execute(spans, backend)
             with self.tracer.span("morsel.merge",
@@ -670,7 +745,10 @@ class MorselExecutor:
                 )
             self._record(partials, result)
             fspan.set(rows_out=result.nrows,
-                      bytes_out=result.nbytes())
+                      bytes_out=result.nbytes(),
+                      passthrough_spans=sum(
+                          p.passthrough for p in partials
+                      ))
         return result
 
     def _execute(

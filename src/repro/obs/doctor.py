@@ -136,6 +136,12 @@ def suspend_scorecard(
 # ---------------------------------------------------------------------------
 
 
+# What a ``morsel.fragment`` span says about the traffic it streamed.
+FRAGMENT_CENSUS = (
+    "rows_in", "cp_terms", "leftover_columns", "passthrough_spans",
+)
+
+
 def _span_window(
     records: list[tuple[str, SpanRecord]], name: str
 ) -> tuple[int, int]:
@@ -161,8 +167,9 @@ def _node_actuals(
     host remainder — windowing keeps the two runs apart); device
     actuals from ``device.*`` spans, which only the simulator emits.
     Morsel fragments subsume several plan nodes: every covered node is
-    marked streamed, and the fragment's output lands on its root (pre-
-    order ids make that the min of the covered set).
+    marked streamed, and the fragment's output and its census
+    (:data:`FRAGMENT_CENSUS`) land on its root (pre-order ids make that
+    the min of the covered set).
     """
     actuals: dict[int, dict[str, Any]] = {}
 
@@ -197,6 +204,7 @@ def _node_actuals(
                 root = slot(min(nodes))
                 root["host_rows_out"] = args.get("rows_out")
                 root["host_self_ms"] += self_ns / 1e6
+                root["fragment"] = {k: args.get(k) for k in FRAGMENT_CENSUS}
         elif name.startswith("device.") and args.get("node") is not None:
             d = slot(args["node"])
             d["offloaded"] = True
@@ -245,6 +253,8 @@ def _explain_rows(
             "device_rows_out": act.get("device_rows_out"),
             "device_self_ms": round(act.get("device_self_ms", 0.0), 3),
         }
+        if "fragment" in act:
+            row["fragment"] = act["fragment"]
         table = scan_tables.get(node_id)
         if table is not None:
             row["flash_bytes"] = flash_by_table.get(table, 0)
@@ -461,6 +471,10 @@ class DoctorReport:
                 f"{'+'.join(execs) or '-':<12} {flash:>10} "
                 f"{'MISS' if row['mispredicted'] else 'ok':<4}"
             )
+            if "fragment" in row:
+                lines.append("       fragment: " + " ".join(
+                    f"{k}={v}" for k, v in row["fragment"].items()
+                ))
         lines.append("")
         lines.append("suspend verdicts (AQ2xx) vs simulator:")
         for row in self.suspend:

@@ -468,14 +468,7 @@ def _eval_substring(expr: Substring, ctx: EvalContext) -> TypedArray:
     column = evaluate(expr.column, ctx)
     if column.kind is not Kind.STR or column.heap is None:
         raise TypeError("SUBSTRING requires a string column")
-    lo = expr.start - 1
-    hi = lo + expr.length
-    out_heap = StringHeap()
-    code_map = np.fromiter(
-        (out_heap.encode(s[lo:hi]) for s in column.heap.strings()),
-        dtype=np.int64,
-        count=column.heap.unique_count,
-    )
+    out_heap, code_map = column.heap.substrings(expr.start, expr.length)
     return TypedArray(code_map[column.values], Kind.STR, 0, out_heap)
 
 

@@ -60,7 +60,9 @@ class ColumnExtent:
         whole column by default; flag ``i`` stands for extent-local page
         ``first_row // rows_per_page + i``.  A row id outside the window
         is an ``IndexError``.  Cost is linear in ``len(rowids)``: one
-        scatter, no sort and no per-row temporary.
+        scatter, no sort and no per-row temporary.  (A selection known
+        to ascend — every morsel span's — is answered per page instead,
+        by ``repro.engine.morsel.selection_pages``.)
         """
         per_page = self.rows_per_page()
         stop = self.nrows if n_rows is None else first_row + n_rows

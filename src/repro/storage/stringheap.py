@@ -16,6 +16,7 @@ Two heap properties drive AQUOMAN behaviour:
 A string predicate is answered per *code*, never per row: the heap
 matches each unique string once and keeps the verdicts
 (:meth:`StringHeap.verdicts`), rows are a gather through their codes.
+SUBSTRING is answered the same way (:meth:`StringHeap.substrings`).
 """
 
 from __future__ import annotations
@@ -25,11 +26,30 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Verdict tables one heap keeps (one byte per unique string each); the
-# oldest pattern is dropped first.  TPC-H asks at most two per column.
+# Verdict tables one heap keeps (one byte per unique string each), and
+# as many substring maps; the oldest is dropped first.  TPC-H asks at
+# most two patterns and one substring per column.
 MAX_VERDICT_PATTERNS = 16
 _NO_VERDICTS = np.empty(0, dtype=np.bool_)
 _NO_VERDICTS.flags.writeable = False
+_NO_CODES = np.empty(0, dtype=np.int64)
+_NO_CODES.flags.writeable = False
+
+
+def _extended(table: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """``table`` with the new codes' entries appended, read-only."""
+    table = np.concatenate([table, fresh])
+    table.flags.writeable = False
+    return table
+
+
+def _remember(memo: dict, key, value) -> None:
+    """Keep ``value`` in a heap's per-code memo, oldest entry out first."""
+    if key not in memo and len(memo) >= MAX_VERDICT_PATTERNS:
+        del memo[next(iter(memo))]
+    # conc: safe — per-process memo, filled worker-side after a fork;
+    # under the GIL a racing fill stores the same table twice
+    memo[key] = value
 
 
 def like_regex(pattern: str) -> re.Pattern:
@@ -55,6 +75,11 @@ class StringHeap:
         # pattern -> read-only verdict per code, for the codes that
         # existed when it was last asked for
         self._verdicts: dict[str | re.Pattern, np.ndarray] = {}
+        # (start, length) -> (heap of the substrings, read-only code of
+        # each code's substring), likewise
+        self._substrings: dict[
+            tuple[int, int], tuple[StringHeap, np.ndarray]
+        ] = {}
 
     @classmethod
     def from_values(cls, values: Iterable[str]) -> tuple["StringHeap", np.ndarray]:
@@ -115,17 +140,41 @@ class StringHeap:
                 dtype=np.bool_,
                 count=len(tail),
             )
-            table = np.concatenate([table, fresh])
-            table.flags.writeable = False
-            if (
-                pattern not in self._verdicts
-                and len(self._verdicts) >= MAX_VERDICT_PATTERNS
-            ):
-                del self._verdicts[next(iter(self._verdicts))]
-            # conc: safe — per-process memo, filled worker-side after a
-            # fork; under the GIL a racing fill stores the same table twice
-            self._verdicts[pattern] = table
+            table = _extended(table, fresh)
+            _remember(self._verdicts, pattern, table)
         return table
+
+    def substrings(
+        self, start: int, length: int
+    ) -> tuple["StringHeap", np.ndarray]:
+        """``(out_heap, code map)`` of SUBSTRING(s FROM start FOR length).
+
+        ``code_map[c]`` is the code, in ``out_heap``, of the substring
+        of this heap's string ``c`` (``start`` counts from 1).  Each
+        unique string is cut once per heap and ``(start, length)``:
+        both are kept on the heap, and when the heap has grown since,
+        only the new codes are cut — into the same ``out_heap``, whose
+        codes are stable.  Every caller shares that ``out_heap``;
+        nothing may intern into it.
+        """
+        strings = self._strings
+        out_heap, code_map = self._substrings.get((start, length)) or (
+            StringHeap(), _NO_CODES
+        )
+        if len(code_map) < len(strings):
+            lo = start - 1
+            hi = lo + length
+            tail = strings[len(code_map):]
+            fresh = np.fromiter(
+                (out_heap.encode(s[lo:hi]) for s in tail),
+                dtype=np.int64,
+                count=len(tail),
+            )
+            code_map = _extended(code_map, fresh)
+            _remember(
+                self._substrings, (start, length), (out_heap, code_map)
+            )
+        return out_heap, code_map
 
     def members(self, values: Iterable[str]) -> np.ndarray:
         """Per-code table: is the code's string one of ``values``?"""

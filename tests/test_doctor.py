@@ -64,6 +64,23 @@ class TestDoctorQ6:
         assert agg["rows_out"] == 1
         assert not any(r["mispredicted"] for r in report.explain)
 
+    def test_fragment_census_lands_on_the_fragment_root(self, report):
+        agg, *rest = report.explain
+        assert agg["op"] == "aggregate" and agg["streamed"]
+        # Q6: five CP terms absorb the whole predicate, and an
+        # aggregate without keys never passes a span through.
+        assert agg["fragment"] == {
+            "rows_in": 59870, "cp_terms": 5, "leftover_columns": 0,
+            "passthrough_spans": 0,
+        }
+        assert not any("fragment" in row for row in rest)
+        assert (
+            "fragment: rows_in=59870 cp_terms=5 leftover_columns=0 "
+            "passthrough_spans=0"
+        ) in report.format()
+        doc = json.loads(report_json(report))
+        assert doc["explain"][0]["fragment"] == agg["fragment"]
+
     def test_lane_utilization_and_path_invariants(self, report):
         crit = report.crit
         assert crit.path_ns == crit.wall_ns

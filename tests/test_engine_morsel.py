@@ -26,6 +26,7 @@ from repro.engine.morsel import (
 )
 from repro.engine.operators.relational import (
     aggregate_relation,
+    partial_rows,
     sort_relation,
 )
 from repro.engine.relation import Relation
@@ -242,16 +243,17 @@ class TestSpanReads:
     ):
         """Columns of one width share a page-skip answer; a narrower
         column under the same row ids is charged its own pages."""
-        from repro.storage.layout import ColumnExtent
+        from repro.engine import morsel
 
         calls = []
-        real = ColumnExtent.touched_pages
+        real = morsel.selection_pages
 
-        def counting(self, rowids, *args):
-            calls.append(self.column)
-            return real(self, rowids, *args)
+        def counting(rowids, lo, hi, per_page):
+            calls.append(per_page)
+            return real(rowids, lo, hi, per_page)
 
-        monkeypatch.setattr(ColumnExtent, "touched_pages", counting)
+        # The span path's page-skip answer for an ascending selection.
+        monkeypatch.setattr(morsel, "selection_pages", counting)
         wide = layout.extent("lineitem", "l_quantity").rows_per_page()
         narrow = layout.extent("lineitem", "l_shipdate").rows_per_page()
         assert narrow == 2 * wide
@@ -259,16 +261,125 @@ class TestSpanReads:
         rows = np.array([0, wide, 3 * wide + 1], dtype=np.int64)
         for name in ("l_quantity", "l_tax", "l_shipdate", "l_discount"):
             reads.rows(name, rows)
-        assert calls == ["l_quantity", "l_shipdate"]
+        assert calls == [wide, narrow]
         pages_read, _, _ = reads.summary()
         assert pages_read == {
             "l_quantity": 3, "l_tax": 3, "l_shipdate": 2, "l_discount": 3
         }
         # Other row ids are another selection, and add to the column.
         reads.rows("l_tax", np.array([5 * wide], dtype=np.int64))
-        assert calls[-1] == "l_tax"
+        assert calls == [wide, narrow, wide]
         assert reads.summary()[0]["l_tax"] == 4
         assert reads.summary()[0]["l_quantity"] == 3
+
+
+    @pytest.mark.parametrize(
+        "column", ["l_linestatus", "l_shipdate", "l_quantity"]
+    )
+    def test_whole_window_selection_is_charged_like_full(
+        self, tiny_db, layout, column
+    ):
+        """Every row selected = every page: 1-, 4- and 8-byte columns,
+        on a last span that is no multiple of the page."""
+        nrows = tiny_db.table("lineitem").nrows
+        lo = nrows // 8192 * 8192
+        if lo == nrows:
+            lo -= 8192
+        assert (nrows - lo) % 1024
+        gathered = _SpanReads(layout, "lineitem", lo, nrows)
+        gathered.rows(column, np.arange(lo, nrows))
+        streamed = _SpanReads(layout, "lineitem", lo, nrows)
+        streamed.full(column)
+        got, want = gathered.summary(), streamed.summary()
+        assert got[:2] == want[:2]
+        assert np.array_equal(got[2], want[2])
+
+
+class TestWholeWindow:
+    """A selection that is the whole window reads slices, not row ids."""
+
+    @pytest.fixture()
+    def gathers(self, monkeypatch):
+        from repro.storage.column import Column
+
+        calls = []
+        real = Column.gather_raw
+
+        def counting(self, row_ids):
+            calls.append(self.name)
+            return real(self, row_ids)
+
+        monkeypatch.setattr(Column, "gather_raw", counting)
+        return calls
+
+    def _stream(self, db, plan):
+        from repro.engine import Engine
+        from repro.perf.trace import QueryTrace
+
+        trace = QueryTrace()
+        engine = Engine(
+            db, trace, morsels=MorselConfig(morsel_rows=8192, n_workers=1)
+        )
+        return engine.execute_relation(plan), trace
+
+    # Q4's and Q21's late-line fragments: no CP term, so the two date
+    # columns are read for the predicate under the whole window and
+    # only what is left is gathered at the survivors.
+    @pytest.mark.parametrize("columns, project", [
+        (("l_orderkey", "l_commitdate", "l_receiptdate"), False),
+        (("l_orderkey", "l_suppkey", "l_receiptdate", "l_commitdate"),
+         True),
+    ])
+    def test_predicate_columns_are_never_gathered(
+        self, small_db, gathers, columns, project
+    ):
+        from repro.engine import Engine
+
+        node = scan("lineitem", columns).filter(
+            col("l_receiptdate") > col("l_commitdate")
+        )
+        if project:
+            node = node.project(
+                l3_orderkey=col("l_orderkey"), l3_suppkey=col("l_suppkey")
+            )
+        streamed, trace = self._stream(small_db, node.plan)
+        spans = len(MorselConfig(morsel_rows=8192).spans_for(
+            small_db.table("lineitem").nrows
+        ))
+        rest = [c for c in columns if not c.endswith("date")]
+        assert sorted(gathers) == sorted(rest * spans)
+        gathers.clear()
+        assert 0 < streamed.nrows < small_db.table("lineitem").nrows
+        assert_identical(
+            streamed, Engine(small_db).execute_relation(node.plan)
+        )
+        assert not gathers  # the monolithic path never did
+        assert trace.total_pages_skipped == 0
+
+    @pytest.mark.parametrize("predicate", [
+        col("l_quantity") > lit(0),                     # a CP term
+        col("l_commitdate") > col("l_shipdate") - lit(10_000),
+    ])
+    def test_every_row_passing_gathers_nothing(
+        self, small_db, gathers, predicate
+    ):
+        from repro.engine import Engine
+
+        plan = scan(
+            "lineitem", ("l_orderkey", "l_quantity", "l_returnflag",
+                         "l_shipdate", "l_commitdate")
+        ).filter(predicate).plan
+        streamed, trace = self._stream(small_db, plan)
+        assert gathers == []
+        assert streamed.nrows == small_db.table("lineitem").nrows
+        assert_identical(streamed, Engine(small_db).execute_relation(plan))
+        # Charged exactly what a bare streamed scan is: every page.
+        layout = FlashLayout(small_db)
+        assert trace.total_pages_skipped == 0
+        assert trace.flash_pages_read == {
+            ("lineitem", c): layout.extent("lineitem", c).n_pages
+            for c in plan.child.columns
+        }
 
 
 class TestSpanSetUp:
@@ -336,8 +447,15 @@ class TestSpanSetUp:
 _INT_EDGE = 2 ** 62  # sums of a few of these wrap int64: still exact
 
 
+_INT64 = np.iinfo(np.int64)
+_ANY_INT64 = st.one_of(
+    st.sampled_from([_INT64.min, _INT64.max, -1, 0, 1]),
+    st.integers(_INT64.min, _INT64.max),
+)
+
+
 @st.composite
-def _split_relations(draw):
+def _split_relations(draw, ints=st.integers(-_INT_EDGE, _INT_EDGE)):
     """A small relation, a row filter, and arbitrary cut points.
 
     Returns ``(whole, spans)``: the filtered relation and its filtered
@@ -345,7 +463,6 @@ def _split_relations(draw):
     and the filter empties some spans that do hold rows.
     """
     n = draw(st.integers(0, 24))
-    ints = st.integers(-_INT_EDGE, _INT_EDGE)
     rel = Relation({
         "k1": TypedArray(np.array(
             draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
@@ -408,6 +525,44 @@ class TestMergeRules:
             _partial_then_merge(spans, "aggregate", plan),
             aggregate_relation(whole, plan)[0],
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _split_relations(_ANY_INT64),
+        st.sampled_from([(), ("k1",), ("k1", "k2"), ("v",)]),
+        st.sampled_from([None, col("n") > lit(1), col("hi") < lit(0)]),
+        st.data(),
+    )
+    def test_aggregate_with_spans_passed_through(
+        self, split, keys, having, data
+    ):
+        """Any subset of spans handed to the merge as one-row partials
+        instead of reduced: merged ≡ all-reduced ≡ monolithic."""
+        whole, spans = split
+        plan = Aggregate(Scan("t"), keys, _AGGREGATES, having)
+        frag = Fragment(Scan("t"), (), plan, "aggregate")
+        passed = data.draw(
+            st.lists(st.booleans(), min_size=len(spans),
+                     max_size=len(spans))
+        )
+        partials = [
+            partial_rows(span, plan) if through
+            else _reduce(span, frag, merge=False)
+            for span, through in zip(spans, passed)
+        ]
+        for span, partial in zip(spans, partials):
+            reduced = _reduce(span, frag, merge=False)
+            assert partial.names == reduced.names
+            for name in partial.names:
+                a, b = partial.column(name), reduced.column(name)
+                assert (a.kind, a.scale, a.values.dtype) == (
+                    b.kind, b.scale, b.values.dtype
+                )
+        merged = _reduce(_concat_relations(partials), frag, merge=True)
+        assert_identical(
+            merged, _partial_then_merge(spans, "aggregate", plan)
+        )
+        assert_identical(merged, aggregate_relation(whole, plan)[0])
 
     @settings(max_examples=120, deadline=None)
     @given(

@@ -14,6 +14,7 @@ import pytest
 
 from repro import tpch
 from repro.engine import Engine, MorselConfig
+from repro.obs.spans import Tracer
 from repro.perf.trace import QueryTrace
 from repro.sqlir import AggFunc, col, lit, scan
 from repro.storage.layout import PAGE_BYTES
@@ -138,3 +139,60 @@ class TestChannelAccounting:
         # Page-striped sequential reads differ by at most a few pages
         # per channel across all columns.
         assert max(counts) - min(counts) <= len(trace.flash_pages_read)
+
+
+def wide_group_query():
+    """Q20's shape with every mergeable aggregate and a HAVING: about
+    as many (part, supplier) groups as rows, so a span's partial reduce
+    shrinks nothing and later spans are passed through."""
+    return (
+        scan("lineitem")
+        .filter(col("l_quantity") < lit(30))
+        .aggregate(
+            keys=("l_partkey", "l_suppkey"),
+            aggs=[
+                ("n", AggFunc.COUNT, None),
+                ("nq", AggFunc.COUNT, col("l_quantity")),
+                ("qty", AggFunc.SUM, col("l_quantity") * lit(3)),
+                ("first", AggFunc.MIN, col("l_shipdate")),
+                ("dearest", AggFunc.MAX, col("l_extendedprice")),
+            ],
+            having=col("n") > lit(1),
+        )
+        .plan
+    )
+
+
+def passthrough_spans(tracer):
+    """``(spans, spans passed through)`` of the one streamed fragment."""
+    (args,) = [
+        rec[6] for _, rec in tracer.records()
+        if rec[0] == "morsel.fragment"
+    ]
+    return args["morsels"], args["passthrough_spans"]
+
+
+class TestPassThroughPartials:
+    @pytest.mark.parametrize("morsel_rows", MORSEL_SIZES)
+    def test_wide_group_by(self, small_db, morsel_rows):
+        tracer = Tracer()
+        engine = Engine(
+            small_db, tracer=tracer,
+            morsels=MorselConfig(morsel_rows=morsel_rows),
+        )
+        plan = wide_group_query()
+        streamed = engine.execute_relation(plan)
+        spans, passed = passthrough_spans(tracer)
+        assert spans > 2 and passed == spans - 1  # all but the first
+        assert 0 < streamed.nrows
+        assert_identical(streamed, Engine(small_db).execute_relation(plan))
+
+    def test_reducing_group_by_keeps_reducing(self, small_db):
+        tracer = Tracer()
+        engine = Engine(
+            small_db, tracer=tracer, morsels=MorselConfig(morsel_rows=8192)
+        )
+        engine.execute_relation(tpch.query(15))  # ~100 suppliers a span
+        for _, rec in tracer.records():
+            if rec[0] == "morsel.fragment" and rec[6]["kind"] == "aggregate":
+                assert rec[6]["passthrough_spans"] == 0

@@ -2,7 +2,8 @@
 
 Two halves.  The property half checks ``ColumnExtent.touched_pages``
 against the route it replaced (sort + de-duplicate the row ids, build an
-``nrows``-long bit vector, OR it per page).  The golden half pins what
+``nrows``-long bit vector, OR it per page), and the span path's
+``selection_pages`` against ``touched_pages``.  The golden half pins what
 the accounting *charges* — flash bytes, page counters, the morsel
 trace's per-column page dicts and the fault injector's event log — to
 numbers recorded at the commit before the primitive existed, so a
@@ -29,7 +30,7 @@ from repro.core import AquomanDevice, AquomanSimulator, DeviceConfig
 from repro.core.device import DeviceStream
 from repro.engine import Engine, MorselConfig
 from repro.engine.relation import Relation
-from repro.engine.morsel import TUNED_MORSEL_ROWS
+from repro.engine.morsel import TUNED_MORSEL_ROWS, selection_pages
 from repro.faults.injector import FaultInjector, set_fault_injector
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.obs import METRICS
@@ -312,6 +313,63 @@ class TestTouchedPages:
             extent.touched_pages(
                 np.array([1023]), first_row=1024, n_rows=2048
             )
+
+
+# -- the span path's answer for an ascending selection --------------------------
+
+
+@st.composite
+def _ascending_selections(draw):
+    """A page-aligned window that ends anywhere (a table's last span is
+    no multiple of the page) and sorted unique row ids inside it."""
+    width = draw(st.sampled_from([1, 4, 8]))
+    per_page = PAGE_BYTES // width
+    lo = draw(st.integers(0, 3)) * per_page
+    hi = lo + draw(st.integers(1, 3 * per_page + 5))
+    rowids = draw(st.sets(st.integers(lo, hi - 1), max_size=60))
+    # The first and the last row of the window, more often than chance.
+    rowids |= draw(st.sets(st.sampled_from([lo, hi - 1])))
+    return (
+        _extent(hi + draw(st.integers(0, 5)), width), lo, hi,
+        np.array(sorted(rowids), dtype=np.int64),
+    )
+
+
+class TestSelectionPages:
+    """``selection_pages`` ≡ ``ColumnExtent.touched_pages`` wherever the
+    row ids ascend — which a span's selection always does."""
+
+    @given(_ascending_selections())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_general_answer(self, case):
+        extent, lo, hi, rowids = case
+        flags = selection_pages(rowids, lo, hi, extent.rows_per_page())
+        assert flags.dtype == np.bool_
+        assert np.array_equal(
+            flags, extent.touched_pages(rowids, lo, hi - lo)
+        )
+
+    @pytest.mark.parametrize("width", [1, 4, 8])
+    def test_empty_first_and_last_page(self, width):
+        per_page = PAGE_BYTES // width
+        lo, hi = 2 * per_page, 4 * per_page + 1  # two pages and a row
+        none = np.empty(0, dtype=np.int64)
+        assert selection_pages(none, lo, hi, per_page).tolist() == [
+            False, False, False
+        ]
+        ends = np.array([lo, hi - 1])
+        assert selection_pages(ends, lo, hi, per_page).tolist() == [
+            True, False, True
+        ]
+
+    @pytest.mark.parametrize("bad", [[1023], [1024, 3072], [0, 2000]])
+    def test_row_outside_the_window_raises_from_both(self, bad):
+        extent = _extent(5000, 8)
+        rowids = np.array(bad, dtype=np.int64)
+        with pytest.raises(IndexError):
+            selection_pages(rowids, 1024, 3072, extent.rows_per_page())
+        with pytest.raises(IndexError):
+            extent.touched_pages(rowids, first_row=1024, n_rows=2048)
 
 
 # -- the per-selection memo and the shared layout -------------------------------

@@ -93,6 +93,35 @@ class TestBackendDifferential:
         )
 
 
+class TestPassThroughPartials:
+    """Each batch's runner decides from the first span it executes, so
+    which spans skip the partial reduce moves with the backend and the
+    batch size; the result may not."""
+
+    @pytest.mark.parametrize("backend, rounds, passed", [
+        ("serial", 4, 7),    # one runner: all but the first of 8 spans
+        ("process", 1, 6),   # two batches of four
+        ("process", 2, 4),   # four batches of two
+        ("process", 4, 0),   # one span a batch: nothing to skip
+    ])
+    def test_result_ignores_where_the_switch_falls(
+        self, small_db, monkeypatch, backend, rounds, passed
+    ):
+        from test_morsel_differential import (
+            passthrough_spans,
+            wide_group_query,
+        )
+
+        monkeypatch.setattr(procpool, "DISPATCH_ROUNDS", rounds)
+        tracer = Tracer()
+        plan = wide_group_query()
+        out = _engine(small_db, backend, tracer=tracer).execute_relation(
+            plan
+        )
+        assert passthrough_spans(tracer) == (8, passed)
+        assert_identical(out, Engine(small_db).execute_relation(plan))
+
+
 class TestFaultDeterminism:
     """(seed, site) placement makes chaos identical across backends."""
 

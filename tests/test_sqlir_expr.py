@@ -202,6 +202,20 @@ class TestStringPredicates:
         assert out.kind is Kind.STR
         assert out.heap.decode_many(out.values) == ["13", "29"]
 
+    def test_substring_calls_share_a_heap_nothing_interns_into(self):
+        ctx = ctx_of(s=strings("13-555", "29-444", "13-777"))
+        prefix = Substring(col("s"), 1, 2)
+        first = evaluate(prefix, ctx)
+        # Strings the heap has never seen are looked up, not interned.
+        assert evaluate(
+            InList(prefix, ("99", "13")), ctx
+        ).values.tolist() == [True, False, True]
+        assert not evaluate(prefix == lit("zz"), ctx).values.any()
+        again = evaluate(prefix, ctx)
+        assert again.heap is first.heap
+        assert again.values.tolist() == first.values.tolist() == [0, 1, 0]
+        assert first.heap.strings() == ["13", "29"]
+
     def test_like_requires_string_column(self):
         with pytest.raises(TypeError):
             evaluate(Like(col("a"), "%x%"), ctx_of(a=ints(1)))

@@ -175,6 +175,87 @@ class TestHeapVerdicts:
         assert "nope" not in heap  # looked up, never interned
 
 
+class TestHeapSubstrings:
+    def test_codes_follow_first_appearance(self):
+        heap, codes = StringHeap.from_values(
+            ["13-555", "29-444", "13-777", "29-444"]
+        )
+        out_heap, code_map = heap.substrings(1, 2)
+        assert out_heap.strings() == ["13", "29"]
+        assert code_map.tolist() == [0, 1, 0]
+        assert code_map.dtype == np.int64
+        assert out_heap.decode_many(code_map[codes]) == [
+            "13", "29", "13", "29"
+        ]
+        # start counts from 1, and a cut past the end is just shorter.
+        assert heap.substrings(4, 9)[0].strings() == ["555", "444", "777"]
+
+    def test_each_unique_string_is_cut_once(self):
+        heap, _ = StringHeap.from_values(["ab", "cd", "ab", "ae"] * 50)
+        out_heap, code_map = heap.substrings(1, 1)
+        again = heap.substrings(1, 1)
+        assert again[0] is out_heap and again[1] is code_map
+        assert heap.substrings(2, 1)[0] is not out_heap
+
+    def test_same_cut_on_two_heaps_does_not_alias(self):
+        a, _ = StringHeap.from_values(["x1", "y2"])
+        b, _ = StringHeap.from_values(["y2", "x1", "z3"])
+        assert a.substrings(1, 1)[0].strings() == ["x", "y"]
+        assert b.substrings(1, 1)[0].strings() == ["y", "x", "z"]
+        assert a.substrings(1, 1)[1].tolist() == [0, 1]
+
+    def test_growth_extends_the_map_by_the_new_tail_only(self):
+        heap, _ = StringHeap.from_values(["ab", "cd"])
+        out_heap, before = heap.substrings(1, 1)
+        assert heap.encode("ax") == 2 and heap.encode("zz") == 3
+        grown_heap, after = heap.substrings(1, 1)
+        assert grown_heap is out_heap          # codes handed out stay valid
+        assert before.tolist() == [0, 1]       # never rewritten
+        assert after.tolist() == [0, 1, 0, 2]
+        assert out_heap.strings() == ["a", "c", "z"]
+        assert heap.substrings(1, 1)[1] is after
+
+    def test_maps_are_read_only(self):
+        heap, _ = StringHeap.from_values(["ab", "cd"])
+        code_map = heap.substrings(1, 1)[1]
+        assert not code_map.flags.writeable
+        heap.encode("ef")
+        assert not heap.substrings(1, 1)[1].flags.writeable
+        assert StringHeap().substrings(1, 2)[1].tolist() == []
+
+    def test_oldest_cut_is_evicted_at_the_bound(self):
+        heap, _ = StringHeap.from_values(["abcdefgh"])
+        bound = stringheap.MAX_VERDICT_PATTERNS
+        cuts = [(1, n) for n in range(1, bound + 4)]
+        for cut in cuts:
+            heap.substrings(*cut)
+            assert len(heap._substrings) <= bound
+        assert list(heap._substrings) == cuts[3:]
+        assert heap.substrings(1, 1)[0].strings() == ["a"]
+
+    def test_q22_leaves_the_shared_heap_as_it_found_it(self, tiny_db):
+        """Every SUBSTRING call on a column hands out one heap, which is
+        safe as long as nothing interns into it: Q22 compares, groups
+        and sorts by it on every path and must add no string."""
+        from repro import tpch
+        from repro.core import AquomanSimulator, DeviceConfig
+        from repro.engine import Engine, MorselConfig
+
+        phone = tiny_db.table("customer").column("c_phone").heap
+        out_heap, code_map = phone.substrings(1, 2)
+        found = out_heap.strings()
+        assert len(found) == len(set(found)) <= 25 < phone.unique_count
+        plan = tpch.query(22)
+        Engine(tiny_db).execute_relation(plan)
+        Engine(
+            tiny_db, morsels=MorselConfig(morsel_rows=8192)
+        ).execute_relation(plan)
+        AquomanSimulator(tiny_db, DeviceConfig()).run(plan)
+        assert phone.substrings(1, 2)[0] is out_heap
+        assert phone.substrings(1, 2)[1] is code_map
+        assert out_heap.strings() == found
+
+
 class TestColumn:
     def test_from_logical_decimal(self):
         col = Column.from_logical("price", DECIMAL, [1.5, 2.25])
