@@ -407,25 +407,29 @@ def cmd_explain(args) -> int:
     return 0
 
 
+def _print_report(args, report, **format_options) -> int:
+    """Print an analyzer report (plan or lint) as ``--json`` or text;
+    the exit code is ``--strict``'s."""
+    if args.json:
+        print(report.to_json_str())
+    else:
+        print(report.format(**format_options))
+    return 1 if args.strict and not report.ok else 0
+
+
 def cmd_analyze(args) -> int:
     from repro.analysis import analyze_plan
 
     db = tpch.generate(args.sf)
     plan = _plan_of(args, db)
-    report = analyze_plan(plan, db, device=_device_config(args))
-    if args.json:
-        print(report.to_json_str())
-    else:
-        print(report.format())
-    if args.strict and not report.ok:
-        return 1
-    return 0
+    return _print_report(
+        args, analyze_plan(plan, db, device=_device_config(args))
+    )
 
 
 def cmd_lint(args) -> int:
     """Concurrency & determinism lint over the repro sources."""
     from repro.analysis.conccheck import lint_repo
-    from repro.analysis.conccheck.config import default_baseline_path
 
     if args.selfcheck:
         from repro.analysis.conccheck.selfcheck import run_selfcheck
@@ -434,21 +438,7 @@ def cmd_lint(args) -> int:
         print("\n".join(lines))
         return 0 if ok else 1
 
-    report = lint_repo(use_baseline=not args.baseline)
-    if args.baseline:
-        from repro.analysis.conccheck.report import write_baseline
-
-        entries = write_baseline(default_baseline_path(), report)
-        print(f"baseline: {default_baseline_path()} "
-              f"({len(entries)} fingerprints)")
-        return 0
-    if args.json:
-        print(report.to_json_str())
-    else:
-        print(report.format(verbose=args.verbose))
-    if args.strict and not report.ok:
-        return 1
-    return 0
+    return _print_report(args, lint_repo(), verbose=args.verbose)
 
 
 def cmd_doctor(args) -> int:
@@ -587,9 +577,7 @@ def cmd_serve(args) -> int:
         engine = Engine(
             db,
             tracer=tracer,
-            morsels=MorselConfig(
-                parallel=True, morsel_rows=TUNED_MORSEL_ROWS
-            ),
+            morsels=MorselConfig(),
         )
         for number in warm:
             t0 = time.monotonic_ns()
@@ -689,13 +677,8 @@ def main(argv: list[str] | None = None) -> int:
     _add_report(
         p_lint,
         strict="exit 1 when the lint finds errors",
-        verbose="also list # conc: safe suppressions and baselined "
-        "findings",
-    )
-    p_lint.add_argument(
-        "--baseline", action="store_true",
-        help="regenerate the committed suppression baseline from the "
-        "current findings",
+        verbose="also list the findings # conc: safe annotations "
+        "suppress",
     )
     p_lint.add_argument(
         "--selfcheck", action="store_true",

@@ -1,7 +1,8 @@
 """Static plan analysis: verify before execute.
 
 Four passes over a :class:`repro.sqlir.Plan` + catalog, none of which
-executes a single row:
+executes a single row.  One :class:`TypeChecker` types the plan once
+per analysis; every pass reads its memoised ``schema_of``:
 
 ``types``
     Schema/dtype inference over every operator and expression
@@ -28,7 +29,6 @@ import in the other direction would cycle.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import Any
 
 from repro.analysis.diagnostics import (
@@ -69,8 +69,7 @@ from repro.sqlir.plan import (
     Plan,
     Project,
     assign_node_ids,
-    node_exprs,
-    subquery_plans,
+    walk_with_subqueries,
 )
 
 __all__ = [
@@ -104,21 +103,18 @@ ENGINE_PASSES = ("types", "morsel")
 ALL_PASSES = ("types", "suspend", "pe", "morsel")
 
 
-def node_schemas(plan: Plan, catalog: Any) -> dict[int, dict]:
+def node_schemas(plan: Plan, checker: TypeChecker) -> dict[int, dict]:
     """Per-node static predictions keyed by ``node_id``.
 
-    Runs :func:`assign_node_ids` (idempotent — ids are stable tree
-    positions) and the type checker, and returns, for every node, the
-    operator name, its repr and the inferred output schema — the
-    "estimate" half of the doctor's explain-analyze table.  Scalar
-    subquery plans are excluded: they never get engine spans of their
-    own.
+    For every node of an analysed plan (``checker`` is its report's
+    :attr:`~AnalysisReport.checker`): the operator name, its repr and
+    the inferred output schema — the "estimate" half of the doctor's
+    explain-analyze table.  Scalar subquery plans are excluded: they
+    never get engine spans of their own.
     """
-    assign_node_ids(plan)
-    checker = TypeChecker(catalog, collect=False)
     out: dict[int, dict] = {}
     for node in plan.walk():
-        if node.node_id is None:  # pragma: no cover - ids just assigned
+        if node.node_id is None:  # pragma: no cover - never analysed
             continue
         schema = checker.schema_of(node)
         out[node.node_id] = {
@@ -158,12 +154,15 @@ def analyze_plan(
     report = AnalysisReport(passes=tuple(passes))
     with tracer.span("analysis.plan", passes=",".join(passes)):
         report.n_nodes = assign_node_ids(plan)
+        checker = TypeChecker(catalog, collect="types" in passes)
+        report.checker = checker
 
         if "types" in passes:
             with tracer.span("analysis.types"):
-                checker = TypeChecker(catalog)
-                checker.check(plan)
+                checker.schema_of(plan)
                 report.diagnostics.extend(checker.diagnostics)
+            # From here on the checker only answers from its memo.
+            checker.collect = False
 
         if "suspend" in passes:
             if device is None:
@@ -171,18 +170,18 @@ def analyze_plan(
                     "the 'suspend' pass needs a DeviceConfig (device=...)"
                 )
             with tracer.span("analysis.suspend"):
-                predictor = SuspendPredictor(catalog, device)
+                predictor = SuspendPredictor(catalog, device, checker)
                 predictions, diagnostics = predictor.predict(plan)
                 report.suspend.update(predictions)
                 report.diagnostics.extend(diagnostics)
 
         if "pe" in passes:
             with tracer.span("analysis.pe"):
-                report.diagnostics.extend(_pe_pass(plan, catalog, device))
+                report.diagnostics.extend(_pe_pass(plan, checker, device))
 
         if "morsel" in passes:
             with tracer.span("analysis.morsel"):
-                report.fragments = fragment_verdicts(plan, catalog)
+                report.fragments = fragment_verdicts(plan, catalog, checker)
 
     METRICS.counter(
         "analysis.plans_analyzed", "analyze_plan invocations"
@@ -190,7 +189,7 @@ def analyze_plan(
     return report
 
 
-def _pe_pass(plan: Plan, catalog: Any,
+def _pe_pass(plan: Plan, checker: TypeChecker,
              device: Any) -> list[Diagnostic]:
     """Lower every Project's computed outputs the way the Row
     Transformer would and verify the resulting PE programs."""
@@ -200,9 +199,9 @@ def _pe_pass(plan: Plan, catalog: Any,
     )
 
     imem = device.pe_imem_size if device is not None else None
-    checker = TypeChecker(catalog, collect=False)
     out: list[Diagnostic] = []
-    for node in _walk_with_subqueries(plan):
+    # dict.fromkeys: a subtree two parents share is verified once
+    for node in dict.fromkeys(walk_with_subqueries(plan)):
         if not isinstance(node, Project):
             continue
         pe_outputs = [
@@ -239,18 +238,3 @@ def _pe_pass(plan: Plan, catalog: Any,
             continue
         out.extend(verify_transform_graph(graph, node))
     return out
-
-
-def _walk_with_subqueries(plan: Plan) -> Iterator[Plan]:
-    """Preorder walk that also descends into scalar-subquery plans."""
-    seen: set[int] = set()
-    stack = [plan]
-    while stack:
-        root = stack.pop()
-        for node in root.walk():
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            yield node
-            for expr in node_exprs(node):
-                stack.extend(subquery_plans(expr))

@@ -9,12 +9,12 @@ layer depend on — bit-identical recovery as a pure function of
 deterministic lane attribution, ambient-state hygiene — are checked
 from the AST, without importing or executing the code under analysis,
 and emitted as stable ``AQ5xx`` diagnostics with ``file:line`` loci
-in the same human/JSON formats as ``repro analyze``.
+in the same record, report and human/JSON formats as ``repro analyze``.
 
-Four passes (see DESIGN.md §11 for the full code table):
+Three passes (see DESIGN.md §11 for the full code table), each a check
+on the execution model we run — forked, single-threaded pool workers
+that share nothing with the parent but what is pickled across:
 
-- **races** (AQ501–AQ503): writes to module/class-level state
-  reachable from worker entry points, without a lock;
 - **boundary** (AQ510–AQ513): lambdas, closures and known-unpicklable
   captures crossing the ``ProcessPool`` dispatch boundary;
 - **determinism** (AQ520–AQ523): unseeded RNGs, wall-clock reads,
@@ -24,10 +24,10 @@ Four passes (see DESIGN.md §11 for the full code table):
   repatriation (``Tracer.adopt`` / ``FaultInjector.absorb``) outside
   the sanctioned points.
 
-True negatives are justified in-line with ``# conc: safe — reason``;
-legacy findings can be grandfathered in the committed baseline
-(``--baseline`` regenerates it).  ``AQ500`` (a configured root
-vanished) and ``AQ540`` (a stale baseline entry) keep the contract
+True negatives are justified in-line with ``# conc: safe — reason``,
+the one suppression mechanism; the report counts the findings each
+annotation suppressed.  ``AQ500`` (a configured root vanished) and
+``AQ541`` (an annotation that suppresses nothing) keep the contract
 itself honest.
 """
 
@@ -40,28 +40,23 @@ from repro.analysis.conccheck.ambient import run_ambient_pass
 from repro.analysis.conccheck.boundary import run_boundary_pass
 from repro.analysis.conccheck.config import (
     LintConfig,
-    default_baseline_path,
     default_config,
     package_root,
     repo_root,
 )
 from repro.analysis.conccheck.determinism import run_determinism_pass
 from repro.analysis.conccheck.model import Project
-from repro.analysis.conccheck.races import run_races_pass
 from repro.analysis.conccheck.report import (
-    LintDiagnostic,
-    LintReport,
-    apply_baseline,
+    PASSES,
+    ConccheckReport,
     lint_diag,
-    load_baseline,
-    write_baseline,
 )
-from repro.analysis.diagnostics import Severity
+from repro.analysis.diagnostics import Diagnostic, Severity, SourceLocus
 
 __all__ = [
+    "ConccheckReport",
     "LintConfig",
-    "LintDiagnostic",
-    "LintReport",
+    "PASSES",
     "Project",
     "default_config",
     "lint_project",
@@ -71,10 +66,10 @@ __all__ = [
 
 def lint_project(
     project: Project, config: LintConfig
-) -> LintReport:
-    """Run the configured passes over an already-loaded project."""
+) -> ConccheckReport:
+    """Run the three passes over an already-loaded project."""
     t0 = time.perf_counter()
-    report = LintReport(passes=config.passes)
+    report = ConccheckReport()
     report.n_files = len(project.modules)
     report.n_functions = len(project.functions)
 
@@ -95,78 +90,59 @@ def lint_project(
     )
     report.n_worker_reachable = len(worker_reachable)
 
-    raw: list[LintDiagnostic] = []
-    if "races" in config.passes:
-        raw += run_races_pass(project, worker_reachable)
-    if "boundary" in config.passes:
-        raw += run_boundary_pass(project)
-    if "determinism" in config.passes:
-        raw += run_determinism_pass(
+    findings = [
+        *run_boundary_pass(project),
+        *run_determinism_pass(
             project, result_scope,
             exempt_prefixes=config.determinism_exempt,
-        )
-    if "ambient" in config.passes:
-        raw += run_ambient_pass(
+        ),
+        *run_ambient_pass(
             project, worker_reachable,
-            installers=config.ambient_installers,
-            sanctioned_installers=config.sanctioned_installers,
-            repatriation_methods=config.repatriation_methods,
-            sanctioned_repatriation=config.sanctioned_repatriation,
-        )
+            config.sanctioned_installers,
+            config.sanctioned_repatriation,
+        ),
+    ]
 
-    # The passes drop suppressed findings before they reach us; the
-    # suppression tally below recounts them for the report so the
-    # human output shows how much is annotated away.
-    report.extend(raw)
-    report.suppressed = _collect_suppressed(project)
+    # A finding under a conc-safe annotation is suppressed and counted;
+    # an annotation no finding sits under is itself reported.
+    by_path = {mod.path: mod for mod in project.modules.values()}
+    used: set[tuple[str, int]] = set()
+    for finding in findings:
+        locus = finding.source
+        assert locus is not None  # lint_diag always sets it
+        annotation = by_path[locus.path].safe_annotation(locus.line)
+        if annotation is None:
+            report.add(finding)
+        else:
+            report.suppressed.append(finding)
+            used.add((locus.path, annotation))
+    for mod in project.modules.values():
+        for line, why in mod.safe_lines.items():
+            if (mod.path, line) not in used:
+                report.add(Diagnostic(
+                    "AQ541",
+                    Severity.WARNING,
+                    f"`# conc: safe — {why}` suppresses no finding: "
+                    "delete the annotation",
+                    source=SourceLocus(mod.path, line),
+                ))
+
     report.elapsed_s = time.perf_counter() - t0
     report.sort()
     return report
 
 
-def _collect_suppressed(project: Project) -> list[LintDiagnostic]:
-    """One INFO record per ``# conc: safe`` annotation, so the report
-    (and the tests) can see the justification surface."""
-    out: list[LintDiagnostic] = []
-    for mod in project.modules.values():
-        for line, why in sorted(mod.safe_lines.items()):
-            out.append(LintDiagnostic(
-                code="AQ5xx",
-                severity=Severity.INFO,
-                message=f"conc: safe — {why}" if why else "conc: safe",
-                path=mod.path,
-                line=line,
-            ))
-    return out
-
-
-def lint_repo(
-    config: LintConfig | None = None,
-    baseline_path: str | Path | None = None,
-    use_baseline: bool = True,
-) -> LintReport:
+def lint_repo(config: LintConfig | None = None) -> ConccheckReport:
     """Lint the installed ``repro`` package sources."""
-    config = config or default_config()
     root = package_root()
-    project = Project.load_package(
-        root, config.package,
-        distinctive_max_definers=config.distinctive_max_definers,
-    )
+    project = Project.load_package(root)
     _relativize(project, root)
-    report = lint_project(project, config)
-    if use_baseline:
-        path = Path(baseline_path) if baseline_path is not None \
-            else default_baseline_path()
-        baseline = load_baseline(path)
-        if baseline:
-            apply_baseline(report, baseline)
-            report.sort()
-    return report
+    return lint_project(project, config or default_config())
 
 
 def _relativize(project: Project, package_dir: Path) -> None:
     """Rewrite stored paths repo-relative (``src/repro/...``) so
-    reports and baseline fingerprints are checkout-independent."""
+    reports are checkout-independent."""
     try:
         prefix = package_dir.relative_to(repo_root())
     except ValueError:  # package imported from outside the checkout

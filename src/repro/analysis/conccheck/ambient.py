@@ -1,4 +1,4 @@
-"""Pass 4 — ambient-state discipline (AQ530–AQ531).
+"""Pass 3 — ambient-state discipline (AQ530–AQ531).
 
 The runtime's ambient singletons — the global tracer behind
 :data:`~repro.obs.spans.NULL_TRACER`, the global injector behind
@@ -24,27 +24,29 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.conccheck.model import Project
-from repro.analysis.conccheck.report import LintDiagnostic, lint_diag
+from repro.analysis.conccheck.report import lint_diag
+from repro.analysis.diagnostics import Diagnostic
 
-__all__ = ["run_ambient_pass"]
+__all__ = ["AMBIENT_INSTALLERS", "REPATRIATION_METHODS", "run_ambient_pass"]
+
+# Functions (by bare name) that install ambient state.
+AMBIENT_INSTALLERS = frozenset({
+    "set_global_tracer", "set_fault_injector", "set_degraded",
+    "clear_degraded", "set_last_trace", "set_query_context",
+    "set_query_log",
+})
+# Methods that carry worker observability back into the parent.
+REPATRIATION_METHODS = frozenset({"adopt", "absorb"})
 
 
 def run_ambient_pass(
     project: Project,
     worker_reachable: set[str],
-    installers: tuple[str, ...],
     sanctioned_installers: tuple[str, ...],
-    repatriation_methods: tuple[str, ...],
     sanctioned_repatriation: tuple[str, ...],
-) -> list[LintDiagnostic]:
-    out: list[LintDiagnostic] = []
-    installer_set = set(installers)
-    sanctioned_install = set(sanctioned_installers)
-    repatriation = set(repatriation_methods)
-    sanctioned_repat = set(sanctioned_repatriation)
-
+) -> list[Diagnostic]:
+    out: list[Diagnostic] = []
     for info in project.functions_in_scope(set(project.functions)):
-        mod = project.module_of(info)
         in_worker = info.qualname in worker_reachable
         for node in ast.walk(info.node):
             if not isinstance(node, ast.Call):
@@ -53,10 +55,9 @@ def run_ambient_pass(
             name = func.id if isinstance(func, ast.Name) else (
                 func.attr if isinstance(func, ast.Attribute) else ""
             )
-            if name in installer_set and in_worker and \
-                    info.qualname not in sanctioned_install and \
-                    info.name not in installer_set and \
-                    not mod.is_safe_line(node.lineno):
+            if name in AMBIENT_INSTALLERS and in_worker and \
+                    info.qualname not in sanctioned_installers and \
+                    info.name not in AMBIENT_INSTALLERS:
                 out.append(lint_diag(
                     "AQ530",
                     f"{name}(...) installs ambient state from "
@@ -65,10 +66,9 @@ def run_ambient_pass(
                     "only be swapped at batch setup/teardown",
                     path=info.path, node=node, symbol=info.qualname,
                 ))
-            if name in repatriation and \
+            if name in REPATRIATION_METHODS and \
                     isinstance(func, ast.Attribute) and \
-                    info.qualname not in sanctioned_repat and \
-                    not mod.is_safe_line(node.lineno):
+                    info.qualname not in sanctioned_repatriation:
                 out.append(lint_diag(
                     "AQ531",
                     f".{name}(...) repatriates worker observability "

@@ -1,4 +1,4 @@
-"""Pass 2 — fork/pickle-boundary verification (AQ510–AQ513).
+"""Pass 1 — fork/pickle-boundary verification (AQ510–AQ513).
 
 Everything crossing the :class:`~repro.engine.procpool.ProcessPool`
 dispatch/return boundary is pickled.  On a fork platform a violation
@@ -34,7 +34,8 @@ from repro.analysis.conccheck.model import (
     Project,
     _receiver_text,
 )
-from repro.analysis.conccheck.report import LintDiagnostic, lint_diag
+from repro.analysis.conccheck.report import lint_diag
+from repro.analysis.diagnostics import Diagnostic
 
 __all__ = [
     "UNPICKLABLE_CALLS",
@@ -78,10 +79,9 @@ class _ShippedValueChecker:
     """Structural walk over an expression that will be pickled."""
 
     def __init__(self, info: FuncInfo, project: Project,
-                 out: list[LintDiagnostic]) -> None:
+                 out: list[Diagnostic]) -> None:
         self.info = info
         self.project = project
-        self.mod = project.module_of(info)
         self.out = out
         self._followed: set[str] = set()
         # single-assignment map: local name -> value expression
@@ -98,8 +98,6 @@ class _ShippedValueChecker:
                 self._bindings[target.id] = stmt.value
 
     def _flag(self, code: str, node: ast.AST, message: str) -> None:
-        if self.mod.is_safe_line(node.lineno):
-            return
         self.out.append(lint_diag(
             code, message, path=self.info.path, node=node,
             symbol=self.info.qualname,
@@ -189,7 +187,7 @@ class _ShippedValueChecker:
 
 def _check_process_target(
     info: FuncInfo, project: Project, call: ast.Call,
-    out: list[LintDiagnostic],
+    out: list[Diagnostic],
 ) -> None:
     mod = project.module_of(info)
     for kw in call.keywords:
@@ -197,14 +195,13 @@ def _check_process_target(
             target = kw.value
             ok = False
             if isinstance(target, ast.Name):
-                ginfo = mod.globals.get(target.id)
                 resolved = info.local_imports.get(target.id) \
                     or mod.imports.get(target.id)
                 ok = bool(
-                    (ginfo is not None and ginfo.is_function)
+                    f"{info.module}:{target.id}" in project.functions
                     or (resolved is not None and ":" in resolved)
                 )
-            if not ok and not mod.is_safe_line(kw.value.lineno):
+            if not ok:
                 out.append(lint_diag(
                     "AQ513",
                     "Process target must be a module-level function "
@@ -220,9 +217,9 @@ def _check_process_target(
 
 def run_boundary_pass(
     project: Project, scope: set[str] | None = None
-) -> list[LintDiagnostic]:
+) -> list[Diagnostic]:
     """Scan boundary call sites; ``scope=None`` means every function."""
-    out: list[LintDiagnostic] = []
+    out: list[Diagnostic] = []
     quals = scope if scope is not None else set(project.functions)
     for info in project.functions_in_scope(quals):
         for node in ast.walk(info.node):

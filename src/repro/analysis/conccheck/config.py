@@ -11,18 +11,15 @@ surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
     "LintConfig",
-    "default_baseline_path",
     "default_config",
     "package_root",
     "repo_root",
 ]
-
-DEFAULT_BASELINE = "baseline.json"
 
 
 @dataclass
@@ -30,32 +27,17 @@ class LintConfig:
     """Everything one :func:`~repro.analysis.conccheck.lint_project`
     run needs besides the sources."""
 
-    package: str = "repro"
-    # Functions whose bodies execute on forked workers / other threads.
+    # Functions whose bodies execute on forked pool workers.
     worker_roots: tuple[str, ...] = ()
     # Merge / partial-(un)pack functions: deterministic by contract.
     result_roots: tuple[str, ...] = ()
     # Module prefixes exempt from the wall-clock/determinism checks
     # (observability measures time without affecting results).
     determinism_exempt: tuple[str, ...] = ()
-    # Ambient-state installer functions (by bare name).
-    ambient_installers: tuple[str, ...] = (
-        "set_global_tracer", "set_fault_injector", "set_degraded",
-        "clear_degraded", "set_last_trace", "set_query_context",
-        "set_query_log",
-    )
-    # Worker-reachable functions allowed to call the installers.
+    # Worker-reachable functions allowed to call the ambient installers.
     sanctioned_installers: tuple[str, ...] = ()
-    # Repatriation method names and their only allowed call sites.
-    repatriation_methods: tuple[str, ...] = ("adopt", "absorb")
+    # The only allowed call sites of the repatriation methods.
     sanctioned_repatriation: tuple[str, ...] = ()
-    # Attribute-call fallback: resolve a method name against every
-    # class defining it only when at most this many classes do.
-    distinctive_max_definers: int = 3
-    passes: tuple[str, ...] = (
-        "races", "boundary", "determinism", "ambient",
-    )
-    extra: dict = field(default_factory=dict)
 
 
 def repo_root() -> Path:
@@ -67,14 +49,9 @@ def package_root() -> Path:
     return Path(__file__).resolve().parents[2]
 
 
-def default_baseline_path() -> Path:
-    return Path(__file__).resolve().parent / DEFAULT_BASELINE
-
-
 def default_config() -> LintConfig:
     """The committed concurrency contract for this repository."""
     return LintConfig(
-        package="repro",
         worker_roots=(
             # forked process worker: batch loop and dispatcher
             "repro.engine.procpool:_worker_main",

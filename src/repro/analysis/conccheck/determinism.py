@@ -1,4 +1,4 @@
-"""Pass 3 — determinism lint over result-affecting paths (AQ520–AQ523).
+"""Pass 2 — determinism lint over result-affecting paths (AQ520–AQ523).
 
 The recovery contract (DESIGN.md §9) makes every result a pure
 function of the query and, under injection, of ``(seed, site)``; the
@@ -34,7 +34,8 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.conccheck.model import FuncInfo, Project
-from repro.analysis.conccheck.report import LintDiagnostic, lint_diag
+from repro.analysis.conccheck.report import lint_diag
+from repro.analysis.diagnostics import Diagnostic
 
 __all__ = ["WALL_CLOCK_CALLS", "run_determinism_pass"]
 
@@ -75,7 +76,7 @@ def _set_returning(info: FuncInfo, project: Project,
 
 class _DetVisitor(ast.NodeVisitor):
     def __init__(self, info: FuncInfo, project: Project,
-                 out: list[LintDiagnostic]) -> None:
+                 out: list[Diagnostic]) -> None:
         self.info = info
         self.project = project
         self.mod = project.module_of(info)
@@ -89,8 +90,6 @@ class _DetVisitor(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def _flag(self, code: str, node: ast.AST, message: str) -> None:
-        if self.mod.is_safe_line(node.lineno):
-            return
         self.out.append(lint_diag(
             code, message, path=self.info.path, node=node,
             symbol=self.info.qualname,
@@ -241,8 +240,8 @@ class _DetVisitor(ast.NodeVisitor):
 def run_determinism_pass(
     project: Project, scope: set[str],
     exempt_prefixes: tuple[str, ...] = (),
-) -> list[LintDiagnostic]:
-    out: list[LintDiagnostic] = []
+) -> list[Diagnostic]:
+    out: list[Diagnostic] = []
     for info in project.functions_in_scope(scope):
         if any(info.module.startswith(p) for p in exempt_prefixes):
             continue

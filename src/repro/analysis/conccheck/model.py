@@ -3,14 +3,14 @@
 Loads every module of the package (or any explicit set of sources),
 indexes functions by qualified name (``repro.engine.morsel:SpanRunner.
 run_span_safe``; nested functions carry ``.<locals>.`` segments like
-``__qualname__`` does), records module-level global bindings, scans
-``# conc: safe`` suppression comments, and builds a conservative
-call graph so the passes can ask one question cheaply: *is this
-function reachable from a worker entry point?*
+``__qualname__`` does), scans ``# conc: safe`` suppression comments,
+and builds a conservative call graph so the passes can ask one
+question cheaply: *is this function reachable from a worker entry
+point?*
 
-Call resolution is deliberately over-approximate — a race checker
-that misses edges is worthless — but bounded so the worker-reachable
-set stays meaningful:
+Call resolution is deliberately over-approximate — a checker that
+misses edges is worthless — but bounded so the worker-reachable set
+stays meaningful:
 
 - bare names resolve through local defs, module globals and
   (function- or module-level) imports;
@@ -22,7 +22,7 @@ set stays meaningful:
   classmethod-factory idiom: the result is assumed to be an instance);
 - any remaining attribute call resolves *by method name* against every
   project class defining it, but only when few classes do
-  (:attr:`CallGraph.distinctive_max_definers`) — common names like
+  (:data:`DISTINCTIVE_MAX_DEFINERS`) — common names like
   ``run`` stay unresolved rather than wiring the whole repo together;
 - referencing a function without calling it (``pool.map(runner.
   run_span_safe, spans)``) adds a may-call edge under the same rules.
@@ -44,26 +44,17 @@ __all__ = [
     "CallRef",
     "ClassInfo",
     "FuncInfo",
-    "GlobalInfo",
     "Project",
     "SourceModule",
 ]
 
 _SAFE_RE = re.compile(r"#\s*conc:\s*safe\b(?P<why>.*)", re.IGNORECASE)
 
-_MUTABLE_CTORS = {"dict", "list", "set", "defaultdict", "deque",
-                  "Counter", "OrderedDict"}
-
-
-@dataclass
-class GlobalInfo:
-    """One module-level binding."""
-
-    name: str
-    line: int
-    mutable: bool    # bound to a dict/list/set(-like) literal or ctor
-    is_function: bool = False
-    is_class: bool = False
+# The package the lint loads, and the attribute-call fallback's bound:
+# a method name resolves against every class defining it only when at
+# most this many classes do.
+PACKAGE = "repro"
+DISTINCTIVE_MAX_DEFINERS = 3
 
 
 @dataclass
@@ -119,7 +110,7 @@ class SourceModule:
         self.path = path
         self.source = source
         self.tree = ast.parse(source, filename=path)
-        # line (1-based) -> justification text for "# conc: safe";
+        # line (1-based) -> justification text of a conc-safe comment;
         # tokenized so the marker inside a docstring does not count
         self.safe_lines: dict[int, str] = {}
         try:
@@ -137,21 +128,21 @@ class SourceModule:
             pass
         # module-level import map: local name -> dotted target
         self.imports: dict[str, str] = {}
-        self.globals: dict[str, GlobalInfo] = {}
 
-    def is_safe_line(self, lineno: int) -> bool:
-        """Suppressed when the annotation sits on the line itself or
-        anywhere in the contiguous pure-comment block directly above."""
+    def safe_annotation(self, lineno: int) -> int | None:
+        """Line of the ``# conc: safe`` annotation covering ``lineno``:
+        on the line itself, or the nearest one in the contiguous
+        pure-comment block directly above.  ``None`` = not suppressed."""
         if lineno in self.safe_lines:
-            return True
+            return lineno
         lines = self.source.splitlines()
         cursor = lineno - 1
         while cursor >= 1 and \
                 lines[cursor - 1].strip().startswith("#"):
             if cursor in self.safe_lines:
-                return True
+                return cursor
             cursor -= 1
-        return False
+        return None
 
 
 def _receiver_text(node: ast.AST) -> str | None:
@@ -272,11 +263,10 @@ class _FunctionScanner(ast.NodeVisitor):
 class Project:
     """A set of parsed modules with a function index and call graph."""
 
-    def __init__(self, distinctive_max_definers: int = 3) -> None:
+    def __init__(self) -> None:
         self.modules: dict[str, SourceModule] = {}
         self.functions: dict[str, FuncInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
-        self.distinctive_max_definers = distinctive_max_definers
         # bare method name -> [qualified function names]
         self._by_method_name: dict[str, list[str]] = {}
         self._edges: dict[str, set[str]] | None = None
@@ -284,17 +274,14 @@ class Project:
     # -- loading -------------------------------------------------------------
 
     @classmethod
-    def load_package(
-        cls, package_root: Path, package: str = "repro",
-        distinctive_max_definers: int = 3,
-    ) -> "Project":
+    def load_package(cls, package_root: Path) -> "Project":
         """Parse every ``*.py`` under the package directory."""
-        project = cls(distinctive_max_definers)
+        project = cls()
         for path in sorted(package_root.rglob("*.py")):
             if "__pycache__" in path.parts:
                 continue
             rel = path.relative_to(package_root).with_suffix("")
-            parts = [package, *rel.parts]
+            parts = [PACKAGE, *rel.parts]
             if parts[-1] == "__init__":
                 parts = parts[:-1]
             project.add_source(
@@ -304,13 +291,10 @@ class Project:
         return project
 
     @classmethod
-    def from_sources(
-        cls, sources: dict[str, str],
-        distinctive_max_definers: int = 3,
-    ) -> "Project":
+    def from_sources(cls, sources: dict[str, str]) -> "Project":
         """Build from in-memory ``{module_name: source}`` (tests and
         the seeded self-check)."""
-        project = cls(distinctive_max_definers)
+        project = cls()
         for module, source in sources.items():
             path = module.replace(".", "/") + ".py"
             project.add_source(module, path, source)
@@ -341,20 +325,6 @@ class Project:
                 for alias in node.names:
                     name = alias.asname or alias.name
                     mod.imports[name] = f"{node.module}:{alias.name}"
-            elif isinstance(node, ast.Assign):
-                mutable = _is_mutable_ctor(node.value)
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        mod.globals[target.id] = GlobalInfo(
-                            target.id, node.lineno, mutable
-                        )
-            elif isinstance(node, ast.AnnAssign) and \
-                    isinstance(node.target, ast.Name):
-                mod.globals[node.target.id] = GlobalInfo(
-                    node.target.id, node.lineno,
-                    _is_mutable_ctor(node.value)
-                    or _is_mutable_annotation(node.annotation),
-                )
         # functions, classes, methods, nested defs
         self._index_scope(mod, mod.tree.body, prefix="", cls=None)
 
@@ -370,10 +340,6 @@ class Project:
                     node=node, path=mod.path, cls=cls,
                 )
                 self.functions[qual] = info
-                if prefix == "":
-                    mod.globals[node.name] = GlobalInfo(
-                        node.name, node.lineno, False, is_function=True
-                    )
                 if cls is not None and "<locals>" not in prefix:
                     self.classes[
                         f"{mod.module}:{cls}"
@@ -391,10 +357,6 @@ class Project:
                 self.classes[cqual] = ClassInfo(
                     cqual, mod.module, node.name, node
                 )
-                if prefix == "":
-                    mod.globals[node.name] = GlobalInfo(
-                        node.name, node.lineno, False, is_class=True
-                    )
                 self._index_scope(
                     mod, node.body, prefix=f"{prefix}{node.name}.",
                     cls=node.name,
@@ -492,7 +454,7 @@ class Project:
         # distinctive-name fallback
         candidates = self._by_method_name.get(name, ())
         definers = {self.functions[q].cls for q in candidates}
-        if candidates and len(definers) <= self.distinctive_max_definers:
+        if candidates and len(definers) <= DISTINCTIVE_MAX_DEFINERS:
             return list(candidates)
         return []
 
@@ -543,27 +505,3 @@ class Project:
         return sorted(
             infos, key=lambda i: (i.path, i.node.lineno)
         )
-
-
-def _is_mutable_ctor(value: ast.AST | None) -> bool:
-    if value is None:
-        return False
-    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp,
-                          ast.SetComp, ast.DictComp)):
-        return True
-    if isinstance(value, ast.Call):
-        func = value.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else ""
-        )
-        return name in _MUTABLE_CTORS
-    return False
-
-
-def _is_mutable_annotation(annotation: ast.AST | None) -> bool:
-    if annotation is None:
-        return False
-    text = ast.unparse(annotation)
-    head = text.split("[", 1)[0].strip()
-    return head in ("dict", "list", "set", "Dict", "List", "Set",
-                    "defaultdict", "deque")

@@ -1,75 +1,33 @@
-"""Lint diagnostics with file:line loci, plus the suppression baseline.
+"""The ``repro lint`` report: source-anchored diagnostics.
 
 The conccheck engine reports findings in the same two shapes the plan
 analyzer uses (``repro analyze``): a human multi-line report and a
-machine-checkable JSON document.  Where a plan diagnostic is anchored
-to a plan node, a lint diagnostic is anchored to a source locus —
-repo-relative path, 1-based line, and the qualified name of the
-enclosing function (``repro.engine.morsel:SpanRunner.run_span_safe``).
+machine-checkable JSON document, with the same
+:class:`~repro.analysis.diagnostics.Diagnostic` record.  Where a plan
+diagnostic is anchored to a plan node, a lint diagnostic carries a
+:class:`~repro.analysis.diagnostics.SourceLocus` — repo-relative path,
+1-based line, and the qualified name of the enclosing function
+(``repro.engine.morsel:SpanRunner.run_span_safe``).
 
-Codes are stable (``AQ5xx``, see DESIGN.md §11); a committed baseline
-file maps finding fingerprints to accepted counts so a legacy finding
-can be grandfathered without a source annotation.  Fingerprints
-deliberately exclude line numbers — unrelated edits must not churn
-the baseline.
+Codes are stable (``AQ5xx``, see DESIGN.md §11).
 """
 
 from __future__ import annotations
 
 import ast
-import json
-from collections.abc import Iterable
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro.analysis.diagnostics import Severity
+from repro.analysis.diagnostics import (
+    Diagnostic,
+    Report,
+    Severity,
+    SourceLocus,
+)
 
-__all__ = [
-    "LintDiagnostic",
-    "LintReport",
-    "apply_baseline",
-    "lint_diag",
-    "load_baseline",
-    "write_baseline",
-]
+__all__ = ["PASSES", "ConccheckReport", "lint_diag"]
 
-# Meta-code: a baseline entry no longer matches any finding.
-STALE_BASELINE = "AQ540"
-
-
-@dataclass(frozen=True)
-class LintDiagnostic:
-    """One conccheck finding, anchored to a source locus."""
-
-    code: str
-    severity: Severity
-    message: str
-    path: str = ""       # repo-relative posix path
-    line: int = 0        # 1-based
-    col: int = 0         # 0-based, as ast reports it
-    symbol: str = ""     # qualified enclosing function, "" at module level
-
-    def __str__(self) -> str:
-        locus = f" {self.path}:{self.line}" if self.path else ""
-        sym = f" ({self.symbol})" if self.symbol else ""
-        return f"{self.code} [{self.severity.value}]{locus}{sym}: " \
-               f"{self.message}"
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-independent identity used by the suppression baseline."""
-        return f"{self.code}:{self.path}:{self.symbol}"
-
-    def to_json(self) -> dict:
-        return {
-            "code": self.code,
-            "severity": self.severity.value,
-            "message": self.message,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "symbol": self.symbol,
-        }
+# The passes of every run, in the order they run.
+PASSES = ("boundary", "determinism", "ambient")
 
 
 def lint_diag(
@@ -80,60 +38,42 @@ def lint_diag(
     node: ast.AST | None = None,
     symbol: str = "",
     severity: Severity = Severity.ERROR,
-) -> LintDiagnostic:
+) -> Diagnostic:
     """Build a diagnostic anchored at an AST node's locus."""
-    return LintDiagnostic(
+    return Diagnostic(
         code=code,
         severity=severity,
         message=message,
-        path=path,
-        line=getattr(node, "lineno", 0),
-        col=getattr(node, "col_offset", 0),
-        symbol=symbol,
+        source=SourceLocus(
+            path=path,
+            line=getattr(node, "lineno", 0),
+            col=getattr(node, "col_offset", 0),
+            symbol=symbol,
+        ),
     )
 
 
-@dataclass
-class LintReport:
-    """Aggregated result of one :func:`repro.analysis.conccheck.lint_project`
-    run — same verdict/format contract as
-    :class:`repro.analysis.diagnostics.AnalysisReport`."""
+def _source_order(d: Diagnostic) -> tuple[str, int, str]:
+    assert d.source is not None  # lint_diag always sets it
+    return d.source.path, d.source.line, d.code
 
-    diagnostics: list[LintDiagnostic] = field(default_factory=list)
-    suppressed: list[LintDiagnostic] = field(default_factory=list)
-    baselined: list[LintDiagnostic] = field(default_factory=list)
+
+@dataclass
+class ConccheckReport(Report):
+    """Aggregated result of one
+    :func:`repro.analysis.conccheck.lint_project` run."""
+
+    # Findings a conc-safe annotation justified away.
+    suppressed: list[Diagnostic] = field(default_factory=list)
     n_files: int = 0
     n_functions: int = 0
     n_worker_reachable: int = 0
-    passes: tuple[str, ...] = ()
     elapsed_s: float = 0.0
-
-    def add(self, diagnostic: LintDiagnostic) -> None:
-        self.diagnostics.append(diagnostic)
-
-    def extend(self, diagnostics: Iterable[LintDiagnostic]) -> None:
-        self.diagnostics.extend(diagnostics)
-
-    def errors(self) -> list[LintDiagnostic]:
-        return [d for d in self.diagnostics
-                if d.severity is Severity.ERROR]
-
-    def warnings(self) -> list[LintDiagnostic]:
-        return [d for d in self.diagnostics
-                if d.severity is Severity.WARNING]
-
-    def by_code(self, code: str) -> list[LintDiagnostic]:
-        return [d for d in self.diagnostics if d.code == code]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors()
 
     def sort(self) -> None:
         """Stable report order: path, line, code."""
-        self.diagnostics.sort(key=lambda d: (d.path, d.line, d.code))
-        self.suppressed.sort(key=lambda d: (d.path, d.line, d.code))
-        self.baselined.sort(key=lambda d: (d.path, d.line, d.code))
+        self.diagnostics.sort(key=_source_order)
+        self.suppressed.sort(key=_source_order)
 
     def to_json(self) -> dict:
         return {
@@ -141,15 +81,11 @@ class LintReport:
             "n_files": self.n_files,
             "n_functions": self.n_functions,
             "n_worker_reachable": self.n_worker_reachable,
-            "passes": list(self.passes),
+            "passes": list(PASSES),
             "elapsed_s": round(self.elapsed_s, 3),
             "diagnostics": [d.to_json() for d in self.diagnostics],
             "suppressed": [d.to_json() for d in self.suppressed],
-            "baselined": [d.to_json() for d in self.baselined],
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
     def format(self, verbose: bool = False) -> str:
         """Human-readable multi-line report (the ``repro lint`` shape)."""
@@ -157,12 +93,9 @@ class LintReport:
             f"conccheck: {self.n_files} files, "
             f"{self.n_functions} functions "
             f"({self.n_worker_reachable} worker-reachable), "
-            f"passes: {', '.join(self.passes)}"
+            f"passes: {', '.join(PASSES)}"
         ]
-        ordered = sorted(
-            self.diagnostics,
-            key=lambda d: (-d.severity.rank, d.path, d.line),
-        )
+        ordered = sorted(self.diagnostics, key=lambda d: -d.severity.rank)
         if ordered:
             lines.append("diagnostics:")
             lines.extend(f"  {d}" for d in ordered)
@@ -171,75 +104,7 @@ class LintReport:
         if verbose and self.suppressed:
             lines.append("suppressed (# conc: safe):")
             lines.extend(f"  {d}" for d in self.suppressed)
-        if verbose and self.baselined:
-            lines.append("baselined:")
-            lines.extend(f"  {d}" for d in self.baselined)
-        status = "OK" if self.ok else "REJECTED"
-        lines.append(
-            f"verdict: {status} ({len(self.errors())} errors, "
-            f"{len(self.warnings())} warnings; "
-            f"{len(self.suppressed)} conc-safe, "
-            f"{len(self.baselined)} baselined; "
-            f"{self.elapsed_s:.2f}s)"
-        )
+        lines.append(self.verdict_line(
+            f"{len(self.suppressed)} conc-safe", f"{self.elapsed_s:.2f}s"
+        ))
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Suppression baseline
-# ---------------------------------------------------------------------------
-
-
-def load_baseline(path: str | Path) -> dict[str, int]:
-    """Fingerprint -> accepted count; missing file = empty baseline."""
-    path = Path(path)
-    if not path.exists():
-        return {}
-    doc = json.loads(path.read_text())
-    entries = doc.get("entries", {})
-    return {str(k): int(v) for k, v in entries.items()}
-
-def write_baseline(path: str | Path, report: LintReport) -> dict[str, int]:
-    """Persist the current findings as the accepted baseline."""
-    entries: dict[str, int] = {}
-    for d in report.diagnostics + report.baselined:
-        entries[d.fingerprint] = entries.get(d.fingerprint, 0) + 1
-    doc = {
-        "version": 1,
-        "tool": "repro lint",
-        "note": "accepted AQ5xx findings; regenerate with "
-                "`python -m repro lint --baseline`",
-        "entries": dict(sorted(entries.items())),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-    return entries
-
-
-def apply_baseline(
-    report: LintReport, baseline: dict[str, int]
-) -> None:
-    """Move baselined findings out of the error set, flag stale entries.
-
-    Each baseline entry absorbs up to ``count`` findings with its
-    fingerprint; leftover findings stay live, leftover entries produce
-    one :data:`STALE_BASELINE` warning each so the baseline is ratcheted
-    down as code gets fixed.
-    """
-    budget = dict(baseline)
-    live: list[LintDiagnostic] = []
-    for d in report.diagnostics:
-        if budget.get(d.fingerprint, 0) > 0:
-            budget[d.fingerprint] -= 1
-            report.baselined.append(d)
-        else:
-            live.append(d)
-    report.diagnostics = live
-    for fingerprint, remaining in sorted(budget.items()):
-        if remaining > 0:
-            report.add(LintDiagnostic(
-                code=STALE_BASELINE,
-                severity=Severity.WARNING,
-                message=f"stale baseline entry {fingerprint!r} "
-                        f"({remaining} unmatched): regenerate with "
-                        "--baseline",
-            ))

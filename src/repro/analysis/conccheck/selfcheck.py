@@ -23,28 +23,11 @@ __all__ = ["SCENARIOS", "Scenario", "run_selfcheck"]
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str                   # the pass under test
+    name: str                   # the pass the violations are seeded for
     sources: dict               # module name -> seeded source
     config: LintConfig
     expect: tuple[str, ...]     # codes that MUST be detected
 
-
-_RACES_SRC = '''\
-_CACHE = {}
-_COUNT = 0
-
-
-class Config:
-    mode = "cold"
-
-
-def worker_entry(item):
-    global _COUNT
-    _COUNT += 1
-    _CACHE[item] = item
-    Config.mode = "hot"
-    return item
-'''
 
 _BOUNDARY_SRC = '''\
 from multiprocessing import Process
@@ -90,39 +73,21 @@ def tracer_of_parent():
 
 SCENARIOS: tuple[Scenario, ...] = (
     Scenario(
-        name="races",
-        sources={"seed.races": _RACES_SRC},
-        config=LintConfig(
-            worker_roots=("seed.races:worker_entry",),
-            passes=("races",),
-        ),
-        expect=("AQ501", "AQ502", "AQ503"),
-    ),
-    Scenario(
         name="boundary",
         sources={"seed.boundary": _BOUNDARY_SRC},
-        config=LintConfig(
-            worker_roots=(),
-            passes=("boundary",),
-        ),
+        config=LintConfig(),
         expect=("AQ510", "AQ511", "AQ512", "AQ513"),
     ),
     Scenario(
         name="determinism",
         sources={"seed.det": _DETERMINISM_SRC},
-        config=LintConfig(
-            result_roots=("seed.det:merge",),
-            passes=("determinism",),
-        ),
+        config=LintConfig(result_roots=("seed.det:merge",)),
         expect=("AQ520", "AQ521", "AQ522", "AQ523"),
     ),
     Scenario(
         name="ambient",
         sources={"seed.ambient": _AMBIENT_SRC},
-        config=LintConfig(
-            worker_roots=("seed.ambient:worker_entry",),
-            passes=("ambient",),
-        ),
+        config=LintConfig(worker_roots=("seed.ambient:worker_entry",)),
         expect=("AQ530", "AQ531"),
     ),
 )

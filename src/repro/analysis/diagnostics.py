@@ -1,30 +1,36 @@
-"""Diagnostic records emitted by the static plan analyzer.
+"""Diagnostic records emitted by the static analyzers.
 
-Every finding carries a stable code (``AQnnn``), a severity, and a plan
-locus (the ``node_id`` assigned by :func:`repro.sqlir.assign_node_ids`
-plus the node's ``repr``), so reports are machine-checkable and human
-readable at the same time.
+Every finding carries a stable code (``AQnnn``), a severity, and a
+locus, so reports are machine-checkable and human readable at the same
+time.  A plan finding (``repro analyze``) is anchored to a plan node —
+the ``node_id`` assigned by :func:`repro.sqlir.assign_node_ids` plus
+the node's ``repr``; a source finding (``repro lint``) to a
+:class:`SourceLocus`.
 
-Code taxonomy (see DESIGN.md §6 for the full table):
+Code taxonomy (see DESIGN.md §6 and §11 for the full tables):
 
 - ``AQ1xx`` — schema / dtype inference (typecheck pass)
 - ``AQ2xx`` — suspend predictions (one code per real SuspendReason)
 - ``AQ3xx`` — PE program verification
 - ``AQ4xx`` — morsel merge-safety verdicts
+- ``AQ5xx`` — concurrency & determinism lint over the runtime's source
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
+from typing import Any
 
 __all__ = [
     "AnalysisReport",
     "Diagnostic",
     "PlanAnalysisWarning",
     "PlanRejected",
+    "Report",
     "Severity",
+    "SourceLocus",
     "diag",
 ]
 
@@ -40,27 +46,47 @@ class Severity(Enum):
 
 
 @dataclass(frozen=True)
+class SourceLocus:
+    """Where in the runtime's own source a lint finding sits."""
+
+    path: str = ""    # repo-relative posix path
+    line: int = 0     # 1-based
+    col: int = 0      # 0-based, as ast reports it
+    symbol: str = ""  # qualified enclosing function, "" at module level
+
+    def __str__(self) -> str:
+        locus = f" {self.path}:{self.line}" if self.path else ""
+        return locus + (f" ({self.symbol})" if self.symbol else "")
+
+
+@dataclass(frozen=True)
 class Diagnostic:
-    """One analyzer finding, anchored to a plan node."""
+    """One analyzer finding, anchored to a plan node or — when
+    ``source`` is set — to a source locus."""
 
     code: str
     severity: Severity
     message: str
     node_id: int | None = None
     node: str = ""  # repr of the plan node at the locus
+    source: SourceLocus | None = None
 
     def __str__(self) -> str:
-        locus = f" at node {self.node_id} {self.node}" if self.node else ""
+        if self.source is not None:
+            locus = str(self.source)
+        else:
+            locus = f" at node {self.node_id} {self.node}" if self.node else ""
         return f"{self.code} [{self.severity.value}]{locus}: {self.message}"
 
     def to_json(self) -> dict:
-        return {
+        head = {
             "code": self.code,
             "severity": self.severity.value,
             "message": self.message,
-            "node_id": self.node_id,
-            "node": self.node,
         }
+        if self.source is not None:
+            return {**head, **asdict(self.source)}
+        return {**head, "node_id": self.node_id, "node": self.node}
 
 
 class PlanRejected(Exception):
@@ -80,16 +106,10 @@ class PlanAnalysisWarning(UserWarning):
 
 
 @dataclass
-class AnalysisReport:
-    """Aggregated result of one :func:`repro.analysis.analyze_plan` run."""
+class Report:
+    """What every analyzer report is: diagnostics and a verdict."""
 
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    # reason.name -> SuspendPrediction (filled by the suspend pass)
-    suspend: dict = field(default_factory=dict)
-    # morsel-safety verdicts (filled by the morsel pass)
-    fragments: list = field(default_factory=list)
-    n_nodes: int = 0
-    passes: tuple[str, ...] = ()
 
     def add(self, diagnostic: Diagnostic) -> None:
         self.diagnostics.append(diagnostic)
@@ -108,6 +128,34 @@ class AnalysisReport:
         return not self.errors()
 
     def to_json(self) -> dict:
+        raise NotImplementedError
+
+    def to_json_str(self) -> str:
+        return json.dumps(self.to_json(), indent=2)
+
+    def verdict_line(self, *extras: str) -> str:
+        counts = (
+            f"{len(self.errors())} errors, {len(self.warnings())} warnings"
+        )
+        status = "OK" if self.ok else "REJECTED"
+        return f"verdict: {status} ({'; '.join((counts, *extras))})"
+
+
+@dataclass
+class AnalysisReport(Report):
+    """Aggregated result of one :func:`repro.analysis.analyze_plan` run."""
+
+    # reason.name -> SuspendPrediction (filled by the suspend pass)
+    suspend: dict = field(default_factory=dict)
+    # morsel-safety verdicts (filled by the morsel pass)
+    fragments: list = field(default_factory=list)
+    n_nodes: int = 0
+    passes: tuple[str, ...] = ()
+    # The TypeChecker that typed the plan: its memoised ``schema_of``
+    # is the plan's static schema (not part of the JSON document).
+    checker: Any = field(default=None, repr=False, compare=False)
+
+    def to_json(self) -> dict:
         return {
             "ok": self.ok,
             "n_nodes": self.n_nodes,
@@ -119,9 +167,6 @@ class AnalysisReport:
             },
             "fragments": [f.to_json() for f in self.fragments],
         }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
 
     def format(self) -> str:
         """Human-readable multi-line report."""
@@ -144,11 +189,7 @@ class AnalysisReport:
             lines.append("morsel fragments:")
             for verdict in self.fragments:
                 lines.append(f"  {verdict.describe()}")
-        status = "OK" if self.ok else "REJECTED"
-        lines.append(
-            f"verdict: {status} ({len(self.errors())} errors, "
-            f"{len(self.warnings())} warnings)"
-        )
+        lines.append(self.verdict_line())
         return "\n".join(lines)
 
 

@@ -12,10 +12,10 @@ monolithic fallback.  The rules are the streaming algebra's:
 - scalar subqueries inside the fragment would re-execute per morsel
   (``AQ403``).
 
-SUM value kinds come from the lenient type inference in
-:mod:`repro.analysis.typecheck`, which mirrors ``evaluate()`` exactly —
-this replaces the zero-row probe the morsel executor used to run, and
-is the single source of truth for the engine's merge decision.
+SUM value kinds come from the plan's static schema
+(:class:`repro.analysis.typecheck.TypeChecker`, whose lenient inference
+mirrors ``evaluate()`` exactly) — the single source of truth for the
+engine's merge decision.
 """
 
 from __future__ import annotations
@@ -24,15 +24,16 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.analysis.typecheck import InferenceError, Kind, TypeChecker
-from repro.sqlir.expr import AggFunc, Expr, ScalarSubquery
+from repro.sqlir.expr import AggFunc
 from repro.sqlir.plan import (
     Aggregate,
     Filter,
     Plan,
     Project,
     Scan,
+    has_subquery,
     node_exprs,
-    subquery_plans,
+    walk_with_subqueries,
 )
 
 __all__ = [
@@ -73,24 +74,19 @@ class MergeVerdict:
         }
 
 
-def _has_subquery(expr: Expr) -> bool:
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ScalarSubquery):
-            return True
-        stack.extend(node.children())
-    return False
-
-
 def aggregate_merge_verdict(
-    plan: Aggregate, scan: Scan, steps: Any, catalog: Any
+    plan: Aggregate,
+    scan: Scan,
+    steps: Any,
+    catalog: Any,
+    checker: TypeChecker | None = None,
 ) -> MergeVerdict:
     """Merge-safety verdict for an Aggregate over a scan-rooted chain.
 
     ``steps`` are the Filter/Project nodes between the scan and the
-    aggregate, bottom-up (the same shape
-    :func:`repro.engine.morsel.extract_fragment` produces).
+    aggregate, bottom-up (what :func:`streamable_chain` returns).
+    ``checker`` is the analysis's schema of the plan; the engine, which
+    asks about one fragment at a time, passes none.
     """
 
     def refuse(code: str, reason: str) -> MergeVerdict:
@@ -109,7 +105,7 @@ def aggregate_merge_verdict(
                 f"{spec.name}={spec.func.value}() partials do not "
                 "re-reduce",
             )
-        if spec.expr is not None and _has_subquery(spec.expr):
+        if spec.expr is not None and has_subquery(spec.expr):
             return refuse(
                 "AQ403",
                 f"{spec.name} embeds a scalar subquery; per-morsel "
@@ -121,19 +117,15 @@ def aggregate_merge_verdict(
             mergeable=True, node_id=plan.node_id, node=repr(plan)
         )
 
-    checker = TypeChecker(catalog, collect=False)
+    if checker is None:
+        checker = TypeChecker(catalog, collect=False)
     try:
-        schema = checker.schema_of(scan)
+        schema = checker.schema_of(plan.child)
         if schema is None:
             raise InferenceError("AQ110", f"unknown table {scan.table!r}")
         for step in steps:
-            if isinstance(step, Filter):
-                checker.infer(step.predicate, schema, step)
-            else:  # Project
-                schema = {
-                    name: checker.infer(expr, schema, step)
-                    for name, expr in step.outputs
-                }
+            if step in checker.failures:
+                raise checker.failures[step]
         for spec in sums:
             meta = checker.infer(spec.expr, schema, plan)
             if meta.kind is Kind.FLOAT:
@@ -157,12 +149,7 @@ def streamable_chain(node: Plan) -> tuple[Scan, tuple[Plan, ...]] | None:
     Filter/Project steps without subqueries down to a base-table scan."""
     steps: list[Plan] = []
     while isinstance(node, (Filter, Project)):
-        exprs = (
-            [node.predicate]
-            if isinstance(node, Filter)
-            else [e for _, e in node.outputs]
-        )
-        if any(_has_subquery(e) for e in exprs):
+        if any(has_subquery(e) for e in node_exprs(node)):
             return None
         steps.append(node)
         node = node.child
@@ -172,28 +159,20 @@ def streamable_chain(node: Plan) -> tuple[Scan, tuple[Plan, ...]] | None:
     return node, tuple(steps)
 
 
-def fragment_verdicts(plan: Plan,
-                      catalog: Any) -> list[MergeVerdict]:
+def fragment_verdicts(
+    plan: Plan, catalog: Any, checker: TypeChecker | None = None
+) -> list[MergeVerdict]:
     """Merge verdicts for every aggregate fragment anywhere in the plan
     (including inside scalar subqueries)."""
+    if checker is None:
+        checker = TypeChecker(catalog, collect=False)
     verdicts: list[MergeVerdict] = []
-    seen: set[int] = set()
-
-    def visit(root: Plan) -> None:
-        for node in root.walk():
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if isinstance(node, Aggregate):
-                chain = streamable_chain(node.child)
-                if chain is not None:
-                    scan, steps = chain
-                    verdicts.append(
-                        aggregate_merge_verdict(node, scan, steps, catalog)
-                    )
-            for expr in node_exprs(node):
-                for sub in subquery_plans(expr):
-                    visit(sub)
-
-    visit(plan)
+    # dict.fromkeys: a subtree two parents share is judged once
+    for node in dict.fromkeys(walk_with_subqueries(plan)):
+        if isinstance(node, Aggregate):
+            chain = streamable_chain(node.child)
+            if chain is not None:
+                verdicts.append(
+                    aggregate_merge_verdict(node, *chain, catalog, checker)
+                )
     return verdicts

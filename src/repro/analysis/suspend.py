@@ -193,12 +193,17 @@ class Card:
 class SuspendPredictor:
     """Walks a compiled plan and predicts every real suspension."""
 
-    def __init__(self, catalog: Any, config: Any) -> None:
+    def __init__(
+        self, catalog: Any, config: Any, checker: TypeChecker | None = None
+    ) -> None:
         self.catalog = catalog
         self.config = config
-        self.checker = TypeChecker(catalog, collect=False)
-        self._cards: dict[int, Card] = {}
-        self._provs: dict[int, dict[str, tuple[str, str]]] = {}
+        self.checker = checker or TypeChecker(catalog, collect=False)
+        self.compiler = QueryCompiler(
+            catalog, scale_ratio=config.scale_ratio
+        )
+        self._cards: dict[Plan, Card] = {}
+        self._provs: dict[Plan, dict[str, tuple[str, str]]] = {}
 
     # -- public entry ------------------------------------------------------
 
@@ -206,16 +211,14 @@ class SuspendPredictor:
         self, plan: Plan, compiled: CompiledQuery | None = None
     ) -> tuple[dict[str, SuspendPrediction], list[Diagnostic]]:
         if compiled is None:
-            compiled = QueryCompiler(
-                self.catalog, scale_ratio=self.config.scale_ratio
-            ).compile(plan)
+            compiled = self.compiler.compile(plan)
         units = compiled.flatten()
-        roots: set[int] = set()
+        roots: set[Plan] = set()
         executed_roots: list[Plan] = []
         for unit in units:
             for root in unit.offload_roots():
-                roots.add(id(root))
-                decision = unit.decisions[id(root)]
+                roots.add(root)
+                decision = unit.decisions[root]
                 if subtree_reduces(root) or decision.stream_for_assist:
                     executed_roots.append(root)
 
@@ -266,7 +269,7 @@ class SuspendPredictor:
         notes = []
         for unit in units:
             for node in unit.plan.walk():
-                decision = unit.decisions.get(id(node))
+                decision = unit.decisions.get(node)
                 if decision is not None and decision.reason is reason:
                     notes.append(f"{node!r}: {decision.note}")
         return SuspendPrediction(
@@ -280,32 +283,32 @@ class SuspendPredictor:
     def _predict_spill(
         self,
         units: list[CompiledQuery],
-        roots: set[int],
+        roots: set[Plan],
         executed_roots: list[Plan],
     ) -> SuspendPrediction:
         verdicts: list[tuple[Verdict, int, int, str]] = []
 
-        seen: set[int] = set()
+        seen: set[Plan] = set()
         for root in executed_roots:
             for node in root.walk():
                 if (
                     isinstance(node, Aggregate)
                     and node.keys
-                    and id(node) not in seen
+                    and node not in seen
                 ):
-                    seen.add(id(node))
+                    seen.add(node)
                     verdicts.append(self._device_agg_spill(node, root))
         for unit in units:
             for node in unit.plan.walk():
-                decision = unit.decisions.get(id(node))
+                decision = unit.decisions.get(node)
                 if (
                     isinstance(node, Aggregate)
                     and decision is not None
                     and decision.device_assisted
-                    and id(node.child) in roots
-                    and id(node) not in seen
+                    and node.child in roots
+                    and node not in seen
                 ):
-                    seen.add(id(node))
+                    seen.add(node)
                     verdicts.append(self._assisted_agg_spill(node))
 
         reason = SuspendReason.GROUP_SPILL
@@ -428,7 +431,7 @@ class SuspendPredictor:
         domains = []
         total = 1
         for key in agg.keys:
-            source = self._key_base(agg.child, key)
+            source = self.compiler.provenance(agg.child).get(key)
             if source is None:
                 return False
             table, column = source
@@ -473,43 +476,10 @@ class SuspendPredictor:
             hi = min(hi, product)
         return (1 if card.lo > 0 else 0, hi, False)
 
-    def _key_base(self, node: Plan, name: str) -> tuple[str, str] | None:
-        """Resolve ``name`` to a base (table, column) through renames,
-        filters, joins and aggregate keys — multiplicity-agnostic, so
-        the base column's domain is a superset of the key's values."""
-        if isinstance(node, (Filter, Sort, Limit, Distinct)):
-            return self._key_base(node.child, name)
-        if isinstance(node, Project):
-            for out_name, expr in node.outputs:
-                if out_name == name:
-                    if isinstance(expr, ColumnRef):
-                        return self._key_base(node.child, expr.name)
-                    return None
-            return None
-        if isinstance(node, Scan):
-            table = self._table(node.table)
-            if table is not None and table.has_column(name):
-                if node.columns is None or name in node.columns:
-                    return (node.table, name)
-            return None
-        if isinstance(node, Join):
-            found = self._key_base(node.left, name)
-            if found is None and node.kind in (
-                JoinKind.INNER,
-                JoinKind.LEFT_OUTER,
-            ):
-                found = self._key_base(node.right, name)
-            return found
-        if isinstance(node, Aggregate):
-            if name in node.keys:
-                return self._key_base(node.child, name)
-            return None
-        return None
-
     def _key_ndv_hi(self, node: Plan, name: str) -> int | None:
         """Upper bound on the key column's distinct count, following
         computed expressions (NDV(f(x, y)) <= NDV(x) * NDV(y))."""
-        base = self._key_base(node, name)
+        base = self.compiler.provenance(node).get(name)
         if base is not None:
             return column_ndv(self.catalog, *base)
         # A computed Project output: bound by its referenced columns.
@@ -547,7 +517,7 @@ class SuspendPredictor:
             return 1
         product = 1
         for ref in refs:
-            base = self._key_base(below, ref)
+            base = self.compiler.provenance(below).get(ref)
             if base is None:
                 return None
             product = min(
@@ -582,11 +552,11 @@ class SuspendPredictor:
             return None
 
     def _card(self, node: Plan) -> Card:
-        cached = self._cards.get(id(node))
+        cached = self._cards.get(node)
         if cached is not None:
             return cached
         card = self._card_of(node)
-        self._cards[id(node)] = card
+        self._cards[node] = card
         return card
 
     def _card_of(self, node: Plan) -> Card:
@@ -673,7 +643,7 @@ class SuspendPredictor:
     def _fk_guaranteed(self, node: Join) -> bool:
         """Left key is a foreign key and the right side is the whole,
         unfiltered referenced table."""
-        source = self._key_base(node.left, node.left_key)
+        source = self.compiler.provenance(node.left).get(node.left_key)
         if source is None:
             return False
         fk = self.catalog.foreign_key_for(*source)
@@ -682,7 +652,7 @@ class SuspendPredictor:
         whole = self._whole_scan(node.right, allow_filter=False)
         if whole != fk.ref_table:
             return False
-        right_base = self._key_base(node.right, node.right_key)
+        right_base = self.compiler.provenance(node.right).get(node.right_key)
         return right_base == (fk.ref_table, fk.ref_column)
 
     def _whole_scan(self, node: Plan, allow_filter: bool) -> str | None:
@@ -711,12 +681,12 @@ class SuspendPredictor:
         always_detail = None
         details: list[str] = []
         n_joins = 0
-        seen: set[int] = set()
+        seen: set[Plan] = set()
         for root in executed_roots:
             for node in root.walk():
-                if not isinstance(node, Join) or id(node) in seen:
+                if not isinstance(node, Join) or node in seen:
                     continue
-                seen.add(id(node))
+                seen.add(node)
                 if self._join_shortcut(node, certain=True):
                     details.append(
                         f"{node!r}: join-index shortcut, no DRAM"
@@ -820,7 +790,7 @@ class SuspendPredictor:
 
     def _device_origin(self, node: Plan) -> dict[str, tuple[str, str]]:
         """Mirror of the device executor's origin propagation."""
-        cached = self._provs.get(id(node))
+        cached = self._provs.get(node)
         if cached is not None:
             return cached
         origin: dict[str, tuple[str, str]]
@@ -854,5 +824,5 @@ class SuspendPredictor:
                 origin.update(self._device_origin(node.right))
         else:  # Aggregate / Distinct outputs are device-materialised
             origin = {}
-        self._provs[id(node)] = origin
+        self._provs[node] = origin
         return origin

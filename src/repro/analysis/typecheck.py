@@ -19,6 +19,7 @@ is safe to run before a single page is streamed off flash.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 from repro.analysis.diagnostics import Diagnostic, Severity, diag
@@ -41,6 +42,7 @@ from repro.sqlir.expr import (
     lit,
 )
 from repro.sqlir.plan import (
+    MATCH_FLAG,
     Aggregate,
     Distinct,
     Filter,
@@ -52,7 +54,6 @@ from repro.sqlir.plan import (
     Scan,
     Sort,
 )
-from repro.storage.types import TypeKind
 
 __all__ = [
     "ColumnMeta",
@@ -60,12 +61,7 @@ __all__ = [
     "Schema",
     "TypeChecker",
     "scan_schema",
-    "MATCH_FLAG",
 ]
-
-# Mirror of repro.engine.MATCH_FLAG (analysis must not import
-# the engine — see the package layering note in analysis/__init__.py).
-MATCH_FLAG = "@matched"
 
 
 @dataclass(frozen=True)
@@ -101,28 +97,34 @@ class InferenceError(Exception):
 
 def scan_schema(table: Any) -> Schema:
     """Static image of ``engine.relation.typed_array_from_column``."""
-    schema: Schema = {}
-    for name in table.column_names:
-        kind = table.column(name).ctype.kind
-        if kind is TypeKind.CHAR:
-            schema[name] = ColumnMeta(Kind.STR, 0, has_heap=True)
-        elif kind is TypeKind.DECIMAL:
-            schema[name] = ColumnMeta(Kind.INT, 2)
-        elif kind is TypeKind.BOOL:
-            schema[name] = _BOOL
-        else:
-            schema[name] = _INT
-    return schema
+    return {
+        name: _stored_meta(table.column(name).ctype)
+        for name in table.column_names
+    }
+
+
+@lru_cache(maxsize=None)  # one entry per storage type
+def _stored_meta(ctype: Any) -> ColumnMeta:
+    kind, scale = ctype.eval_domain
+    return ColumnMeta(kind, scale, has_heap=kind is Kind.STR)
 
 
 class TypeChecker:
-    """Infers per-node output schemas and collects diagnostics."""
+    """Infers per-node output schemas and collects diagnostics.
+
+    One checker types a plan once: ``schema_of`` is memoised per node,
+    so every later question about the same tree (another pass, another
+    node) reads the schema the first walk inferred.
+    """
 
     def __init__(self, catalog: Any, collect: bool = True) -> None:
         self.catalog = catalog
         self.collect = collect
         self.diagnostics: list[Diagnostic] = []
-        self._schemas: dict[int, Schema | None] = {}
+        # The first expression of each node that evaluate() would
+        # refuse, recorded whether or not diagnostics are collected.
+        self.failures: dict[object, InferenceError] = {}
+        self._schemas: dict[Plan, Schema | None] = {}
 
     # -- reporting ---------------------------------------------------------
 
@@ -131,26 +133,13 @@ class TypeChecker:
         if self.collect:
             self.diagnostics.append(diag(code, severity, message, node))
 
-    def _emit_d(self, d: Diagnostic) -> None:
-        if self.collect:
-            self.diagnostics.append(d)
-
     # -- plan-level inference ---------------------------------------------
 
     def schema_of(self, plan: Plan) -> Schema | None:
         """Output schema of ``plan``; ``None`` below an unknown table."""
-        # conc: safe — schema memo keyed by node identity; the plan
-        # tree and the memo live and die in one process
-        cached = self._schemas.get(id(plan))
-        if cached is not None or id(plan) in self._schemas:  # conc: safe
-            return cached
-        schema = self._infer_node(plan)
-        self._schemas[id(plan)] = schema  # conc: safe — same memo
-        return schema
-
-    def check(self, plan: Plan) -> Schema | None:
-        """Typecheck the whole tree (including scalar subqueries)."""
-        return self.schema_of(plan)
+        if plan not in self._schemas:
+            self._schemas[plan] = self._infer_node(plan)
+        return self._schemas[plan]
 
     def _infer_node(self, plan: Plan) -> Schema | None:
         if isinstance(plan, Scan):
@@ -395,6 +384,7 @@ class TypeChecker:
         try:
             return self.infer(expr, schema, node)
         except InferenceError as err:
+            self.failures.setdefault(node, err)
             self._emit(err.code, Severity.ERROR, err.message, node)
             return None
 

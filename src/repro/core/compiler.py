@@ -67,7 +67,6 @@ from repro.sqlir.plan import (
     Sort,
 )
 from repro.storage.catalog import Catalog
-from repro.storage.types import TypeKind
 
 if TYPE_CHECKING:  # the device's import chain reaches this module
     from repro.core.device import DeviceConfig
@@ -118,18 +117,20 @@ class CompiledQuery:
     """Analysis results for one plan (including scalar subqueries)."""
 
     plan: Plan
-    decisions: dict[int, OffloadDecision]
+    # Keyed by the node itself (plan nodes hash by identity): a table
+    # that holds its keys cannot meet a recycled ``id()``.
+    decisions: dict[Plan, OffloadDecision]
     subqueries: list["CompiledQuery"] = field(default_factory=list)
 
     def decision(self, node: Plan) -> OffloadDecision:
-        return self.decisions[id(node)]
+        return self.decisions[node]
 
     def offload_roots(self) -> list[Plan]:
         """Maximal offloadable subtrees, outermost first."""
         roots: list[Plan] = []
 
         def walk(node: Plan, parent_offloaded: bool) -> None:
-            mine = self.decisions[id(node)].offloadable
+            mine = self.decisions[node].offloadable
             if mine and not parent_offloaded:
                 roots.append(node)
             for child in node.children():
@@ -159,7 +160,7 @@ class CompiledQuery:
     def fully_offloadable(self) -> bool:
         """True when only Sort/Limit/Project finalisation stays host-side."""
         def node_ok(node: Plan) -> bool:
-            if self.decisions[id(node)].offloadable:
+            if self.decisions[node].offloadable:
                 return True
             if isinstance(node, (Sort, Limit)):
                 return all(node_ok(c) for c in node.children())
@@ -184,12 +185,12 @@ class QueryCompiler:
         self.catalog = catalog
         self.scale_ratio = scale_ratio
         self.regex_cache_bytes = regex_cache_bytes
-        self._provenance_memo: dict[int, dict[str, tuple[str, str]]] = {}
+        self._provenance_memo: dict[Plan, dict[str, tuple[str, str]]] = {}
 
     # -- public ------------------------------------------------------------
 
     def compile(self, plan: Plan) -> CompiledQuery:
-        decisions: dict[int, OffloadDecision] = {}
+        decisions: dict[Plan, OffloadDecision] = {}
         subqueries: list[CompiledQuery] = []
         tail = self._tail_nodes(plan)
         self._provenance_memo = {}
@@ -198,56 +199,63 @@ class QueryCompiler:
             for child in node.children():
                 analyze(child)
             decision = self._decide(node, decisions, tail, subqueries)
-            # conc: safe — decision map keyed by node identity; plan
-            # and decisions stay inside the compiling process
-            decisions[id(node)] = decision
+            decisions[node] = decision
             return decision
 
         analyze(plan)
         return CompiledQuery(plan, decisions, subqueries)
 
-    def _provenance(self, node: Plan) -> dict[str, tuple[str, str]]:
-        """Output column -> (base table, base column), through renames.
+    def provenance(self, node: Plan) -> dict[str, tuple[str, str]]:
+        """Output column -> (base table, base column), through renames,
+        filters, joins and aggregate keys.
 
         Lets the heap-size rule see through projection aliases (Q7/Q8
-        bind nation names to ``supp_nation``/``cust_nation``).
+        bind nation names to ``supp_nation``/``cust_nation``), and the
+        suspend predictor bound a group key by its base column's
+        domain: the walk ignores row multiplicity, so the base column's
+        values are a superset of the output's.  A computed column, and
+        any column of a table the catalog lacks, has no entry.
         """
-        memo = self._provenance_memo.get(id(node))  # conc: safe — memo
+        memo = self._provenance_memo.get(node)
         if memo is not None:
             return memo
         prov: dict[str, tuple[str, str]] = {}
         if isinstance(node, Scan):
-            table = self.catalog.table(node.table)
-            names = node.columns or tuple(table.column_names)
-            prov = {n: (node.table, n) for n in names}
+            table = self.catalog.tables.get(node.table)
+            if table is not None:
+                names = node.columns or tuple(table.column_names)
+                prov = {
+                    n: (node.table, n) for n in names if table.has_column(n)
+                }
         elif isinstance(node, Project):
-            child = self._provenance(node.child)
+            child = self.provenance(node.child)
             for name, expr in node.outputs:
                 if isinstance(expr, ColumnRef) and expr.name in child:
                     prov[name] = child[expr.name]
         elif isinstance(node, Join):
-            prov = dict(self._provenance(node.left))
-            prov.update(self._provenance(node.right))
+            prov = dict(self.provenance(node.left))
+            if node.kind not in (JoinKind.SEMI, JoinKind.ANTI):
+                prov.update(self.provenance(node.right))
         elif isinstance(node, Aggregate):
-            child = self._provenance(node.children()[0])
+            child = self.provenance(node.child)
             prov = {
                 k: child[k] for k in node.keys if k in child
             }
         elif node.children():
-            prov = dict(self._provenance(node.children()[0]))
-        self._provenance_memo[id(node)] = prov  # conc: safe — memo
+            prov = dict(self.provenance(node.children()[0]))
+        self._provenance_memo[node] = prov
         return prov
 
     # -- analysis ----------------------------------------------------------------
 
-    def _tail_nodes(self, plan: Plan) -> set[int]:
+    def _tail_nodes(self, plan: Plan) -> set[Plan]:
         """Nodes whose every ancestor is Sort/Limit/Project (the query
         tail a terminal device op may feed)."""
-        tail: set[int] = set()
+        tail: set[Plan] = set()
 
         def walk(node: Plan, on_tail: bool) -> None:
-            # conc: safe — tail set keyed by node identity, same process
-            tail.add(id(node)) if on_tail else None
+            if on_tail:
+                tail.add(node)
             keeps_tail = on_tail and isinstance(node, (Sort, Limit, Project))
             for child in node.children():
                 walk(child, keeps_tail)
@@ -258,32 +266,32 @@ class QueryCompiler:
     def _decide(
         self,
         node: Plan,
-        decisions: dict[int, OffloadDecision],
-        tail: set[int],
+        decisions: dict[Plan, OffloadDecision],
+        tail: set[Plan],
         subqueries: list[CompiledQuery],
     ) -> OffloadDecision:
         if isinstance(node, Scan):
             return OffloadDecision(True)
 
         if isinstance(node, Filter):
-            child = decisions[id(node.child)]  # conc: safe — decision map
+            child = decisions[node.child]
             if not child.offloadable:
                 return OffloadDecision(
                     False, SuspendReason.UNSUPPORTED_OP,
                     "filter over a host-resident input",
                 )
             return self._check_expr(
-                node.predicate, subqueries, self._provenance(node.child)
+                node.predicate, subqueries, self.provenance(node.child)
             )
 
         if isinstance(node, Project):
-            child = decisions[id(node.child)]  # conc: safe — decision map
+            child = decisions[node.child]
             if not child.offloadable:
                 return OffloadDecision(
                     False, SuspendReason.UNSUPPORTED_OP,
                     "project over a host-resident input",
                 )
-            prov = self._provenance(node.child)
+            prov = self.provenance(node.child)
             for _, expr in node.outputs:
                 verdict = self._check_expr(expr, subqueries, prov)
                 if not verdict.offloadable:
@@ -291,8 +299,8 @@ class QueryCompiler:
             return OffloadDecision(True)
 
         if isinstance(node, Join):
-            left = decisions[id(node.left)]  # conc: safe — decision map
-            right = decisions[id(node.right)]  # conc: safe — decision map
+            left = decisions[node.left]
+            right = decisions[node.right]
             if node.kind is JoinKind.LEFT_OUTER:
                 return OffloadDecision(
                     False, SuspendReason.UNSUPPORTED_OP,
@@ -304,8 +312,8 @@ class QueryCompiler:
                     "join input is host-resident",
                 )
             if node.residual is not None:
-                prov = dict(self._provenance(node.left))
-                prov.update(self._provenance(node.right))
+                prov = dict(self.provenance(node.left))
+                prov.update(self.provenance(node.right))
                 verdict = self._check_expr(node.residual, subqueries, prov)
                 if not verdict.offloadable:
                     return verdict
@@ -313,9 +321,9 @@ class QueryCompiler:
 
         if isinstance(node, (Aggregate, Distinct)):
             child_node = node.children()[0]
-            child = decisions[id(child_node)]  # conc: safe — decision map
+            child = decisions[child_node]
             if isinstance(node, Aggregate):
-                prov = self._provenance(child_node)
+                prov = self.provenance(child_node)
                 for spec in node.aggregates:
                     if spec.func is AggFunc.COUNT_DISTINCT:
                         return OffloadDecision(
@@ -338,11 +346,10 @@ class QueryCompiler:
                     False, SuspendReason.UNSUPPORTED_OP,
                     "aggregate over a host-resident input",
                 )
-            if id(node) not in tail:  # conc: safe — tail set, same proc
+            if node not in tail:
                 # Condition 1: the aggregate feeds more plan; device
                 # streams + pre-hashes, host accumulates and resumes.
-                # conc: safe — decision map, same process
-                decisions[id(child_node)].stream_for_assist = True
+                decisions[child_node].stream_for_assist = True
                 return OffloadDecision(
                     False,
                     SuspendReason.MID_PLAN_GROUPBY,
@@ -607,14 +614,14 @@ class QueryCompiler:
                 ),
                 {n: a.scale for n, a in source.items() if a.kind is Kind.INT},
             )
-        prov = self._provenance(source)
+        prov = self.provenance(source)
         unselectable = set(predicate.column_refs()) - set(prov)
         scales: dict[str, int] = {}
         for name, (table, base) in prov.items():
             ctype = self.catalog.table(table).column(base).ctype
-            if ctype.is_string:
+            kind, scales[name] = ctype.eval_domain
+            if kind is Kind.STR:
                 unselectable.add(name)
-            scales[name] = 2 if ctype.kind is TypeKind.DECIMAL else 0
         return frozenset(unselectable), scales
 
 

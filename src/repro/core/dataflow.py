@@ -109,13 +109,13 @@ class GraphBuilder:
     # -- public -----------------------------------------------------------
 
     def lower(self, expr: Expr) -> Value:
-        # conc: safe — lowering memo keyed by expression identity; the
-        # expression tree and the memo never leave the process
+        # Lowering memo keyed by expression identity; the expression
+        # tree and the memo never leave the process.
         memoed = self._memo.get(id(expr))
         if memoed is not None:
             return memoed
         value = self._lower(expr)
-        self._memo[id(expr)] = value  # conc: safe — same memo
+        self._memo[id(expr)] = value
         return value
 
     def input_value(self, name: str) -> Value:

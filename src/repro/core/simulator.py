@@ -330,8 +330,8 @@ class HybridEngine(Engine):
         self,
         catalog,
         device: AquomanDevice,
-        decisions: dict[int, OffloadDecision],
-        offload_roots: set[int],
+        decisions: dict[Plan, OffloadDecision],
+        offload_roots: set[Plan],
         trace: QueryTrace,
         tracer: Tracer | NullTracer | None = None,
     ):
@@ -347,11 +347,11 @@ class HybridEngine(Engine):
         self._fault_sites = itertools.count()
 
     def _run(self, plan: Plan) -> Relation:
-        decision = self.decisions.get(id(plan))
+        decision = self.decisions.get(plan)
         worth_offloading = _subtree_reduces(plan) or (
             decision is not None and decision.stream_for_assist
         )
-        if id(plan) in self.offload_roots and worth_offloading:
+        if plan in self.offload_roots and worth_offloading:
             checkpoint = self.device.checkpoint()
             spilled_before = self.device.meters.spilled_rows
             executor = DeviceExecutor(self.device, self.scalar)
@@ -424,11 +424,11 @@ class HybridEngine(Engine):
 
     def _run_aggregate(self, plan: Aggregate) -> Relation:
         out = super()._run_aggregate(plan)
-        decision = self.decisions.get(id(plan))
+        decision = self.decisions.get(plan)
         if (
             decision is not None
             and decision.device_assisted
-            and id(plan.child) in self.offload_roots
+            and plan.child in self.offload_roots
         ):
             # The device streamed and pre-hashed this aggregate's
             # input; the host only accumulates (Sec. VI-E spill mode).
@@ -473,11 +473,11 @@ class AquomanSimulator:
         with self.tracer.span("device.compile", query=query):
             compiled = self.compiler.compile(plan)
 
-        decisions: dict[int, OffloadDecision] = {}
-        offload_roots: set[int] = set()
+        decisions: dict[Plan, OffloadDecision] = {}
+        offload_roots: set[Plan] = set()
         for unit in compiled.flatten():
             decisions.update(unit.decisions)
-            offload_roots.update(id(r) for r in unit.offload_roots())
+            offload_roots.update(unit.offload_roots())
 
         device = AquomanDevice(
             self.catalog, self.config, tracer=self.tracer,

@@ -2,9 +2,9 @@
 
 from repro.engine.executor import Engine
 from repro.engine.morsel import MorselConfig
-from repro.engine.operators.relational import MATCH_FLAG
 from repro.engine.relation import Relation, typed_array_from_column
 from repro.engine.pagecache import LruPageCache
+from repro.sqlir.plan import MATCH_FLAG
 
 __all__ = [
     "Engine",

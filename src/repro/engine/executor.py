@@ -9,6 +9,7 @@ paper's trace-based simulator, with the roles swapped.
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 from typing import Callable
 
@@ -85,7 +86,10 @@ class Engine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.morsels = morsels
         self.analyze = analyze
-        self._analyzed: set[int] = set()
+        # Plans this engine has analysed.  Weak, and holding the plans
+        # themselves: an ``id()`` would outlive its plan and exempt the
+        # next plan allocated at the same address from the gate.
+        self._analyzed: weakref.WeakSet[Plan] = weakref.WeakSet()
         self._flash_layout = None
 
     def flash_layout(self):
@@ -133,9 +137,9 @@ class Engine:
         touched; ``warn`` surfaces errors and warnings as
         :class:`~repro.analysis.PlanAnalysisWarning` and proceeds.
         """
-        if self.analyze == "off" or id(plan) in self._analyzed:
+        if self.analyze == "off" or plan in self._analyzed:
             return
-        self._analyzed.add(id(plan))
+        self._analyzed.add(plan)
         import warnings
 
         from repro.analysis import (

@@ -60,7 +60,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.analysis.morselsafety import aggregate_merge_verdict
+from repro.analysis.morselsafety import (
+    aggregate_merge_verdict,
+    streamable_chain,
+)
 from repro.core.row_selector import (
     PredicateProgram,
     RowSelector,
@@ -81,13 +84,7 @@ from repro.flash.channels import ChannelMeter
 from repro.obs import METRICS
 from repro.obs.context import set_degraded
 from repro.perf.trace import OpTrace
-from repro.sqlir.expr import (
-    AggFunc,
-    ColumnRef,
-    Expr,
-    ScalarSubquery,
-    TypedArray,
-)
+from repro.sqlir.expr import AggFunc, ColumnRef, Expr, Kind, TypedArray
 from repro.sqlir.plan import (
     AggSpec,
     Aggregate,
@@ -100,16 +97,13 @@ from repro.sqlir.plan import (
 )
 from repro.storage.layout import PAGE_BYTES, FlashLayout
 from repro.storage.stringheap import StringHeap
-from repro.storage.types import TypeKind
 
 # An 8 KB page of 1-byte values holds 8192 rows, and every wider value
 # width divides that evenly — so morsels aligned to 8192 rows start on a
 # page boundary for every column of the table.
 MORSEL_ALIGN_ROWS = PAGE_BYTES
-DEFAULT_MORSEL_ROWS = 8 * MORSEL_ALIGN_ROWS
-# The scaling bench (BENCH_morsel_scaling.json) shows 32768-row morsels
-# well ahead of 8192 at SF-0.01 — this is the default the CLI entry
-# points use where they previously hard-coded 8192.
+# The default morsel size: the scaling bench (BENCH_morsel_scaling.json)
+# shows 32768-row morsels well ahead of 8192 at SF-0.01.
 TUNED_MORSEL_ROWS = 4 * MORSEL_ALIGN_ROWS
 # Cap on morsels per fragment: tiny tables otherwise shatter into
 # dispatch-dominated crumbs.  Deliberately a constant (a small multiple
@@ -132,7 +126,7 @@ class MorselConfig:
     """Streaming knobs for :class:`~repro.engine.executor.Engine`."""
 
     parallel: bool = True        # off = monolithic execution everywhere
-    morsel_rows: int = DEFAULT_MORSEL_ROWS
+    morsel_rows: int = TUNED_MORSEL_ROWS
     n_workers: int = 1
     worker_backend: str = "process"  # "serial" | "process"
 
@@ -219,24 +213,13 @@ def extract_fragment(plan: Plan, catalog) -> Fragment | None:
     elif isinstance(plan, Aggregate):
         terminal, kind, chain = plan, "aggregate", plan.child
 
-    steps: list[Plan] = []
-    node = chain
-    while isinstance(node, (Filter, Project)):
-        exprs = (
-            [node.predicate]
-            if isinstance(node, Filter)
-            else [e for _, e in node.outputs]
-        )
-        if any(_has_subquery(e) for e in exprs):
-            return None
-        steps.append(node)
-        node = node.child
-    if not isinstance(node, Scan):
+    streamable = streamable_chain(chain)
+    if streamable is None:
         return None
-    steps.reverse()
+    scan, steps = streamable
 
     if kind == "aggregate" and not aggregate_merge_verdict(
-        terminal, node, tuple(steps), catalog
+        terminal, scan, steps, catalog
     ).mergeable:
         # Non-mergeable terminal (AVG / float SUM / COUNT DISTINCT /
         # AQ4xx): refuse the whole fragment here; the Aggregate runs
@@ -244,19 +227,7 @@ def extract_fragment(plan: Plan, catalog) -> Fragment | None:
         return None
     if terminal is None and not steps:
         return None  # a bare streamed scan saves the host nothing
-    return Fragment(
-        scan=node, steps=tuple(steps), terminal=terminal, kind=kind
-    )
-
-
-def _has_subquery(expr: Expr) -> bool:
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ScalarSubquery):
-            return True
-        stack.extend(node.children())
-    return False
+    return Fragment(scan=scan, steps=steps, terminal=terminal, kind=kind)
 
 
 def _needed_scan_columns(frag: Fragment) -> set[str] | None:
@@ -431,13 +402,11 @@ class SpanRunner:
         scales: dict[str, int] = {}
         excluded: set[str] = set()
         for name in self.scan_names:
-            kind = self.table.column(name).ctype.kind
-            if kind in (TypeKind.CHAR, TypeKind.BOOL):
-                excluded.add(name)
-            elif kind is TypeKind.DECIMAL:
-                scales[name] = 2
+            kind, scale = self.table.column(name).ctype.eval_domain
+            if kind is Kind.INT:
+                scales[name] = scale
             else:
-                scales[name] = 0
+                excluded.add(name)
         program, leftover = extract_predicate_program(
             predicate,
             n_evaluators=HOST_CP_EVALUATORS,

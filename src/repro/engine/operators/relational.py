@@ -34,9 +34,7 @@ from repro.sqlir.expr import (
     TypedArray,
     evaluate,
 )
-from repro.sqlir.plan import Aggregate, JoinKind, SortKey
-
-MATCH_FLAG = "@matched"
+from repro.sqlir.plan import MATCH_FLAG, Aggregate, JoinKind, SortKey
 
 
 def _context(rel: Relation, subquery_executor) -> EvalContext:

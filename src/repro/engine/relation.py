@@ -15,14 +15,7 @@ import numpy as np
 from repro.sqlir.expr import Kind, TypedArray
 from repro.storage.column import Column
 from repro.storage.table import Table
-from repro.storage.types import (
-    BOOL,
-    CHAR,
-    DECIMAL,
-    FLOAT,
-    INT64,
-    TypeKind,
-)
+from repro.storage.types import BOOL, CHAR, DECIMAL, FLOAT, INT64
 
 
 @dataclass
@@ -98,14 +91,11 @@ def typed_array_from_column(
     """
     if values is None:
         values = col.values
-    kind = col.ctype.kind
-    if kind is TypeKind.CHAR:
-        return TypedArray(values, Kind.STR, 0, col.heap)
-    if kind is TypeKind.DECIMAL:
-        return TypedArray(values.astype(np.int64, copy=False), Kind.INT, 2)
-    if kind is TypeKind.BOOL:
-        return TypedArray(values.astype(np.bool_, copy=False), Kind.BOOL, 0)
-    return TypedArray(values.astype(np.int64, copy=False), Kind.INT, 0)
+    kind, scale = col.ctype.eval_domain
+    if kind is Kind.STR:
+        return TypedArray(values, kind, scale, col.heap)
+    dtype = np.bool_ if kind is Kind.BOOL else np.int64
+    return TypedArray(values.astype(dtype, copy=False), kind, scale)
 
 
 def _column_from_typed(name: str, arr: TypedArray) -> Column:

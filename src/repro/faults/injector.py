@@ -9,8 +9,8 @@ check).  The injector
   :mod:`repro.faults.errors`),
 - converts page-batch outcomes into per-channel stall seconds the
   timing model charges (retry backoff + latency spikes),
-- keeps thread-safe counters and a bounded, order-independent event
-  log (the determinism tests compare its sorted contents),
+- keeps locked counters and a bounded, order-independent event log
+  (the determinism tests compare its sorted contents),
 - mirrors everything into ``faults.*`` metrics and ambient-tracer
   instants, and flips the ``/healthz`` degraded flag whenever a
   recovery path had to run.
@@ -90,7 +90,8 @@ class FaultInjector:
         self.backoff_s = 0.0
         self.stall_s = 0.0
         # (kind, site-or-page, detail) tuples; compared *sorted* by the
-        # determinism tests because worker threads append in any order.
+        # determinism tests because pool workers' deltas are absorbed
+        # in completion order.
         self.events: list[tuple[str, str, int]] = []
 
     @property
@@ -288,8 +289,8 @@ _global_injector: FaultInjector | None = None
 def set_fault_injector(injector: FaultInjector | None) -> None:
     """Install (or clear) the process-wide ambient injector."""
     global _global_injector
-    # conc: safe — GIL-atomic reference swap; readers see old or new,
-    # never a torn value
+    # GIL-atomic reference swap; readers see old or new, never a torn
+    # value
     _global_injector = injector
 
 

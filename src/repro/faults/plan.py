@@ -1,10 +1,10 @@
 """Deterministic, seeded fault plans.
 
 A :class:`FaultPlan` decides *where* faults strike as a pure function
-of ``(seed, site)`` — never of execution order.  Morsel workers run on
-a thread pool whose scheduling varies run to run, so sequence-drawn
-randomness would make campaigns unreproducible; instead every decision
-is addressed by a stable name:
+of ``(seed, site)`` — never of execution order.  Morsel spans run on
+a pool of forked worker processes whose scheduling varies run to run,
+so sequence-drawn randomness would make campaigns unreproducible;
+instead every decision is addressed by a stable name:
 
 - page-granular faults (read errors, latency spikes) hash the global
   flash page id through a splitmix64 PRF, vectorised over whole page

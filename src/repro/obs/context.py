@@ -126,8 +126,8 @@ _context: QueryContext | None = None
 
 def set_query_context(context: QueryContext | None) -> None:
     global _context
-    # conc: safe — GIL-atomic reference swap; a reader sees either the
-    # old context or the new one, never a torn reference
+    # GIL-atomic reference swap; a reader sees either the old context
+    # or the new one, never a torn reference
     _context = context
 
 
@@ -151,13 +151,13 @@ _degraded: dict[str, Any] | None = None
 def set_degraded(reason: str, **info: Any) -> None:
     """Mark the process degraded (a recovery path had to run)."""
     global _degraded
-    # conc: safe — GIL-atomic reference swap (documented above)
+    # GIL-atomic reference swap (documented above)
     _degraded = {"reason": reason, **info}
 
 
 def clear_degraded() -> None:
     global _degraded
-    _degraded = None  # conc: safe — GIL-atomic reference swap
+    _degraded = None  # GIL-atomic reference swap
 
 
 def get_degraded() -> dict[str, Any] | None:

@@ -48,7 +48,7 @@ from repro.analysis.diagnostics import AnalysisReport
 from repro.core.device import DeviceConfig
 from repro.core.simulator import AquomanSimulator, SimulationResult
 from repro.engine.executor import Engine
-from repro.engine.morsel import DEFAULT_MORSEL_ROWS, MorselConfig
+from repro.engine.morsel import MorselConfig
 from repro.obs.critpath import CritPathAnalysis, analyze_records
 from repro.obs.spans import INSTANT, SpanRecord, Tracer
 from repro.perf.model import (
@@ -585,7 +585,7 @@ def diagnose(
     target_sf: float = 1000.0,
     dram_gb: float = 40.0,
     workers: int = 4,
-    morsel_rows: int = DEFAULT_MORSEL_ROWS,
+    morsel_rows: int = MorselConfig.morsel_rows,
     backend: str = MorselConfig.worker_backend,
     host: HostConfig = HOST_S,
     ring_capacity: int | None = None,
@@ -601,7 +601,7 @@ def diagnose(
         scale_ratio=target_sf / catalog.scale_factor,
     )
     analysis = analyze_plan(plan, catalog, device=config)
-    predictions = node_schemas(plan, catalog)
+    predictions = node_schemas(plan, analysis.checker)
 
     tracer = (
         Tracer(ring_capacity=ring_capacity)

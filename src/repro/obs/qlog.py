@@ -314,8 +314,8 @@ _query_log: QueryLog | None = None
 
 def set_query_log(log: QueryLog | None) -> None:
     global _query_log
-    # conc: safe — GIL-atomic reference swap; a reader sees either the
-    # old log or the new one, never a torn reference
+    # GIL-atomic reference swap; a reader sees either the old log or
+    # the new one, never a torn reference
     _query_log = log
 
 

@@ -282,8 +282,8 @@ _global_tracer: Tracer | NullTracer = NULL_TRACER
 
 def set_global_tracer(tracer: Tracer | None) -> None:
     global _global_tracer
-    # conc: safe — GIL-atomic reference swap; a worker reads either
-    # the old tracer or the new one, never a torn reference
+    # GIL-atomic reference swap; a reader gets either the old tracer
+    # or the new one, never a torn reference
     _global_tracer = tracer if tracer is not None else NULL_TRACER
 
 

@@ -14,7 +14,7 @@ backends and machines), then explains where the time went:
    formats entries out.
 2. The per-bucket deltas *sum to the critical-path delta by
    construction* (buckets partition the path, the path spans the root
-   window), so "process is slower than thread" decomposes into "+3.1ms
+   window), so "process is slower than serial" decomposes into "+3.1ms
    host, +0.8ms flash_io" instead of a bare total.
 3. Span-prefix attribution (``morsel.*``, ``engine.*``, ``device.*``)
    from each event's ``top_spans`` names the code that moved.

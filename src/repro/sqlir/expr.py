@@ -24,16 +24,7 @@ from enum import Enum
 import numpy as np
 
 from repro.storage.stringheap import StringHeap, like_regex
-from repro.storage.types import date_to_days
-
-
-class Kind(Enum):
-    """Logical kind of an evaluated expression."""
-
-    INT = "int"      # fixed-point integer with a decimal scale
-    FLOAT = "float"  # post-division / post-average values
-    STR = "str"      # heap codes
-    BOOL = "bool"
+from repro.storage.types import Kind, date_to_days
 
 
 @dataclass

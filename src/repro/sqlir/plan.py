@@ -7,6 +7,7 @@ AQUOMAN compiler walks to carve out offloadable subtrees.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -89,6 +90,12 @@ class JoinKind(Enum):
     SEMI = "semi"       # EXISTS: left rows with >=1 match
     ANTI = "anti"       # NOT EXISTS: left rows with no match
     LEFT_OUTER = "left_outer"
+
+
+# The bool column a LEFT_OUTER join adds: True where the left row found
+# a right-side partner.  Part of the join's output schema, so the
+# operator that writes it and the type checker both take it from here.
+MATCH_FLAG = "@matched"
 
 
 @dataclass(eq=False)
@@ -225,24 +232,32 @@ def subquery_plans(expr: Expr) -> list[Plan]:
     return plans
 
 
+def has_subquery(expr: Expr) -> bool:
+    return bool(subquery_plans(expr))
+
+
+def walk_with_subqueries(root: Plan) -> Iterator[Plan]:
+    """Every node of ``root`` pre-order, each followed by its children
+    and then by the scalar-subquery plans its expressions embed."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        # popped last-in first: children in order, then the subqueries
+        for expr in reversed(node_exprs(node)):
+            stack.extend(reversed(subquery_plans(expr)))
+        stack.extend(reversed(node.children()))
+
+
 def assign_node_ids(root: Plan, start: int = 0) -> int:
-    """Number every node of ``root`` pre-order, descending into scalar
-    subquery plans, and return the next unused id.
+    """Number every node of ``root`` in :func:`walk_with_subqueries`
+    order and return the next unused id.
 
     Idempotent: re-running renumbers deterministically, so diagnostics
     produced from the same tree always agree on loci.
     """
     counter = start
-
-    def visit(node: Plan) -> None:
-        nonlocal counter
+    for node in walk_with_subqueries(root):
         node.node_id = counter
         counter += 1
-        for child in node.children():
-            visit(child)
-        for expr in node_exprs(node):
-            for sub in subquery_plans(expr):
-                visit(sub)
-
-    visit(root)
     return counter

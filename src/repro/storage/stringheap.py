@@ -47,8 +47,8 @@ def _remember(memo: dict, key, value) -> None:
     """Keep ``value`` in a heap's per-code memo, oldest entry out first."""
     if key not in memo and len(memo) >= MAX_VERDICT_PATTERNS:
         del memo[next(iter(memo))]
-    # conc: safe — per-process memo, filled worker-side after a fork;
-    # under the GIL a racing fill stores the same table twice
+    # Per-process memo, filled worker-side after a fork; under the GIL
+    # a racing fill stores the same table twice.
     memo[key] = value
 
 

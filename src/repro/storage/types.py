@@ -16,6 +16,7 @@ from __future__ import annotations
 import datetime as _dt
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,15 @@ class TypeKind(Enum):
     FLOAT = "float"  # result-only: post-division values; never on flash
 
 
+class Kind(Enum):
+    """Logical kind of an evaluated expression."""
+
+    INT = "int"      # fixed-point integer with a decimal scale
+    FLOAT = "float"  # post-division / post-average values
+    STR = "str"      # heap codes
+    BOOL = "bool"
+
+
 @dataclass(frozen=True)
 class ColumnType:
     """A column's logical kind plus its physical width and NumPy dtype."""
@@ -49,6 +59,20 @@ class ColumnType:
     @property
     def is_string(self) -> bool:
         return self.kind is TypeKind.CHAR
+
+    @cached_property
+    def eval_domain(self) -> tuple[Kind, int]:
+        """How a stored column enters the evaluation domain: its
+        :class:`Kind` and fixed-point scale.  The one statement of the
+        rule — the engine lifts values by it, the type checker types
+        scans by it, both Row Selectors scale their constants by it."""
+        if self.kind is TypeKind.CHAR:
+            return Kind.STR, 0  # codes; the column's heap travels along
+        if self.kind is TypeKind.DECIMAL:
+            return Kind.INT, 2
+        if self.kind is TypeKind.BOOL:
+            return Kind.BOOL, 0
+        return Kind.INT, 0
 
     def to_python(self, raw):
         """Decode one raw value into its logical Python value."""

@@ -353,6 +353,30 @@ class TestEngineModes:
             engine.execute_relation(self._bad_plan())
         assert "AQ102" in str(err.value)
 
+    def test_strict_gate_survives_address_reuse(self, tiny_db):
+        # The engine remembers which plans it analysed.  A dropped
+        # plan's address is handed to the next plan of its size, so a
+        # memory of addresses let that plan through unanalysed.
+        engine = Engine(tiny_db, analyze="strict")
+        analysed: set[int] = set()
+        for _ in range(1000):
+            good = Project(
+                Scan("part", ("p_size",)),
+                (("ok", Arith(ArithOp.ADD, col("p_size"), lit(1))),),
+            )
+            engine.execute_relation(good)
+            analysed.add(id(good))
+            del good
+            held = []  # keeps each candidate's address taken
+            for _ in range(8):
+                bad = self._bad_plan()
+                if id(bad) in analysed:
+                    with pytest.raises(PlanRejected):
+                        engine.execute_relation(bad)
+                    return
+                held.append(bad)
+        pytest.skip("the allocator never reused a plan's address")
+
     def test_warn_warns_and_proceeds(self, tiny_db):
         engine = Engine(tiny_db, analyze="warn")
         plan = Filter(

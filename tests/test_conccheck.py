@@ -1,24 +1,20 @@
 """The AQ5xx concurrency & determinism analyzer (``repro lint``).
 
 Each pass is exercised on a violating and a clean fixture module
-(``tests/fixtures/conccheck/``), the suppression and baseline
-machinery is covered directly, and the end-to-end test asserts the
-repository itself is clean under ``--strict`` — the same gate CI runs.
+(``tests/fixtures/conccheck/``), the suppression machinery is covered
+directly, and the end-to-end test asserts the repository itself is
+clean under ``--strict`` — the same gate CI runs.
 """
 
 import json
 from pathlib import Path
 
 from repro.analysis.conccheck import (
+    PASSES,
     LintConfig,
     Project,
     lint_project,
     lint_repo,
-)
-from repro.analysis.conccheck.report import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
 )
 from repro.analysis.conccheck.selfcheck import run_selfcheck
 
@@ -38,43 +34,18 @@ def run_fixture(name: str, config: LintConfig):
     return {d.code for d in report.diagnostics}, report
 
 
-# -- pass 1: worker-context races ------------------------------------------
+# -- pass 1: fork/pickle boundary ------------------------------------------
 
 
-def races_config(name: str) -> LintConfig:
-    return LintConfig(worker_roots=(f"fix.{name}:worker_entry",),
-                      passes=("races",))
-
-
-def test_races_violation_detected():
-    codes, report = run_fixture(
-        "races_violation", races_config("races_violation")
-    )
-    assert codes == {"AQ501", "AQ502", "AQ503"}
-    assert all(d.line > 0 and d.symbol for d in report.diagnostics)
-
-
-def test_races_clean_fixture_passes():
-    codes, _ = run_fixture("races_clean", races_config("races_clean"))
-    assert codes == set()
-
-
-def test_races_ignores_non_worker_code():
-    # same violations, but nothing roots the call graph there
-    config = LintConfig(worker_roots=(), passes=("races",))
-    codes, _ = run_fixture("races_violation", config)
-    assert codes == set()
-
-
-# -- pass 2: fork/pickle boundary ------------------------------------------
-
-
-BOUNDARY = LintConfig(passes=("boundary",))
+BOUNDARY = LintConfig()
 
 
 def test_boundary_violation_detected():
-    codes, _ = run_fixture("boundary_violation", BOUNDARY)
+    codes, report = run_fixture("boundary_violation", BOUNDARY)
     assert codes == {"AQ510", "AQ511", "AQ512", "AQ513"}
+    assert all(
+        d.source.line > 0 and d.source.symbol for d in report.diagnostics
+    )
 
 
 def test_boundary_clean_fixture_passes():
@@ -98,12 +69,11 @@ def test_boundary_call_results_do_not_flag_operands():
     assert report.diagnostics == []
 
 
-# -- pass 3: determinism ----------------------------------------------------
+# -- pass 2: determinism ----------------------------------------------------
 
 
 def det_config(name: str) -> LintConfig:
-    return LintConfig(result_roots=(f"fix.{name}:merge",),
-                      passes=("determinism",))
+    return LintConfig(result_roots=(f"fix.{name}:merge",))
 
 
 def test_determinism_violation_detected():
@@ -125,18 +95,22 @@ def test_determinism_exempt_prefix():
     config = LintConfig(
         result_roots=("fix.determinism_violation:merge",),
         determinism_exempt=("fix.",),
-        passes=("determinism",),
     )
     codes, _ = run_fixture("determinism_violation", config)
     assert codes == set()
 
 
-# -- pass 4: ambient-state discipline --------------------------------------
+def test_determinism_ignores_unrooted_code():
+    # same violations, but nothing roots the call graph there
+    codes, _ = run_fixture("determinism_violation", LintConfig())
+    assert codes == set()
+
+
+# -- pass 3: ambient-state discipline --------------------------------------
 
 
 def ambient_config(name: str) -> LintConfig:
-    return LintConfig(worker_roots=(f"fix.{name}:worker_entry",),
-                      passes=("ambient",))
+    return LintConfig(worker_roots=(f"fix.{name}:worker_entry",))
 
 
 def test_ambient_violation_detected():
@@ -158,81 +132,66 @@ def test_sanctioned_points_are_not_flagged():
         worker_roots=("fix.ambient_violation:worker_entry",),
         sanctioned_installers=("fix.ambient_violation:worker_entry",),
         sanctioned_repatriation=("fix.ambient_violation:worker_entry",),
-        passes=("ambient",),
     )
     codes, _ = run_fixture("ambient_violation", config)
     assert codes == set()
 
 
-# -- suppression and baseline ----------------------------------------------
+# -- suppression ------------------------------------------------------------
+
+
+def _merge_with(comment_line: str) -> Project:
+    return Project.from_sources({
+        "fix.sup": (
+            "def merge(parts):\n"
+            f"{comment_line}"
+            "    return id(parts)\n"
+        ),
+    })
+
+
+SUP = LintConfig(result_roots=("fix.sup:merge",))
 
 
 def test_conc_safe_suppresses_and_is_counted():
-    project = Project.from_sources({
-        "fix.sup": (
-            "_STATE = {}\n"
-            "\n"
-            "def worker_entry(item):\n"
-            "    # conc: safe — fixture justification\n"
-            "    _STATE[item] = item\n"
-        ),
-    })
-    report = lint_project(
-        project,
-        LintConfig(worker_roots=("fix.sup:worker_entry",),
-                   passes=("races",)),
-    )
+    project = _merge_with("    # conc: safe — fixture justification\n")
+    report = lint_project(project, SUP)
     assert report.diagnostics == []
-    assert len(report.suppressed) == 1
-    assert "fixture justification" in report.suppressed[0].message
+    # what is counted is the finding the annotation suppressed
+    assert [d.code for d in report.suppressed] == ["AQ522"]
+    assert report.suppressed[0].source.line == 3
+    assert "1 conc-safe" in report.format()
 
 
 def test_conc_safe_in_docstring_does_not_suppress():
-    project = Project.from_sources({
-        "fix.doc": (
-            "_STATE = {}\n"
-            "\n"
-            "def worker_entry(item):\n"
-            '    """Mentions # conc: safe without being a comment."""\n'
-            "    _STATE[item] = item\n"
-        ),
-    })
-    report = lint_project(
-        project,
-        LintConfig(worker_roots=("fix.doc:worker_entry",),
-                   passes=("races",)),
+    project = _merge_with(
+        '    """Mentions # conc: safe without being a comment."""\n'
     )
-    assert [d.code for d in report.diagnostics] == ["AQ502"]
+    report = lint_project(project, SUP)
+    assert [d.code for d in report.diagnostics] == ["AQ522"]
     assert report.suppressed == []
 
 
-def test_baseline_roundtrip_and_stale_entry(tmp_path):
-    config = races_config("races_violation")
-    codes, report = run_fixture("races_violation", config)
-    assert codes  # sanity: something to baseline
-    path = tmp_path / "baseline.json"
-    write_baseline(path, report)
-    baseline = load_baseline(path)
-    # a fresh identical run is fully absorbed by the baseline
-    _, fresh = run_fixture("races_violation", config)
-    apply_baseline(fresh, baseline)
-    assert fresh.ok
-    assert len(fresh.baselined) == len(baseline)
-    # an entry that matches nothing warns AQ540, keeping the
-    # baseline ratcheted down as code is fixed
-    baseline["AQ501:gone.py:gone"] = 1
-    _, again = run_fixture("races_violation", config)
-    apply_baseline(again, baseline)
-    stale = again.by_code("AQ540")
-    assert len(stale) == 1
-    assert "gone.py" in stale[0].message
+def test_annotation_that_suppresses_nothing_is_aq541():
+    project = Project.from_sources({
+        "fix.sup": (
+            "def merge(parts):\n"
+            "    # conc: safe — nothing here needs it\n"
+            "    return sorted(parts)\n"
+        ),
+    })
+    report = lint_project(project, SUP)
+    (orphan,) = report.diagnostics
+    assert orphan.code == "AQ541"
+    assert orphan.severity.value == "warning"
+    assert (orphan.source.path, orphan.source.line) == ("fix/sup.py", 2)
+    assert report.ok and report.suppressed == []
 
 
 def test_missing_root_is_aq500():
     report = lint_project(
-        project_of("races_clean"),
-        LintConfig(worker_roots=("fix.races_clean:vanished",),
-                   passes=("races",)),
+        project_of("ambient_clean"),
+        LintConfig(worker_roots=("fix.ambient_clean:vanished",)),
     )
     assert [d.code for d in report.diagnostics] == ["AQ500"]
 
@@ -242,7 +201,9 @@ def test_missing_root_is_aq500():
 
 def test_repo_is_clean_under_strict():
     report = lint_repo()
-    assert report.errors() == [], "\n" + report.format()
+    assert report.diagnostics == [], "\n" + report.format()
+    # every remaining annotation suppresses a finding, and few remain
+    assert 0 < len(report.suppressed) <= 6
     assert report.n_files > 50
     assert report.n_worker_reachable > 20
     # acceptance: a full-repo lint stays interactive
@@ -261,6 +222,6 @@ def test_cli_lint_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
     assert doc["diagnostics"] == []
-    assert set(doc["passes"]) == {
-        "races", "boundary", "determinism", "ambient",
-    }
+    assert doc["passes"] == list(PASSES)
+    assert "baselined" not in doc
+    assert {"path", "line", "col", "symbol"} <= set(doc["suppressed"][0])

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from test_procpool import assert_identical
 
 from repro.engine.morsel import (
-    DEFAULT_MORSEL_ROWS,
     MORSEL_ALIGN_ROWS,
+    TUNED_MORSEL_ROWS,
     Fragment,
     MorselConfig,
     _SpanReads,
@@ -60,8 +60,8 @@ class TestSplitMorsels:
 
 class TestMorselConfig:
     def test_default_is_aligned(self):
-        assert DEFAULT_MORSEL_ROWS % MORSEL_ALIGN_ROWS == 0
-        assert MorselConfig().aligned_rows() == DEFAULT_MORSEL_ROWS
+        assert TUNED_MORSEL_ROWS % MORSEL_ALIGN_ROWS == 0
+        assert MorselConfig().aligned_rows() == TUNED_MORSEL_ROWS
 
     def test_rounds_up_to_page_quantum(self):
         assert MorselConfig(morsel_rows=1).aligned_rows() == MORSEL_ALIGN_ROWS
