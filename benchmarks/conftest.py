@@ -6,10 +6,7 @@ the AQUOMAN simulator (40 GB and 16 GB device DRAM) at SF-0.01, scaled
 to the paper's SF-1000 by the trace-scaling machinery.
 """
 
-import json
 import os
-import re
-import time
 from pathlib import Path
 
 import pytest
@@ -29,60 +26,6 @@ RUN_RECORDS = Path(
     )
 )
 
-# Wide-event mirror of the per-query benchmark metrics: every
-# ``model.qNN_<system>_s`` run-record metric also lands here as a wide
-# event keyed by the query's plan fingerprint, so ``repro tracediff``
-# can diff the perf trajectory against any query-log run.
-QUERY_LOG = Path(
-    os.environ.get(
-        "REPRO_BENCH_QUERY_LOG",
-        Path(__file__).resolve().parent.parent / "BENCH_qlog.jsonl",
-    )
-)
-
-_QUERY_METRIC = re.compile(r"^model\.(q\d{2})_(.+)_s$")
-
-
-def _wide_events_for(records):
-    from repro.obs.context import next_query_id, plan_fingerprint
-    from repro.obs.qlog import SCHEMA_VERSION
-
-    events = []
-    for record in records:
-        for key, value in sorted(record.metrics.items()):
-            match = _QUERY_METRIC.match(key)
-            if not match:
-                continue
-            name, system = match.groups()
-            events.append({
-                "schema": SCHEMA_VERSION,
-                "query_id": next_query_id(),
-                "query": name,
-                "fingerprint": plan_fingerprint(tpch.query(int(name[1:]))),
-                "backend": system,
-                "seed": None,
-                "ts_unix": time.time(),
-                "wall_ms": float(value) * 1e3,
-                "spans_dropped": 0,
-                "critpath": None,
-                "counters": {},
-                "faults": None,
-                "suspend": None,
-                "analysis": None,
-                "sql_digest": None,
-                "trace_path": None,
-                "annotations": {"bench": record.bench, "source": "benchmark"},
-            })
-    return events
-
-
-def _append_wide_events(records):
-    events = _wide_events_for(records)
-    if events:
-        with open(QUERY_LOG, "a") as fh:
-            for event in events:
-                fh.write(json.dumps(event) + "\n")
-
 
 def record_run(bench, metrics, meta=None):
     """Append one structured run record for ``repro perf diff``."""
@@ -90,14 +33,12 @@ def record_run(bench, metrics, meta=None):
 
     records = [RunRecord(bench=bench, metrics=metrics, meta=meta or {})]
     append_records(RUN_RECORDS, records)
-    _append_wide_events(records)
 
 
 def append_run_records(records):
     from repro.obs.baseline import append_records
 
     append_records(RUN_RECORDS, records)
-    _append_wide_events(records)
 
 
 @pytest.fixture(scope="session")

@@ -83,15 +83,16 @@ class SuspendReason(Enum):
     DEVICE_FAULT = "device fault"
 
 
-REAL_SUSPENSIONS = frozenset(
-    {
-        SuspendReason.MID_PLAN_GROUPBY,
-        SuspendReason.STRING_HEAP,
-        SuspendReason.GROUP_SPILL,
-        SuspendReason.DRAM_EXCEEDED,
-        SuspendReason.DEVICE_FAULT,
-    }
+# The suspensions the compiler can decide from the plan and the catalog;
+# the rest are only known once the device runs.
+COMPILE_TIME_SUSPENSIONS = frozenset(
+    {SuspendReason.MID_PLAN_GROUPBY, SuspendReason.STRING_HEAP}
 )
+REAL_SUSPENSIONS = COMPILE_TIME_SUSPENSIONS | {
+    SuspendReason.GROUP_SPILL,
+    SuspendReason.DRAM_EXCEEDED,
+    SuspendReason.DEVICE_FAULT,
+}
 
 
 @dataclass

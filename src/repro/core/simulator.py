@@ -30,6 +30,7 @@ from repro.core.compiler import (
     CompiledQuery,
     OffloadDecision,
     QueryCompiler,
+    COMPILE_TIME_SUSPENSIONS,
     REAL_SUSPENSIONS,
     SuspendReason,
     unary_chain,
@@ -422,9 +423,10 @@ class HybridEngine(Engine):
             "device.suspensions", "subtrees rolled back to the host"
         ).inc()
 
-    def _run_aggregate(self, plan: Aggregate) -> Relation:
-        out = super()._run_aggregate(plan)
-        decision = self.decisions.get(plan)
+    def _record(self, plan: Plan, op: OpTrace) -> None:
+        decision = (
+            self.decisions.get(plan) if isinstance(plan, Aggregate) else None
+        )
         if (
             decision is not None
             and decision.device_assisted
@@ -432,13 +434,12 @@ class HybridEngine(Engine):
         ):
             # The device streamed and pre-hashed this aggregate's
             # input; the host only accumulates (Sec. VI-E spill mode).
-            op = self.trace.ops[-1]
             op.assisted = True
             op.detail += ",assisted"
             self.trace.groupby_spill_groups += max(
                 0, op.groups - HASH_BUCKETS
             )
-        return out
+        super()._record(plan, op)
 
 
 class AquomanSimulator:
@@ -509,8 +510,7 @@ class AquomanSimulator:
                 "group-by buckets spilled to the host",
             ).inc(meters.spilled_groups)
 
-        host_rows = sum(op.rows_in for op in trace.ops)
-        total_rows = host_rows + meters.rows_streamed
+        total_rows = trace.rows_processed() + meters.rows_streamed
         trace.offload_fraction_rows = (
             meters.rows_streamed / total_rows if total_rows else 0.0
         )
@@ -521,15 +521,20 @@ class AquomanSimulator:
         trace.suspended = bool(reasons)
         trace.suspend_reason = ", ".join(sorted(r.value for r in reasons))
 
-        # Suspend verdicts vs. actuals: what the compiler predicted at
-        # plan time against what the run actually hit; a mismatch in
-        # either direction marks the query for tail-sampled retention.
+        # Suspend verdicts vs. actuals.  ``mispredicted`` scores the
+        # compiler, so only over the classes it can decide at plan
+        # time: a heap guard tripping at run time is its miss, a group
+        # spill or a DRAM overflow (AQ2xx's to bracket; the doctor
+        # scores those) is not.  A miss marks the query for
+        # tail-sampled retention.
         predicted = compiled.suspend_reasons() & REAL_SUSPENSIONS
         scope.annotate(
             suspend={
                 "predicted": sorted(r.value for r in predicted),
                 "observed": sorted(r.value for r in reasons),
-                "mispredicted": predicted != reasons,
+                "mispredicted": predicted != (
+                    reasons & COMPILE_TIME_SUSPENSIONS
+                ),
             },
             flash_bytes=meters.flash_bytes,
             output_bytes=meters.output_bytes,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import weakref
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -184,34 +183,56 @@ class Engine:
             streamed = self._run_morsel(plan)
             if streamed is not None:
                 return streamed
-        handler: Callable = {
-            Scan: self._run_scan,
-            Filter: self._run_filter,
-            Project: self._run_project,
-            Join: self._run_join,
-            Aggregate: self._run_aggregate,
-            Sort: self._run_sort,
-            Limit: self._run_limit,
-            Distinct: self._run_distinct,
-        }[type(plan)]
         if not self.tracer.enabled:
-            return handler(plan)
+            return self._account(plan)[0]
         # The span covers the whole subtree (children recurse inside
         # it); the flame summary's self-time subtracts them back out.
         # ``node`` is the analyzer's plan-node id (assign_node_ids) —
         # the join key the doctor uses to marry predictions with
-        # actuals; None when the plan was never analyzed.
+        # actuals; None when the plan was never analyzed.  The volumes
+        # are the recorded OpTrace's: a span adds time and lane to the
+        # query record, not a second measurement.
         with self.tracer.span(
-            "engine." + type(plan).__name__.lower(),
+            "engine." + _OPERATORS[type(plan)][0],
             node=getattr(plan, "node_id", None),
         ) as span:
-            out = handler(plan)
+            out, op = self._account(plan)
             span.set(
-                rows_out=out.nrows,
+                rows_out=op.rows_out,
                 cols_out=len(out.columns),
-                bytes_out=out.nbytes(),
+                bytes_out=op.bytes_out,
             )
             return out
+
+    def _account(self, plan: Plan) -> tuple[Relation, OpTrace]:
+        """Run ``plan``'s inputs and its operator; record what it did.
+
+        The one place a host operator enters the query record.  The
+        operator returns what only it knows — output, ``detail``, group
+        count, its live-set estimate — and the volumes come from the
+        inputs that ran here and that output.
+        """
+        name, operator = _OPERATORS[type(plan)]
+        inputs = [self._run(child) for child in plan.children()]
+        out, detail, groups, live_bytes = operator(self, plan, *inputs)
+        rows_in = bytes_in = 0
+        for rel in inputs:
+            rows_in += rel.nrows
+            bytes_in += rel.nbytes()
+        if not inputs:  # a scan's input is the base columns as stored
+            table = self.catalog.table(plan.table)
+            rows_in = table.nrows
+            bytes_in = sum(table.column(n).nbytes for n in out.names)
+        op = OpTrace(
+            name, rows_in, out.nrows, bytes_in, out.nbytes(), detail, groups
+        )
+        self._record(plan, op)
+        self.trace.observe_host_bytes(live_bytes)
+        return out, op
+
+    def _record(self, plan: Plan, op: OpTrace) -> None:
+        """Recording hook: subclasses mark ``op`` before it is filed."""
+        self.trace.record_op(op)
 
     def _run_morsel(self, plan: Plan) -> Relation | None:
         """Stream a fragment rooted at ``plan``; None = not streamable."""
@@ -227,8 +248,9 @@ class Engine:
         return MorselExecutor(self, fragment).run(spans)
 
     # -- operators ------------------------------------------------------------------
+    # Each returns (output, detail, groups, live-set bytes).
 
-    def _run_scan(self, plan: Scan) -> Relation:
+    def _scan(self, plan: Scan):
         table = self.catalog.table(plan.table)
         names = plan.columns if plan.columns is not None else tuple(
             table.column_names
@@ -239,58 +261,24 @@ class Engine:
             columns[name] = typed_array_from_column(col)
             self.trace.record_flash(plan.table, name, col.nbytes)
         relation = Relation(columns)
-        self.trace.record_op(
-            OpTrace(
-                "scan",
-                rows_in=table.nrows,
-                rows_out=relation.nrows,
-                bytes_in=sum(table.column(n).nbytes for n in names),
-                bytes_out=relation.nbytes(),
-                detail=plan.table,
-            )
-        )
-        self.trace.observe_host_bytes(_column_live_bytes(relation))
-        return relation
+        return relation, plan.table, 0, _column_live_bytes(relation)
 
-    def _run_filter(self, plan: Filter) -> Relation:
-        child = self._run(plan.child)
+    def _filter(self, plan: Filter, child: Relation):
         out = filter_relation(child, plan.predicate, self.scalar)
-        self.trace.record_op(
-            OpTrace(
-                "filter",
-                rows_in=child.nrows,
-                rows_out=out.nrows,
-                bytes_in=child.nbytes(),
-                bytes_out=out.nbytes(),
-            )
-        )
         # Live set: a predicate column, a gather buffer, the candidate list.
-        self.trace.observe_host_bytes(
+        live = (
             _column_live_bytes(child) + _column_live_bytes(out)
             + out.nrows * 8
         )
-        return out
+        return out, "", 0, live
 
-    def _run_project(self, plan: Project) -> Relation:
-        child = self._run(plan.child)
+    def _project(self, plan: Project, child: Relation):
         out = project_relation(child, plan.outputs, self.scalar)
-        self.trace.record_op(
-            OpTrace(
-                "project",
-                rows_in=child.nrows,
-                rows_out=out.nrows,
-                bytes_in=child.nbytes(),
-                bytes_out=out.nbytes(),
-            )
-        )
-        self.trace.observe_host_bytes(
+        return out, "", 0, (
             _column_live_bytes(child) + _column_live_bytes(out)
         )
-        return out
 
-    def _run_join(self, plan: Join) -> Relation:
-        left = self._run(plan.left)
-        right = self._run(plan.right)
+    def _join(self, plan: Join, left: Relation, right: Relation):
         left_keys = left.column(plan.left_key).values
         right_keys = right.column(plan.right_key).values
 
@@ -309,25 +297,15 @@ class Engine:
             else:
                 out = pair_relation(left, right, li, ri)
 
-        self.trace.record_op(
-            OpTrace(
-                "join",
-                rows_in=left.nrows + right.nrows,
-                rows_out=out.nrows,
-                bytes_in=left.nbytes() + right.nbytes(),
-                bytes_out=out.nbytes(),
-                detail=f"{plan.kind.value}, pairs={pairs}",
-            )
-        )
         # Live set: both key columns, the pair lists, output gathers.
-        self.trace.observe_host_bytes(
+        live = (
             _column_live_bytes(left)
             + _column_live_bytes(right)
             + min(left.nrows, right.nrows) * 16  # build-side hash/ids
             + out.nrows * 16                     # (left, right) row pairs
             + _column_live_bytes(out)
         )
-        return out
+        return out, f"{plan.kind.value}, pairs={pairs}", 0, live
 
     def _residual_mask(
         self, left: Relation, right: Relation, predicate: Expr,
@@ -337,72 +315,42 @@ class Engine:
             pair_relation(left, right, li, ri), predicate, self.scalar
         )
 
-    def _run_aggregate(self, plan: Aggregate) -> Relation:
-        child = self._run(plan.child)
+    def _aggregate(self, plan: Aggregate, child: Relation):
         out, groups = aggregate_relation(child, plan, self.scalar)
-        self.trace.record_op(
-            OpTrace(
-                "aggregate",
-                rows_in=child.nrows,
-                rows_out=out.nrows,
-                bytes_in=child.nbytes(),
-                bytes_out=out.nbytes(),
-                detail=f"groups={groups.n_groups}",
-                groups=groups.n_groups,
-            )
-        )
         # Live set: input column + the group hash table (~48 B/entry:
         # bucket, key, slot of accumulators) + the output.
-        self.trace.observe_host_bytes(
+        live = (
             _column_live_bytes(child) + groups.n_groups * 48 + out.nbytes()
         )
-        return out
+        return out, f"groups={groups.n_groups}", groups.n_groups, live
 
-    def _run_sort(self, plan: Sort) -> Relation:
-        child = self._run(plan.child)
+    def _sort(self, plan: Sort, child: Relation):
         out = sort_relation(child, plan.keys)
-        self.trace.record_op(
-            OpTrace(
-                "sort",
-                rows_in=child.nrows,
-                rows_out=out.nrows,
-                bytes_in=child.nbytes(),
-                bytes_out=out.nbytes(),
-                detail=",".join(k.column for k in plan.keys),
-            )
-        )
         # A sort materialises its whole input.
-        self.trace.observe_host_bytes(child.nbytes() + out.nbytes())
-        return out
+        return (
+            out, ",".join(k.column for k in plan.keys), 0,
+            child.nbytes() + out.nbytes(),
+        )
 
-    def _run_limit(self, plan: Limit) -> Relation:
-        child = self._run(plan.child)
+    def _limit(self, plan: Limit, child: Relation):
         out = child.take(np.arange(min(plan.count, child.nrows)))
-        self.trace.record_op(
-            OpTrace(
-                "limit",
-                rows_in=child.nrows,
-                rows_out=out.nrows,
-                bytes_in=child.nbytes(),
-                bytes_out=out.nbytes(),
-            )
-        )
-        return out
+        return out, "", 0, 0
 
-    def _run_distinct(self, plan: Distinct) -> Relation:
-        child = self._run(plan.child)
-        out = distinct_relation(child)
-        self.trace.record_op(
-            OpTrace(
-                "distinct",
-                rows_in=child.nrows,
-                rows_out=out.nrows,
-                bytes_in=child.nbytes(),
-                bytes_out=out.nbytes(),
-            )
-        )
-        return out
+    def _distinct(self, plan: Distinct, child: Relation):
+        return distinct_relation(child), "", 0, 0
 
+
+# Plan node type -> (OpTrace / span name, operator).
+_OPERATORS = {
+    Scan: ("scan", Engine._scan),
+    Filter: ("filter", Engine._filter),
+    Project: ("project", Engine._project),
+    Join: ("join", Engine._join),
+    Aggregate: ("aggregate", Engine._aggregate),
+    Sort: ("sort", Engine._sort),
+    Limit: ("limit", Engine._limit),
+    Distinct: ("distinct", Engine._distinct),
+}
 
 
 def _column_live_bytes(relation: Relation, n_columns: int = 2) -> int:

@@ -317,28 +317,38 @@ class _SpanReads:
         prev = self._touched.get(column)
         self._touched[column] = flags if prev is None else prev | flags
 
-    def summary(self):
-        """(pages_read, pages_total, global page ids) for this span."""
+    def _window(self, column: str):
+        """The column's extent and the window's page range in it."""
+        ext = self.layout.extent(self.table, column)
+        per_page = ext.rows_per_page()
+        return ext, self.lo // per_page, -(-self.hi // per_page)
+
+    def summary(self) -> tuple[dict[str, int], dict[str, int]]:
+        """(pages read, pages in the window) per column of this span."""
         pages_read: dict[str, int] = {}
         pages_total: dict[str, int] = {}
+        for column, touched in self._touched.items():
+            _, span_lo, span_hi = self._window(column)
+            pages_total[column] = span_hi - span_lo
+            pages_read[column] = (
+                span_hi - span_lo
+                if touched is self._FULL
+                else int(np.count_nonzero(touched))
+            )
+        return pages_read, pages_total
+
+    def page_ids(self) -> np.ndarray:
+        """Global ids of the pages read: what the fault injector faults."""
         ids: list[np.ndarray] = []
         for column, touched in self._touched.items():
-            ext = self.layout.extent(self.table, column)
-            per_page = ext.rows_per_page()
-            span_lo = self.lo // per_page
-            span_hi = -(-self.hi // per_page)
+            ext, span_lo, span_hi = self._window(column)
             pages = (
                 np.arange(span_lo, span_hi, dtype=np.int64)
                 if touched is self._FULL
                 else span_lo + np.flatnonzero(touched)
             )
-            pages_read[column] = len(pages)
-            pages_total[column] = span_hi - span_lo
             ids.append(ext.first_page + pages)
-        page_ids = (
-            np.concatenate(ids) if ids else np.empty(0, dtype=np.int64)
-        )
-        return pages_read, pages_total, page_ids
+        return np.concatenate(ids) if ids else np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -348,8 +358,9 @@ class _Partial:
     relation: Relation
     pages_read: dict[str, int]
     pages_total: dict[str, int]
-    page_ids: np.ndarray
-    # Injected per-channel fault stall (seconds); None when fault-free.
+    # Under fault injection only: global ids of the pages read, and the
+    # per-channel stall (seconds) the injector charged them, if any.
+    page_ids: np.ndarray | None = None
     stall_s: np.ndarray | None = None
     # The relation is the span's rows in partial shape, not reduced.
     passthrough: bool = False
@@ -493,13 +504,12 @@ class SpanRunner:
                     rel = filter_relation(rel, step.predicate)
                 else:
                     rel = project_relation(rel, step.outputs)
-            pages_read, pages_total, page_ids = reads.summary()
+            pages_read, pages_total = reads.summary()
             injector = get_fault_injector()
-            stall = (
-                injector.charge_page_reads(page_ids)
-                if injector.enabled
-                else None
-            )
+            page_ids = stall = None
+            if injector.enabled:
+                page_ids = reads.page_ids()
+                stall = injector.charge_page_reads(page_ids)
             tspan.set(rows_out=rel.nrows,
                       pages_read=sum(pages_read.values()))
             partial, passthrough = self._partial(rel)
@@ -712,9 +722,9 @@ class MorselExecutor:
                     self.fragment, merge=True,
                     subquery_executor=self.engine.scalar,
                 )
-            self._record(partials, result)
-            fspan.set(rows_out=result.nrows,
-                      bytes_out=result.nbytes(),
+            op = self._record(partials, result)
+            fspan.set(rows_out=op.rows_out,
+                      bytes_out=op.bytes_out,
                       passthrough_spans=sum(
                           p.passthrough for p in partials
                       ))
@@ -784,35 +794,36 @@ class MorselExecutor:
 
     # -- trace -----------------------------------------------------------------------
 
-    def _record(self, partials: list[_Partial], result: Relation) -> None:
+    def _record(
+        self, partials: list[_Partial], result: Relation
+    ) -> OpTrace:
+        """File the fragment in the query record; the op it filed."""
         table = self.table.name
         pages_read: dict[str, int] = {}
         pages_total: dict[str, int] = {}
-        meter = ChannelMeter()
         for p in partials:
             for name, n in p.pages_read.items():
                 pages_read[name] = pages_read.get(name, 0) + n
             for name, n in p.pages_total.items():
                 pages_total[name] = pages_total.get(name, 0) + n
-            meter.record_pages(p.page_ids)
-            meter.record_stalls(p.stall_s)
         injector = get_fault_injector()
         if injector.enabled:
+            # What a stall costs is what it adds on the slowest channel,
+            # so the stripe's per-channel page load is the base.
+            meter = ChannelMeter()
+            for p in partials:
+                meter.record_pages(p.page_ids)
+                meter.record_stalls(p.stall_s)
             # Whole-channel stalls hit every stream crossing the stripe.
             meter.record_stalls(
                 injector.channel_stall_seconds(meter.n_channels)
             )
-            fault_stall = meter.stall_marginal_seconds()
-            if fault_stall:
-                self.trace.fault_stall_s += fault_stall
-        bytes_read = 0
+            self.trace.fault_stall_s += meter.stall_marginal_seconds()
         for name in pages_read:
             self.trace.record_flash_pages(
                 table, name, pages_read[name], pages_total[name],
                 PAGE_BYTES,
             )
-            bytes_read += pages_read[name] * PAGE_BYTES
-        self.trace.record_channel_pages(meter.pages_read)
         n_read = sum(pages_read.values())
         n_total = sum(pages_total.values())
         METRICS.counter(
@@ -827,26 +838,25 @@ class MorselExecutor:
         METRICS.histogram(
             "morsel.rows_out", "rows surviving one fragment"
         ).observe(result.nrows)
-        self.trace.record_op(
-            OpTrace(
-                "scan",
-                rows_in=self.table.nrows,
-                rows_out=result.nrows,
-                bytes_in=bytes_read,
-                bytes_out=result.nbytes(),
-                detail=(
-                    f"{table},morsels={len(partials)},"
-                    f"workers={self.config.n_workers},{self.fragment.kind}"
-                ),
-            )
+        op = OpTrace(
+            "scan",
+            rows_in=self.table.nrows,
+            rows_out=result.nrows,
+            bytes_in=n_read * PAGE_BYTES,
+            bytes_out=result.nbytes(),
+            detail=(
+                f"{table},morsels={len(partials)},"
+                f"workers={self.config.n_workers},{self.fragment.kind}"
+            ),
         )
+        self.trace.record_op(op)
         peak_partial = max(
             (p.relation.nbytes() for p in partials), default=0
         )
         self.trace.observe_host_bytes(
-            result.nbytes()
-            + peak_partial * max(1, self.config.n_workers)
+            op.bytes_out + peak_partial * max(1, self.config.n_workers)
         )
+        return op
 
 
 _MERGE_FUNC = {

@@ -10,16 +10,17 @@ tracer, then answers three questions:
 utilization and a bucket attribution of *runtime* wall-clock.  Runtime
 alone would always blame the Python host, so the headline *bottleneck*
 verdict comes from the performance model instead: the traces are scaled
-to the target SF and decomposed into modeled components (host CPU,
-flash I/O, Swissknife sorter, output DMA, swap) the way
-:meth:`~repro.perf.model.SystemModel.time_query` adds them up — for a
-flash-bound query like Q6 that names flash I/O, matching the paper's
-Sec. VIII analysis.
+to the target SF and the components (host CPU, flash I/O, Swissknife
+sorter, output DMA, swap) are read off
+:meth:`~repro.perf.model.SystemModel.time_query` and
+:meth:`~repro.perf.model.SystemModel.device_terms` — for a flash-bound
+query like Q6 that names flash I/O, matching the paper's Sec. VIII
+analysis.
 
-**What-if projections.**  Because the bottleneck verdict is a model
-decomposition, knob changes replay cheaply: 2× flash channels (halved
-flash terms, pipeline-capped), 2× morsel workers (Amdahl-rescaled
-parallel CPU), and device off (host-only model on the host trace).
+**What-if projections.**  Each one replays the model under a changed
+configuration: 2× flash channels (doubled device line rate, halved host
+scan I/O), 2× morsel workers (doubled hardware threads), and device off
+(host-only model on the host trace).
 
 **Explain-analyze.**  The static analyzer's per-node predictions
 (schemas, AQ2xx suspend verdicts) join against per-node actuals carried
@@ -278,42 +279,6 @@ def _explain_rows(
 # ---------------------------------------------------------------------------
 
 
-def _components(
-    model: SystemModel, trace: QueryTrace
-) -> dict[str, float]:
-    """Decompose the modeled runtime into bottleneck-bucket seconds.
-
-    Matches :meth:`SystemModel.time_query` exactly: ``flash_io`` is the
-    host-side scan I/O plus the device's flash-bound streaming (the
-    pipeline's 4 GB/s exceeds the flash's 2.4 GB/s, so the stream term
-    is flash time); ``swissknife`` is the sorter re-streaming and
-    ``dma`` the output ship-back.
-    """
-    aq = model.aquoman
-    parallel, serial = model.host_cpu_seconds(trace)
-    cpu_s = parallel / model._effective_threads() + serial
-    io_s = model.host_io_seconds(trace)
-    stream_s = sorter_s = dma_s = 0.0
-    if aq is not None and trace.aquoman_flash_bytes:
-        stream_s = trace.aquoman_flash_bytes / min(
-            aq.flash_read_bandwidth, aq.pipeline_bandwidth
-        )
-        sorter_s = trace.aquoman_sorter_bytes / aq.device_dram_bandwidth
-        dma_s = trace.aquoman_output_bytes / aq.dma_bandwidth
-    return {
-        "host_cpu": cpu_s,
-        "flash_io": io_s + stream_s,
-        "swissknife": sorter_s,
-        "dma": dma_s,
-        "swap": model.swap_seconds(trace),
-        "overhead": QUERY_OVERHEAD_S,
-    }
-
-
-def _runtime_from(model: SystemModel, trace: QueryTrace) -> float:
-    return model.time_query(trace).runtime_s
-
-
 @dataclass(frozen=True)
 class WhatIf:
     """One projected knob change, replayed against the model."""
@@ -331,52 +296,39 @@ def _what_ifs(
     scaled_aq: QueryTrace,
     baseline_s: float,
 ) -> list[WhatIf]:
-    out: list[WhatIf] = []
-
-    # 2x flash channels: device streaming rides the doubled line rate
-    # until the pipeline caps it; the host-side scans ride it fully.
+    """Replays of the model, each under one changed knob."""
     aq2 = dataclasses.replace(
         aquoman, flash_read_bandwidth=aquoman.flash_read_bandwidth * 2
     )
-    model2 = SystemModel(host, aq2)
-    parallel, serial = model2.host_cpu_seconds(scaled_aq)
-    cpu_s = parallel / model2._effective_threads() + serial
-    io_s = model2.host_io_seconds(scaled_aq) / 2
-    t = (
-        QUERY_OVERHEAD_S
-        + model2.device_seconds(scaled_aq)
-        + max(cpu_s, io_s)
-        + model2.swap_seconds(scaled_aq)
-    )
-    out.append(WhatIf(
-        "2x_flash_channels",
-        f"flash {aquoman.flash_read_bandwidth / GB:.1f} -> "
-        f"{aq2.flash_read_bandwidth / GB:.1f} GB/s "
-        f"(pipeline caps at {aq2.pipeline_bandwidth / GB:.1f})",
-        t,
-        baseline_s / t if t > 0 else float("inf"),
-    ))
-
-    # 2x morsel workers: doubled hardware threads, Amdahl-limited.
     host2 = dataclasses.replace(host, hw_threads=host.hw_threads * 2)
-    t = _runtime_from(SystemModel(host2, aquoman), scaled_aq)
-    out.append(WhatIf(
-        "2x_morsel_workers",
-        f"host threads {host.hw_threads} -> {host2.hw_threads} "
-        f"(serial fraction {host.serial_fraction:.0%})",
-        t,
-        baseline_s / t if t > 0 else float("inf"),
-    ))
-
-    # Device off: the pure-host trace on the pure-host model.
-    t = _runtime_from(SystemModel(host), scaled_host)
-    out.append(WhatIf(
-        "device_off",
-        "host engine only, no offload",
-        t,
-        baseline_s / t if t > 0 else float("inf"),
-    ))
-    return out
+    flash2 = SystemModel(host, aq2).time_query(scaled_aq)
+    replays = (
+        # Device streaming rides the doubled line rate until its
+        # pipeline caps it (the model's own min); the host array is not
+        # an AquomanConfig knob, so its scans' I/O term is halved here.
+        (
+            "2x_flash_channels",
+            f"flash {aquoman.flash_read_bandwidth / GB:.1f} -> "
+            f"{aq2.flash_read_bandwidth / GB:.1f} GB/s "
+            "(device stream capped by its pipeline)",
+            dataclasses.replace(flash2, io_s=flash2.io_s / 2),
+        ),
+        (
+            "2x_morsel_workers",
+            f"host threads {host.hw_threads} -> {host2.hw_threads} "
+            f"(serial fraction {host.serial_fraction:.0%})",
+            SystemModel(host2, aquoman).time_query(scaled_aq),
+        ),
+        (
+            "device_off",
+            "host engine only, no offload",
+            SystemModel(host).time_query(scaled_host),
+        ),
+    )
+    return [
+        WhatIf(name, detail, t.runtime_s, baseline_s / t.runtime_s)
+        for name, detail, t in replays
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +492,22 @@ def build_report(
     scaled_aq = scale_trace(
         sim.trace, target_sf, group_domains=GROUP_DOMAINS
     )
+    # The bottleneck buckets are the model's own terms: ``flash_io`` is
+    # the host-side scan I/O plus the device's flash-bound streaming
+    # and whatever injected faults stalled its critical channel.
     model = SystemModel(host, aquoman)
-    components = _components(model, scaled_aq)
-    bottleneck = max(
-        MODEL_COMPONENTS, key=lambda c: (components.get(c, 0.0), c)
-    )
-    baseline_s = _runtime_from(model, scaled_aq)
+    timing = model.time_query(scaled_aq)
+    device = model.device_terms(scaled_aq)
+    components = {
+        "host_cpu": timing.cpu_s,
+        "flash_io": timing.io_s + device["stream"] + device["fault_stall"],
+        "swissknife": device["sorter"],
+        "dma": device["dma"],
+        "swap": timing.swap_s,
+        "overhead": QUERY_OVERHEAD_S,
+    }
+    bottleneck = max(MODEL_COMPONENTS, key=lambda c: (components[c], c))
+    baseline_s = timing.runtime_s
     what_ifs = _what_ifs(
         host, aquoman, scaled_host, scaled_aq, baseline_s
     )

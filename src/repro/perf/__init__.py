@@ -8,7 +8,7 @@ that simulator.
 """
 
 from repro.perf.trace import OpTrace, QueryTrace
-from repro.perf.scaling import ScaledTrace, scale_trace
+from repro.perf.scaling import scale_trace
 from repro.perf.model import (
     AquomanConfig,
     HostConfig,
@@ -24,7 +24,6 @@ from repro.perf.report import EvaluationReport, run_evaluation
 __all__ = [
     "OpTrace",
     "QueryTrace",
-    "ScaledTrace",
     "scale_trace",
     "HostConfig",
     "AquomanConfig",

@@ -94,11 +94,15 @@ QUERY_OVERHEAD_S = 0.5
 
 @dataclass(frozen=True)
 class QueryTiming:
-    """Model output for one (query, system) pair."""
+    """Model output for one (query, system) pair.
+
+    ``runtime_s`` is derived from the parts, here and nowhere else, so
+    a what-if that changes one part (``dataclasses.replace``) re-times
+    the query by the same rule.
+    """
 
     query: str
     system: str
-    runtime_s: float
     io_s: float
     cpu_s: float
     device_s: float
@@ -107,6 +111,13 @@ class QueryTiming:
     host_avg_bytes: int
     device_peak_bytes: int
     cpu_busy_s: float  # thread-seconds of host CPU actually burned
+
+    @property
+    def runtime_s(self) -> float:
+        """Table Tasks run, then the host remainder; MonetDB overlaps
+        the remainder's scan I/O with its processing."""
+        host_part = max(self.cpu_s, self.io_s) + self.swap_s
+        return QUERY_OVERHEAD_S + self.device_s + host_part
 
     @property
     def device_fraction(self) -> float:
@@ -151,9 +162,7 @@ class SystemModel:
         parallel = 0.0
         serial = 0.0
         for op in trace.ops:
-            if op.op in ("scan", "filter", "project", "limit"):
-                parallel += op.bytes_in / STREAM_BYTES_PER_THREAD_S
-            elif op.op == "join":
+            if op.op == "join":
                 parallel += (
                     op.rows_in + op.rows_out
                 ) / JOIN_ROWS_PER_THREAD_S
@@ -171,7 +180,7 @@ class SystemModel:
                 parallel += (
                     op.rows_in * math.log2(n) / 20.0
                 ) / SORT_ROWS_PER_THREAD_S
-            else:
+            else:  # scan / filter / project / limit stream bytes
                 parallel += op.bytes_in / STREAM_BYTES_PER_THREAD_S
         return parallel, serial
 
@@ -186,26 +195,36 @@ class SystemModel:
     def swap_seconds(self, trace: QueryTrace) -> float:
         """Disk-swap penalty when intermediates exceed host DRAM."""
         excess = max(0, trace.peak_host_bytes - self.host.dram_bytes)
-        if excess == 0 and trace.swap_bytes == 0:
-            return 0.0
-        swapped = max(excess, trace.swap_bytes)
         # Written once, read back once; sequential-friendly.
-        return swapped / BASELINE_WRITE_BANDWIDTH + (
-            swapped / BASELINE_READ_BANDWIDTH
+        return excess / BASELINE_WRITE_BANDWIDTH + (
+            excess / BASELINE_READ_BANDWIDTH
         )
 
     # -- device-side cost -------------------------------------------------------
 
-    def device_seconds(self, trace: QueryTrace) -> float:
-        if self.aquoman is None or trace.aquoman_flash_bytes == 0:
-            return 0.0
+    def device_terms(self, trace: QueryTrace) -> dict[str, float]:
+        """The device's seconds by cause; :meth:`device_seconds` sums them.
+
+        ``stream`` is flash time in every shipped configuration (the
+        pipeline's 4 GB/s exceeds the flash's 2.4 GB/s), ``sorter`` the
+        Swissknife's DRAM re-streaming, ``dma`` the output ship-back and
+        ``fault_stall`` injected stalls on the critical flash channel.
+        """
         aq = self.aquoman
-        stream_s = trace.aquoman_flash_bytes / min(
-            aq.flash_read_bandwidth, aq.pipeline_bandwidth
-        )
-        sorter_s = trace.aquoman_sorter_bytes / aq.device_dram_bandwidth
-        dma_s = trace.aquoman_output_bytes / aq.dma_bandwidth
-        return stream_s + sorter_s + dma_s + trace.aquoman_fault_stall_s
+        if aq is None or trace.aquoman_flash_bytes == 0:
+            return {"stream": 0.0, "sorter": 0.0, "dma": 0.0,
+                    "fault_stall": 0.0}
+        return {
+            "stream": trace.aquoman_flash_bytes / min(
+                aq.flash_read_bandwidth, aq.pipeline_bandwidth
+            ),
+            "sorter": trace.aquoman_sorter_bytes / aq.device_dram_bandwidth,
+            "dma": trace.aquoman_output_bytes / aq.dma_bandwidth,
+            "fault_stall": trace.aquoman_fault_stall_s,
+        }
+
+    def device_seconds(self, trace: QueryTrace) -> float:
+        return sum(self.device_terms(trace).values())
 
     # -- combined ------------------------------------------------------------------
 
@@ -219,13 +238,6 @@ class SystemModel:
         parallel_work, serial_work = self.host_cpu_seconds(trace)
         cpu_work = parallel_work + serial_work
         cpu_s = parallel_work / self._effective_threads() + serial_work
-        io_s = self.host_io_seconds(trace)
-        swap_s = self.swap_seconds(trace)
-        device_s = self.device_seconds(trace)
-
-        host_part = max(cpu_s, io_s) + swap_s
-        runtime = QUERY_OVERHEAD_S + device_s + host_part
-
         host_peak = trace.peak_host_bytes
         # Average RSS proxy: intermediates-ever / a working-set turnover
         # factor, floored by the final result size.
@@ -235,11 +247,10 @@ class SystemModel:
         return QueryTiming(
             query=trace.query,
             system=self.name,
-            runtime_s=runtime,
-            io_s=io_s,
+            io_s=self.host_io_seconds(trace),
             cpu_s=cpu_s,
-            device_s=device_s,
-            swap_s=swap_s,
+            device_s=self.device_seconds(trace),
+            swap_s=self.swap_seconds(trace),
             host_peak_bytes=host_peak,
             host_avg_bytes=host_avg,
             device_peak_bytes=trace.aquoman_dram_peak_bytes,

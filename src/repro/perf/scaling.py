@@ -10,26 +10,28 @@ documented exceptions handled here:
   growing);
 - the constant-size dimension tables contribute constant bytes.
 
-A :class:`ScaledTrace` is a :class:`~repro.perf.trace.QueryTrace` whose
-volumes have been re-expressed at a target SF; the timing models accept
-either.
+Every other :class:`~repro.perf.trace.QueryTrace` field scales by the
+SF ratio unless :data:`KEPT` names it as not a volume: an ``int`` is
+truncated, a ``float`` (the injected fault stalls — a per-page fault
+rate times pages that grow with SF) multiplied, a ``(table, column)``
+map scaled per entry.  The copy is derived from the dataclass's fields,
+so a field added to the trace is scaled, kept, or refused for lack of a
+rule; it cannot be dropped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import fields, replace
+from numbers import Integral, Real
 
 from repro.perf.trace import OpTrace, QueryTrace
 
 # Tables whose cardinality does not grow with SF.
 CONSTANT_TABLES = frozenset({"nation", "region"})
-
-
-@dataclass
-class ScaledTrace(QueryTrace):
-    """A query trace re-expressed at a different scale factor."""
-
-    source_scale_factor: float = 1.0
+# Fields that are not volumes: identity, verdicts and ratios.
+KEPT = frozenset(
+    {"query", "suspended", "suspend_reason", "offload_fraction_rows"}
+)
 
 
 def scale_trace(
@@ -37,7 +39,7 @@ def scale_trace(
     target_sf: float,
     *,
     group_domains: dict[str, int] | None = None,
-) -> ScaledTrace:
+) -> QueryTrace:
     """Re-express ``trace`` (collected at ``trace.scale_factor``) at
     ``target_sf``.
 
@@ -48,67 +50,58 @@ def scale_trace(
     if trace.scale_factor <= 0:
         raise ValueError("source trace has no scale factor")
     ratio = target_sf / trace.scale_factor
+    cap = None if group_domains is None else group_domains.get(trace.query)
+    ops = [_scale_op(op, ratio, cap) for op in trace.ops]
+    changes = {
+        "scale_factor": target_sf,
+        "ops": ops,
+        "total_intermediate_bytes": sum(op.bytes_out for op in ops),
+    }
+    for f in fields(trace):
+        if f.name in changes or f.name in KEPT:
+            continue
+        value = getattr(trace, f.name)
+        if isinstance(value, dict):  # (table, column) -> bytes or pages
+            changes[f.name] = {
+                key: n if key[0] in CONSTANT_TABLES else int(n * ratio)
+                for key, n in value.items()
+            }
+        elif isinstance(value, bool) or not isinstance(value, Real):
+            raise TypeError(f"no scaling rule for QueryTrace.{f.name}")
+        elif isinstance(value, Integral):
+            changes[f.name] = int(value * ratio)
+        else:
+            changes[f.name] = value * ratio
+    return replace(trace, **changes)
 
-    scaled = ScaledTrace(
-        query=trace.query,
-        scale_factor=target_sf,
-        source_scale_factor=trace.scale_factor,
+
+def _scale_op(op: OpTrace, ratio: float, cap: int | None) -> OpTrace:
+    factor = ratio
+    if op.op == "scan" and op.detail in CONSTANT_TABLES:
+        factor = 1.0
+    scaled_op = replace(
+        op,
+        rows_in=int(op.rows_in * factor),
+        rows_out=int(op.rows_out * factor),
+        bytes_in=int(op.bytes_in * factor),
+        bytes_out=int(op.bytes_out * factor),
+        groups=int(op.groups * factor),
     )
-
-    for (table, column), nbytes in trace.flash_read_bytes.items():
-        factor = 1.0 if table in CONSTANT_TABLES else ratio
-        scaled.flash_read_bytes[(table, column)] = int(nbytes * factor)
-
-    scaled.swap_bytes = int(trace.swap_bytes * ratio)
-
-    for op in trace.ops:
-        factor = ratio
-        if op.op == "scan" and op.detail in CONSTANT_TABLES:
-            factor = 1.0
-        scaled_op = OpTrace(
-            op=op.op,
-            rows_in=int(op.rows_in * factor),
-            rows_out=int(op.rows_out * factor),
-            bytes_in=int(op.bytes_in * factor),
-            bytes_out=int(op.bytes_out * factor),
-            detail=op.detail,
-            groups=int(op.groups * factor),
-            assisted=op.assisted,
+    if op.op in ("aggregate", "distinct"):
+        # Aggregations over enumerated domains (return flags, ship
+        # modes, nations x years) do not gain groups with SF; the
+        # signature is a group count tiny relative to the input.
+        constant_domain = op.rows_in > 1000 and op.groups <= max(
+            64, int(op.rows_in * 0.001)
         )
-        if op.op in ("aggregate", "distinct"):
-            # Aggregations over enumerated domains (return flags, ship
-            # modes, nations x years) do not gain groups with SF; the
-            # signature is a group count tiny relative to the input.
-            constant_domain = op.rows_in > 1000 and op.groups <= max(
-                64, int(op.rows_in * 0.001)
-            )
-            if constant_domain:
-                scaled_op.rows_out = op.rows_out
-                scaled_op.groups = op.groups
-                scaled_op.bytes_out = op.bytes_out
-            cap = (
-                group_domains.get(trace.query)
-                if group_domains is not None
-                else None
-            )
-            if cap is not None:
-                scaled_op.rows_out = min(scaled_op.rows_out, cap)
-                scaled_op.groups = min(scaled_op.groups, cap)
-                if scaled_op.rows_in:
-                    per_row = op.bytes_out / max(op.rows_out, 1)
-                    scaled_op.bytes_out = int(per_row * scaled_op.rows_out)
-        scaled.ops.append(scaled_op)
-        scaled.total_intermediate_bytes += scaled_op.bytes_out
-
-    scaled.peak_host_bytes = int(trace.peak_host_bytes * ratio)
-    scaled.aquoman_flash_bytes = int(trace.aquoman_flash_bytes * ratio)
-    scaled.aquoman_sorter_bytes = int(trace.aquoman_sorter_bytes * ratio)
-    scaled.aquoman_dram_peak_bytes = int(
-        trace.aquoman_dram_peak_bytes * ratio
-    )
-    scaled.aquoman_output_bytes = int(trace.aquoman_output_bytes * ratio)
-    scaled.groupby_spill_groups = int(trace.groupby_spill_groups * ratio)
-    scaled.suspended = trace.suspended
-    scaled.suspend_reason = trace.suspend_reason
-    scaled.offload_fraction_rows = trace.offload_fraction_rows
-    return scaled
+        if constant_domain:
+            scaled_op.rows_out = op.rows_out
+            scaled_op.groups = op.groups
+            scaled_op.bytes_out = op.bytes_out
+        if cap is not None:
+            scaled_op.rows_out = min(scaled_op.rows_out, cap)
+            scaled_op.groups = min(scaled_op.groups, cap)
+            if scaled_op.rows_in:
+                per_row = op.bytes_out / max(op.rows_out, 1)
+                scaled_op.bytes_out = int(per_row * scaled_op.rows_out)
+    return scaled_op

@@ -43,7 +43,36 @@ class OpTrace:
 
 @dataclass
 class QueryTrace:
-    """Everything the performance model needs to know about one run."""
+    """Everything the performance model needs to know about one run.
+
+    The one record of what a query did.  Per field, who writes it ->
+    who reads it (``model`` is :class:`~repro.perf.model.SystemModel`;
+    :func:`~repro.perf.scaling.scale_trace` carries every field):
+
+    - ``query``, ``scale_factor``: whoever builds the trace -> scaling,
+      reports;
+    - ``flash_read_bytes``: ``Engine._scan``, ``MorselExecutor._record``
+      -> model host I/O, doctor explain;
+    - ``flash_pages_read``, ``flash_pages_skipped``:
+      ``MorselExecutor._record`` -> doctor explain, page-skip ablations;
+    - ``ops``: ``Engine._account``, ``MorselExecutor._record``, the
+      simulator's spill accumulate -> model host CPU,
+      :meth:`rows_processed`;
+    - ``peak_host_bytes``: the same sites' live-set estimates -> model
+      swap and RSS (Fig. 16(b)), ``bench/``;
+    - ``total_intermediate_bytes``: :meth:`record_op` -> model avg RSS;
+    - ``aquoman_flash_bytes``, ``aquoman_sorter_bytes``,
+      ``aquoman_output_bytes``, ``aquoman_fault_stall_s``: the
+      simulator, from the device meters -> model device terms, doctor,
+      scale-out model, chaos report;
+    - ``aquoman_dram_peak_bytes``: the simulator -> model, Fig. 16(b)/17;
+    - ``groupby_spill_groups``: the simulator -> suspend scorecard,
+      offload classes;
+    - ``suspended``, ``suspend_reason``, ``offload_fraction_rows``: the
+      simulator -> CLI, chaos report, Fig. 16(c), ``bench/``;
+    - ``fault_stall_s``: ``MorselExecutor._record`` under injection ->
+      model host I/O, chaos report.
+    """
 
     query: str = ""
     scale_factor: float = 1.0
@@ -57,10 +86,6 @@ class QueryTrace:
     flash_pages_skipped: dict[tuple[str, str], int] = field(
         default_factory=dict
     )
-    # Pages served per flash channel (page id % n_channels striping).
-    flash_channel_pages: list[int] = field(default_factory=list)
-    # Bytes the engine wrote to disk for swap (baseline spills).
-    swap_bytes: int = 0
 
     ops: list[OpTrace] = field(default_factory=list)
 
@@ -116,20 +141,6 @@ class QueryTrace:
             + (pages_total - pages_read)
         )
         self.record_flash(table, column, pages_read * page_bytes)
-
-    def record_channel_pages(self, pages_per_channel) -> None:
-        """Accumulate a ChannelMeter's per-channel page counts.
-
-        Meters of different widths (reconfigured flash, merged traces)
-        pad to the longer length — a bare ``zip`` would silently drop
-        the excess channels' pages.
-        """
-        counts = [int(c) for c in pages_per_channel]
-        acc = self.flash_channel_pages
-        if len(acc) < len(counts):
-            acc.extend([0] * (len(counts) - len(acc)))
-        for i, c in enumerate(counts):
-            acc[i] += c
 
     @property
     def total_pages_skipped(self) -> int:

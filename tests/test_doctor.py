@@ -4,9 +4,17 @@ Pins the PR's acceptance criteria: q06's bottleneck is flash I/O with
 at least one what-if projection, the explain-analyze table carries zero
 mispredictions, and the suspend scorecard agrees with the simulator on
 all 22 TPC-H queries at the test scale factor.
+
+The doctor's decomposition is the performance model's own: the
+components are ``SystemModel.time_query`` / ``device_terms`` values, and
+the modeled runtime, what-if runtimes and bottleneck of q1/q6/q18 are
+pinned to ``fixtures/doctor_golden.json``, written at the commit where
+the doctor still re-typed the model.  ``python tests/test_doctor.py``
+rewrites that file from whatever ``repro`` is on ``PYTHONPATH``.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +22,31 @@ from repro import tpch
 from repro.analysis import analyze_plan
 from repro.core import AquomanSimulator, DeviceConfig
 from repro.engine.procpool import process_backend_available
+from repro.obs import doctor
 from repro.obs.doctor import diagnose, report_json, suspend_scorecard
+from repro.perf.model import SystemModel
+from repro.perf.scaling import scale_trace
+from repro.perf.tpch_eval import GROUP_DOMAINS
 from repro.util.units import GB
 
 CONFIG = DeviceConfig(dram_bytes=40 * GB, scale_ratio=1000 / 0.01)
+GOLDEN = Path(__file__).parent / "fixtures" / "doctor_golden.json"
+MODEL_QUERIES = (1, 6, 18)
+
+
+def _diagnose(db, n: int):
+    return diagnose(
+        db, tpch.query(n), f"q{n:02d}", morsel_rows=8192,
+        backend="serial",
+    )
+
+
+def model_record(report) -> dict:
+    return {
+        "bottleneck": report.bottleneck,
+        "modeled_runtime_s": report.modeled_runtime_s,
+        "what_ifs": {w.name: w.runtime_s for w in report.what_ifs},
+    }
 
 
 class TestDoctorQ6:
@@ -109,6 +138,73 @@ class TestDoctorQ6:
         assert doc["explain"]
 
 
+class TestComponentsAreTheModels:
+    """The doctor reads ``SystemModel``'s decomposition; it has none."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, small_db):
+        """``build_report``'s keyword arguments, per query."""
+        captured = {}
+        build = doctor.build_report
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                doctor, "build_report",
+                lambda **kw: captured.update(kw) or build(**kw),
+            )
+            out = {}
+            for n in MODEL_QUERIES:
+                _diagnose(small_db, n)
+                out[n] = dict(captured)
+            return out
+
+    @staticmethod
+    def _model_view(kw):
+        scaled = scale_trace(
+            kw["sim"].trace, kw["target_sf"], group_domains=GROUP_DOMAINS
+        )
+        model = SystemModel(kw["host"], kw["aquoman"])
+        return model.time_query(scaled), model.device_terms(scaled)
+
+    @pytest.mark.parametrize("n", MODEL_QUERIES)
+    def test_components_and_runtimes(self, inputs, n):
+        report = doctor.build_report(**inputs[n])
+        timing, device = self._model_view(inputs[n])
+        assert report.components == {
+            "host_cpu": timing.cpu_s,
+            "flash_io": timing.io_s + device["stream"],
+            "swissknife": device["sorter"],
+            "dma": device["dma"],
+            "swap": timing.swap_s,
+            "overhead": 0.5,
+        }
+        assert report.modeled_runtime_s == timing.runtime_s
+        assert timing.device_s == sum(device.values())
+        # ... and nothing moved when the doctor stopped re-typing it.
+        golden = json.loads(GOLDEN.read_text())[f"q{n:02d}"]
+        record = model_record(report)
+        assert record["bottleneck"] == golden["bottleneck"]
+        assert record["modeled_runtime_s"] == pytest.approx(
+            golden["modeled_runtime_s"], rel=1e-12
+        )
+        assert record["what_ifs"] == pytest.approx(
+            golden["what_ifs"], rel=1e-12
+        )
+
+    def test_device_fault_stall_is_accounted(self, inputs):
+        kw = inputs[6]
+        clean = doctor.build_report(**kw)
+        kw["sim"].trace.aquoman_fault_stall_s = 2e-5  # at SF 0.01
+        try:
+            stalled = doctor.build_report(**kw)
+        finally:
+            kw["sim"].trace.aquoman_fault_stall_s = 0.0
+        extra = stalled.components["flash_io"] - clean.components["flash_io"]
+        assert extra == pytest.approx(2.0)  # scaled to SF 1000
+        assert stalled.modeled_runtime_s - clean.modeled_runtime_s == (
+            pytest.approx(extra)
+        )
+
+
 class TestSuspendScorecardAllQueries:
     @pytest.fixture(scope="class")
     def scorecards(self, small_db):
@@ -148,3 +244,12 @@ class TestDoctorCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["query"] == "q01"
         assert doc["mispredictions"] == 0
+
+
+if __name__ == "__main__":
+    db = tpch.generate(0.01)
+    GOLDEN.write_text(json.dumps(
+        {f"q{n:02d}": model_record(_diagnose(db, n)) for n in MODEL_QUERIES},
+        indent=1, sort_keys=True,
+    ) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -273,6 +273,29 @@ def test_worker_crash_budget_exhaustion_raises(small_db):
         _host_result(small_db, plan)
 
 
+def test_host_stall_charged_to_timing(small_db):
+    """Span page ids -> flash channels -> the slowest channel's stall."""
+    from repro.perf.model import HOST_L, SystemModel
+    from repro.perf.trace import QueryTrace
+
+    inj = _injector(seed=3, latency_spike_rate=0.2)
+    set_fault_injector(inj)
+    trace = QueryTrace()
+    Engine(small_db, trace, morsels=MORSELS).execute_relation(tpch.query(6))
+    # Spikes spread over the stripe's 8 channels; the query pays for the
+    # slowest one, not for their sum.
+    assert inj.stall_s / 8 <= trace.fault_stall_s < inj.stall_s
+    clean = QueryTrace()
+    set_fault_injector(None)
+    Engine(small_db, clean, morsels=MORSELS).execute_relation(tpch.query(6))
+    assert clean.fault_stall_s == 0.0
+    assert clean.flash_pages_read == trace.flash_pages_read
+    model = SystemModel(HOST_L)
+    assert model.host_io_seconds(trace) - model.host_io_seconds(clean) == (
+        pytest.approx(trace.fault_stall_s)
+    )
+
+
 def test_device_stall_charged_to_timing(tiny_db):
     plan = tpch.query(6)
     config = DeviceConfig(scale_ratio=1000.0 / 0.001)

@@ -117,30 +117,6 @@ class TestPageSkip:
         )
 
 
-class TestChannelAccounting:
-    def test_every_page_lands_on_a_channel(self, small_db):
-        trace = QueryTrace()
-        engine = Engine(
-            small_db, trace, morsels=MorselConfig(morsel_rows=8192)
-        )
-        engine.execute_relation(tpch.query(6))
-        assert trace.flash_channel_pages, "channel meter never recorded"
-        assert sum(trace.flash_channel_pages) == sum(
-            trace.flash_pages_read.values()
-        )
-
-    def test_sequential_scan_balances_channels(self, small_db):
-        trace = QueryTrace()
-        engine = Engine(
-            small_db, trace, morsels=MorselConfig(morsel_rows=8192)
-        )
-        engine.execute_relation(tpch.query(6))
-        counts = trace.flash_channel_pages
-        # Page-striped sequential reads differ by at most a few pages
-        # per channel across all columns.
-        assert max(counts) - min(counts) <= len(trace.flash_pages_read)
-
-
 def wide_group_query():
     """Q20's shape with every mergeable aggregate and a HAVING: about
     as many (part, supplier) groups as rows, so a span's partial reduce

@@ -1,5 +1,7 @@
 """Performance models: traces, scaling, system timing, reports."""
 
+from dataclasses import dataclass, field, fields
+
 import pytest
 
 from repro.perf.model import (
@@ -44,6 +46,51 @@ class TestScaling:
         trace.record_flash("nation", "n_name", 1000)
         scaled = scale_trace(trace, 100.0)
         assert scaled.flash_read_bytes[("nation", "n_name")] == 1000
+
+    # Every field at a non-default value, and what SF 0.5 -> 2.0 makes
+    # of it: volumes x4 (constant tables excepted), the rest kept.
+    FULL = dict(
+        query="qx", scale_factor=0.5,
+        flash_read_bytes={("lineitem", "c"): 1000, ("nation", "n"): 10},
+        flash_pages_read={("lineitem", "c"): 7, ("region", "r"): 1},
+        flash_pages_skipped={("lineitem", "c"): 3, ("region", "r"): 2},
+        ops=[OpTrace("filter", 10, 5, 80, 40, detail="d")],
+        peak_host_bytes=11, total_intermediate_bytes=40,
+        aquoman_flash_bytes=13, aquoman_sorter_bytes=17,
+        aquoman_dram_peak_bytes=19, aquoman_output_bytes=23,
+        groupby_spill_groups=29, suspended=True, suspend_reason="why",
+        offload_fraction_rows=0.75,
+        fault_stall_s=3.0, aquoman_fault_stall_s=2.0,
+    )
+    SCALED = dict(
+        FULL, scale_factor=2.0,
+        flash_read_bytes={("lineitem", "c"): 4000, ("nation", "n"): 10},
+        flash_pages_read={("lineitem", "c"): 28, ("region", "r"): 1},
+        flash_pages_skipped={("lineitem", "c"): 12, ("region", "r"): 2},
+        ops=[OpTrace("filter", 40, 20, 320, 160, detail="d")],
+        peak_host_bytes=44, total_intermediate_bytes=160,
+        aquoman_flash_bytes=52, aquoman_sorter_bytes=68,
+        aquoman_dram_peak_bytes=76, aquoman_output_bytes=92,
+        groupby_spill_groups=116,
+        fault_stall_s=12.0, aquoman_fault_stall_s=8.0,
+    )
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(QueryTrace)])
+    def test_no_field_is_forgotten(self, name):
+        trace = QueryTrace(**self.FULL)
+        # A field added to QueryTrace has to be given a value above.
+        assert getattr(trace, name) != getattr(QueryTrace(), name)
+        scaled = scale_trace(trace, 2.0)
+        assert getattr(scaled, name) == self.SCALED[name]
+        assert getattr(trace, name) == self.FULL[name]  # source untouched
+
+    def test_field_without_a_rule_is_refused(self):
+        @dataclass
+        class Wider(QueryTrace):
+            channel_pages: list = field(default_factory=list)
+
+        with pytest.raises(TypeError, match="channel_pages"):
+            scale_trace(Wider(), 2.0)
 
     def test_constant_domain_groups_capped(self):
         op = OpTrace("aggregate", rows_in=10**6, rows_out=4,

@@ -17,6 +17,7 @@ import pytest
 
 from repro import tpch
 from repro.core import AquomanSimulator, DeviceConfig
+from repro.core.compiler import QueryCompiler, SuspendReason
 from repro.engine import Engine, MorselConfig
 from repro.engine import procpool
 from repro.faults.injector import FaultInjector, set_fault_injector
@@ -33,6 +34,7 @@ from repro.obs.qlog import (
     QueryLog,
     get_query_log,
     query_scope,
+    recent_wide_events,
     set_query_log,
     validate_wide_event,
 )
@@ -535,6 +537,68 @@ class TestWideEventContent:
         event = _events(qlog)[0]
         assert event["analysis"] is not None
         assert event["analysis"]["ok"] is True
+
+
+class TestSuspendMisprediction:
+    """``suspend.mispredicted`` scores the compiler, over the classes it
+    decides at plan time; spills and DRAM overflows are only observed."""
+
+    CONFIG = DeviceConfig(scale_ratio=1000 / 0.01)
+
+    def test_no_tpch_plan_is_flagged(self, small_db):
+        set_query_log(QueryLog(None, registry=MetricsRegistry()))
+        try:
+            for n in sorted(tpch.ALL_QUERIES):
+                AquomanSimulator(small_db, self.CONFIG).run(
+                    tpch.query(n), query=f"q{n:02d}"
+                )
+        finally:
+            set_query_log(None)
+        suspend = {
+            e["query"]: e["suspend"] for e in recent_wide_events(22)
+        }
+        assert len(suspend) == 22
+        # The doctor's AQ2xx scorecard has 0 of 22 wrong as well.
+        assert [q for q, s in suspend.items() if s["mispredicted"]] == []
+        # Every spill is still listed, q18's predicted-exactly one too.
+        spill = SuspendReason.GROUP_SPILL.value
+        assert sorted(
+            q for q, s in suspend.items() if spill in s["observed"]
+        ) == ["q02", "q03", "q10", "q11", "q17", "q18", "q20"]
+        assert all(spill not in s["predicted"] for s in suspend.values())
+
+    def test_runtime_heap_guard_trip_is_flagged(self, small_db, tmp_path):
+        """A compiler that thought Q13's comment heap fits, on a device
+        whose guard says it does not."""
+        registry = MetricsRegistry()
+        log = QueryLog(
+            None, registry=registry, sample_slowest_k=1,
+            trace_dir=str(tmp_path / "traces"),
+        )
+        set_query_log(log)
+        tracer = Tracer()
+        try:
+            sim = AquomanSimulator(small_db, self.CONFIG, tracer=tracer)
+            sim.compiler = QueryCompiler(small_db, scale_ratio=1.0)
+            result = sim.run(tpch.query(13), query="q13")
+            # Two ordinary queries compete for the one slowest-k slot.
+            for n in (6, 1):
+                AquomanSimulator(
+                    small_db, self.CONFIG, tracer=tracer
+                ).run(tpch.query(n), query=f"q{n:02d}")
+        finally:
+            set_query_log(None)
+        assert SuspendReason.STRING_HEAP in result.suspend_reasons
+        q01, q06, q13 = recent_wide_events(3)
+        heap = SuspendReason.STRING_HEAP.value
+        assert q13["suspend"] == {
+            "predicted": [], "observed": [heap], "mispredicted": True,
+        }
+        assert not q06["suspend"]["mispredicted"]
+        assert not q01["suspend"]["mispredicted"]
+        snap = registry.snapshot()
+        assert snap["query.suspend_mispredicted{backend=device}"] == 1
+        assert os.path.exists(q13["trace_path"])  # pinned, not evicted
 
 
 class TestTraceDiff:

@@ -5,7 +5,19 @@ flash — so their traces must agree wherever the execution strategy
 doesn't differ: a hybrid engine that offloads nothing charges exactly
 the baseline's flash bytes, and page-skip accounting always partitions
 a column's page span into read + skipped.
+
+The query record exists once: an operator's span carries the volumes of
+the ``OpTrace`` recorded inside it, and what the 22 TPC-H plans record
+on each path is pinned to ``fixtures/query_record_golden.json``, written
+at the commit before host operators accounted in one place.
+``python tests/test_trace_invariants.py`` rewrites that file from
+whatever ``repro`` is on ``PYTHONPATH``; only run it against a commit
+whose traces are trusted.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -15,26 +27,89 @@ from repro.core.device import AquomanDevice
 from repro.core.simulator import HybridEngine
 from repro.engine import Engine
 from repro.engine.morsel import MorselConfig
+from repro.obs import Tracer
 from repro.perf.trace import QueryTrace
+from repro.sqlir.plan import assign_node_ids
 from repro.storage.layout import FlashLayout
 
+GOLDEN = Path(__file__).parent / "fixtures" / "query_record_golden.json"
+SF = 0.01
+QUERIES = {f"q{n:02d}": n for n in sorted(tpch.ALL_QUERIES)}
+PATHS = ("host", "stream", "device")
 
-class TestChannelPagePadding:
-    """Regression: meters of different widths must not lose pages."""
 
-    def test_shorter_then_longer_accumulates_all(self):
-        trace = QueryTrace()
-        trace.record_channel_pages([1, 2, 3])
-        trace.record_channel_pages([4, 5])          # narrower meter
-        assert trace.flash_channel_pages == [5, 7, 3]
-        trace.record_channel_pages([1, 1, 1, 9])    # wider meter
-        assert trace.flash_channel_pages == [6, 8, 4, 9]
+def run_path(db, name: str, path: str, tracer=None) -> QueryTrace:
+    """One TPC-H plan on one execution path; the trace it recorded."""
+    plan = tpch.query(QUERIES[name])
+    assign_node_ids(plan)  # operator spans carry their node id
+    if path == "device":
+        config = DeviceConfig(scale_ratio=1000.0 / SF)
+        return AquomanSimulator(db, config, tracer=tracer).run(
+            plan, query=name
+        ).trace
+    trace = QueryTrace(query=name, scale_factor=SF)
+    morsels = None if path == "host" else MorselConfig(
+        parallel=True, n_workers=1, worker_backend="serial"
+    )
+    Engine(
+        db, trace, morsels=morsels, tracer=tracer
+    ).execute_relation(plan)
+    return trace
 
-    def test_total_is_preserved(self):
-        trace = QueryTrace()
-        trace.record_channel_pages([7] * 8)
-        trace.record_channel_pages([3] * 16)
-        assert sum(trace.flash_channel_pages) == 7 * 8 + 3 * 16
+
+def query_record(trace: QueryTrace) -> dict:
+    ops = [
+        [op.op, op.rows_in, op.rows_out, op.bytes_in, op.bytes_out,
+         op.detail, op.groups, op.assisted]
+        for op in trace.ops
+    ]
+    return {
+        "n_ops": len(trace.ops),
+        "rows_processed": trace.rows_processed(),
+        "peak_host_bytes": trace.peak_host_bytes,
+        "total_intermediate_bytes": trace.total_intermediate_bytes,
+        "ops_sha1": hashlib.sha1(json.dumps(ops).encode()).hexdigest(),
+    }
+
+
+def collect(db) -> dict:
+    return {
+        path: {
+            name: query_record(run_path(db, name, path))
+            for name in QUERIES
+        }
+        for path in PATHS
+    }
+
+
+class TestQueryRecord:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("name", QUERIES)
+    def test_ops_match_the_golden(self, small_db, golden, name, path):
+        record = query_record(run_path(small_db, name, path))
+        assert record == golden[path][name]
+
+    @pytest.mark.parametrize("path", ("host", "stream"))
+    @pytest.mark.parametrize("name", QUERIES)
+    def test_spans_carry_the_recorded_volumes(self, small_db, name, path):
+        """An operator span adds time and lane to its ``OpTrace``, not
+        a second measurement of the volumes."""
+        tracer = Tracer()
+        trace = run_path(small_db, name, path, tracer)
+        assert tracer.n_dropped == 0
+        spans = [
+            args for _, (span, *_, args) in tracer.records()
+            if span == "morsel.fragment"
+            or (span.startswith("engine.") and args.get("node") is not None)
+        ]
+        # Spans close, and operators record, in the same post-order.
+        assert [(s["rows_out"], s["bytes_out"]) for s in spans] == [
+            (op.rows_out, op.bytes_out) for op in trace.ops
+        ]
 
 
 class TestHostPathFlashAgreement:
@@ -87,13 +162,10 @@ class TestPageSpanInvariant:
                 f"!= {extent.n_pages} pages in extent"
             )
 
-    def test_channel_pages_equal_pages_read(self, small_db):
-        engine = Engine(
-            small_db,
-            morsels=MorselConfig(parallel=True, morsel_rows=8192),
-        )
-        engine.execute_relation(tpch.query(6))
-        trace = engine.trace
-        assert sum(trace.flash_channel_pages) == sum(
-            trace.flash_pages_read.values()
-        )
+
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps(collect(tpch.generate(SF)), indent=1, sort_keys=True)
+        + "\n"
+    )
+    print(f"wrote {GOLDEN}")
