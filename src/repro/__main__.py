@@ -10,11 +10,10 @@ Commands:
 - ``analyze``  — static analysis: typecheck, suspend prediction,
   PE-program verification and morsel-safety proofs, without executing;
 - ``lint``     — concurrency & determinism lint over the runtime's own
-  source (AQ5xx): worker-context races, fork/pickle-boundary safety,
-  determinism of merge paths, ambient-state discipline; ``--strict``
-  exits 1 on findings, ``--selfcheck`` verifies the passes still catch
-  seeded violations, ``--baseline`` regenerates the suppression
-  baseline;
+  source (AQ5xx): fork/pickle-boundary safety, determinism of merge
+  paths, ambient-state discipline; ``--strict`` exits 1 on findings,
+  ``--verbose`` also lists what ``# conc: safe`` suppresses,
+  ``--selfcheck`` verifies the passes still catch seeded violations;
 - ``profile``  — run one query under the runtime tracer and export a
   ``chrome://tracing`` span timeline, Prometheus metrics and a flame
   summary (``--trace-out`` / ``--metrics-out``);
@@ -129,7 +128,7 @@ def _add_morsel(
 def _add_ring(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ring-capacity", type=int, default=None,
-        help="per-thread span ring size (default 65536); the run "
+        help="span ring size per trace lane (default 65536); the run "
         "warns when spans were dropped",
     )
 
@@ -238,12 +237,7 @@ def _obs_session(
         yield None
         return
     METRICS.reset()
-    ring_capacity = getattr(args, "ring_capacity", None)
-    tracer = (
-        Tracer(ring_capacity=ring_capacity)
-        if ring_capacity is not None
-        else Tracer()
-    )
+    tracer = Tracer(getattr(args, "ring_capacity", None))
     log = None
     if query_log:
         log = QueryLog(
@@ -592,7 +586,8 @@ def cmd_serve(args) -> int:
             ).observe((time.monotonic_ns() - t0) / 1e6)
         if warm:
             set_last_trace(chrome_trace(
-                tracer, metadata={"warm_queries": warm, "sf": args.sf}
+                list(tracer.records()), tracer.epoch_ns, tracer.n_dropped,
+                metadata={"warm_queries": warm, "sf": args.sf},
             ))
 
         server = ObsServer(host=args.host, port=args.port)

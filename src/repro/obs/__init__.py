@@ -4,19 +4,20 @@ What :mod:`repro.perf.trace` is to the paper's *modeled* data flow,
 this package is to the Python runtime's *actual* behaviour:
 
 ``spans``
-    :class:`Tracer` — monotonic wall-clock spans with thread-aware
-    nesting and per-thread ring buffers, so morsel workers record
-    without lock contention.  Executors take a ``tracer=`` argument
-    and default to the free :data:`NULL_TRACER`.
+    :class:`Tracer` — monotonic wall-clock spans with nesting, one
+    ring buffer for the recording thread and one per adopted
+    ``proc-worker-N`` lane; nothing in it is locked.  Executors take a
+    ``tracer=`` argument and default to the free :data:`NULL_TRACER`.
 ``metrics``
     :class:`MetricsRegistry` — process-wide counters / gauges /
     histograms (pages read and skipped, cache hits, suspensions,
     rows per stage) updated at batch granularity from the hot paths.
 ``export``
     Chrome trace-event JSON (``chrome://tracing`` / Perfetto, one lane
-    per worker thread and device stage), Prometheus text exposition,
-    and a human flame summary; plus the schema validators the CI smoke
-    job runs against every exported trace and metrics scrape.
+    per worker process and device stage), Prometheus text exposition,
+    and a human flame summary; plus the validators the CI smoke job
+    runs against every export — one JSON-schema interpreter for the
+    Chrome trace and the wide event, one Prometheus grammar check.
 ``critpath``
     Span-forest reconstruction and critical-path extraction — which
     lane gated a run, with per-lane utilization and bottleneck
@@ -53,18 +54,13 @@ from repro.obs.baseline import (
 from repro.obs.context import (
     QueryContext,
     clear_degraded,
-    current_query_id,
     get_degraded,
     get_query_context,
     plan_fingerprint,
     set_degraded,
     set_query_context,
 )
-from repro.obs.critpath import (
-    CritPathAnalysis,
-    analyze_records,
-    analyze_tracer,
-)
+from repro.obs.critpath import CritPathAnalysis, analyze_records
 from repro.obs.qlog import (
     QueryLog,
     get_query_log,
@@ -116,12 +112,10 @@ __all__ = [
     "Span",
     "Tracer",
     "analyze_records",
-    "analyze_tracer",
     "append_records",
     "chrome_trace",
     "clear_degraded",
     "compare",
-    "current_query_id",
     "flame_summary",
     "get_degraded",
     "get_query_context",

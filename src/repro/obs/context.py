@@ -40,7 +40,6 @@ from typing import Any
 __all__ = [
     "QueryContext",
     "clear_degraded",
-    "current_query_id",
     "get_degraded",
     "get_query_context",
     "next_query_id",
@@ -133,11 +132,6 @@ def set_query_context(context: QueryContext | None) -> None:
 
 def get_query_context() -> QueryContext | None:
     return _context
-
-
-def current_query_id() -> int | None:
-    ctx = _context
-    return ctx.query_id if ctx is not None else None
 
 
 # -- the degraded flag ---------------------------------------------------------

@@ -1,20 +1,22 @@
 """Critical-path analysis over recorded spans.
 
-The tracer's per-thread ring buffers hold flat completion-ordered
-records; this module rebuilds the span *forest* they came from and
-answers the question the doctor asks: *which lane gated this query run,
-and by how much?*
+The tracer's lane rings hold flat completion-ordered records; this
+module rebuilds the span *forest* they came from and answers the
+question the doctor asks: *which lane gated this query run, and by how
+much?*  Input is a list of ``(lane, record)`` pairs —
+:meth:`~repro.obs.spans.Tracer.records` or any window of it — so tests
+feed it synthetic fixtures deterministically.
 
 Three steps, all deterministic functions of the record set:
 
-1. **Forest reconstruction.**  Within one recording thread, records
-   appear in completion order carrying their stack depth, so a span's
-   children are exactly the trailing already-seen records that are
-   deeper and time-contained.  Across threads there are no recorded
-   parent links (a morsel worker's spans live in the worker's ring),
-   so each foreign root is attached to the *deepest* span of the
-   primary tree whose interval contains it — the ``morsel.fragment``
-   span that was blocked on the worker pool, in practice.
+1. **Forest reconstruction.**  Within one lane, records appear in
+   completion order carrying their stack depth, so a span's children
+   are exactly the trailing already-seen records that are deeper and
+   time-contained.  Across lanes there are no recorded parent links (a
+   morsel worker's spans come back in the worker's adopted lane), so
+   each foreign root is attached to the *deepest* span of the primary
+   tree whose interval contains it — the ``morsel.fragment`` span that
+   was blocked on the worker pool, in practice.
 2. **Critical path.**  Walking backwards from the root's end: the
    last-finishing child that ends before the cursor gates completion,
    the gap after it is the parent's own (self) work, and the walk
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.obs.spans import INSTANT, NullTracer, Tracer
+from repro.obs.spans import INSTANT
 
 __all__ = [
     "BUCKETS",
@@ -43,7 +45,6 @@ __all__ = [
     "PathSegment",
     "SpanNode",
     "analyze_records",
-    "analyze_tracer",
     "build_forest",
     "classify_bucket",
     "critical_path",
@@ -68,7 +69,6 @@ class SpanNode:
 
     name: str
     lane: str
-    thread: str
     t0: int
     t1: int
     depth: int
@@ -126,8 +126,8 @@ def classify_bucket(name: str, lane: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _thread_forest(records: list[tuple]) -> list[SpanNode]:
-    """Rebuild one thread's span trees from its completion-ordered
+def _lane_forest(records: list[tuple]) -> list[SpanNode]:
+    """Rebuild one lane's span trees from its completion-ordered
     records.
 
     A record's children are the trailing pending nodes that are deeper
@@ -137,15 +137,14 @@ def _thread_forest(records: list[tuple]) -> list[SpanNode]:
     orphaned children simply surface as extra roots.
     """
     pending: list[SpanNode] = []
-    thread = records[0][0] if records else ""
+    ring_lane = records[0][0] if records else ""
     for _, rec in records:
         name, lane, t0, dur, depth, self_ns, args = rec
         if dur == INSTANT:
             continue
         node = SpanNode(
             name=name,
-            lane=lane if lane is not None else thread,
-            thread=thread,
+            lane=lane if lane is not None else ring_lane,
             t0=t0,
             t1=t0 + dur,
             depth=depth,
@@ -185,38 +184,38 @@ def _deepest_container(roots: list[SpanNode], node: SpanNode) -> SpanNode | None
 def build_forest(
     records: Iterable[tuple[str, tuple]],
 ) -> tuple[list[SpanNode], int]:
-    """Reconstruct the cross-thread span forest.
+    """Reconstruct the cross-lane span forest.
 
-    ``records`` are ``(thread_name, record)`` pairs as yielded by
+    ``records`` are ``(lane, record)`` pairs as yielded by
     :meth:`repro.obs.spans.Tracer.records`.  Returns ``(roots,
     n_instants)``: the forest's roots sorted by start time, with every
-    foreign-thread root re-parented under the deepest containing span
-    of another thread when one exists (morsel workers nest under their
+    foreign-lane root re-parented under the deepest containing span of
+    another lane when one exists (morsel workers nest under their
     ``morsel.fragment``).
     """
-    by_thread: dict[str, list[tuple]] = {}
+    by_lane: dict[str, list[tuple]] = {}
     n_instants = 0
-    for thread, rec in records:
+    for ring_lane, rec in records:
         if rec[3] == INSTANT:
             n_instants += 1
             continue
-        by_thread.setdefault(thread, []).append((thread, rec))
+        by_lane.setdefault(ring_lane, []).append((ring_lane, rec))
 
-    thread_roots: dict[str, list[SpanNode]] = {
-        thread: _thread_forest(recs)
-        for thread, recs in by_thread.items()
+    lane_roots: dict[str, list[SpanNode]] = {
+        ring_lane: _lane_forest(recs)
+        for ring_lane, recs in by_lane.items()
     }
 
-    # Cross-thread attachment: try to hang each thread's roots under a
-    # containing span recorded by any *other* thread.  Deterministic
-    # order: threads sorted by name, roots by start time.
+    # Cross-lane attachment: try to hang each lane's roots under a
+    # containing span recorded in any *other* lane.  Deterministic
+    # order: lanes sorted by name, roots by start time.
     all_roots: list[SpanNode] = []
-    for thread in sorted(thread_roots):
-        for root in thread_roots[thread]:
+    for ring_lane in sorted(lane_roots):
+        for root in lane_roots[ring_lane]:
             others = [
                 r
-                for t, roots in thread_roots.items()
-                if t != thread
+                for other, roots in lane_roots.items()
+                if other != ring_lane
                 for r in roots
             ]
             parent = _deepest_container(others, root)
@@ -368,7 +367,7 @@ def analyze_records(
     records: Iterable[tuple[str, tuple]],
     root_name: str | None = None,
 ) -> CritPathAnalysis:
-    """Run the full pipeline over raw ``(thread, record)`` pairs.
+    """Run the full pipeline over raw ``(lane, record)`` pairs.
 
     ``root_name`` selects the analysis window (e.g. ``doctor.query``);
     without it the longest root span wins.  Raises ``ValueError`` when
@@ -382,12 +381,12 @@ def analyze_records(
     segments = critical_path(root)
 
     # Lane busy time: per-lane self-time of spans inside the window.
-    # Self-time partitions each recording thread's wall-clock, so lanes
-    # never double count their own nesting.
+    # Self-time partitions each ring's wall-clock, so lanes never
+    # double count their own nesting.
     lane_busy: dict[str, int] = {}
     window = (root.t0, root.t1)
     n_orphans = 0
-    for thread, rec in records:
+    for ring_lane, rec in records:
         name, lane, t0, dur, _depth, self_ns, _args = rec
         if dur == INSTANT:
             continue
@@ -395,7 +394,7 @@ def analyze_records(
             if rec is not None and name != root.name:
                 n_orphans += 1
             continue
-        lane_name = lane if lane is not None else thread
+        lane_name = lane if lane is not None else ring_lane
         lane_busy[lane_name] = lane_busy.get(lane_name, 0) + self_ns
 
     path_ns = sum(seg.dur_ns for seg in segments)
@@ -415,9 +414,3 @@ def analyze_records(
         n_instants=n_instants,
     )
 
-
-def analyze_tracer(
-    tracer: Tracer | NullTracer, root_name: str | None = None
-) -> CritPathAnalysis:
-    """Convenience wrapper over :func:`analyze_records`."""
-    return analyze_records(tracer.records(), root_name=root_name)

@@ -386,11 +386,6 @@ class DoctorReport:
         lines.append("")
         lines.append("runtime critical path (this process, this SF):")
         lines.append(self.crit.format(top=8))
-        if self.n_dropped_spans:
-            lines.append(
-                f"WARNING: {self.n_dropped_spans} spans dropped "
-                "(raise ring_capacity); runtime numbers undercount"
-            )
         lines.append("")
         lines.append("explain-analyze (predicted vs actual, per node):")
         lines.append(
@@ -565,11 +560,7 @@ def diagnose(
     analysis = analyze_plan(plan, catalog, device=config)
     predictions = node_schemas(plan, analysis.checker)
 
-    tracer = (
-        Tracer(ring_capacity=ring_capacity)
-        if ring_capacity is not None
-        else Tracer()
-    )
+    tracer = Tracer(ring_capacity)
     with tracer.span("doctor.query", query=query):
         with tracer.span("doctor.host"):
             engine = Engine(

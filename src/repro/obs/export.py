@@ -2,29 +2,45 @@
 
 The Chrome format is the ``chrome://tracing`` / Perfetto "JSON Array
 with metadata" flavour: a ``traceEvents`` list of complete (``"X"``),
-instant (``"i"``) and metadata (``"M"``) events.  Every lane — one per
-recording thread plus the synthetic device-stage lanes — becomes a
-``tid`` row named by a ``thread_name`` metadata event, so morsel
-workers and device stages render as separate swimlanes.
+instant (``"i"``) and metadata (``"M"``) events.  Every lane — the
+recording thread's, each adopted ``proc-worker-N`` and the synthetic
+device-stage lanes — becomes a ``tid`` row named by a ``thread_name``
+metadata event, so morsel workers and device stages render as separate
+swimlanes.  :func:`chrome_trace` renders a list of ``(lane, record)``
+pairs, so one query's window of a long-lived tracer renders the same
+way as a whole tracer.
 
-:func:`validate_chrome_trace` is the schema check the CI smoke job and
-the CLI run against every export; it returns a list of problems
-(empty = valid) instead of raising so callers can report all of them.
+Validators return a list of problems (empty = valid) instead of
+raising, so callers can report all of them.  Both JSON documents the
+package writes — the Chrome trace (``chrome_trace.schema.json``) and
+the query log's wide event (``wide_event.schema.json``) — are checked
+by one stdlib interpreter of the JSON Schema keywords those two files
+use (:func:`validate_json`); only the Prometheus text grammar has a
+bespoke checker.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 from typing import Any
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.spans import INSTANT, NullTracer, Tracer
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    _valid_label_name,
+)
+from repro.obs.spans import INSTANT, NullTracer, SpanRecord, Tracer
 
 __all__ = [
     "chrome_trace",
     "flame_summary",
     "prometheus_text",
     "validate_chrome_trace",
+    "validate_json",
     "validate_prometheus_text",
     "write_chrome_trace",
 ]
@@ -32,16 +48,21 @@ __all__ = [
 PID = 1  # one process; lanes are tids
 
 
-def _lane_of(thread_name: str, record) -> str:
-    return record[1] if record[1] is not None else thread_name
+def _lane_of(ring_lane: str, record: SpanRecord) -> str:
+    return record[1] if record[1] is not None else ring_lane
 
 
 def chrome_trace(
-    tracer: Tracer | NullTracer,
+    records: list[tuple[str, SpanRecord]],
+    epoch_ns: int,
+    n_dropped: int,
     metadata: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """Render every recorded span as a trace-event JSON object."""
-    records = list(tracer.records())
+    """Render ``(lane, record)`` pairs as a trace-event JSON object.
+
+    Timestamps are relative to ``epoch_ns``; ``n_dropped`` is reported
+    as ``otherData.dropped_spans``.
+    """
 
     # Stable lane numbering: "MainThread" (or "main") first, then the
     # rest alphabetically, so the root query lane tops the viewer.
@@ -71,11 +92,10 @@ def chrome_trace(
             }
         )
 
-    epoch = tracer.epoch_ns
-    for thread_name, rec in records:
-        name, _, t0_ns, dur_ns, depth, _self_ns, args = rec
-        tid = lane_ids[_lane_of(thread_name, rec)]
-        ts_us = (t0_ns - epoch) / 1000.0
+    for ring_lane, rec in records:
+        name, _, t0_ns, dur_ns, _depth, _self_ns, args = rec
+        tid = lane_ids[_lane_of(ring_lane, rec)]
+        ts_us = (t0_ns - epoch_ns) / 1000.0
         if dur_ns == INSTANT:
             event: dict[str, Any] = {
                 "name": name,
@@ -105,7 +125,7 @@ def chrome_trace(
         "displayTimeUnit": "ms",
         "otherData": {
             "lanes": lane_names,
-            "dropped_spans": tracer.n_dropped,
+            "dropped_spans": n_dropped,
         },
     }
     if metadata:
@@ -120,7 +140,9 @@ def write_chrome_trace(
     path: str,
     metadata: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
-    doc = chrome_trace(tracer, metadata)
+    doc = chrome_trace(
+        list(tracer.records()), tracer.epoch_ns, tracer.n_dropped, metadata
+    )
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return doc
@@ -136,49 +158,103 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-# -- schema validation ---------------------------------------------------------
+# -- JSON Schema (stdlib subset) ----------------------------------------------
 
-_REQUIRED_BY_PHASE = {
-    "X": ("name", "ts", "dur", "pid", "tid"),
-    "i": ("name", "ts", "pid", "tid"),
-    "M": ("name", "pid"),
+_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "integer": int,
+    "number": (int, float),
+    "boolean": bool,
+    "null": type(None),
 }
 
 
-def validate_chrome_trace(doc: Any) -> list[str]:
-    """Check a parsed export against the trace-event schema.
+def _is_type(value: Any, name: str) -> bool:
+    if isinstance(value, bool) and name in ("integer", "number"):
+        return False
+    return isinstance(value, _TYPES[name])
 
-    Returns a list of human-readable problems; an empty list means the
-    document loads cleanly in ``chrome://tracing``.
+
+def _validate(value: Any, schema: dict, path: str,
+              problems: list[str]) -> None:
+    types = schema.get("type")
+    if types is not None and not any(
+        _is_type(value, name)
+        for name in (types if isinstance(types, list) else [types])
+    ):
+        problems.append(
+            f"{path}: expected {types}, got {type(value).__name__}"
+        )
+        return
+    if "const" in schema and value != schema["const"]:
+        problems.append(f"{path}: expected {schema['const']!r}, got {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        problems.append(f"{path}: {value!r} is not one of {schema['enum']}")
+    if (
+        "minimum" in schema and _is_type(value, "number")
+        and value < schema["minimum"]
+    ):
+        problems.append(
+            f"{path}: {value!r} is below the minimum {schema['minimum']}"
+        )
+    for sub in schema.get("allOf", ()):
+        _validate(value, sub, path, problems)
+    if "if" in schema and not validate_json(value, schema["if"]):
+        _validate(value, schema.get("then", {}), path, problems)
+    if isinstance(value, dict):
+        for name in schema.get("required", ()):
+            if name not in value:
+                problems.append(f"{path}: missing required key {name!r}")
+        props = schema.get("properties", {})
+        for name, sub in props.items():
+            if name in value:
+                _validate(value[name], sub, f"{path}.{name}", problems)
+        if schema.get("additionalProperties") is False:
+            for name in value:
+                if name not in props:
+                    problems.append(f"{path}: unexpected key {name!r}")
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            problems.append(
+                f"{path}: expected at least {schema['minItems']} item(s), "
+                f"got {len(value)}"
+            )
+        items = schema.get("items")
+        if items:
+            for i, element in enumerate(value):
+                _validate(element, items, f"{path}[{i}]", problems)
+
+
+@functools.lru_cache(maxsize=None)
+def load_schema(filename: str) -> dict:
+    """One of the checked-in schemas next to this module."""
+    with open(os.path.join(os.path.dirname(__file__), filename)) as fh:
+        return json.load(fh)
+
+
+def validate_json(value: Any, schema: dict) -> list[str]:
+    """Problems (empty = valid) of ``value`` against a JSON Schema.
+
+    The schemas are standard JSON Schema so external tooling can use
+    them; this interpreter implements the keywords they use — ``type``,
+    ``required``, ``properties``, ``additionalProperties``, ``items``,
+    ``minItems``, ``const``, ``enum``, ``minimum``, ``allOf`` and
+    ``if``/``then`` — keeping CI dependency-free.
     """
     problems: list[str] = []
-    if not isinstance(doc, dict):
-        return [f"top level must be an object, got {type(doc).__name__}"]
-    events = doc.get("traceEvents")
-    if not isinstance(events, list):
-        return ["traceEvents must be a list"]
-    if not events:
-        problems.append("traceEvents is empty")
-    for i, event in enumerate(events):
-        if not isinstance(event, dict):
-            problems.append(f"event {i}: not an object")
-            continue
-        phase = event.get("ph")
-        if phase not in _REQUIRED_BY_PHASE:
-            problems.append(f"event {i}: unsupported phase {phase!r}")
-            continue
-        for key in _REQUIRED_BY_PHASE[phase]:
-            if key not in event:
-                problems.append(f"event {i} (ph={phase}): missing {key!r}")
-        for key in ("ts", "dur"):
-            if key in event and not isinstance(event[key], (int, float)):
-                problems.append(f"event {i}: {key} must be numeric")
-        if "dur" in event and isinstance(event["dur"], (int, float)) \
-                and event["dur"] < 0:
-            problems.append(f"event {i}: negative dur")
-        if "name" in event and not isinstance(event["name"], str):
-            problems.append(f"event {i}: name must be a string")
+    _validate(value, schema, "$", problems)
     return problems
+
+
+def validate_chrome_trace(doc: Any) -> list[str]:
+    """Check a parsed export against ``chrome_trace.schema.json``.
+
+    An empty list means the document loads cleanly in
+    ``chrome://tracing``.
+    """
+    return validate_json(doc, load_schema("chrome_trace.schema.json"))
 
 
 # -- Prometheus text exposition ------------------------------------------------
@@ -278,8 +354,8 @@ def prometheus_text(registry: MetricsRegistry) -> str:
             lines.append(f"# TYPE {name} histogram")
             for inst in _family_series(m):
                 # One locked snapshot: reading the fields piecemeal
-                # while a worker observes can emit a finite bucket
-                # above +Inf, which a scraper rejects as
+                # while the query thread observes can emit a finite
+                # bucket above +Inf, which a scraper rejects as
                 # non-monotonic.
                 bucket_counts, total_sum, total_count = inst.snapshot()
                 cumulative = 0
@@ -356,12 +432,6 @@ def _parse_label_pairs(raw: str) -> tuple[list[tuple[str, str]], str]:
                 return pairs, "trailing comma in label set"
         i = j
     return pairs, ""
-
-
-def _valid_label_name(name: str) -> bool:
-    if not name or not (name[0].isalpha() or name[0] == "_"):
-        return False
-    return all(ch.isalnum() or ch == "_" for ch in name)
 
 
 def validate_prometheus_text(text: str) -> list[str]:
@@ -515,7 +585,7 @@ def flame_summary(tracer: Tracer | NullTracer, top: int = 0) -> str:
     """Per-span-name wall-clock attribution, hottest self-time first.
 
     ``self`` excludes time spent in child spans (recorded at span exit
-    from the per-thread stack), so the column sums to the traced
+    from the active stack), so the column sums to the traced
     wall-clock without double counting; ``total`` includes children.
     """
     stats: dict[str, list[float]] = {}  # name -> [count, total, self, max]

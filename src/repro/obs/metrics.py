@@ -8,9 +8,14 @@ column read or per operator, never per row, which keeps the cost well
 under the observability overhead budget (see
 ``benchmarks/test_obs_overhead.py``).
 
-A small lock per instrument keeps concurrent morsel-worker updates
-exact (``value += n`` is a read-modify-write under the GIL); at batch
-granularity the lock is noise.
+The query thread writes the instruments; morsel workers are processes
+and ship their counts back to it.  The locks exist for the one other
+thread a process runs: an HTTP handler of ``repro serve`` rendering
+``/metrics`` while a query updates the registry.  A small lock per
+instrument gives that reader one consistent view (a histogram's
+buckets, sum and count from the same moment; ``value += n`` is a
+read-modify-write even under the GIL); at batch granularity the lock
+is noise.
 
 The default process-wide registry is :data:`METRICS`.  ``reset()``
 zeroes values but keeps the instrument objects, so call sites that
@@ -150,7 +155,7 @@ class Counter(_LabelsMixin):
         self.labelset: tuple[tuple[str, str], ...] = ()
         self._children: dict[tuple, "Counter"] = {}
         self._children_sorted: tuple | None = ()
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # read by /metrics handler threads
 
     def _make_child(self) -> "Counter":
         return Counter(self.name, self.help)
@@ -181,7 +186,7 @@ class Gauge(_LabelsMixin):
         self.labelset: tuple[tuple[str, str], ...] = ()
         self._children: dict[tuple, "Gauge"] = {}
         self._children_sorted: tuple | None = ()
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # read by /metrics handler threads
 
     def _make_child(self) -> "Gauge":
         return Gauge(self.name, self.help)
@@ -221,7 +226,7 @@ class Histogram(_LabelsMixin):
         self.labelset: tuple[tuple[str, str], ...] = ()
         self._children: dict[tuple, "Histogram"] = {}
         self._children_sorted: tuple | None = ()
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # read by /metrics handler threads
 
     def _make_child(self) -> "Histogram":
         return Histogram(self.name, self.help, buckets=self.bounds)
@@ -273,7 +278,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
         self._sorted: tuple | None = ()
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # read by /metrics handler threads
 
     def _get(self, name: str, cls, **kwargs):
         with self._lock:

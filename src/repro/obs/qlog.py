@@ -39,7 +39,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 from repro.obs.context import (
     QueryContext,
@@ -50,7 +50,7 @@ from repro.obs.context import (
     sql_digest,
 )
 from repro.obs.critpath import analyze_records
-from repro.obs.export import chrome_trace
+from repro.obs.export import chrome_trace, load_schema, validate_json
 from repro.obs.metrics import (
     LATENCY_BUCKETS_MS,
     METRICS,
@@ -73,9 +73,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-SCHEMA_PATH = os.path.join(
-    os.path.dirname(__file__), "wide_event.schema.json"
-)
 
 
 def warn_dropped_spans(n_dropped: int, where: str,
@@ -95,11 +92,11 @@ def warn_dropped_spans(n_dropped: int, where: str,
     )
 
 
-# Ring of the most recent query wide events, read by the server's
-# /query-log/recent and /query/<id>.  Writers append whole immutable
-# dicts; the lock guards the deque's append/iterate pair (a scraper
-# iterating while a query completes would otherwise race the ring
-# rotation).
+# Ring of the most recent query wide events.  The query thread appends
+# whole immutable dicts; the HTTP server's handler threads read it for
+# /query-log/recent and /query/<id>.  The lock guards the deque's
+# append/iterate pair (a handler iterating while a query completes
+# would otherwise race the ring rotation).
 _RECENT_CAPACITY = 256
 _recent_events: deque[dict[str, Any]] = deque(maxlen=_RECENT_CAPACITY)
 _recent_lock = threading.Lock()
@@ -131,25 +128,6 @@ def get_wide_event(query_id: int) -> dict[str, Any] | None:
         if doc.get("query_id") == query_id:
             return doc
     return None
-
-
-class _WindowTracer:
-    """Read-only tracer view over a pre-filtered record window.
-
-    Lets :func:`repro.obs.export.chrome_trace` render one query's
-    records out of a long-lived tracer shared by many queries.
-    """
-
-    enabled = True
-
-    def __init__(self, records: list[tuple[str, tuple]],
-                 epoch_ns: int, n_dropped: int):
-        self._records = records
-        self.epoch_ns = epoch_ns
-        self.n_dropped = n_dropped
-
-    def records(self) -> Iterator[tuple[str, tuple]]:
-        return iter(self._records)
 
 
 class QueryLog:
@@ -294,13 +272,13 @@ class QueryLog:
             self.trace_dir,
             f"q{doc['query_id']:06d}-{doc['fingerprint'][:8]}.trace.json",
         )
-        shim = _WindowTracer(
-            records, epoch_ns, int(doc.get("spans_dropped", 0))
+        trace_doc = chrome_trace(
+            records, epoch_ns, int(doc.get("spans_dropped", 0)),
+            metadata={
+                "query_id": doc["query_id"],
+                "fingerprint": doc["fingerprint"],
+            },
         )
-        trace_doc = chrome_trace(shim, metadata={
-            "query_id": doc["query_id"],
-            "fingerprint": doc["fingerprint"],
-        })
         with open(path, "w") as fh:
             json.dump(trace_doc, fh)
         return path
@@ -374,11 +352,10 @@ class QueryScope:
         if log is None:
             return
         doc = self._build_event(t1_ns)
-        records = None
         if getattr(self._tracer, "enabled", False):
             records = [
-                (thread, rec)
-                for thread, rec in self._tracer.records()
+                (lane, rec)
+                for lane, rec in self._tracer.records()
                 if rec[2] >= self._t0_ns
                 and (rec[3] == INSTANT or rec[2] + rec[3] <= t1_ns + 1)
             ]
@@ -530,83 +507,7 @@ def query_scope(
         scope._close()
 
 
-# ---------------------------------------------------------------------------
-# Schema validation (stdlib-only JSON-Schema subset)
-# ---------------------------------------------------------------------------
-
-_TYPE_MAP = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "integer": int,
-    "number": (int, float),
-    "boolean": bool,
-    "null": type(None),
-}
-
-
-def _check_type(value: Any, spec: Any) -> bool:
-    types = spec if isinstance(spec, list) else [spec]
-    for name in types:
-        expected = _TYPE_MAP[name]
-        if name == "integer":
-            if isinstance(value, bool):
-                continue
-            if isinstance(value, int):
-                return True
-        elif name == "number":
-            if isinstance(value, bool):
-                continue
-            if isinstance(value, expected):
-                return True
-        elif name == "boolean":
-            if isinstance(value, bool):
-                return True
-        elif isinstance(value, expected):
-            return True
-    return False
-
-
-def _validate(value: Any, schema: dict, path: str,
-              problems: list[str]) -> None:
-    if "type" in schema and not _check_type(value, schema["type"]):
-        problems.append(
-            f"{path}: expected {schema['type']}, "
-            f"got {type(value).__name__}"
-        )
-        return
-    if isinstance(value, dict):
-        for name in schema.get("required", ()):
-            if name not in value:
-                problems.append(f"{path}: missing required key {name!r}")
-        props = schema.get("properties", {})
-        for name, sub in props.items():
-            if name in value:
-                _validate(value[name], sub, f"{path}.{name}", problems)
-        if schema.get("additionalProperties") is False:
-            for name in value:
-                if name not in props:
-                    problems.append(f"{path}: unexpected key {name!r}")
-    elif isinstance(value, list):
-        items = schema.get("items")
-        if items:
-            for i, element in enumerate(value):
-                _validate(element, items, f"{path}[{i}]", problems)
-
-
-def validate_wide_event(
-    doc: dict[str, Any], schema: dict | None = None
-) -> list[str]:
-    """Problems (empty = valid) for one wide event against the schema.
-
-    The checked-in schema at :data:`SCHEMA_PATH` is standard JSON
-    Schema so external tooling can use it; this validator implements
-    the subset the schema uses (types, required, properties,
-    additionalProperties, items), keeping CI dependency-free.
-    """
-    if schema is None:
-        with open(SCHEMA_PATH) as fh:
-            schema = json.load(fh)
-    problems: list[str] = []
-    _validate(doc, schema, "$", problems)
-    return problems
+def validate_wide_event(doc: dict[str, Any]) -> list[str]:
+    """Problems (empty = valid) of one wide event against
+    ``wide_event.schema.json``."""
+    return validate_json(doc, load_schema("wide_event.schema.json"))

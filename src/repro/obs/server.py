@@ -199,6 +199,7 @@ class ObsServer:
         self.registry = registry if registry is not None else METRICS
         self.t0 = time.monotonic()
         self.n_requests = 0
+        # Every handler thread bumps n_requests; /healthz handlers read it.
         self.count_lock = threading.Lock()
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.obs = self  # type: ignore[attr-defined]

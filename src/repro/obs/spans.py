@@ -1,4 +1,4 @@
-"""Wall-clock spans with per-thread ring buffers.
+"""Wall-clock spans, one ring buffer per lane.
 
 A :class:`Tracer` records what the Python runtime actually *did* —
 monotonic wall-clock intervals attributed to named stages — next to the
@@ -10,19 +10,21 @@ constraints, in order:
    context manager; the only cost at an instrumentation point is an
    attribute load and a call.  The overhead gate in
    ``benchmarks/test_obs_overhead.py`` keeps this honest.
-2. **Workers must not contend.**  Each thread records into its own
-   ring buffer (``threading.local``); the tracer's lock is taken once
-   per thread lifetime (registration), never per span, so morsel
-   workers never serialise on the tracer.
+2. **One recording thread per process; other processes are adopted.**
+   A tracer records on the thread that created it — the query's
+   thread — into its own ring, named after that thread
+   (``MainThread``).  Morsel workers are processes: each reply carries
+   the worker's records and :meth:`Tracer.adopt` files them under a
+   ``proc-worker-N`` ring, so nothing is shared and nothing is locked.
 3. **Nesting must survive export.**  Spans carry their stack depth and
    self-time (duration minus direct children), computed at record time
-   from the per-thread active stack, so the flame summary needs no
-   interval reconstruction.
+   from the active stack, so the flame summary needs no interval
+   reconstruction.
 
 Records are plain tuples, ``(name, lane, t0_ns, dur_ns, depth,
 self_ns, args)``; ``dur_ns == -1`` marks an instant event (a point in
-time, e.g. a device suspension).  ``lane`` defaults to the recording
-thread's name and becomes the Chrome-trace ``tid`` row — passing
+time, e.g. a device suspension).  ``lane`` defaults to the ring's lane
+and becomes the Chrome-trace ``tid`` row — passing
 ``lane="device.row_selector"`` routes a span to a synthetic device
 lane regardless of the host thread that modeled it.
 """
@@ -53,19 +55,17 @@ INSTANT = -1  # dur_ns sentinel for point events
 DEFAULT_RING_CAPACITY = 65_536
 
 
-class _ThreadLog:
-    """One thread's span ring buffer plus its active-span stack."""
+class _Ring:
+    """One lane's span ring buffer: overwrite-oldest, counting drops."""
 
-    __slots__ = ("thread_name", "capacity", "records", "cursor",
-                 "dropped", "stack")
+    __slots__ = ("lane", "capacity", "records", "cursor", "dropped")
 
-    def __init__(self, thread_name: str, capacity: int):
-        self.thread_name = thread_name
+    def __init__(self, lane: str, capacity: int):
+        self.lane = lane
         self.capacity = capacity
         self.records: list[SpanRecord] = []
         self.cursor = 0       # overwrite position once the ring is full
         self.dropped = 0      # spans evicted by wrap-around
-        self.stack: list[Span] = []
 
     def append(self, record: SpanRecord) -> None:
         if len(self.records) < self.capacity:
@@ -83,8 +83,7 @@ class _ThreadLog:
 class Span:
     """One timed interval; use as a context manager."""
 
-    __slots__ = ("_tracer", "name", "lane", "args", "_log", "_t0",
-                 "child_ns")
+    __slots__ = ("_tracer", "name", "lane", "args", "_t0", "child_ns")
 
     def __init__(
         self,
@@ -108,19 +107,18 @@ class Span:
         return self
 
     def __enter__(self) -> "Span":
-        log = self._tracer._thread_log()
-        self._log = log
-        log.stack.append(self)
+        self._tracer._stack.append(self)
         self._t0 = time.monotonic_ns()  # last: exclude setup from dur
         return self
 
     def __exit__(self, *exc: object) -> None:
         t1 = time.monotonic_ns()
-        log = self._log
-        log.stack.pop()
+        tracer = self._tracer
+        stack = tracer._stack
+        stack.pop()
         dur = t1 - self._t0
-        if log.stack:
-            log.stack[-1].child_ns += dur
+        if stack:
+            stack[-1].child_ns += dur
         ctx = _qctx.get_query_context()
         args = self.args
         if ctx is not None:
@@ -132,24 +130,29 @@ class Span:
                 args = {"qid": ctx.query_id}
             else:
                 args.setdefault("qid", ctx.query_id)
-        log.append(
-            (self.name, self.lane, self._t0, dur, len(log.stack),
+        tracer._own.append(
+            (self.name, self.lane, self._t0, dur, len(stack),
              dur - self.child_ns, args)
         )
 
 
 class Tracer:
-    """Collects spans and instants across every thread of the process."""
+    """Collects one thread's spans and instants, plus adopted lanes."""
 
     enabled = True
 
-    def __init__(self, ring_capacity: int = DEFAULT_RING_CAPACITY):
-        self.ring_capacity = ring_capacity
+    def __init__(self, ring_capacity: int | None = None):
+        # Records per lane; None (the CLI's unset --ring-capacity)
+        # means the default.
+        self.ring_capacity = ring_capacity or DEFAULT_RING_CAPACITY
         self.epoch_ns = time.monotonic_ns()
-        self._local = threading.local()
-        self._logs: list[_ThreadLog] = []
-        self._adopted: dict[str, _ThreadLog] = {}
-        self._lock = threading.Lock()
+        self._own = _Ring(
+            threading.current_thread().name, self.ring_capacity
+        )
+        self._stack: list[Span] = []
+        # Lane -> ring: the own lane first, then adopted lanes in
+        # adoption order — the order records() yields them in.
+        self._rings: dict[str, _Ring] = {self._own.lane: self._own}
 
     # -- recording -----------------------------------------------------------
 
@@ -160,65 +163,45 @@ class Tracer:
     def instant(self, name: str, lane: str | None = None,
                 **args: Any) -> None:
         """Record a point event (suspension, rollback, cache clear...)."""
-        log = self._thread_log()
         ctx = _qctx.get_query_context()
         if ctx is not None:
             args.setdefault("qid", ctx.query_id)
-        log.append(
-            (name, lane, time.monotonic_ns(), INSTANT, len(log.stack),
+        self._own.append(
+            (name, lane, time.monotonic_ns(), INSTANT, len(self._stack),
              0, args or None)
         )
 
-    def _thread_log(self) -> _ThreadLog:
-        log = getattr(self._local, "log", None)
-        if log is None:
-            log = _ThreadLog(
-                threading.current_thread().name, self.ring_capacity
-            )
-            self._local.log = log
-            with self._lock:
-                self._logs.append(log)
-        return log
-
-    def adopt(self, thread_name: str, records: list[SpanRecord]) -> None:
+    def adopt(self, lane: str, records: list[SpanRecord]) -> None:
         """Ingest records produced outside this process.
 
         Process-pool workers repatriate their span tuples with each
         reply; the parent files them under a synthetic lane (e.g.
         ``proc-worker-3``) so the Chrome export and the doctor's lane
-        accounting see worker rows exactly like thread rows.  Worker
+        accounting see worker rows exactly like the own lane's.  Worker
         timestamps come from the same system-wide ``CLOCK_MONOTONIC``,
         so they line up against this tracer's epoch unchanged.
         """
-        with self._lock:
-            log = self._adopted.get(thread_name)
-            if log is None:
-                log = _ThreadLog(thread_name, self.ring_capacity)
-                self._adopted[thread_name] = log
-                self._logs.append(log)
+        ring = self._rings.get(lane)
+        if ring is None:
+            ring = self._rings[lane] = _Ring(lane, self.ring_capacity)
         for record in records:
-            log.append(tuple(record))
+            ring.append(tuple(record))
 
     # -- reading -------------------------------------------------------------
 
     def records(self) -> Iterator[tuple[str, SpanRecord]]:
-        """Yield ``(thread_name, record)`` across all threads, in each
-        thread's recording order."""
-        with self._lock:
-            logs = list(self._logs)
-        for log in logs:
-            for record in log.in_order():
-                yield log.thread_name, record
+        """Yield ``(lane, record)`` pairs, each lane in recording order."""
+        for ring in self._rings.values():
+            for record in ring.in_order():
+                yield ring.lane, record
 
     @property
     def n_records(self) -> int:
-        with self._lock:
-            return sum(len(log.records) for log in self._logs)
+        return sum(len(ring.records) for ring in self._rings.values())
 
     @property
     def n_dropped(self) -> int:
-        with self._lock:
-            return sum(log.dropped for log in self._logs)
+        return sum(ring.dropped for ring in self._rings.values())
 
     def total_ns(self, name: str) -> int:
         """Summed duration of every span with ``name`` (instants = 0)."""

@@ -39,12 +39,10 @@ from repro.obs import baseline
 from repro.obs.critpath import BUCKETS
 
 __all__ = [
-    "RunSummary",
     "TraceDiff",
     "DiffEntry",
     "diff_runs",
     "load_wide_events",
-    "summarize",
 ]
 
 # A delta smaller than both bands is noise, not a regression.
@@ -83,40 +81,6 @@ def _to_record(event: dict[str, Any]) -> baseline.RunRecord:
     return baseline.RunRecord(
         event["fingerprint"], metrics, {"query": event.get("query", "")}
     )
-
-
-@dataclass
-class RunSummary:
-    """One side's per-fingerprint aggregate."""
-
-    query: str
-    n_events: int = 0
-    wall_ms: float = 0.0
-    path_ms: float | None = None
-    buckets: dict[str, float] = field(default_factory=dict)
-    prefixes: dict[str, float] = field(default_factory=dict)
-
-
-def summarize(
-    events: Iterable[dict[str, Any]],
-) -> dict[str, RunSummary]:
-    """Aggregate events by fingerprint (median over repeats)."""
-    records = [_to_record(event) for event in events]
-    out: dict[str, RunSummary] = {}
-    for record in records:
-        out.setdefault(record.bench, RunSummary(record.meta["query"]))
-    medians = baseline.median_by_metric(records)
-    for (fp, metric), (value, n) in medians.items():
-        summary = out[fp]
-        if metric == "wall_ms":
-            summary.wall_ms, summary.n_events = value, n
-        elif metric == "path_ms":
-            summary.path_ms = value
-        elif metric.startswith(_PREFIX):
-            summary.prefixes[metric[len(_PREFIX):]] = value
-        elif value:
-            summary.buckets[metric[len(_BUCKET):]] = value
-    return out
 
 
 @dataclass

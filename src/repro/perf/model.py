@@ -113,11 +113,15 @@ class QueryTiming:
     cpu_busy_s: float  # thread-seconds of host CPU actually burned
 
     @property
+    def host_s(self) -> float:
+        """The host remainder: MonetDB overlaps its scan I/O with its
+        processing, then pays any swap."""
+        return max(self.cpu_s, self.io_s) + self.swap_s
+
+    @property
     def runtime_s(self) -> float:
-        """Table Tasks run, then the host remainder; MonetDB overlaps
-        the remainder's scan I/O with its processing."""
-        host_part = max(self.cpu_s, self.io_s) + self.swap_s
-        return QUERY_OVERHEAD_S + self.device_s + host_part
+        """Table Tasks run, then the host remainder."""
+        return QUERY_OVERHEAD_S + self.device_s + self.host_s
 
     @property
     def device_fraction(self) -> float:

@@ -42,11 +42,6 @@ class MultiDeviceTiming:
     host_s: float
     merge_s: float
 
-    @property
-    def speedup_vs_one(self) -> float:
-        one = self.device_s * self.n_devices + self.host_s + self.merge_s
-        return one / max(self.runtime_s, 1e-12)
-
 
 class MultiDeviceModel:
     """Distribute a query's device work over ``n_devices`` SSDs.
@@ -74,14 +69,13 @@ class MultiDeviceModel:
             * trace.aquoman_output_bytes
             / BASELINE_READ_BANDWIDTH
         )
-        host_s = single.runtime_s - single.device_s - QUERY_OVERHEAD_S
-        runtime = QUERY_OVERHEAD_S + device_each + host_s + merge_s
+        runtime = QUERY_OVERHEAD_S + device_each + single.host_s + merge_s
         return MultiDeviceTiming(
             query=trace.query,
             n_devices=self.n_devices,
             runtime_s=runtime,
             device_s=device_each,
-            host_s=host_s,
+            host_s=single.host_s,
             merge_s=merge_s,
         )
 

@@ -99,13 +99,6 @@ def collect_traces(
     return out
 
 
-def evaluate_tpch(
-    catalog, target_sf: float = 1000.0, queries=ALL_QUERIES
-) -> EvaluationReport:
-    """Traces + timing in one call (the Fig. 16 pipeline)."""
-    return collect_traces(catalog, queries, target_sf).report(target_sf)
-
-
 def run_records(report: EvaluationReport, meta=None):
     """Distil one evaluation into baseline run records.
 

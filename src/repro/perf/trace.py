@@ -142,10 +142,6 @@ class QueryTrace:
         )
         self.record_flash(table, column, pages_read * page_bytes)
 
-    @property
-    def total_pages_skipped(self) -> int:
-        return sum(self.flash_pages_skipped.values())
-
     def record_op(self, op: OpTrace) -> None:
         self.ops.append(op)
         self.total_intermediate_bytes += op.bytes_out

@@ -1,6 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -92,6 +93,28 @@ class TestCli:
             captured.err
         )
         assert "coverage undercounts" in captured.out
+
+    def test_doctor_warns_about_dropped_spans_once(self, capsys):
+        code = main(["doctor", "6", "--sf", "0.001", "--ring-capacity", "8"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).count("spans dropped") == 1
+
+    def test_options_in_the_docstring_exist(self, capsys):
+        # An option belongs to the last command named before it.
+        import repro.__main__ as cli
+
+        command, checked = None, 0
+        for token in re.findall(r"``([^`]+)``", cli.__doc__):
+            if re.fullmatch(r"[a-z]+( [a-z]+)?", token):
+                command = token.split()
+            elif token.startswith("--"):
+                with pytest.raises(SystemExit):
+                    main([*command, "--help"])
+                out = capsys.readouterr().out
+                assert token.split()[0] in out, (command, token)
+                checked += 1
+        assert checked >= 8
 
     def test_query_with_trace_out(self, capsys, tmp_path):
         trace = tmp_path / "q01.trace.json"

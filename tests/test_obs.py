@@ -32,6 +32,12 @@ def spans_named(tracer, name):
     return [rec for _, rec in tracer.records() if rec[0] == name]
 
 
+def export(tracer):
+    return chrome_trace(
+        list(tracer.records()), tracer.epoch_ns, tracer.n_dropped
+    )
+
+
 class TestSpans:
     def test_nesting_depth_and_self_time(self):
         t = Tracer()
@@ -60,25 +66,28 @@ class TestSpans:
         assert rec[3] == INSTANT
         assert rec[1] == "device"
 
-    def test_threads_record_without_shared_state(self):
-        t = Tracer()
-
-        def work(i):
-            for _ in range(50):
-                with t.span(f"w{i}"):
-                    pass
-
-        threads = [
-            threading.Thread(target=work, args=(i,), name=f"worker-{i}")
-            for i in range(4)
-        ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert t.n_records == 200
-        for i in range(4):
-            assert len(spans_named(t, f"w{i}")) == 50
+    def test_own_lane_then_adopted_lanes_each_wrapping(self):
+        t = Tracer(ring_capacity=4)
+        worker = [("morsel.span", None, i, 1, 0, 1, None) for i in range(6)]
+        with t.span("outer"):
+            t.adopt("proc-worker-1", worker)
+            with t.span("inner"):
+                pass
+        t.adopt("proc-worker-0", worker[:2])
+        t.adopt("proc-worker-1", worker[:1])
+        lanes = [lane for lane, _ in t.records()]
+        assert lanes == ["MainThread"] * 2 + ["proc-worker-1"] * 4 \
+            + ["proc-worker-0"] * 2
+        # proc-worker-1 took 7 records into 4 slots: the oldest 3 went.
+        adopted = [rec for lane, rec in t.records() if lane == "proc-worker-1"]
+        assert [rec[2] for rec in adopted] == [3, 4, 5, 0]
+        assert t.n_records == 8
+        assert t.n_dropped == 3
+        inner, outer = (rec for lane, rec in t.records()
+                        if lane == "MainThread")
+        assert (inner[0], inner[4]) == ("inner", 1)
+        assert (outer[0], outer[4]) == ("outer", 0)
+        assert outer[5] == outer[3] - inner[3]
 
     def test_ring_buffer_wraps_and_counts_drops(self):
         t = Tracer(ring_capacity=8)
@@ -195,7 +204,7 @@ class TestChromeExport:
             pass
         with t.span("dev", lane="device"):
             pass
-        doc = chrome_trace(t)
+        doc = export(t)
         names = {
             e["args"]["name"]: e["tid"]
             for e in doc["traceEvents"]
@@ -213,14 +222,18 @@ class TestChromeExport:
         assert validate_chrome_trace([]) != []
         assert validate_chrome_trace({"traceEvents": "nope"}) != []
         bad = {"traceEvents": [{"ph": "X", "name": "x", "ts": 0}]}
-        assert any("missing" in p for p in validate_chrome_trace(bad))
+        assert "$.traceEvents[0]: missing required key 'dur'" in (
+            validate_chrome_trace(bad)
+        )
         negative = {
             "traceEvents": [
                 {"ph": "X", "name": "x", "ts": 0, "dur": -5,
                  "pid": 1, "tid": 0}
             ]
         }
-        assert any("negative" in p for p in validate_chrome_trace(negative))
+        assert validate_chrome_trace(negative) == [
+            "$.traceEvents[0].dur: -5 is below the minimum 0"
+        ]
 
 
 class TestPrometheusExport:
@@ -313,7 +326,7 @@ class TestExecutorIntegration:
             tiny_db, DeviceConfig(scale_ratio=1e5), tracer=t
         )
         sim.run(tpch.query(6), query="q06")
-        doc = chrome_trace(t)
+        doc = export(t)
         lanes = set(doc["otherData"]["lanes"])
         assert "device" in lanes
         assert "device.row_selector" in lanes

@@ -4,12 +4,19 @@ import pytest
 
 from repro import tpch
 from repro.core import AquomanSimulator, DeviceConfig
-from repro.perf.model import AQUOMAN_40GB, HOST_L, HOST_S, SystemModel
+from repro.perf.model import (
+    AQUOMAN_40GB,
+    HOST_L,
+    HOST_S,
+    QUERY_OVERHEAD_S,
+    SystemModel,
+)
 from repro.perf.scaleout import (
     MultiDeviceModel,
     concurrent_makespan,
 )
-from repro.perf.tpch_eval import collect_traces
+from repro.perf.scaling import scale_trace
+from repro.perf.tpch_eval import GROUP_DOMAINS, collect_traces
 from repro.perf.trace import OpTrace, QueryTrace
 from repro.perf.validation import (
     prototype_device_seconds,
@@ -49,6 +56,37 @@ class TestMultiDevice:
     def test_requires_positive_devices(self):
         with pytest.raises(ValueError):
             MultiDeviceModel(SystemModel(HOST_S, AQUOMAN_40GB), 0)
+
+    @pytest.mark.parametrize("target_sf", [None, 1000.0])
+    def test_host_term_is_the_models_own(self, small_db, target_sf):
+        # Scale-out used to back host_s out of runtime_s by subtraction;
+        # it now reads QueryTiming.host_s.  Over the 22 SF-0.01 traces
+        # both agree to 1e-12 of the query's runtime (the subtraction's
+        # own cancellation error lives at that scale), and runtime_s to
+        # 1e-12 relative.
+        config = DeviceConfig(scale_ratio=1000.0 / small_db.scale_factor)
+        base = SystemModel(HOST_S, AQUOMAN_40GB)
+        for n in tpch.ALL_QUERIES:
+            trace = AquomanSimulator(small_db, config).run(
+                tpch.query(n)
+            ).trace
+            if target_sf is not None:
+                trace = scale_trace(
+                    trace, target_sf, group_domains=GROUP_DOMAINS
+                )
+            single = base.time_query(trace)
+            subtracted = single.runtime_s - single.device_s \
+                - QUERY_OVERHEAD_S
+            for n_devices in (1, 4):
+                got = MultiDeviceModel(base, n_devices).time_query(trace)
+                assert got.host_s == pytest.approx(
+                    subtracted, rel=0, abs=1e-12 * single.runtime_s
+                )
+                assert got.runtime_s == pytest.approx(
+                    QUERY_OVERHEAD_S + got.device_s + subtracted
+                    + got.merge_s,
+                    rel=1e-12,
+                )
 
 
 class TestConcurrentMakespan:
