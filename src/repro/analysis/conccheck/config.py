@@ -64,7 +64,7 @@ def default_config() -> LintConfig:
             "repro.engine.morsel:_reduce",
             "repro.engine.morsel:pack_partial",
             "repro.engine.morsel:unpack_partial",
-            "repro.engine.morsel:_concat_relations",
+            "repro.engine.relation:Relation.concat",
             "repro.engine.procpool:absorb_obs",
             "repro.faults.injector:FaultInjector.absorb",
         ),

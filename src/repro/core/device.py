@@ -671,24 +671,24 @@ class AquomanDevice:
             tuple(args["aggregates"]),
             args.get("having"),
         )
+        out, groups = aggregate_relation(rel, plan, scalar_executor)
         key_arrays = [rel.column(k) for k in plan.keys]
         if key_arrays and rel.nrows:
             # The hash-table model: spills counted against 1024
             # buckets.  Spilled rows are accumulated by the host
-            # (Sec. VI-E); the functional result below is exact.
+            # (Sec. VI-E); the functional result above is exact.  The
+            # zipped identifiers are one-to-one with the key tuples, so
+            # the grouping's count is their distinct count.
             widths = [4 if a.kind is Kind.STR else 8 for a in key_arrays]
             zipped, id_bytes = zip_group_columns(
                 [a.values for a in key_arrays], widths
             )
-            stats = self.groupby_accel.run(
-                zipped,
-                {"@count": np.ones(rel.nrows, dtype=np.int64)},
-                {"@count": "cnt"},
-                group_id_bytes=id_bytes,
+            spilled_groups, spilled_rows = self.groupby_accel.spills(
+                zipped, groups.n_groups, group_id_bytes=id_bytes
             )
-            self.meters.spilled_groups += stats.n_spilled_groups
-            self.meters.spilled_rows += len(stats.spilled_rows)
-        return aggregate_relation(rel, plan, scalar_executor)[0]
+            self.meters.spilled_groups += spilled_groups
+            self.meters.spilled_rows += spilled_rows
+        return out
 
     def _swiss_sort(self, stream: Relation, args: dict) -> Relation:
         key = args["key"]

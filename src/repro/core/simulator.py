@@ -48,11 +48,15 @@ from repro.engine.operators.relational import (
     join_pairs,
     pair_relation,
 )
-from repro.engine.relation import Relation, typed_array_from_column
+from repro.engine.relation import (
+    Relation,
+    select_rows,
+    typed_array_from_column,
+)
 from repro.obs import METRICS, NULL_TRACER, NullTracer, Tracer
 from repro.obs.qlog import query_scope
 from repro.perf.trace import OpTrace, QueryTrace
-from repro.sqlir.expr import Expr, TypedArray
+from repro.sqlir.expr import Expr
 from repro.sqlir.plan import Aggregate, Join, JoinKind, Plan, Scan
 from repro.storage.catalog import join_index_name
 from repro.storage.layout import FlashLayout
@@ -289,7 +293,9 @@ class DeviceExecutor:
         self.device.charge_base(left, fk_table, index_column)
         left_rowids = left.rowid_map[fk_table]
         base = self.catalog.table(fk_table)
-        right_rowids = base.column(index_column).values[left_rowids]
+        right_rowids = base.column(index_column).values[left_rowids].astype(
+            np.int64, copy=False
+        )
 
         columns = dict(left.relation.columns)
         origin = dict(left.origin)
@@ -298,14 +304,14 @@ class DeviceExecutor:
             if name in columns:
                 raise ValueError(f"join column collision on {name!r}")
             _, base_name = right.origin[name]
-            src = typed_array_from_column(ref.column(base_name))
-            columns[name] = TypedArray(
-                src.values[right_rowids], src.kind, src.scale, src.heap
+            columns[name] = select_rows(
+                typed_array_from_column(ref.column(base_name)),
+                right_rowids,
             )
             origin[name] = (fk.ref_table, base_name)
 
         rowid_map = dict(left.rowid_map)
-        rowid_map[fk.ref_table] = right_rowids.astype(np.int64)
+        rowid_map[fk.ref_table] = right_rowids
         out = DeviceStream(
             relation=Relation(columns),
             rowid_map=rowid_map,

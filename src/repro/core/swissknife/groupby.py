@@ -115,18 +115,7 @@ class AggregateGroupBy:
             )
 
         group_ids = group_ids.astype(np.int64)
-        buckets = bucket_of(group_ids, self.n_buckets).astype(np.int64)
-
-        # First group identifier to claim each bucket wins it (the
-        # hardware keeps one and spills the rest, Sec. VI-C).
-        order = np.arange(n, dtype=np.int64)
-        bucket_owner = np.full(self.n_buckets, -1, dtype=np.int64)
-        first_claim = np.full(self.n_buckets, n, dtype=np.int64)
-        np.minimum.at(first_claim, buckets, order)
-        claimed = first_claim < n
-        bucket_owner[claimed] = group_ids[first_claim[claimed]]
-
-        wins = bucket_owner[buckets] == group_ids
+        wins, _ = self._claims(group_ids)
         spilled_rows = np.flatnonzero(~wins)
         n_spilled_groups = (
             len(np.unique(group_ids[spilled_rows])) if len(spilled_rows) else 0
@@ -171,6 +160,41 @@ class AggregateGroupBy:
             spilled_rows=spilled_rows,
             n_spilled_groups=n_spilled_groups,
         )
+
+    def spills(
+        self, group_ids: np.ndarray, n_distinct: int,
+        group_id_bytes: int = 8,
+    ) -> tuple[int, int]:
+        """``(n_spilled_groups, n_spilled_rows)`` of :meth:`run` on
+        ``group_ids``, which hold ``n_distinct`` distinct identifiers,
+        without reducing the winners.
+
+        A bucket's owner wins on every row and any other identifier
+        spills on every row, so the spilled groups are the distinct
+        identifiers less the claimed buckets.
+        """
+        n = len(group_ids)
+        self.rows_reduced += n
+        if group_id_bytes > self.max_group_id_bytes:
+            return n_distinct, n
+        wins, claimed = self._claims(group_ids.astype(np.int64))
+        return (
+            n_distinct - int(np.count_nonzero(claimed)),
+            n - int(np.count_nonzero(wins)),
+        )
+
+    def _claims(self, group_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row: does its identifier own its bucket?  Per bucket: is
+        it claimed?  The first identifier to reach a bucket owns it (the
+        hardware keeps one and spills the rest, Sec. VI-C)."""
+        n = len(group_ids)
+        buckets = bucket_of(group_ids, self.n_buckets)
+        first_claim = np.full(self.n_buckets, n, dtype=np.int64)
+        np.minimum.at(first_claim, buckets, np.arange(n, dtype=np.int64))
+        claimed = first_claim < n
+        bucket_owner = np.full(self.n_buckets, -1, dtype=np.int64)
+        bucket_owner[claimed] = group_ids[first_claim[claimed]]
+        return bucket_owner[buckets] == group_ids, claimed
 
 
 def zip_group_columns(

@@ -9,9 +9,11 @@ page-aligned **morsels**; each morsel runs Row Selector → transform
 chain → partial Swissknife reduction, and the partials merge with rules
 that keep the result bit-identical to the monolithic executor.  A span
 is its window of rows plus one ascending selection of them: a column
-first read under the whole window streams as a slice, anything read
-later is gathered at the selected rows only, and page-skip accounting
-asks once per selection which pages those rows land on.  The rules:
+first read under the whole window streams as a slice, anything else is
+the base column selected at the surviving rows — gathered there only
+when an operator reads it, in the span or above the fragment — and
+page-skip accounting asks once per selection which pages those rows
+land on.  The rules:
 
 - Filter/Project chains concatenate in morsel order (row-wise pure
   expressions commute with splitting);
@@ -79,7 +81,11 @@ from repro.engine.operators.relational import (
     project_relation,
     sort_relation,
 )
-from repro.engine.relation import Relation, typed_array_from_column
+from repro.engine.relation import (
+    Relation,
+    select_rows,
+    typed_array_from_column,
+)
 from repro.flash.channels import ChannelMeter
 from repro.obs import METRICS
 from repro.obs.context import set_degraded
@@ -401,6 +407,12 @@ class SpanRunner:
             self.bottom = (PredicateProgram(()), None, [])
             self.upper_steps = steps
         self.selector = RowSelector(n_evaluators=HOST_CP_EVALUATORS)
+        # Each scan column lifted once, for spans to select from; never
+        # read itself, so nothing of it is gathered or widened here.
+        self.lifted = {
+            name: typed_array_from_column(table.column(name))
+            for name in scan_names
+        }
         # Whether spans skip the partial reduce: None until the first
         # span with rows has shown what a reduce keeps.  Per runner, so
         # each pool worker decides from the first span it executes.
@@ -555,7 +567,10 @@ class SpanRunner:
         streamed = {
             name: self._stream(name, reads) for name in program.columns
         }
-        local = self.selector.select(program, streamed, nrows).indices()
+        local = (
+            self.selector.select(program, streamed, nrows).indices()
+            if len(program) else np.arange(nrows)
+        )
         if leftover is not None:
             cut = self._cut(leftover_reads, local, streamed, reads)
             keep = np.flatnonzero(predicate_mask(cut, leftover))
@@ -576,29 +591,31 @@ class SpanRunner:
     ) -> Relation:
         """The named columns at the window's ascending ``local`` rows.
 
-        A column is read one of three ways.  Under a selection that is
-        the whole window it streams: a slice, charged every page, and
-        kept in ``streamed``.  A column already in ``streamed`` is
-        re-cut from that read.  Anything else is gathered at the
-        selected rows only, so flash pages with no survivor are neither
-        read nor charged — the Table Reader's page skip, end to end.
-        A column is charged under the selection it is first read under.
+        Under a selection that is the whole window a column streams: a
+        slice, charged every page, and kept in ``streamed``.  Under any
+        other, every column is the base column selected at the rows'
+        global ids, gathered when an operator reads it; one not
+        streamed is charged only the pages those rows land on, so flash
+        pages with no survivor are neither read nor charged — the Table
+        Reader's page skip, end to end.  A column is charged under the
+        selection it is first read under.
         """
         whole = len(local) == reads.hi - reads.lo
         rowids = None
         columns = {}
         for name in names:
-            col = self.table.column(name)
-            if whole and name not in streamed:
-                streamed[name] = self._stream(name, reads)
-            if name in streamed:
-                raw = streamed[name] if whole else streamed[name][local]
-            else:
-                if rowids is None:
-                    rowids = reads.lo + local  # once per selection
+            if whole:
+                if name not in streamed:
+                    streamed[name] = self._stream(name, reads)
+                columns[name] = typed_array_from_column(
+                    self.table.column(name), streamed[name]
+                )
+                continue
+            if rowids is None:
+                rowids = reads.lo + local  # once per selection
+            if name not in streamed:
                 reads.rows(name, rowids)
-                raw = col.gather_raw(rowids)
-            columns[name] = typed_array_from_column(col, raw)
+            columns[name] = select_rows(self.lifted[name], rowids)
         return Relation(columns)
 
 
@@ -718,7 +735,7 @@ class MorselExecutor:
             with self.tracer.span("morsel.merge",
                                   kind=self.fragment.kind):
                 result = _reduce(
-                    _concat_relations([p.relation for p in partials]),
+                    Relation.concat([p.relation for p in partials]),
                     self.fragment, merge=True,
                     subquery_executor=self.engine.scalar,
                 )
@@ -902,18 +919,3 @@ def _reduce(
     # A span sees only part of each group: HAVING waits for the merge.
     plan = merge_plan(terminal) if merge else replace(terminal, having=None)
     return aggregate_relation(rel, plan, subquery_executor)[0]
-
-
-def _concat_relations(parts: list[Relation]) -> Relation:
-    head = parts[0]
-    columns: dict[str, TypedArray] = {}
-    for name in head.names:
-        arrays = [p.column(name) for p in parts]
-        proto = arrays[0]
-        columns[name] = TypedArray(
-            np.concatenate([a.values for a in arrays]),
-            proto.kind,
-            proto.scale,
-            proto.heap,
-        )
-    return Relation(columns)

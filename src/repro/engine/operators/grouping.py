@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.operators.joins import DIRECT_SPAN_FACTOR, direct_window
+from repro.engine.operators.sorting import RADIX_CELLS, stable_order
 
 
 @dataclass
@@ -34,12 +35,13 @@ def group_rows(key_columns: list[np.ndarray], nrows: int = 0) -> GroupedKeys:
     With no key columns, all ``nrows`` rows fall into a single global
     group (SQL's implicit group for aggregate-only queries).
 
-    Two routes, chosen from the inputs alone, give the same numbering:
+    Three routes, chosen from the inputs alone, give the same numbering:
     integer keys whose value grid — the product of the per-key spans
     ``max - min + 1`` — has at most ``DIRECT_SPAN_FACTOR`` cells per
     row are numbered through a table indexed by the mixed-radix cell
-    (the accelerator's look-up, Sec. VI-C); anything else (floats,
-    sparse or composite-overflowing keys) is sorted.
+    (the accelerator's look-up, Sec. VI-C); anything else is sorted —
+    the cells by radix passes while the grid fits 48 bits, the key
+    tuples (floats, wider grids) by comparison.
     """
     if not key_columns:
         return GroupedKeys(
@@ -54,16 +56,23 @@ def group_rows(key_columns: list[np.ndarray], nrows: int = 0) -> GroupedKeys:
             group_of_row=np.empty(0, dtype=np.int64),
             representative=np.empty(0, dtype=np.int64),
         )
-    cell = _grid_cells(keys)
-    if cell is None:
+    grid = _grid_cells(keys, RADIX_CELLS)
+    if grid is None:
         return _group_sorted(keys)
-    return _group_direct(*cell)
+    cell, cells = grid
+    if cells <= DIRECT_SPAN_FACTOR * n:
+        return _group_direct(cell, cells)
+    return _group_sorted([cell], stable_order(cell, cells))
 
 
-def _grid_cells(keys: list[np.ndarray]) -> tuple[np.ndarray, int] | None:
+def _grid_cells(
+    keys: list[np.ndarray], budget: int | None = None
+) -> tuple[np.ndarray, int] | None:
     """Each row's cell in the keys' value grid, and the grid's size;
-    None when the grid is not integer or over the cell budget."""
-    budget = DIRECT_SPAN_FACTOR * len(keys[0])
+    None when the grid is not integer or over ``budget`` cells (by
+    default the direct route's, ``DIRECT_SPAN_FACTOR`` per row)."""
+    if budget is None:
+        budget = DIRECT_SPAN_FACTOR * len(keys[0])
     cell, cells = None, 1
     for key in keys:
         window = direct_window(key, budget // cells)
@@ -90,31 +99,33 @@ def _group_direct(cell: np.ndarray, cells: int) -> GroupedKeys:
     return GroupedKeys(table[cell], representative)
 
 
-def _group_sorted(keys: list[np.ndarray]) -> GroupedKeys:
-    """Lexicographic factorisation: sort rows by the key tuple, mark
-    boundaries, then renumber groups by first appearance."""
+def _group_sorted(
+    keys: list[np.ndarray], order: np.ndarray | None = None
+) -> GroupedKeys:
+    """Factorise through ``order``, a stable sort of the rows by the key
+    tuple (by default the comparison sort's): mark where the tuple
+    changes, then renumber the groups by first appearance.  Stability
+    makes the first row of each sorted run its group's first row."""
+    if order is None:
+        order = np.lexsort(tuple(reversed(keys)))
     n = len(keys[0])
-    order = np.lexsort(tuple(reversed(keys)))
     boundaries = np.zeros(n, dtype=np.bool_)
     boundaries[0] = True
     for key in keys:
         ordered = key[order]
         boundaries[1:] |= ordered[1:] != ordered[:-1]
     sorted_gid = np.cumsum(boundaries) - 1
-
-    gid_by_row = np.empty(n, dtype=np.int64)
-    gid_by_row[order] = sorted_gid
+    first_seen = order[boundaries]
 
     # Renumber so group ids follow first appearance in input order.
-    first_seen = np.full(int(sorted_gid[-1]) + 1, n, dtype=np.int64)
-    np.minimum.at(first_seen, gid_by_row, np.arange(n, dtype=np.int64))
-    appearance_rank = np.argsort(np.argsort(first_seen, kind="stable"))
-    group_of_row = appearance_rank[gid_by_row]
-
-    n_groups = len(first_seen)
-    representative = np.empty(n_groups, dtype=np.int64)
-    representative[appearance_rank] = first_seen
-    return GroupedKeys(group_of_row, representative)
+    by_appearance = stable_order(first_seen, n)
+    appearance_rank = np.empty(len(first_seen), dtype=np.int64)
+    appearance_rank[by_appearance] = np.arange(
+        len(first_seen), dtype=np.int64
+    )
+    group_of_row = np.empty(n, dtype=np.int64)
+    group_of_row[order] = appearance_rank[sorted_gid]
+    return GroupedKeys(group_of_row, first_seen[by_appearance])
 
 
 def aggregate_sum(values: np.ndarray, groups: GroupedKeys) -> np.ndarray:

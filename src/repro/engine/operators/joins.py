@@ -12,7 +12,8 @@ of two routes chosen from the inputs alone:
   (the usual primary-key case) needs no sort at all.
 * **sort + binary search** — everything else (non-integer keys,
   composite keys spanning ~10^12, spans beyond int64): sort the build
-  side, ``searchsorted`` the probe keys, the way MonetDB joins unsorted
+  side — by radix passes while its integer span fits 48 bits —,
+  ``searchsorted`` the probe keys, the way MonetDB joins unsorted
   inputs.
 
 Both routes describe the matches as ``(order, lo, counts)`` and share
@@ -24,6 +25,8 @@ predicate is involved, short-circuit to a membership test).
 from __future__ import annotations
 
 import numpy as np
+
+from repro.engine.operators.sorting import RADIX_CELLS, stable_order
 
 # Table cells the direct-address route may spend per input row
 # (len(left) + len(right)); keeps its scratch memory O(rows).
@@ -72,7 +75,14 @@ def inner_join_indices(
 
 def _probe_sorted(left_keys: np.ndarray, right_keys: np.ndarray) -> _Probe:
     """Sort the build side, binary-search every probe key into it."""
-    order = np.argsort(right_keys, kind="stable")
+    window = direct_window(right_keys, RADIX_CELLS)
+    if window is None:
+        order = np.argsort(right_keys, kind="stable")
+    else:
+        kmin, span = window
+        order = stable_order(
+            np.subtract(right_keys, kmin, dtype=np.int64), span
+        )
     sorted_right = right_keys[order]
     lo = np.searchsorted(sorted_right, left_keys, side="left")
     hi = np.searchsorted(sorted_right, left_keys, side="right")
@@ -109,7 +119,7 @@ def _probe_direct(
         slot = np.empty(span + 1, dtype=np.int64)
         slot[right_cell] = np.arange(len(right_keys), dtype=np.int64)
         return slot, left_cell, counts
-    order = np.argsort(right_cell, kind="stable")
+    order = stable_order(right_cell, span)
     starts = np.cumsum(per_key) - per_key
     return order, starts[left_cell], counts
 

@@ -42,6 +42,10 @@ class TypedArray:
     def __len__(self) -> int:
         return len(self.values)
 
+    @property
+    def nbytes(self) -> int:
+        return self.values.nbytes
+
     def rescaled(self, scale: int) -> "TypedArray":
         """Re-express a fixed-point array at a higher scale."""
         if self.kind is not Kind.INT:
@@ -463,16 +467,21 @@ def _eval_substring(expr: Substring, ctx: EvalContext) -> TypedArray:
     return TypedArray(code_map[column.values], Kind.STR, 0, out_heap)
 
 
+def _repeat(value, nrows: int, dtype) -> np.ndarray:
+    """``value`` on every row: a read-only view with stride 0, so a
+    constant costs no buffer and no fill (nothing writes in place)."""
+    return np.broadcast_to(np.asarray(value, dtype=dtype), (nrows,))
+
+
 def _broadcast_literal(expr: Literal, ctx: EvalContext) -> TypedArray:
     if expr.kind is Kind.STR:
         # String literals stay as Python strings until compared against a
         # column, whose heap defines the code space.
-        return TypedArray(
-            np.full(ctx.nrows, -1, dtype=np.int64), Kind.STR, 0, None
-        )
+        return TypedArray(_repeat(-1, ctx.nrows, np.int64), Kind.STR, 0, None)
     dtype = np.float64 if expr.kind is Kind.FLOAT else np.int64
-    values = np.full(ctx.nrows, expr.raw, dtype=dtype)
-    return TypedArray(values, expr.kind, expr.scale)
+    return TypedArray(
+        _repeat(expr.raw, ctx.nrows, dtype), expr.kind, expr.scale
+    )
 
 
 def _align(left: TypedArray, right: TypedArray) -> tuple:
@@ -669,7 +678,7 @@ def _eval_scalar_subquery(expr: ScalarSubquery, ctx: EvalContext):
     value = cached.values[0] if len(cached.values) else 0
     dtype = np.float64 if cached.kind is Kind.FLOAT else np.int64
     return TypedArray(
-        np.full(ctx.nrows, value, dtype=dtype), cached.kind, cached.scale
+        _repeat(value, ctx.nrows, dtype), cached.kind, cached.scale
     )
 
 

@@ -112,16 +112,6 @@ class Column:
         """
         return self.values[lo:hi]
 
-    def gather_raw(self, row_ids: np.ndarray) -> np.ndarray:
-        """Raw values at the given rows (fancy-indexed copy).
-
-        On an mmap-backed column fancy indexing faults in only the
-        pages holding the requested rows — fully-masked pages between
-        them are never touched.  This is the physical half of the Table
-        Reader's page skip; the accounting half lives in perf/trace.py.
-        """
-        return self.values[row_ids]
-
     def take(self, row_ids: np.ndarray) -> "Column":
         """Positional gather: a new column of the given rows, in order."""
         return Column(self.name, self.ctype, self.values[row_ids], self.heap)

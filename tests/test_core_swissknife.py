@@ -111,6 +111,19 @@ class TestAggregateGroupBy:
             if gid not in spilled:
                 assert total == reference[gid]
 
+    @given(st.lists(st.integers(0, 400), min_size=1, max_size=300),
+           st.sampled_from([2, 16, 1024]), st.sampled_from([8, 20]))
+    @settings(max_examples=60)
+    def test_spills_count_what_run_spills(self, raw, buckets, id_bytes):
+        gids = np.array(raw, dtype=np.int64)
+        result = AggregateGroupBy(n_buckets=buckets).run(
+            gids, {"v": np.ones(len(gids), dtype=np.int64)}, {"v": "cnt"},
+            group_id_bytes=id_bytes,
+        )
+        assert AggregateGroupBy(n_buckets=buckets).spills(
+            gids, len(set(raw)), group_id_bytes=id_bytes
+        ) == (result.n_spilled_groups, len(result.spilled_rows))
+
 
 class TestZipGroupColumns:
     def test_narrow_zip_is_bitpacked(self):

@@ -19,7 +19,6 @@ from repro.engine.morsel import (
     Fragment,
     MorselConfig,
     _SpanReads,
-    _concat_relations,
     _reduce,
     extract_fragment,
     split_morsels,
@@ -29,7 +28,7 @@ from repro.engine.operators.relational import (
     partial_rows,
     sort_relation,
 )
-from repro.engine.relation import Relation
+from repro.engine.relation import Relation, SelectedArray
 from repro.flash import ChannelMeter
 from repro.flash.nand import FlashConfig
 from repro.sqlir import AggFunc, col, lit, scan
@@ -297,19 +296,17 @@ class TestSpanReads:
 class TestWholeWindow:
     """A selection that is the whole window reads slices, not row ids."""
 
-    @pytest.fixture()
-    def gathers(self, monkeypatch):
-        from repro.storage.column import Column
-
-        calls = []
-        real = Column.gather_raw
-
-        def counting(self, row_ids):
-            calls.append(self.name)
-            return real(self, row_ids)
-
-        monkeypatch.setattr(Column, "gather_raw", counting)
-        return calls
+    @staticmethod
+    def _base_selections(rel, db) -> dict[str, str]:
+        """Output column -> the lineitem column it still only selects."""
+        base = db.table("lineitem")
+        return {
+            name: source
+            for name, arr in rel.columns.items()
+            if isinstance(arr, SelectedArray) and not arr.gathered
+            for source in base.column_names
+            if arr.source is base.column(source).values
+        }
 
     def _stream(self, db, plan):
         from repro.engine import Engine
@@ -322,15 +319,17 @@ class TestWholeWindow:
         return engine.execute_relation(plan), trace
 
     # Q4's and Q21's late-line fragments: no CP term, so the two date
-    # columns are read for the predicate under the whole window and
-    # only what is left is gathered at the survivors.
+    # columns are read for the predicate under the whole window.  No
+    # span gathers: every output column is the base column selected at
+    # the survivors — one row array for the whole fragment — and is
+    # gathered when it is read.
     @pytest.mark.parametrize("columns, project", [
         (("l_orderkey", "l_commitdate", "l_receiptdate"), False),
         (("l_orderkey", "l_suppkey", "l_receiptdate", "l_commitdate"),
          True),
     ])
     def test_predicate_columns_are_never_gathered(
-        self, small_db, gathers, columns, project
+        self, small_db, columns, project
     ):
         from repro.engine import Engine
 
@@ -342,17 +341,18 @@ class TestWholeWindow:
                 l3_orderkey=col("l_orderkey"), l3_suppkey=col("l_suppkey")
             )
         streamed, trace = self._stream(small_db, node.plan)
-        spans = len(MorselConfig(morsel_rows=8192).spans_for(
-            small_db.table("lineitem").nrows
-        ))
+        selected = self._base_selections(streamed, small_db)
         rest = [c for c in columns if not c.endswith("date")]
-        assert sorted(gathers) == sorted(rest * spans)
-        gathers.clear()
+        assert sorted(selected.values()) == sorted(
+            rest if project else columns
+        )
+        rows = {id(streamed.columns[name].rows) for name in selected}
+        assert len(rows) == 1  # one row array, shared
         assert 0 < streamed.nrows < small_db.table("lineitem").nrows
         assert_identical(
             streamed, Engine(small_db).execute_relation(node.plan)
         )
-        assert not gathers  # the monolithic path never did
+        assert not self._base_selections(streamed, small_db)  # now read
         assert sum(trace.flash_pages_skipped.values()) == 0
 
     @pytest.mark.parametrize("predicate", [
@@ -360,7 +360,7 @@ class TestWholeWindow:
         col("l_commitdate") > col("l_shipdate") - lit(10_000),
     ])
     def test_every_row_passing_gathers_nothing(
-        self, small_db, gathers, predicate
+        self, small_db, predicate
     ):
         from repro.engine import Engine
 
@@ -369,7 +369,7 @@ class TestWholeWindow:
                          "l_shipdate", "l_commitdate")
         ).filter(predicate).plan
         streamed, trace = self._stream(small_db, plan)
-        assert gathers == []
+        assert self._base_selections(streamed, small_db) == {}
         assert streamed.nrows == small_db.table("lineitem").nrows
         assert_identical(streamed, Engine(small_db).execute_relation(plan))
         # Charged exactly what a bare streamed scan is: every page.
@@ -505,7 +505,7 @@ def _partial_then_merge(spans, kind, terminal):
     ``_reduce`` once more over the concatenated partials."""
     frag = Fragment(Scan("t"), (), terminal, kind)
     partials = [_reduce(span, frag, merge=False) for span in spans]
-    return _reduce(_concat_relations(partials), frag, merge=True)
+    return _reduce(Relation.concat(partials), frag, merge=True)
 
 
 class TestMergeRules:
@@ -557,7 +557,7 @@ class TestMergeRules:
                 assert (a.kind, a.scale, a.values.dtype) == (
                     b.kind, b.scale, b.values.dtype
                 )
-        merged = _reduce(_concat_relations(partials), frag, merge=True)
+        merged = _reduce(Relation.concat(partials), frag, merge=True)
         assert_identical(
             merged, _partial_then_merge(spans, "aggregate", plan)
         )

@@ -16,7 +16,7 @@ from repro.engine.operators.grouping import (
 )
 from repro.engine.operators import joins
 from repro.engine.operators.joins import inner_join_indices, semi_join_mask
-from repro.engine.operators.sorting import multi_key_order
+from repro.engine.operators.sorting import multi_key_order, stable_order
 from repro.sqlir.expr import Kind, TypedArray
 from repro.storage.stringheap import StringHeap
 
@@ -44,10 +44,12 @@ def _assert_exact_pairs(left: np.ndarray, right: np.ndarray) -> None:
 
 
 # Small integers re-encoded so that each route of the kernel is taken:
-# a shifted dense window, TPC-H-style composite keys 10^12 apart, and
-# keys saturating at both ends of int64 (span overflows int64).
+# a shifted dense window, keys 10^6 apart (sorted by radix passes),
+# TPC-H-style composite keys 10^12 apart, and keys saturating at both
+# ends of int64 (span overflows int64).
 _ENCODINGS = {
     "dense": lambda k, shift: k + shift,
+    "spread": lambda k, shift: k * 10**6 + shift,
     "sparse": lambda k, shift: k * 10**12 + shift,
     "extreme": lambda k, shift: max(I64.min, min(I64.max, k * 2**60)),
 }
@@ -306,12 +308,54 @@ class TestGroupingRoutes:
         assert not direct(rows > 5)
         assert not direct(rows.astype(np.uint64))
 
+    def test_grids_past_the_direct_budget_sort_by_radix(self, monkeypatch):
+        # Grids of 4*10^4 .. 4*10^12 cells over 300 rows: past the
+        # direct budget, within the radix one, so the cells are sorted
+        # by one to three radix passes.
+        rng = np.random.default_rng(7)
+        orders = []
+        real = grouping.stable_order
+        monkeypatch.setattr(
+            grouping, "stable_order",
+            lambda cells, span: orders.append(span) or real(cells, span),
+        )
+        for width in (10**2, 10**3, 10**6):
+            keys = [rng.integers(-width, width, 300) for _ in range(2)]
+            orders.clear()
+            _assert_routes_agree(keys)
+            grid = np.prod([int(k.max() - k.min() + 1) for k in keys])
+            assert grid > grouping.DIRECT_SPAN_FACTOR * 300
+            assert orders[0] == grid
+
     def test_keyless_group_covers_every_row(self):
         g = group_rows([], 5)
         assert g.group_of_row.tolist() == [0] * 5
         assert g.representative.tolist() == [0]
         assert aggregate_count(g).tolist() == [5]
         assert aggregate_count(g).dtype == np.int64
+
+
+class TestStableOrder:
+    @pytest.mark.parametrize("span", [1, 2, 1 << 16, (1 << 16) + 1,
+                                      1 << 32, (1 << 32) + 1, 1 << 48,
+                                      (1 << 48) + 1, 1 << 62])
+    def test_equals_the_stable_comparison_sort(self, span):
+        rng = np.random.default_rng(span % 1000)
+        cells = rng.integers(0, span, 2000, dtype=np.int64)
+        cells[::7] = span - 1  # repeats, and the top of the span
+        assert np.array_equal(
+            stable_order(cells, span), np.argsort(cells, kind="stable")
+        )
+
+    @given(st.lists(st.integers(0, 70_000), max_size=80))
+    @settings(max_examples=60)
+    def test_ties_keep_row_order(self, values):
+        cells = np.array(values, dtype=np.int64)
+        for span in (70_001, 1 << 32, 1 << 48):
+            order = stable_order(cells, span)
+            assert order.tolist() == sorted(
+                range(len(values)), key=lambda i: (values[i], i)
+            )
 
 
 class TestSorting:
