@@ -52,6 +52,7 @@ from repro.core.swissknife.groupby import (
     bucket_of,
     zip_group_columns,
 )
+from repro.engine.operators.joins import DIRECT_SPAN_FACTOR, direct_window
 from repro.sqlir.expr import ColumnRef, Expr, Kind, ScalarSubquery
 from repro.sqlir.plan import (
     Aggregate,
@@ -150,15 +151,10 @@ def _stats_cache(catalog: Any) -> dict:
 
 def column_ndv(catalog: Any, table: str, column: str) -> int:
     """Number of distinct values in a base column (cached)."""
-    cache = _stats_cache(catalog)
-    key = ("ndv", table, column)
-    if key not in cache:
-        col = catalog.table(table).column(column)
-        if col.heap is not None:
-            cache[key] = col.heap.unique_count
-        else:
-            cache[key] = int(len(np.unique(col.values)))
-    return cache[key]
+    col = catalog.table(table).column(column)
+    if col.heap is not None:
+        return col.heap.unique_count
+    return len(_column_domain(catalog, table, column))
 
 
 def _column_domain(catalog: Any, table: str,
@@ -172,8 +168,25 @@ def _column_domain(catalog: Any, table: str,
         if col.heap is not None:
             cache[key] = np.arange(col.heap.unique_count, dtype=np.int64)
         else:
-            cache[key] = np.unique(col.values.astype(np.int64))
+            cache[key] = distinct_values(col.values)
     return cache[key]
+
+
+def distinct_values(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` as int64, by one pass where one suffices:
+    the run boundaries of an ascending column, the occupied cells of a
+    direct-address table (the route joins and grouping share) when the
+    span fits ``DIRECT_SPAN_FACTOR`` cells per value, else a sort."""
+    values = np.asarray(values, dtype=np.int64)
+    if len(values) == 0:
+        return np.unique(values)
+    if bool(np.all(values[1:] >= values[:-1])):
+        return values[np.concatenate(([True], values[1:] != values[:-1]))]
+    window = direct_window(values, DIRECT_SPAN_FACTOR * len(values))
+    if window is not None:
+        kmin, _ = window
+        return np.flatnonzero(np.bincount(values - kmin)) + kmin
+    return np.unique(values)
 
 
 # ---------------------------------------------------------------------------

@@ -633,8 +633,8 @@ def pack_partial(partial: _Partial, heap_names: dict[int, str]) -> tuple:
     ``("col", name)`` tokens the parent resolves against its own
     catalog, so the merged relation carries the parent's heap objects
     exactly as inline spans would.  Expression-built heaps
-    (e.g. substring outputs) are inlined as their code-ordered string
-    list and rebuilt verbatim.
+    (e.g. substring outputs) are inlined in their stored form and
+    rebuilt verbatim.
     """
     packed_columns = []
     for name, arr in partial.relation.columns.items():
@@ -647,7 +647,7 @@ def pack_partial(partial: _Partial, heap_names: dict[int, str]) -> tuple:
             token = (
                 ("col", base_name)
                 if base_name is not None
-                else ("inline", tuple(arr.heap.strings()))
+                else ("inline", *arr.heap.stored())
             )
         packed_columns.append(
             (name, np.ascontiguousarray(arr.values), arr.kind,
@@ -674,9 +674,7 @@ def unpack_partial(packed: tuple, table) -> _Partial:
         elif token[0] == "col":
             heap = table.column(token[1]).heap
         else:
-            heap = StringHeap()
-            for value in token[1]:
-                heap.encode(value)
+            heap = StringHeap.from_stored(*token[1:])
         columns[name] = TypedArray(values, kind, scale, heap)
     return _Partial(
         Relation(columns), pages_read, pages_total, page_ids, stall_s,

@@ -7,7 +7,9 @@ shape — one raw binary file per column, one NUL-separated heap file per
 string column, one JSON manifest for schema/keys — and loads it back.
 
 Round-tripping through disk is exact: values, heaps, key metadata and
-the materialised FK join indices all survive.
+the materialised FK join indices all survive.  Loading is O(columns): a
+heap stays its file's bytes (:meth:`StringHeap.from_stored`) until a
+query reads its strings, so no Python call is made per string.
 """
 
 from __future__ import annotations
@@ -54,6 +56,30 @@ def _load_column_values(
         return np.memmap(path, dtype=dtype, mode="r", shape=(nvalues,))
     return np.fromfile(path, dtype=dtype)
 
+
+def _load_heap(path: Path, count: int | None, label: str) -> StringHeap:
+    """A string column's heap, left in its stored form.
+
+    ``count`` is the manifest's ``heap_strings``; the file must hold
+    that many strings (its NUL count plus one, or none for an empty
+    file of a 0-string heap).  A manifest written without the field
+    takes the file's own count.
+    """
+    payload = path.read_bytes()
+    held = 0
+    if payload or count:
+        # One vectorised pass; ``bytes.count`` is several times slower.
+        nonzero = np.count_nonzero(np.frombuffer(payload, dtype=np.uint8))
+        held = len(payload) - nonzero + 1
+    if count is None:
+        count = held
+    if held != count:
+        raise ValueError(
+            f"{label}: heap file holds {held} strings, manifest says {count}"
+        )
+    return StringHeap.from_stored(payload, count)
+
+
 _TYPES_BY_NAME: dict[str, ColumnType] = {
     "int32": INT32,
     "int64": INT64,
@@ -73,6 +99,9 @@ def save_catalog(catalog: Catalog, directory: str | Path) -> Path:
         <dir>/catalog.json
         <dir>/<table>/<column>.bin       raw values, native dtype
         <dir>/<table>/<column>.heap      NUL-separated unique strings
+
+    A string column's manifest entry records its heap's string count as
+    ``heap_strings``.
     """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
@@ -101,19 +130,16 @@ def save_catalog(catalog: Catalog, directory: str | Path) -> Path:
                 raw = np.ascontiguousarray(column.values).tobytes()
                 (table_dir / f"{column.name}.bin").write_bytes(raw)
                 bytes_written += len(raw)
+                meta = {
+                    "name": column.name,
+                    "type": column.ctype.kind.value,
+                    "nrows": column.nrows,
+                }
                 if column.heap is not None:
-                    payload = "\x00".join(column.heap.strings())
-                    (table_dir / f"{column.name}.heap").write_bytes(
-                        payload.encode()
-                    )
+                    payload, meta["heap_strings"] = column.heap.stored()
+                    (table_dir / f"{column.name}.heap").write_bytes(payload)
                     bytes_written += len(payload)
-                columns_meta.append(
-                    {
-                        "name": column.name,
-                        "type": column.ctype.kind.value,
-                        "nrows": column.nrows,
-                    }
-                )
+                columns_meta.append(meta)
         manifest["tables"][table_name] = columns_meta
 
     METRICS.counter(
@@ -166,13 +192,11 @@ def load_catalog(directory: str | Path, *, mmap: bool = True) -> Catalog:
                 bytes_mapped += raw.nbytes
                 heap = None
                 if ctype.is_string:
-                    heap = StringHeap()
-                    payload = (
-                        table_dir / f"{meta['name']}.heap"
-                    ).read_bytes()
-                    if payload:
-                        for value in payload.decode().split("\x00"):
-                            heap.encode(value)
+                    heap = _load_heap(
+                        table_dir / f"{meta['name']}.heap",
+                        meta.get("heap_strings"),
+                        f"{table_name}.{meta['name']}",
+                    )
                 column = Column(meta["name"], ctype, raw, heap)
                 if mmap:
                     column.source_path = table_dir / f"{meta['name']}.bin"

@@ -66,11 +66,25 @@ def like_regex(pattern: str) -> re.Pattern:
 
 
 class StringHeap:
-    """An append-only dictionary of unique strings with stable codes."""
+    """An append-only dictionary of unique strings with stable codes.
+
+    A heap opened from its stored form (:meth:`from_stored`) stays those
+    bytes until something reads strings: the code-ordered list is split
+    on the first decode, verdict table, substring map or
+    :meth:`strings`, and the ``str -> code`` dict is built from the
+    list on the first :meth:`encode`, :meth:`lookup`, :meth:`members`
+    or ``in``.  ``unique_count``, ``len()`` and ``heap_bytes`` never
+    split.
+    """
 
     def __init__(self) -> None:
-        self._strings: list[str] = []
-        self._codes: dict[str, int] = {}
+        # The stored form (NUL-separated UTF-8) until the first read
+        # splits it into ``_strings``; then None.
+        self._stored: bytes | None = None
+        self._strings: list[str] | None = []
+        # None until the first look-up builds it from ``_strings``
+        self._codes: dict[str, int] | None = {}
+        self._count = 0
         self._payload_bytes = 0
         # pattern -> read-only verdict per code, for the codes that
         # existed when it was last asked for
@@ -88,15 +102,71 @@ class StringHeap:
         codes = heap.encode_many(values)
         return heap, codes
 
+    @classmethod
+    def from_stored(cls, payload: bytes, count: int) -> "StringHeap":
+        """The heap of ``count`` code-ordered strings stored as
+        ``payload``: UTF-8, separated by NUL bytes.  ``b""`` holds no
+        string when ``count`` is 0 and the one string ``""`` when it is
+        1; the caller has checked that ``payload`` holds ``count - 1``
+        separators.  Nothing is decoded here."""
+        heap = cls()
+        heap._stored = payload
+        heap._strings = None
+        heap._codes = None
+        heap._count = count
+        # Each string and its terminating NUL: the separators plus one.
+        heap._payload_bytes = len(payload) + 1 if count else 0
+        return heap
+
+    def stored(self) -> tuple[bytes, int]:
+        """``(payload, count)``, the form :meth:`from_stored` takes."""
+        if self._stored is not None:
+            return self._stored, self._count
+        payload = "\x00".join(self._strings).encode()
+        if payload.count(b"\x00") != max(0, self._count - 1):
+            raise ValueError(
+                "a heap string holds NUL, the stored form's separator"
+            )
+        return payload, self._count
+
+    def _split(self) -> list[str]:
+        """The code-ordered strings, split from the stored form once."""
+        strings = self._strings
+        if strings is None:
+            strings = (
+                self._stored.decode().split("\x00") if self._count else []
+            )
+            self._strings = strings
+            self._stored = None
+        return strings
+
+    def _index(self) -> dict[str, int]:
+        """The ``str -> code`` dict, built on the first look-up."""
+        codes = self._codes
+        if codes is None:
+            strings = self._split()
+            codes = dict(zip(strings, range(len(strings))))
+            if len(codes) != len(strings):
+                raise ValueError(
+                    f"string heap repeats {len(strings) - len(codes)} of "
+                    f"its {len(strings)} strings: a look-up has no one code"
+                )
+            self._codes = codes
+        return codes
+
     # -- encoding ------------------------------------------------------------
 
     def encode(self, value: str) -> int:
         """Return the code for ``value``, interning it if new."""
-        code = self._codes.get(value)
+        codes = self._codes
+        if codes is None:
+            codes = self._index()
+        code = codes.get(value)
         if code is None:
-            code = len(self._strings)
-            self._codes[value] = code
+            code = self._count
+            codes[value] = code
             self._strings.append(value)
+            self._count += 1
             self._payload_bytes += len(value.encode()) + 1  # NUL-terminated
         return code
 
@@ -107,15 +177,15 @@ class StringHeap:
 
     def lookup(self, value: str) -> int | None:
         """Code for an existing string, or None (no interning)."""
-        return self._codes.get(value)
+        return self._index().get(value)
 
     # -- decoding ------------------------------------------------------------
 
     def decode(self, code: int) -> str:
-        return self._strings[code]
+        return self._split()[code]
 
     def decode_many(self, codes: Sequence[int] | np.ndarray) -> list[str]:
-        strings = self._strings
+        strings = self._split()
         return [strings[int(c)] for c in codes]
 
     # -- predicates ----------------------------------------------------------
@@ -128,7 +198,7 @@ class StringHeap:
         and pattern: the table is kept on the heap, and when the heap
         has grown since, only the new codes are matched.
         """
-        strings = self._strings
+        strings = self._split()
         table = self._verdicts.get(pattern, _NO_VERDICTS)
         if len(table) < len(strings):
             regex = (
@@ -157,7 +227,7 @@ class StringHeap:
         codes are stable.  Every caller shares that ``out_heap``;
         nothing may intern into it.
         """
-        strings = self._strings
+        strings = self._split()
         out_heap, code_map = self._substrings.get((start, length)) or (
             StringHeap(), _NO_CODES
         )
@@ -178,8 +248,8 @@ class StringHeap:
 
     def members(self, values: Iterable[str]) -> np.ndarray:
         """Per-code table: is the code's string one of ``values``?"""
-        table = np.zeros(len(self._strings), dtype=np.bool_)
-        found = [c for c in map(self._codes.get, values) if c is not None]
+        table = np.zeros(self._count, dtype=np.bool_)
+        found = [c for c in map(self._index().get, values) if c is not None]
         table[found] = True
         return table
 
@@ -187,7 +257,7 @@ class StringHeap:
 
     @property
     def unique_count(self) -> int:
-        return len(self._strings)
+        return self._count
 
     @property
     def heap_bytes(self) -> int:
@@ -196,13 +266,13 @@ class StringHeap:
 
     def strings(self) -> list[str]:
         """All unique strings in code order (a copy)."""
-        return list(self._strings)
+        return list(self._split())
 
     def __len__(self) -> int:
-        return len(self._strings)
+        return self._count
 
     def __contains__(self, value: str) -> bool:
-        return value in self._codes
+        return value in self._index()
 
     def __repr__(self) -> str:
         return f"StringHeap(unique={self.unique_count}, bytes={self._payload_bytes})"

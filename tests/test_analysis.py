@@ -8,7 +8,10 @@ does, and every DEPENDS bracket must contain the observed value.
 
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import tpch
 from repro.analysis import (
@@ -22,6 +25,7 @@ from repro.analysis import (
     fragment_verdicts,
     verify_instructions,
 )
+from repro.analysis.suspend import distinct_values
 from repro.core import AquomanSimulator, DeviceConfig
 from repro.core.pe import Opcode
 from repro.engine import Engine
@@ -428,6 +432,57 @@ class TestSuspendPredictorUnit:
         assert all(
             p.verdict is Verdict.NEVER for p in predictions.values()
         )
+
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def _columns(draw) -> np.ndarray:
+    """Dense to sparse integer columns, as stored, ascending or sorted
+    block by block, reaching both int64 edges."""
+    lo = draw(st.sampled_from([_INT64_MIN, -7, 0, 2**40, _INT64_MAX - 40]))
+    span = draw(st.sampled_from([1, 5, 64, 4096, 2**50, 2**64]))
+    hi = min(lo + span - 1, _INT64_MAX)
+    values = draw(st.lists(st.integers(lo, hi), max_size=300))
+    if draw(st.booleans()):
+        values += draw(st.lists(st.sampled_from([_INT64_MIN, _INT64_MAX])))
+    order = draw(st.sampled_from(["stored", "ascending", "blocks"]))
+    if order == "ascending":
+        values.sort()
+    elif order == "blocks":
+        block = draw(st.integers(1, 64))
+        values = [
+            v for i in range(0, len(values), block)
+            for v in sorted(values[i:i + block])
+        ]
+    column = np.array(values, dtype=np.int64)
+    if len(column) and _INT64_MIN < lo and hi < 2**31 and (
+        draw(st.booleans())
+    ):
+        column = column.astype(np.int32)
+    return column
+
+
+class TestDistinctValues:
+    """Every route of the analyzer's one distinct pass answers exactly
+    what ``np.unique`` answers."""
+
+    @given(_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_unique(self, column):
+        out = distinct_values(column)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, np.unique(column.astype(np.int64)))
+
+    def test_ndv_is_the_domain_size(self, small_db):
+        from repro.analysis.suspend import column_ndv
+
+        for name in ("l_orderkey", "l_partkey", "l_quantity"):
+            values = small_db.table("lineitem").column(name).values
+            assert column_ndv(small_db, "lineitem", name) == len(
+                np.unique(values)
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from repro import tpch
 from repro.core import AquomanSimulator, DeviceConfig
 from repro.core.compiler import SuspendReason
 from repro.core.regex_accel import HeapTooLarge, RegexAccelerator
+from repro.storage.io import load_catalog, save_catalog
 from repro.storage.stringheap import StringHeap
 
 
@@ -152,3 +153,14 @@ class TestDeviceMeterInvariance:
         meters, reasons = self._meters(small_db, 13, 1000 / 0.01)
         assert meters == (0, 0, 0)
         assert SuspendReason.STRING_HEAP in reasons
+
+
+class TestDeviceMeterInvarianceReloaded(TestDeviceMeterInvariance):
+    """The same meters on the catalog saved and loaded back, whose
+    heaps start as their file bytes."""
+
+    @pytest.fixture(scope="class")
+    def small_db(self, small_db, tmp_path_factory):
+        path = tmp_path_factory.mktemp("small_db")
+        save_catalog(small_db, path)
+        return load_catalog(path)

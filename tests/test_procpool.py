@@ -324,6 +324,29 @@ class TestReopenMappedColumns:
         out = _engine(loaded, "process").execute_relation(tpch.query(6))
         assert_identical(out, ref)
 
+    def test_fresh_catalog_forks_workers_over_unsplit_heaps(
+        self, tmp_path, small_db
+    ):
+        from repro.storage.io import load_catalog, save_catalog
+
+        save_catalog(small_db, tmp_path)
+        loaded = load_catalog(tmp_path)
+        heaps = [
+            column.heap
+            for name in loaded.table_names()
+            for column in loaded.table(name).columns
+            if column.heap is not None
+        ]
+        # The pool forks on the first process run: from file bytes.
+        assert all(h._strings is None for h in heaps)
+        for n in sorted(tpch.ALL_QUERIES):
+            out = _engine(loaded, "process").execute_relation(tpch.query(n))
+            ref = _engine(loaded, "serial").execute_relation(tpch.query(n))
+            assert_identical(out, ref)
+            for name in out.names:
+                if ref.column(name).heap in heaps:
+                    assert out.column(name).heap is ref.column(name).heap
+
 
 class TestTracerAdoption:
     def test_worker_lanes_reach_the_parent_tracer(self, small_db):

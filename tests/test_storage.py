@@ -93,6 +93,27 @@ class TestStringHeap:
         assert heap.decode_many(codes) == values
         assert heap.unique_count == len(set(values))
 
+    def test_stored_form_round_trips(self):
+        heap, _ = StringHeap.from_values(["ab", "", "é", "ab"])
+        payload, count = heap.stored()
+        assert (payload, count) == ("ab\x00\x00é".encode(), 3)
+        again = StringHeap.from_stored(payload, count)
+        assert (len(again), again.heap_bytes) == (3, heap.heap_bytes)
+        assert again.stored() == (payload, count)  # no split to answer
+        assert again.strings() == ["ab", "", "é"]
+        assert again.encode("new") == 3 and again.lookup("") == 1
+
+    @pytest.mark.parametrize("strings", [[], [""]])
+    def test_empty_payloads(self, strings):
+        heap = StringHeap.from_stored(b"", len(strings))
+        assert heap.strings() == strings
+        assert heap.heap_bytes == len(strings)
+
+    def test_nul_inside_a_string_has_no_stored_form(self):
+        heap, _ = StringHeap.from_values(["a\x00b"])
+        with pytest.raises(ValueError, match="NUL"):
+            heap.stored()
+
 
 class _CountingRegex:
     """Stands in for a compiled pattern; counts ``match`` calls."""

@@ -1,12 +1,22 @@
 """On-disk column files: save/load round trips."""
 
+import json
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import tpch
+from repro.analysis import analyze_plan
+from repro.core import DeviceConfig
 from repro.engine import Engine
+from repro.sqlir.plan import Scan, walk_with_subqueries
+from repro.storage import Catalog, Column, StringHeap, Table
 from repro.storage.catalog import join_index_name
-from repro.storage.io import load_catalog, save_catalog
+from repro.storage.io import MANIFEST_NAME, load_catalog, save_catalog
 
 
 class TestRoundTrip:
@@ -42,7 +52,7 @@ class TestRoundTrip:
             assert a.equals(b)
 
     def test_device_runs_on_reloaded_catalog(self, tiny_db, tmp_path):
-        from repro.core import AquomanSimulator, DeviceConfig
+        from repro.core import AquomanSimulator
         from repro.util.units import GB
 
         save_catalog(tiny_db, tmp_path)
@@ -71,8 +81,6 @@ class TestRoundTrip:
             load_catalog(tmp_path)
 
     def test_string_heap_with_empty_string(self, tmp_path):
-        from repro.storage import Catalog, Column, Table
-
         cat = Catalog()
         cat.add_table(
             Table("t", [Column.strings("s", ["", "x", "", "y"])])
@@ -80,3 +88,173 @@ class TestRoundTrip:
         save_catalog(cat, tmp_path)
         loaded = load_catalog(tmp_path)
         assert loaded.table("t").column("s").logical() == ["", "x", "", "y"]
+
+
+def _one_column_catalog(values) -> Catalog:
+    cat = Catalog()
+    cat.add_table(Table("t", [Column.strings("s", values)]))
+    return cat
+
+
+def _heap_files(path, **edits):
+    """Rewrite table ``t``'s heap file and/or its manifest entry."""
+    manifest_path = path / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    (entry,) = manifest["tables"]["t"]
+    if "payload" in edits:
+        (path / "t" / "s.heap").write_bytes(edits.pop("payload"))
+    for key, value in edits.items():
+        if value is None:
+            entry.pop(key)
+        else:
+            entry[key] = value
+    manifest_path.write_text(json.dumps(manifest))
+
+
+class TestHeapsSurviveSaveAndLoad:
+    def test_heap_of_only_the_empty_string(self, tmp_path):
+        save_catalog(_one_column_catalog(["", ""]), tmp_path)
+        column = load_catalog(tmp_path).table("t").column("s")
+        assert (column.heap.unique_count, column.heap_bytes) == (1, 1)
+        assert column.logical() == ["", ""]
+
+    def test_cut_short_heap_file_is_refused_at_load(self, tmp_path):
+        save_catalog(_one_column_catalog(["ab", "cd", "ef"]), tmp_path)
+        _heap_files(tmp_path, payload=b"ab\x00cd")
+        with pytest.raises(
+            ValueError,
+            match=re.escape("t.s: heap file holds 2 strings, manifest says 3"),
+        ):
+            load_catalog(tmp_path)
+
+    def test_repeated_string_keeps_its_codes_and_refuses_lookup(
+        self, tmp_path
+    ):
+        save_catalog(_one_column_catalog(["a", "b", "c"]), tmp_path)
+        _heap_files(tmp_path, payload=b"a\x00b\x00a")
+        column = load_catalog(tmp_path).table("t").column("s")
+        assert column.logical() == ["a", "b", "a"]
+        with pytest.raises(ValueError, match="repeats 1 of its 3 strings"):
+            column.heap.lookup("a")
+
+    def test_manifest_without_heap_strings_loads_as_before(self, tmp_path):
+        save_catalog(_one_column_catalog(["x", "", "y"]), tmp_path)
+        _heap_files(tmp_path, heap_strings=None)
+        column = load_catalog(tmp_path).table("t").column("s")
+        assert column.heap.strings() == ["x", "", "y"]
+        assert column.heap_bytes == 5
+
+    def test_manifest_records_each_heap_count(self, tiny_db, tmp_path):
+        save_catalog(tiny_db, tmp_path)
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        for name, entries in manifest["tables"].items():
+            for entry in entries:
+                heap = tiny_db.table(name).column(entry["name"]).heap
+                if heap is None:
+                    assert "heap_strings" not in entry
+                else:
+                    assert entry["heap_strings"] == heap.unique_count
+
+
+# Unique strings of one heap: the empty string and non-ASCII included;
+# never NUL, the stored form's separator.
+_heap_strings = st.lists(
+    st.text(
+        alphabet=st.characters(blacklist_characters="\x00"), max_size=6
+    ),
+    unique=True,
+    max_size=12,
+)
+
+
+class TestLazyHeapRoundTrip:
+    @given(strings=_heap_strings, mmap=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_loaded_heap_answers_like_the_saved_one(self, strings, mmap):
+        catalog = _one_column_catalog(strings)
+        saved = catalog.table("t").column("s").heap
+        with tempfile.TemporaryDirectory() as tmp:
+            save_catalog(catalog, tmp)
+            heap = load_catalog(tmp, mmap=mmap).table("t").column("s").heap
+            grown = load_catalog(tmp, mmap=mmap).table("t").column("s").heap
+        assert heap.unique_count == len(heap) == saved.unique_count
+        assert heap.heap_bytes == saved.heap_bytes
+        assert heap.strings() == saved.strings()
+        for code, value in enumerate(strings):
+            assert heap.lookup(value) == code
+            assert heap.encode(value) == code
+        assert heap.lookup("\x00new") is None
+        for pattern in ("%", "_%", "%a%"):
+            assert np.array_equal(
+                heap.verdicts(pattern), saved.verdicts(pattern)
+            )
+        out, codes = heap.substrings(1, 2)
+        saved_out, saved_codes = saved.substrings(1, 2)
+        assert out.strings() == saved_out.strings()
+        assert np.array_equal(codes, saved_codes)
+        # Interning a new string grows a loaded heap like the saved one.
+        assert grown.encode("\x00new") == saved.encode("\x00new")
+        assert grown.heap_bytes == saved.heap_bytes
+        assert grown.strings() == saved.strings()
+
+
+def _unsplit(heap: StringHeap) -> bool:
+    """Still the file's bytes: no string list, no look-up dict."""
+    return heap._strings is None and heap._codes is None
+
+
+class TestLoadMakesNoCallPerString:
+    @pytest.fixture()
+    def loaded(self, small_db, tmp_path, monkeypatch):
+        save_catalog(small_db, tmp_path)
+        calls = []
+        encode = StringHeap.encode
+
+        def counting_encode(heap, value):
+            calls.append(value)
+            return encode(heap, value)
+
+        monkeypatch.setattr(StringHeap, "encode", counting_encode)
+        catalog = load_catalog(tmp_path)
+        assert calls == []
+        return catalog
+
+    @staticmethod
+    def _heaps(catalog) -> dict[tuple[str, str], StringHeap]:
+        return {
+            (name, column.name): column.heap
+            for name in catalog.table_names()
+            for column in catalog.table(name).columns
+            if column.heap is not None
+        }
+
+    def test_load_leaves_every_heap_unsplit(self, loaded, small_db):
+        heaps = self._heaps(loaded)
+        assert len(heaps) == 29
+        assert all(_unsplit(h) for h in heaps.values())
+        for (name, column), heap in heaps.items():
+            saved = small_db.table(name).column(column).heap
+            assert len(heap) == heap.unique_count == saved.unique_count
+            assert heap.heap_bytes == saved.heap_bytes
+        assert all(_unsplit(h) for h in heaps.values())
+
+    def test_full_analysis_splits_no_heap(self, loaded):
+        for n in sorted(tpch.ALL_QUERIES):
+            for ratio in (1.0, 1000 / 0.01):
+                analyze_plan(
+                    tpch.query(n), loaded, DeviceConfig(scale_ratio=ratio)
+                )
+        assert all(_unsplit(h) for h in self._heaps(loaded).values())
+
+    def test_a_pass_splits_only_the_heaps_it_reads(self, loaded):
+        heaps = self._heaps(loaded)
+        scanned = set()
+        for n in sorted(tpch.ALL_QUERIES):
+            plan = tpch.query(n)
+            for node in walk_with_subqueries(plan):
+                if isinstance(node, Scan):
+                    scanned.update((node.table, c) for c in node.columns)
+            Engine(loaded).execute(plan)
+        split = {key for key, heap in heaps.items() if not _unsplit(heap)}
+        assert split and split <= scanned
+        assert ("lineitem", "l_comment") not in split
