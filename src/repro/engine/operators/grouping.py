@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.engine.operators.joins import DIRECT_SPAN_FACTOR, direct_window
-from repro.engine.operators.sorting import RADIX_CELLS, stable_order
+from repro.engine.operators.sorting import (
+    RADIX_CELLS,
+    is_ascending,
+    stable_order,
+)
+
+# Inputs shorter than this skip the run route.  On ascending cells the
+# test's full pass plus the run route overtakes the direct route
+# between 2 048 and 4 096 rows (DESIGN.md, "Host grouping kernel").
+_RUN_MIN_ROWS = 4096
 
 
 @dataclass
@@ -28,6 +38,14 @@ class GroupedKeys:
     def n_groups(self) -> int:
         return len(self.representative)
 
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Rows per group (int64), counted once and read-only: every
+        COUNT and AVG of one aggregate shares it."""
+        counts = np.bincount(self.group_of_row, minlength=self.n_groups)
+        counts.flags.writeable = False
+        return counts
+
 
 def group_rows(key_columns: list[np.ndarray], nrows: int = 0) -> GroupedKeys:
     """Factorise one or more equal-length key columns.
@@ -35,13 +53,16 @@ def group_rows(key_columns: list[np.ndarray], nrows: int = 0) -> GroupedKeys:
     With no key columns, all ``nrows`` rows fall into a single global
     group (SQL's implicit group for aggregate-only queries).
 
-    Three routes, chosen from the inputs alone, give the same numbering:
-    integer keys whose value grid — the product of the per-key spans
-    ``max - min + 1`` — has at most ``DIRECT_SPAN_FACTOR`` cells per
-    row are numbered through a table indexed by the mixed-radix cell
-    (the accelerator's look-up, Sec. VI-C); anything else is sorted —
-    the cells by radix passes while the grid fits 48 bits, the key
-    tuples (floats, wider grids) by comparison.
+    Four routes, chosen from the inputs alone, give the same numbering.
+    Integer keys become one mixed-radix cell per row in their value
+    grid, the product of the per-key spans ``max - min + 1``.  Cells
+    that never decrease (a stored-sorted key, or a selection of one)
+    are runs, numbered by a prefix sum, once the input is long enough
+    for the test to pay (``_RUN_MIN_ROWS``); a grid of at most
+    ``DIRECT_SPAN_FACTOR`` cells per row is numbered through a table
+    indexed by the cell (the accelerator's look-up, Sec. VI-C);
+    anything else is sorted — the cells by radix passes while the grid
+    fits 48 bits, the key tuples (floats, wider grids) by comparison.
     """
     if not key_columns:
         return GroupedKeys(
@@ -60,9 +81,22 @@ def group_rows(key_columns: list[np.ndarray], nrows: int = 0) -> GroupedKeys:
     if grid is None:
         return _group_sorted(keys)
     cell, cells = grid
+    if n >= _RUN_MIN_ROWS and is_ascending(cell):
+        return _group_runs(cell)
     if cells <= DIRECT_SPAN_FACTOR * n:
         return _group_direct(cell, cells)
     return _group_sorted([cell], stable_order(cell, cells))
+
+
+def _group_runs(cell: np.ndarray) -> GroupedKeys:
+    """Number ascending cells' runs: each run is one group, and the
+    runs already come in first-appearance order."""
+    starts = np.empty(len(cell), dtype=np.bool_)
+    starts[0] = True
+    np.not_equal(cell[1:], cell[:-1], out=starts[1:])
+    group_of_row = np.cumsum(starts, dtype=np.int64)
+    group_of_row -= 1
+    return GroupedKeys(group_of_row, np.flatnonzero(starts))
 
 
 def _grid_cells(
@@ -135,7 +169,7 @@ def aggregate_sum(values: np.ndarray, groups: GroupedKeys) -> np.ndarray:
 
 
 def aggregate_count(groups: GroupedKeys) -> np.ndarray:
-    return np.bincount(groups.group_of_row, minlength=groups.n_groups)
+    return groups.counts
 
 
 def aggregate_min(values: np.ndarray, groups: GroupedKeys) -> np.ndarray:
@@ -153,12 +187,16 @@ def aggregate_max(values: np.ndarray, groups: GroupedKeys) -> np.ndarray:
 def aggregate_count_distinct(
     values: np.ndarray, groups: GroupedKeys
 ) -> np.ndarray:
-    """Distinct values per group (host-only; the Swissknife lacks it)."""
-    out = np.zeros(groups.n_groups, dtype=np.int64)
-    pairs = np.stack([groups.group_of_row, values.astype(np.int64)])
-    unique_pairs = np.unique(pairs, axis=1)
-    np.add.at(out, unique_pairs[0], 1)
-    return out
+    """Distinct values per group (host-only; the Swissknife lacks it).
+
+    Each distinct ``(group, value)`` pair is one group of its own; its
+    representative row names the group it counts toward.  The values
+    are grouped as they are, so floats stay floats.
+    """
+    pairs = group_rows([groups.group_of_row, values])
+    return np.bincount(
+        groups.group_of_row[pairs.representative], minlength=groups.n_groups
+    )
 
 
 def _identity_max(dtype):

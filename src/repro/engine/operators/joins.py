@@ -2,24 +2,27 @@
 
 One kernel, :func:`inner_join_indices`, serves the monolithic engine,
 the morsel path and the device executor.  It finds, for every probe
-(left) row, the run of build (right) rows holding the same key, by one
-of two routes chosen from the inputs alone:
+(left) row, the build (right) rows holding the same key, by one of two
+routes chosen from the inputs alone:
 
 * **direct-address** — integer keys whose build-side span
   ``max - min + 1`` is at most ``DIRECT_SPAN_FACTOR`` cells per input
-  row are counted into a table indexed by ``key - min``; each probe is
-  one O(1) look-up, the whole join O(rows + span).  A unique build side
-  (the usual primary-key case) needs no sort at all.
+  row go through a table indexed by ``key - min``; each probe is one
+  O(1) look-up, the whole join O(rows + span).  A unique build side
+  (the usual primary-key case) stores its row in the table, so a probe
+  row's look-up *is* its match: no sort, no per-key count.
 * **sort + binary search** — everything else (non-integer keys,
   composite keys spanning ~10^12, spans beyond int64): sort the build
   side — by radix passes while its integer span fits 48 bits —,
   ``searchsorted`` the probe keys, the way MonetDB joins unsorted
-  inputs.
+  inputs.  A unique integer build side needs one search and an
+  equality test per probe row.
 
-Both routes describe the matches as ``(order, lo, counts)`` and share
-one expansion into pair lists, so the output does not depend on the
-route.  Semi/anti joins reduce the pair list (or, when no residual
-predicate is involved, short-circuit to a membership test).
+A duplicated build side describes the matches as ``(order, lo,
+counts)`` runs on either route, and one expansion turns them into pair
+lists; every route gives the same pairs in the same order.  Semi/anti
+joins reduce the pair list (or, when no residual predicate is
+involved, short-circuit to a membership test).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from repro.engine.operators.sorting import RADIX_CELLS, stable_order
 # (len(left) + len(right)); keeps its scratch memory O(rows).
 DIRECT_SPAN_FACTOR = 4
 
-_Probe = tuple[np.ndarray, np.ndarray, np.ndarray]
+_Pairs = tuple[np.ndarray, np.ndarray]
 
 
 def _fits_int64(keys: np.ndarray) -> bool:
@@ -52,9 +55,34 @@ def direct_window(keys: np.ndarray, cells: int) -> tuple[int, int] | None:
     return (kmin, span) if span <= cells else None
 
 
+def _probe_window(
+    left_keys: np.ndarray, right_keys: np.ndarray
+) -> tuple[int, int] | None:
+    """The build side's direct-address window, or None if unfit."""
+    if not _fits_int64(left_keys):
+        return None
+    return direct_window(
+        right_keys, DIRECT_SPAN_FACTOR * (len(left_keys) + len(right_keys))
+    )
+
+
+def _probe_cells(keys: np.ndarray, kmin: int, span: int) -> np.ndarray:
+    """``keys - kmin`` as table cells, every key outside the window on
+    the one spare cell ``span``.
+
+    ``keys - kmin`` may wrap for far-away keys, but never into
+    ``[0, span)``: read as unsigned, every out-of-window difference is
+    ``>= span``, so one in-place ``minimum`` both masks and clamps.
+    """
+    cell = np.subtract(keys, kmin, dtype=np.int64)
+    unsigned = cell.view(np.uint64)
+    np.minimum(unsigned, np.uint64(span), out=unsigned)
+    return cell
+
+
 def inner_join_indices(
     left_keys: np.ndarray, right_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> _Pairs:
     """All matching (left_row, right_row) pairs of an inner equi-join.
 
     Pairs are produced in left-row-major order — and, within one left
@@ -67,13 +95,41 @@ def inner_join_indices(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
 
-    probe = _probe_direct(left_keys, right_keys)
-    if probe is None:
-        probe = _probe_sorted(left_keys, right_keys)
-    return _expand(*probe)
+    pairs = _join_direct(left_keys, right_keys)
+    if pairs is None:
+        pairs = _join_sorted(left_keys, right_keys)
+    return pairs
 
 
-def _probe_sorted(left_keys: np.ndarray, right_keys: np.ndarray) -> _Probe:
+def _join_direct(
+    left_keys: np.ndarray, right_keys: np.ndarray
+) -> _Pairs | None:
+    """Join through a table indexed by ``key - min``; None if unfit."""
+    window = _probe_window(left_keys, right_keys)
+    if window is None:
+        return None
+    kmin, span = window
+
+    right_cell = np.subtract(right_keys, kmin, dtype=np.int64)
+    left_cell = _probe_cells(left_keys, kmin, span)
+    # More build rows than cells must repeat a key: skip the table.
+    if len(right_keys) <= span:
+        # The build row of each key; -1 in absent cells and the spare.
+        slot = np.full(span + 1, -1, dtype=np.int64)
+        slot[right_cell] = np.arange(len(right_keys), dtype=np.int64)
+        if np.count_nonzero(slot >= 0) == len(right_keys):
+            hit = slot[left_cell]
+            li = np.flatnonzero(hit >= 0)
+            return li, hit[li]
+
+    per_key = np.bincount(right_cell, minlength=span + 1)
+    starts = np.cumsum(per_key) - per_key
+    return _expand(
+        stable_order(right_cell, span), starts[left_cell], per_key[left_cell]
+    )
+
+
+def _join_sorted(left_keys: np.ndarray, right_keys: np.ndarray) -> _Pairs:
     """Sort the build side, binary-search every probe key into it."""
     window = direct_window(right_keys, RADIX_CELLS)
     if window is None:
@@ -85,48 +141,23 @@ def _probe_sorted(left_keys: np.ndarray, right_keys: np.ndarray) -> _Probe:
         )
     sorted_right = right_keys[order]
     lo = np.searchsorted(sorted_right, left_keys, side="left")
+    if (
+        _fits_int64(left_keys)
+        and _fits_int64(right_keys)
+        and not np.any(sorted_right[1:] == sorted_right[:-1])
+    ):
+        # Unique integer build keys: a probe matches iff the key at its
+        # insertion point equals it.  (Float keys keep both searches:
+        # they bracket a NaN probe onto the build side's NaNs, which an
+        # equality test would not.)
+        np.minimum(lo, len(sorted_right) - 1, out=lo)
+        li = np.flatnonzero(sorted_right[lo] == left_keys)
+        return li, order[lo[li]]
     hi = np.searchsorted(sorted_right, left_keys, side="right")
-    return order, lo, hi - lo
+    return _expand(order, lo, hi - lo)
 
 
-def _probe_direct(
-    left_keys: np.ndarray, right_keys: np.ndarray
-) -> _Probe | None:
-    """Probe through a table indexed by ``key - min``; None if unfit."""
-    if not _fits_int64(left_keys):
-        return None
-    window = direct_window(
-        right_keys, DIRECT_SPAN_FACTOR * (len(left_keys) + len(right_keys))
-    )
-    if window is None:
-        return None
-    kmin, span = window
-
-    right_cell = np.subtract(right_keys, kmin, dtype=np.int64)
-    # One spare cell past the window collects every probe key outside
-    # it.  ``left - kmin`` may wrap for far-away keys, but never into
-    # [0, span): read as unsigned, all out-of-window differences are
-    # >= span, so one ``minimum`` both masks and clamps them.
-    left_cell = np.minimum(
-        np.subtract(left_keys, kmin, dtype=np.int64).view(np.uint64),
-        np.uint64(span),
-    ).view(np.int64)
-    per_key = np.bincount(right_cell, minlength=span + 1)
-    counts = per_key[left_cell]
-
-    if len(right_keys) == np.count_nonzero(per_key):
-        # Unique build keys: the table holds the build row itself.
-        slot = np.empty(span + 1, dtype=np.int64)
-        slot[right_cell] = np.arange(len(right_keys), dtype=np.int64)
-        return slot, left_cell, counts
-    order = stable_order(right_cell, span)
-    starts = np.cumsum(per_key) - per_key
-    return order, starts[left_cell], counts
-
-
-def _expand(
-    order: np.ndarray, lo: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _expand(order: np.ndarray, lo: np.ndarray, counts: np.ndarray) -> _Pairs:
     """Pair lists from per-left-row runs ``order[lo : lo + counts]``."""
     total = int(counts.sum())
     if total == 0:
@@ -148,7 +179,20 @@ def _expand(
 def semi_join_mask(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> np.ndarray:
-    """Boolean mask of left rows having at least one right match."""
+    """Boolean mask of left rows having at least one right match.
+
+    Integer keys inside the join's direct-address window test
+    membership in a bool table over that window; others use
+    ``np.isin``.
+    """
+    left_keys = np.asarray(left_keys)
+    right_keys = np.asarray(right_keys)
     if len(right_keys) == 0:
         return np.zeros(len(left_keys), dtype=np.bool_)
-    return np.isin(left_keys, right_keys)
+    window = _probe_window(left_keys, right_keys)
+    if window is None:
+        return np.isin(left_keys, right_keys)
+    kmin, span = window
+    member = np.zeros(span + 1, dtype=np.bool_)
+    member[np.subtract(right_keys, kmin, dtype=np.int64)] = True
+    return member[_probe_cells(left_keys, kmin, span)]

@@ -9,6 +9,8 @@ from repro.sqlir.expr import Kind, TypedArray
 # Integer cells spanning at most this many values sort by 16-bit radix
 # passes (three at most) instead of by comparison.
 RADIX_CELLS = 1 << 48
+# Cells the ascending test samples before it reads them all.
+_ASCENDING_SAMPLE = 64
 
 
 def _orderable(arr: TypedArray) -> np.ndarray:
@@ -41,7 +43,7 @@ def stable_order(cells: np.ndarray, span: int) -> np.ndarray:
     and wider spans take the comparison sort, which is a run-merging
     sort.  Every route gives the same permutation.
     """
-    if np.all(cells[1:] >= cells[:-1]):
+    if is_ascending(cells):
         return np.arange(len(cells), dtype=np.int64)
     if span > RADIX_CELLS or _blocks_in_order(cells):
         return np.argsort(cells, kind="stable")
@@ -50,6 +52,20 @@ def stable_order(cells: np.ndarray, span: int) -> np.ndarray:
         digit = ((cells[order] >> shift) & 0xFFFF).astype(np.uint16)
         order = order[np.argsort(digit, kind="stable")]
     return order
+
+
+def is_ascending(cells: np.ndarray) -> bool:
+    """Whether ``cells`` never decrease.  The first and last cell and a
+    short strided sample reject most unsorted inputs before the full
+    pass reads every cell."""
+    if len(cells) < 2:
+        return True
+    if cells[0] > cells[-1]:
+        return False
+    sample = cells[:: max(1, len(cells) // _ASCENDING_SAMPLE)]
+    if (sample[1:] < sample[:-1]).any():
+        return False
+    return bool((cells[1:] >= cells[:-1]).all())
 
 
 def _blocks_in_order(cells: np.ndarray, block: int = 64) -> bool:

@@ -16,7 +16,11 @@ from repro.engine.operators.grouping import (
 )
 from repro.engine.operators import joins
 from repro.engine.operators.joins import inner_join_indices, semi_join_mask
-from repro.engine.operators.sorting import multi_key_order, stable_order
+from repro.engine.operators.sorting import (
+    is_ascending,
+    multi_key_order,
+    stable_order,
+)
 from repro.sqlir.expr import Kind, TypedArray
 from repro.storage.stringheap import StringHeap
 
@@ -60,13 +64,53 @@ def _encoded_keys(draw):
     encode = _ENCODINGS[draw(st.sampled_from(sorted(_ENCODINGS)))]
     shift = draw(st.integers(-1000, 1000))
     # Probe keys range wider than build keys: some fall outside the
-    # build window on either side.
+    # build window on either side.  Half the build sides are unique
+    # (before encoding: "extreme" saturates some of them together).
+    # -12..12 holds 25 distinct keys.
     left = draw(st.lists(st.integers(-30, 30), max_size=40))
-    right = draw(st.lists(st.integers(-12, 12), max_size=40))
+    unique = draw(st.booleans())
+    right = draw(
+        st.lists(
+            st.integers(-12, 12), max_size=25 if unique else 40, unique=unique
+        )
+    )
     return (
         np.array([encode(k, shift) for k in left], dtype=np.int64),
         np.array([encode(k, shift) for k in right], dtype=np.int64),
     )
+
+
+_KEY_DTYPES = [
+    (np.int32, np.int32),
+    (np.uint8, np.uint8),
+    (np.int32, np.int64),
+    (np.int64, np.uint8),
+    (np.uint64, np.uint64),
+    (np.float64, np.float64),
+    (np.bool_, np.bool_),
+]
+
+
+def _draw_keys(data, dtype) -> np.ndarray:
+    if dtype is np.bool_:
+        elements = st.booleans()
+    elif dtype is np.float64:
+        elements = st.integers(-8, 8).map(lambda k: k / 2)
+    elif np.issubdtype(dtype, np.unsignedinteger):
+        elements = st.integers(0, 12)
+    else:
+        elements = st.integers(-12, 12)
+    return np.array(data.draw(st.lists(elements, max_size=30)), dtype=dtype)
+
+
+def _count_expansions(monkeypatch) -> list:
+    """Record each call of the join kernel's run expansion."""
+    calls = []
+    real = joins._expand
+    monkeypatch.setattr(
+        joins, "_expand", lambda *runs: calls.append(1) or real(*runs)
+    )
+    return calls
 
 
 class TestInnerJoin:
@@ -100,46 +144,73 @@ class TestInnerJoin:
         )
 
     @given(_encoded_keys())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     def test_exact_pair_order_on_every_route(self, keys):
         _assert_exact_pairs(*keys)
 
-    @pytest.mark.parametrize(
-        "left_dtype, right_dtype",
-        [
-            (np.int32, np.int32),
-            (np.uint8, np.uint8),
-            (np.int32, np.int64),
-            (np.int64, np.uint8),
-            (np.uint64, np.uint64),
-            (np.float64, np.float64),
-            (np.bool_, np.bool_),
-        ],
-    )
+    @pytest.mark.parametrize("left_dtype, right_dtype", _KEY_DTYPES)
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_key_dtypes(self, left_dtype, right_dtype, data):
-        def keys(dtype):
-            if dtype is np.bool_:
-                elements = st.booleans()
-            elif dtype is np.float64:
-                elements = st.integers(-8, 8).map(lambda k: k / 2)
-            elif np.issubdtype(dtype, np.unsignedinteger):
-                elements = st.integers(0, 12)
-            else:
-                elements = st.integers(-12, 12)
-            return np.array(
-                data.draw(st.lists(elements, max_size=30)), dtype=dtype
-            )
+        _assert_exact_pairs(
+            _draw_keys(data, left_dtype), _draw_keys(data, right_dtype)
+        )
 
-        _assert_exact_pairs(keys(left_dtype), keys(right_dtype))
+    @pytest.mark.parametrize("encoding", ["dense", "spread", "sparse"])
+    def test_unique_builds_take_one_look_up_per_probe(
+        self, encoding, monkeypatch
+    ):
+        # A unique integer build side never reaches the run expansion,
+        # on the direct route ("dense") or the sort route; a duplicated
+        # one always does.
+        encode = _ENCODINGS[encoding]
+        left = np.array([encode(k, 3) for k in range(-30, 31)])
+        right = np.array([encode(k, 3) for k in range(12, -13, -2)])
+        assert (joins._join_direct(left, right) is not None) == (
+            encoding == "dense"
+        )
+        calls = _count_expansions(monkeypatch)
+        _assert_exact_pairs(left, right)
+        assert calls == []
+        _assert_exact_pairs(left, np.concatenate([right, right[::3]]))
+        assert calls == [1]
+
+    def test_composite_scale_unique_build(self, monkeypatch):
+        # Q9/Q20's partkey * K + suppkey keys span ~10^12: sort route,
+        # one search per probe, probes on both sides of the build keys.
+        rng = np.random.default_rng(9)
+        right = rng.permutation(
+            np.arange(1, 400) * 10**10 + rng.integers(0, 4, 399)
+        )
+        left = np.concatenate([right[rng.integers(0, 399, 900)],
+                               right[:50] + 1, [0, -(10**13), 10**13]])
+        calls = _count_expansions(monkeypatch)
+        _assert_exact_pairs(rng.permutation(left), right)
+        assert calls == []
+
+    def test_wide_integer_unique_build_takes_one_search(self, monkeypatch):
+        # A span past RADIX_CELLS orders the build side by comparison;
+        # integer keys still need only one search per probe.
+        right = np.array([I64.max, 0, I64.min, -7, 2**60], dtype=np.int64)
+        left = np.array([-7, I64.min, 5, I64.max, 2**60, -7, I64.max - 1],
+                        dtype=np.int64)
+        calls = _count_expansions(monkeypatch)
+        _assert_exact_pairs(left, right)
+        assert calls == []
+
+    def test_float_builds_keep_both_searches(self, monkeypatch):
+        calls = _count_expansions(monkeypatch)
+        _assert_exact_pairs(
+            np.array([0.5, 2.0, -1.5, 0.5]), np.array([-1.5, 0.5, 1.0])
+        )
+        assert calls == [1]
 
     def test_probe_keys_that_wrap_around_the_window(self):
         # ``left - min(right)`` overflows int64 for these probes; none
         # may land inside the table.
         for right in ([I64.max - 1, I64.max], [I64.min, I64.min + 1], [0, 1]):
             right = np.array(right, dtype=np.int64)
-            assert joins._probe_direct(right, right) is not None
+            assert joins._join_direct(right, right) is not None
             left = np.array(
                 [I64.min, I64.min + 1, -1, 0, 1, 2, I64.max - 1, I64.max],
                 dtype=np.int64,
@@ -148,7 +219,7 @@ class TestInnerJoin:
 
     def test_route_follows_dtype_span_and_row_counts(self):
         def direct(left, right):
-            return joins._probe_direct(
+            return joins._join_direct(
                 np.asarray(left), np.asarray(right)
             ) is not None
 
@@ -176,6 +247,37 @@ class TestInnerJoin:
         mask = semi_join_mask(left, right)
         rset = set(right.tolist())
         assert mask.tolist() == [v in rset for v in left.tolist()]
+
+    @pytest.mark.parametrize("left_dtype, right_dtype", _KEY_DTYPES)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_semi_mask_equals_isin(self, left_dtype, right_dtype, data):
+        left = _draw_keys(data, left_dtype)
+        right = _draw_keys(data, right_dtype)
+        mask = semi_join_mask(left, right)
+        assert mask.dtype == np.bool_
+        assert np.array_equal(mask, np.isin(left, right))
+
+    def test_semi_mask_at_int64_edges_and_empty_sides(self):
+        left = np.array(
+            [I64.min, I64.min + 1, -1, 0, 1, 2, I64.max - 1, I64.max],
+            dtype=np.int64,
+        )
+        for right, direct in (
+            ([I64.max - 1, I64.max], True),
+            ([I64.min, I64.min + 1], True),
+            ([0, 1, 1], True),
+            ([I64.min, I64.max], False),
+            ([], False),
+        ):
+            right = np.array(right, dtype=np.int64)
+            for probe in (left, left[:0]):
+                if len(right):
+                    window = joins._probe_window(probe, right)
+                    assert (window is not None) == direct
+                mask = semi_join_mask(probe, right)
+                assert mask.dtype == np.bool_
+                assert np.array_equal(mask, np.isin(probe, right))
 
 
 class TestGrouping:
@@ -209,6 +311,47 @@ class TestGrouping:
         v = np.array([5, 5, 6, 7])
         assert aggregate_count_distinct(v, g).tolist() == [2, 1]
 
+    def test_count_distinct_keeps_values_as_they_are(self):
+        g = group_rows([np.array([0, 0, 0, 0, 1, 1, 1])])
+        fractional = np.array([0.25, 0.5, 0.75, 0.25, -0.5, -0.25, -0.5])
+        assert aggregate_count_distinct(fractional, g).tolist() == [3, 2]
+        edges = np.array(
+            [I64.min, I64.max, I64.min, I64.max - 1, -1, I64.max, 0],
+            dtype=np.int64,
+        )
+        assert aggregate_count_distinct(edges, g).tolist() == [3, 3]
+        _, codes = StringHeap.from_values(["b", "a", "b", "b", "c", "a", "c"])
+        assert aggregate_count_distinct(codes, g).tolist() == [2, 2]
+        keyless = group_rows([], 7)
+        assert aggregate_count_distinct(fractional, keyless).tolist() == [5]
+        none = group_rows([], 0)
+        assert aggregate_count_distinct(fractional[:0], none).tolist() == [0]
+
+    @given(st.lists(st.tuples(st.integers(0, 4),
+                              st.floats(-4, 4, allow_nan=False)),
+                    max_size=60))
+    @settings(max_examples=60)
+    def test_count_distinct_matches_reference(self, rows):
+        keys = np.array([k for k, _ in rows], dtype=np.int64)
+        vals = np.array([v for _, v in rows], dtype=np.float64)
+        g = group_rows([keys])
+        got = aggregate_count_distinct(vals, g)
+        assert got.dtype == np.int64
+        reference = {}
+        for k, v in rows:
+            reference.setdefault(k, set()).add(v)
+        assert {
+            int(keys[g.representative[i]]): int(got[i])
+            for i in range(g.n_groups)
+        } == {k: len(vs) for k, vs in reference.items()}
+
+    def test_counts_are_counted_once_and_read_only(self):
+        g = group_rows([np.array([3, 1, 3, 3])])
+        assert g.counts.tolist() == [3, 1] and g.counts.dtype == np.int64
+        assert aggregate_count(g) is g.counts
+        with pytest.raises(ValueError):
+            g.counts[0] = 7
+
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(-50, 50)),
                     min_size=1, max_size=60))
     @settings(max_examples=60)
@@ -229,8 +372,10 @@ class TestGrouping:
 
 def _assert_routes_agree(keys: list[np.ndarray]) -> None:
     """``group_rows`` ≡ the sort route: values, dtypes, group count."""
-    got = group_rows(keys)
-    want = grouping._group_sorted(keys)
+    _assert_same_groups(group_rows(keys), grouping._group_sorted(keys))
+
+
+def _assert_same_groups(got, want) -> None:
     for attr in ("group_of_row", "representative"):
         a, b = getattr(got, attr), getattr(want, attr)
         assert a.dtype == b.dtype == np.int64
@@ -263,6 +408,56 @@ class TestGroupingRoutes:
     @settings(max_examples=300, deadline=None)
     def test_direct_route_equals_sort_route(self, keys):
         _assert_routes_agree(keys)
+
+    @given(_key_sets(), st.sampled_from(["ascending", "blocks", "unsorted"]),
+           st.integers(2, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_run_route_equals_sort_route(self, keys, layout, block):
+        # Rows in key-tuple order, then each block of rows reversed
+        # (ordered between blocks, not within them), or as drawn.
+        if layout != "unsorted":
+            order = np.lexsort(tuple(reversed(keys)))
+            if layout == "blocks":
+                order = np.concatenate([
+                    order[i:i + block][::-1]
+                    for i in range(0, len(order), block)
+                ])
+            keys = [k[order] for k in keys]
+        cell, _ = grouping._grid_cells(keys, grouping.RADIX_CELLS)
+        if layout == "ascending":
+            assert is_ascending(cell)
+        if is_ascending(cell):
+            _assert_same_groups(grouping._group_runs(cell),
+                                grouping._group_sorted(keys))
+        _assert_routes_agree(keys)
+
+    def test_long_inputs_take_the_run_route_only_when_ascending(
+        self, monkeypatch
+    ):
+        runs = []
+        real = grouping._group_runs
+        monkeypatch.setattr(
+            grouping, "_group_runs", lambda cell: runs.append(1) or real(cell)
+        )
+        n = grouping._RUN_MIN_ROWS
+        rng = np.random.default_rng(18)
+        # l_orderkey-like: ascending, sparse (past the direct budget),
+        # one to seven rows per key; and a two-key tuple in order.
+        orderkey = np.repeat(np.arange(n) * 32, rng.integers(1, 8, n))[:n]
+        pair = [np.arange(n) // 100, np.arange(n) % 100 // 10 - 3]
+        for keys in ([orderkey], pair):
+            runs.clear()
+            _assert_routes_agree(keys)
+            assert runs == [1]
+            # Blocks of four reversed, or shuffled: not runs.
+            blocks = np.arange(n).reshape(-1, 4)[:, ::-1].ravel()
+            for order in (blocks, rng.permutation(n)):
+                runs.clear()
+                _assert_routes_agree([k[order] for k in keys])
+                assert runs == []
+        runs.clear()
+        _assert_routes_agree([orderkey[: n - 1]])   # too short to test
+        assert runs == []
 
     def test_degenerate_shapes(self):
         one_row = [np.array([7]), np.array([-3], dtype=np.int32)]
@@ -356,6 +551,21 @@ class TestStableOrder:
             assert order.tolist() == sorted(
                 range(len(values)), key=lambda i: (values[i], i)
             )
+
+    def test_ascending_test_reads_past_its_sample(self):
+        cells = np.arange(5000, dtype=np.int64) // 3
+        assert is_ascending(cells)
+        assert stable_order(cells, 1667).tolist() == list(range(5000))
+        for i in (1, 2500, 4998):               # one step down, anywhere
+            broken = cells.copy()
+            broken[i], broken[i + 1] = cells[i + 1], cells[i] - 1
+            assert not is_ascending(broken)
+            assert np.array_equal(stable_order(broken, 1667),
+                                  np.argsort(broken, kind="stable"))
+        assert not is_ascending(cells[::-1])
+        assert is_ascending(np.array([4]))
+        assert is_ascending(np.array([], dtype=np.int64))
+        assert not is_ascending(np.array([1, 3, 2, 3]))
 
 
 class TestSorting:

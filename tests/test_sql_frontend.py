@@ -236,6 +236,27 @@ class TestEndToEnd:
         expected = {r[0]: r[1] for r in ref.to_rows()}
         assert got == expected
 
+    def test_count_distinct_of_fractional_floats(self, tiny_db):
+        # l_quantity / 7 is a FLOAT: distinct quotients are distinct
+        # quantities, none of them whole numbers to be truncated into.
+        sql = """
+        SELECT l_returnflag, count(distinct l_quantity / 7) AS d
+        FROM lineitem
+        GROUP BY l_returnflag
+        """
+        out = Engine(tiny_db).execute(plan_sql(sql, tiny_db))
+        lineitem = tiny_db.table("lineitem")
+        flags = lineitem.column("l_returnflag")
+        names = flags.heap.strings()
+        quantities = {}
+        for code, q in zip(flags.values.tolist(),
+                           lineitem.column("l_quantity").values.tolist()):
+            quantities.setdefault(names[code], set()).add(q)
+        assert dict(out.to_rows()) == {
+            flag: len(qs) for flag, qs in quantities.items()
+        }
+        assert min(len(qs) for qs in quantities.values()) == 50
+
     def test_sql_plans_offload_like_builder_plans(self, small_db):
         from repro.core import AquomanSimulator, DeviceConfig
         from repro.util.units import GB
