@@ -6,9 +6,6 @@ the AQUOMAN simulator (40 GB and 16 GB device DRAM) at SF-0.01, scaled
 to the paper's SF-1000 by the trace-scaling machinery.
 """
 
-import os
-from pathlib import Path
-
 import pytest
 
 from repro import tpch
@@ -16,30 +13,6 @@ from repro.perf.tpch_eval import collect_traces
 
 DATA_SF = 0.01
 TARGET_SF = 1000.0
-
-# Run-record store the perf-regression gate diffs against the committed
-# benchmarks/baselines.jsonl (override the path with REPRO_RUN_RECORDS).
-RUN_RECORDS = Path(
-    os.environ.get(
-        "REPRO_RUN_RECORDS",
-        Path(__file__).resolve().parent.parent / "BENCH_runs.jsonl",
-    )
-)
-
-
-def record_run(bench, metrics, meta=None):
-    """Append one structured run record for ``repro perf diff``."""
-    from repro.obs.baseline import RunRecord, append_records
-
-    records = [RunRecord(bench=bench, metrics=metrics, meta=meta or {})]
-    append_records(RUN_RECORDS, records)
-
-
-def append_run_records(records):
-    from repro.obs.baseline import append_records
-
-    append_records(RUN_RECORDS, records)
-
 
 @pytest.fixture(scope="session")
 def db():

@@ -14,15 +14,11 @@ requirements checked are the ones the paper's narrative rests on:
 
 import pytest
 
-from conftest import DATA_SF, append_run_records, print_table
-from repro.perf.tpch_eval import run_records
+from conftest import print_table
 
 
 def test_fig16a_runtimes(benchmark, evaluation):
     report = benchmark(lambda: evaluation.report(1000.0))
-    append_run_records(
-        run_records(report, meta={"sf": DATA_SF, "target_sf": 1000.0})
-    )
 
     rows = []
     for q in report.queries:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import print_table, record_run
+from conftest import print_table
 from repro.engine import Engine, MorselConfig
 from repro.engine.morsel import MAX_FRAGMENT_MORSELS, TUNED_MORSEL_ROWS
 from repro.engine.procpool import process_backend_available
@@ -142,28 +142,6 @@ def test_morsel_scaling(benchmark, db):
             indent=2,
         )
         + "\n"
-    )
-
-    # One probe run whose trace yields the machine-independent metric
-    # (scan bytes) the committed baseline can gate on; the wall-clock
-    # rates ride along under noise-tolerant prefixes.
-    probe = Engine(
-        db,
-        morsels=MorselConfig(parallel=True, morsel_rows=8192, n_workers=1),
-    )
-    probe.execute_relation(_q6_class_plan())
-    metrics = {
-        "model.flash_bytes": float(probe.trace.total_flash_bytes),
-        "rate.rows_per_sec_serial": serial,
-    }
-    if measured:
-        metrics["rate.rows_per_sec_w4"] = process[4]
-        metrics["speedup.workers4_process"] = process[4] / serial
-    record_run(
-        "morsel_scaling",
-        metrics,
-        meta={"cpu_count": cpus,
-              "lineitem_rows": db.table("lineitem").nrows},
     )
 
     if measured:

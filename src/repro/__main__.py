@@ -21,8 +21,6 @@ Commands:
   host/worker/device lanes, modeled bottleneck verdict with what-if
   projections, and the explain-analyze table joining the static
   analyzer's predictions with observed actuals;
-- ``perf diff`` — compare run-record stores (JSONL) with median-of-N,
-  noise-aware thresholds; ``--strict`` exits 1 on regressions, for CI;
 - ``chaos``    — seeded fault-injection campaigns: run queries under
   injected flash/worker/device faults and verify every recovery path
   returns bit-identical results, emitting a JSON report; exits 1 on
@@ -39,6 +37,9 @@ to record without the profile-specific defaults, and — like ``profile``
 and ``chaos`` — ``--query-log FILE`` to append one wide event per query
 (add ``--qlog-sample-k``/``--qlog-trace-dir`` for tail-sampled full
 traces).  One :func:`_obs_session` runs that sequence for all four.
+
+SQL that does not parse or plan, or a plan the strict analyzer
+rejects, prints one ``error: …`` line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro import tpch
+from repro.analysis import PlanRejected
 from repro.core import AquomanSimulator, DeviceConfig
 from repro.core.compiler import QueryCompiler
 from repro.engine import Engine
@@ -71,7 +73,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.perf.trace import QueryTrace
-from repro.sqlir import plan_sql
+from repro.sqlir import PlanningError, SqlSyntaxError, plan_sql
 from repro.util.units import GB, fmt_bytes
 
 
@@ -137,14 +139,12 @@ def _add_report(
     parser: argparse.ArgumentParser,
     *,
     strict: str,
-    json: bool = True,
     verbose: str | None = None,
 ) -> None:
     """How a command reports: ``--json``, ``--strict``, ``--verbose``
     (``strict`` / ``verbose`` are the per-command help texts)."""
-    if json:
-        parser.add_argument("--json", action="store_true",
-                            help="machine-readable report")
+    parser.add_argument("--json", action="store_true",
+                        help="machine-readable report")
     parser.add_argument("--strict", action="store_true", help=strict)
     if verbose:
         parser.add_argument("--verbose", action="store_true",
@@ -460,25 +460,6 @@ def cmd_doctor(args) -> int:
     return 0
 
 
-def cmd_perf_diff(args) -> int:
-    """Compare two run-record stores; exit 1 on regressions."""
-    from repro.obs.baseline import compare, load_records
-
-    thresholds = {}
-    for spec in args.threshold or ():
-        metric, sep, value = spec.rpartition("=")
-        if not sep:
-            raise SystemExit(f"--threshold wants METRIC=REL, got {spec!r}")
-        thresholds[metric] = float(value)
-    report = compare(
-        load_records(args.baseline),
-        load_records(args.current),
-        thresholds=thresholds or None,
-    )
-    print(report.format(verbose=args.verbose))
-    return 1 if report.failed(strict=args.strict) else 0
-
-
 def cmd_chaos(args) -> int:
     """Run a seeded chaos campaign and emit its JSON report."""
     import json
@@ -697,26 +678,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(p_doctor)
     p_doctor.set_defaults(func=cmd_doctor)
 
-    p_perf = sub.add_parser("perf", help="performance baselines")
-    perf_sub = p_perf.add_subparsers(dest="perf_command", required=True)
-    p_diff = perf_sub.add_parser(
-        "diff", help="compare run-record stores (JSONL)"
-    )
-    p_diff.add_argument("baseline", help="baseline run-record JSONL")
-    p_diff.add_argument("current", help="current run-record JSONL")
-    _add_report(
-        p_diff,
-        json=False,
-        strict="also fail when a baseline metric went missing",
-        verbose="print every metric, not just changes",
-    )
-    p_diff.add_argument(
-        "--threshold", action="append", metavar="METRIC=REL",
-        help="override a relative threshold, e.g. wall.=0.4 "
-        "(prefix match, repeatable)",
-    )
-    p_diff.set_defaults(func=cmd_perf_diff)
-
     p_chaos = sub.add_parser(
         "chaos",
         help="seeded fault-injection campaign with bit-identical "
@@ -824,7 +785,13 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.set_defaults(func=cmd_serve)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SqlSyntaxError, PlanningError, PlanRejected) as exc:
+        # bad input, not a crash: one line, and argparse's usage code
+        message = " ".join(str(exc).splitlines())
+        print(f"error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,9 +23,11 @@ this package is to the Python runtime's *actual* behaviour:
     lane gated a run, with per-lane utilization and bottleneck
     attribution.  Input is the tracer's raw records, so tests feed it
     synthetic fixtures deterministically.
-``baseline``
-    JSONL run-record store plus the median-of-N, noise-aware
-    comparator behind ``python -m repro perf diff``.
+``tracediff``
+    Two query-log runs aligned by plan fingerprint, compared as
+    median-of-N with a relative band and an absolute floor, the delta
+    attributed per critical-path bucket and span prefix (behind
+    ``python -m repro tracediff``).
 ``context`` / ``qlog``
     The ambient state: per-query identity and the process-wide
     degraded flag (``context``); the query log, its wide events and
@@ -44,13 +46,6 @@ engine never loads ``http.server``.
 
 from __future__ import annotations
 
-from repro.obs.baseline import (
-    DiffReport,
-    RunRecord,
-    append_records,
-    compare,
-    load_records,
-)
 from repro.obs.context import (
     QueryContext,
     clear_degraded,
@@ -100,7 +95,6 @@ __all__ = [
     "NULL_TRACER",
     "Counter",
     "CritPathAnalysis",
-    "DiffReport",
     "Gauge",
     "Histogram",
     "MetricsDelta",
@@ -108,14 +102,11 @@ __all__ = [
     "NullTracer",
     "QueryContext",
     "QueryLog",
-    "RunRecord",
     "Span",
     "Tracer",
     "analyze_records",
-    "append_records",
     "chrome_trace",
     "clear_degraded",
-    "compare",
     "flame_summary",
     "get_degraded",
     "get_query_context",
@@ -126,7 +117,6 @@ __all__ = [
     "set_degraded",
     "set_query_context",
     "set_query_log",
-    "load_records",
     "prometheus_text",
     "set_global_tracer",
     "traced",

@@ -5,13 +5,10 @@ runs' wide events by **plan fingerprint** (the structural digest from
 :func:`repro.obs.context.plan_fingerprint` — stable across processes,
 backends and machines), then explains where the time went:
 
-1. Each wide event becomes one :class:`~repro.obs.baseline.RunRecord`
-   (``bench`` = fingerprint; metrics = ``wall_ms``, ``path_ms``, one
-   per critical-path bucket, one per ``top_spans`` prefix), and
-   :func:`repro.obs.baseline.compare` — the comparator behind ``repro
-   perf diff`` — groups, takes medians, aligns the two sides and
-   applies the noise band.  This module only adapts events in and
-   formats entries out.
+1. Each wide event becomes metrics keyed by its fingerprint
+   (``wall_ms``, ``path_ms``, one per critical-path bucket, one per
+   ``top_spans`` prefix); a wall-time increase is a regression only
+   beyond both noise bands, ``|Δ| > max(rel_band·|A|, abs_band_ms)``.
 2. The per-bucket deltas *sum to the critical-path delta by
    construction* (buckets partition the path, the path spans the root
    window), so "process is slower than serial" decomposes into "+3.1ms
@@ -21,7 +18,8 @@ backends and machines), then explains where the time went:
 
 Alignment rules: events missing on either side are reported, never
 silently dropped; multiple events with one fingerprint (several seeds,
-several backends in one log) aggregate by median; an event without a
+several backends in one log) collapse to per-metric medians, so repeats
+self-filter outliers; an event without a
 ``critpath`` section still contributes its wall time but attributes
 nothing.
 
@@ -31,11 +29,11 @@ from other checkouts and CI artifacts.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from itertools import groupby
+from statistics import median
 from typing import Any, Iterable
 
-from repro.obs import baseline
 from repro.obs.critpath import BUCKETS
 
 __all__ = [
@@ -49,22 +47,33 @@ __all__ = [
 DEFAULT_REL_BAND = 0.10     # 10% of the baseline wall time
 DEFAULT_ABS_BAND_MS = 0.5   # absolute floor for tiny queries
 
-# Metric-name namespaces of the per-event run record.
+# Metric-name namespaces of the per-event metrics.
 _BUCKET = "bucket."
 _PREFIX = "prefix."
 
 
 def load_wide_events(path: str) -> list[dict[str, Any]]:
-    """Parse a query-log JSONL file (ignoring blank lines)."""
-    return [doc for _ln, doc in baseline.read_jsonl(path, "wide event")]
+    """Parse a query-log JSONL file (ignoring blank lines); a line that
+    is not JSON raises ``ValueError`` naming ``path:line``."""
+    events: list[dict[str, Any]] = []
+    with open(path) as fh:
+        for ln, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                events.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                msg = f"{path}:{ln}: bad wide event ({exc})"
+                raise ValueError(msg) from exc
+    return events
 
 
 def _span_prefix(name: str) -> str:
     return name.split(".", 1)[0] + ".*" if "." in name else name
 
 
-def _to_record(event: dict[str, Any]) -> baseline.RunRecord:
-    """One wide event as a run record keyed by its fingerprint."""
+def _event_metrics(event: dict[str, Any]) -> dict[str, float]:
+    """The metrics one wide event contributes to its fingerprint."""
     metrics = {"wall_ms": float(event["wall_ms"])}
     critpath = event.get("critpath")
     if critpath:
@@ -78,9 +87,34 @@ def _to_record(event: dict[str, Any]) -> baseline.RunRecord:
         for name, _bucket, ms in critpath.get("top_spans", ()):
             key = _PREFIX + _span_prefix(name)
             metrics[key] = metrics.get(key, 0.0) + float(ms)
-    return baseline.RunRecord(
-        event["fingerprint"], metrics, {"query": event.get("query", "")}
-    )
+    return metrics
+
+
+def _medians(
+    events: Iterable[dict[str, Any]], labels: dict[str, str]
+) -> dict[str, dict[str, float]]:
+    """``fingerprint -> metric -> median`` over the events sharing the
+    fingerprint; records each fingerprint's first non-empty query name
+    in ``labels``."""
+    samples: dict[str, dict[str, list[float]]] = {}
+    for event in events:
+        fp = event["fingerprint"]
+        if not labels.get(fp):
+            labels[fp] = event.get("query", "")
+        per_metric = samples.setdefault(fp, {})
+        for metric, value in _event_metrics(event).items():
+            per_metric.setdefault(metric, []).append(value)
+    return {
+        fp: {metric: median(vals) for metric, vals in per_metric.items()}
+        for fp, per_metric in samples.items()
+    }
+
+
+def _regressed(a: float, b: float, rel_band: float, abs_band: float) -> bool:
+    """B is slower than A beyond both bands; the absolute floor keeps
+    near-zero baselines from turning jitter into a regression."""
+    rel = (b - a) / abs(a) if a else (0.0 if b == 0 else float("inf"))
+    return rel >= 0 and abs(rel) > rel_band and abs(b - a) > abs_band
 
 
 @dataclass
@@ -212,54 +246,46 @@ def diff_runs(
     abs_band_ms: float = DEFAULT_ABS_BAND_MS,
 ) -> TraceDiff:
     """Diff run B against baseline run A, aligned by fingerprint."""
-    records_a = [_to_record(event) for event in events_a]
-    records_b = [_to_record(event) for event in events_b]
-    report = baseline.compare(
-        records_a, records_b,
-        thresholds={"": rel_band}, abs_floor=abs_band_ms,
-    )
     labels: dict[str, str] = {}
-    for record in (*records_a, *records_b):
-        if not labels.get(record.bench):
-            labels[record.bench] = record.meta["query"]
-
+    medians_a = _medians(events_a, labels)
+    medians_b = _medians(events_b, labels)
     diff = TraceDiff(
         entries=[], rel_band=rel_band, abs_band_ms=abs_band_ms
     )
-    # compare() returns entries sorted by (bench, metric).
-    for fp, group in groupby(report.entries, key=lambda e: e.bench):
-        by_metric = {entry.metric: entry for entry in group}
-        wall = by_metric["wall_ms"]
-        if wall.status == "missing":
+    for fp in sorted(medians_a.keys() | medians_b.keys()):
+        if fp not in medians_b:
             diff.only_a.append(fp)
             continue
-        if wall.status == "new":
+        if fp not in medians_a:
             diff.only_b.append(fp)
             continue
+        a, b = medians_a[fp], medians_b[fp]
+        metrics = sorted(a.keys() | b.keys())
         # A metric measured on one side only moved from / to zero.
         delta = {
-            metric: (entry.current or 0.0) - (entry.baseline or 0.0)
-            for metric, entry in by_metric.items()
-            if entry.current or entry.baseline
+            metric: b.get(metric, 0.0) - a.get(metric, 0.0)
+            for metric in metrics
+            if a.get(metric) or b.get(metric)
         }
-        path = by_metric.get("path_ms")
-        one_sided = path is None or path.status in ("missing", "new")
+        one_sided = "path_ms" not in a or "path_ms" not in b
         diff.entries.append(DiffEntry(
             fingerprint=fp,
             query=labels[fp],
-            wall_a_ms=wall.baseline,
-            wall_b_ms=wall.current,
+            wall_a_ms=a["wall_ms"],
+            wall_b_ms=b["wall_ms"],
             bucket_delta_ms={
                 bucket: delta[_BUCKET + bucket]
                 for bucket in BUCKETS if _BUCKET + bucket in delta
             },
             prefix_delta_ms={
                 metric[len(_PREFIX):]: delta.get(metric, 0.0)
-                for metric in by_metric if metric.startswith(_PREFIX)
+                for metric in metrics if metric.startswith(_PREFIX)
             },
             path_delta_ms=(
-                None if one_sided else path.current - path.baseline
+                None if one_sided else b["path_ms"] - a["path_ms"]
             ),
-            regression=wall.status == "regressed",
+            regression=_regressed(
+                a["wall_ms"], b["wall_ms"], rel_band, abs_band_ms
+            ),
         ))
     return diff

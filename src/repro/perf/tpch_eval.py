@@ -97,28 +97,3 @@ def collect_traces(
             )
             out.aquoman16_traces[name] = sim16.trace
     return out
-
-
-def run_records(report: EvaluationReport, meta=None):
-    """Distil one evaluation into baseline run records.
-
-    Every metric here is a pure function of the traces and the system
-    models — no wall clocks — so a committed baseline compares exactly
-    across machines (the ``model.`` prefix gets the tightest diff
-    band).  Per-query detail is kept for the paper's headline system
-    (L-AQUOMAN); the others are summarised by their totals.
-    """
-    from repro.obs.baseline import RunRecord
-
-    metrics: dict[str, float] = {}
-    for system in report.systems:
-        metrics[f"model.total_{system}_s"] = report.total_runtime(system)
-    for q in report.queries:
-        metrics[f"model.{q}_L-AQUOMAN_s"] = report.timing(
-            q, "L-AQUOMAN"
-        ).runtime_s
-    metrics["model.mean_cpu_saving"] = report.mean_cpu_saving()
-    metrics["model.mean_dram_saving"] = report.mean_dram_saving()
-    return [
-        RunRecord(bench="tpch_eval", metrics=metrics, meta=meta or {})
-    ]

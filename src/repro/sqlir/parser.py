@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.sqlir.expr import (
     AggFunc,
@@ -41,6 +42,13 @@ from repro.sqlir.expr import (
 
 class SqlSyntaxError(Exception):
     """The input is not in the supported SQL subset."""
+
+
+# Parenthesised, CASE, NOT and unary-minus levels one expression may
+# nest.  Every level costs the recursive descent ~10 Python frames, so
+# the limit keeps hostile input a syntax error instead of a
+# RecursionError, with room to spare for the deepest real query.
+MAX_NESTING = 64
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +146,7 @@ class Parser:
     def __init__(self, sql: str):
         self.tokens = tokenize(sql)
         self.position = 0
+        self.depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -174,6 +183,24 @@ class Parser:
     def _keyword(self, word: str) -> bool:
         return self._accept("keyword", word) is not None
 
+    def _nested(self, parse: Callable[[], Expr]) -> Expr:
+        """``parse()`` one nesting level down (see :data:`MAX_NESTING`)."""
+        if self.depth >= MAX_NESTING:
+            raise SqlSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels"
+            )
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
+    def _integer(self) -> int:
+        token = self._expect("number")
+        if "." in token.text:
+            raise SqlSyntaxError(f"expected an integer, got {token.text}")
+        return int(token.text)
+
     # -- statement ------------------------------------------------------------
 
     def parse(self) -> SelectStatement:
@@ -201,7 +228,7 @@ class Parser:
 
         limit = None
         if self._keyword("limit"):
-            limit = int(self._expect("number").text)
+            limit = self._integer()
 
         if self._peek() is not None:
             raise SqlSyntaxError(
@@ -291,7 +318,7 @@ class Parser:
     # -- expressions (precedence climbing) -------------------------------------
 
     def _expression(self) -> Expr:
-        return self._or_expr()
+        return self._nested(self._or_expr)
 
     def _or_expr(self) -> Expr:
         left = self._and_expr()
@@ -307,7 +334,7 @@ class Parser:
 
     def _not_expr(self) -> Expr:
         if self._keyword("not"):
-            return BoolExpr(BoolOp.NOT, (self._not_expr(),))
+            return BoolExpr(BoolOp.NOT, (self._nested(self._not_expr),))
         return self._predicate()
 
     _COMPARE_OPS = {
@@ -381,7 +408,7 @@ class Parser:
 
     def _unary(self) -> Expr:
         if self._accept("op", "-"):
-            return lit(0) - self._unary()
+            return lit(0) - self._nested(self._unary)
         return self._primary()
 
     def _primary(self) -> Expr:
@@ -407,7 +434,13 @@ class Parser:
         if token.kind == "keyword":
             if token.text == "date":
                 self._next()
-                return lit_date(self._string_value())
+                text = self._string_value()
+                try:
+                    return lit_date(text)
+                except ValueError as exc:
+                    raise SqlSyntaxError(
+                        f"bad DATE literal {text!r} ({exc})"
+                    ) from None
             if token.text == "case":
                 return self._case_expr()
             if token.text == "extract":
@@ -423,16 +456,22 @@ class Parser:
                 self._expect("op", "(")
                 inner = self._expression()
                 self._expect("keyword", "from")
-                start = int(self._expect("number").text)
+                start = self._integer()
                 self._expect("keyword", "for")
-                length = int(self._expect("number").text)
+                length = self._integer()
                 self._expect("op", ")")
                 return Substring(inner, start, length)
             if token.text == "interval":
                 # DATE 'x' - INTERVAL 'n' DAY is folded by the caller;
                 # bare intervals evaluate to their day count.
                 self._next()
-                days = int(self._string_value())
+                text = self._string_value()
+                try:
+                    days = int(text)
+                except ValueError:
+                    raise SqlSyntaxError(
+                        f"bad INTERVAL literal {text!r}"
+                    ) from None
                 self._keyword("day")
                 return lit(days)
             raise SqlSyntaxError(f"unexpected keyword {token.text!r}")

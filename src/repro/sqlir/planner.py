@@ -226,14 +226,17 @@ def plan_statement(stmt: SelectStatement, catalog: Catalog) -> Plan:
 
 
 def _flatten_and(expr: Expr | None) -> list[Expr]:
-    if expr is None:
-        return []
-    if isinstance(expr, BoolExpr) and expr.op is BoolOp.AND:
-        out: list[Expr] = []
-        for arg in expr.args:
-            out.extend(_flatten_and(arg))
-        return out
-    return [expr]
+    """The conjuncts of ``expr``, left to right.  A WHERE of n ANDed
+    terms parses to an n-deep tree, so the walk keeps its own stack."""
+    out: list[Expr] = []
+    stack: list[Expr] = [] if expr is None else [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BoolExpr) and node.op is BoolOp.AND:
+            stack.extend(reversed(node.args))
+        else:
+            out.append(node)
+    return out
 
 
 def _column_resolver(stmt: SelectStatement, catalog: Catalog):
@@ -241,7 +244,10 @@ def _column_resolver(stmt: SelectStatement, catalog: Catalog):
     tables = [t for t, _ in stmt.tables]
     owners: dict[str, str] = {}
     for table_name in tables:
-        table = catalog.table(table_name)
+        try:
+            table = catalog.table(table_name)
+        except KeyError as exc:
+            raise PlanningError(exc.args[0]) from None
         for column in table.column_names:
             if column in owners:
                 raise PlanningError(

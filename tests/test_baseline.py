@@ -1,132 +1,77 @@
-"""Run-record store and the noise-aware perf-diff comparator."""
+"""The baseline comparison behind ``repro tracediff``, unit by unit:
+the query log as the run store, median-of-N per fingerprint, and the
+relative band and absolute floor a slowdown must clear to regress
+(``tests/test_qlog.py::TestTraceDiff`` drives it end to end)."""
 
 import pytest
 
-from repro.__main__ import main
-from repro.obs.baseline import (
-    RunRecord,
-    append_records,
-    compare,
-    load_records,
-    median_by_metric,
+from repro.obs import MetricsRegistry, QueryLog
+from repro.obs.tracediff import (
+    _medians,
+    _regressed,
+    diff_runs,
+    load_wide_events,
 )
 
 
-def _rec(bench, **metrics):
-    return RunRecord(bench=bench, metrics=metrics, meta={})
+def _event(wall_ms, fp="a" * 16, query="q06"):
+    return {"query": query, "fingerprint": fp, "wall_ms": wall_ms}
 
 
 class TestStore:
     def test_append_and_load_round_trip(self, tmp_path):
-        path = tmp_path / "runs" / "records.jsonl"
-        first = [_rec("scaling", wall_ms=100.0)]
-        second = [_rec("scaling", wall_ms=104.0)]
-        append_records(path, first)
-        append_records(path, second)  # appends, never truncates
-        loaded = load_records(path)
-        assert [r.metrics for r in loaded] == [
-            {"wall_ms": 100.0},
-            {"wall_ms": 104.0},
+        path = str(tmp_path / "qlog.jsonl")
+        for wall in (100.0, 104.0):  # two runs append to one log
+            log = QueryLog(path, registry=MetricsRegistry())
+            log.emit(_event(wall))
+            log.close()
+        assert [e["wall_ms"] for e in load_wide_events(path)] == [
+            100.0, 104.0,
         ]
 
     def test_load_reports_the_bad_line(self, tmp_path):
-        path = tmp_path / "records.jsonl"
-        path.write_text('{"bench": "a", "metrics": {}}\nnot json\n')
-        with pytest.raises(ValueError, match=":2: bad run record"):
-            load_records(path)
+        path = tmp_path / "qlog.jsonl"
+        path.write_text('{"wall_ms": 1.0}\n\nnot json\n')
+        with pytest.raises(ValueError, match=r"qlog\.jsonl:3: bad wide event"):
+            load_wide_events(str(path))
 
     def test_median_of_n(self):
-        records = [
-            _rec("b", x=1.0),
-            _rec("b", x=9.0),
-            _rec("b", x=2.0),
-        ]
-        assert median_by_metric(records)[("b", "x")] == (2.0, 3)
+        labels = {}
+        medians = _medians(
+            [_event(1.0), _event(9.0, query=""), _event(2.0)], labels
+        )
+        assert medians == {"a" * 16: {"wall_ms": 2.0}}
+        assert labels == {"a" * 16: "q06"}
 
 
 class TestCompare:
     def test_injected_regression_is_detected(self):
-        # model.* metrics are deterministic, so their band is ±2%; a
-        # 10% injected morsel-scaling regression must trip it.
-        base = [_rec("morsel_scaling", **{"model.q06_runtime_s": 66.0})]
-        cur = [_rec("morsel_scaling",
-                    **{"model.q06_runtime_s": 72.6})]
-        report = compare(base, cur)
-        assert report.regressions
-        assert report.failed(strict=False)
+        assert _regressed(66.0, 72.6, 0.05, 0.5)  # +10% > 5% and 0.5 ms
+        diff = diff_runs([_event(66.0)], [_event(72.6)], rel_band=0.05)
+        assert [e.query for e in diff.regressions] == ["q06"]
 
     def test_unchanged_rerun_passes(self):
-        records = [
-            _rec("morsel_scaling",
-                 **{"model.q06_runtime_s": 66.0, "wall.q06_ms": 120.0}),
-        ]
-        report = compare(records, records)
-        assert not report.regressions
-        assert not report.failed(strict=True)
+        assert not _regressed(66.0, 66.0, 0.0, 0.0)
+        assert not _regressed(0.0, 0.0, 0.0, 0.0)
 
     def test_wall_band_absorbs_scheduler_noise(self):
-        base = [_rec("b", **{"wall.q06_ms": 100.0})]
-        cur = [_rec("b", **{"wall.q06_ms": 110.0})]  # 10% < ±25%
-        report = compare(base, cur)
-        assert not report.regressions
-
-    def test_direction_aware_higher_is_better(self):
-        base = [_rec("b", **{"speedup.4w": 3.0})]
-        slower = compare(base, [_rec("b", **{"speedup.4w": 2.0})])
-        faster = compare(base, [_rec("b", **{"speedup.4w": 4.0})])
-        assert slower.regressions
-        assert not faster.regressions  # improvement, not regression
-
-    def test_missing_metric_only_fails_strict(self):
-        base = [_rec("b", x=1.0, y=2.0)]
-        cur = [_rec("b", x=1.0)]
-        report = compare(base, cur)
-        assert report.missing
-        assert not report.failed(strict=False)
-        assert report.failed(strict=True)
+        assert not _regressed(100.0, 108.0, 0.10, 0.5)
+        assert not _regressed(10.0, 11.0, 0.10, 0.0)  # a tie is noise
 
     def test_threshold_override(self):
-        base = [_rec("b", **{"wall.q06_ms": 100.0})]
-        cur = [_rec("b", **{"wall.q06_ms": 110.0})]
-        report = compare(base, cur, thresholds={"wall.": 0.05})
-        assert report.regressions
+        assert _regressed(100.0, 108.0, 0.05, 0.5)
+        assert diff_runs(
+            [_event(100.0)], [_event(108.0)], rel_band=0.05
+        ).regressions
 
+    def test_absolute_floor_absorbs_tiny_queries(self):
+        # +50% of a 0.2 ms query is 0.1 ms: under the 0.5 ms default
+        # floor, so noise; a 0.05 ms floor lets the band decide.
+        base, cur = [_event(0.2)], [_event(0.3)]
+        assert diff_runs(base, cur).regressions == []
+        assert diff_runs(base, cur, abs_band_ms=0.05).regressions
+        assert not _regressed(0.0, 0.4, 0.10, 0.5)
+        assert _regressed(0.0, 0.6, 0.10, 0.5)
 
-class TestPerfDiffCli:
-    def _write(self, path, records):
-        append_records(path, records)
-        return str(path)
-
-    def test_regression_exits_one(self, tmp_path, capsys):
-        base = self._write(
-            tmp_path / "base.jsonl",
-            [_rec("morsel_scaling", **{"model.q06_runtime_s": 66.0})],
-        )
-        cur = self._write(
-            tmp_path / "cur.jsonl",
-            [_rec("morsel_scaling", **{"model.q06_runtime_s": 72.6})],
-        )
-        assert main(["perf", "diff", base, cur]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_clean_run_exits_zero(self, tmp_path, capsys):
-        base = self._write(
-            tmp_path / "base.jsonl",
-            [_rec("morsel_scaling", **{"model.q06_runtime_s": 66.0})],
-        )
-        assert main(["perf", "diff", "--strict", base, base]) == 0
-        assert "0 regressed" in capsys.readouterr().out
-
-    def test_threshold_flag(self, tmp_path):
-        base = self._write(
-            tmp_path / "base.jsonl",
-            [_rec("b", **{"wall.q06_ms": 100.0})],
-        )
-        cur = self._write(
-            tmp_path / "cur.jsonl",
-            [_rec("b", **{"wall.q06_ms": 110.0})],
-        )
-        assert main(["perf", "diff", base, cur]) == 0
-        assert main(
-            ["perf", "diff", "--threshold", "wall.=0.05", base, cur]
-        ) == 1
+    def test_faster_is_never_a_regression(self):
+        assert not _regressed(100.0, 10.0, 0.0, 0.0)

@@ -35,6 +35,17 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["query", "--sf", "0.002"])
 
+    @pytest.mark.parametrize("sql,message", [
+        ("SELECT FROM", "error: unexpected keyword 'from'"),
+        ("SELECT count(*) AS n FROM nope", "error: no table 'nope'"),
+    ])
+    def test_bad_sql_is_one_error_line(self, capsys, sql, message):
+        assert main(["query", "--sql", sql, "--sf", "0.001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_explain(self, capsys):
         assert main(["explain", "9", "--sf", "0.002"]) == 0
         out = capsys.readouterr().out

@@ -16,7 +16,35 @@ from repro.sqlir.expr import (
     ExtractYear,
     Substring,
 )
+from repro.sqlir.parser import MAX_NESTING
 from repro.sqlir.plan import Filter, Join, Scan
+from repro.sqlir.planner import _flatten_and
+
+COUNT_LINEITEM = "SELECT count(*) AS n FROM lineitem"
+DEEP = "nested deeper than"
+# Malformed or oversized SQL: each must raise the front end's own typed
+# error, never a RecursionError / ValueError / KeyError from below it.
+HOSTILE_SQL = {
+    "150 nested parentheses": (SqlSyntaxError, DEEP, "SELECT "
+                               + "(" * 150 + "l_quantity" + ")" * 150
+                               + " AS x FROM lineitem"),
+    "1000 NOTs": (SqlSyntaxError, DEEP, f"{COUNT_LINEITEM} WHERE "
+                  + "NOT " * 1000 + "l_quantity > 0"),
+    "1000 unary minuses": (SqlSyntaxError, DEEP, "SELECT " + "- " * 1000
+                           + "l_quantity AS x FROM lineitem"),
+    "impossible date": (SqlSyntaxError, "bad DATE literal '1994-13-45'",
+                        f"{COUNT_LINEITEM} WHERE l_shipdate < "
+                        "DATE '1994-13-45'"),
+    "year-only date": (SqlSyntaxError, "bad DATE literal '1994'",
+                       f"{COUNT_LINEITEM} WHERE l_shipdate < DATE '1994'"),
+    "non-numeric interval": (SqlSyntaxError, "bad INTERVAL literal 'x'",
+                             f"{COUNT_LINEITEM} WHERE l_shipdate < DATE "
+                             "'1994-01-01' + INTERVAL 'x' DAY"),
+    "fractional limit": (SqlSyntaxError, "expected an integer",
+                         "SELECT l_quantity FROM lineitem LIMIT 1.5"),
+    "unknown table": (PlanningError, "no table 'nope'",
+                      "SELECT count(*) AS n FROM nope"),
+}
 
 
 class TestParser:
@@ -119,6 +147,15 @@ class TestParser:
         with pytest.raises(SqlSyntaxError, match="unexpected character"):
             parse_sql("SELECT a FROM t WHERE a = @")
 
+    def test_nesting_limit_is_exact(self):
+        def nested(n):
+            return "SELECT " + "(" * n + "a" + ")" * n + " AS x FROM t"
+
+        # the select item is one level, each parenthesis one more
+        parse_sql(nested(MAX_NESTING - 1))
+        with pytest.raises(SqlSyntaxError, match=DEEP):
+            parse_sql(nested(MAX_NESTING))
+
 
 class TestPlanner:
     def test_single_table_shape(self, small_db):
@@ -172,6 +209,21 @@ class TestPlanner:
                 "WHERE o_orderkey = o_orderkey",
                 small_db,
             )
+
+    @pytest.mark.parametrize(
+        "error,match,sql", HOSTILE_SQL.values(), ids=list(HOSTILE_SQL)
+    )
+    def test_hostile_sql_raises_a_typed_error(
+        self, tiny_db, error, match, sql
+    ):
+        with pytest.raises(error, match=match):
+            plan_sql(sql, tiny_db)
+
+    def test_thousand_conjuncts_flatten_in_order(self):
+        where = " AND ".join(f"l_quantity > {i}" for i in range(1000))
+        stmt = parse_sql(f"{COUNT_LINEITEM} WHERE {where}")
+        conjuncts = _flatten_and(stmt.where)
+        assert [c.right.raw for c in conjuncts] == list(range(1000))
 
     def test_bare_output_must_be_group_key(self, small_db):
         with pytest.raises(PlanningError, match="GROUP BY"):
