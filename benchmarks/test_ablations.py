@@ -72,9 +72,7 @@ def test_ablation_join_index(benchmark, db):
 
         # Ablate by filtering the orders side trivially, which makes
         # the scan non-bare and forfeits the shortcut.
-        from repro.tpch.queries import q12 as q12mod
-
-        plan = q12mod.build()
+        plan = query(12)
         from repro.sqlir.plan import Filter, Join
 
         join = next(n for n in plan.walk() if isinstance(n, Join))

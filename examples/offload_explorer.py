@@ -27,7 +27,7 @@ def explain(db, number: int) -> None:
     compiler = QueryCompiler(db, scale_ratio=RATIO)
     compiled = compiler.compile(plan)
 
-    print(f"\n=== {name} ({tpch.query_name(number)}) ===")
+    print(f"\n=== {name} ===")
     print("plan and per-node offload decisions:")
     for node in plan.walk():
         decision = compiled.decision(node)

@@ -1,7 +1,5 @@
-"""Fluent plan construction.
-
-The 22 TPC-H plan builders read much closer to their SQL when written
-with a small chaining DSL::
+"""Fluent plan construction, for plans written by hand (tests, ablations,
+examples) rather than planned from SQL::
 
     plan = (
         scan("lineitem")

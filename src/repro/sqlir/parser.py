@@ -1,22 +1,37 @@
 """A SQL front-end for the analytic subset AQUOMAN targets.
 
-Parses ``SELECT ... FROM ... [WHERE] [GROUP BY] [HAVING] [ORDER BY]
-[LIMIT]`` — the shape of every TPC-H query body — into a small AST that
-:mod:`repro.sqlir.planner` turns into logical plans.  Supported
-expression forms: arithmetic, comparisons, AND/OR/NOT, BETWEEN,
-[NOT] LIKE, [NOT] IN, CASE WHEN, EXTRACT(YEAR FROM x),
-SUBSTRING(x FROM a FOR b), DATE 'YYYY-MM-DD' literals, and the
-aggregates SUM/AVG/MIN/MAX/COUNT(*)/COUNT(x).
+Parses one statement of this grammar into a small AST that
+:mod:`repro.sqlir.planner` turns into logical plans::
 
-The grammar is deliberately the analytics subset: no subqueries in
-FROM, no outer-join syntax, no DDL — those arrive at AQUOMAN as
-already-planned trees in the paper's stack too.
+    statement := [WITH name AS (select) {, name AS (select)}] select
+    select    := SELECT item {, item} FROM source {, source}
+                 [WHERE expr] [GROUP BY column {, column}] [HAVING expr]
+                 [ORDER BY name [ASC|DESC] {, ...}] [LIMIT integer]
+    item      := * | expr [AS name]
+    source    := table [[AS] alias] | (select) [AS] alias
+                 {LEFT [OUTER] JOIN table [[AS] alias] ON expr}
+    column    := name | alias.name
+
+Expressions: arithmetic, comparisons, AND/OR/NOT, BETWEEN, [NOT] LIKE,
+[NOT] IN (literals), [NOT] IN (select), [NOT] EXISTS (select), scalar
+(select) subqueries, CASE WHEN, EXTRACT(YEAR FROM x),
+SUBSTRING(x FROM a FOR b), DATE 'YYYY-MM-DD' literals, INTERVAL 'n'
+DAY, and the aggregates SUM/AVG/MIN/MAX/COUNT(*)/COUNT([DISTINCT] x)
+anywhere in a select item or HAVING.  That is every construct of the
+22 TPC-H query texts; interval arithmetic on dates is written as the
+folded literal date.
+
+A qualified column ``alias.name`` is kept qualified
+(:class:`QualifiedRef`): a self-join (``nation n1, nation n2``) or a
+correlated subquery over the outer query's table needs the alias to
+tell its two bindings apart.  No DDL, no NULL literals, no UNION: those
+arrive at AQUOMAN as already-planned trees in the paper's stack too.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.sqlir.expr import (
@@ -31,7 +46,6 @@ from repro.sqlir.expr import (
     ExtractYear,
     InList,
     Like,
-    Literal,
     Substring,
     col,
     lit,
@@ -44,10 +58,10 @@ class SqlSyntaxError(Exception):
     """The input is not in the supported SQL subset."""
 
 
-# Parenthesised, CASE, NOT and unary-minus levels one expression may
-# nest.  Every level costs the recursive descent ~10 Python frames, so
-# the limit keeps hostile input a syntax error instead of a
-# RecursionError, with room to spare for the deepest real query.
+# Parenthesised, CASE, NOT, unary-minus and subquery levels one
+# expression may nest.  Every level costs the recursive descent ~10
+# Python frames, so the limit keeps hostile input a syntax error instead
+# of a RecursionError, with room to spare for the deepest real query.
 MAX_NESTING = 64
 
 
@@ -69,7 +83,8 @@ _TOKEN_RE = re.compile(
 KEYWORDS = frozenset(
     """select from where group by having order asc desc limit and or not
     like in between as sum avg min max count date case when then else end
-    extract year for substring distinct interval day month""".split()
+    extract year for substring distinct interval day month exists with
+    left outer join on""".split()
 )
 
 
@@ -107,15 +122,58 @@ def tokenize(sql: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
+# Front-end-only expression nodes: the planner replaces each of them
+# with plan IR (a column, a join, a ScalarSubquery) before any executor
+# sees the tree.
+
+
+@dataclass(eq=False)
+class QualifiedRef(Expr):
+    """``qualifier.name``: a column of one FROM binding."""
+
+    qualifier: str
+    name: str
+
+    def __repr__(self) -> str:
+        return f"col({self.qualifier}.{self.name})"
+
+
+@dataclass(eq=False)
+class AggCall(Expr):
+    """An aggregate call; ``arg`` is None for COUNT(*)."""
+
+    func: AggFunc
+    arg: Expr | None = None
+
+    def children(self):
+        return () if self.arg is None else (self.arg,)
+
+    def __repr__(self) -> str:
+        return f"{self.func.value}({self.arg!r})"
+
+
+@dataclass(eq=False)
+class Subquery(Expr):
+    """A nested SELECT: ``kind`` is "scalar", "exists" or "in"
+    (``operand IN (query)``); ``negated`` for NOT EXISTS / NOT IN."""
+
+    query: "SelectStatement"
+    kind: str = "scalar"
+    operand: Expr | None = None
+    negated: bool = False
+
+    def children(self):
+        return () if self.operand is None else (self.operand,)
+
+    def __repr__(self) -> str:
+        neg = "not " if self.negated else ""
+        return f"{neg}{self.kind}(subquery)"
 
 
 @dataclass
 class SelectItem:
-    expr: Expr | None          # None for the aggregate-call case below
+    expr: Expr          # may contain AggCall nodes
     alias: str
-    aggregate: AggFunc | None = None
-    aggregate_arg: Expr | None = None
-    distinct: bool = False
 
 
 @dataclass
@@ -125,14 +183,25 @@ class OrderItem:
 
 
 @dataclass
+class FromItem:
+    """One FROM binding: a base table or a derived table (``query``).
+    ``outer_on`` marks ``LEFT OUTER JOIN this ON outer_on``."""
+
+    alias: str
+    table: str | None = None
+    query: "SelectStatement | None" = None
+    outer_on: Expr | None = None
+
+
+@dataclass
 class SelectStatement:
-    items: list[SelectItem]
-    tables: list[tuple[str, str]]       # (table, alias)
-    where: Expr | None
-    group_by: list[str]
-    having: Expr | None
-    order_by: list[OrderItem]
-    limit: int | None
+    items: list[SelectItem]             # empty for SELECT *
+    tables: list[FromItem]
+    where: Expr | None = None
+    group_by: list[Expr] = field(default_factory=list)
+    having: Expr | None = None
+    order_by: list[OrderItem] = field(default_factory=list)
+    limit: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -147,28 +216,34 @@ class Parser:
         self.tokens = tokenize(sql)
         self.position = 0
         self.depth = 0
+        self.in_aggregate = False
+        self.ctes: dict[str, SelectStatement] = {}
 
     # -- token plumbing ------------------------------------------------------
 
-    def _peek(self) -> Token | None:
-        if self.position < len(self.tokens):
-            return self.tokens[self.position]
-        return None
+    def _peek(self, ahead: int = 0) -> Token | None:
+        try:
+            return self.tokens[self.position + ahead]
+        except IndexError:
+            return None
 
     def _next(self) -> Token:
-        token = self._peek()
-        if token is None:
-            raise SqlSyntaxError("unexpected end of input")
+        try:
+            token = self.tokens[self.position]
+        except IndexError:
+            raise SqlSyntaxError("unexpected end of input") from None
         self.position += 1
         return token
 
     def _accept(self, kind: str, text: str | None = None) -> Token | None:
-        token = self._peek()
-        if token is None or token.kind != kind:
+        try:
+            token = self.tokens[self.position]
+        except IndexError:
             return None
-        if text is not None and token.text != text:
+        if token.kind != kind or text is not None and token.text != text:
             return None
-        return self._next()
+        self.position += 1
+        return token
 
     def _expect(self, kind: str, text: str | None = None) -> Token:
         token = self._accept(kind, text)
@@ -183,7 +258,7 @@ class Parser:
     def _keyword(self, word: str) -> bool:
         return self._accept("keyword", word) is not None
 
-    def _nested(self, parse: Callable[[], Expr]) -> Expr:
+    def _nested(self, parse: Callable[[], object]):
         """``parse()`` one nesting level down (see :data:`MAX_NESTING`)."""
         if self.depth >= MAX_NESTING:
             raise SqlSyntaxError(
@@ -201,42 +276,62 @@ class Parser:
             raise SqlSyntaxError(f"expected an integer, got {token.text}")
         return int(token.text)
 
-    # -- statement ------------------------------------------------------------
+    # -- statements -----------------------------------------------------------
 
     def parse(self) -> SelectStatement:
-        self._expect("keyword", "select")
-        items = self._select_items()
-        self._expect("keyword", "from")
-        tables = self._table_list()
-        where = self._expression() if self._keyword("where") else None
-
-        group_by: list[str] = []
-        if self._keyword("group"):
-            self._expect("keyword", "by")
-            group_by.append(self._expect("name").text)
-            while self._accept("op", ","):
-                group_by.append(self._expect("name").text)
-
-        having = self._expression() if self._keyword("having") else None
-
-        order_by: list[OrderItem] = []
-        if self._keyword("order"):
-            self._expect("keyword", "by")
-            order_by.append(self._order_item())
-            while self._accept("op", ","):
-                order_by.append(self._order_item())
-
-        limit = None
-        if self._keyword("limit"):
-            limit = self._integer()
-
+        if self._keyword("with"):
+            while True:
+                name = self._expect("name").text
+                self._expect("keyword", "as")
+                self.ctes[name] = self._subquery()
+                if not self._accept("op", ","):
+                    break
+        stmt = self._select()
         if self._peek() is not None:
             raise SqlSyntaxError(
                 f"trailing input at {self._peek().text!r}"
             )
-        return SelectStatement(
-            items, tables, where, group_by, having, order_by, limit
-        )
+        return stmt
+
+    def _subquery(self) -> SelectStatement:
+        """``( select )``, one nesting level down."""
+        self._expect("op", "(")
+        outer, self.in_aggregate = self.in_aggregate, False
+        stmt = self._nested(self._select)
+        self.in_aggregate = outer
+        self._expect("op", ")")
+        return stmt
+
+    def _select(self) -> SelectStatement:
+        self._expect("keyword", "select")
+        if self._accept("op", "*"):
+            items: list[SelectItem] = []
+        else:
+            items = [self._select_item()]
+            while self._accept("op", ","):
+                items.append(self._select_item())
+        self._expect("keyword", "from")
+        tables = self._sources()
+        while self._accept("op", ","):
+            tables += self._sources()
+        stmt = SelectStatement(items, tables)
+        if self._keyword("where"):
+            stmt.where = self._expression()
+        if self._keyword("group"):
+            self._expect("keyword", "by")
+            stmt.group_by.append(self._column())
+            while self._accept("op", ","):
+                stmt.group_by.append(self._column())
+        if self._keyword("having"):
+            stmt.having = self._expression()
+        if self._keyword("order"):
+            self._expect("keyword", "by")
+            stmt.order_by.append(self._order_item())
+            while self._accept("op", ","):
+                stmt.order_by.append(self._order_item())
+        if self._keyword("limit"):
+            stmt.limit = self._integer()
+        return stmt
 
     def _order_item(self) -> OrderItem:
         name = self._expect("name").text
@@ -245,96 +340,92 @@ class Parser:
         self._keyword("asc")
         return OrderItem(name)
 
-    def _select_items(self) -> list[SelectItem]:
-        items = [self._select_item()]
-        while self._accept("op", ","):
-            items.append(self._select_item())
-        return items
-
-    _AGG_WORDS = {
-        "sum": AggFunc.SUM,
-        "avg": AggFunc.AVG,
-        "min": AggFunc.MIN,
-        "max": AggFunc.MAX,
-    }
-
     def _select_item(self) -> SelectItem:
-        token = self._peek()
-        if token is not None and token.kind == "keyword":
-            if token.text in self._AGG_WORDS:
-                func = self._AGG_WORDS[self._next().text]
-                self._expect("op", "(")
-                distinct = self._keyword("distinct")
-                arg = self._expression()
-                self._expect("op", ")")
-                alias = self._alias(default=f"{func.value}")
-                return SelectItem(
-                    None, alias, aggregate=func, aggregate_arg=arg,
-                    distinct=distinct,
-                )
-            if token.text == "count":
-                self._next()
-                self._expect("op", "(")
-                if self._accept("op", "*"):
-                    self._expect("op", ")")
-                    alias = self._alias(default="count")
-                    return SelectItem(None, alias, aggregate=AggFunc.COUNT)
-                distinct = self._keyword("distinct")
-                arg = self._expression()
-                self._expect("op", ")")
-                alias = self._alias(default="count")
-                func = (
-                    AggFunc.COUNT_DISTINCT if distinct else AggFunc.COUNT
-                )
-                return SelectItem(
-                    None, alias, aggregate=func, aggregate_arg=arg
-                )
         expr = self._expression()
-        default = expr.name if isinstance(expr, ColumnRef) else "expr"
-        return SelectItem(expr, self._alias(default=default))
+        if isinstance(expr, AggCall):
+            default = expr.func.value.split("_")[0]
+        elif isinstance(expr, (ColumnRef, QualifiedRef)):
+            default = expr.name
+        else:
+            default = "expr"
+        return SelectItem(expr, self._alias(default))
 
     def _alias(self, default: str) -> str:
         if self._keyword("as"):
             return self._expect("name").text
+        token = self._peek()
+        if token is not None and token.kind == "name":
+            return self._next().text
         return default
 
-    def _table_list(self) -> list[tuple[str, str]]:
-        tables = [self._table()]
-        while self._accept("op", ","):
-            tables.append(self._table())
-        return tables
+    def _sources(self) -> list[FromItem]:
+        """One FROM entry and the LEFT OUTER JOINs chained onto it."""
+        sources = [self._source()]
+        while self._keyword("left"):
+            self._keyword("outer")
+            self._expect("keyword", "join")
+            joined = self._source()
+            self._expect("keyword", "on")
+            joined.outer_on = self._expression()
+            sources.append(joined)
+        return sources
 
-    def _table(self) -> tuple[str, str]:
+    def _at(self, text: str, ahead: int = 0) -> bool:
+        token = self._peek(ahead)
+        return token is not None and token.text == text
+
+    def _source(self) -> FromItem:
+        if self._at("("):
+            query = self._subquery()
+            self._keyword("as")
+            return FromItem(self._expect("name").text, query=query)
         name = self._expect("name").text
-        alias = name
-        if self._keyword("as"):
-            alias = self._expect("name").text
-        else:
-            token = self._peek()
-            if token is not None and token.kind == "name":
-                alias = self._next().text
-        return name, alias
+        alias = self._alias(name)
+        if name in self.ctes:
+            return FromItem(alias, query=self.ctes[name])
+        return FromItem(alias, table=name)
+
+    def _column(self) -> Expr:
+        name = self._expect("name").text
+        if self._accept("op", "."):
+            return QualifiedRef(name, self._expect("name").text)
+        return col(name)
 
     # -- expressions (precedence climbing) -------------------------------------
+    # AND and OR chains parse to one n-ary node each, so a WHERE of many
+    # terms is one level deep, not one level per term.
 
     def _expression(self) -> Expr:
         return self._nested(self._or_expr)
 
     def _or_expr(self) -> Expr:
-        left = self._and_expr()
+        terms = [self._and_expr()]
         while self._keyword("or"):
-            left = BoolExpr(BoolOp.OR, (left, self._and_expr()))
-        return left
+            terms.append(self._and_expr())
+        return terms[0] if len(terms) == 1 else BoolExpr(
+            BoolOp.OR, tuple(terms)
+        )
 
     def _and_expr(self) -> Expr:
-        left = self._not_expr()
+        terms = [self._not_expr()]
         while self._keyword("and"):
-            left = BoolExpr(BoolOp.AND, (left, self._not_expr()))
-        return left
+            terms.append(self._not_expr())
+        return terms[0] if len(terms) == 1 else BoolExpr(
+            BoolOp.AND, tuple(terms)
+        )
 
     def _not_expr(self) -> Expr:
-        if self._keyword("not"):
-            return BoolExpr(BoolOp.NOT, (self._nested(self._not_expr),))
+        token = self._peek()
+        if token is not None and token.kind == "keyword":
+            if token.text == "not":
+                self._next()
+                if self._keyword("exists"):
+                    return Subquery(self._subquery(), "exists",
+                                    negated=True)
+                return BoolExpr(BoolOp.NOT, (self._nested(self._not_expr),))
+            if token.text == "exists":
+                self._next()
+                return Subquery(self._subquery(), "exists")
         return self._predicate()
 
     _COMPARE_OPS = {
@@ -355,6 +446,8 @@ class Parser:
             pattern = self._string_value()
             return Like(left, pattern, negated=negated)
         if self._keyword("in"):
+            if self._at("(") and self._at("select", 1):
+                return Subquery(self._subquery(), "in", left, negated)
             self._expect("op", "(")
             options = [self._literal_value()]
             while self._accept("op", ","):
@@ -411,15 +504,26 @@ class Parser:
             return lit(0) - self._nested(self._unary)
         return self._primary()
 
-    def _primary(self) -> Expr:
-        if self._accept("op", "("):
-            inner = self._expression()
-            self._expect("op", ")")
-            return inner
+    _AGG_WORDS = {
+        "sum": AggFunc.SUM,
+        "avg": AggFunc.AVG,
+        "min": AggFunc.MIN,
+        "max": AggFunc.MAX,
+        "count": AggFunc.COUNT,
+    }
 
+    def _primary(self) -> Expr:
         token = self._peek()
         if token is None:
             raise SqlSyntaxError("unexpected end of expression")
+
+        if token.kind == "op" and token.text == "(":
+            if self._at("select", 1):
+                return Subquery(self._subquery())
+            self._next()
+            inner = self._expression()
+            self._expect("op", ")")
+            return inner
 
         if token.kind == "number":
             self._next()
@@ -432,6 +536,8 @@ class Parser:
             return lit(self._string_value())
 
         if token.kind == "keyword":
+            if token.text in self._AGG_WORDS:
+                return self._aggregate()
             if token.text == "date":
                 self._next()
                 text = self._string_value()
@@ -477,15 +583,27 @@ class Parser:
             raise SqlSyntaxError(f"unexpected keyword {token.text!r}")
 
         if token.kind == "name":
-            name = self._next().text
-            if self._accept("op", "."):
-                # alias.column: TPC-H column names are globally unique,
-                # so the qualifier only disambiguates self-joins, which
-                # this subset does not take; keep the column part.
-                name = self._expect("name").text
-            return col(name)
+            return self._column()
 
         raise SqlSyntaxError(f"unexpected token {token.text!r}")
+
+    def _aggregate(self) -> AggCall:
+        func = self._AGG_WORDS[self._next().text]
+        self._expect("op", "(")
+        if func is AggFunc.COUNT and self._accept("op", "*"):
+            self._expect("op", ")")
+            return AggCall(func)
+        if self._keyword("distinct"):
+            if func is not AggFunc.COUNT:
+                raise SqlSyntaxError("DISTINCT is supported in COUNT only")
+            func = AggFunc.COUNT_DISTINCT
+        if self.in_aggregate:
+            raise SqlSyntaxError("aggregates do not nest")
+        self.in_aggregate = True
+        arg = self._expression()
+        self.in_aggregate = False
+        self._expect("op", ")")
+        return AggCall(func, arg)
 
     def _case_expr(self) -> Expr:
         self._expect("keyword", "case")
@@ -514,5 +632,5 @@ class Parser:
 
 
 def parse_sql(sql: str) -> SelectStatement:
-    """Parse one SELECT statement of the supported subset."""
+    """Parse one statement of the supported subset."""
     return Parser(sql.rstrip().rstrip(";")).parse()

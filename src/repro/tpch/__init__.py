@@ -2,14 +2,13 @@
 
 ``generate(scale_factor)`` builds the eight-table catalog with
 spec-conformant value domains and referential structure; ``query(n)``
-returns query *n*'s logical plan; ``query_params(n)`` documents the
-substitution parameters used (we fix the spec's default parameters so
-results are deterministic).
+plans query *n*'s SQL text (``TEXTS[n]``, the spec's query with its
+validation parameters substituted, so results are deterministic).
 """
 
 from repro.tpch.dbgen import generate
 from repro.tpch.schema import TPCH_TABLES, TableSpec, table_cardinality
-from repro.tpch.queries import ALL_QUERIES, query, query_name
+from repro.tpch.queries import ALL_QUERIES, TEXTS, query
 
 __all__ = [
     "generate",
@@ -17,6 +16,6 @@ __all__ = [
     "TableSpec",
     "table_cardinality",
     "ALL_QUERIES",
+    "TEXTS",
     "query",
-    "query_name",
 ]

@@ -1,5 +1,6 @@
 """SQL parser and planner: syntax, planning, end-to-end equivalence."""
 
+import numpy as np
 import pytest
 
 from repro import tpch
@@ -16,9 +17,9 @@ from repro.sqlir.expr import (
     ExtractYear,
     Substring,
 )
-from repro.sqlir.parser import MAX_NESTING
-from repro.sqlir.plan import Filter, Join, Scan
-from repro.sqlir.planner import _flatten_and
+from repro.sqlir.parser import MAX_NESTING, AggCall, Subquery
+from repro.sqlir.plan import Aggregate, Filter, Join, JoinKind, Project, Scan
+from repro.sqlir.planner import KEY_COMBINE, _flatten_and
 
 COUNT_LINEITEM = "SELECT count(*) AS n FROM lineitem"
 DEEP = "nested deeper than"
@@ -44,19 +45,35 @@ HOSTILE_SQL = {
                          "SELECT l_quantity FROM lineitem LIMIT 1.5"),
     "unknown table": (PlanningError, "no table 'nope'",
                       "SELECT count(*) AS n FROM nope"),
+    "nested aggregate": (SqlSyntaxError, "do not nest",
+                         "SELECT sum(sum(l_quantity)) AS s FROM lineitem"),
+    "many-row scalar": (PlanningError, "one aggregate", f"{COUNT_LINEITEM} "
+                        "WHERE l_tax > (SELECT l_tax FROM lineitem)"),
+    "two-column scalar": (PlanningError, "one aggregate", f"{COUNT_LINEITEM}"
+                          " WHERE l_tax > (SELECT max(l_tax), min(l_tax) "
+                          "FROM lineitem)"),
+    "uncorrelated EXISTS": (PlanningError, "correlated equality",
+                            f"{COUNT_LINEITEM} WHERE EXISTS "
+                            "(SELECT * FROM orders)"),
+    "aggregate in WHERE": (PlanningError, "SELECT and HAVING",
+                           f"{COUNT_LINEITEM} WHERE sum(l_tax) > 1"),
+    "WHERE on the outer join's nullable side": (
+        PlanningError, "nullable side", "SELECT count(*) AS n FROM customer "
+        "LEFT OUTER JOIN orders ON c_custkey = o_custkey "
+        "WHERE o_totalprice > 5"),
 }
 
 
 class TestParser:
     def test_minimal_select(self):
         stmt = parse_sql("SELECT a FROM t")
-        assert stmt.tables == [("t", "t")]
+        assert [(f.table, f.alias) for f in stmt.tables] == [("t", "t")]
         assert stmt.items[0].alias == "a"
 
     def test_alias_and_case_insensitive_keywords(self):
         stmt = parse_sql("select A as x from T t1 where A > 3")
         assert stmt.items[0].alias == "x"
-        assert stmt.tables == [("T", "t1")]
+        assert [(f.table, f.alias) for f in stmt.tables] == [("T", "t1")]
         assert stmt.where is not None
 
     def test_aggregates(self):
@@ -64,7 +81,7 @@ class TestParser:
             "SELECT sum(a) AS s, count(*) AS n, avg(b) AS m, "
             "count(distinct c) AS d FROM t"
         )
-        funcs = [i.aggregate.value for i in stmt.items]
+        funcs = [i.expr.func.value for i in stmt.items]
         assert funcs == ["sum", "count", "avg", "count_distinct"]
 
     def test_string_literal_with_escape(self):
@@ -95,7 +112,7 @@ class TestParser:
         stmt = parse_sql(
             "SELECT sum(CASE WHEN a > 1 THEN b ELSE 0 END) AS s FROM t"
         )
-        assert isinstance(stmt.items[0].aggregate_arg, CaseWhen)
+        assert isinstance(stmt.items[0].expr.arg, CaseWhen)
 
     def test_extract_and_substring(self):
         stmt = parse_sql(
@@ -129,7 +146,44 @@ class TestParser:
         stmt = parse_sql(
             "SELECT o.o_orderkey AS k FROM orders o WHERE o.o_orderkey = 1"
         )
-        assert stmt.items[0].expr.name == "o_orderkey"
+        ref = stmt.items[0].expr
+        assert (ref.qualifier, ref.name) == ("o", "o_orderkey")
+
+    def test_subqueries(self):
+        stmt = parse_sql(
+            "SELECT a FROM t WHERE EXISTS (SELECT * FROM u WHERE u.k = a) "
+            "AND NOT EXISTS (SELECT * FROM u) AND b IN (SELECT c FROM u) "
+            "AND d NOT IN (SELECT c FROM u) AND e > (SELECT max(c) FROM u)"
+        )
+        kinds = [
+            (c.kind, c.negated) if isinstance(c, Subquery)
+            else (c.right.kind, c.right.negated)
+            for c in stmt.where.args
+        ]
+        assert kinds == [("exists", False), ("exists", True), ("in", False),
+                         ("in", True), ("scalar", False)]
+        assert stmt.where.args[0].query.items == []   # SELECT *
+
+    def test_from_forms(self):
+        stmt = parse_sql(
+            "WITH v AS (SELECT k FROM u) "
+            "SELECT a FROM t LEFT OUTER JOIN u ON t.k = u.k, v, "
+            "(SELECT k FROM w) AS d"
+        )
+        t, u, v, d = stmt.tables
+        assert (t.table, u.table, u.outer_on is not None) == ("t", "u", True)
+        assert v.query is not None and v.alias == "v"
+        assert d.query.tables[0].table == "w" and d.alias == "d"
+
+    def test_aggregates_inside_expressions(self):
+        stmt = parse_sql("SELECT 100 * sum(a) / sum(b) AS r FROM t")
+        calls = (stmt.items[0].expr.left.right, stmt.items[0].expr.right)
+        assert all(isinstance(c, AggCall) for c in calls)
+
+    def test_conjunctions_are_flat(self):
+        where = " AND ".join(f"a > {i}" for i in range(1000))
+        stmt = parse_sql(f"SELECT a FROM t WHERE {where}")
+        assert stmt.where.op.value == "and" and len(stmt.where.args) == 1000
 
     def test_syntax_errors(self):
         for bad in (
@@ -233,61 +287,115 @@ class TestPlanner:
             )
 
 
+def _nodes(plan, kind):
+    return [n for n in plan.walk() if isinstance(n, kind)]
+
+
+class TestPlannerRules:
+    """The three shape rules, on the TPC-H texts that exercise them."""
+
+    def test_one_filter_per_table_as_one_flat_and(self):
+        plan = tpch.query(6)
+        (only,) = _nodes(plan, Filter)
+        assert isinstance(only.child, Scan)
+        assert only.predicate.op.value == "and"
+        # shipdate >=, shipdate <, discount BETWEEN (two), quantity <
+        assert [c.left.name for c in only.predicate.args] == [
+            "l_shipdate", "l_shipdate", "l_discount", "l_discount",
+            "l_quantity",
+        ]
+
+    def test_aggregate_inputs_projected_once_each(self):
+        pre = _nodes(tpch.query(1), Project)[0]
+        assert isinstance(pre.child, Filter)
+        # 2 keys, 2 bare columns reused by two aggregates each, two
+        # computed inputs and l_discount: 7 columns, not 10
+        assert len(pre.outputs) == 7
+
+    def test_dimension_subtrees_on_the_build_side(self):
+        top = _nodes(tpch.query(3), Join)[-1]
+        assert isinstance(top.left, Filter)
+        assert top.left.child.table == "lineitem"
+        assert isinstance(top.right, Join)          # orders ⋈ customer
+        assert {n.table for n in _nodes(top.right, Scan)} == {
+            "orders", "customer"}
+
+    def test_cycle_edge_is_the_join_residual(self):
+        plan = tpch.query(5)
+        residuals = [j.residual for j in _nodes(plan, Join)
+                     if j.residual is not None]
+        assert [repr(r) for r in residuals] == [
+            "(col('c_nationkey') == col('s_nationkey'))"]
+        # nothing above the joins filters
+        assert all(isinstance(f.child, Scan) for f in _nodes(plan, Filter))
+
+    def test_two_equalities_make_a_composite_key(self):
+        (join,) = [j for j in _nodes(tpch.query(9), Join)
+                   if j.left_key.endswith("key") and "@" in j.left_key]
+        keys = [dict(p.outputs)[k] for p, k in (
+            (join.left, join.left_key), (join.right, join.right_key))]
+        assert [repr(k) for k in keys] == [
+            f"((col('{a}') * lit({KEY_COMBINE}, int, s=0)) + "
+            f"col('{b}'))"
+            for a, b in (("l_partkey", "l_suppkey"),
+                         ("ps_partkey", "ps_suppkey"))
+        ]
+        # the lineitem side keeps only what the query still reads
+        assert "l_partkey" not in dict(join.left.outputs)
+
+    def test_correlated_scalar_is_a_grouped_subplan(self):
+        plan = tpch.query(17)
+        grouped = [j for j in _nodes(plan, Join)
+                   if isinstance(j.right, Project)][0]
+        aggregate = grouped.right.child
+        assert isinstance(aggregate, Aggregate)
+        assert aggregate.keys == ("l_partkey",)    # the correlation column
+        above = next(n for n in plan.walk()
+                     if isinstance(n, Filter) and n.child is grouped)
+        assert "<" in repr(above.predicate)
+
+    def test_subqueries_become_semi_and_anti_joins(self):
+        kinds = [j.kind for j in _nodes(tpch.query(21), Join)]
+        assert kinds.count(JoinKind.SEMI) == kinds.count(JoinKind.ANTI) == 1
+        semi = next(j for j in _nodes(tpch.query(21), Join)
+                    if j.kind is JoinKind.SEMI)
+        assert repr(semi.residual) == (
+            "(col('l2.l_suppkey') != col('l_suppkey'))")
+
+    def test_in_subquery_joins_the_table_it_filters(self):
+        # Q18's IN (… HAVING …) reduces orders before orders joins
+        semi = next(j for j in _nodes(tpch.query(18), Join)
+                    if j.kind is JoinKind.SEMI)
+        assert semi.left.table == "orders"
+
+    def test_implied_in_list_prefilters_each_side(self):
+        filters = [f for f in _nodes(tpch.query(7), Filter)
+                   if isinstance(f.child, Scan)
+                   and f.child.table == "nation"]
+        assert len(filters) == 2
+        assert all("in ('" in repr(f.predicate) for f in filters)
+
+    def test_thousand_conjuncts_run_on_every_path(self, tiny_db):
+        from repro.core import AquomanSimulator, DeviceConfig
+        from repro.engine import MorselConfig
+
+        sql = COUNT_LINEITEM + " WHERE " + " AND ".join(
+            f"l_quantity > {i % 40}" for i in range(1000))
+        quantity = tiny_db.table("lineitem").column("l_quantity").values
+        want = [(int((quantity > 3900).sum()),)]
+        plan = plan_sql(sql, tiny_db)
+        assert len(_nodes(plan, Filter)) == 1
+        morsels = MorselConfig(parallel=True, morsel_rows=1024,
+                               n_workers=1, worker_backend="serial")
+        for engine in (Engine(tiny_db, analyze="strict"),
+                       Engine(tiny_db, analyze="strict", morsels=morsels)):
+            assert engine.execute(plan_sql(sql, tiny_db)).to_rows() == want
+        device = AquomanSimulator(tiny_db, DeviceConfig()).run(
+            plan_sql(sql, tiny_db), "conjuncts")
+        assert device.table.to_rows() == want
+
+
 class TestEndToEnd:
-    def test_q6_sql_matches_builder(self, small_db):
-        sql = """
-        SELECT sum(l_extendedprice * l_discount) AS revenue
-        FROM lineitem
-        WHERE l_shipdate >= date '1994-01-01'
-          AND l_shipdate < date '1995-01-01'
-          AND l_discount BETWEEN 0.05 AND 0.07
-          AND l_quantity < 24
-        """
-        via_sql = Engine(small_db).execute(plan_sql(sql, small_db))
-        via_builder = Engine(small_db).execute(tpch.query(6))
-        assert via_sql.to_rows() == via_builder.to_rows()
-
-    def test_q1_sql_matches_builder_aggregates(self, small_db):
-        sql = """
-        SELECT l_returnflag, l_linestatus,
-               sum(l_quantity) AS sum_qty,
-               sum(l_extendedprice) AS sum_base_price,
-               sum(l_extendedprice * (1 - l_discount)) AS sum_disc_price,
-               sum(l_extendedprice * (1 - l_discount) * (1 + l_tax))
-                   AS sum_charge,
-               avg(l_quantity) AS avg_qty,
-               avg(l_extendedprice) AS avg_price,
-               avg(l_discount) AS avg_disc,
-               count(*) AS count_order
-        FROM lineitem
-        WHERE l_shipdate <= date '1998-09-02'
-        GROUP BY l_returnflag, l_linestatus
-        ORDER BY l_returnflag, l_linestatus
-        """
-        via_sql = Engine(small_db).execute(plan_sql(sql, small_db))
-        via_builder = Engine(small_db).execute(tpch.query(1))
-        assert via_sql.to_rows() == via_builder.to_rows()
-
-    def test_q3_sql_three_way_join(self, small_db):
-        sql = """
-        SELECT l_orderkey,
-               sum(l_extendedprice * (1 - l_discount)) AS revenue
-        FROM customer, orders, lineitem
-        WHERE c_mktsegment = 'BUILDING'
-          AND c_custkey = o_custkey
-          AND l_orderkey = o_orderkey
-          AND o_orderdate < date '1995-03-15'
-          AND l_shipdate > date '1995-03-15'
-        GROUP BY l_orderkey
-        ORDER BY revenue DESC
-        LIMIT 10
-        """
-        out = Engine(small_db).execute(plan_sql(sql, small_db))
-        ref = Engine(small_db).execute(tpch.query(3))
-        got = {r[0]: r[1] for r in out.to_rows()}
-        expected = {r[0]: r[1] for r in ref.to_rows()}
-        assert got == expected
-
     def test_count_distinct_of_fractional_floats(self, tiny_db):
         # l_quantity / 7 is a FLOAT: distinct quotients are distinct
         # quantities, none of them whole numbers to be truncated into.
@@ -340,23 +448,21 @@ class TestEndToEnd:
           AND l_shipdate >= date '1995-09-01'
           AND l_shipdate < date '1995-10-01'
         """
-        # The ratio-of-sums needs the aggregate outputs; expressed as a
-        # single aggregate item the parser accepts it but the planner
-        # only supports aggregate-per-item, so express as two items.
-        sql2 = """
-        SELECT sum(CASE WHEN p_type LIKE 'PROMO%'
-                        THEN l_extendedprice * (1 - l_discount)
-                        ELSE 0.00 END) AS sum_promo,
-               sum(l_extendedprice * (1 - l_discount)) AS sum_revenue
-        FROM lineitem, part
-        WHERE l_partkey = p_partkey
-          AND l_shipdate >= date '1995-09-01'
-          AND l_shipdate < date '1995-10-01'
-        """
-        out = Engine(small_db).execute(plan_sql(sql2, small_db))
-        ref = Engine(small_db).execute(tpch.query(14))
-        (sum_promo, sum_revenue), = out.to_rows()
-        (promo_revenue,), = ref.to_rows()
-        assert 100 * sum_promo / sum_revenue == pytest.approx(
-            promo_revenue, rel=1e-9
+        (promo_revenue,), = Engine(small_db).execute(
+            plan_sql(sql, small_db)).to_rows()
+        # the same number straight from the columns
+        li, part = small_db.table("lineitem"), small_db.table("part")
+        days = li.column("l_shipdate").values
+        rows = (days >= 9374) & (days < 9404)
+        price = li.column("l_extendedprice").values[rows] / 100
+        revenue = price * (1 - li.column("l_discount").values[rows] / 100)
+        keys = part.column("p_partkey").values
+        at = np.searchsorted(keys, li.column("l_partkey").values[rows])
+        types = part.column("p_type")
+        promo = np.array([
+            t.startswith("PROMO") for t in types.heap.decode_many(
+                types.values[at])
+        ])
+        assert promo_revenue == pytest.approx(
+            100 * revenue[promo].sum() / revenue.sum(), rel=1e-9
         )
