@@ -149,11 +149,13 @@ def streamable_chain(node: Plan) -> tuple[Scan, tuple[Plan, ...]] | None:
     Filter/Project steps without subqueries down to a base-table scan."""
     steps: list[Plan] = []
     while isinstance(node, (Filter, Project)):
-        if any(has_subquery(e) for e in node_exprs(node)):
-            return None
         steps.append(node)
         node = node.child
-    if not isinstance(node, Scan):
+    # The shape first: the engine asks this of every plan node, and most
+    # chains it walks end in a join, not a scan.
+    if not isinstance(node, Scan) or any(
+        has_subquery(e) for step in steps for e in node_exprs(step)
+    ):
         return None
     steps.reverse()
     return node, tuple(steps)

@@ -545,7 +545,8 @@ class TypeChecker:
                 "AQ105",
                 Severity.WARNING,
                 f"IN-list literal scale {finest} finer than column "
-                f"scale {meta.scale}; fractional digits truncate",
+                f"scale {meta.scale}; an option with nonzero extra "
+                f"digits matches no row",
                 node,
             )
         return _BOOL

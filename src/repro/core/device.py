@@ -410,7 +410,7 @@ class AquomanDevice:
                 self.charge(stream, term.column)
             mask = self.row_selector.select(
                 program,
-                {n: stream.relation.column(n).values
+                {n: stream.relation.column(n).stored()
                  for n in program.columns},
                 nrows,
             )

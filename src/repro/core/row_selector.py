@@ -33,6 +33,7 @@ from repro.sqlir.expr import (
     Expr,
     Kind,
     Literal,
+    literal_at_scale,
 )
 from repro.storage.layout import ROW_VECTOR_SIZE
 from repro.util.bitvector import BitVector
@@ -79,9 +80,9 @@ class ColumnPredicate:
     constant: int
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
-        return _NUMPY_PREDICATE[self.op](
-            values.astype(np.int64, copy=False), np.int64(self.constant)
-        )
+        """The term on the column as stored: a Python int compares
+        exactly against any integer width, in range or not."""
+        return _NUMPY_PREDICATE[self.op](values, int(self.constant))
 
     def __repr__(self) -> str:
         return f"CP({self.column} {self.op.value} {self.constant})"
@@ -176,10 +177,11 @@ def _as_column_predicate(
                 return None
             constant = int(literal_side.raw)
             if column_scales is not None:
-                column_scale = column_scales.get(column_side.name, 0)
-                if literal_side.scale > column_scale:
+                constant = literal_at_scale(
+                    literal_side, column_scales.get(column_side.name, 0)
+                )
+                if constant is None:
                     return None  # finer than the column can express
-                constant *= 10 ** (column_scale - literal_side.scale)
             # Without scale info the literal is taken as already raw —
             # callers that build programs by hand match scales themselves.
             return ColumnPredicate(
@@ -205,26 +207,23 @@ class RowSelector:
     ) -> BitVector:
         """AND all CP terms (and an optional incoming mask) over the rows.
 
-        The incoming mask models ``maskSrc`` from a previous Table Task
-        or from host software.
+        ``columns`` hold the CP columns as stored; each term compares at
+        that width.  The incoming mask models ``maskSrc`` from a
+        previous Table Task or from host software.
         """
         if len(program) > self.n_evaluators:
             raise SelectorOverflow(
                 f"{len(program)} CP terms > {self.n_evaluators} evaluators"
             )
-        mask = (
-            base_mask.bits.copy()
-            if base_mask is not None
-            else np.ones(nrows, dtype=np.bool_)
-        )
-        # Cast each column to the comparison domain once, not per term —
-        # a column referenced by k CP terms was previously copied k times.
-        cast = {
-            name: columns[name].astype(np.int64, copy=False)
-            for name in program.columns
-        }
+        mask = None if base_mask is None else base_mask.bits.copy()
         for term in program.terms:
-            mask &= term.evaluate(cast[term.column])
+            verdict = term.evaluate(columns[term.column])
+            if mask is None:
+                mask = verdict
+            else:
+                mask &= verdict
+        if mask is None:
+            mask = np.ones(nrows, dtype=np.bool_)
         self.rows_scanned += nrows
         self.masks_produced += -(-nrows // ROW_VECTOR_SIZE)
         return BitVector(mask)

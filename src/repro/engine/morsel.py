@@ -59,6 +59,7 @@ tokens so the parent re-attaches its own heap objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -101,15 +102,19 @@ from repro.sqlir.plan import (
     Scan,
     Sort,
 )
-from repro.storage.layout import PAGE_BYTES, FlashLayout
+from repro.storage.layout import PAGE_BYTES, ColumnExtent, FlashLayout
 from repro.storage.stringheap import StringHeap
 
 # An 8 KB page of 1-byte values holds 8192 rows, and every wider value
 # width divides that evenly — so morsels aligned to 8192 rows start on a
 # page boundary for every column of the table.
 MORSEL_ALIGN_ROWS = PAGE_BYTES
-# The default morsel size: the scaling bench (BENCH_morsel_scaling.json)
-# shows 32768-row morsels well ahead of 8192 at SF-0.01.
+# The default morsel size: a span's fixed cost amortises over four
+# alignment quanta of rows.  Larger morsels buy little wall time but
+# raise each span's partial, which the host model charges as peak host
+# bytes and so as swap: a change here moves ``sim_runtime_s`` and must
+# report it (DESIGN.md §5, "Morsel size is coupled to the modeled
+# numbers").
 TUNED_MORSEL_ROWS = 4 * MORSEL_ALIGN_ROWS
 # Cap on morsels per fragment: tiny tables otherwise shatter into
 # dispatch-dominated crumbs.  Deliberately a constant (a small multiple
@@ -202,6 +207,17 @@ class Fragment:
     terminal: Plan | None        # Aggregate, Sort, or Limit-over-Sort
     kind: str                    # "chain" | "aggregate" | "sort" | "topk"
 
+    @cached_property
+    def partial_aggregate(self) -> Aggregate:
+        """The Aggregate each span applies: HAVING waits for the merge,
+        because a span sees only part of each group."""
+        return replace(self.terminal, having=None)
+
+    @cached_property
+    def merge_aggregate(self) -> Aggregate:
+        """The Aggregate that reduces the concatenated partials."""
+        return merge_plan(self.terminal)
+
 
 def extract_fragment(plan: Plan, catalog) -> Fragment | None:
     """Carve the largest streamable fragment rooted at ``plan``.
@@ -268,6 +284,18 @@ def _needed_scan_columns(frag: Fragment) -> set[str] | None:
 # ---------------------------------------------------------------------------
 
 
+def column_extents(
+    layout: FlashLayout, table: str, names
+) -> dict[str, tuple[ColumnExtent, int]]:
+    """``column -> (extent, rows per page)``: what a span's page
+    accounting asks of the layout, resolved once per fragment."""
+    extents = {}
+    for name in names:
+        extent = layout.extent(table, name)
+        extents[name] = (extent, extent.rows_per_page())
+    return extents
+
+
 def selection_pages(
     rowids: np.ndarray, lo: int, hi: int, per_page: int
 ) -> np.ndarray:
@@ -288,13 +316,17 @@ def selection_pages(
 
 
 class _SpanReads:
-    """Per-morsel page accounting: which pages of which columns we read."""
+    """Per-morsel page accounting: which pages of which columns we read.
+
+    ``extents`` is :func:`column_extents` of the columns a span may read.
+    """
 
     _FULL = None  # sentinel: whole span streamed
 
-    def __init__(self, layout: FlashLayout, table: str, lo: int, hi: int):
-        self.layout = layout
-        self.table = table
+    def __init__(
+        self, extents: dict[str, tuple[ColumnExtent, int]], lo: int, hi: int
+    ):
+        self.extents = extents
         self.lo = lo
         self.hi = hi
         # column -> flag per page of the span's window, or _FULL
@@ -314,7 +346,7 @@ class _SpanReads:
             return
         if rowids is not self._selection:
             self._selection, self._selection_pages = rowids, {}
-        per_page = self.layout.extent(self.table, column).rows_per_page()
+        per_page = self.extents[column][1]
         flags = self._selection_pages.get(per_page)
         if flags is None:
             flags = self._selection_pages[per_page] = selection_pages(
@@ -325,8 +357,7 @@ class _SpanReads:
 
     def _window(self, column: str):
         """The column's extent and the window's page range in it."""
-        ext = self.layout.extent(self.table, column)
-        per_page = ext.rows_per_page()
+        ext, per_page = self.extents[column]
         return ext, self.lo // per_page, -(-self.hi // per_page)
 
     def summary(self) -> tuple[dict[str, int], dict[str, int]]:
@@ -375,10 +406,11 @@ class _Partial:
 class SpanRunner:
     """The per-span pipeline, decoupled from the parent Engine.
 
-    Holds exactly the state one morsel needs — table, flash layout,
-    fragment, column lists and a tracer — so the same code runs in the
-    parent (inline spans) and inside a forked pool worker (process
-    backend), where it is rebuilt from the worker's inherited catalog.
+    Holds exactly the state one morsel needs — table, the scan columns'
+    page extents, fragment, column lists and a tracer — so the same
+    code runs in the parent (inline spans) and inside a forked pool
+    worker (process backend), where it is rebuilt from the worker's
+    inherited catalog.
     """
 
     def __init__(
@@ -391,7 +423,7 @@ class SpanRunner:
         tracer,
     ):
         self.table = table
-        self.layout = layout
+        self.extents = column_extents(layout, table.name, scan_names)
         self.fragment = fragment
         self.scan_names = scan_names
         self.base_names = base_names
@@ -509,7 +541,7 @@ class SpanRunner:
         # Each worker records into its own ring buffer, so this
         # per-morsel span costs no synchronisation.
         with self.tracer.span("morsel.span", lo=lo, hi=hi) as tspan:
-            reads = _SpanReads(self.layout, self.table.name, lo, hi)
+            reads = _SpanReads(self.extents, lo, hi)
             rel = self._base_relation(reads)
             for step in self.upper_steps:
                 if isinstance(step, Filter):
@@ -914,6 +946,5 @@ def _reduce(
         return sort_relation(rel, terminal.keys)
     if frag.kind == "topk":
         return sort_relation(rel, terminal.child.keys, terminal.count)
-    # A span sees only part of each group: HAVING waits for the merge.
-    plan = merge_plan(terminal) if merge else replace(terminal, having=None)
+    plan = frag.merge_aggregate if merge else frag.partial_aggregate
     return aggregate_relation(rel, plan, subquery_executor)[0]

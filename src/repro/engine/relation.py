@@ -71,6 +71,12 @@ class SelectedArray(TypedArray):
         self._values = np.asarray(values)
         self._n = len(self._values)
 
+    def stored(self) -> np.ndarray:
+        """The source itself while nothing selects or widens it yet."""
+        if self._values is None and self.rows is None:
+            return self.source
+        return self.values
+
     @property
     def gathered(self) -> bool:
         return self._values is not None

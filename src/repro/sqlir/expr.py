@@ -46,6 +46,11 @@ class TypedArray:
     def nbytes(self) -> int:
         return self.values.nbytes
 
+    def stored(self) -> np.ndarray:
+        """The values at the width they are kept in: what a compare
+        reads without widening them to the evaluation dtype."""
+        return self.values
+
     def rescaled(self, scale: int) -> "TypedArray":
         """Re-express a fixed-point array at a higher scale."""
         if self.kind is not Kind.INT:
@@ -386,6 +391,14 @@ def lit_date(iso: str) -> Literal:
     return Literal(date_to_days(iso), Kind.INT, 0)
 
 
+def literal_at_scale(literal: Literal, scale: int) -> int | None:
+    """``literal``'s raw value at a column's ``scale``, as a Python int;
+    None when the literal is finer than the column can express."""
+    if literal.scale > scale:
+        return None
+    return int(literal.raw) * 10 ** (scale - literal.scale)
+
+
 def _wrap(value) -> Expr:
     return value if isinstance(value, Expr) else lit(value)
 
@@ -541,16 +554,54 @@ def _eval_compare(expr: Compare, ctx: EvalContext) -> TypedArray:
     str_result = _try_string_compare(expr, ctx)
     if str_result is not None:
         return str_result
-    left = evaluate(expr.left, ctx)
-    right = evaluate(expr.right, ctx)
+    op, left_node, right_node = expr.op, expr.left, expr.right
+    if isinstance(left_node, Literal) and not isinstance(
+        right_node, Literal
+    ):
+        op, left_node, right_node = op.flip(), right_node, left_node
+    func = _COMPARE_FUNCS[op]
+    left = evaluate(left_node, ctx)
+    if isinstance(right_node, Literal):
+        constant = _stored_constant(left, right_node)
+        if constant is not None:
+            return TypedArray(func(left.stored(), constant), Kind.BOOL)
+    right = evaluate(right_node, ctx)
     if left.kind is Kind.STR and right.kind is Kind.STR:
         if left.heap is not right.heap:
-            return _compare_cross_heap(expr.op, left, right)
-        func = _COMPARE_FUNCS[expr.op]
+            return _compare_cross_heap(op, left, right)
         return TypedArray(func(left.values, right.values), Kind.BOOL)
-    lvals, rvals, _, _ = _align(left, right)
-    func = _COMPARE_FUNCS[expr.op]
-    return TypedArray(func(lvals, rvals), Kind.BOOL)
+    operands = _stored_pair(left, right) or _align(left, right)[:2]
+    return TypedArray(func(*operands), Kind.BOOL)
+
+
+def _stored_constant(column: TypedArray, literal: Literal) -> int | None:
+    """``literal`` at ``column``'s scale, to compare with it as stored.
+
+    A Python int, which NumPy compares exactly against any integer
+    width, in range or not.  None where the column would have to widen
+    to compare — a literal finer than its scale — or is no stored
+    integer.
+    """
+    if (
+        column.kind is not Kind.INT or literal.kind is not Kind.INT
+        or column.stored().dtype.kind != "i"
+    ):
+        return None
+    return literal_at_scale(literal, column.scale)
+
+
+def _stored_pair(left: TypedArray, right: TypedArray) -> tuple | None:
+    """Two integer operands of one scale as stored — NumPy compares
+    mixed integer widths exactly — or None."""
+    if (
+        left.kind is not Kind.INT or right.kind is not Kind.INT
+        or left.scale != right.scale
+    ):
+        return None
+    lvals, rvals = left.stored(), right.stored()
+    if lvals.dtype.kind != "i" or rvals.dtype.kind != "i":
+        return None
+    return lvals, rvals
 
 
 def _try_string_compare(expr: Compare, ctx: EvalContext) -> TypedArray | None:
@@ -629,16 +680,32 @@ def _eval_in(expr: InList, ctx: EvalContext) -> TypedArray:
     if column.kind is Kind.STR:
         mask = column.heap.members(expr.options)[column.values]
     else:
-        raw_options = []
-        for option in expr.options:
-            literal = lit(option)
-            raw_options.append(
-                literal.raw * 10 ** (column.scale - literal.scale)
-            )
-        mask = np.isin(column.values, np.array(raw_options, dtype=np.int64))
+        mask = np.isin(column.values, _in_options(expr.options, column))
     if expr.negated:
         mask = ~mask
     return TypedArray(mask, Kind.BOOL)
+
+
+def _in_options(options: tuple, column: TypedArray) -> np.ndarray:
+    """The IN-list options as values ``column`` can hold, as ``=`` sees
+    them: an option finer than the column's scale equals no value of it
+    unless its extra digits are zeros, so it is dropped."""
+    literals = [lit(option) for option in options]
+    if column.kind is Kind.FLOAT:
+        return np.array(
+            [o.raw / 10**o.scale for o in literals], dtype=np.float64
+        )
+    raw = []
+    for literal in literals:
+        value = literal_at_scale(literal, column.scale)
+        if value is None:  # finer: kept only if its extra digits are 0
+            value, extra = divmod(
+                int(literal.raw), 10 ** (literal.scale - column.scale)
+            )
+            if extra:
+                continue
+        raw.append(value)
+    return np.array(raw, dtype=np.int64)
 
 
 def _eval_case(expr: CaseWhen, ctx: EvalContext) -> TypedArray:

@@ -45,12 +45,13 @@ from repro.sqlir.expr import (
     Expr,
     ExtractYear,
     InList,
+    Kind,
     Like,
+    Literal,
     Substring,
     col,
     lit,
     lit_date,
-    lit_decimal,
 )
 
 
@@ -527,10 +528,7 @@ class Parser:
 
         if token.kind == "number":
             self._next()
-            if "." in token.text:
-                digits = len(token.text.split(".")[1])
-                return lit_decimal(float(token.text), max(digits, 2))
-            return lit(int(token.text))
+            return _number(token.text)
 
         if token.kind == "string":
             return lit(self._string_value())
@@ -626,9 +624,21 @@ class Parser:
             return token.text[1:-1].replace("''", "'")
         if token.kind == "number":
             if "." in token.text:
-                return float(token.text)
+                # Written scale kept: an IN-list option compares as the
+                # same literal does under ``=``.
+                return _number(token.text)
             return int(token.text)
         raise SqlSyntaxError(f"expected a literal, got {token.text!r}")
+
+
+def _number(text: str) -> Literal:
+    """A numeric literal: an integer, or a decimal at its written scale
+    (two digits at least), read from its digits exactly."""
+    if "." in text:
+        digits = len(text.split(".")[1])
+        raw = int(text.replace(".", "")) * 10 ** max(0, 2 - digits)
+        return Literal(raw, Kind.INT, max(digits, 2))
+    return lit(int(text))
 
 
 def parse_sql(sql: str) -> SelectStatement:

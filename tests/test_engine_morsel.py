@@ -20,6 +20,7 @@ from repro.engine.morsel import (
     MorselConfig,
     _SpanReads,
     _reduce,
+    column_extents,
     extract_fragment,
     split_morsels,
 )
@@ -206,14 +207,25 @@ class TestChannelMeter:
         assert list(a.pages_read) == list(b.pages_read)
 
 
+def _lineitem_reads(layout, lo, hi):
+    """A span's page accounting over every lineitem column."""
+    names = [e.column for e in layout.extents() if e.table == "lineitem"]
+    return _SpanReads(column_extents(layout, "lineitem", names), lo, hi)
+
+
 class TestSpanReads:
     @pytest.fixture()
     def layout(self, tiny_db):
         return FlashLayout(tiny_db)
 
+    def test_extents_are_the_layouts(self, layout):
+        extents = column_extents(layout, "lineitem", ["l_shipdate"])
+        ext = layout.extent("lineitem", "l_shipdate")
+        assert extents == {"l_shipdate": (ext, ext.rows_per_page())}
+
     def test_full_span_counts_all_pages(self, tiny_db, layout):
         nrows = tiny_db.table("lineitem").nrows
-        reads = _SpanReads(layout, "lineitem", 0, nrows)
+        reads = _lineitem_reads(layout, 0, nrows)
         reads.full("l_quantity")
         pages_read, pages_total = reads.summary()
         per_page = layout.extent("lineitem", "l_quantity").rows_per_page()
@@ -221,7 +233,7 @@ class TestSpanReads:
         assert pages_total["l_quantity"] == -(-nrows // per_page)
 
     def test_row_gather_touches_unique_pages(self, layout):
-        reads = _SpanReads(layout, "lineitem", 0, 8192)
+        reads = _lineitem_reads(layout, 0, 8192)
         per_page = layout.extent("lineitem", "l_orderkey").rows_per_page()
         rows = np.array([0, 1, per_page, per_page + 5], dtype=np.int64)
         reads.rows("l_orderkey", rows)
@@ -230,7 +242,7 @@ class TestSpanReads:
         assert len(reads.page_ids()) == 2
 
     def test_rows_then_full_is_full(self, layout):
-        reads = _SpanReads(layout, "lineitem", 0, 8192)
+        reads = _lineitem_reads(layout, 0, 8192)
         reads.full("l_orderkey")
         reads.rows("l_orderkey", np.array([3], dtype=np.int64))
         pages_read, pages_total = reads.summary()
@@ -256,7 +268,7 @@ class TestSpanReads:
         wide = layout.extent("lineitem", "l_quantity").rows_per_page()
         narrow = layout.extent("lineitem", "l_shipdate").rows_per_page()
         assert narrow == 2 * wide
-        reads = _SpanReads(layout, "lineitem", 0, 8192)
+        reads = _lineitem_reads(layout, 0, 8192)
         rows = np.array([0, wide, 3 * wide + 1], dtype=np.int64)
         for name in ("l_quantity", "l_tax", "l_shipdate", "l_discount"):
             reads.rows(name, rows)
@@ -285,9 +297,9 @@ class TestSpanReads:
         if lo == nrows:
             lo -= 8192
         assert (nrows - lo) % 1024
-        gathered = _SpanReads(layout, "lineitem", lo, nrows)
+        gathered = _lineitem_reads(layout, lo, nrows)
         gathered.rows(column, np.arange(lo, nrows))
-        streamed = _SpanReads(layout, "lineitem", lo, nrows)
+        streamed = _lineitem_reads(layout, lo, nrows)
         streamed.full(column)
         assert gathered.summary() == streamed.summary()
         assert np.array_equal(gathered.page_ids(), streamed.page_ids())

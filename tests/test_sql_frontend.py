@@ -466,3 +466,52 @@ class TestEndToEnd:
         assert promo_revenue == pytest.approx(
             100 * revenue[promo].sum() / revenue.sum(), rel=1e-9
         )
+
+    @pytest.mark.parametrize("negated", [False, True])
+    def test_in_list_option_finer_than_the_column(self, small_db, negated):
+        """An IN option the column cannot hold matches no row — as
+        ``=`` sees it — on the host, the morsel path and the device."""
+        from repro.core import AquomanSimulator, DeviceConfig
+        from repro.engine import MorselConfig
+        from repro.perf.trace import QueryTrace
+
+        def count(where: str) -> dict[str, int]:
+            plan = plan_sql(
+                f"SELECT count(*) AS n FROM lineitem WHERE {where}",
+                small_db,
+            )
+            trace = QueryTrace()
+            streamed = Engine(
+                small_db, trace, morsels=MorselConfig(morsel_rows=8192)
+            ).execute(plan)
+            assert trace.flash_pages_read  # the span path ran
+            device = AquomanSimulator(small_db, DeviceConfig()).run(plan)
+            return {
+                path: table.to_rows()[0][0]
+                for path, table in (
+                    ("host", Engine(small_db).execute(plan)),
+                    ("morsel", streamed),
+                    ("device", device.table),
+                )
+            }
+
+        nrows = small_db.table("lineitem").nrows
+        quantities = small_db.table("lineitem").column("l_quantity").values
+        ones = int(np.count_nonzero(quantities == 100))
+        assert 0 < ones < nrows
+        not_ = "NOT " if negated else ""
+        expected = nrows if negated else 0
+        assert count(f"l_quantity {not_}IN (1.005)") == dict.fromkeys(
+            ("host", "morsel", "device"), expected
+        )
+        op = "<>" if negated else "="
+        assert count(f"l_quantity {op} 1.005")["host"] == expected
+        # Extra digits that are zeros lose nothing.
+        assert count(f"l_quantity {not_}IN (1.000, 1.005)") == dict.fromkeys(
+            ("host", "morsel", "device"), nrows - ones if negated else ones
+        )
+        # More digits than a float holds are read exactly, not rounded
+        # onto 1.00.
+        assert count(
+            f"l_quantity {not_}IN (1.0000000000000000001)"
+        ) == dict.fromkeys(("host", "morsel", "device"), expected)

@@ -196,6 +196,17 @@ class TestStringPredicates:
                        ctx_of(a=ints(49, 15)))
         assert out.values.tolist() == [True, False]
 
+    def test_in_list_options_finer_than_the_column(self):
+        cents = ints(100, 101, 150, scale=2)
+        out = evaluate(
+            InList(col("a"), (lit_decimal(1.005, 3), lit_decimal(1.5, 3))),
+            ctx_of(a=cents),
+        )
+        assert out.values.tolist() == [False, False, True]
+        floats = TypedArray(np.array([1.5, 1.0, 2.0]), Kind.FLOAT)
+        out = evaluate(InList(col("f"), (1.5, 2)), ctx_of(f=floats))
+        assert out.values.tolist() == [True, False, True]
+
     def test_substring(self):
         out = evaluate(Substring(col("s"), 1, 2),
                        ctx_of(s=strings("13-555", "29-444")))
