@@ -9,11 +9,6 @@ Commands:
 - ``explain``  — per-node offload decisions for one query;
 - ``analyze``  — static analysis: typecheck, suspend prediction,
   PE-program verification and morsel-safety proofs, without executing;
-- ``lint``     — concurrency & determinism lint over the runtime's own
-  source (AQ5xx): fork/pickle-boundary safety, determinism of merge
-  paths, ambient-state discipline; ``--strict`` exits 1 on findings,
-  ``--verbose`` also lists what ``# conc: safe`` suppresses,
-  ``--selfcheck`` verifies the passes still catch seeded violations;
 - ``profile``  — run one query under the runtime tracer and export a
   ``chrome://tracing`` span timeline, Prometheus metrics and a flame
   summary (``--trace-out`` / ``--metrics-out``);
@@ -135,20 +130,12 @@ def _add_ring(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_report(
-    parser: argparse.ArgumentParser,
-    *,
-    strict: str,
-    verbose: str | None = None,
-) -> None:
-    """How a command reports: ``--json``, ``--strict``, ``--verbose``
-    (``strict`` / ``verbose`` are the per-command help texts)."""
+def _add_report(parser: argparse.ArgumentParser, *, strict: str) -> None:
+    """How a command reports: ``--json`` and ``--strict`` (``strict``
+    is the per-command help text)."""
     parser.add_argument("--json", action="store_true",
                         help="machine-readable report")
     parser.add_argument("--strict", action="store_true", help=strict)
-    if verbose:
-        parser.add_argument("--verbose", action="store_true",
-                            help=verbose)
 
 
 def _add_top(
@@ -401,38 +388,19 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def _print_report(args, report, **format_options) -> int:
-    """Print an analyzer report (plan or lint) as ``--json`` or text;
-    the exit code is ``--strict``'s."""
-    if args.json:
-        print(report.to_json_str())
-    else:
-        print(report.format(**format_options))
-    return 1 if args.strict and not report.ok else 0
-
-
 def cmd_analyze(args) -> int:
+    import json
+
     from repro.analysis import analyze_plan
 
     db = tpch.generate(args.sf)
     plan = _plan_of(args, db)
-    return _print_report(
-        args, analyze_plan(plan, db, device=_device_config(args))
-    )
-
-
-def cmd_lint(args) -> int:
-    """Concurrency & determinism lint over the repro sources."""
-    from repro.analysis.conccheck import lint_repo
-
-    if args.selfcheck:
-        from repro.analysis.conccheck.selfcheck import run_selfcheck
-
-        ok, lines = run_selfcheck()
-        print("\n".join(lines))
-        return 0 if ok else 1
-
-    return _print_report(args, lint_repo(), verbose=args.verbose)
+    report = analyze_plan(plan, db, device=_device_config(args))
+    if args.json:
+        print(json.dumps(report.to_json(), indent=2))
+    else:
+        print(report.format())
+    return 1 if args.strict and not report.ok else 0
 
 
 def cmd_doctor(args) -> int:
@@ -645,22 +613,6 @@ def main(argv: list[str] | None = None) -> int:
                 strict="exit 1 when the analyzer finds errors")
     _add_common(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="AQ5xx concurrency & determinism lint of the sources",
-    )
-    _add_report(
-        p_lint,
-        strict="exit 1 when the lint finds errors",
-        verbose="also list the findings # conc: safe annotations "
-        "suppress",
-    )
-    p_lint.add_argument(
-        "--selfcheck", action="store_true",
-        help="verify each pass still catches its seeded violations",
-    )
-    p_lint.set_defaults(func=cmd_lint)
 
     p_doctor = sub.add_parser(
         "doctor",

@@ -2,24 +2,21 @@
 
 Every finding carries a stable code (``AQnnn``), a severity, and a
 locus, so reports are machine-checkable and human readable at the same
-time.  A plan finding (``repro analyze``) is anchored to a plan node —
-the ``node_id`` assigned by :func:`repro.sqlir.assign_node_ids` plus
-the node's ``repr``; a source finding (``repro lint``) to a
-:class:`SourceLocus`.
+time.  A finding is anchored to a plan node — the ``node_id``
+assigned by :func:`repro.sqlir.assign_node_ids` plus the node's
+``repr``.
 
-Code taxonomy (see DESIGN.md §6 and §11 for the full tables):
+Code taxonomy (see DESIGN.md §6 for the full tables):
 
 - ``AQ1xx`` — schema / dtype inference (typecheck pass)
 - ``AQ2xx`` — suspend predictions (one code per real SuspendReason)
 - ``AQ3xx`` — PE program verification
 - ``AQ4xx`` — morsel merge-safety verdicts
-- ``AQ5xx`` — concurrency & determinism lint over the runtime's source
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
@@ -28,9 +25,7 @@ __all__ = [
     "Diagnostic",
     "PlanAnalysisWarning",
     "PlanRejected",
-    "Report",
     "Severity",
-    "SourceLocus",
     "diag",
 ]
 
@@ -46,47 +41,27 @@ class Severity(Enum):
 
 
 @dataclass(frozen=True)
-class SourceLocus:
-    """Where in the runtime's own source a lint finding sits."""
-
-    path: str = ""    # repo-relative posix path
-    line: int = 0     # 1-based
-    col: int = 0      # 0-based, as ast reports it
-    symbol: str = ""  # qualified enclosing function, "" at module level
-
-    def __str__(self) -> str:
-        locus = f" {self.path}:{self.line}" if self.path else ""
-        return locus + (f" ({self.symbol})" if self.symbol else "")
-
-
-@dataclass(frozen=True)
 class Diagnostic:
-    """One analyzer finding, anchored to a plan node or — when
-    ``source`` is set — to a source locus."""
+    """One analyzer finding, anchored to a plan node."""
 
     code: str
     severity: Severity
     message: str
     node_id: int | None = None
     node: str = ""  # repr of the plan node at the locus
-    source: SourceLocus | None = None
 
     def __str__(self) -> str:
-        if self.source is not None:
-            locus = str(self.source)
-        else:
-            locus = f" at node {self.node_id} {self.node}" if self.node else ""
+        locus = f" at node {self.node_id} {self.node}" if self.node else ""
         return f"{self.code} [{self.severity.value}]{locus}: {self.message}"
 
     def to_json(self) -> dict:
-        head = {
+        return {
             "code": self.code,
             "severity": self.severity.value,
             "message": self.message,
+            "node_id": self.node_id,
+            "node": self.node,
         }
-        if self.source is not None:
-            return {**head, **asdict(self.source)}
-        return {**head, "node_id": self.node_id, "node": self.node}
 
 
 class PlanRejected(Exception):
@@ -106,45 +81,10 @@ class PlanAnalysisWarning(UserWarning):
 
 
 @dataclass
-class Report:
-    """What every analyzer report is: diagnostics and a verdict."""
-
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-    def add(self, diagnostic: Diagnostic) -> None:
-        self.diagnostics.append(diagnostic)
-
-    def errors(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity is Severity.ERROR]
-
-    def warnings(self) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity is Severity.WARNING]
-
-    def by_code(self, code: str) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.code == code]
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors()
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
-    def verdict_line(self, *extras: str) -> str:
-        counts = (
-            f"{len(self.errors())} errors, {len(self.warnings())} warnings"
-        )
-        status = "OK" if self.ok else "REJECTED"
-        return f"verdict: {status} ({'; '.join((counts, *extras))})"
-
-
-@dataclass
-class AnalysisReport(Report):
+class AnalysisReport:
     """Aggregated result of one :func:`repro.analysis.analyze_plan` run."""
 
+    diagnostics: list[Diagnostic] = field(default_factory=list)
     # reason.name -> SuspendPrediction (filled by the suspend pass)
     suspend: dict = field(default_factory=dict)
     # morsel-safety verdicts (filled by the morsel pass)
@@ -154,6 +94,16 @@ class AnalysisReport(Report):
     # The TypeChecker that typed the plan: its memoised ``schema_of``
     # is the plan's static schema (not part of the JSON document).
     checker: Any = field(default=None, repr=False, compare=False)
+
+    def errors(self) -> list[Diagnostic]:
+        return [d for d in self.diagnostics if d.severity is Severity.ERROR]
+
+    def warnings(self) -> list[Diagnostic]:
+        return [d for d in self.diagnostics if d.severity is Severity.WARNING]
+
+    @property
+    def ok(self) -> bool:
+        return not self.errors()
 
     def to_json(self) -> dict:
         return {
@@ -189,7 +139,11 @@ class AnalysisReport(Report):
             lines.append("morsel fragments:")
             for verdict in self.fragments:
                 lines.append(f"  {verdict.describe()}")
-        lines.append(self.verdict_line())
+        counts = (
+            f"{len(self.errors())} errors, {len(self.warnings())} warnings"
+        )
+        status = "OK" if self.ok else "REJECTED"
+        lines.append(f"verdict: {status} ({counts})")
         return "\n".join(lines)
 
 

@@ -497,8 +497,8 @@ class SpanRunner:
         for name in self.scan_names:
             heap = self.table.column(name).heap
             if heap is not None:
-                # conc: safe — id() is a process-local heap token; only
-                # the *name* string crosses the boundary (pack_partial)
+                # id() is a process-local heap token; only the *name*
+                # string crosses the boundary (pack_partial)
                 names[id(heap)] = name
         return names
 
@@ -673,8 +673,8 @@ def pack_partial(partial: _Partial, heap_names: dict[int, str]) -> tuple:
         if arr.heap is None:
             token = None
         else:
-            # conc: safe — same-process lookup; the shipped token is
-            # the column name, never the id value
+            # same-process lookup; the shipped token is the column
+            # name, never the id value
             base_name = heap_names.get(id(arr.heap))
             token = (
                 ("col", base_name)

@@ -736,12 +736,12 @@ def _eval_scalar_subquery(expr: ScalarSubquery, ctx: EvalContext):
         raise RuntimeError(
             "scalar subquery encountered but no subquery executor is set"
         )
-    # conc: safe — per-context memo keyed by expression identity; the
-    # EvalContext and the expression tree live in one process
+    # per-context memo keyed by expression identity; the EvalContext
+    # and the expression tree live in one process
     cached = ctx.scalar_cache.get(id(expr))
     if cached is None:
         cached = ctx.subquery_executor(expr.plan)  # -> TypedArray, length 1
-        ctx.scalar_cache[id(expr)] = cached  # conc: safe — same memo
+        ctx.scalar_cache[id(expr)] = cached
     value = cached.values[0] if len(cached.values) else 0
     dtype = np.float64 if cached.kind is Kind.FLOAT else np.int64
     return TypedArray(

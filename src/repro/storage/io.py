@@ -39,17 +39,25 @@ MANIFEST_NAME = "catalog.json"
 
 
 def _load_column_values(
-    path: Path, dtype: np.dtype, mmap: bool
+    path: Path, dtype: np.dtype, mmap: bool, label: str
 ) -> np.ndarray:
     """Load one column file without a redundant copy.
 
-    The on-disk size is validated against the dtype before mapping so a
-    truncated file raises the same "manifest says" error the eager path
-    produced (np.memmap of a short file would otherwise fail with an
-    unrelated message — or worse, silently round down).
+    The on-disk size is validated against the dtype before mapping:
+    a file that is not a whole number of values (a partial trailing
+    value, or a file of another width) raises, and the caller checks
+    the value count against the manifest — np.memmap of a short file
+    would otherwise fail with an unrelated message, and both loaders
+    silently round a partial value down.
     """
     itemsize = np.dtype(dtype).itemsize
-    nvalues = path.stat().st_size // itemsize
+    size = path.stat().st_size
+    if size % itemsize:
+        raise ValueError(
+            f"{label}: file holds {size} bytes, not a whole number of "
+            f"{itemsize}-byte values"
+        )
+    nvalues = size // itemsize
     if nvalues == 0:
         return np.empty(0, dtype=dtype)
     if mmap:
@@ -181,13 +189,15 @@ def load_catalog(directory: str | Path, *, mmap: bool = True) -> Catalog:
         with tracer.span("io.load_table", table=table_name, mmap=mmap):
             for meta in columns_meta:
                 ctype = _TYPES_BY_NAME[meta["type"]]
+                label = f"{table_name}.{meta['name']}"
                 raw = _load_column_values(
-                    table_dir / f"{meta['name']}.bin", ctype.dtype, mmap
+                    table_dir / f"{meta['name']}.bin", ctype.dtype, mmap,
+                    label,
                 )
                 if len(raw) != meta["nrows"]:
                     raise ValueError(
-                        f"{table_name}.{meta['name']}: file holds "
-                        f"{len(raw)} values, manifest says {meta['nrows']}"
+                        f"{label}: file holds {len(raw)} values, "
+                        f"manifest says {meta['nrows']}"
                     )
                 bytes_mapped += raw.nbytes
                 heap = None
@@ -195,7 +205,7 @@ def load_catalog(directory: str | Path, *, mmap: bool = True) -> Catalog:
                     heap = _load_heap(
                         table_dir / f"{meta['name']}.heap",
                         meta.get("heap_strings"),
-                        f"{table_name}.{meta['name']}",
+                        label,
                     )
                 column = Column(meta["name"], ctype, raw, heap)
                 if mmap:

@@ -80,6 +80,22 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="manifest says"):
             load_catalog(tmp_path)
 
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_partial_trailing_value_detected(self, tiny_db, tmp_path, mmap):
+        # 25 INT32 keys plus 3 stray bytes: rounding the size down to
+        # whole values would load the 25 and drop the rest unseen.
+        save_catalog(tiny_db, tmp_path)
+        victim = tmp_path / "nation" / "n_nationkey.bin"
+        victim.write_bytes(victim.read_bytes() + b"\x00\x00\x00")
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                "nation.n_nationkey: file holds 103 bytes, not a whole "
+                "number of 4-byte values"
+            ),
+        ):
+            load_catalog(tmp_path, mmap=mmap)
+
     def test_string_heap_with_empty_string(self, tmp_path):
         cat = Catalog()
         cat.add_table(
