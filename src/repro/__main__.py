@@ -6,49 +6,47 @@ Commands:
   baseline engine and/or the AQUOMAN simulator;
 - ``evaluate`` — the full Fig. 16 evaluation (all 22 queries, five
   system configurations, SF-1000 scaling);
-- ``explain``  — per-node offload decisions for one query;
+- ``generate`` — write a TPC-H catalog as on-disk column files;
 - ``analyze``  — static analysis: typecheck, suspend prediction,
   PE-program verification and morsel-safety proofs, without executing;
-- ``profile``  — run one query under the runtime tracer and export a
-  ``chrome://tracing`` span timeline, Prometheus metrics and a flame
-  summary (``--trace-out`` / ``--metrics-out``);
-- ``doctor``   — the query doctor: critical-path attribution across
-  host/worker/device lanes, modeled bottleneck verdict with what-if
-  projections, and the explain-analyze table joining the static
-  analyzer's predictions with observed actuals;
+- ``doctor``   — explain one run: the morsel-parallel host engine and
+  the simulator on the same plan under one tracer, giving critical-path
+  attribution across host/worker/device lanes, the modeled bottleneck
+  with what-if projections, and the explain-analyze table that joins
+  the static analyzer's predictions, each node's offload decision
+  (DEVICE, or host with its reason) and the observed actuals;
+  ``--trace-out`` writes the run's ``chrome://tracing`` timeline,
+  ``--ring-capacity`` sizes its span rings, and ``--json`` /
+  ``--strict`` shape the report;
 - ``chaos``    — seeded fault-injection campaigns: run queries under
   injected flash/worker/device faults and verify every recovery path
-  returns bit-identical results, emitting a JSON report; exits 1 on
-  any mismatch or unrecoverable fault, for the CI chaos gate;
-- ``tracediff`` — align two query-log runs by plan fingerprint and
-  attribute the wall-time delta per critical-path bucket and span
-  prefix; ``--strict`` exits 1 on regressions beyond the noise bands;
-- ``serve``    — stdlib HTTP endpoint exposing every route in
-  :data:`repro.obs.server.ROUTES` (Prometheus scrape, health, the last
-  trace and the query log) from a warm process.
+  returns bit-identical results, emitting a JSON report (``--out``);
+  exits 1 on any mismatch or unrecoverable fault, for the CI chaos
+  gate.
 
-``query`` and ``evaluate`` also accept ``--trace-out``/``--metrics-out``
-to record without the profile-specific defaults, and — like ``profile``
-and ``chaos`` — ``--query-log FILE`` to append one wide event per query
-(add ``--qlog-sample-k``/``--qlog-trace-dir`` for tail-sampled full
-traces).  One :func:`_obs_session` runs that sequence for all four.
+``query`` and ``evaluate`` also accept ``--trace-out`` /
+``--metrics-out``, and — like ``chaos`` — ``--query-log FILE`` to
+append one wide event per query (add ``--qlog-sample-k`` /
+``--qlog-trace-dir`` for tail-sampled full traces).  One
+:func:`_obs_session` runs that sequence for all three.
 
 SQL that does not parse or plan, or a plan the strict analyzer
-rejects, prints one ``error: …`` line on stderr and exits 2.
+rejects, prints one ``error: …`` line on stderr and exits 2.  An
+argument argparse rejects (a TPC-H number outside 1–22, a scale factor
+that is not positive) exits 2 as well, after the usage line.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-import time
 from contextlib import contextmanager
 from typing import Iterator
 
 from repro import tpch
 from repro.analysis import PlanRejected
 from repro.core import AquomanSimulator, DeviceConfig
-from repro.core.compiler import QueryCompiler
 from repro.engine import Engine
 from repro.engine.morsel import (
     TUNED_MORSEL_ROWS,
@@ -59,7 +57,6 @@ from repro.obs import (
     METRICS,
     QueryLog,
     Tracer,
-    flame_summary,
     prometheus_text,
     set_global_tracer,
     set_query_log,
@@ -72,24 +69,44 @@ from repro.sqlir import PlanningError, SqlSyntaxError, plan_sql
 from repro.util.units import GB, fmt_bytes
 
 
-def _add_common(
-    parser: argparse.ArgumentParser, target_sf: bool = True
-) -> None:
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {text!r}"
+        )
+    return value
+
+
+def _query_numbers(text: str) -> list[int]:
+    """``chaos``'s query list: "all", or TPC-H numbers like "1,6,14"."""
+    if text.strip().lower() == "all":
+        return list(tpch.ALL_QUERIES)
+    numbers = [int(q) for q in text.split(",") if q.strip()]
+    if not numbers or not set(numbers) <= set(tpch.ALL_QUERIES):
+        raise argparse.ArgumentTypeError(
+            f"want 'all' or TPC-H numbers 1-22 like '1,6,14', "
+            f"got {text!r}"
+        )
+    return numbers
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--sf", type=float, default=0.01,
+        "--sf", type=_positive_float, default=0.01,
         help="functional TPC-H scale factor (default 0.01)",
     )
-    if target_sf:
-        parser.add_argument(
-            "--target-sf", type=float, default=1000.0,
-            help="simulated scale factor for device decisions "
-            "(default 1000)",
-        )
+    parser.add_argument(
+        "--target-sf", type=_positive_float, default=1000.0,
+        help="simulated scale factor for device decisions "
+        "(default 1000)",
+    )
 
 
 def _add_query(parser: argparse.ArgumentParser) -> None:
     """The query selector: a TPC-H number or a SQL string."""
-    parser.add_argument("number", type=int, nargs="?",
+    parser.add_argument("number", type=int, nargs="?", metavar="number",
+                        choices=tpch.ALL_QUERIES,
                         help="TPC-H query number (1-22)")
     parser.add_argument("--sql", help="a SQL string instead")
 
@@ -122,14 +139,6 @@ def _add_morsel(
                         help=morsel_rows_help)
 
 
-def _add_ring(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--ring-capacity", type=int, default=None,
-        help="span ring size per trace lane (default 65536); the run "
-        "warns when spans were dropped",
-    )
-
-
 def _add_report(parser: argparse.ArgumentParser, *, strict: str) -> None:
     """How a command reports: ``--json`` and ``--strict`` (``strict``
     is the per-command help text)."""
@@ -138,20 +147,15 @@ def _add_report(parser: argparse.ArgumentParser, *, strict: str) -> None:
     parser.add_argument("--strict", action="store_true", help=strict)
 
 
-def _add_top(
-    parser: argparse.ArgumentParser, default: int, what: str
-) -> None:
-    parser.add_argument(
-        "--top", type=int, default=default,
-        help=f"{what} (default {default})",
-    )
-
-
-def _add_obs(parser: argparse.ArgumentParser) -> None:
+def _add_trace_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace-out", metavar="FILE",
         help="write a Chrome trace-event JSON (chrome://tracing)",
     )
+
+
+def _add_obs(parser: argparse.ArgumentParser) -> None:
+    _add_trace_out(parser)
     parser.add_argument(
         "--metrics-out", metavar="FILE",
         help="write Prometheus text-exposition metrics",
@@ -159,16 +163,12 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
     _add_query_log(parser)
 
 
-def _add_query_log(
-    parser: argparse.ArgumentParser,
-    *,
-    sampling: bool = True,
-    help: str = "append one wide event per query (JSONL): fingerprint, "
-    "wall time, critical-path buckets, counters, faults",
-) -> None:
-    parser.add_argument("--query-log", metavar="FILE", help=help)
-    if not sampling:
-        return
+def _add_query_log(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--query-log", metavar="FILE",
+        help="append one wide event per query (JSONL): fingerprint, "
+        "wall time, critical-path buckets, counters, faults",
+    )
     parser.add_argument(
         "--qlog-sample-k", type=int, default=0, metavar="K",
         help="tail sampling: retain full Chrome traces for the "
@@ -224,7 +224,7 @@ def _obs_session(
         yield None
         return
     METRICS.reset()
-    tracer = Tracer(getattr(args, "ring_capacity", None))
+    tracer = Tracer()
     log = None
     if query_log:
         log = QueryLog(
@@ -257,11 +257,11 @@ def _export_obs(tracer: Tracer, args, **metadata) -> None:
                 f"invalid trace export: {'; '.join(problems)}"
             )
         print(f"chrome trace: {args.trace_out} "
-              f"(load in chrome://tracing)")
+              f"(load in chrome://tracing)", file=sys.stderr)
     if getattr(args, "metrics_out", None):
         with open(args.metrics_out, "w") as fh:
             fh.write(prometheus_text(METRICS))
-        print(f"metrics: {args.metrics_out}")
+        print(f"metrics: {args.metrics_out}", file=sys.stderr)
 
 
 def cmd_query(args) -> int:
@@ -317,53 +317,6 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_profile(args) -> int:
-    """Run one query under the tracer and export its span timeline."""
-    db = tpch.generate(args.sf)
-    plan = _plan_of(args, db)
-    name = _query_name(args)
-    if not args.trace_out:
-        stem = f"q{args.number:02d}" if args.number is not None else "sql"
-        args.trace_out = f"{stem}.trace.json"
-
-    metadata = {"query": name}
-    with _obs_session(args, "profile", metadata) as tracer:
-        wall0 = time.monotonic_ns()
-        with tracer.span("profile.query", query=name):
-            engine = Engine(
-                db,
-                tracer=tracer,
-                morsels=MorselConfig(
-                    parallel=True,
-                    morsel_rows=args.morsel_rows,
-                    n_workers=args.workers,
-                    worker_backend=args.backend,
-                ),
-            )
-            table = engine.execute(plan)
-            if not args.no_device:
-                AquomanSimulator(
-                    db, _device_config(args), tracer=tracer
-                ).run(plan, query=name)
-        wall_ns = time.monotonic_ns() - wall0
-
-        root_ns = tracer.total_ns("profile.query")
-        coverage = root_ns / wall_ns if wall_ns else 0.0
-        print(flame_summary(tracer, top=args.top))
-        suffix = (
-            " (coverage undercounts: spans were dropped)"
-            if tracer.n_dropped else ""
-        )
-        print(
-            f"\n{name}: {table.nrows} rows, "
-            f"wall {wall_ns / 1e6:.1f} ms, span coverage {coverage:.1%}"
-            f"{suffix}"
-        )
-        metadata.update(coverage=round(coverage, 4),
-                        wall_ms=round(wall_ns / 1e6, 3))
-    return 0
-
-
 def cmd_generate(args) -> int:
     from repro.storage.io import save_catalog
 
@@ -371,20 +324,6 @@ def cmd_generate(args) -> int:
     manifest = save_catalog(db, args.directory)
     print(f"wrote {fmt_bytes(db.nbytes)} of column files")
     print(f"manifest: {manifest}")
-    return 0
-
-
-def cmd_explain(args) -> int:
-    db = tpch.generate(args.sf)
-    plan = _plan_of(args, db)
-    compiler = QueryCompiler(db, scale_ratio=args.target_sf / args.sf)
-    compiled = compiler.compile(plan)
-    for node in plan.walk():
-        decision = compiled.decision(node)
-        marker = "DEVICE" if decision.offloadable else "host  "
-        note = f"  <- {decision.reason.value}" if not decision.offloadable \
-            else ""
-        print(f"[{marker}] {node!r}{note}")
     return 0
 
 
@@ -404,12 +343,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_doctor(args) -> int:
-    """Diagnose one query: critical path, bottleneck, explain-analyze."""
+    """Explain one run: critical path, bottleneck, explain-analyze."""
     from repro.obs.doctor import diagnose, report_json
 
     db = tpch.generate(args.sf)
     plan = _plan_of(args, db)
     name = _query_name(args)
+    tracer = Tracer(args.ring_capacity)
     report = diagnose(
         db,
         plan,
@@ -419,10 +359,11 @@ def cmd_doctor(args) -> int:
         workers=args.workers,
         morsel_rows=args.morsel_rows,
         backend=args.backend,
-        ring_capacity=args.ring_capacity,
+        tracer=tracer,
     )
     print(report_json(report) if args.json else report.format())
     warn_dropped_spans(report.n_dropped_spans, "doctor")
+    _export_obs(tracer, args, query=name)
     if args.strict and report.mispredictions:
         return 1
     return 0
@@ -435,10 +376,6 @@ def cmd_chaos(args) -> int:
     from repro.faults.chaos import run_campaign
     from repro.faults.plan import FaultConfig
 
-    if args.queries.strip().lower() == "all":
-        queries = list(range(1, 23))
-    else:
-        queries = [int(q) for q in args.queries.split(",") if q.strip()]
     seeds = [args.seed + k for k in range(args.campaign)]
     config = FaultConfig(
         page_error_rate=args.page_error_rate,
@@ -450,7 +387,7 @@ def cmd_chaos(args) -> int:
     )
     with _obs_session(args, "chaos campaign") as tracer:
         report = run_campaign(
-            queries,
+            args.queries,
             seeds,
             config,
             sf=args.sf,
@@ -481,79 +418,6 @@ def cmd_chaos(args) -> int:
     return 0 if report["verdict"] == "pass" else 1
 
 
-def cmd_tracediff(args) -> int:
-    """Attribute the wall-time delta between two query-log runs."""
-    import json
-
-    from repro.obs.tracediff import diff_runs, load_wide_events
-
-    diff = diff_runs(
-        load_wide_events(args.run_a),
-        load_wide_events(args.run_b),
-        rel_band=args.rel_band,
-        abs_band_ms=args.abs_band_ms,
-    )
-    if args.json:
-        print(json.dumps(diff.to_dict(), indent=2))
-    else:
-        print(diff.format(top=args.top))
-    return 1 if args.strict and diff.regressions else 0
-
-
-def cmd_serve(args) -> int:
-    """Serve every obs route over stdlib HTTP from a warm process."""
-    from repro.obs import chrome_trace
-    from repro.obs.server import ObsServer, route_summary, set_last_trace
-
-    db = tpch.generate(args.sf)
-    warm = [int(q) for q in args.warm.split(",") if q.strip()] \
-        if args.warm else []
-
-    METRICS.reset()
-    tracer = Tracer()
-    set_global_tracer(tracer)
-    # Without --query-log the log is in-memory (no JSONL): it still
-    # feeds the wide-event ring and the query.* fleet instruments a
-    # /metrics scraper reads.
-    set_query_log(QueryLog(args.query_log))
-    try:
-        engine = Engine(
-            db,
-            tracer=tracer,
-            morsels=MorselConfig(),
-        )
-        for number in warm:
-            t0 = time.monotonic_ns()
-            engine.trace.query = f"q{number:02d}"
-            with tracer.span("serve.warm", query=f"q{number:02d}"):
-                engine.execute_relation(tpch.query(number))
-            METRICS.counter(
-                "serve.warm_queries", "queries run before serving"
-            ).inc()
-            METRICS.histogram(
-                "serve.warm_ms", "warm query wall time (ms)"
-            ).observe((time.monotonic_ns() - t0) / 1e6)
-        if warm:
-            set_last_trace(chrome_trace(
-                list(tracer.records()), tracer.epoch_ns, tracer.n_dropped,
-                metadata={"warm_queries": warm, "sf": args.sf},
-            ))
-
-        server = ObsServer(host=args.host, port=args.port)
-        print(f"serving on {server.url}  "
-              f"({route_summary()}; Ctrl-C stops)")
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.stop()
-    finally:
-        set_query_log(None)
-        set_global_tracer(None)
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -574,35 +438,12 @@ def main(argv: list[str] | None = None) -> int:
     _add_obs(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_profile = sub.add_parser(
-        "profile",
-        help="trace one query's runtime and export the timeline",
-    )
-    _add_query(p_profile)
-    _add_device(p_profile, no_device=True)
-    _add_morsel(
-        p_profile,
-        workers_help="morsel workers = trace lanes (default 4)",
-        backend_help="morsel worker backend; 'process' adds "
-        "proc-worker-N lanes to the trace",
-    )
-    _add_top(p_profile, 15, "flame-summary rows to print")
-    _add_ring(p_profile)
-    _add_common(p_profile)
-    _add_obs(p_profile)
-    p_profile.set_defaults(func=cmd_profile)
-
     p_generate = sub.add_parser(
         "generate", help="write a TPC-H catalog as column files"
     )
     p_generate.add_argument("directory")
     _add_common(p_generate)
     p_generate.set_defaults(func=cmd_generate)
-
-    p_explain = sub.add_parser("explain", help="offload decisions")
-    _add_query(p_explain)
-    _add_common(p_explain)
-    p_explain.set_defaults(func=cmd_explain)
 
     p_analyze = sub.add_parser(
         "analyze", help="static analysis without executing"
@@ -616,13 +457,23 @@ def main(argv: list[str] | None = None) -> int:
 
     p_doctor = sub.add_parser(
         "doctor",
-        help="diagnose one query: critical path, bottleneck, "
-        "explain-analyze",
+        help="explain one run: critical path, bottleneck, what-ifs, "
+        "per-node offload decisions and explain-analyze",
     )
     _add_query(p_doctor)
     _add_device(p_doctor)
-    _add_morsel(p_doctor)
-    _add_ring(p_doctor)
+    _add_morsel(
+        p_doctor,
+        workers_help="morsel workers = trace lanes (default 4)",
+        backend_help="morsel worker backend; 'process' adds "
+        "proc-worker-N lanes to the trace",
+    )
+    p_doctor.add_argument(
+        "--ring-capacity", type=int, default=None,
+        help="span ring size per trace lane (default 65536); the run "
+        "warns when spans were dropped",
+    )
+    _add_trace_out(p_doctor)
     _add_report(
         p_doctor,
         strict="exit 1 when any estimate-vs-actual row mispredicts",
@@ -636,7 +487,7 @@ def main(argv: list[str] | None = None) -> int:
         "recovery verification",
     )
     p_chaos.add_argument(
-        "queries",
+        "queries", type=_query_numbers,
         help='TPC-H query numbers: "6", "1,6,14", or "all"',
     )
     p_chaos.add_argument(
@@ -687,54 +538,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(p_chaos)
     _add_query_log(p_chaos)
     p_chaos.set_defaults(func=cmd_chaos)
-
-    p_tracediff = sub.add_parser(
-        "tracediff",
-        help="attribute the wall-time delta between two query-log "
-        "runs per critical-path bucket and span prefix",
-    )
-    p_tracediff.add_argument("run_a", help="baseline query-log JSONL")
-    p_tracediff.add_argument("run_b", help="candidate query-log JSONL")
-    _add_top(p_tracediff, 10, "entries to print, largest |delta| first")
-    p_tracediff.add_argument(
-        "--rel-band", type=float, default=0.10,
-        help="relative noise band before a delta counts as a "
-        "regression (default 0.10)",
-    )
-    p_tracediff.add_argument(
-        "--abs-band-ms", type=float, default=0.5,
-        help="absolute noise floor in ms (default 0.5)",
-    )
-    _add_report(
-        p_tracediff,
-        strict="exit 1 when any aligned query regresses beyond the "
-        "bands",
-    )
-    p_tracediff.set_defaults(func=cmd_tracediff)
-
-    from repro.obs.server import route_summary
-
-    p_serve = sub.add_parser(
-        "serve",
-        help=f"HTTP {route_summary()}",
-        description="Serve the observability endpoints: "
-        + route_summary(),
-    )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=9463)
-    p_serve.add_argument(
-        "--warm", default="1,6", metavar="Q,Q,...",
-        help="TPC-H queries to run before serving, populating metrics "
-        "and /trace/last (default 1,6; empty string skips)",
-    )
-    _add_common(p_serve, target_sf=False)
-    _add_query_log(
-        p_serve,
-        sampling=False,
-        help="also append wide events to FILE (JSONL); without it the "
-        "query log stays in-memory (ring + fleet metrics only)",
-    )
-    p_serve.set_defaults(func=cmd_serve)
 
     args = parser.parse_args(argv)
     try:

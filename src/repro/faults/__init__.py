@@ -19,7 +19,7 @@ crash
 mid-task device     ``SuspendReason.DEVICE_FAULT`` — the       exact
 fault               whole subtree re-runs on the host
 retry budget        :class:`UnrecoverableFault` propagates;    error
-exhausted           ``/healthz`` flips to degraded
+exhausted           the degraded flag is set
 ==================  =========================================  ========
 
 "Exact" is the invariant the chaos CI gate enforces: every recovery

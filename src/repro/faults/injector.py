@@ -12,7 +12,7 @@ check).  The injector
 - keeps locked counters and a bounded, order-independent event log
   (the determinism tests compare its sorted contents),
 - mirrors everything into ``faults.*`` metrics and ambient-tracer
-  instants, and flips the ``/healthz`` degraded flag whenever a
+  instants, and sets the process-wide degraded flag whenever a
   recovery path had to run.
 """
 

@@ -14,34 +14,25 @@ this package is to the Python runtime's *actual* behaviour:
     rows per stage) updated at batch granularity from the hot paths.
 ``export``
     Chrome trace-event JSON (``chrome://tracing`` / Perfetto, one lane
-    per worker process and device stage), Prometheus text exposition,
-    and a human flame summary; plus the validators the CI smoke job
-    runs against every export — one JSON-schema interpreter for the
+    per worker process and device stage) and Prometheus text
+    exposition; plus the validators the CI smoke job runs against
+    every export — one JSON-schema interpreter for the
     Chrome trace and the wide event, one Prometheus grammar check.
 ``critpath``
     Span-forest reconstruction and critical-path extraction — which
     lane gated a run, with per-lane utilization and bottleneck
     attribution.  Input is the tracer's raw records, so tests feed it
     synthetic fixtures deterministically.
-``tracediff``
-    Two query-log runs aligned by plan fingerprint, compared as
-    median-of-N with a relative band and an absolute floor, the delta
-    attributed per critical-path bucket and span prefix (behind
-    ``python -m repro tracediff``).
 ``context`` / ``qlog``
     The ambient state: per-query identity and the process-wide
-    degraded flag (``context``); the query log, its wide events and
-    the in-process ring of recent ones (``qlog``).
+    degraded flag (``context``); the query log and its wide events
+    (``qlog``).
 
 Layering: this package imports nothing from the rest of ``repro`` (the
 executors, storage and analysis import *us*), so it can be threaded
-through every layer without cycles.  Two modules sit above it and are
-deliberately not imported here — import them by name: ``obs.doctor``,
-the query doctor, *drives* the engine, simulator and perf model; and
-``obs.server``, the stdlib HTTP endpoint behind ``python -m repro
-serve`` (``/metrics`` and the other :data:`~repro.obs.server.ROUTES`),
-is a pure reader of the state above that only the CLI needs, so the
-engine never loads ``http.server``.
+through every layer without cycles.  One module sits above it and is
+deliberately not imported here — import it by name: ``obs.doctor``,
+the query doctor, *drives* the engine, simulator and perf model.
 """
 
 from __future__ import annotations
@@ -66,7 +57,6 @@ from repro.obs.qlog import (
 )
 from repro.obs.export import (
     chrome_trace,
-    flame_summary,
     prometheus_text,
     validate_chrome_trace,
     validate_prometheus_text,
@@ -107,7 +97,6 @@ __all__ = [
     "analyze_records",
     "chrome_trace",
     "clear_degraded",
-    "flame_summary",
     "get_degraded",
     "get_query_context",
     "get_query_log",

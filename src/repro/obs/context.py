@@ -25,9 +25,8 @@ mutable about a query (annotations, counters, the wide event) lives in
 
 The process-wide **degraded flag** lives here too, under the same
 swap discipline: the fault layer sets it when a recovery path had to
-run, the process pool repatriates it from workers, and ``/healthz``
-(:mod:`repro.obs.server`) only reads it — so the engine and the fault
-injector never import the HTTP module.
+run, the process pool repatriates it from workers, and the chaos
+report reads it.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ def plan_fingerprint(plan: Any) -> str:
     Hashes every node's ``repr`` in ``walk()`` post-order; node reprs
     include operator type, predicate/key expressions, and child shape,
     so two plans collide only when they are structurally identical.
-    This is the alignment key ``repro tracediff`` joins runs on.
+    This is the key two query logs' runs align on.
     Computed once per plan object and kept on its root
     (:attr:`repro.sqlir.plan.Plan.fingerprint`): a plan executed many
     times is not re-``repr``-ed per execution.

@@ -25,7 +25,9 @@ scan I/O), 2× morsel workers (doubled hardware threads), and device off
 **Explain-analyze.**  The static analyzer's per-node predictions
 (schemas, AQ2xx suspend verdicts) join against per-node actuals carried
 on spans (``node=`` / ``nodes=`` args threaded through the executors)
-and the modeled flash traffic, flagging mispredictions.
+and the modeled flash traffic, flagging mispredictions.  Each row also
+carries the compiler's offload decision for its node — DEVICE, or host
+with the suspend reason — as the simulator run compiled it.
 
 Everything downstream of trace collection is a pure function of the
 collected inputs (:func:`build_report`), so a fixed trace fixture
@@ -46,6 +48,7 @@ from typing import Any
 
 from repro.analysis import Verdict, analyze_plan, node_schemas
 from repro.analysis.diagnostics import AnalysisReport
+from repro.core.compiler import CompiledQuery
 from repro.core.device import DeviceConfig
 from repro.core.simulator import AquomanSimulator, SimulationResult
 from repro.engine.executor import Engine
@@ -220,12 +223,14 @@ def _explain_rows(
     predictions: dict[int, dict],
     actuals: dict[int, dict[str, Any]],
     host_trace: QueryTrace,
+    compiled: CompiledQuery,
 ) -> list[dict[str, Any]]:
     """One explain-analyze row per plan node, in node-id order."""
+    nodes = {node.node_id: node for node in plan.walk()}
     scan_tables = {
-        node.node_id: node.table
-        for node in plan.walk()
-        if isinstance(node, Scan) and node.node_id is not None
+        node_id: node.table
+        for node_id, node in nodes.items()
+        if isinstance(node, Scan) and node_id is not None
     }
     flash_by_table: dict[str, int] = {}
     pages_by_table: dict[str, tuple[int, int]] = {}
@@ -256,6 +261,13 @@ def _explain_rows(
         }
         if "fragment" in act:
             row["fragment"] = act["fragment"]
+        decision = compiled.decision(nodes[node_id])
+        row["offload"] = {
+            "device": decision.offloadable,
+            "reason": (
+                None if decision.offloadable else decision.reason.value
+            ),
+        }
         table = scan_tables.get(node_id)
         if table is not None:
             row["flash_bytes"] = flash_by_table.get(table, 0)
@@ -390,7 +402,7 @@ class DoctorReport:
         lines.append("explain-analyze (predicted vs actual, per node):")
         lines.append(
             f"  {'node':>4} {'op':<10} {'cols':>4} {'rows_out':>10} "
-            f"{'self':>9} {'exec':<12} {'flash':>10} {'flag':<4}"
+            f"{'self':>9} {'exec':<12} {'flash':>10} {'flag':<4} offload"
         )
         for row in self.explain:
             execs = []
@@ -410,13 +422,18 @@ class DoctorReport:
             rows_out = row["rows_out"]
             if rows_out is None:
                 rows_out = row["device_rows_out"]
+            offload = row["offload"]
+            decision = (
+                "DEVICE" if offload["device"]
+                else f"host <- {offload['reason']}"
+            )
             lines.append(
                 f"  {row['node']:>4} {row['op']:<10} "
                 f"{row['pred_cols'] if row['pred_cols'] is not None else '?':>4} "
                 f"{rows_out if rows_out is not None else '-':>10} "
                 f"{row['self_ms'] + row['device_self_ms']:>7.1f}ms "
                 f"{'+'.join(execs) or '-':<12} {flash:>10} "
-                f"{'MISS' if row['mispredicted'] else 'ok':<4}"
+                f"{'MISS' if row['mispredicted'] else 'ok':<4} {decision}"
             )
             if "fragment" in row:
                 lines.append("       fragment: " + " ".join(
@@ -508,7 +525,9 @@ def build_report(
     )
 
     actuals = _node_actuals(records, _span_window(records, "doctor.host"))
-    explain = _explain_rows(plan, predictions, actuals, host_trace)
+    explain = _explain_rows(
+        plan, predictions, actuals, host_trace, sim.compiled
+    )
     suspend = suspend_scorecard(analysis, sim)
 
     return DoctorReport(
@@ -545,13 +564,14 @@ def diagnose(
     morsel_rows: int = MorselConfig.morsel_rows,
     backend: str = MorselConfig.worker_backend,
     host: HostConfig = HOST_S,
-    ring_capacity: int | None = None,
+    tracer: Tracer | None = None,
 ) -> DoctorReport:
     """Collect one query's evidence and assemble the doctor report.
 
     Runs the static analyzer, then the morsel-parallel host engine and
     the AQUOMAN simulator on the *same* plan object (so the analyzer's
-    node ids line up across all three) under one tracer.
+    node ids line up across all three) under one tracer — a fresh one
+    unless the caller passes its own (to size its rings or export it).
     """
     config = DeviceConfig(
         dram_bytes=int(dram_gb * GB),
@@ -560,7 +580,8 @@ def diagnose(
     analysis = analyze_plan(plan, catalog, device=config)
     predictions = node_schemas(plan, analysis.checker)
 
-    tracer = Tracer(ring_capacity)
+    if tracer is None:
+        tracer = Tracer()
     with tracer.span("doctor.query", query=query):
         with tracer.span("doctor.host"):
             engine = Engine(

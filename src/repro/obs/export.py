@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON, Prometheus text, flame summary.
+"""Exporters: Chrome trace-event JSON and Prometheus text.
 
 The Chrome format is the ``chrome://tracing`` / Perfetto "JSON Array
 with metadata" flavour: a ``traceEvents`` list of complete (``"X"``),
@@ -37,7 +37,6 @@ from repro.obs.spans import INSTANT, NullTracer, SpanRecord, Tracer
 
 __all__ = [
     "chrome_trace",
-    "flame_summary",
     "prometheus_text",
     "validate_chrome_trace",
     "validate_json",
@@ -576,55 +575,3 @@ def _fmt(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
     return repr(float(value))
-
-
-# -- flame summary -------------------------------------------------------------
-
-
-def flame_summary(tracer: Tracer | NullTracer, top: int = 0) -> str:
-    """Per-span-name wall-clock attribution, hottest self-time first.
-
-    ``self`` excludes time spent in child spans (recorded at span exit
-    from the active stack), so the column sums to the traced
-    wall-clock without double counting; ``total`` includes children.
-    """
-    stats: dict[str, list[float]] = {}  # name -> [count, total, self, max]
-    for _, rec in tracer.records():
-        name, _, _, dur_ns, _, self_ns, _ = rec
-        if dur_ns == INSTANT:
-            continue
-        entry = stats.setdefault(name, [0, 0.0, 0.0, 0.0])
-        entry[0] += 1
-        entry[1] += dur_ns
-        entry[2] += self_ns
-        entry[3] = max(entry[3], dur_ns)
-    if not stats:
-        return "(no spans recorded)"
-
-    wall = sum(entry[2] for entry in stats.values())
-    rows = sorted(stats.items(), key=lambda kv: -kv[1][2])
-    n_hidden = 0
-    if top and len(rows) > top:
-        n_hidden = len(rows) - top
-        rows = rows[:top]
-
-    width = max(len(name) for name, _ in rows)
-    lines = [
-        f"{'span':<{width}} {'count':>7} {'self':>10} {'total':>10} "
-        f"{'max':>10} {'self%':>6}"
-    ]
-    for name, (count, total, self_ns, max_ns) in rows:
-        share = self_ns / wall if wall else 0.0
-        lines.append(
-            f"{name:<{width}} {count:>7} {_ms(self_ns):>10} "
-            f"{_ms(total):>10} {_ms(max_ns):>10} {share:>6.1%}"
-        )
-    if n_hidden:
-        lines.append(f"… and {n_hidden} more")
-    lines.append(f"{'(traced wall-clock)':<{width}} {'':>7} "
-                 f"{_ms(wall):>10}")
-    return "\n".join(lines)
-
-
-def _ms(ns: float) -> str:
-    return f"{ns / 1e6:.2f}ms"

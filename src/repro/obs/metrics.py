@@ -9,10 +9,10 @@ under the observability overhead budget (see
 ``benchmarks/test_obs_overhead.py``).
 
 The query thread writes the instruments; morsel workers are processes
-and ship their counts back to it.  The locks exist for the one other
-thread a process runs: an HTTP handler of ``repro serve`` rendering
-``/metrics`` while a query updates the registry.  A small lock per
-instrument gives that reader one consistent view (a histogram's
+and ship their counts back to it.  The locks are for a reader on
+another thread (an embedding process rendering the registry while a
+query updates it).  A small lock per instrument gives that reader one
+consistent view (a histogram's
 buckets, sum and count from the same moment; ``value += n`` is a
 read-modify-write even under the GIL); at batch granularity the lock
 is noise.
@@ -155,7 +155,7 @@ class Counter(_LabelsMixin):
         self.labelset: tuple[tuple[str, str], ...] = ()
         self._children: dict[tuple, "Counter"] = {}
         self._children_sorted: tuple | None = ()
-        self._lock = threading.Lock()  # read by /metrics handler threads
+        self._lock = threading.Lock()  # readable from another thread
 
     def _make_child(self) -> "Counter":
         return Counter(self.name, self.help)
@@ -186,7 +186,7 @@ class Gauge(_LabelsMixin):
         self.labelset: tuple[tuple[str, str], ...] = ()
         self._children: dict[tuple, "Gauge"] = {}
         self._children_sorted: tuple | None = ()
-        self._lock = threading.Lock()  # read by /metrics handler threads
+        self._lock = threading.Lock()  # readable from another thread
 
     def _make_child(self) -> "Gauge":
         return Gauge(self.name, self.help)
@@ -226,7 +226,7 @@ class Histogram(_LabelsMixin):
         self.labelset: tuple[tuple[str, str], ...] = ()
         self._children: dict[tuple, "Histogram"] = {}
         self._children_sorted: tuple | None = ()
-        self._lock = threading.Lock()  # read by /metrics handler threads
+        self._lock = threading.Lock()  # readable from another thread
 
     def _make_child(self) -> "Histogram":
         return Histogram(self.name, self.help, buckets=self.bounds)
@@ -278,7 +278,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
         self._sorted: tuple | None = ()
-        self._lock = threading.Lock()  # read by /metrics handler threads
+        self._lock = threading.Lock()  # readable from another thread
 
     def _get(self, name: str, cls, **kwargs):
         with self._lock:

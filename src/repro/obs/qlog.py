@@ -6,8 +6,7 @@ per-bucket critical-path attribution (:mod:`repro.obs.critpath`), the
 movement of every metric the query caused
 (:meth:`~repro.obs.metrics.MetricsRegistry.delta` — no cross-query
 bleed), fault/retry counts, suspend predictions vs. actuals, and the
-dropped-span count.  Events append to a JSONL file and to the
-in-process ring behind ``/query-log/recent``.
+dropped-span count.  Events append to a JSONL file.
 
 **Ownership.**  :func:`query_scope` is entered by both
 :meth:`~repro.engine.executor.Engine.execute_relation` and
@@ -35,9 +34,7 @@ import heapq
 import json
 import os
 import sys
-import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from typing import Any
 
@@ -61,12 +58,8 @@ from repro.obs.spans import INSTANT
 __all__ = [
     "QueryLog",
     "QueryScope",
-    "clear_wide_events",
     "get_query_log",
-    "get_wide_event",
     "query_scope",
-    "recent_wide_events",
-    "record_wide_event",
     "set_query_log",
     "validate_wide_event",
     "warn_dropped_spans",
@@ -79,9 +72,9 @@ def warn_dropped_spans(n_dropped: int, where: str,
                        stream: Any = None) -> None:
     """One-line WARNING when ring wrap evicted spans.
 
-    Shared by ``profile``, ``doctor``, ``chaos`` and wide-event
-    emission so a truncated trace is never silently presented as
-    complete.
+    Shared by ``doctor``, every ``--trace-out`` / ``--query-log`` run
+    and wide-event emission so a truncated trace is never silently
+    presented as complete.
     """
     if n_dropped <= 0:
         return
@@ -92,58 +85,17 @@ def warn_dropped_spans(n_dropped: int, where: str,
     )
 
 
-# Ring of the most recent query wide events.  The query thread appends
-# whole immutable dicts; the HTTP server's handler threads read it for
-# /query-log/recent and /query/<id>.  The lock guards the deque's
-# append/iterate pair (a handler iterating while a query completes
-# would otherwise race the ring rotation).
-_RECENT_CAPACITY = 256
-_recent_events: deque[dict[str, Any]] = deque(maxlen=_RECENT_CAPACITY)
-_recent_lock = threading.Lock()
-
-
-def record_wide_event(doc: dict[str, Any]) -> None:
-    """Publish one query's wide event to the in-process ring."""
-    with _recent_lock:
-        _recent_events.append(doc)
-
-
-def clear_wide_events() -> None:
-    """Empty the ring (test isolation; a fresh serve run)."""
-    with _recent_lock:
-        _recent_events.clear()
-
-
-def recent_wide_events(limit: int = 50) -> list[dict[str, Any]]:
-    """Most recent wide events, newest first."""
-    with _recent_lock:
-        events = list(_recent_events)
-    return events[::-1][:limit]
-
-
-def get_wide_event(query_id: int) -> dict[str, Any] | None:
-    with _recent_lock:
-        events = list(_recent_events)
-    for doc in reversed(events):
-        if doc.get("query_id") == query_id:
-            return doc
-    return None
-
-
 class QueryLog:
     """Appends wide events to JSONL; optionally retains sampled traces."""
 
     def __init__(
         self,
-        path: str | None,
+        path: str,
         *,
         sample_slowest_k: int = 0,
         trace_dir: str | None = None,
         registry: MetricsRegistry | None = None,
     ):
-        # path=None keeps the log in-memory only (ring + fleet
-        # metrics, no JSONL) — the shape ``repro serve`` installs so a
-        # long-lived server never grows an unbounded file.
         self.path = path
         self.sample_slowest_k = sample_slowest_k
         self.trace_dir = trace_dir
@@ -163,22 +115,20 @@ class QueryLog:
         # The handle stays open across queries (reopening per event
         # triples the emit cost); each line is flushed so readers — and
         # a crash post-mortem — always see complete events.
-        if self.path is not None:
-            if self._fh is None:
-                self._fh = open(self.path, "a")
-            self._fh.write(json.dumps(doc) + "\n")
-            self._fh.flush()
+        if self._fh is None:
+            self._fh = open(self.path, "a")
+        self._fh.write(json.dumps(doc) + "\n")
+        self._fh.flush()
         self.n_emitted += 1
-        record_wide_event(doc)
         self._record_fleet_metrics(doc)
 
     def _record_fleet_metrics(self, doc: dict[str, Any]) -> None:
         """Fold the finished query into the fleet instruments.
 
-        These ``query.*`` series are what a scraper of ``/metrics``
-        turns into QPS, windowed p99 and fault/mispredict burn rates
-        (README "Scraping /metrics").  Labels carry the
-        backend only — the fingerprint stays in the qlog ring, per the
+        These ``query.*`` series are what ``--metrics-out`` exports
+        for a scraper to turn into QPS, p99 and fault/mispredict burn
+        rates (README "Metrics for a scraper").  Labels carry the
+        backend only — the fingerprint stays in the wide event, per the
         cardinality policy (DESIGN.md §13).  Recording happens *after*
         the event's own counter delta was collected, so a query's
         ledger never contains its own fleet bookkeeping.
@@ -429,9 +379,9 @@ def _critpath_section(
     """Per-bucket attribution of this query's record window.
 
     Bucket milliseconds sum to ``path_ms`` exactly (critical-path
-    segments partition the root window by construction), which is what
-    lets ``tracediff`` reconcile attributed deltas against measured
-    ones.
+    segments partition the root window by construction), so a
+    per-bucket comparison of two runs reconciles with their measured
+    path delta.
     """
     try:
         analysis = analyze_records(records, root_name="engine.query")

@@ -258,8 +258,8 @@ NULL_TRACER = NullTracer()
 
 # The ambient tracer: lets module-level code (storage I/O, the analysis
 # gate, the ``@traced`` decorator) participate without every call site
-# threading a tracer argument through.  ``python -m repro profile``
-# installs its tracer here for the duration of the run.
+# threading a tracer argument through.  A ``--trace-out`` or
+# ``--query-log`` run installs its tracer here for the run's duration.
 _global_tracer: Tracer | NullTracer = NULL_TRACER
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.engine.procpool import process_backend_available
-from repro.obs import validate_chrome_trace
+from repro.obs import validate_chrome_trace, validate_prometheus_text
 
 
 class TestCli:
@@ -46,11 +46,26 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
-    def test_explain(self, capsys):
-        assert main(["explain", "9", "--sf", "0.002"]) == 0
+    @pytest.mark.parametrize("argv,message", [
+        (["query", "23"], "invalid choice: 23 (choose from 1, 2,"),
+        (["doctor", "23"], "invalid choice: 23 (choose from 1, 2,"),
+        (["analyze", "99"], "invalid choice: 99 (choose from 1, 2,"),
+        (["query", "6", "--sf", "0"], "--sf: must be a positive number"),
+        (["chaos", "23"], "want 'all' or TPC-H numbers 1-22"),
+    ])
+    def test_bad_argument_exits_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_doctor_offload_column(self, capsys):
+        assert main(["doctor", "9", "--sf", "0.002"]) == 0
         out = capsys.readouterr().out
-        assert "string heap exceeds regex cache" in out
-        assert "[DEVICE]" in out
+        assert "host <- string heap exceeds regex cache" in out
+        assert " DEVICE\n" in out
 
     def test_evaluate_smoke(self, capsys):
         assert main(["evaluate", "--sf", "0.002"]) == 0
@@ -58,52 +73,36 @@ class TestCli:
         assert "mean CPU saving" in out
         assert "q22" in out
 
-    def test_profile_exports_valid_trace(self, capsys, tmp_path):
+    @pytest.mark.parametrize("ring", [None, 8])
+    def test_doctor_exports_valid_trace(self, capsys, tmp_path, ring):
         trace = tmp_path / "q06.trace.json"
-        metrics = tmp_path / "q06.prom"
-        code = main(
-            [
-                "profile", "6", "--sf", "0.002",
-                # pinned below the tuned default so the tiny SF still
-                # fans out into worker lanes
-                "--morsel-rows", "8192",
-                "--trace-out", str(trace),
-                "--metrics-out", str(metrics),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "span coverage" in out
-        assert "self%" in out  # the flame summary printed
+        argv = [
+            "doctor", "6", "--sf", "0.002",
+            # pinned below the tuned default so the tiny SF still
+            # fans out into worker lanes
+            "--morsel-rows", "8192",
+            "--trace-out", str(trace),
+        ]
+        if ring is not None:
+            argv += ["--ring-capacity", str(ring)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "explain-analyze" in captured.out
+        # One warning however many exports the run writes.
+        dropped = (captured.out + captured.err).count("spans dropped")
+        assert dropped == (0 if ring is None else 1)
 
         doc = json.loads(trace.read_text())
         assert validate_chrome_trace(doc) == []
+        assert doc["otherData"]["query"] == "q06"
+        if ring is not None:
+            return
         lanes = doc["otherData"]["lanes"]
         assert "device.row_selector" in lanes
-        assert doc["otherData"]["coverage"] > 0.95
-
-        prom = metrics.read_text()
-        assert "# TYPE repro_" in prom
 
         if not process_backend_available():
             pytest.skip("no fork start method: spans ran inline")
         assert any(lane.startswith("proc-worker") for lane in lanes)
-
-    def test_profile_warns_on_dropped_spans(self, capsys, tmp_path):
-        code = main(
-            [
-                "profile", "6", "--sf", "0.002",
-                "--ring-capacity", "4",
-                "--trace-out", str(tmp_path / "q06.trace.json"),
-            ]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "WARNING:" in captured.err
-        assert "spans dropped by ring wrap-around (profile)" in (
-            captured.err
-        )
-        assert "coverage undercounts" in captured.out
 
     def test_doctor_warns_about_dropped_spans_once(self, capsys):
         code = main(["doctor", "6", "--sf", "0.001", "--ring-capacity", "8"])
@@ -182,51 +181,12 @@ class TestQueryLogCli:
                 doc = json.load(fh)
             assert validate_chrome_trace(doc) == []
 
-    def test_profile_query_log_writes_events(self, capsys, tmp_path):
-        from repro.obs import validate_wide_event
-
-        log = tmp_path / "profile.jsonl"
-        assert main([
-            "profile", "6", "--sf", "0.002", "--no-device",
-            "--trace-out", str(tmp_path / "q06.trace.json"),
-            "--query-log", str(log),
-        ]) == 0
-        events = [
-            json.loads(line) for line in log.read_text().splitlines()
-        ]
-        assert events
-        for event in events:
-            assert validate_wide_event(event) == []
-            assert event["critpath"] is not None
-
-    def test_tracediff_self_is_clean(self, capsys, tmp_path):
-        self._run_log(tmp_path)
-        log = str(tmp_path / "qlog.jsonl")
-        assert main(["tracediff", log, log]) == 0
-        out = capsys.readouterr().out
-        assert "0 regressions" in out
-        assert "+0.00ms" in out
-
-    def test_tracediff_strict_flags_inflation(self, capsys, tmp_path):
-        events = self._run_log(tmp_path)
-        inflated = tmp_path / "inflated.jsonl"
-        with open(inflated, "w") as fh:
-            for event in events:
-                event = dict(event)
-                event["wall_ms"] *= 4.0
-                fh.write(json.dumps(event) + "\n")
-        log = str(tmp_path / "qlog.jsonl")
-        assert main(["tracediff", log, str(inflated), "--strict"]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_tracediff_json_output(self, capsys, tmp_path):
-        self._run_log(tmp_path)
-        capsys.readouterr()  # drop the query run's own output
-        log = str(tmp_path / "qlog.jsonl")
-        assert main(["tracediff", log, log, "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["n_regressions"] == 0
-        assert doc["total_wall_delta_ms"] == 0.0
+    def test_metrics_out_carries_the_fleet_series(self, capsys, tmp_path):
+        metrics = tmp_path / "q06.prom"
+        self._run_log(tmp_path, extra=["--metrics-out", str(metrics)])
+        text = metrics.read_text()
+        assert validate_prometheus_text(text) == []
+        assert "repro_query_completed_total" in text
 
     def test_chaos_query_log(self, capsys, tmp_path):
         from repro.obs import validate_wide_event
@@ -247,17 +207,3 @@ class TestQueryLogCli:
             assert validate_wide_event(event) == []
             assert event["seed"] == 0
 
-
-class TestServeCli:
-    def test_serve_help_is_generated_from_route_table(self, capsys):
-        from repro.obs.server import ROUTES, route_summary
-
-        with pytest.raises(SystemExit):
-            main(["serve", "--help"])
-        # argparse wraps mid-path at hyphens: compare without spaces.
-        out = "".join(capsys.readouterr().out.split())
-        # The help text is derived from ROUTES, so it can never go
-        # stale against the handler again.
-        assert route_summary().replace(" ", "") in out
-        for path in ROUTES:
-            assert path in out

@@ -92,6 +92,11 @@ class TestDoctorQ6:
         )
         assert agg["rows_out"] == 1
         assert not any(r["mispredicted"] for r in report.explain)
+        # Q6 runs on the device end to end (the offload column).
+        assert all(
+            r["offload"] == {"device": True, "reason": None}
+            for r in report.explain
+        )
 
     def test_fragment_census_lands_on_the_fragment_root(self, report):
         agg, *rest = report.explain

@@ -17,7 +17,6 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     chrome_trace,
-    flame_summary,
     get_tracer,
     prometheus_text,
     set_global_tracer,
@@ -250,37 +249,6 @@ class TestPrometheusExport:
         assert 'repro_rows_bucket{le="+Inf"} 1' in text
         assert "repro_rows_count 1" in text
         assert text.endswith("\n")
-
-
-class TestFlameSummary:
-    def test_summary_orders_by_self_time(self):
-        t = Tracer()
-        with t.span("cheap"):
-            with t.span("hot"):
-                time.sleep(0.005)
-        text = flame_summary(t)
-        assert text.index("hot") < text.index("cheap")
-        assert "self%" in text
-
-    def test_empty_tracer(self):
-        assert "no spans" in flame_summary(Tracer())
-
-    def test_truncation_prints_hidden_count(self):
-        t = Tracer()
-        for i in range(5):
-            with t.span(f"span_{i}"):
-                pass
-        text = flame_summary(t, top=2)
-        assert "… and 3 more" in text
-
-    def test_top_zero_prints_everything(self):
-        t = Tracer()
-        for i in range(5):
-            with t.span(f"span_{i}"):
-                pass
-        text = flame_summary(t, top=0)
-        assert "more" not in text
-        assert all(f"span_{i}" in text for i in range(5))
 
 
 class TestExecutorIntegration:

@@ -1,12 +1,11 @@
-"""Query-lifecycle wide events: ids, scopes, sampling, tracediff.
+"""Query-lifecycle wide events: ids, scopes, sampling.
 
 The contract under test: every span and fault instant a query produces
 carries that query's ``qid`` — across the serial and process
 backends, through a SIGKILL'd worker's inline re-run, and through the
 device-fault host fallback — and each query's wide event reports only
-its own metric movement (no cross-query bleed), validates against the
-checked-in JSON schema, and feeds ``repro tracediff`` attribution that
-reconciles with the measured deltas.
+its own metric movement (no cross-query bleed) and validates against
+the checked-in JSON schema.
 """
 
 import json
@@ -34,7 +33,6 @@ from repro.obs.qlog import (
     QueryLog,
     get_query_log,
     query_scope,
-    recent_wide_events,
     set_query_log,
     validate_wide_event,
 )
@@ -92,7 +90,7 @@ class TestQueryContext:
 
     def test_fingerprint_is_structural(self):
         # Rebuilt plan objects fingerprint identically; different
-        # queries do not (this is tracediff's alignment key).
+        # queries do not (two query logs align on it).
         assert plan_fingerprint(tpch.query(6)) == plan_fingerprint(
             tpch.query(6)
         )
@@ -208,13 +206,15 @@ class TestMetricsDelta:
 
 class TestFleetMetrics:
     """``QueryLog.emit`` folds each query into the labeled ``query.*``
-    instruments a ``/metrics`` scraper turns into QPS, p99 and burn
-    rates."""
+    instruments a scraper of ``--metrics-out`` turns into QPS, p99 and
+    burn rates."""
 
     @pytest.fixture()
-    def fleet(self):
+    def fleet(self, tmp_path):
         registry = MetricsRegistry()
-        return registry, QueryLog(None, registry=registry)
+        log = QueryLog(str(tmp_path / "qlog.jsonl"), registry=registry)
+        yield registry, log
+        log.close()
 
     def test_one_labeled_child_per_backend(self, fleet):
         registry, log = fleet
@@ -242,9 +242,12 @@ class TestFleetMetrics:
         assert snap["query.faulted{backend=device}"] == 1
         assert snap["query.suspend_mispredicted{backend=device}"] == 1
 
-    def test_injected_faults_reach_the_fleet_counters(self, small_db):
+    def test_injected_faults_reach_the_fleet_counters(
+        self, small_db, tmp_path
+    ):
         registry = MetricsRegistry()
-        set_query_log(QueryLog(None, registry=registry))
+        log = QueryLog(str(tmp_path / "qlog.jsonl"), registry=registry)
+        set_query_log(log)
         set_fault_injector(FaultInjector(FaultPlan(
             seed=7, config=FaultConfig(device_fault_rate=1.0)
         )))
@@ -255,6 +258,7 @@ class TestFleetMetrics:
         finally:
             set_fault_injector(None)
             set_query_log(None)
+            log.close()
             clear_degraded()  # the host fallback flipped it
         snap = registry.snapshot()
         assert snap["query.completed{backend=device}"] == 1
@@ -419,6 +423,17 @@ class TestBitIdentityWithQueryLog:
         assert_identical(out, reference[n])
 
 
+class TestQueryLogFile:
+    def test_two_runs_append_to_one_log(self, tmp_path):
+        path = str(tmp_path / "qlog.jsonl")
+        for wall in (100.0, 104.0):  # two runs append to one log
+            log = QueryLog(path, registry=MetricsRegistry())
+            log.emit({"query": "q06", "fingerprint": "a" * 16,
+                      "wall_ms": wall})
+            log.close()
+        assert [e["wall_ms"] for e in _events(log)] == [100.0, 104.0]
+
+
 class TestTailSampling:
     def _doc(self, qid, wall_ms, faults=None, mispredicted=False):
         return {
@@ -545,8 +560,11 @@ class TestSuspendMisprediction:
 
     CONFIG = DeviceConfig(scale_ratio=1000 / 0.01)
 
-    def test_no_tpch_plan_is_flagged(self, small_db):
-        set_query_log(QueryLog(None, registry=MetricsRegistry()))
+    def test_no_tpch_plan_is_flagged(self, small_db, tmp_path):
+        log = QueryLog(
+            str(tmp_path / "qlog.jsonl"), registry=MetricsRegistry()
+        )
+        set_query_log(log)
         try:
             for n in sorted(tpch.ALL_QUERIES):
                 AquomanSimulator(small_db, self.CONFIG).run(
@@ -554,9 +572,7 @@ class TestSuspendMisprediction:
                 )
         finally:
             set_query_log(None)
-        suspend = {
-            e["query"]: e["suspend"] for e in recent_wide_events(22)
-        }
+        suspend = {e["query"]: e["suspend"] for e in _events(log)}
         assert len(suspend) == 22
         # The doctor's AQ2xx scorecard has 0 of 22 wrong as well.
         assert [q for q, s in suspend.items() if s["mispredicted"]] == []
@@ -572,8 +588,8 @@ class TestSuspendMisprediction:
         whose guard says it does not."""
         registry = MetricsRegistry()
         log = QueryLog(
-            None, registry=registry, sample_slowest_k=1,
-            trace_dir=str(tmp_path / "traces"),
+            str(tmp_path / "qlog.jsonl"), registry=registry,
+            sample_slowest_k=1, trace_dir=str(tmp_path / "traces"),
         )
         set_query_log(log)
         tracer = Tracer()
@@ -589,7 +605,7 @@ class TestSuspendMisprediction:
         finally:
             set_query_log(None)
         assert SuspendReason.STRING_HEAP in result.suspend_reasons
-        q01, q06, q13 = recent_wide_events(3)
+        q13, q06, q01 = _events(log)
         heap = SuspendReason.STRING_HEAP.value
         assert q13["suspend"] == {
             "predicted": [], "observed": [heap], "mispredicted": True,
@@ -599,143 +615,3 @@ class TestSuspendMisprediction:
         snap = registry.snapshot()
         assert snap["query.suspend_mispredicted{backend=device}"] == 1
         assert os.path.exists(q13["trace_path"])  # pinned, not evicted
-
-
-class TestTraceDiff:
-    def _event(self, fp, query, wall_ms, buckets, qid=1):
-        path_ms = sum(buckets.values())
-        return {
-            "query_id": qid,
-            "query": query,
-            "fingerprint": fp,
-            "wall_ms": wall_ms,
-            "critpath": {
-                "path_ms": path_ms,
-                "bottleneck": max(buckets, key=buckets.get),
-                "buckets": buckets,
-                "top_spans": [
-                    [f"{b}.work", b, ms] for b, ms in buckets.items()
-                ],
-            },
-        }
-
-    def _run(self, scale=1.0, extra_host=0.0):
-        events = []
-        for qid, (fp, query, wall, buckets) in enumerate([
-            ("a" * 16, "q01", 10.0,
-             {"host": 6.0, "flash_io": 3.0, "device": 1.0}),
-            ("b" * 16, "q06", 4.0,
-             {"host": 1.0, "swissknife": 2.5, "device": 0.5}),
-        ], start=1):
-            scaled = {
-                k: v * scale + (extra_host if k == "host" else 0.0)
-                for k, v in buckets.items()
-            }
-            events.append(self._event(
-                fp, query, wall * scale + extra_host, scaled, qid=qid
-            ))
-        return events
-
-    def test_self_diff_is_zero(self):
-        from repro.obs.tracediff import diff_runs
-
-        diff = diff_runs(self._run(), self._run())
-        assert diff.total_wall_delta_ms == 0.0
-        assert diff.total_attributed_ms == 0.0
-        assert diff.regressions == []
-
-    def test_inflation_lands_in_the_right_bucket(self):
-        from repro.obs.tracediff import diff_runs
-
-        diff = diff_runs(self._run(), self._run(extra_host=5.0))
-        assert len(diff.regressions) == 2
-        for entry in diff.entries:
-            worst = max(
-                entry.bucket_delta_ms, key=entry.bucket_delta_ms.get
-            )
-            assert worst == "host"
-            assert entry.bucket_delta_ms["host"] == pytest.approx(5.0)
-            assert entry.attributed_ms == pytest.approx(
-                entry.wall_delta_ms
-            )
-
-    def test_noise_band_suppresses_small_deltas(self):
-        from repro.obs.tracediff import diff_runs
-
-        diff = diff_runs(self._run(), self._run(scale=1.02))
-        assert diff.regressions == []
-
-    def test_unaligned_fingerprints_are_reported(self):
-        from repro.obs.tracediff import diff_runs
-
-        a = self._run()
-        b = self._run()[:1]
-        b.append(self._event("c" * 16, "q14", 2.0, {"host": 2.0}))
-        diff = diff_runs(a, b)
-        assert diff.only_a == ["b" * 16]
-        assert diff.only_b == ["c" * 16]
-
-    def test_repeats_aggregate_by_median(self):
-        from repro.obs.tracediff import diff_runs
-
-        repeats = []
-        for wall in (10.0, 11.0, 30.0):  # 30 is the outlier
-            repeats.append(self._event(
-                "a" * 16, "q01", wall, {"host": wall}
-            ))
-        diff = diff_runs(repeats, repeats)
-        assert diff.entries[0].wall_a_ms == 11.0
-        assert diff.total_wall_delta_ms == 0.0
-
-    def test_event_without_critpath_still_diffs_wall(self):
-        from repro.obs.tracediff import diff_runs
-
-        bare_a = [{
-            "query_id": 1, "query": "q01",
-            "fingerprint": "a" * 16, "wall_ms": 10.0,
-            "critpath": None,
-        }]
-        bare_b = [dict(bare_a[0], wall_ms=20.0)]
-        diff = diff_runs(bare_a, bare_b)
-        assert diff.entries[0].wall_delta_ms == pytest.approx(10.0)
-        assert diff.entries[0].bucket_delta_ms == {}
-        assert diff.regressions
-
-
-class TestSerialVsProcessAttribution:
-    """Acceptance: per-bucket deltas reconcile with measured wall."""
-
-    @pytest.mark.skipif(
-        not procpool.process_backend_available(),
-        reason="no fork start method on this platform",
-    )
-    def test_attributed_delta_matches_path_delta(
-        self, small_db, tmp_path
-    ):
-        from repro.obs.tracediff import diff_runs, load_wide_events
-
-        logs = {}
-        for backend in ("serial", "process"):
-            log = QueryLog(str(tmp_path / f"{backend}.jsonl"))
-            set_query_log(log)
-            try:
-                for n in (1, 6):
-                    tracer = Tracer()
-                    _engine(
-                        small_db, backend, tracer=tracer
-                    ).execute_relation(tpch.query(n))
-            finally:
-                set_query_log(None)
-                log.close()
-            logs[backend] = log.path
-        diff = diff_runs(
-            load_wide_events(logs["serial"]),
-            load_wide_events(logs["process"]),
-        )
-        assert len(diff.entries) == 2
-        for entry in diff.entries:
-            # Buckets partition the critical path, so their summed
-            # delta equals the path delta to rounding.
-            assert entry.attributed_ms == pytest.approx(
-                entry.path_delta_ms, abs=1e-3
-            )
