@@ -5,7 +5,7 @@ a per-plan cache, so every execution after the first pays only the
 cache check.  That steady-state cost is what "leave verification on"
 means for a resident engine, and it must stay under 1% of the query's
 own runtime at SF-0.01 on every TPC-H query.  The one-time preparation
-cost (the actual ``types`` + ``morsel`` passes) is capped in absolute
+cost (the actual ``types`` pass) is capped in absolute
 terms instead — at millisecond-scale SF-0.01 query times no Python
 tree walk could be 1% of a single cold run, and no engine re-analyzes
 an unchanged plan per execution.  The full four-pass analysis (adds
@@ -67,7 +67,7 @@ def test_analysis_overhead(benchmark, db):
                 lambda p=plan: Engine(db).execute_relation(p)
             )
             prepare_s = _best_of(
-                lambda p=plan: analyze_plan(p, db)  # types + morsel
+                lambda p=plan: analyze_plan(p, db)  # the engine gate's
             )
             steady_s = _steady_state_s(
                 Engine(db, analyze="warn"), plan

@@ -16,9 +16,15 @@ per analysis; every pass reads its memoised ``schema_of``:
     Abstractly execute the Row Transformer PE programs each Project
     would lower to (:mod:`repro.analysis.peverify`, ``AQ3xx``).
 ``morsel``
-    Prove which aggregate fragments merge bit-identically under morsel
-    parallelism (:mod:`repro.analysis.morselsafety`, ``AQ4xx``) — the
-    engine's single source of truth for its merge decision.
+    Report which aggregate fragments merge bit-identically under morsel
+    parallelism (:mod:`repro.analysis.morselsafety`, ``AQ4xx``).  The
+    morsel executor asks the same :func:`aggregate_merge_verdict` per
+    fragment itself, so this pass informs reports, never execution.
+
+The engine's gate (``Engine(analyze=...)``) runs ``types`` only
+(:data:`ENGINE_PASSES`): it is the one pass that emits diagnostics
+without a device.  ``repro analyze``, the doctor and a ``device=``
+call run all four.
 
 Layering: this package imports ``sqlir``, ``storage`` and ``core``
 compile-time modules only — never ``repro.engine`` or the simulator.
@@ -99,7 +105,7 @@ __all__ = [
     "verify_transform_graph",
 ]
 
-ENGINE_PASSES = ("types", "morsel")
+ENGINE_PASSES = ("types",)
 ALL_PASSES = ("types", "suspend", "pe", "morsel")
 
 
@@ -139,8 +145,8 @@ def analyze_plan(
     """Run the selected static passes and aggregate one report.
 
     ``device`` (a :class:`repro.core.device.DeviceConfig`) enables the
-    device-facing passes; without it the default is the cheap,
-    host-relevant pair ``("types", "morsel")`` the engine runs inline.
+    device-facing passes; without it the default is
+    :data:`ENGINE_PASSES`, the type check the engine's gate runs inline.
     """
     if passes is None:
         passes = ALL_PASSES if device is not None else ENGINE_PASSES

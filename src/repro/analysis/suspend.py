@@ -455,13 +455,13 @@ class SuspendPredictor:
             domains.append(domain)
         if total == 0:
             return True
-        grids = np.meshgrid(*domains, indexing="ij")
-        columns = [g.reshape(-1).astype(np.int64) for g in grids]
-        zipped, id_bytes = zip_group_columns(columns, widths)
-        if id_bytes > 8:
+        if sum(widths) > 8:
             # The wide-id surrogate numbering depends on which tuples
             # are present at runtime; not provable from the domain.
             return False
+        grids = np.meshgrid(*domains, indexing="ij")
+        columns = [g.reshape(-1).astype(np.int64) for g in grids]
+        zipped, _ = zip_group_columns(columns, widths)
         buckets = bucket_of(zipped, HASH_BUCKETS)
         return len(np.unique(buckets)) == len(zipped)
 

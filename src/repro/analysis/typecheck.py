@@ -195,12 +195,13 @@ class TypeChecker:
                 plan,
             )
             return None
-        full = scan_schema(table)
         if plan.columns is None:
-            return full
+            return scan_schema(table)
         schema: Schema = {}
         for name in plan.columns:
-            if name not in full:
+            if table.has_column(name):
+                schema[name] = _stored_meta(table.column(name).ctype)
+            else:
                 self._emit(
                     "AQ101",
                     Severity.ERROR,
@@ -208,8 +209,6 @@ class TypeChecker:
                     plan,
                 )
                 schema[name] = _INT  # placeholder to limit cascades
-            else:
-                schema[name] = full[name]
         return schema
 
     def _infer_project(self, plan: Project) -> Schema | None:

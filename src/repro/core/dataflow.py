@@ -40,6 +40,7 @@ from repro.sqlir.expr import (
     ExtractYear,
     Kind,
     Literal,
+    compare_at_scale,
 )
 
 
@@ -248,16 +249,29 @@ class GraphBuilder:
         return self._alu(op, a, b, scale)
 
     def _lower_compare(self, expr: Compare) -> Value:
-        a, b, _ = self._aligned(expr.left, expr.right)
-        op = {
+        op = expr.op
+        a, b = self.lower(expr.left), self.lower(expr.right)
+        if a.op == "lit" and b.op != "lit":
+            a, b, op = b, a, op.flip()
+        if b.op == "lit" and a.op != "lit":
+            # Against a constant: at the value's own scale, never
+            # widened (a finer literal is floored, as on the host).
+            exact = compare_at_scale(op, b.literal, b.scale, a.scale)
+            if isinstance(exact, bool):
+                return Value("lit", literal=int(exact), scale=0)
+            op, constant = exact
+            b = Value("lit", literal=constant, scale=a.scale)
+        else:
+            scale = max(a.scale, b.scale)
+            a, b = self._rescale(a, scale), self._rescale(b, scale)
+        name, negate = {
             CompareOp.EQ: ("eq", False),
             CompareOp.NE: ("eq", True),
             CompareOp.LT: ("lt", False),
             CompareOp.GE: ("lt", True),
             CompareOp.GT: ("gt", False),
             CompareOp.LE: ("gt", True),
-        }[expr.op]
-        name, negate = op
+        }[op]
         value = self._alu(name, a, b, 0)
         if negate:
             # 1 - x on a 0/1 value: mul -1, add 1.

@@ -681,7 +681,7 @@ class AquomanDevice:
             # the grouping's count is their distinct count.
             widths = [4 if a.kind is Kind.STR else 8 for a in key_arrays]
             zipped, id_bytes = zip_group_columns(
-                [a.values for a in key_arrays], widths
+                [a.values for a in key_arrays], widths, groups
             )
             spilled_groups, spilled_rows = self.groupby_accel.spills(
                 zipped, groups.n_groups, group_id_bytes=id_bytes

@@ -18,8 +18,12 @@ The model reproduces the two behaviours the evaluation leans on:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # the host's kernel; core imports it only to type
+    from repro.engine.operators.grouping import GroupedKeys
 
 HASH_BUCKETS = 1024
 MAX_GROUP_ID_BYTES = 16
@@ -198,15 +202,20 @@ class AggregateGroupBy:
 
 
 def zip_group_columns(
-    key_columns: list[np.ndarray], widths: list[int]
+    key_columns: list[np.ndarray],
+    widths: list[int],
+    groups: GroupedKeys | None = None,
 ) -> tuple[np.ndarray, int]:
     """The Column Zipper: pack key columns into one composite identifier.
 
     Returns (identifiers, identifier_bytes).  Packing is by bit
     concatenation of the per-column raw values at their physical widths;
     identifiers above 8 packed bytes fall back to a collision-free
-    factorisation (the model equivalent of a wider zip) while still
-    reporting the true zipped byte width for the 16-byte rule.
+    surrogate (the model equivalent of a wider zip): the rank of each
+    row's key tuple among the distinct tuples in sorted order, while
+    still reporting the true zipped byte width for the 16-byte rule.
+    ``groups``, the host's numbering of the same key tuples, lets that
+    rank come from its representative tuples alone.
     """
     if not key_columns:
         return np.zeros(0, dtype=np.int64), 0
@@ -216,7 +225,12 @@ def zip_group_columns(
         for col, width in zip(key_columns, widths):
             packed = (packed << np.uint64(8 * width)) | col.astype(np.uint64)
         return packed.astype(np.int64), total_bytes
-    # Wide identifiers: factorise the tuple to a dense surrogate.
-    stacked = np.stack([c.astype(np.int64) for c in key_columns])
-    _, surrogate = np.unique(stacked, axis=1, return_inverse=True)
-    return surrogate.astype(np.int64), total_bytes
+    if groups is None:
+        stacked = np.stack([c.astype(np.int64) for c in key_columns])
+        _, surrogate = np.unique(stacked, axis=1, return_inverse=True)
+        return surrogate.astype(np.int64), total_bytes
+    # One lexsort of the G representatives (its last key sorts first).
+    tuples = [c[groups.representative].astype(np.int64) for c in key_columns]
+    rank = np.empty(groups.n_groups, dtype=np.int64)
+    rank[np.lexsort(tuples[::-1])] = np.arange(groups.n_groups)
+    return rank[groups.group_of_row], total_bytes

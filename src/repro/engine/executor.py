@@ -56,9 +56,10 @@ class Engine:
     executor (page-skip reads, optional worker processes) instead of the
     monolithic operators; results are bit-identical either way.
 
-    ``analyze`` gates the static analyzer's host-relevant passes
-    (types + morsel safety) ahead of execution: ``"strict"`` raises
-    :class:`~repro.analysis.PlanRejected` on any analyzer error,
+    ``analyze`` gates the static analyzer's type check
+    (:data:`~repro.analysis.ENGINE_PASSES`) ahead of execution:
+    ``"strict"`` raises :class:`~repro.analysis.PlanRejected` on any
+    analyzer error,
     ``"warn"`` emits :class:`~repro.analysis.PlanAnalysisWarning` and
     proceeds, ``"off"`` (default) skips analysis entirely.
     """
@@ -130,7 +131,7 @@ class Engine:
         return "serial"
 
     def _maybe_analyze(self, plan: Plan, scope=None) -> None:
-        """Run the host-relevant static passes once per plan object.
+        """Run the gate's static passes once per plan object.
 
         ``strict`` rejects plans with analyzer errors before any row is
         touched; ``warn`` surfaces errors and warnings as

@@ -399,6 +399,46 @@ def literal_at_scale(literal: Literal, scale: int) -> int | None:
     return int(literal.raw) * 10 ** (scale - literal.scale)
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def held_by_int64(literal: Literal) -> bool:
+    """Whether int64 fixed point holds ``literal``: its raw value and
+    its scale's factor ``10**scale`` both fit.  Arithmetic needs both;
+    a comparison needs neither (:func:`compare_at_scale`)."""
+    if literal.kind is not Kind.INT:
+        return True
+    return (
+        -_INT64_MAX - 1 <= literal.raw <= _INT64_MAX
+        and 10**literal.scale <= _INT64_MAX
+    )
+
+
+def compare_at_scale(
+    op: CompareOp, raw: int, literal_scale: int, scale: int
+) -> tuple[CompareOp, int] | bool:
+    """``x op literal`` for raw values ``x`` at fixed-point ``scale``,
+    exactly and without widening ``x``.
+
+    Returns ``(op', constant)`` to compare the raw values with — a
+    Python int, which NumPy compares exactly against any integer width,
+    in range or not — or, for ``=`` and ``<>`` against a literal
+    between two values ``x`` can take, the verdict on every row.  A
+    literal finer than ``scale`` is floored: ``x < 1.005`` at scale 2
+    is ``x <= 100``, ``x > 1.005`` is ``x > 100``.
+    """
+    if literal_scale <= scale:
+        return op, raw * 10 ** (scale - literal_scale)
+    floor, extra = divmod(raw, 10 ** (literal_scale - scale))
+    if not extra:
+        return op, floor
+    if op is CompareOp.EQ or op is CompareOp.NE:
+        return op is CompareOp.NE
+    if op is CompareOp.LT or op is CompareOp.LE:
+        return CompareOp.LE, floor
+    return CompareOp.GT, floor
+
+
 def _wrap(value) -> Expr:
     return value if isinstance(value, Expr) else lit(value)
 
@@ -559,12 +599,12 @@ def _eval_compare(expr: Compare, ctx: EvalContext) -> TypedArray:
         right_node, Literal
     ):
         op, left_node, right_node = op.flip(), right_node, left_node
-    func = _COMPARE_FUNCS[op]
     left = evaluate(left_node, ctx)
     if isinstance(right_node, Literal):
-        constant = _stored_constant(left, right_node)
-        if constant is not None:
-            return TypedArray(func(left.stored(), constant), Kind.BOOL)
+        verdict = _compare_literal(op, left, right_node)
+        if verdict is not None:
+            return TypedArray(verdict, Kind.BOOL)
+    func = _COMPARE_FUNCS[op]
     right = evaluate(right_node, ctx)
     if left.kind is Kind.STR and right.kind is Kind.STR:
         if left.heap is not right.heap:
@@ -574,20 +614,23 @@ def _eval_compare(expr: Compare, ctx: EvalContext) -> TypedArray:
     return TypedArray(func(*operands), Kind.BOOL)
 
 
-def _stored_constant(column: TypedArray, literal: Literal) -> int | None:
-    """``literal`` at ``column``'s scale, to compare with it as stored.
-
-    A Python int, which NumPy compares exactly against any integer
-    width, in range or not.  None where the column would have to widen
-    to compare — a literal finer than its scale — or is no stored
-    integer.
-    """
-    if (
-        column.kind is not Kind.INT or literal.kind is not Kind.INT
-        or column.stored().dtype.kind != "i"
-    ):
+def _compare_literal(
+    op: CompareOp, column: TypedArray, literal: Literal
+) -> np.ndarray | None:
+    """``column op literal`` on the column's raw values — as stored
+    when it is a stored integer — at the column's scale, exactly
+    (:func:`compare_at_scale`); None unless both are fixed point."""
+    if column.kind is not Kind.INT or literal.kind is not Kind.INT:
         return None
-    return literal_at_scale(literal, column.scale)
+    exact = compare_at_scale(op, int(literal.raw), literal.scale,
+                             column.scale)
+    if isinstance(exact, bool):
+        return np.full(len(column), exact)
+    op, constant = exact
+    values = column.stored()
+    if values.dtype.kind != "i":
+        values = column.values.astype(np.int64, copy=False)
+    return _COMPARE_FUNCS[op](values, constant)
 
 
 def _stored_pair(left: TypedArray, right: TypedArray) -> tuple | None:
@@ -688,8 +731,8 @@ def _eval_in(expr: InList, ctx: EvalContext) -> TypedArray:
 
 def _in_options(options: tuple, column: TypedArray) -> np.ndarray:
     """The IN-list options as values ``column`` can hold, as ``=`` sees
-    them: an option finer than the column's scale equals no value of it
-    unless its extra digits are zeros, so it is dropped."""
+    them: an option between two values of the column's scale, or
+    beyond int64, equals none of them, so it is dropped."""
     literals = [lit(option) for option in options]
     if column.kind is Kind.FLOAT:
         return np.array(
@@ -697,14 +740,13 @@ def _in_options(options: tuple, column: TypedArray) -> np.ndarray:
         )
     raw = []
     for literal in literals:
-        value = literal_at_scale(literal, column.scale)
-        if value is None:  # finer: kept only if its extra digits are 0
-            value, extra = divmod(
-                int(literal.raw), 10 ** (literal.scale - column.scale)
-            )
-            if extra:
-                continue
-        raw.append(value)
+        exact = compare_at_scale(
+            CompareOp.EQ, int(literal.raw), literal.scale, column.scale
+        )
+        if isinstance(exact, tuple) and (
+            -_INT64_MAX - 1 <= exact[1] <= _INT64_MAX
+        ):
+            raw.append(exact[1])
     return np.array(raw, dtype=np.int64)
 
 

@@ -36,6 +36,8 @@ from typing import Callable
 
 from repro.sqlir.expr import (
     AggFunc,
+    Arith,
+    ArithOp,
     BoolExpr,
     BoolOp,
     CaseWhen,
@@ -50,6 +52,7 @@ from repro.sqlir.expr import (
     Literal,
     Substring,
     col,
+    held_by_int64,
     lit,
     lit_date,
 )
@@ -70,13 +73,17 @@ MAX_NESTING = 64
 # Lexer
 # ---------------------------------------------------------------------------
 
+# One scan: each match skips leading whitespace and takes one token; a
+# character no token can start with lands in ``bad``.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+\.\d+|\d+)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<op><=|>=|<>|!=|=|<|>|\+|-|\*|/|\(|\)|,|\.)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+    \s*(?:
+      (?P<number>\d+\.\d+|\d+)
+    | (?P<string>'(?:[^']|'')*')
+    | (?P<op><=|>=|<>|!=|[=<>+\-*/(),.])
+    | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+    | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
@@ -88,35 +95,32 @@ KEYWORDS = frozenset(
     left outer join on""".split()
 )
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "number" | "string" | "op" | "name" | "keyword"
-    text: str
-    position: int
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.text!r})"
+# A token is ``(kind, text, position)``: kind is "number", "string",
+# "op", "name" or "keyword"; a keyword's text is lower case.  Keyword
+# and operator texts never collide with each other or with another
+# kind's text (names that spell a keyword are keywords, strings keep
+# their quotes), so the parser tells them apart by text alone.
+Token = tuple[str, str, int]
 
 
 def tokenize(sql: str) -> list[Token]:
+    """``sql``'s tokens, in order; a character no token starts with is
+    a :class:`SqlSyntaxError` naming it and its position."""
     tokens: list[Token] = []
-    position = 0
-    while position < len(sql):
-        match = _TOKEN_RE.match(sql, position)
-        if match is None:
-            raise SqlSyntaxError(
-                f"unexpected character {sql[position]!r} at {position}"
-            )
-        position = match.end()
+    append = tokens.append
+    for match in _TOKEN_RE.finditer(sql):
         kind = match.lastgroup
-        if kind == "ws":
-            continue
-        text = match.group()
-        if kind == "name" and text.lower() in KEYWORDS:
-            tokens.append(Token("keyword", text.lower(), match.start()))
-        else:
-            tokens.append(Token(kind, text, match.start()))
+        text = match[kind]
+        position = match.start(kind)
+        if kind == "name":
+            lowered = text.lower()
+            if lowered in KEYWORDS:
+                kind, text = "keyword", lowered
+        elif kind == "bad":
+            raise SqlSyntaxError(
+                f"unexpected character {text!r} at {position}"
+            )
+        append((kind, text, position))
     return tokens
 
 
@@ -209,12 +213,34 @@ class SelectStatement:
 # Parser
 # ---------------------------------------------------------------------------
 
+# The end of the token stream: a kind and a text no token has, so a
+# peek never runs off the list and matches no keyword or operator.
+_END = ""
+
+# Binary arithmetic operators: text -> (precedence, operator).
+_ARITH = {
+    "+": (1, ArithOp.ADD),
+    "-": (1, ArithOp.SUB),
+    "*": (2, ArithOp.MUL),
+    "/": (2, ArithOp.DIV),
+}
+# Above every binary precedence: parse one operand, take no operator.
+_OPERAND = 3
+
 
 class Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive-descent parser over the token stream.
+
+    ``kinds`` and ``texts`` hold the tokens' kinds and texts, each
+    closed by :data:`_END`; ``position`` indexes both.
+    """
 
     def __init__(self, sql: str):
-        self.tokens = tokenize(sql)
+        tokens = tokenize(sql)
+        self.kinds = [kind for kind, _, _ in tokens]
+        self.texts = [text for _, text, _ in tokens]
+        self.kinds.append(_END)
+        self.texts.append(_END)
         self.position = 0
         self.depth = 0
         self.in_aggregate = False
@@ -222,123 +248,120 @@ class Parser:
 
     # -- token plumbing ------------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> Token | None:
-        try:
-            return self.tokens[self.position + ahead]
-        except IndexError:
-            return None
+    def _got(self) -> str:
+        """The current token's text, as an error message names it."""
+        return self.texts[self.position] or "end of input"
 
-    def _next(self) -> Token:
-        try:
-            token = self.tokens[self.position]
-        except IndexError:
-            raise SqlSyntaxError("unexpected end of input") from None
+    def _next(self) -> str:
+        """Consume the current token; its text."""
+        text = self.texts[self.position]
+        if self.kinds[self.position] == _END:
+            raise SqlSyntaxError("unexpected end of input")
         self.position += 1
-        return token
+        return text
 
-    def _accept(self, kind: str, text: str | None = None) -> Token | None:
-        try:
-            token = self.tokens[self.position]
-        except IndexError:
-            return None
-        if token.kind != kind or text is not None and token.text != text:
-            return None
+    def _accept(self, text: str) -> bool:
+        """Consume the keyword or operator ``text`` if it is next."""
+        if self.texts[self.position] == text:
+            self.position += 1
+            return True
+        return False
+
+    def _expect(self, text: str) -> None:
+        if not self._accept(text):
+            raise SqlSyntaxError(f"expected {text}, got {self._got()}")
+
+    def _expect_kind(self, kind: str) -> str:
+        """Consume a name, number or string token; its text."""
+        if self.kinds[self.position] != kind:
+            raise SqlSyntaxError(f"expected {kind}, got {self._got()}")
         self.position += 1
-        return token
+        return self.texts[self.position - 1]
 
-    def _expect(self, kind: str, text: str | None = None) -> Token:
-        token = self._accept(kind, text)
-        if token is None:
-            got = self._peek()
-            raise SqlSyntaxError(
-                f"expected {text or kind}, got "
-                f"{got.text if got else 'end of input'}"
-            )
-        return token
+    def _at(self, text: str, ahead: int = 0) -> bool:
+        return self.texts[self.position + ahead] == text
 
-    def _keyword(self, word: str) -> bool:
-        return self._accept("keyword", word) is not None
-
-    def _nested(self, parse: Callable[[], object]):
-        """``parse()`` one nesting level down (see :data:`MAX_NESTING`)."""
+    def _nested(self, parse: Callable[..., object], *args):
+        """``parse(*args)`` one nesting level down (see
+        :data:`MAX_NESTING`)."""
         if self.depth >= MAX_NESTING:
             raise SqlSyntaxError(
                 f"expression nested deeper than {MAX_NESTING} levels"
             )
         self.depth += 1
         try:
-            return parse()
+            return parse(*args)
         finally:
             self.depth -= 1
 
     def _integer(self) -> int:
-        token = self._expect("number")
-        if "." in token.text:
-            raise SqlSyntaxError(f"expected an integer, got {token.text}")
-        return int(token.text)
+        text = self._expect_kind("number")
+        if "." in text:
+            raise SqlSyntaxError(f"expected an integer, got {text}")
+        return int(text)
 
     # -- statements -----------------------------------------------------------
 
     def parse(self) -> SelectStatement:
-        if self._keyword("with"):
+        if self._accept("with"):
             while True:
-                name = self._expect("name").text
-                self._expect("keyword", "as")
+                name = self._expect_kind("name")
+                self._expect("as")
                 self.ctes[name] = self._subquery()
-                if not self._accept("op", ","):
+                if not self._accept(","):
                     break
         stmt = self._select()
-        if self._peek() is not None:
+        if self.kinds[self.position] != _END:
             raise SqlSyntaxError(
-                f"trailing input at {self._peek().text!r}"
+                f"trailing input at {self.texts[self.position]!r}"
             )
         return stmt
 
     def _subquery(self) -> SelectStatement:
         """``( select )``, one nesting level down."""
-        self._expect("op", "(")
+        self._expect("(")
         outer, self.in_aggregate = self.in_aggregate, False
         stmt = self._nested(self._select)
         self.in_aggregate = outer
-        self._expect("op", ")")
+        self._expect(")")
         return stmt
 
     def _select(self) -> SelectStatement:
-        self._expect("keyword", "select")
-        if self._accept("op", "*"):
+        self._expect("select")
+        if self._accept("*"):
             items: list[SelectItem] = []
         else:
             items = [self._select_item()]
-            while self._accept("op", ","):
+            while self._accept(","):
                 items.append(self._select_item())
-        self._expect("keyword", "from")
+        self._expect("from")
         tables = self._sources()
-        while self._accept("op", ","):
+        while self._accept(","):
             tables += self._sources()
         stmt = SelectStatement(items, tables)
-        if self._keyword("where"):
+        if self._accept("where"):
             stmt.where = self._expression()
-        if self._keyword("group"):
-            self._expect("keyword", "by")
+        if self._accept("group"):
+            self._expect("by")
             stmt.group_by.append(self._column())
-            while self._accept("op", ","):
+            while self._accept(","):
                 stmt.group_by.append(self._column())
-        if self._keyword("having"):
+        if self._accept("having"):
             stmt.having = self._expression()
-        if self._keyword("order"):
-            self._expect("keyword", "by")
+        if self._accept("order"):
+            self._expect("by")
             stmt.order_by.append(self._order_item())
-            while self._accept("op", ","):
+            while self._accept(","):
                 stmt.order_by.append(self._order_item())
-        if self._keyword("limit"):
+        if self._accept("limit"):
             stmt.limit = self._integer()
         return stmt
 
     def _order_item(self) -> OrderItem:
-        name = self._expect("name").text
-        if self._keyword("desc"):
+        name = self._expect_kind("name")
+        if self._accept("desc"):
             return OrderItem(name, ascending=False)
-        self._keyword("asc")
+        self._accept("asc")
         return OrderItem(name)
 
     def _select_item(self) -> SelectItem:
@@ -352,56 +375,53 @@ class Parser:
         return SelectItem(expr, self._alias(default))
 
     def _alias(self, default: str) -> str:
-        if self._keyword("as"):
-            return self._expect("name").text
-        token = self._peek()
-        if token is not None and token.kind == "name":
-            return self._next().text
+        if self._accept("as"):
+            return self._expect_kind("name")
+        if self.kinds[self.position] == "name":
+            return self._next()
         return default
 
     def _sources(self) -> list[FromItem]:
         """One FROM entry and the LEFT OUTER JOINs chained onto it."""
         sources = [self._source()]
-        while self._keyword("left"):
-            self._keyword("outer")
-            self._expect("keyword", "join")
+        while self._accept("left"):
+            self._accept("outer")
+            self._expect("join")
             joined = self._source()
-            self._expect("keyword", "on")
+            self._expect("on")
             joined.outer_on = self._expression()
             sources.append(joined)
         return sources
 
-    def _at(self, text: str, ahead: int = 0) -> bool:
-        token = self._peek(ahead)
-        return token is not None and token.text == text
-
     def _source(self) -> FromItem:
         if self._at("("):
             query = self._subquery()
-            self._keyword("as")
-            return FromItem(self._expect("name").text, query=query)
-        name = self._expect("name").text
+            self._accept("as")
+            return FromItem(self._expect_kind("name"), query=query)
+        name = self._expect_kind("name")
         alias = self._alias(name)
         if name in self.ctes:
             return FromItem(alias, query=self.ctes[name])
         return FromItem(alias, table=name)
 
     def _column(self) -> Expr:
-        name = self._expect("name").text
-        if self._accept("op", "."):
-            return QualifiedRef(name, self._expect("name").text)
+        name = self._expect_kind("name")
+        if self._accept("."):
+            return QualifiedRef(name, self._expect_kind("name"))
         return col(name)
 
-    # -- expressions (precedence climbing) -------------------------------------
-    # AND and OR chains parse to one n-ary node each, so a WHERE of many
-    # terms is one level deep, not one level per term.
+    # -- expressions ----------------------------------------------------------
+    # Each level peeks at the current token's text once and dispatches
+    # on it.  AND and OR chains parse to one n-ary node each, so a WHERE
+    # of many terms is one level deep, not one level per term.
 
     def _expression(self) -> Expr:
         return self._nested(self._or_expr)
 
     def _or_expr(self) -> Expr:
         terms = [self._and_expr()]
-        while self._keyword("or"):
+        while self.texts[self.position] == "or":
+            self.position += 1
             terms.append(self._and_expr())
         return terms[0] if len(terms) == 1 else BoolExpr(
             BoolOp.OR, tuple(terms)
@@ -409,24 +429,23 @@ class Parser:
 
     def _and_expr(self) -> Expr:
         terms = [self._not_expr()]
-        while self._keyword("and"):
+        while self.texts[self.position] == "and":
+            self.position += 1
             terms.append(self._not_expr())
         return terms[0] if len(terms) == 1 else BoolExpr(
             BoolOp.AND, tuple(terms)
         )
 
     def _not_expr(self) -> Expr:
-        token = self._peek()
-        if token is not None and token.kind == "keyword":
-            if token.text == "not":
-                self._next()
-                if self._keyword("exists"):
-                    return Subquery(self._subquery(), "exists",
-                                    negated=True)
-                return BoolExpr(BoolOp.NOT, (self._nested(self._not_expr),))
-            if token.text == "exists":
-                self._next()
-                return Subquery(self._subquery(), "exists")
+        text = self.texts[self.position]
+        if text == "not":
+            self.position += 1
+            if self._accept("exists"):
+                return Subquery(self._subquery(), "exists", negated=True)
+            return BoolExpr(BoolOp.NOT, (self._nested(self._not_expr),))
+        if text == "exists":
+            self.position += 1
+            return Subquery(self._subquery(), "exists")
         return self._predicate()
 
     _COMPARE_OPS = {
@@ -440,70 +459,67 @@ class Parser:
     }
 
     def _predicate(self) -> Expr:
-        left = self._additive()
-
-        negated = self._keyword("not")
-        if self._keyword("like"):
-            pattern = self._string_value()
-            return Like(left, pattern, negated=negated)
-        if self._keyword("in"):
-            if self._at("(") and self._at("select", 1):
-                return Subquery(self._subquery(), "in", left, negated)
-            self._expect("op", "(")
-            options = [self._literal_value()]
-            while self._accept("op", ","):
-                options.append(self._literal_value())
-            self._expect("op", ")")
-            return InList(left, tuple(options), negated=negated)
-        if self._keyword("between"):
-            low = self._additive()
-            self._expect("keyword", "and")
-            high = self._additive()
+        left = self._arithmetic()
+        text = self.texts[self.position]
+        op = self._COMPARE_OPS.get(text)
+        if op is not None:
+            self.position += 1
+            return _compare(op, left, self._arithmetic())
+        negated = text == "not"
+        if negated:
+            self.position += 1
+            text = self.texts[self.position]
+        if text == "between":
+            self.position += 1
+            low = self._arithmetic()
+            self._expect("and")
+            high = self._arithmetic()
             between = BoolExpr(
                 BoolOp.AND,
                 (
-                    Compare(CompareOp.GE, left, low),
-                    Compare(CompareOp.LE, left, high),
+                    _compare(CompareOp.GE, left, low),
+                    _compare(CompareOp.LE, left, high),
                 ),
             )
             if negated:
                 return BoolExpr(BoolOp.NOT, (between,))
             return between
+        _held(left)
+        if text == "like":
+            self.position += 1
+            return Like(left, self._string_value(), negated=negated)
+        if text == "in":
+            self.position += 1
+            if self._at("(") and self._at("select", 1):
+                return Subquery(self._subquery(), "in", left, negated)
+            self._expect("(")
+            options = [self._literal_value()]
+            while self._accept(","):
+                options.append(self._literal_value())
+            self._expect(")")
+            return InList(left, tuple(options), negated=negated)
         if negated:
             raise SqlSyntaxError("NOT must precede LIKE/IN/BETWEEN here")
-
-        token = self._peek()
-        if token is not None and token.kind == "op" and token.text in (
-            self._COMPARE_OPS
-        ):
-            op = self._COMPARE_OPS[self._next().text]
-            return Compare(op, left, self._additive())
         return left
 
-    def _additive(self) -> Expr:
-        left = self._multiplicative()
+    def _arithmetic(self, floor: int = 1) -> Expr:
+        """``+ - * /`` by precedence climbing, left-associative; take
+        only operators of precedence ``floor`` or higher.  A unary
+        minus binds tighter than any of them and is one nesting level.
+        """
+        if self.texts[self.position] == "-":
+            self.position += 1
+            left = lit(0) - _held(self._nested(self._arithmetic, _OPERAND))
+        else:
+            left = self._primary()
         while True:
-            if self._accept("op", "+"):
-                left = left + self._multiplicative()
-            elif self._accept("op", "-"):
-                left = left - self._multiplicative()
-            else:
+            binary = _ARITH.get(self.texts[self.position])
+            if binary is None or binary[0] < floor:
                 return left
-
-    def _multiplicative(self) -> Expr:
-        left = self._unary()
-        while True:
-            if self._accept("op", "*"):
-                left = left * self._unary()
-            elif self._accept("op", "/"):
-                left = left / self._unary()
-            else:
-                return left
-
-    def _unary(self) -> Expr:
-        if self._accept("op", "-"):
-            return lit(0) - self._nested(self._unary)
-        return self._primary()
+            self.position += 1
+            precedence, op = binary
+            right = self._arithmetic(precedence + 1)
+            left = Arith(op, _held(left), _held(right))
 
     _AGG_WORDS = {
         "sum": AggFunc.SUM,
@@ -514,84 +530,85 @@ class Parser:
     }
 
     def _primary(self) -> Expr:
-        token = self._peek()
-        if token is None:
-            raise SqlSyntaxError("unexpected end of expression")
+        kind = self.kinds[self.position]
+        text = self.texts[self.position]
 
-        if token.kind == "op" and token.text == "(":
-            if self._at("select", 1):
-                return Subquery(self._subquery())
-            self._next()
-            inner = self._expression()
-            self._expect("op", ")")
-            return inner
-
-        if token.kind == "number":
-            self._next()
-            return _number(token.text)
-
-        if token.kind == "string":
-            return lit(self._string_value())
-
-        if token.kind == "keyword":
-            if token.text in self._AGG_WORDS:
-                return self._aggregate()
-            if token.text == "date":
-                self._next()
-                text = self._string_value()
-                try:
-                    return lit_date(text)
-                except ValueError as exc:
-                    raise SqlSyntaxError(
-                        f"bad DATE literal {text!r} ({exc})"
-                    ) from None
-            if token.text == "case":
-                return self._case_expr()
-            if token.text == "extract":
-                self._next()
-                self._expect("op", "(")
-                self._expect("keyword", "year")
-                self._expect("keyword", "from")
-                inner = self._expression()
-                self._expect("op", ")")
-                return ExtractYear(inner)
-            if token.text == "substring":
-                self._next()
-                self._expect("op", "(")
-                inner = self._expression()
-                self._expect("keyword", "from")
-                start = self._integer()
-                self._expect("keyword", "for")
-                length = self._integer()
-                self._expect("op", ")")
-                return Substring(inner, start, length)
-            if token.text == "interval":
-                # DATE 'x' - INTERVAL 'n' DAY is folded by the caller;
-                # bare intervals evaluate to their day count.
-                self._next()
-                text = self._string_value()
-                try:
-                    days = int(text)
-                except ValueError:
-                    raise SqlSyntaxError(
-                        f"bad INTERVAL literal {text!r}"
-                    ) from None
-                self._keyword("day")
-                return lit(days)
-            raise SqlSyntaxError(f"unexpected keyword {token.text!r}")
-
-        if token.kind == "name":
+        if kind == "name":
             return self._column()
 
-        raise SqlSyntaxError(f"unexpected token {token.text!r}")
+        if kind == "number":
+            self.position += 1
+            return _number(text)
+
+        if kind == "string":
+            return lit(self._string_value())
+
+        if text == "(":
+            if self._at("select", 1):
+                return Subquery(self._subquery())
+            self.position += 1
+            inner = self._expression()
+            self._expect(")")
+            return inner
+
+        if kind == "keyword":
+            if text in self._AGG_WORDS:
+                return self._aggregate()
+            if text == "date":
+                self.position += 1
+                literal = self._string_value()
+                try:
+                    return lit_date(literal)
+                except ValueError as exc:
+                    raise SqlSyntaxError(
+                        f"bad DATE literal {literal!r} ({exc})"
+                    ) from None
+            if text == "case":
+                return self._case_expr()
+            if text == "extract":
+                self.position += 1
+                self._expect("(")
+                self._expect("year")
+                self._expect("from")
+                inner = self._expression()
+                self._expect(")")
+                return ExtractYear(inner)
+            if text == "substring":
+                self.position += 1
+                self._expect("(")
+                inner = self._expression()
+                self._expect("from")
+                start = self._integer()
+                self._expect("for")
+                length = self._integer()
+                self._expect(")")
+                return Substring(inner, start, length)
+            if text == "interval":
+                # DATE 'x' - INTERVAL 'n' DAY is folded by the caller;
+                # bare intervals evaluate to their day count.
+                self.position += 1
+                literal = self._string_value()
+                try:
+                    days = int(literal)
+                except ValueError:
+                    raise SqlSyntaxError(
+                        f"bad INTERVAL literal {literal!r}"
+                    ) from None
+                self._accept("day")
+                return lit(days)
+            raise SqlSyntaxError(f"unexpected keyword {text!r}")
+
+        if kind == _END:
+            raise SqlSyntaxError("unexpected end of expression")
+        raise SqlSyntaxError(f"unexpected token {text!r}")
 
     def _aggregate(self) -> AggCall:
-        func = self._AGG_WORDS[self._next().text]
-        self._expect("op", "(")
-        if func is AggFunc.COUNT and self._accept("op", "*"):
-            self._expect("op", ")")
+        func = self._AGG_WORDS[self._next()]
+        self._expect("(")
+        if func is AggFunc.COUNT and self._accept("*"):
+            self._expect(")")
             return AggCall(func)
-        if self._keyword("distinct"):
+        if self._accept("distinct"):
             if func is not AggFunc.COUNT:
                 raise SqlSyntaxError("DISTINCT is supported in COUNT only")
             func = AggFunc.COUNT_DISTINCT
@@ -600,35 +617,62 @@ class Parser:
         self.in_aggregate = True
         arg = self._expression()
         self.in_aggregate = False
-        self._expect("op", ")")
+        self._expect(")")
         return AggCall(func, arg)
 
     def _case_expr(self) -> Expr:
-        self._expect("keyword", "case")
-        self._expect("keyword", "when")
+        self._expect("case")
+        self._expect("when")
         condition = self._expression()
-        self._expect("keyword", "then")
+        self._expect("then")
         then = self._expression()
-        self._expect("keyword", "else")
+        self._expect("else")
         otherwise = self._expression()
-        self._expect("keyword", "end")
+        self._expect("end")
         return CaseWhen(condition, then, otherwise)
 
     def _string_value(self) -> str:
-        token = self._expect("string")
-        return token.text[1:-1].replace("''", "'")
+        return self._expect_kind("string")[1:-1].replace("''", "'")
 
     def _literal_value(self):
-        token = self._next()
-        if token.kind == "string":
-            return token.text[1:-1].replace("''", "'")
-        if token.kind == "number":
-            if "." in token.text:
+        kind = self.kinds[self.position]
+        text = self._next()
+        if kind == "string":
+            return text[1:-1].replace("''", "'")
+        if kind == "number":
+            if "." in text:
                 # Written scale kept: an IN-list option compares as the
                 # same literal does under ``=``.
-                return _number(token.text)
-            return int(token.text)
-        raise SqlSyntaxError(f"expected a literal, got {token.text!r}")
+                return _number(text)
+            return int(text)
+        raise SqlSyntaxError(f"expected a literal, got {text!r}")
+
+
+def _held(expr: Expr) -> Expr:
+    """``expr``, unless it is a numeric literal int64 cannot hold
+    (:func:`~repro.sqlir.expr.held_by_int64`).  Such a literal is
+    taken only where it is compared — an operand of a comparison or
+    BETWEEN whose other side is not a literal, or an IN option — and
+    a :class:`SqlSyntaxError` naming it anywhere a value is computed
+    from it."""
+    if isinstance(expr, Literal) and not held_by_int64(expr):
+        raw, scale = int(expr.raw), expr.scale
+        digits = str(abs(raw)).rjust(scale + 1, "0")
+        if scale:
+            digits = f"{digits[:-scale]}.{digits[-scale:]}"
+        raise SqlSyntaxError(
+            f"numeric literal {'-' * (raw < 0)}{digits} does not fit in "
+            "64 bits; only a comparison or an IN list takes it"
+        )
+    return expr
+
+
+def _compare(op: CompareOp, left: Expr, right: Expr) -> Compare:
+    """``left op right``; of two literals, both must fit (:func:`_held`)."""
+    if isinstance(left, Literal) and isinstance(right, Literal):
+        _held(left)
+        _held(right)
+    return Compare(op, left, right)
 
 
 def _number(text: str) -> Literal:

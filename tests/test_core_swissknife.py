@@ -145,6 +145,42 @@ class TestZipGroupColumns:
         zipped, width = zip_group_columns([], [])
         assert len(zipped) == 0 and width == 0
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_wide_surrogate_from_the_groups_equals_the_factorised_one(
+        self, data
+    ):
+        """The rank of the representatives' tuples, gathered through
+        the host's grouping, is the surrogate ``np.unique`` gives."""
+        from repro.engine.operators.grouping import group_rows
+
+        n = data.draw(st.integers(1, 60))
+        columns = []
+        for _ in range(data.draw(st.integers(2, 4))):
+            dtype = data.draw(st.sampled_from([np.int32, np.int64]))
+            info = np.iinfo(dtype)
+            # A few distinct values, extremes among them, so tuples
+            # repeat and order by sign and magnitude.
+            pool = data.draw(st.lists(
+                st.one_of(
+                    st.sampled_from([int(info.min), int(info.max), 0, -1]),
+                    st.integers(int(info.min), int(info.max)),
+                ),
+                min_size=1, max_size=4,
+            ))
+            picks = data.draw(st.lists(
+                st.sampled_from(pool), min_size=n, max_size=n
+            ))
+            columns.append(np.array(picks, dtype=dtype))
+        widths = [8] * len(columns)
+        factorised, width = zip_group_columns(columns, widths)
+        ranked, ranked_width = zip_group_columns(
+            columns, widths, group_rows(columns)
+        )
+        assert width == ranked_width == 8 * len(columns)
+        assert ranked.dtype == factorised.dtype == np.int64
+        assert np.array_equal(ranked, factorised)
+
 
 class TestTopK:
     def test_vcas_keeps_larger_half(self):

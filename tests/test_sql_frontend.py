@@ -515,3 +515,85 @@ class TestEndToEnd:
         assert count(
             f"l_quantity {not_}IN (1.0000000000000000001)"
         ) == dict.fromkeys(("host", "morsel", "device"), expected)
+
+
+# Comparisons with numeric literals int64 cannot hold — a raw value
+# beyond it, or a scale whose factor is — keyed by what each shows:
+# (WHERE clause, column, the rows it keeps from the column's raw values).
+WIDE_LITERAL_COMPARES = {
+    "IN option beyond int64": (
+        "l_linenumber IN (99999999999999999999999)", "l_linenumber",
+        lambda v: np.zeros(len(v), dtype=bool)),
+    "= at a scale beyond int64": (
+        "l_linenumber = 0.00000000000000000001", "l_linenumber",
+        lambda v: np.zeros(len(v), dtype=bool)),
+    "> at a scale beyond int64": (
+        "l_linenumber > 0.0000000000000000001", "l_linenumber",
+        lambda v: v > 0),
+    "<= floors at the column's scale": (
+        "l_linenumber <= 3.0000000000000000001", "l_linenumber",
+        lambda v: v <= 3),
+    "= raw beyond int64": (
+        "l_quantity = 1.0000000000000000000001", "l_quantity",
+        lambda v: np.zeros(len(v), dtype=bool)),
+    "< raw beyond int64": (
+        "l_quantity < 1.0000000000000000000001", "l_quantity",
+        lambda v: v <= 100),
+    ">= raw beyond int64": (
+        "l_quantity >= 1.0000000000000000000001", "l_quantity",
+        lambda v: v > 100),
+}
+
+
+class TestLiteralsBeyondInt64:
+    @pytest.mark.parametrize(
+        "where,column,keeps", WIDE_LITERAL_COMPARES.values(),
+        ids=list(WIDE_LITERAL_COMPARES),
+    )
+    def test_compares_exactly_on_every_path(
+        self, small_db, where, column, keeps
+    ):
+        from repro.core import AquomanSimulator, DeviceConfig
+        from repro.engine import MorselConfig
+        from repro.perf.trace import QueryTrace
+
+        plan = plan_sql(f"{COUNT_LINEITEM} WHERE {where}", small_db)
+        trace = QueryTrace()
+        streamed = Engine(
+            small_db, trace, morsels=MorselConfig(morsel_rows=8192)
+        ).execute(plan)
+        assert trace.flash_pages_read  # the span path ran
+        device = AquomanSimulator(small_db, DeviceConfig()).run(plan)
+        counts = {
+            path: table.to_rows()[0][0]
+            for path, table in (
+                ("host", Engine(small_db).execute(plan)),
+                ("morsel", streamed),
+                ("device", device.table),
+            )
+        }
+        values = small_db.table("lineitem").column(column).values
+        expected = int(np.count_nonzero(keeps(values)))
+        assert counts == dict.fromkeys(("host", "morsel", "device"), expected)
+
+    @pytest.mark.parametrize("select,literal", [
+        ("l_linenumber + 99999999999999999999999",
+         "99999999999999999999999"),
+        ("l_linenumber * 0.00000000000000000001",
+         "0.00000000000000000001"),
+        ("-99999999999999999999999 + l_linenumber",
+         "99999999999999999999999"),
+        ("99999999999999999999999", "99999999999999999999999"),
+    ])
+    def test_a_computed_value_names_the_literal(
+        self, small_db, select, literal
+    ):
+        with pytest.raises((PlanningError, SqlSyntaxError), match=literal):
+            plan_sql(f"SELECT {select} AS x FROM lineitem", small_db)
+
+    def test_two_literals_must_fit_to_compare(self, small_db):
+        with pytest.raises(SqlSyntaxError, match="99999999999999999999999"):
+            plan_sql(
+                f"{COUNT_LINEITEM} WHERE 99999999999999999999999 > 1",
+                small_db,
+            )
