@@ -579,7 +579,7 @@ class AquomanDevice:
             return bit_column(self.regex_accel.match_like(
                 source.values,
                 source.heap,
-                expr.regex(),
+                expr.pattern,
                 expr.negated,
                 self.effective_heap_bytes(source.heap),
             ))

@@ -2,11 +2,17 @@
 
 Sits inside the Table Reader and pre-processes a variable-sized string
 column into a one-bit column.  Its 1 MB memory holds the column's
-string heap; when the heap fits, each *unique* string is matched once
-and row evaluation is a code lookup at line rate.  When the heap does
-not fit, random reads to the flash-resident heap would destroy the
+string heap; when the heap fits, the heap is matched once, at line
+rate, and row evaluation is a code lookup.  When the heap does not
+fit, random reads to the flash-resident heap would destroy the
 streaming model — the query suspends to the host (condition 2 of
 Sec. VI-E).
+
+The host half of the match is :meth:`StringHeap.verdicts`: one scan
+of the heap's stored bytes per LIKE pattern, kept on the heap.
+:meth:`RegexAccelerator.match_like` hands it the LIKE text, so the
+device and the host engine share one verdict table per (heap,
+pattern).
 
 Equality and IN predicates on strings use the same path (they are
 single-pattern specials of the matcher).
@@ -14,7 +20,6 @@ single-pattern specials of the matcher).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +83,11 @@ class RegexAccelerator:
         self,
         codes: np.ndarray,
         heap: StringHeap,
-        regex: re.Pattern,
+        pattern: str,
         negated: bool = False,
         effective_heap_bytes: int | None = None,
     ) -> np.ndarray:
-        """Evaluate a compiled pattern into a one-bit column."""
+        """Evaluate a SQL LIKE pattern into a one-bit column."""
         self.check_heap(heap, effective_heap_bytes)
         # The meters count the modelled accelerator, which matches the
         # cached heap anew for every pattern it is handed — not what the
@@ -90,7 +95,7 @@ class RegexAccelerator:
         self.patterns_compiled += 1
         self.unique_matches += heap.unique_count
         self.rows_evaluated += len(codes)
-        mask = heap.verdicts(regex)[codes]
+        mask = heap.verdicts(pattern)[codes]
         return ~mask if negated else mask
 
     def match_equals(

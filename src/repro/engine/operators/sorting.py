@@ -19,7 +19,7 @@ def _orderable(arr: TypedArray) -> np.ndarray:
         if arr.heap is None:
             raise ValueError("string sort key lost its heap")
         # Rank heap codes by their string value; map codes through ranks.
-        uniques = np.array(arr.heap.strings())
+        uniques = arr.heap.string_array()
         rank_of_code = np.argsort(np.argsort(uniques, kind="stable"))
         return rank_of_code[arr.values].astype(np.int64, copy=False)
     if arr.kind is Kind.FLOAT:

@@ -17,13 +17,12 @@ regex accelerator plays (Sec. VI-B).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from repro.storage.stringheap import StringHeap, like_regex
+from repro.storage.stringheap import StringHeap
 from repro.storage.types import Kind, date_to_days
 
 
@@ -253,9 +252,6 @@ class Like(Expr):
 
     def children(self):
         return (self.column,)
-
-    def regex(self) -> re.Pattern:
-        return like_regex(self.pattern)
 
     def __repr__(self) -> str:
         op = "not like" if self.negated else "like"
@@ -666,7 +662,7 @@ def _try_string_compare(expr: Compare, ctx: EvalContext) -> TypedArray | None:
             )
         if op not in (CompareOp.EQ, CompareOp.NE):
             # Lexicographic order over heap strings.
-            uniques = np.array(column.heap.strings())
+            uniques = column.heap.string_array()
             target = literal_side.raw
             per_code = _COMPARE_FUNCS[op](uniques, target)
             return TypedArray(per_code[column.values], Kind.BOOL)
@@ -683,8 +679,8 @@ def _try_string_compare(expr: Compare, ctx: EvalContext) -> TypedArray | None:
 
 def _compare_cross_heap(op: CompareOp, left: TypedArray, right: TypedArray):
     """Compare two string columns with different heaps, by value."""
-    lstr = np.array(left.heap.strings())[left.values]
-    rstr = np.array(right.heap.strings())[right.values]
+    lstr = left.heap.string_array()[left.values]
+    rstr = right.heap.string_array()[right.values]
     return TypedArray(_COMPARE_FUNCS[op](lstr, rstr), Kind.BOOL)
 
 

@@ -13,10 +13,12 @@ Two heap properties drive AQUOMAN behaviour:
 - small-domain columns (country names, ship modes) fit trivially and can
   be pre-evaluated to a one-bit column at line rate.
 
-A string predicate is answered per *code*, never per row: the heap
-matches each unique string once and keeps the verdicts
-(:meth:`StringHeap.verdicts`), rows are a gather through their codes.
-SUBSTRING is answered the same way (:meth:`StringHeap.substrings`).
+A string predicate is answered per *code*, never per row: a LIKE is
+one scan of a bytes regex over the heap's NUL-framed UTF-8 (the way
+the accelerator streams its cached heap), each hit mapped to its code
+by the separator offsets, and the heap keeps the verdicts
+(:meth:`StringHeap.verdicts`); rows are a gather through their codes.
+SUBSTRING is answered per code too (:meth:`StringHeap.substrings`).
 """
 
 from __future__ import annotations
@@ -52,17 +54,50 @@ def _remember(memo: dict, key, value) -> None:
     memo[key] = value
 
 
-def like_regex(pattern: str) -> re.Pattern:
-    """The anchored regex of a SQL LIKE pattern (``%``, ``_`` wildcards)."""
-    parts = []
-    for ch in pattern:
+# One UTF-8 character: a lead byte, then its continuation bytes.
+_ONE_CHAR = rb"[^\x00\x80-\xbf][\x80-\xbf]*"
+_ANY_CHARS = rb"[^\x00]*"
+
+
+def like_verdicts(framed: bytes, count: int, pattern: str) -> np.ndarray:
+    """Per string of ``framed``: does it match the SQL LIKE ``pattern``?
+
+    ``framed`` is ``count`` strings as NUL-framed UTF-8 — a NUL before
+    each string and one after the last — and holds no other NUL.  One
+    ``finditer`` of a bytes regex finds the matches: ``%`` is any run
+    of non-NUL bytes, ``_`` one UTF-8 character, anything else its
+    escaped bytes.  A pattern that does not start with ``%`` is pinned
+    to a string's leading NUL, one that does not end with ``%`` to its
+    trailing NUL, so no match leaves its string; each hit's offset
+    maps to its string's code through the separators.
+    """
+    if "\x00" in pattern:
+        # No heap string holds NUL.
+        return np.zeros(count, dtype=np.bool_)
+    # A leading ``%`` is the unanchored search itself; as a regex it
+    # would rescan the rest of the string from every failed start.
+    body = pattern.lstrip("%")
+    if not body and pattern:
+        return np.ones(count, dtype=np.bool_)
+    parts = [] if pattern.startswith("%") else [rb"\x00"]
+    for ch in body:
         if ch == "%":
-            parts.append(".*")
+            parts.append(_ANY_CHARS)
         elif ch == "_":
-            parts.append(".")
+            parts.append(_ONE_CHAR)
         else:
-            parts.append(re.escape(ch))
-    return re.compile("^" + "".join(parts) + "$")
+            parts.append(re.escape(ch.encode()))
+    if not body.endswith("%"):
+        parts.append(rb"(?=\x00)")
+    regex = re.compile(b"".join(parts))
+    hits = np.fromiter(
+        (m.start() for m in regex.finditer(framed)), dtype=np.int64
+    )
+    table = np.zeros(count, dtype=np.bool_)
+    if len(hits):
+        separators = np.flatnonzero(np.frombuffer(framed, np.uint8) == 0)
+        table[np.searchsorted(separators, hits, side="right") - 1] = True
+    return table
 
 
 class StringHeap:
@@ -70,25 +105,28 @@ class StringHeap:
 
     A heap opened from its stored form (:meth:`from_stored`) stays those
     bytes until something reads strings: the code-ordered list is split
-    on the first decode, verdict table, substring map or
-    :meth:`strings`, and the ``str -> code`` dict is built from the
-    list on the first :meth:`encode`, :meth:`lookup`, :meth:`members`
-    or ``in``.  ``unique_count``, ``len()`` and ``heap_bytes`` never
-    split.
+    on the first decode, substring map or :meth:`strings`, and the
+    ``str -> code`` dict is built from the list on the first
+    :meth:`encode`, :meth:`lookup`, :meth:`members` or ``in``.
+    ``unique_count``, ``len()``, ``heap_bytes`` and verdict tables
+    never split: the first verdict table frames the stored bytes in
+    place, and every later one scans that same buffer.
     """
 
     def __init__(self) -> None:
         # The stored form (NUL-separated UTF-8) until the first read
-        # splits it into ``_strings``; then None.
+        # splits it into ``_strings``; then None.  The first verdict
+        # table frames it in place: a NUL before and after the payload.
         self._stored: bytes | None = None
+        self._framed = False
         self._strings: list[str] | None = []
         # None until the first look-up builds it from ``_strings``
         self._codes: dict[str, int] | None = {}
         self._count = 0
         self._payload_bytes = 0
-        # pattern -> read-only verdict per code, for the codes that
-        # existed when it was last asked for
-        self._verdicts: dict[str | re.Pattern, np.ndarray] = {}
+        # LIKE pattern -> read-only verdict per code, for the codes
+        # that existed when it was last asked for
+        self._verdicts: dict[str, np.ndarray] = {}
         # (start, length) -> (heap of the substrings, read-only code of
         # each code's substring), likewise
         self._substrings: dict[
@@ -121,7 +159,8 @@ class StringHeap:
     def stored(self) -> tuple[bytes, int]:
         """``(payload, count)``, the form :meth:`from_stored` takes."""
         if self._stored is not None:
-            return self._stored, self._count
+            payload = self._stored[1:-1] if self._framed else self._stored
+            return payload, self._count
         payload = "\x00".join(self._strings).encode()
         if payload.count(b"\x00") != max(0, self._count - 1):
             raise ValueError(
@@ -136,9 +175,38 @@ class StringHeap:
             strings = (
                 self._stored.decode().split("\x00") if self._count else []
             )
+            if self._framed:
+                strings = strings[1:-1]
             self._strings = strings
             self._stored = None
+            self._framed = False
         return strings
+
+    def _framed_from(self, start: int) -> bytes:
+        """Codes ``start`` onward as NUL-framed UTF-8 (see
+        :func:`like_verdicts`).  An unsplit heap frames its stored form
+        once, replacing it; a split one joins the strings asked for."""
+        stored = self._stored
+        if stored is not None:
+            if not self._framed:
+                # Replaced, not kept beside: freeing the loaded bytes
+                # (and the first concatenation) raises glibc's dynamic
+                # mmap threshold as splitting did; a kept copy more
+                # than tripled the device's warm-pass page faults.
+                stored = b"\x00" + stored + b"\x00"
+                self._stored = stored
+                self._framed = True
+            return stored
+        tail = self._split()[start:]
+        framed = ("\x00" + "\x00".join(tail) + "\x00").encode()
+        separators = len(framed) - np.count_nonzero(
+            np.frombuffer(framed, dtype=np.uint8)
+        )
+        if separators != len(tail) + 1:
+            raise ValueError(
+                "a heap string holds NUL, the stored form's separator"
+            )
+        return framed
 
     def _index(self) -> dict[str, int]:
         """The ``str -> code`` dict, built on the first look-up."""
@@ -190,25 +258,19 @@ class StringHeap:
 
     # -- predicates ----------------------------------------------------------
 
-    def verdicts(self, pattern: str | re.Pattern) -> np.ndarray:
-        """Read-only per-code table: does the code's string match?
+    def verdicts(self, pattern: str) -> np.ndarray:
+        """Read-only per-code table: does the code's string match the
+        SQL LIKE ``pattern``?
 
-        ``pattern`` is a SQL LIKE pattern, or a compiled regex applied
-        with ``match``.  Each unique string is matched once per heap
-        and pattern: the table is kept on the heap, and when the heap
-        has grown since, only the new codes are matched.
+        The heap is scanned once per pattern (:func:`like_verdicts`):
+        the table is kept on the heap, and when the heap has grown
+        since, only the new codes are scanned.
         """
-        strings = self._split()
         table = self._verdicts.get(pattern, _NO_VERDICTS)
-        if len(table) < len(strings):
-            regex = (
-                like_regex(pattern) if isinstance(pattern, str) else pattern
-            )
-            tail = strings[len(table):]
-            fresh = np.fromiter(
-                (regex.match(s) is not None for s in tail),
-                dtype=np.bool_,
-                count=len(tail),
+        if len(table) < self._count:
+            start = len(table)
+            fresh = like_verdicts(
+                self._framed_from(start), self._count - start, pattern
             )
             table = _extended(table, fresh)
             _remember(self._verdicts, pattern, table)
@@ -267,6 +329,11 @@ class StringHeap:
     def strings(self) -> list[str]:
         """All unique strings in code order (a copy)."""
         return list(self._split())
+
+    def string_array(self) -> np.ndarray:
+        """All unique strings in code order, as a NumPy ``str_`` array
+        (typed even when the heap is empty) for ordered compares."""
+        return np.array(self._split(), dtype=np.str_)
 
     def __len__(self) -> int:
         return self._count

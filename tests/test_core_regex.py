@@ -1,7 +1,5 @@
 """Regex accelerator: heap-cache rule and predicate paths."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -42,7 +40,7 @@ class TestMatching:
     def test_like(self, heap_and_codes):
         heap, codes = heap_and_codes
         accel = RegexAccelerator()
-        mask = accel.match_like(codes, heap, re.compile("^PROMO.*$"))
+        mask = accel.match_like(codes, heap, "PROMO%")
         assert mask.tolist() == [True, False, True, False]
         assert accel.unique_matches == heap.unique_count
         assert accel.rows_evaluated == 4
@@ -50,7 +48,7 @@ class TestMatching:
     def test_like_negated(self, heap_and_codes):
         heap, codes = heap_and_codes
         mask = RegexAccelerator().match_like(
-            codes, heap, re.compile("^PROMO.*$"), negated=True
+            codes, heap, "PROMO%", negated=True
         )
         assert mask.tolist() == [False, True, False, True]
 
@@ -82,7 +80,7 @@ class TestMatching:
         heap, _ = StringHeap.from_values(["a", "b"])
         codes = np.zeros(10_000, dtype=np.int64)
         accel = RegexAccelerator()
-        accel.match_like(codes, heap, re.compile("a"))
+        accel.match_like(codes, heap, "a%")
         assert accel.unique_matches == 2  # per unique string, not per row
 
 
@@ -93,9 +91,9 @@ class TestMetersCountTheModel:
     def test_repeated_pattern_is_charged_every_time(self, heap_and_codes):
         heap, codes = heap_and_codes
         accel = RegexAccelerator()
-        first = accel.match_like(codes, heap, re.compile("^PROMO.*$"))
+        first = accel.match_like(codes, heap, "PROMO%")
         again = accel.match_like(
-            codes, heap, re.compile("^PROMO.*$"), negated=True
+            codes, heap, "PROMO%", negated=True
         )
         assert again.tolist() == (~first).tolist()
         assert len(heap._verdicts) == 1
@@ -103,12 +101,19 @@ class TestMetersCountTheModel:
         assert accel.unique_matches == 2 * heap.unique_count
         assert accel.rows_evaluated == 2 * len(codes)
 
+    def test_host_and_device_share_one_table(self, heap_and_codes):
+        heap, codes = heap_and_codes
+        host = heap.verdicts("PROMO%")
+        RegexAccelerator().match_like(codes, heap, "PROMO%")
+        assert list(heap._verdicts) == ["PROMO%"]
+        assert heap.verdicts("PROMO%") is host
+
     def test_oversized_heap_raises_before_any_match(self, heap_and_codes):
         heap, codes = heap_and_codes
         accel = RegexAccelerator(cache_bytes=4)
         for _ in range(2):
             with pytest.raises(HeapTooLarge):
-                accel.match_like(codes, heap, re.compile("^PROMO.*$"))
+                accel.match_like(codes, heap, "PROMO%")
         assert accel.unique_matches == accel.patterns_compiled == 0
         assert not heap._verdicts
 

@@ -433,14 +433,12 @@ class TestSpanSetUp:
     def test_cold_pattern_is_matched_once_however_many_spans(
         self, small_db, monkeypatch
     ):
-        from test_storage import _CountingRegex
+        from test_storage import _CountingScans
 
         from repro.sqlir.expr import Like
-        from repro.storage import stringheap
 
         pattern = "%zq7 never asked before%"
-        counting = _CountingRegex(stringheap.like_regex(pattern).pattern)
-        monkeypatch.setattr(stringheap, "like_regex", lambda p: counting)
+        scans = _CountingScans(monkeypatch)
         heap = small_db.table("lineitem").column("l_comment").heap
         assert pattern not in heap._verdicts
         plan = scan("lineitem").filter(
@@ -450,7 +448,7 @@ class TestSpanSetUp:
         for _ in range(2):  # cold, then warm
             out = engine.execute_relation(plan)
             assert out.nrows == small_db.table("lineitem").nrows
-            assert counting.calls == heap.unique_count
+            assert scans.counts == [heap.unique_count]
 
 
 # -- partial → merge, under any span split ---------------------------------

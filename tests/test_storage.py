@@ -1,11 +1,11 @@
 """Storage substrate: types, heaps, columns, tables, catalog, layout."""
 
 import datetime
-import re
+import sqlite3
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage import (
@@ -115,16 +115,20 @@ class TestStringHeap:
             heap.stored()
 
 
-class _CountingRegex:
-    """Stands in for a compiled pattern; counts ``match`` calls."""
+class _CountingScans:
+    """Stands in for ``stringheap.like_verdicts``; records each scan's
+    framed buffer and string count."""
 
-    def __init__(self, source: str):
-        self.regex = re.compile(source)
-        self.calls = 0
+    def __init__(self, monkeypatch):
+        self.real = stringheap.like_verdicts
+        self.framed: list[bytes] = []
+        self.counts: list[int] = []
+        monkeypatch.setattr(stringheap, "like_verdicts", self)
 
-    def match(self, string):
-        self.calls += 1
-        return self.regex.match(string)
+    def __call__(self, framed, count, pattern):
+        self.framed.append(bytes(framed))
+        self.counts.append(count)
+        return self.real(framed, count, pattern)
 
 
 class TestHeapVerdicts:
@@ -133,18 +137,20 @@ class TestHeapVerdicts:
         assert heap.verdicts("PROMO%").tolist() == [True, False, True]
         assert heap.verdicts("_____ TIN").tolist() == [True, True, False]
         assert heap.verdicts("%").dtype == np.bool_
-        # A compiled regex is applied with ``match``, as handed over.
-        assert heap.verdicts(re.compile("S")).tolist() == [False, True, False]
-        # ... and is a different key from the LIKE text that spells it.
+        # A pattern matches the whole string, not a prefix of it ...
+        assert heap.verdicts("S%").tolist() == [False, True, False]
+        # ... so the text without the wildcard is another pattern.
         assert heap.verdicts("S").tolist() == [False, False, False]
 
-    def test_each_unique_string_is_matched_once(self):
+    def test_each_unique_string_is_matched_once(self, monkeypatch):
         heap, _ = StringHeap.from_values(["ab", "cd", "ab", "ae"] * 50)
-        regex = _CountingRegex("^a")
-        first = heap.verdicts(regex)
-        assert regex.calls == heap.unique_count == 3
-        assert heap.verdicts(regex) is first
-        assert regex.calls == 3
+        scans = _CountingScans(monkeypatch)
+        first = heap.verdicts("a%")
+        # One scan over the heap's strings, each of them once.
+        assert scans.counts == [heap.unique_count] == [3]
+        assert scans.framed == [b"\x00ab\x00cd\x00ae\x00"]
+        assert heap.verdicts("a%") is first
+        assert scans.counts == [3]
 
     def test_same_pattern_on_two_heaps_does_not_alias(self):
         a, _ = StringHeap.from_values(["x1", "y"])
@@ -153,16 +159,20 @@ class TestHeapVerdicts:
         assert b.verdicts("x%").tolist() == [False, True, True]
         assert a.verdicts("x%").tolist() == [True, False]
 
-    def test_growth_extends_the_table_by_the_new_tail_only(self):
+    def test_growth_extends_the_table_by_the_new_tail_only(
+        self, monkeypatch
+    ):
         heap, _ = StringHeap.from_values(["ab", "cd"])
-        regex = _CountingRegex("^a")
-        before = heap.verdicts(regex)
+        scans = _CountingScans(monkeypatch)
+        before = heap.verdicts("a%")
         assert heap.encode("ax") == 2 and heap.encode("zz") == 3
-        after = heap.verdicts(regex)
-        assert regex.calls == 4                  # 2 + the 2 new strings
+        after = heap.verdicts("a%")
+        assert scans.counts == [2, 2]            # 2, then the 2 new strings
+        assert scans.framed[1] == b"\x00ax\x00zz\x00"
         assert before.tolist() == [True, False]  # never rewritten
         assert after.tolist() == [True, False, True, False]
-        assert heap.verdicts(regex) is after
+        assert heap.verdicts("a%") is after
+        assert scans.counts == [2, 2]
 
     def test_tables_are_read_only(self):
         heap, _ = StringHeap.from_values(["ab", "cd"])
@@ -183,8 +193,28 @@ class TestHeapVerdicts:
         assert list(heap._verdicts) == patterns[3:]
         assert heap.verdicts(patterns[0]).tolist() == [False, False]
 
+    def test_a_stored_heap_is_scanned_in_place(self, monkeypatch):
+        payload = "ab\x00cd\x00aé".encode()
+        heap = StringHeap.from_stored(payload, 3)
+        scans = _CountingScans(monkeypatch)
+        assert heap.verdicts("a%").tolist() == [True, False, True]
+        assert heap.verdicts("%_d").tolist() == [False, True, False]
+        # Both scans read the stored bytes framed once, and nothing
+        # split them into strings.
+        assert scans.framed == [b"\x00" + payload + b"\x00"] * 2
+        assert heap._strings is None and heap._codes is None
+        assert heap.stored() == (payload, 3)
+        assert heap.strings() == ["ab", "cd", "aé"]
+        assert heap.verdicts("a_").tolist() == [True, False, True]
+
+    def test_a_string_holding_nul_is_not_scanned(self):
+        heap, _ = StringHeap.from_values(["a\x00b"])
+        with pytest.raises(ValueError, match="NUL"):
+            heap.verdicts("a%")
+
     def test_empty_heap(self):
         assert StringHeap().verdicts("%").tolist() == []
+        assert StringHeap.from_stored(b"", 0).verdicts("").tolist() == []
         assert StringHeap().members(("a",)).tolist() == []
 
     def test_members(self):
@@ -194,6 +224,88 @@ class TestHeapVerdicts:
         assert table[codes].tolist() == [True, False, True, True]
         assert heap.members(()).tolist() == [False, False, False]
         assert "nope" not in heap  # looked up, never interned
+
+
+_LIKE_ALPHABET = ["a", "A", "b", "é", "€", "𝄞", "\n", "%", "_"]
+_like_texts = st.lists(st.sampled_from(_LIKE_ALPHABET), max_size=6).map(
+    "".join
+)
+
+
+HEAP_STATES = ["stored", "split", "grown"]
+
+
+def _heap_in_state(strings, state, scanned="%a"):
+    """A heap of ``strings`` in code order, in one of three states: its
+    stored bytes as loaded from disk, split into strings, or grown by
+    ``encode`` after a scan (of ``scanned``) of its first strings."""
+    if state == "split":
+        return StringHeap.from_values(strings)[0]
+    head = strings if state == "stored" else strings[:len(strings) // 2]
+    heap = StringHeap.from_stored("\x00".join(head).encode(), len(head))
+    if state == "grown":
+        heap.verdicts(scanned)
+        for value in strings[len(head):]:
+            heap.encode(value)
+    return heap
+
+
+@st.composite
+def _scanned_heaps(draw):
+    """``(heap, strings in code order)``, the heap in any state."""
+    strings = draw(st.lists(_like_texts, unique=True, max_size=12))
+    state = draw(st.sampled_from(HEAP_STATES))
+    return _heap_in_state(strings, state, draw(_like_texts)), strings
+
+
+@pytest.fixture(scope="module")
+def sqlite_like():
+    """``LIKE`` from stdlib ``sqlite3``, made case-sensitive."""
+    con = sqlite3.connect(":memory:")
+    con.execute("PRAGMA case_sensitive_like = ON")
+    # sqlite builds differ; an oracle that folds case is no oracle.
+    assert con.execute("SELECT 'a' LIKE 'A'").fetchone() == (0,)
+    yield con
+    con.close()
+
+
+class TestVerdictsAgainstSqlite:
+    """Verdict tables against an oracle that shares no code with us."""
+
+    @given(
+        heap=_scanned_heaps(),
+        pattern=st.one_of(
+            _like_texts,
+            st.sampled_from(["", "%", "%%", "_", "a\x00%", "\x00"]),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_verdicts_equal_sqlite_like(self, sqlite_like, heap, pattern):
+        heap, strings = heap
+        if "\x00" in pattern:
+            expected = [False] * len(strings)  # no heap string holds NUL
+        else:
+            expected = self._sqlite(sqlite_like, strings, pattern)
+        assert heap.verdicts(pattern).tolist() == expected
+
+    @pytest.mark.parametrize("state", HEAP_STATES)
+    @pytest.mark.parametrize("pattern", [
+        "abc", "%x", "a_x", "a%x", "line1%line2", "_", "%", "%\n", "%_%",
+    ])
+    def test_newline_is_an_ordinary_character(
+        self, sqlite_like, pattern, state
+    ):
+        strings = ["abc", "abc\n", "a\nx", "\n", "line1\nline2", "x"]
+        heap = _heap_in_state(strings, state)
+        expected = self._sqlite(sqlite_like, strings, pattern)
+        assert heap.verdicts(pattern).tolist() == expected
+
+    @staticmethod
+    def _sqlite(con, strings, pattern) -> list[bool]:
+        return [
+            con.execute("SELECT ? LIKE ?", (s, pattern)).fetchone()[0] == 1
+            for s in strings
+        ]
 
 
 class TestHeapSubstrings:

@@ -266,6 +266,14 @@ class TestLoadMakesNoCallPerString:
                 )
         assert all(_unsplit(h) for h in self._heaps(loaded).values())
 
+    def test_like_scans_a_heap_without_splitting_it(self, loaded, small_db):
+        heap = loaded.table("orders").column("o_comment").heap
+        Engine(loaded).execute(tpch.query(13))
+        assert _unsplit(heap)
+        assert list(heap._verdicts) == ["%special%requests%"]
+        saved = small_db.table("orders").column("o_comment").heap
+        assert heap.stored() == saved.stored()
+
     def test_a_pass_splits_only_the_heaps_it_reads(self, loaded):
         heaps = self._heaps(loaded)
         scanned = set()
