@@ -7,7 +7,9 @@ indices to avoid loading join keys into its DRAM when the primary-key
 side of a join is unfiltered.
 
 The catalog builds those ``<column>@rowid`` join-index columns at load
-time, exactly as MonetDB does.
+time, exactly as MonetDB does, as int32 row ids: a referenced table
+must hold fewer than 2**31 rows (at SF 1000 the largest, ``orders``,
+holds 1.5e9).
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from repro.storage.types import INT64
 
 
 JOIN_INDEX_SUFFIX = "@rowid"
+# Kind INT64 (row ids), stored at 4 bytes.
+ROWID = INT64.stored_as("int32")
 
 
 def join_index_name(fk_column: str) -> str:
@@ -76,10 +80,15 @@ class Catalog:
         """Declare a FK edge and materialise its join-index column."""
         referencing = self.table(fk.table)
         referenced = self.table(fk.ref_table)
+        if referenced.nrows > np.iinfo(ROWID.dtype).max:
+            raise ValueError(
+                f"{fk.ref_table} holds {referenced.nrows} rows; its "
+                f"join index takes row ids below 2**31"
+            )
         pk_values = referenced.column(fk.ref_column).values
         fk_values = referencing.column(fk.column).values
         rowids = _build_join_index(fk_values, pk_values)
-        index_col = Column(join_index_name(fk.column), INT64, rowids)
+        index_col = Column(join_index_name(fk.column), ROWID, rowids)
         self.tables[fk.table] = referencing.with_column(index_col)
         self.foreign_keys.append(fk)
 
@@ -129,4 +138,4 @@ def _build_join_index(
     if not matched.all():
         missing = np.asarray(fk_values)[~matched][:5]
         raise ValueError(f"dangling foreign keys, e.g. {missing.tolist()}")
-    return order[pos].astype(np.int64)
+    return order[pos]

@@ -37,9 +37,14 @@ class Column:
             raise ValueError(f"string column {name!r} requires a heap")
         if not ctype.is_string and heap is not None:
             raise ValueError(f"non-string column {name!r} cannot carry a heap")
+        values = np.asarray(values)
+        if values.dtype != ctype.dtype:
+            if values.size and not np.can_cast(values.dtype, ctype.dtype):
+                _check_fits(name, values, ctype.dtype)
+            values = values.astype(ctype.dtype)
         self.name = name
         self.ctype = ctype
-        self.values = np.asarray(values, dtype=ctype.dtype)
+        self.values = values
         self.heap = heap
         # Set by load_catalog on mmap-backed columns: the column file's
         # path, which lets a forked pool worker re-open the mapping in
@@ -50,10 +55,13 @@ class Column:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def strings(cls, name: str, values: Iterable[str]) -> "Column":
-        """Build a CHAR column, interning values into a fresh heap."""
+    def strings(
+        cls, name: str, values: Iterable[str], ctype: ColumnType = CHAR
+    ) -> "Column":
+        """Build a CHAR column (codes stored as ``ctype``), interning
+        values into a fresh heap."""
         heap, codes = StringHeap.from_values(values)
-        return cls(name, CHAR, codes, heap)
+        return cls(name, ctype, codes, heap)
 
     @classmethod
     def from_logical(
@@ -136,3 +144,17 @@ class Column:
 
     def __repr__(self) -> str:
         return f"Column({self.name!r}, {self.ctype.kind.value}, nrows={self.nrows})"
+
+
+def _check_fits(name: str, values: np.ndarray, dtype: np.dtype) -> None:
+    """Raise unless every value of ``values`` is representable in the
+    integer ``dtype`` — the cast would otherwise wrap it silently."""
+    if dtype.kind not in "iu" or values.dtype.kind not in "iuf":
+        return
+    info = np.iinfo(dtype)
+    lo, hi = values.min(), values.max()
+    if lo < info.min or hi > info.max:
+        raise ValueError(
+            f"column {name!r}: values {lo}..{hi} do not fit "
+            f"{dtype.name} ({info.min}..{info.max})"
+        )

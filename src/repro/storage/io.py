@@ -24,16 +24,7 @@ from repro.storage.catalog import Catalog, ForeignKey
 from repro.storage.column import Column
 from repro.storage.stringheap import StringHeap
 from repro.storage.table import Table
-from repro.storage.types import (
-    BOOL,
-    CHAR,
-    DATE,
-    DECIMAL,
-    FLOAT,
-    INT32,
-    INT64,
-    ColumnType,
-)
+from repro.storage.types import DEFAULT_TYPES, ColumnType, TypeKind
 
 MANIFEST_NAME = "catalog.json"
 
@@ -88,15 +79,18 @@ def _load_heap(path: Path, count: int | None, label: str) -> StringHeap:
     return StringHeap.from_stored(payload, count)
 
 
-_TYPES_BY_NAME: dict[str, ColumnType] = {
-    "int32": INT32,
-    "int64": INT64,
-    "decimal": DECIMAL,
-    "date": DATE,
-    "char": CHAR,
-    "bool": BOOL,
-    "float": FLOAT,
-}
+def _column_type(meta: dict, label: str) -> ColumnType:
+    """The manifest entry's kind at its stored ``dtype``; an entry
+    written without one is at the kind's default width."""
+    ctype = DEFAULT_TYPES[TypeKind(meta["type"])]
+    if "dtype" not in meta:
+        return ctype
+    try:
+        return ctype.stored_as(meta["dtype"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{label}: bad dtype {meta['dtype']!r}: {exc}"
+        ) from None
 
 
 def save_catalog(catalog: Catalog, directory: str | Path) -> Path:
@@ -108,8 +102,9 @@ def save_catalog(catalog: Catalog, directory: str | Path) -> Path:
         <dir>/<table>/<column>.bin       raw values, native dtype
         <dir>/<table>/<column>.heap      NUL-separated unique strings
 
-    A string column's manifest entry records its heap's string count as
-    ``heap_strings``.
+    Each column's manifest entry records its kind as ``type`` and its
+    stored NumPy dtype as ``dtype``; a string column's also records its
+    heap's string count as ``heap_strings``.
     """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
@@ -141,6 +136,7 @@ def save_catalog(catalog: Catalog, directory: str | Path) -> Path:
                 meta = {
                     "name": column.name,
                     "type": column.ctype.kind.value,
+                    "dtype": column.ctype.dtype.name,
                     "nrows": column.nrows,
                 }
                 if column.heap is not None:
@@ -188,8 +184,8 @@ def load_catalog(directory: str | Path, *, mmap: bool = True) -> Catalog:
         columns = []
         with tracer.span("io.load_table", table=table_name, mmap=mmap):
             for meta in columns_meta:
-                ctype = _TYPES_BY_NAME[meta["type"]]
                 label = f"{table_name}.{meta['name']}"
+                ctype = _column_type(meta, label)
                 raw = _load_column_values(
                     table_dir / f"{meta['name']}.bin", ctype.dtype, mmap,
                     label,

@@ -9,6 +9,12 @@ so every SQL type is represented as a fixed-width integer:
 - ``DATE`` — int32 days since 1970-01-01.
 - ``CHAR`` — a 32-bit code into a per-column string heap.
 - ``BOOL`` — a 1-byte flag column (the output of the regex accelerator).
+
+Those are the default widths.  A column whose values have a bounded
+domain may be stored narrower (:meth:`ColumnType.stored_as`): same kind,
+a smaller signed integer dtype.  It enters the evaluation domain by the
+same rule (:attr:`ColumnType.eval_domain`), so only its stored bytes
+change.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import datetime as _dt
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -74,6 +80,13 @@ class ColumnType:
             return Kind.BOOL, 0
         return Kind.INT, 0
 
+    def stored_as(self, dtype) -> "ColumnType":
+        """This kind stored at ``dtype``: a signed integer no wider than
+        the kind's default width (BOOL and FLOAT only at their own).
+        One instance per (kind, dtype), so loading a catalog builds no
+        type per column."""
+        return _stored_as(self.kind, np.dtype(dtype))
+
     def to_python(self, raw):
         """Decode one raw value into its logical Python value."""
         if self.kind is TypeKind.DECIMAL:
@@ -94,6 +107,24 @@ DECIMAL = ColumnType(TypeKind.DECIMAL, 8, np.dtype(np.int64))
 DATE = ColumnType(TypeKind.DATE, 4, np.dtype(np.int32))
 CHAR = ColumnType(TypeKind.CHAR, 4, np.dtype(np.int32))
 BOOL = ColumnType(TypeKind.BOOL, 1, np.dtype(np.int8))
+
+# Each kind at its default width.
+DEFAULT_TYPES: dict[TypeKind, ColumnType] = {
+    t.kind: t for t in (INT32, FLOAT, INT64, DECIMAL, DATE, CHAR, BOOL)
+}
+
+
+@cache
+def _stored_as(kind: TypeKind, dtype: np.dtype) -> ColumnType:
+    default = DEFAULT_TYPES[kind]
+    if dtype == default.dtype:
+        return default
+    if (
+        kind in (TypeKind.BOOL, TypeKind.FLOAT)
+        or dtype.kind != "i" or dtype.itemsize > default.width
+    ):
+        raise ValueError(f"{kind.value} cannot be stored as {dtype.name}")
+    return ColumnType(kind, dtype.itemsize, dtype)
 
 
 def decimal_to_int(value: float | str) -> int:

@@ -22,32 +22,43 @@ import numpy as np
 from repro.storage.catalog import Catalog, ForeignKey
 from repro.storage.column import Column
 from repro.storage.table import Table
-from repro.storage.types import (
-    DATE,
-    DECIMAL,
-    INT32,
-    INT64,
-    date_to_days,
-)
+from repro.storage.types import date_to_days
 from repro.tpch import text
 from repro.tpch.schema import (
+    AVAIL_QTYS,
+    BRANDS_PER_MANUFACTURER,
     CONTAINER_SYLLABLE_1,
     CONTAINER_SYLLABLE_2,
     CURRENT_DATE,
+    CUSTOMER,
     END_DATE,
     FOREIGN_KEYS,
+    LINEITEM,
+    LINES_PER_ORDER,
+    LINE_STATUSES,
+    MANUFACTURERS,
     MKT_SEGMENTS,
+    NATION,
     NATIONS,
+    ORDERS,
     ORDER_DATE_TAIL_DAYS,
     ORDER_PRIORITIES,
+    ORDER_STATUSES,
+    PART,
+    PARTSUPP,
     PART_COLORS,
+    P_SIZES,
+    REGION,
     REGIONS,
+    RETURN_FLAGS,
     SHIP_INSTRUCTS,
     SHIP_MODES,
     START_DATE,
+    SUPPLIER,
     TYPE_SYLLABLE_1,
     TYPE_SYLLABLE_2,
     TYPE_SYLLABLE_3,
+    TableSpec,
     table_cardinality,
 )
 from repro.util.rng import RngStream
@@ -105,31 +116,23 @@ def generate(scale_factor: float, seed: int = DEFAULT_SEED) -> Catalog:
 
 def _region(rng: RngStream) -> Table:
     r = rng.child("region")
-    return Table(
-        "region",
-        [
-            Column("r_regionkey", INT32, np.arange(5, dtype=np.int32)),
-            Column.strings("r_name", REGIONS),
-            Column.strings("r_comment", text.comments(r.child("comment"), 5)),
-        ],
-    )
+    return _table(REGION, {
+        "r_regionkey": np.arange(5, dtype=np.int32),
+        "r_name": REGIONS,
+        "r_comment": text.comments(r.child("comment"), 5),
+    })
 
 
 def _nation(rng: RngStream) -> Table:
     r = rng.child("nation")
     names = [n for n, _ in NATIONS]
     regions = np.array([rk for _, rk in NATIONS], dtype=np.int32)
-    return Table(
-        "nation",
-        [
-            Column("n_nationkey", INT32, np.arange(25, dtype=np.int32)),
-            Column.strings("n_name", names),
-            Column("n_regionkey", INT32, regions),
-            Column.strings(
-                "n_comment", text.comments(r.child("comment"), 25)
-            ),
-        ],
-    )
+    return _table(NATION, {
+        "n_nationkey": np.arange(25, dtype=np.int32),
+        "n_name": names,
+        "n_regionkey": regions,
+        "n_comment": text.comments(r.child("comment"), 25),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -141,34 +144,20 @@ def _supplier(rng: RngStream, count: int) -> Table:
     r = rng.child("supplier")
     nation = r.child("nation").integers(0, 24, size=count).astype(np.int32)
     acctbal = r.child("acctbal").integers(-99999, 999999, size=count)
-    return Table(
-        "supplier",
-        [
-            Column(
-                "s_suppkey", INT32, np.arange(1, count + 1, dtype=np.int32)
-            ),
-            Column.strings(
-                "s_name", [f"Supplier#{i:09d}" for i in range(1, count + 1)]
-            ),
-            Column.strings(
-                "s_address", text.addresses(r.child("address"), count)
-            ),
-            Column("s_nationkey", INT32, nation),
-            Column.strings(
-                "s_phone", text.phone_numbers(r.child("phone"), nation)
-            ),
-            Column("s_acctbal", DECIMAL, acctbal),
-            Column.strings(
-                "s_comment",
-                text.comments(
-                    r.child("comment"),
-                    count,
-                    marker=("Customer", "Complaints"),
-                    marker_rate=text.CUSTOMER_COMPLAINTS_RATE,
-                ),
-            ),
-        ],
-    )
+    return _table(SUPPLIER, {
+        "s_suppkey": np.arange(1, count + 1, dtype=np.int32),
+        "s_name": [f"Supplier#{i:09d}" for i in range(1, count + 1)],
+        "s_address": text.addresses(r.child("address"), count),
+        "s_nationkey": nation,
+        "s_phone": text.phone_numbers(r.child("phone"), nation),
+        "s_acctbal": acctbal,
+        "s_comment": text.comments(
+            r.child("comment"),
+            count,
+            marker=("Customer", "Complaints"),
+            marker_rate=text.CUSTOMER_COMPLAINTS_RATE,
+        ),
+    })
 
 
 def _customer(rng: RngStream, count: int) -> Table:
@@ -178,31 +167,16 @@ def _customer(rng: RngStream, count: int) -> Table:
     segment_idx = r.child("segment").integers(
         0, len(MKT_SEGMENTS) - 1, size=count
     )
-    return Table(
-        "customer",
-        [
-            Column(
-                "c_custkey", INT32, np.arange(1, count + 1, dtype=np.int32)
-            ),
-            Column.strings(
-                "c_name", [f"Customer#{i:09d}" for i in range(1, count + 1)]
-            ),
-            Column.strings(
-                "c_address", text.addresses(r.child("address"), count)
-            ),
-            Column("c_nationkey", INT32, nation),
-            Column.strings(
-                "c_phone", text.phone_numbers(r.child("phone"), nation)
-            ),
-            Column("c_acctbal", DECIMAL, acctbal),
-            Column.strings(
-                "c_mktsegment", [MKT_SEGMENTS[i] for i in segment_idx]
-            ),
-            Column.strings(
-                "c_comment", text.comments(r.child("comment"), count)
-            ),
-        ],
-    )
+    return _table(CUSTOMER, {
+        "c_custkey": np.arange(1, count + 1, dtype=np.int32),
+        "c_name": [f"Customer#{i:09d}" for i in range(1, count + 1)],
+        "c_address": text.addresses(r.child("address"), count),
+        "c_nationkey": nation,
+        "c_phone": text.phone_numbers(r.child("phone"), nation),
+        "c_acctbal": acctbal,
+        "c_mktsegment": [MKT_SEGMENTS[i] for i in segment_idx],
+        "c_comment": text.comments(r.child("comment"), count),
+    })
 
 
 def _part(rng: RngStream, count: int) -> tuple[Table, np.ndarray]:
@@ -220,8 +194,10 @@ def _part(rng: RngStream, count: int) -> tuple[Table, np.ndarray]:
     names = [
         " ".join(PART_COLORS[j] for j in row) for row in color_idx
     ]
-    mfgr_id = r.child("mfgr").integers(1, 5, size=count)
-    brand_sub = r.child("brand").integers(1, 5, size=count)
+    mfgr_id = r.child("mfgr").integers(1, MANUFACTURERS, size=count)
+    brand_sub = r.child("brand").integers(
+        1, BRANDS_PER_MANUFACTURER, size=count
+    )
     type_idx = np.stack(
         [
             r.child("type1").integers(0, len(TYPE_SYLLABLE_1) - 1, size=count),
@@ -248,35 +224,33 @@ def _part(rng: RngStream, count: int) -> tuple[Table, np.ndarray]:
         for a, b in cont_idx.T
     ]
 
-    table = Table(
-        "part",
-        [
-            Column("p_partkey", INT32, partkey.astype(np.int32)),
-            Column.strings("p_name", names),
-            Column.strings(
-                "p_mfgr", [f"Manufacturer#{int(m)}" for m in mfgr_id]
-            ),
-            Column.strings(
-                "p_brand",
-                [
-                    f"Brand#{int(m)}{int(s)}"
-                    for m, s in zip(mfgr_id, brand_sub)
-                ],
-            ),
-            Column.strings("p_type", types),
-            Column(
-                "p_size",
-                INT32,
-                r.child("size").integers(1, 50, size=count).astype(np.int32),
-            ),
-            Column.strings("p_container", containers),
-            Column("p_retailprice", DECIMAL, retail_cents),
-            Column.strings(
-                "p_comment", text.comments(r.child("comment"), count)
-            ),
+    table = _table(PART, {
+        "p_partkey": partkey,
+        "p_name": names,
+        "p_mfgr": [f"Manufacturer#{int(m)}" for m in mfgr_id],
+        "p_brand": [
+            f"Brand#{int(m)}{int(s)}" for m, s in zip(mfgr_id, brand_sub)
         ],
-    )
+        "p_type": types,
+        "p_size": r.child("size").integers(*P_SIZES, size=count),
+        "p_container": containers,
+        "p_retailprice": retail_cents,
+        "p_comment": text.comments(r.child("comment"), count),
+    })
     return table, retail_cents
+
+
+def _table(spec: TableSpec, values: dict) -> Table:
+    """The spec's columns in its order, each stored at its declared
+    type; ``values`` maps every column name to its values (strings, or
+    integers in any dtype — the column checks they fit)."""
+    columns = []
+    for name, ctype in spec.columns:
+        if ctype.is_string:
+            columns.append(Column.strings(name, values[name], ctype))
+        else:
+            columns.append(Column(name, ctype, values[name]))
+    return Table(spec.name, columns)
 
 
 def partsupp_suppliers(partkey: np.ndarray, n_supp: int) -> np.ndarray:
@@ -299,26 +273,13 @@ def _partsupp(rng: RngStream, n_part: int, n_supp: int) -> Table:
         np.arange(1, n_part + 1, dtype=np.int64), n_supp
     ).reshape(-1)
     count = len(partkey)
-    return Table(
-        "partsupp",
-        [
-            Column("ps_partkey", INT32, partkey.astype(np.int32)),
-            Column("ps_suppkey", INT32, suppkey),
-            Column(
-                "ps_availqty",
-                INT32,
-                r.child("qty").integers(1, 9999, size=count).astype(np.int32),
-            ),
-            Column(
-                "ps_supplycost",
-                DECIMAL,
-                r.child("cost").integers(100, 100000, size=count),
-            ),
-            Column.strings(
-                "ps_comment", text.comments(r.child("comment"), count)
-            ),
-        ],
-    )
+    return _table(PARTSUPP, {
+        "ps_partkey": partkey,
+        "ps_suppkey": suppkey,
+        "ps_availqty": r.child("qty").integers(*AVAIL_QTYS, size=count),
+        "ps_supplycost": r.child("cost").integers(100, 100000, size=count),
+        "ps_comment": text.comments(r.child("comment"), count),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +314,7 @@ def _orders_and_lineitems(
     orderdate = ro.child("date").integers(start, end, size=n_orders)
 
     # Lineitems per order: 1..7 uniform.
-    per_order = rl.child("count").integers(1, 7, size=n_orders)
+    per_order = rl.child("count").integers(*LINES_PER_ORDER, size=n_orders)
     total_items = int(per_order.sum())
     l_orderkey = np.repeat(orderkey, per_order)
     l_odate = np.repeat(orderdate, per_order)
@@ -386,9 +347,9 @@ def _orders_and_lineitems(
     returned = receiptdate <= current
     r_or_a = rl.child("flag").integers(0, 1, size=total_items)
     returnflag = np.where(returned, np.where(r_or_a == 0, 0, 1), 2)
-    flag_strings = np.array(["R", "A", "N"])
+    flag_strings = np.array(RETURN_FLAGS)
     linestatus = np.where(shipdate > current, 0, 1)
-    status_strings = np.array(["O", "F"])
+    status_strings = np.array(LINE_STATUSES)
 
     ship_idx = rl.child("mode").integers(
         0, len(SHIP_MODES) - 1, size=total_items
@@ -409,75 +370,45 @@ def _orders_and_lineitems(
     status = np.where(
         lines_f == per_order, 1, np.where(lines_f == 0, 0, 2)
     )
-    ostatus_strings = np.array(["O", "F", "P"])
+    ostatus_strings = np.array(ORDER_STATUSES)
 
     prio_idx = ro.child("prio").integers(
         0, len(ORDER_PRIORITIES) - 1, size=n_orders
     )
 
-    orders = Table(
-        "orders",
-        [
-            Column("o_orderkey", INT64, orderkey),
-            Column("o_custkey", INT32, custkey.astype(np.int32)),
-            Column.strings(
-                "o_orderstatus", ostatus_strings[status].tolist()
-            ),
-            Column("o_totalprice", DECIMAL, totalprice),
-            Column("o_orderdate", DATE, orderdate.astype(np.int32)),
-            Column.strings(
-                "o_orderpriority",
-                [ORDER_PRIORITIES[i] for i in prio_idx],
-            ),
-            Column.strings(
-                "o_clerk",
-                text.clerk_names(ro.child("clerk"), n_orders, scale_factor),
-            ),
-            Column(
-                "o_shippriority", INT32, np.zeros(n_orders, dtype=np.int32)
-            ),
-            Column.strings(
-                "o_comment",
-                text.comments(
-                    ro.child("comment"),
-                    n_orders,
-                    marker=("special", "requests"),
-                    marker_rate=text.SPECIAL_REQUESTS_RATE,
-                ),
-            ),
-        ],
-    )
+    orders = _table(ORDERS, {
+        "o_orderkey": orderkey,
+        "o_custkey": custkey,
+        "o_orderstatus": ostatus_strings[status].tolist(),
+        "o_totalprice": totalprice,
+        "o_orderdate": orderdate,
+        "o_orderpriority": [ORDER_PRIORITIES[i] for i in prio_idx],
+        "o_clerk": text.clerk_names(ro.child("clerk"), n_orders, scale_factor),
+        "o_shippriority": np.zeros(n_orders, dtype=np.int8),
+        "o_comment": text.comments(
+            ro.child("comment"),
+            n_orders,
+            marker=("special", "requests"),
+            marker_rate=text.SPECIAL_REQUESTS_RATE,
+        ),
+    })
 
-    lineitem = Table(
-        "lineitem",
-        [
-            Column("l_orderkey", INT64, l_orderkey),
-            Column("l_partkey", INT32, l_partkey.astype(np.int32)),
-            Column("l_suppkey", INT32, l_suppkey.astype(np.int32)),
-            Column("l_linenumber", INT32, linenumber.astype(np.int32)),
-            Column("l_quantity", DECIMAL, quantity * 100),
-            Column("l_extendedprice", DECIMAL, extended),
-            Column("l_discount", DECIMAL, discount),
-            Column("l_tax", DECIMAL, tax),
-            Column.strings(
-                "l_returnflag", flag_strings[returnflag].tolist()
-            ),
-            Column.strings(
-                "l_linestatus", status_strings[linestatus].tolist()
-            ),
-            Column("l_shipdate", DATE, shipdate.astype(np.int32)),
-            Column("l_commitdate", DATE, commitdate.astype(np.int32)),
-            Column("l_receiptdate", DATE, receiptdate.astype(np.int32)),
-            Column.strings(
-                "l_shipinstruct",
-                [SHIP_INSTRUCTS[i] for i in instr_idx],
-            ),
-            Column.strings(
-                "l_shipmode", [SHIP_MODES[i] for i in ship_idx]
-            ),
-            Column.strings(
-                "l_comment", text.comments(rl.child("comment"), total_items)
-            ),
-        ],
-    )
+    lineitem = _table(LINEITEM, {
+        "l_orderkey": l_orderkey,
+        "l_partkey": l_partkey,
+        "l_suppkey": l_suppkey,
+        "l_linenumber": linenumber,
+        "l_quantity": quantity * 100,
+        "l_extendedprice": extended,
+        "l_discount": discount,
+        "l_tax": tax,
+        "l_returnflag": flag_strings[returnflag].tolist(),
+        "l_linestatus": status_strings[linestatus].tolist(),
+        "l_shipdate": shipdate,
+        "l_commitdate": commitdate,
+        "l_receiptdate": receiptdate,
+        "l_shipinstruct": [SHIP_INSTRUCTS[i] for i in instr_idx],
+        "l_shipmode": [SHIP_MODES[i] for i in ship_idx],
+        "l_comment": text.comments(rl.child("comment"), total_items),
+    })
     return orders, lineitem

@@ -4,9 +4,22 @@ Key physical choices (these set the flash byte counts the performance
 model scales):
 
 - ``orderkey`` columns are int64 (at SF-1000 they exceed 2**31);
-  all other keys are int32;
-- decimals are int64 hundredths, dates int32 epoch days, strings 4-byte
-  heap codes — the MonetDB-style layout AQUOMAN reads.
+  all other keys are int32, and decimals int64 hundredths.  Key ranges
+  grow with the scale factor and decimals feed the arithmetic, so both
+  keep their full width;
+- a column whose domain does not grow with the scale factor is stored
+  at the narrowest signed width that holds it
+  (:meth:`~repro.storage.types.ColumnType.stored_as`): small-domain
+  strings as int8 heap codes (``p_type``'s 150 values as int16), dates
+  as int16 epoch days (1992-1998 is 8 035-10 591), and
+  ``l_linenumber``, ``p_size``, ``o_shippriority`` as int8 and
+  ``ps_availqty`` as int16;
+- other strings are 4-byte heap codes — the MonetDB-style layout
+  AQUOMAN reads.  Each foreign key's join index is int32 row ids
+  (:meth:`repro.storage.catalog.Catalog.add_foreign_key`).
+
+``tests/test_narrow_widths.py`` checks every narrowed width against the
+value domains at the bottom of this file.
 """
 
 from __future__ import annotations
@@ -21,6 +34,12 @@ from repro.storage.types import (
     INT64,
     ColumnType,
 )
+
+CODE8 = CHAR.stored_as("int8")     # strings of at most 128 values
+CODE16 = CHAR.stored_as("int16")
+DAY16 = DATE.stored_as("int16")    # epoch days up to 2059-09-18
+INT8 = INT32.stored_as("int8")
+INT16 = INT32.stored_as("int16")
 
 
 @dataclass(frozen=True)
@@ -89,7 +108,7 @@ CUSTOMER = TableSpec(
         ("c_nationkey", INT32),
         ("c_phone", CHAR),
         ("c_acctbal", DECIMAL),
-        ("c_mktsegment", CHAR),
+        ("c_mktsegment", CODE8),
         ("c_comment", CHAR),
     ),
     primary_key="c_custkey",
@@ -101,11 +120,11 @@ PART = TableSpec(
     (
         ("p_partkey", INT32),
         ("p_name", CHAR),
-        ("p_mfgr", CHAR),
-        ("p_brand", CHAR),
-        ("p_type", CHAR),
-        ("p_size", INT32),
-        ("p_container", CHAR),
+        ("p_mfgr", CODE8),
+        ("p_brand", CODE8),
+        ("p_type", CODE16),
+        ("p_size", INT8),
+        ("p_container", CODE8),
         ("p_retailprice", DECIMAL),
         ("p_comment", CHAR),
     ),
@@ -118,7 +137,7 @@ PARTSUPP = TableSpec(
     (
         ("ps_partkey", INT32),
         ("ps_suppkey", INT32),
-        ("ps_availqty", INT32),
+        ("ps_availqty", INT16),
         ("ps_supplycost", DECIMAL),
         ("ps_comment", CHAR),
     ),
@@ -131,12 +150,12 @@ ORDERS = TableSpec(
     (
         ("o_orderkey", INT64),
         ("o_custkey", INT32),
-        ("o_orderstatus", CHAR),
+        ("o_orderstatus", CODE8),
         ("o_totalprice", DECIMAL),
-        ("o_orderdate", DATE),
-        ("o_orderpriority", CHAR),
+        ("o_orderdate", DAY16),
+        ("o_orderpriority", CODE8),
         ("o_clerk", CHAR),
-        ("o_shippriority", INT32),
+        ("o_shippriority", INT8),
         ("o_comment", CHAR),
     ),
     primary_key="o_orderkey",
@@ -149,18 +168,18 @@ LINEITEM = TableSpec(
         ("l_orderkey", INT64),
         ("l_partkey", INT32),
         ("l_suppkey", INT32),
-        ("l_linenumber", INT32),
+        ("l_linenumber", INT8),
         ("l_quantity", DECIMAL),
         ("l_extendedprice", DECIMAL),
         ("l_discount", DECIMAL),
         ("l_tax", DECIMAL),
-        ("l_returnflag", CHAR),
-        ("l_linestatus", CHAR),
-        ("l_shipdate", DATE),
-        ("l_commitdate", DATE),
-        ("l_receiptdate", DATE),
-        ("l_shipinstruct", CHAR),
-        ("l_shipmode", CHAR),
+        ("l_returnflag", CODE8),
+        ("l_linestatus", CODE8),
+        ("l_shipdate", DAY16),
+        ("l_commitdate", DAY16),
+        ("l_receiptdate", DAY16),
+        ("l_shipinstruct", CODE8),
+        ("l_shipmode", CODE8),
         ("l_comment", CHAR),
     ),
     primary_key=None,
@@ -228,12 +247,26 @@ SHIP_INSTRUCTS = (
     "DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN",
 )
 
+RETURN_FLAGS = ("R", "A", "N")
+LINE_STATUSES = ("O", "F")
+ORDER_STATUSES = ("O", "F", "P")
+
+# p_mfgr is Manufacturer#M and p_brand Brand#MN, M and N in 1..5.
+MANUFACTURERS = 5
+BRANDS_PER_MANUFACTURER = 5
+
 TYPE_SYLLABLE_1 = ("STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO")
 TYPE_SYLLABLE_2 = ("ANODIZED", "BURNISHED", "PLATED", "POLISHED", "BRUSHED")
 TYPE_SYLLABLE_3 = ("TIN", "NICKEL", "BRASS", "STEEL", "COPPER")
 
 CONTAINER_SYLLABLE_1 = ("SM", "LG", "MED", "JUMBO", "WRAP")
 CONTAINER_SYLLABLE_2 = ("CASE", "BOX", "BAG", "JAR", "PKG", "PACK", "CAN", "DRUM")
+
+# Inclusive integer ranges.
+P_SIZES = (1, 50)
+LINES_PER_ORDER = (1, 7)  # l_linenumber runs 1..lines of its order
+AVAIL_QTYS = (1, 9999)
+SHIP_PRIORITIES = (0, 0)
 
 PART_COLORS = (
     "almond", "antique", "aquamarine", "azure", "beige", "bisque", "black",

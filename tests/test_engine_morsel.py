@@ -266,16 +266,16 @@ class TestSpanReads:
         # The span path's page-skip answer for an ascending selection.
         monkeypatch.setattr(morsel, "selection_pages", counting)
         wide = layout.extent("lineitem", "l_quantity").rows_per_page()
-        narrow = layout.extent("lineitem", "l_shipdate").rows_per_page()
+        narrow = layout.extent("lineitem", "l_partkey").rows_per_page()
         assert narrow == 2 * wide
         reads = _lineitem_reads(layout, 0, 8192)
         rows = np.array([0, wide, 3 * wide + 1], dtype=np.int64)
-        for name in ("l_quantity", "l_tax", "l_shipdate", "l_discount"):
+        for name in ("l_quantity", "l_tax", "l_partkey", "l_discount"):
             reads.rows(name, rows)
         assert calls == [wide, narrow]
         pages_read, _ = reads.summary()
         assert pages_read == {
-            "l_quantity": 3, "l_tax": 3, "l_shipdate": 2, "l_discount": 3
+            "l_quantity": 3, "l_tax": 3, "l_partkey": 2, "l_discount": 3
         }
         # Other row ids are another selection, and add to the column.
         reads.rows("l_tax", np.array([5 * wide], dtype=np.int64))
@@ -290,7 +290,7 @@ class TestSpanReads:
     def test_whole_window_selection_is_charged_like_full(
         self, tiny_db, layout, column
     ):
-        """Every row selected = every page: 1-, 4- and 8-byte columns,
+        """Every row selected = every page: 1-, 2- and 8-byte columns,
         on a last span that is no multiple of the page."""
         nrows = tiny_db.table("lineitem").nrows
         lo = nrows // 8192 * 8192

@@ -110,7 +110,7 @@ class TestTake:
 
     def test_narrow_columns_widen_only_when_read(self, tiny_db):
         dates = tiny_db.table("lineitem").column("l_shipdate")
-        assert dates.values.dtype == np.int32
+        assert dates.values.dtype == np.int16
         lifted = typed_array_from_column(dates)
         assert isinstance(lifted, SelectedArray) and not lifted.gathered
         assert lifted.nbytes == dates.nrows * 8

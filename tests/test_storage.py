@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage import (
+    BOOL,
     CHAR,
     DATE,
     DECIMAL,
+    FLOAT,
     INT32,
     INT64,
     Catalog,
@@ -424,6 +426,54 @@ class TestColumn:
         assert col.nbytes == 40
 
 
+class TestColumnWidth:
+    """A value the stored dtype cannot hold is refused, not wrapped."""
+
+    def test_value_beyond_int32_is_refused(self):
+        with pytest.raises(ValueError, match="column 'x'.*int32"):
+            Column("x", INT32, np.array([2**40, 5]))
+
+    def test_date_beyond_int16_days_is_refused(self):
+        day16 = DATE.stored_as("int16")
+        last = date_to_days("2059-09-18")
+        assert Column("d", day16, np.array([last])).values.tolist() == [last]
+        with pytest.raises(ValueError, match="column 'd'"):
+            Column.from_logical("d", day16, ["2059-09-19"])
+
+    def test_code_beyond_int8_is_refused(self):
+        code8 = CHAR.stored_as("int8")
+        Column.strings("s", [str(i) for i in range(128)], code8)
+        with pytest.raises(ValueError, match="column 's'"):
+            Column.strings("s", [str(i) for i in range(129)], code8)
+
+    def test_no_check_when_the_input_is_no_wider(self, monkeypatch):
+        from repro.storage import column
+
+        def refuse(*args):
+            raise AssertionError("checked")
+
+        monkeypatch.setattr(column, "_check_fits", refuse)
+        Column("k", INT32, np.arange(3, dtype=np.int32))
+        Column("k", INT32, np.arange(3, dtype=np.int8))
+        with pytest.raises(AssertionError, match="checked"):
+            Column("k", INT32, np.arange(3, dtype=np.int64))
+
+    def test_narrow_type_keeps_its_kind(self):
+        narrow = DATE.stored_as(np.int16)
+        assert narrow.kind is DATE.kind
+        assert (narrow.width, narrow.dtype) == (2, np.dtype(np.int16))
+        assert narrow.eval_domain == DATE.eval_domain
+        assert Column("d", narrow, np.arange(4)).nbytes == 8
+
+    @pytest.mark.parametrize("ctype, dtype", [
+        (INT32, "int64"), (DATE, "uint16"), (CHAR, "float32"),
+        (DECIMAL, "uint64"), (BOOL, "int16"), (FLOAT, "int64"),
+    ])
+    def test_width_not_valid_for_the_kind_is_refused(self, ctype, dtype):
+        with pytest.raises(ValueError, match="cannot be stored as"):
+            ctype.stored_as(dtype)
+
+
 class TestTable:
     def _table(self):
         return Table(
@@ -505,6 +555,22 @@ class TestCatalog:
         cat.add_foreign_key(ForeignKey("fact", "f_key", "dim", "d_key"))
         idx = cat.table("fact").column(join_index_name("f_key"))
         assert idx.values.tolist() == [1, 0, 1, 2]
+
+    def test_join_index_is_int32_row_ids(self):
+        cat = self._catalog()
+        cat.add_foreign_key(ForeignKey("fact", "f_key", "dim", "d_key"))
+        idx = cat.table("fact").column(join_index_name("f_key"))
+        assert idx.ctype.kind is INT64.kind
+        assert idx.values.dtype == np.int32 and idx.nbytes == 16
+
+    def test_join_index_refuses_a_table_beyond_int32_row_ids(self):
+        cat = Catalog()
+        # 2**31 rows of one broadcast value: no memory behind them.
+        huge = np.broadcast_to(np.int32(1), (2**31,))
+        cat.add_table(Table("dim", [Column("d_key", INT32, huge)]))
+        cat.add_table(Table("fact", [Column("f_key", INT32, [1])]))
+        with pytest.raises(ValueError, match="below 2\\*\\*31"):
+            cat.add_foreign_key(ForeignKey("fact", "f_key", "dim", "d_key"))
 
     def test_dangling_fk_rejected(self):
         cat = self._catalog()

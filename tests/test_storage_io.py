@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_narrow_widths import widened
 
 from repro import tpch
 from repro.analysis import analyze_plan
 from repro.core import DeviceConfig
-from repro.engine import Engine
+from repro.engine import Engine, MorselConfig, procpool
 from repro.sqlir.plan import Scan, walk_with_subqueries
 from repro.storage import Catalog, Column, StringHeap, Table
 from repro.storage.catalog import join_index_name
 from repro.storage.io import MANIFEST_NAME, load_catalog, save_catalog
+from repro.storage.types import DEFAULT_TYPES
 
 
 class TestRoundTrip:
@@ -286,3 +288,93 @@ class TestLoadMakesNoCallPerString:
         split = {key for key, heap in heaps.items() if not _unsplit(heap)}
         assert split and split <= scanned
         assert ("lineitem", "l_comment") not in split
+
+
+def _manifest_columns(path):
+    """``(manifest, {(table, column): entry})`` of a saved catalog."""
+    manifest = json.loads((path / MANIFEST_NAME).read_text())
+    entries = {
+        (table, meta["name"]): meta
+        for table, metas in manifest["tables"].items()
+        for meta in metas
+    }
+    return manifest, entries
+
+
+class TestStoredDtypes:
+    """The manifest records each column's stored dtype, and the loader
+    builds the column's type from kind plus dtype."""
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_round_trip_keeps_every_dtype(self, tiny_db, tmp_path, mmap):
+        save_catalog(tiny_db, tmp_path)
+        _, entries = _manifest_columns(tmp_path)
+        loaded = load_catalog(tmp_path, mmap=mmap)
+        for (table, name), meta in entries.items():
+            saved = tiny_db.table(table).column(name)
+            got = loaded.table(table).column(name)
+            assert meta["dtype"] == saved.ctype.dtype.name
+            assert got.ctype == saved.ctype, (table, name)
+            assert got.values.dtype == saved.values.dtype
+            assert got.is_mapped is mmap
+            assert np.array_equal(got.values, saved.values)
+        assert {m["dtype"] for m in entries.values()} == {
+            "int8", "int16", "int32", "int64"
+        }
+
+    def test_manifest_without_dtype_loads_at_default_widths(
+        self, tiny_db, tmp_path
+    ):
+        # The parent layout: every column at its kind's default width,
+        # and no dtype in the manifest.
+        save_catalog(widened(tiny_db), tmp_path)
+        manifest, entries = _manifest_columns(tmp_path)
+        for meta in entries.values():
+            del meta["dtype"]
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        loaded = load_catalog(tmp_path)
+        for table, name in entries:
+            got = loaded.table(table).column(name)
+            assert got.ctype == DEFAULT_TYPES[got.ctype.kind]
+            assert np.array_equal(
+                got.values, tiny_db.table(table).column(name).values
+            )
+
+    @pytest.mark.parametrize(
+        "dtype", ["int64", "int32x", "uint16", "float32", 7]
+    )
+    def test_dtype_not_valid_for_its_kind_names_the_column(
+        self, tiny_db, tmp_path, dtype
+    ):
+        save_catalog(tiny_db, tmp_path)
+        manifest, entries = _manifest_columns(tmp_path)
+        entries["lineitem", "l_shipdate"]["dtype"] = dtype
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(
+            ValueError, match=r"^lineitem\.l_shipdate: bad dtype"
+        ):
+            load_catalog(tmp_path)
+
+    @pytest.mark.skipif(
+        not procpool.process_backend_available(),
+        reason="no fork start method on this platform",
+    )
+    def test_process_pool_over_mapped_narrow_columns(
+        self, small_db, tmp_path
+    ):
+        """Each worker re-opens the column files at their stored dtype
+        (a default-width mapping would run past the end of the file)."""
+        save_catalog(small_db, tmp_path)
+        loaded = load_catalog(tmp_path, mmap=True)
+        morsels = MorselConfig(morsel_rows=8192, n_workers=2,
+                               worker_backend="process")
+        engine = Engine(loaded, morsels=morsels)
+        for n in (1, 3, 6, 12):
+            got = engine.execute_relation(tpch.query(n))
+            assert engine.backend_name() == "process"
+            want = Engine(small_db).execute_relation(tpch.query(n))
+            assert got.names == want.names
+            for name in want.names:
+                assert np.array_equal(
+                    got.column(name).values, want.column(name).values
+                ), (n, name)
