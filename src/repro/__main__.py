@@ -17,18 +17,13 @@ Commands:
   (DEVICE, or host with its reason) and the observed actuals;
   ``--trace-out`` writes the run's ``chrome://tracing`` timeline,
   ``--ring-capacity`` sizes its span rings, and ``--json`` /
-  ``--strict`` shape the report;
-- ``chaos``    — seeded fault-injection campaigns: run queries under
-  injected flash/worker/device faults and verify every recovery path
-  returns bit-identical results, emitting a JSON report (``--out``);
-  exits 1 on any mismatch or unrecoverable fault, for the CI chaos
-  gate.
+  ``--strict`` shape the report.
 
 ``query`` and ``evaluate`` also accept ``--trace-out`` /
-``--metrics-out``, and — like ``chaos`` — ``--query-log FILE`` to
-append one wide event per query (add ``--qlog-sample-k`` /
-``--qlog-trace-dir`` for tail-sampled full traces).  One
-:func:`_obs_session` runs that sequence for all three.
+``--metrics-out`` and ``--query-log FILE`` to append one wide event
+per query (add ``--qlog-sample-k`` / ``--qlog-trace-dir`` for
+tail-sampled full traces).  One :func:`_obs_session` runs that
+sequence for both.
 
 SQL that does not parse or plan, or a plan the strict analyzer
 rejects, prints one ``error: …`` line on stderr and exits 2.  An
@@ -78,19 +73,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _query_numbers(text: str) -> list[int]:
-    """``chaos``'s query list: "all", or TPC-H numbers like "1,6,14"."""
-    if text.strip().lower() == "all":
-        return list(tpch.ALL_QUERIES)
-    numbers = [int(q) for q in text.split(",") if q.strip()]
-    if not numbers or not set(numbers) <= set(tpch.ALL_QUERIES):
-        raise argparse.ArgumentTypeError(
-            f"want 'all' or TPC-H numbers 1-22 like '1,6,14', "
-            f"got {text!r}"
-        )
-    return numbers
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sf", type=_positive_float, default=0.01,
@@ -119,26 +101,6 @@ def _add_device(
         parser.add_argument("--no-device", action="store_true")
 
 
-def _add_morsel(
-    parser: argparse.ArgumentParser,
-    *,
-    workers_help: str = "morsel workers (default 4)",
-    backend_help: str = "morsel worker backend",
-    morsel_rows: int = TUNED_MORSEL_ROWS,
-    morsel_rows_help: str = "rows per morsel (default %(default)s, "
-    "bench-tuned)",
-) -> None:
-    parser.add_argument("--workers", type=int, default=4,
-                        help=workers_help)
-    parser.add_argument(
-        "--backend", choices=WORKER_BACKENDS,
-        default=MorselConfig.worker_backend,
-        help=backend_help + " (default %(default)s)",
-    )
-    parser.add_argument("--morsel-rows", type=int, default=morsel_rows,
-                        help=morsel_rows_help)
-
-
 def _add_report(parser: argparse.ArgumentParser, *, strict: str) -> None:
     """How a command reports: ``--json`` and ``--strict`` (``strict``
     is the per-command help text)."""
@@ -160,10 +122,6 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
         "--metrics-out", metavar="FILE",
         help="write Prometheus text-exposition metrics",
     )
-    _add_query_log(parser)
-
-
-def _add_query_log(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--query-log", metavar="FILE",
         help="append one wide event per query (JSONL): fingerprint, "
@@ -215,12 +173,8 @@ def _obs_session(
     the ``--trace-out`` / ``--metrics-out`` exports stamped with
     ``metadata`` (a dict the caller may fill in during the block).
     """
-    query_log = getattr(args, "query_log", None)
-    if not (
-        query_log
-        or getattr(args, "trace_out", None)
-        or getattr(args, "metrics_out", None)
-    ):
+    query_log = args.query_log
+    if not (query_log or args.trace_out or args.metrics_out):
         yield None
         return
     METRICS.reset()
@@ -369,55 +323,6 @@ def cmd_doctor(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
-    """Run a seeded chaos campaign and emit its JSON report."""
-    import json
-
-    from repro.faults.chaos import run_campaign
-    from repro.faults.plan import FaultConfig
-
-    seeds = [args.seed + k for k in range(args.campaign)]
-    config = FaultConfig(
-        page_error_rate=args.page_error_rate,
-        latency_spike_rate=args.latency_spike_rate,
-        worker_crash_rate=args.worker_crash_rate,
-        device_fault_rate=args.device_fault_rate,
-        channel_stall_rate=args.channel_stall_rate,
-        retry_budget=args.retry_budget,
-    )
-    with _obs_session(args, "chaos campaign") as tracer:
-        report = run_campaign(
-            args.queries,
-            seeds,
-            config,
-            sf=args.sf,
-            target_sf=args.target_sf,
-            workers=args.workers,
-            morsel_rows=args.morsel_rows,
-            backend=args.backend,
-            log=lambda line: print(f"  {line}", file=sys.stderr),
-            tracer=tracer,
-        )
-    text = json.dumps(report, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"chaos report: {args.out}", file=sys.stderr)
-    else:
-        print(text)
-    totals = report["totals"]
-    print(
-        f"chaos: {len(report['runs'])} runs, "
-        f"{totals.get('injected', 0)} faults injected, "
-        f"{totals.get('page_retries', 0)} retries, "
-        f"{totals.get('morsel_retries', 0)} morsel re-runs, "
-        f"{totals.get('host_fallbacks', 0)} host fallbacks "
-        f"-> {report['verdict']}",
-        file=sys.stderr,
-    )
-    return 0 if report["verdict"] == "pass" else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -462,11 +367,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_query(p_doctor)
     _add_device(p_doctor)
-    _add_morsel(
-        p_doctor,
-        workers_help="morsel workers = trace lanes (default 4)",
-        backend_help="morsel worker backend; 'process' adds "
-        "proc-worker-N lanes to the trace",
+    p_doctor.add_argument("--workers", type=int, default=4,
+                          help="morsel workers = trace lanes (default 4)")
+    p_doctor.add_argument(
+        "--backend", choices=WORKER_BACKENDS,
+        default=MorselConfig.worker_backend,
+        help="morsel worker backend; 'process' adds proc-worker-N "
+        "lanes to the trace (default %(default)s)",
+    )
+    p_doctor.add_argument(
+        "--morsel-rows", type=int, default=TUNED_MORSEL_ROWS,
+        help="rows per morsel (default %(default)s, bench-tuned)",
     )
     p_doctor.add_argument(
         "--ring-capacity", type=int, default=None,
@@ -480,64 +391,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_common(p_doctor)
     p_doctor.set_defaults(func=cmd_doctor)
-
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="seeded fault-injection campaign with bit-identical "
-        "recovery verification",
-    )
-    p_chaos.add_argument(
-        "queries", type=_query_numbers,
-        help='TPC-H query numbers: "6", "1,6,14", or "all"',
-    )
-    p_chaos.add_argument(
-        "--seed", type=int, default=0,
-        help="first campaign seed (default 0)",
-    )
-    p_chaos.add_argument(
-        "--campaign", type=int, default=5,
-        help="number of consecutive seeds to run (default 5)",
-    )
-    p_chaos.add_argument(
-        "--page-error-rate", type=float, default=0.02,
-        help="transient flash page read error rate (default 0.02)",
-    )
-    p_chaos.add_argument(
-        "--latency-spike-rate", type=float, default=0.05,
-        help="page-read latency spike rate (default 0.05)",
-    )
-    p_chaos.add_argument(
-        "--worker-crash-rate", type=float, default=0.2,
-        help="morsel-worker crash rate (default 0.2)",
-    )
-    p_chaos.add_argument(
-        "--device-fault-rate", type=float, default=0.3,
-        help="mid-task device fault rate per subtree (default 0.3)",
-    )
-    p_chaos.add_argument(
-        "--channel-stall-rate", type=float, default=0.25,
-        help="whole-channel stall rate (default 0.25)",
-    )
-    p_chaos.add_argument(
-        "--retry-budget", type=int, default=3,
-        help="retries after the first failure; 0 makes any transient "
-        "fault terminal (default 3)",
-    )
-    _add_morsel(
-        p_chaos,
-        backend_help="morsel worker backend; reports are identical "
-        "across backends",
-        morsel_rows=8192,
-        morsel_rows_help="rows per morsel; small default keeps "
-        "fault-site density high (default %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--out", metavar="FILE",
-        help="write the JSON report here instead of stdout",
-    )
-    _add_common(p_chaos)
-    _add_query_log(p_chaos)
-    p_chaos.set_defaults(func=cmd_chaos)
 
     args = parser.parse_args(argv)
     try:

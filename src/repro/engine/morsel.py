@@ -120,7 +120,7 @@ TUNED_MORSEL_ROWS = 4 * MORSEL_ALIGN_ROWS
 # dispatch-dominated crumbs.  Deliberately a constant (a small multiple
 # of typical worker counts), NOT a function of n_workers — fault sites
 # are named morsel/{table}/{lo}-{hi}, so span boundaries must reproduce
-# across worker counts for chaos campaigns to stay deterministic.
+# across worker counts for fault placement to stay deterministic.
 MAX_FRAGMENT_MORSELS = 32
 # A span whose partial aggregate kept more than this share of its rows
 # as groups did not reduce: the fragment's later spans skip the partial
@@ -510,7 +510,7 @@ class SpanRunner:
         reads and re-execution is trivially bit-identical — the span is
         a pure function of its ``[lo, hi)`` range.  Fault decisions are
         addressed by the span's stable site name, never by worker
-        scheduling, so campaigns reproduce across worker counts.
+        scheduling, so faulted runs reproduce across worker counts.
         """
         injector = get_fault_injector()
         if not injector.enabled:

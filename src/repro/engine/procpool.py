@@ -22,8 +22,8 @@ the parent's epoch), ``faults.*`` counter deltas from a per-batch
 :class:`~repro.faults.injector.FaultInjector` rebuilt from the pure
 ``(seed, config)`` plan, and the degraded flag.  The parent adopts
 the records into its tracer lanes (``proc-worker-N``) and absorbs the
-fault deltas, so the doctor, Chrome-trace export and chaos reports
-see exactly what inline spans would have recorded.
+fault deltas, so the doctor, Chrome-trace export and the fault
+injector see exactly what inline spans would have recorded.
 
 A worker that dies mid-run (``kill -9``, OOM) is detected by pipe
 EOF; its unfinished batches are reported ``lost`` and the caller

@@ -22,14 +22,13 @@ retry budget        :class:`UnrecoverableFault` propagates;    error
 exhausted           the degraded flag is set
 ==================  =========================================  ========
 
-"Exact" is the invariant the chaos CI gate enforces: every recovery
-path returns bit-identical results on all 22 TPC-H queries.
+"Exact" is the invariant ``tests/test_determinism.py`` enforces: under
+every chaos seed it runs, every recovery path returns the host's
+result bit for bit, on the 22 TPC-H queries and 24 ad-hoc statements.
 
 Layout: :mod:`~repro.faults.plan` decides *where* faults strike (pure
-function of seed and site), :mod:`~repro.faults.injector` is the
-ambient runtime consulted by the flash/engine layers, and
-:mod:`repro.faults.chaos` (imported explicitly — it drives the engine,
-so it sits above it) runs seeded campaigns for the CLI and CI.
+function of seed and site), and :mod:`~repro.faults.injector` is the
+ambient runtime consulted by the flash/engine layers.
 """
 
 from repro.faults.errors import (

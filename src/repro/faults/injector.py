@@ -9,16 +9,18 @@ check).  The injector
   :mod:`repro.faults.errors`),
 - converts page-batch outcomes into per-channel stall seconds the
   timing model charges (retry backoff + latency spikes),
-- keeps locked counters and a bounded, order-independent event log
-  (the determinism tests compare its sorted contents),
+- keeps counters and a bounded event log (the determinism tests
+  compare it sorted across backends, raw across hash seeds),
 - mirrors everything into ``faults.*`` metrics and ambient-tracer
   instants, and sets the process-wide degraded flag whenever a
   recovery path had to run.
+
+Only the thread that installed an injector touches it: pool workers
+are forked processes with their own per-batch injector, merged by
+:meth:`FaultInjector.absorb` on the caller's thread, so nothing locks.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -85,7 +87,6 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, metrics=METRICS):
         self.plan = plan
         self.metrics = metrics
-        self._lock = threading.Lock()
         self.counts: dict[str, int] = {k: 0 for k in COUNTER_HELP}
         self.backoff_s = 0.0
         self.stall_s = 0.0
@@ -102,25 +103,21 @@ class FaultInjector:
 
     def _count(self, name: str, n: int = 1) -> None:
         if n:
-            with self._lock:
-                self.counts[name] += n
+            self.counts[name] += n
             self.metrics.counter(f"faults.{name}", COUNTER_HELP[name]).inc(n)
 
     def _event(self, kind: str, site: str, detail: int = 0) -> None:
-        with self._lock:
-            if len(self.events) < _EVENT_LOG_CAP:
-                self.events.append((kind, site, detail))
+        if len(self.events) < _EVENT_LOG_CAP:
+            self.events.append((kind, site, detail))
 
     def sorted_events(self) -> list[tuple[str, str, int]]:
-        with self._lock:
-            return sorted(self.events)
+        return sorted(self.events)
 
     def summary(self) -> dict:
-        """Counters + charged seconds, for chaos reports."""
-        with self._lock:
-            out: dict = dict(self.counts)
-            out["backoff_s"] = round(self.backoff_s, 9)
-            out["stall_s"] = round(self.stall_s, 9)
+        """Counters + charged seconds, for reports and tests."""
+        out: dict = dict(self.counts)
+        out["backoff_s"] = round(self.backoff_s, 9)
+        out["stall_s"] = round(self.stall_s, 9)
         out["injected"] = (
             out["page_errors"] + out["latency_spikes"]
             + out["channel_stalls"] + out["worker_crashes"]
@@ -141,12 +138,11 @@ class FaultInjector:
             self._count(name, n)
         backoff = float(delta.get("backoff_s", 0.0))
         stall = float(delta.get("stall_s", 0.0))
-        with self._lock:
-            self.backoff_s += backoff
-            self.stall_s += stall
-            for event in delta.get("events", ()):
-                if len(self.events) < _EVENT_LOG_CAP:
-                    self.events.append(tuple(event))
+        self.backoff_s += backoff
+        self.stall_s += stall
+        for event in delta.get("events", ()):
+            if len(self.events) < _EVENT_LOG_CAP:
+                self.events.append(tuple(event))
         if backoff:
             self.metrics.gauge(
                 "faults.backoff_seconds", "total retry backoff charged"
@@ -204,9 +200,8 @@ class FaultInjector:
         self._count("page_retries", int(out.retries.sum()))
         self._count("latency_spikes", n_spikes)
         backoff = float(self.plan.backoff_seconds(out.retries).sum())
-        with self._lock:
-            self.backoff_s += backoff
-            self.stall_s += float(per_page.sum())
+        self.backoff_s += backoff
+        self.stall_s += float(per_page.sum())
         self.metrics.gauge(
             "faults.backoff_seconds", "total retry backoff charged"
         ).add(backoff)
@@ -229,9 +224,7 @@ class FaultInjector:
         hit = int((stalls > 0).sum())
         if not hit:
             return None
-        with self._lock:
-            first = "channel-stall" not in {k for k, _, _ in self.events}
-        if first:
+        if "channel-stall" not in {k for k, _, _ in self.events}:
             self._count("channel_stalls", hit)
             for channel in np.flatnonzero(stalls):
                 self._event("channel-stall", "channel-stall", int(channel))

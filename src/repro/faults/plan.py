@@ -3,7 +3,7 @@
 A :class:`FaultPlan` decides *where* faults strike as a pure function
 of ``(seed, site)`` — never of execution order.  Morsel spans run on
 a pool of forked worker processes whose scheduling varies run to run,
-so sequence-drawn randomness would make campaigns unreproducible;
+so sequence-drawn randomness would make faulted runs unreproducible;
 instead every decision is addressed by a stable name:
 
 - page-granular faults (read errors, latency spikes) hash the global
@@ -15,7 +15,7 @@ instead every decision is addressed by a stable name:
 
 Same seed ⇒ same fault sites, same retry counts, same stall charges —
 regardless of worker count or interleaving.  That determinism is what
-lets the chaos CI gate assert bit-identical recovery.
+lets ``tests/test_determinism.py`` assert bit-identical recovery.
 """
 
 from __future__ import annotations
@@ -44,13 +44,13 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FaultConfig:
-    """Rates and recovery knobs for one fault campaign.
+    """Rates and recovery knobs for one fault plan.
 
     Rates are per *site*: per page read for the flash classes, per
     morsel for worker crashes, per offloaded subtree for device
     faults, per flash channel for stalls.  ``retry_budget`` is the
     number of retries allowed after the first failure — budget 0 turns
-    any transient fault terminal (the CI unrecoverable self-check).
+    any transient fault terminal.
     """
 
     page_error_rate: float = 0.0     # transient flash page read errors

@@ -2,7 +2,7 @@
 
 A :class:`QueryContext` names one query execution: a process-monotonic
 ``query_id``, the plan's structural fingerprint, the backend that ran
-it, and (under chaos) the fault seed.  The ambient context follows the
+it, and (under fault injection) the fault seed.  The ambient context follows the
 same discipline as the ambient tracer in :mod:`repro.obs.spans`:
 
 1. **Absent must be free.**  The default is ``None``; the only cost at
@@ -25,8 +25,8 @@ mutable about a query (annotations, counters, the wide event) lives in
 
 The process-wide **degraded flag** lives here too, under the same
 swap discipline: the fault layer sets it when a recovery path had to
-run, the process pool repatriates it from workers, and the chaos
-report reads it.
+run, the process pool repatriates it from workers, and the
+determinism harness reads it after each run.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class QueryContext:
     query: str                 # human label, e.g. "q06"
     fingerprint: str           # structural plan digest (plan_fingerprint)
     backend: str               # serial | process | device
-    seed: int | None = None    # fault seed when a chaos campaign runs
+    seed: int | None = None    # fault seed when an injector is installed
 
     def to_wire(self) -> tuple:
         """Picklable form shipped in procpool batch headers."""

@@ -433,7 +433,7 @@ def query_scope(
         yield _PASSIVE_SCOPE
         return
     if seed is None:
-        # Chaos runs: adopt the ambient injector's seed so the wide
+        # Faulted runs: adopt the ambient injector's seed so the wide
         # event records which fault plan shaped this query.
         injector = _get_injector()
         if injector.enabled:

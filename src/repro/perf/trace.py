@@ -64,14 +64,14 @@ class QueryTrace:
     - ``aquoman_flash_bytes``, ``aquoman_sorter_bytes``,
       ``aquoman_output_bytes``, ``aquoman_fault_stall_s``: the
       simulator, from the device meters -> model device terms, doctor,
-      scale-out model, chaos report;
+      scale-out model;
     - ``aquoman_dram_peak_bytes``: the simulator -> model, Fig. 16(b)/17;
     - ``groupby_spill_groups``: the simulator -> suspend scorecard,
       offload classes;
     - ``suspended``, ``suspend_reason``, ``offload_fraction_rows``: the
-      simulator -> CLI, chaos report, Fig. 16(c), ``bench/``;
+      simulator -> CLI, Fig. 16(c), ``bench/``;
     - ``fault_stall_s``: ``MorselExecutor._record`` under injection ->
-      model host I/O, chaos report.
+      model host I/O.
     """
 
     query: str = ""

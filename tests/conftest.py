@@ -1,8 +1,12 @@
 """Shared fixtures: small TPC-H catalogs, sized per test cost."""
 
+import os
+import signal
+
 import pytest
 
 from repro import tpch
+from repro.engine import procpool
 
 
 @pytest.fixture(scope="session")
@@ -15,3 +19,21 @@ def tiny_db():
 def small_db():
     """The integration-scale catalog (~60k lineitems)."""
     return tpch.generate(0.01)
+
+
+@pytest.fixture()
+def dead_worker_pool(small_db):
+    """``small_db``'s two-worker pool with worker 0 SIGKILLed.
+
+    The pool is closed afterwards: a pool is replaced only when all its
+    workers are dead, so one left half dead would hand every later test
+    a single live worker.
+    """
+    pool = procpool.get_process_pool(small_db, 2)
+    assert pool is not None and pool.alive_count() == 2
+    victim = pool.workers[0]
+    os.kill(victim.proc.pid, signal.SIGKILL)
+    victim.proc.join(timeout=5.0)
+    assert not victim.proc.is_alive()
+    yield pool
+    procpool._close_pool((id(small_db), 2))

@@ -51,7 +51,7 @@ class TestCli:
         (["doctor", "23"], "invalid choice: 23 (choose from 1, 2,"),
         (["analyze", "99"], "invalid choice: 99 (choose from 1, 2,"),
         (["query", "6", "--sf", "0"], "--sf: must be a positive number"),
-        (["chaos", "23"], "want 'all' or TPC-H numbers 1-22"),
+        (["chaos", "6"], "invalid choice: 'chaos'"),
     ])
     def test_bad_argument_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -187,23 +187,3 @@ class TestQueryLogCli:
         text = metrics.read_text()
         assert validate_prometheus_text(text) == []
         assert "repro_query_completed_total" in text
-
-    def test_chaos_query_log(self, capsys, tmp_path):
-        from repro.obs import validate_wide_event
-
-        log = tmp_path / "chaos.jsonl"
-        code = main([
-            "chaos", "6", "--campaign", "1", "--sf", "0.002",
-            "--query-log", str(log),
-            "--out", str(tmp_path / "report.json"),
-        ])
-        assert code == 0
-        events = [
-            json.loads(line) for line in log.read_text().splitlines()
-        ]
-        # one host + one device event per (query, seed), refs excluded
-        assert len(events) == 2
-        for event in events:
-            assert validate_wide_event(event) == []
-            assert event["seed"] == 0
-

@@ -1,13 +1,21 @@
-"""Determinism, checked by running the queries under two hash seeds.
+"""Determinism and fault recovery, checked by running the queries.
 
 One child process runs every statement — the 22 TPC-H queries at SF
 0.01 and the 24 ``bench/sql_adhoc.sql`` statements (rendered at seed
 1) at SF 0.002 — on four paths (host monolithic, morsel spans inline,
-morsel spans on a two-worker process pool, the device simulator), each
-fault-free and under one chaos seed.  Its report holds, per statement
-and leg: the result columns' bytes, the query record of
-``test_trace_invariants``, the device meters, and the fault injector's
-*raw* event log, in the order the events were recorded.
+morsel spans on a two-worker process pool, the device simulator), once
+fault-free and once per chaos seed in :data:`CHAOS_SEEDS`.  Its report
+holds, per statement and leg: the result columns' bytes, the query
+record of ``test_trace_invariants`` and its charged fault stall, the
+device meters, the fault injector's summary and *raw* event log (in
+the order the events were recorded), and the degraded flag the run
+left.
+
+This is the repo's one fault-recovery gate: a recoverable fault (page
+retry, latency spike, channel stall, worker crash, device fault and
+its host fallback) must leave every result bit-identical to the
+host's.  The loud failure of an unrecoverable one is
+``test_faults.py::test_unrecoverable_fault_fails_every_path``'s.
 
 The test runs that child twice, once under ``PYTHONHASHSEED=0`` and
 once under ``=1``, and the two reports must be equal bit for bit.  A
@@ -17,13 +25,14 @@ the legs in opposite orders (fault-free first, chaos first), so state
 one leg leaves behind in the worker pool or in the module globals
 shows up as a difference too.  Within one report, every path must
 return the host's columns, and the pool must report the faults inline
-spans see, each once.
+spans see, each once, with the same counters and stall.
 
 So that it cannot pass vacuously, the child reports ``hash("aquoman")``
 (the two must differ: the hash seed really varied), every path with a
-fault site must record fault events under chaos, and after each
-statement the child checks that the ambient fault injector and global
-tracer are still the ones it installed.  Any exception fails the run.
+fault site must record fault events under every chaos seed, some
+device runs must fall back to the host, and after each statement the
+child checks that the ambient fault injector and global tracer are
+still the ones it installed.  Any exception fails the run.
 
 ``python tests/test_determinism.py chaos-first`` prints one child's
 report as JSON.
@@ -51,6 +60,7 @@ from repro.faults.injector import (
 )
 from repro.faults.plan import FaultPlan
 from repro.obs import Tracer, get_tracer, set_global_tracer
+from repro.obs.context import clear_degraded, get_degraded
 from repro.perf.trace import QueryTrace
 from repro.sqlir import plan_sql
 
@@ -69,7 +79,11 @@ HASH_SEEDS = ("0", "1")
 ORDERS = ("clean-first", "chaos-first")
 PATHS = ("host", "serial", "process", "device")
 SEED, TPCH_SF, ADHOC_SF = 1, 0.01, 0.002
-CHAOS_SEED = 11
+# Fault seeds 0-4 plus 11; fault placement is a pure function of
+# (seed, site), so each seed is a different set of faulted sites.
+CHAOS_SEEDS = (0, 1, 2, 3, 4, 11)
+# leg name -> fault seed (None: no injector installed)
+LEGS = {"clean": None} | {f"chaos{seed}": seed for seed in CHAOS_SEEDS}
 
 
 # -- the child ---------------------------------------------------------------
@@ -114,6 +128,7 @@ def _run(db, plan, name: str, path: str) -> dict:
     return {
         "columns": columns,
         "record": query_record(trace),
+        "fault_stall_s": trace.fault_stall_s,
         "meters": meters,
     }
 
@@ -121,19 +136,20 @@ def _run(db, plan, name: str, path: str) -> dict:
 def child_report(order: str) -> dict:
     """Every statement on every path and leg, in ``order``."""
     statements = _statements()
-    legs = ("clean", "chaos")
+    legs = list(LEGS.items())
     if order == "chaos-first":
-        legs = legs[::-1]
+        legs.reverse()
     tracer = Tracer()
     set_global_tracer(tracer)
     runs = {}
-    for leg in legs:
+    for leg, seed in legs:
         for path in PATHS:
             for name, (db, plan) in statements.items():
                 injector = None
-                if leg == "chaos":
-                    injector = FaultInjector(FaultPlan(CHAOS_SEED, CHAOS))
+                if seed is not None:
+                    injector = FaultInjector(FaultPlan(seed, CHAOS))
                 set_fault_injector(injector)
+                clear_degraded()
                 installed = get_fault_injector()
                 run = _run(db, plan, name, path)
                 # Ambient state is swapped only where it is installed.
@@ -141,7 +157,12 @@ def child_report(order: str) -> dict:
                 assert get_tracer() is tracer, (leg, path, name)
                 set_fault_injector(None)
                 run["events"] = [] if injector is None else injector.events
+                run["faults"] = None if injector is None else (
+                    injector.summary()
+                )
+                run["degraded"] = get_degraded()
                 runs[f"{leg}/{path}/{name}"] = run
+    clear_degraded()
     set_global_tracer(None)
     return {"hash": hash("aquoman"), "runs": runs}
 
@@ -179,36 +200,61 @@ def test_hash_seeds_really_differ(reports):
 
 def test_matrix_is_complete(reports):
     for report in reports:
-        assert len(report["runs"]) == 2 * len(PATHS) * (22 + 24)
+        assert len(report["runs"]) == len(LEGS) * len(PATHS) * (22 + 24)
 
 
 def test_every_chaos_leg_injects(reports):
     """The monolithic host engine reads no flash pages and runs no
     workers, so it has no fault site: its chaos runs check only that an
-    installed injector changes nothing.  Every other path must fault."""
+    installed injector changes nothing.  Every other path must fault
+    under every chaos seed."""
     runs = reports[0]["runs"]
-    for path in ("serial", "process", "device"):
-        events = [
-            run["events"] for key, run in runs.items()
-            if key.startswith(f"chaos/{path}/")
-        ]
-        assert any(events), f"chaos on {path} injected nothing"
-    device_q03 = runs["chaos/device/q03"]
+    for seed in CHAOS_SEEDS:
+        for path in ("serial", "process", "device"):
+            events = [
+                run["events"] for key, run in runs.items()
+                if key.startswith(f"chaos{seed}/{path}/")
+            ]
+            assert any(events), f"chaos{seed} on {path} injected nothing"
+    device_q03 = runs["chaos11/device/q03"]
     assert device_q03["events"]
     assert device_q03["meters"]["fault_stall_s"] > 0.0
 
 
+def test_device_faults_fall_back_to_the_host(reports):
+    """A device fault re-runs its subtree on the host, once per fault,
+    and says so in the degraded flag; a fault-free run is not
+    degraded.  Some device runs must really fall back."""
+    fell_back = []
+    for key, run in reports[0]["runs"].items():
+        if run["faults"] is None:
+            assert run["degraded"] is None, key
+            continue
+        fallbacks = run["faults"]["host_fallbacks"]
+        assert fallbacks == run["faults"]["device_faults"], key
+        if fallbacks:
+            fell_back.append(key)
+            assert run["degraded"]["reason"] == (
+                "host fallback after device fault"
+            ), key
+    assert fell_back, "no device fault fell back to the host"
+    assert all(key.split("/")[1] == "device" for key in fell_back)
+
+
 def test_paths_agree(reports):
     """Every path returns the host's columns, and the pool reports the
-    faults inline spans see, each once: placement is pure ``(seed,
-    site)``, only the order of absorbed worker events may differ."""
+    faults inline spans see, each once and with the same counters and
+    charged stall: placement is pure ``(seed, site)``, only the order
+    of absorbed worker events may differ."""
     runs = reports[0]["runs"]
     for key, run in runs.items():
         leg, path, name = key.split("/")
         assert run["columns"] == runs[f"{leg}/host/{name}"]["columns"], key
         if path == "process":
-            inline = runs[f"{leg}/serial/{name}"]["events"]
-            assert sorted(run["events"]) == sorted(inline), key
+            inline = runs[f"{leg}/serial/{name}"]
+            assert sorted(run["events"]) == sorted(inline["events"]), key
+            assert run["faults"] == inline["faults"], key
+            assert run["fault_stall_s"] == inline["fault_stall_s"], key
 
 
 def test_reports_equal_across_hash_seeds(reports):

@@ -30,7 +30,6 @@ from repro.faults import (
     get_fault_injector,
     set_fault_injector,
 )
-from repro.faults.chaos import run_campaign
 from repro.flash.channels import ChannelMeter
 from repro.flash.controller import (
     CommandKind,
@@ -161,6 +160,26 @@ def test_unrecoverable_page_raises_and_degrades():
     with pytest.raises(UnrecoverableFault):
         inj.charge_page_reads(np.arange(10, dtype=np.int64))
     assert inj.counts["unrecoverable"] == 1
+    assert get_degraded()["reason"] == "unrecoverable flash page error"
+
+
+@pytest.mark.parametrize("path", ["serial", "process", "device"])
+def test_unrecoverable_fault_fails_every_path(small_db, path):
+    """End to end, an exhausted retry budget is an error on every
+    path, never a silently wrong or silently partial result."""
+    plan = tpch.query(6)
+    set_fault_injector(_injector(page_error_rate=1.0, retry_budget=0))
+    with pytest.raises(UnrecoverableFault):
+        if path == "device":
+            AquomanSimulator(
+                small_db, DeviceConfig(scale_ratio=1000.0 / 0.01)
+            ).run(plan, query="q06")
+        else:
+            Engine(small_db, morsels=MorselConfig(
+                parallel=True, morsel_rows=8192,
+                n_workers=2 if path == "process" else 1,
+                worker_backend=path,
+            )).execute_relation(plan)
     assert get_degraded()["reason"] == "unrecoverable flash page error"
 
 
@@ -307,19 +326,33 @@ def test_device_stall_charged_to_timing(tiny_db):
     assert stalled > model.device_seconds(result.trace)
 
 
-def test_campaign_report_shape_and_determinism(small_db):
-    config = FaultConfig(
-        page_error_rate=0.02,
-        worker_crash_rate=0.2,
-        device_fault_rate=1.0,
-    )
-    a = run_campaign([6], [0, 1], config, workers=4)
-    b = run_campaign([6], [0, 1], config, workers=1)
-    assert a["verdict"] == "pass"
-    assert [r["faults"] for r in a["runs"]] == [
-        r["faults"] for r in b["runs"]
-    ]
-    assert a["totals"]["host_fallbacks"] == len(a["runs"])
+def test_fault_summary_same_at_any_worker_count(small_db):
+    """Faults land on the same sites with 4 pool workers and with 1,
+    every device fault falls back once, and both paths stay exact."""
+    plan = tpch.query(6)
+    device = DeviceConfig(scale_ratio=1000.0 / 0.01)
+    ref_host = Engine(small_db).execute(plan)
+    ref_device = AquomanSimulator(small_db, device).run(plan).table
+    for seed in (0, 1):
+        summaries = []
+        for workers in (4, 1):
+            inj = _injector(
+                seed, page_error_rate=0.02, worker_crash_rate=0.2,
+                device_fault_rate=1.0,
+            )
+            set_fault_injector(inj)
+            host = Engine(small_db, morsels=MorselConfig(
+                parallel=True, morsel_rows=8192, n_workers=workers,
+            )).execute(plan)
+            device_table = AquomanSimulator(small_db, device).run(
+                plan
+            ).table
+            set_fault_injector(None)
+            assert ref_host.equals(host.renamed(ref_host.name))
+            assert ref_device.equals(device_table.renamed(ref_device.name))
+            summaries.append(inj.summary())
+        assert summaries[0] == summaries[1], seed
+        assert summaries[0]["host_fallbacks"] == 1, seed
 
 
 # ---------------------------------------------------------------------------

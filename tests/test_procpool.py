@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from repro import tpch
+from repro.core.device import DeviceConfig
+from repro.core.simulator import AquomanSimulator
 from repro.engine import Engine, MorselConfig
 from repro.engine import procpool
 from repro.engine.morsel import (
@@ -34,10 +36,14 @@ pytestmark = pytest.mark.skipif(
     reason="no fork start method on this platform",
 )
 
+# Every fault class at once.  The device rate acts only on the device
+# simulator, which the chaos-run test below and tests/test_determinism.py
+# run under this config.
 CHAOS = FaultConfig(
     page_error_rate=0.02,
     latency_spike_rate=0.05,
     worker_crash_rate=0.2,
+    device_fault_rate=0.3,
     channel_stall_rate=0.25,
 )
 
@@ -167,31 +173,46 @@ class TestFaultDeterminism:
         assert injector.counts["morsel_retries"] > 0
 
     def test_campaign_report_identical_across_backends(self, small_db):
-        from repro.faults.chaos import run_campaign
-
-        reports = {
-            backend: run_campaign(
-                [6, 14], [0, 1], CHAOS, sf=0.01, backend=backend
-            )
-            for backend in ("serial", "process")
-        }
-        assert reports["serial"]["backend"] == "serial"
-        assert reports["process"]["backend"] == "process"
-        for t, p in zip(reports["serial"]["runs"],
-                        reports["process"]["runs"]):
-            assert t == p
+        # Host engine then device simulator under one injector, as a
+        # chaos run does: every fault summary, event list and result
+        # must be the same whichever backend ran the host spans.
+        device = DeviceConfig(scale_ratio=1000.0 / 0.01)
+        for query in (6, 14):
+            plan = tpch.query(query)
+            ref_device = AquomanSimulator(small_db, device).run(plan).table
+            for seed in (0, 1):
+                runs = {}
+                for backend in ("serial", "process"):
+                    injector = FaultInjector(FaultPlan(seed, CHAOS))
+                    set_fault_injector(injector)
+                    try:
+                        host = _engine(
+                            small_db, backend, workers=4
+                        ).execute_relation(plan)
+                        table = AquomanSimulator(small_db, device).run(
+                            plan
+                        ).table
+                    finally:
+                        set_fault_injector(None)
+                    assert ref_device.equals(
+                        table.renamed(ref_device.name)
+                    ), (query, seed, backend)
+                    runs[backend] = (host, injector)
+                (s_out, s_inj), (p_out, p_inj) = (
+                    runs["serial"], runs["process"]
+                )
+                assert s_inj.summary()["injected"] > 0, (query, seed)
+                assert p_inj.summary() == s_inj.summary(), (query, seed)
+                assert p_inj.sorted_events() == s_inj.sorted_events()
+                assert_identical(p_out, s_out)
 
 
 class TestWorkerDeath:
     """A killed worker degrades to inline re-runs, bit-identically."""
 
-    def test_result_survives_a_dead_worker(self, small_db):
+    def test_result_survives_a_dead_worker(self, small_db, dead_worker_pool):
         ref = _engine(small_db, "serial").execute_relation(tpch.query(6))
-        pool = procpool.get_process_pool(small_db, 2)
-        assert pool is not None and pool.alive_count() == 2
-        victim = pool.workers[0]
-        os.kill(victim.proc.pid, signal.SIGKILL)
-        victim.proc.join(timeout=5.0)
+        assert dead_worker_pool.alive_count() == 1
         out = _engine(small_db, "process").execute_relation(tpch.query(6))
         assert_identical(out, ref)
 

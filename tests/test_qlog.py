@@ -10,7 +10,6 @@ the checked-in JSON schema.
 
 import json
 import os
-import signal
 
 import pytest
 
@@ -332,12 +331,8 @@ class TestQidPropagation:
         reason="no fork start method on this platform",
     )
     def test_dead_worker_inline_rerun_keeps_the_qid(
-        self, small_db, qlog
+        self, small_db, qlog, dead_worker_pool
     ):
-        pool = procpool.get_process_pool(small_db, 2)
-        victim = pool.workers[0]
-        os.kill(victim.proc.pid, signal.SIGKILL)
-        victim.proc.join(timeout=5.0)
         tracer = Tracer()
         set_global_tracer(tracer)
         try:
