@@ -93,7 +93,10 @@ class DeviceExecutor:
     Table Task for yet.
     """
 
-    def __init__(self, device: AquomanDevice, scalar_executor):
+    def __init__(
+        self, device: AquomanDevice, scalar_executor,
+        fault_site: str | None = None,
+    ):
         self.device = device
         self.catalog = device.catalog
         self.tracer = device.tracer
@@ -103,6 +106,9 @@ class DeviceExecutor:
         )
         self.tasks: list[TableTask] = []  # emitted and run, in order
         self._allocations: list[str] = []
+        # Where an injected device fault strikes: once the subtree's
+        # first Table Task has run, so its rollback undoes device work.
+        self._fault_site = fault_site
 
     # -- entry ----------------------------------------------------------------
 
@@ -152,6 +158,8 @@ class DeviceExecutor:
             stream = self.device.run_table_task(
                 task, stream, self.scalar_executor
             )
+            if self._fault_site is not None and len(self.tasks) == 1:
+                get_fault_injector().check_device(self._fault_site)
         return stream
 
     # -- joins ---------------------------------------------------------------------
@@ -350,7 +358,8 @@ class HybridEngine(Engine):
         self.runtime_suspensions: set[SuspendReason] = set()
         # Deterministic device-fault addressing: the host plan walk is
         # single-threaded, so offload attempts have a stable order and
-        # "subtree<n>" names the same subtree on every run.
+        # "<query>/subtree<n>" names the same subtree on every run, and
+        # a different one in each statement.
         self._fault_sites = itertools.count()
 
     def _run(self, plan: Plan) -> Relation:
@@ -361,18 +370,21 @@ class HybridEngine(Engine):
         if plan in self.offload_roots and worth_offloading:
             checkpoint = self.device.checkpoint()
             spilled_before = self.device.meters.spilled_rows
-            executor = DeviceExecutor(self.device, self.scalar)
+            injector = get_fault_injector()
+            fault_site = (
+                f"{self.trace.query}/subtree{next(self._fault_sites)}"
+            )
+            executor = DeviceExecutor(
+                self.device, self.scalar,
+                fault_site if injector.enabled else None,
+            )
             subtree = self.tracer.span(
                 "device.subtree", lane="device",
                 root=type(plan).__name__.lower(),
                 node=getattr(plan, "node_id", None),
             )
-            injector = get_fault_injector()
-            fault_site = f"subtree{next(self._fault_sites)}"
             try:
                 with subtree:
-                    if injector.enabled:
-                        injector.check_device(fault_site)
                     relation = executor.run(plan)
                 self.tasks.extend(executor.tasks)
                 spilled_rows = (
@@ -402,10 +414,11 @@ class HybridEngine(Engine):
             except HeapTooLarge:
                 self._suspend(SuspendReason.STRING_HEAP, checkpoint)
             except DeviceFault as fault:
-                # Injected mid-task device death: same conservative
-                # recovery as the planned suspensions — re-run the
-                # whole subtree on the host, which is ground truth and
-                # therefore bit-identical.
+                # Injected device death after the subtree's first
+                # Table Task: same conservative recovery as the planned
+                # suspensions — roll back what the device did, re-run
+                # the whole subtree on the host, which is ground truth
+                # and therefore bit-identical.
                 self._suspend(SuspendReason.DEVICE_FAULT, checkpoint)
                 injector.record_fallback(
                     fault.site, SuspendReason.DEVICE_FAULT.value

@@ -19,6 +19,11 @@ from repro.engine.operators.sorting import (
 # between 2 048 and 4 096 rows (DESIGN.md, "Host grouping kernel").
 _RUN_MIN_ROWS = 4096
 
+# Grids of at most this many cells take the tiny-grid route, whose
+# first-row search starts from a prefix of ``_TINY_PREFIX`` rows.
+_TINY_GRID_CELLS = 64
+_TINY_PREFIX = 256
+
 
 @dataclass
 class GroupedKeys:
@@ -53,16 +58,18 @@ def group_rows(key_columns: list[np.ndarray], nrows: int = 0) -> GroupedKeys:
     With no key columns, all ``nrows`` rows fall into a single global
     group (SQL's implicit group for aggregate-only queries).
 
-    Four routes, chosen from the inputs alone, give the same numbering.
+    Five routes, chosen from the inputs alone, give the same numbering.
     Integer keys become one mixed-radix cell per row in their value
-    grid, the product of the per-key spans ``max - min + 1``.  Cells
-    that never decrease (a stored-sorted key, or a selection of one)
-    are runs, numbered by a prefix sum, once the input is long enough
-    for the test to pay (``_RUN_MIN_ROWS``); a grid of at most
-    ``DIRECT_SPAN_FACTOR`` cells per row is numbered through a table
-    indexed by the cell (the accelerator's look-up, Sec. VI-C);
-    anything else is sorted — the cells by radix passes while the grid
-    fits 48 bits, the key tuples (floats, wider grids) by comparison.
+    grid, the product of the per-key spans ``max - min + 1``.  A grid
+    of at most ``_TINY_GRID_CELLS`` cells (Q1's flags) is counted and
+    gathered; cells that never decrease (a stored-sorted key, or a
+    selection of one) are runs, numbered by a prefix sum, once the
+    input is long enough for the test to pay (``_RUN_MIN_ROWS``); a
+    grid of at most ``DIRECT_SPAN_FACTOR`` cells per row is numbered
+    through a table indexed by the cell (the accelerator's look-up,
+    Sec. VI-C); anything else is sorted — the cells by radix passes
+    while the grid fits 48 bits, the key tuples (floats, wider grids)
+    by comparison.
     """
     if not key_columns:
         return GroupedKeys(
@@ -81,11 +88,43 @@ def group_rows(key_columns: list[np.ndarray], nrows: int = 0) -> GroupedKeys:
     if grid is None:
         return _group_sorted(keys)
     cell, cells = grid
+    if cells <= _TINY_GRID_CELLS:
+        return _group_tiny(cell, cells)
     if n >= _RUN_MIN_ROWS and is_ascending(cell):
         return _group_runs(cell)
     if cells <= DIRECT_SPAN_FACTOR * n:
         return _group_direct(cell, cells)
     return _group_sorted([cell], stable_order(cell, cells))
+
+
+def _group_tiny(cell: np.ndarray, cells: int) -> GroupedKeys:
+    """Number a tiny grid in two passes over the rows: count each cell,
+    then read every row's group through a table over the cells.  The
+    first row of each cell that occurs is found in a prefix of the
+    rows that grows until it holds them all — usually the first few
+    hundred.  The counts are the groups' counts."""
+    n = len(cell)
+    per_cell = np.bincount(cell, minlength=cells)
+    n_groups = np.count_nonzero(per_cell)
+    first, start, stop = None, 0, _TINY_PREFIX
+    while True:
+        chunk = cell[start:stop]
+        # Scattered back to front, the write that survives is the first.
+        found = np.full(cells, n, dtype=np.int64)
+        found[chunk[::-1]] = np.arange(start + len(chunk) - 1, start - 1, -1)
+        first = found if first is None else np.minimum(first, found)
+        if stop >= n or np.count_nonzero(first < n) == n_groups:
+            break
+        start, stop = stop, stop * 4
+    # Cells no row lands on keep ``n`` and sort after the groups.
+    in_order = np.argsort(first)[:n_groups]
+    number = np.empty(cells, dtype=np.int64)
+    number[in_order] = np.arange(n_groups, dtype=np.int64)
+    groups = GroupedKeys(number[cell], first[in_order])
+    counts = per_cell[in_order]
+    counts.flags.writeable = False
+    groups.counts = counts
+    return groups
 
 
 def _group_runs(cell: np.ndarray) -> GroupedKeys:

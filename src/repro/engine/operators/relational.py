@@ -33,15 +33,21 @@ from repro.sqlir.expr import (
     Kind,
     TypedArray,
     evaluate,
+    repeated_subtrees,
 )
 from repro.sqlir.plan import MATCH_FLAG, Aggregate, JoinKind, SortKey
 
 
-def _context(rel: Relation, subquery_executor) -> EvalContext:
+def _context(rel: Relation, subquery_executor, exprs=()) -> EvalContext:
+    """A context over ``rel``'s rows that evaluates each Arith subtree
+    repeated among ``exprs`` once (:func:`repeated_subtrees`).  It
+    lives as long as the operator's one call: nothing it holds is seen
+    by another relation or span."""
     return EvalContext(
         columns=rel.columns,
         nrows=rel.nrows,
         subquery_executor=subquery_executor,
+        shared=repeated_subtrees(exprs),
     )
 
 
@@ -68,7 +74,7 @@ def project_relation(
     outputs: tuple[tuple[str, Expr], ...],
     subquery_executor=None,
 ) -> Relation:
-    ctx = _context(rel, subquery_executor)
+    ctx = _context(rel, subquery_executor, [expr for _, expr in outputs])
     return Relation({name: evaluate(expr, ctx) for name, expr in outputs})
 
 
@@ -174,7 +180,10 @@ def aggregate_relation(
     Returns the output relation and the grouping (for spill/group
     accounting).
     """
-    ctx = _context(child, subquery_executor)
+    ctx = _context(
+        child, subquery_executor,
+        [spec.expr for spec in plan.aggregates if spec.expr is not None],
+    )
     key_arrays = [child.column(k) for k in plan.keys]
     groups = group_rows([k.values for k in key_arrays], child.nrows)
 
@@ -183,8 +192,9 @@ def aggregate_relation(
         columns[name] = TypedArray(
             key.values[groups.representative], key.kind, key.scale, key.heap
         )
+    sums = _GroupedSums(groups)
     for spec in plan.aggregates:
-        columns[spec.name] = _aggregate_one(spec, ctx, groups)
+        columns[spec.name] = _aggregate_one(spec, ctx, groups, sums)
 
     out = Relation(columns)
     if plan.having is not None:
@@ -201,7 +211,10 @@ def partial_rows(child: Relation, plan: Aggregate) -> Relation:
     when reducing it would not shrink it.  Only for the aggregates the
     morsel merge re-reduces; HAVING waits for the merge.
     """
-    ctx = _context(child, None)
+    ctx = _context(
+        child, None,
+        [spec.expr for spec in plan.aggregates if spec.expr is not None],
+    )
     columns = {name: child.column(name) for name in plan.keys}
     for spec in plan.aggregates:
         if spec.func is AggFunc.COUNT:
@@ -224,7 +237,53 @@ def _numeric(arr: TypedArray) -> np.ndarray:
     return arr.values.astype(np.int64, copy=False)
 
 
-def _aggregate_one(spec, ctx: EvalContext, groups: GroupedKeys) -> TypedArray:
+# Below this, every partial sum of integers is an exactly representable
+# float64, whatever order the sums are taken in.
+_FLOAT_EXACT = 2**53
+
+
+class _GroupedSums:
+    """One exact grouped sum per operand of an aggregate: every SUM and
+    AVG whose operand evaluates to the same array — one column, or one
+    subtree the context computed once — reads the same sum, int64 for
+    fixed point and float64 for floats (Sec. VI-C: all of a group's
+    aggregates in one pass).  Keyed by the array's identity; the entry
+    holds the array, so the identity is not reused while it lives."""
+
+    def __init__(self, groups: GroupedKeys):
+        self.groups = groups
+        self._sums: dict[int, tuple[TypedArray, np.ndarray]] = {}
+
+    def total(self, values: TypedArray) -> np.ndarray:
+        held = self._sums.get(id(values))
+        if held is None:
+            held = self._sums[id(values)] = (
+                values, aggregate_sum(_numeric(values), self.groups)
+            )
+        return held[1]
+
+    def float_total(self, values: TypedArray) -> np.ndarray:
+        """The float64 sum AVG divides: the shared sum itself for a
+        float operand, or converted when ``max|v| * rows < 2**53`` —
+        then every partial sum of ``np.add.at`` over the floats is an
+        exact integer, so the conversion equals it bit for bit.
+        Otherwise the floats themselves are summed."""
+        total = self.total(values)
+        if values.kind is Kind.FLOAT:
+            return total
+        v = values.values
+        if not len(v) or (
+            max(int(v.max()), -int(v.min())) * len(v) < _FLOAT_EXACT
+        ):
+            return total.astype(np.float64)
+        return aggregate_sum(
+            _numeric(values).astype(np.float64), self.groups
+        )
+
+
+def _aggregate_one(
+    spec, ctx: EvalContext, groups: GroupedKeys, sums: _GroupedSums
+) -> TypedArray:
     if spec.func is AggFunc.COUNT and spec.expr is None:
         return TypedArray(aggregate_count(groups), Kind.INT, 0)
     values = evaluate(spec.expr, ctx)
@@ -236,14 +295,12 @@ def _aggregate_one(spec, ctx: EvalContext, groups: GroupedKeys) -> TypedArray:
         )
     if spec.func is AggFunc.SUM:
         return TypedArray(
-            aggregate_sum(_numeric(values), groups),
-            values.kind,
-            values.scale,
+            sums.total(values), values.kind, values.scale
         )
     if spec.func is AggFunc.AVG:
-        sums = aggregate_sum(_numeric(values).astype(np.float64), groups)
+        totals = sums.float_total(values)
         counts = aggregate_count(groups)
-        means = np.where(counts == 0, 0.0, sums / np.maximum(counts, 1))
+        means = np.where(counts == 0, 0.0, totals / np.maximum(counts, 1))
         if values.kind is Kind.INT and values.scale:
             means = means / (10**values.scale)
         return TypedArray(means, Kind.FLOAT, 0)

@@ -60,14 +60,39 @@ class TypedArray:
             return self
         factor = 10 ** (scale - self.scale)
         return TypedArray(
-            self.values.astype(np.int64, copy=False) * factor, Kind.INT, scale
+            _elementwise(
+                self.values,
+                lambda v: v.astype(np.int64, copy=False) * factor,
+            ),
+            Kind.INT,
+            scale,
         )
 
     def as_float(self) -> np.ndarray:
         """Decode to logical float values."""
         if self.kind is Kind.INT and self.scale:
-            return self.values / (10**self.scale)
+            factor = 10**self.scale
+            return _elementwise(self.values, lambda v: v / factor)
         return self.values.astype(np.float64, copy=False)
+
+
+def _elementwise(values: np.ndarray, func) -> np.ndarray:
+    """``func(values)`` for an elementwise ``func``.  A constant — a
+    stride-0 view, what a literal evaluates to — stays one: ``func``
+    runs on its one element."""
+    if values.strides == (0,) and len(values):
+        return _constant(func(values[:1]), len(values))
+    return func(values)
+
+
+def _constant(one: np.ndarray, nrows: int) -> np.ndarray:
+    """The one value of ``one`` on every row: a read-only view with
+    stride 0, so a constant costs no buffer and no fill (nothing writes
+    in place).  Built directly: ``np.broadcast_to`` costs three times
+    as much, which a short relation notices."""
+    view = np.ndarray((nrows,), one.dtype, one, strides=(0,))
+    view.flags.writeable = False
+    return view
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +471,21 @@ def _wrap(value) -> Expr:
 
 @dataclass
 class EvalContext:
-    """Named input columns for expression evaluation."""
+    """Named input columns for expression evaluation.
+
+    ``shared`` names the Arith nodes whose subtree occurs more than
+    once among the expressions this context evaluates (node id ->
+    subtree number, see :func:`repeated_subtrees`); each such subtree
+    is computed once and held in ``memo`` for as long as the context
+    lives — one Project or Aggregate over one relation.
+    """
 
     columns: dict[str, TypedArray]
     nrows: int
     scalar_cache: dict[int, TypedArray] = field(default_factory=dict)
     subquery_executor: object | None = None
+    shared: dict[int, int] = field(default_factory=dict)
+    memo: dict[int, TypedArray] = field(default_factory=dict)
 
     def column(self, name: str) -> TypedArray:
         try:
@@ -463,6 +497,74 @@ class EvalContext:
             ) from None
 
 
+def repeated_subtrees(exprs) -> dict[int, int]:
+    """The Arith nodes of ``exprs`` whose subtree is evaluated more
+    than once, as ``{id(node): number}`` for an :class:`EvalContext`'s
+    ``shared``; structurally equal subtrees get one number.
+
+    Two equal subtrees have one operator at their roots, so the
+    expressions are first scanned for an operator that occurs twice;
+    most have none (Q6's ``l_extendedprice * l_discount``), and a span
+    pays only that scan.  Otherwise the walk goes in evaluation order
+    and does not enter a subtree met for the second time, since its
+    memo answers for everything below it: only what would really be
+    recomputed is marked.
+    """
+    ops: set[ArithOp] = set()
+    stack = [e for e in exprs if not isinstance(e, ColumnRef)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Arith):
+            if node.op in ops:
+                break
+            ops.add(node.op)
+        stack.extend(node.children())
+    else:
+        return {}
+    stack = list(reversed(exprs))
+    numbers: dict = {}
+    of_node: dict[int, int] = {}
+    first: dict[int, Expr] = {}
+    shared: dict[int, int] = {}
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Arith):
+            n = _subtree_number(node, numbers, of_node)
+            if n in first:
+                shared[id(first[n])] = shared[id(node)] = n
+                continue
+            first[n] = node
+        stack.extend(reversed(node.children()))
+    return shared
+
+
+def _subtree_number(node: Expr, numbers: dict, of_node: dict) -> int:
+    """``node``'s number in ``numbers``, by hash-consing: Arith nodes,
+    column references and literals are numbered by structure (an Arith
+    node's signature holds its children's numbers), any other node by
+    identity, so a subtree holding one is equal only to itself.  A
+    plain recursive function, not a closure: a closure that calls
+    itself is a reference cycle, left for the cyclic collector."""
+    known = of_node.get(id(node))
+    if known is not None:
+        return known
+    if isinstance(node, Arith):
+        signature = (
+            node.op,
+            _subtree_number(node.left, numbers, of_node),
+            _subtree_number(node.right, numbers, of_node),
+        )
+    elif isinstance(node, ColumnRef):
+        signature = node.name
+    elif isinstance(node, Literal):
+        signature = (node.kind, node.scale, repr(node.raw))
+    else:
+        signature = ("node", id(node))
+    known = numbers.setdefault(signature, len(numbers))
+    of_node[id(node)] = known
+    return known
+
+
 def evaluate(expr: Expr, ctx: EvalContext) -> TypedArray:
     """Evaluate ``expr`` over all rows of the context."""
     if isinstance(expr, ColumnRef):
@@ -472,7 +574,13 @@ def evaluate(expr: Expr, ctx: EvalContext) -> TypedArray:
         return _broadcast_literal(expr, ctx)
 
     if isinstance(expr, Arith):
-        return _eval_arith(expr, ctx)
+        key = ctx.shared.get(id(expr)) if ctx.shared else None
+        if key is None:
+            return _eval_arith(expr, ctx)
+        held = ctx.memo.get(key)
+        if held is None:
+            held = ctx.memo[key] = _eval_arith(expr, ctx)
+        return held
 
     if isinstance(expr, Compare):
         return _eval_compare(expr, ctx)
@@ -517,9 +625,8 @@ def _eval_substring(expr: Substring, ctx: EvalContext) -> TypedArray:
 
 
 def _repeat(value, nrows: int, dtype) -> np.ndarray:
-    """``value`` on every row: a read-only view with stride 0, so a
-    constant costs no buffer and no fill (nothing writes in place)."""
-    return np.broadcast_to(np.asarray(value, dtype=dtype), (nrows,))
+    """``value`` on every row (:func:`_constant`)."""
+    return _constant(np.array([value], dtype=dtype), nrows)
 
 
 def _broadcast_literal(expr: Literal, ctx: EvalContext) -> TypedArray:

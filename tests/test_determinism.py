@@ -207,7 +207,7 @@ def test_every_chaos_leg_injects(reports):
     """The monolithic host engine reads no flash pages and runs no
     workers, so it has no fault site: its chaos runs check only that an
     installed injector changes nothing.  Every other path must fault
-    under every chaos seed."""
+    under every chaos seed, and some device run must charge a stall."""
     runs = reports[0]["runs"]
     for seed in CHAOS_SEEDS:
         for path in ("serial", "process", "device"):
@@ -216,9 +216,12 @@ def test_every_chaos_leg_injects(reports):
                 if key.startswith(f"chaos{seed}/{path}/")
             ]
             assert any(events), f"chaos{seed} on {path} injected nothing"
-    device_q03 = runs["chaos11/device/q03"]
-    assert device_q03["events"]
-    assert device_q03["meters"]["fault_stall_s"] > 0.0
+        stalled = [
+            key for key, run in runs.items()
+            if key.startswith(f"chaos{seed}/device/")
+            and run["events"] and run["meters"]["fault_stall_s"] > 0.0
+        ]
+        assert stalled, f"chaos{seed} charged no device stall"
 
 
 def test_device_faults_fall_back_to_the_host(reports):
@@ -239,6 +242,28 @@ def test_device_faults_fall_back_to_the_host(reports):
             ), key
     assert fell_back, "no device fault fell back to the host"
     assert all(key.split("/")[1] == "device" for key in fell_back)
+
+
+def test_device_faults_strike_statements_apart(reports):
+    """A device-fault site names its statement, so one seed does not
+    fault every statement alike: under each chaos seed some offloaded
+    statements fall back to the host and some do not, and all of them
+    return the host's columns."""
+    runs = reports[0]["runs"]
+    offloaded = [
+        key.split("/")[2] for key, run in runs.items()
+        if key.startswith("clean/device/") and run["meters"]["tasks_run"]
+    ]
+    assert offloaded
+    for seed in CHAOS_SEEDS:
+        fell_back = []
+        for name in offloaded:
+            run = runs[f"chaos{seed}/device/{name}"]
+            if run["faults"]["host_fallbacks"]:
+                fell_back.append(name)
+            host = runs[f"chaos{seed}/host/{name}"]
+            assert run["columns"] == host["columns"], (seed, name)
+        assert 0 < len(fell_back) < len(offloaded), (seed, fell_back)
 
 
 def test_paths_agree(reports):

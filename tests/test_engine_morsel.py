@@ -7,6 +7,8 @@ channel striping, per-morsel page accounting, and the partial → merge
 rules as properties over arbitrary span splits.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from repro.engine.morsel import (
 from repro.engine.operators.relational import (
     aggregate_relation,
     partial_rows,
+    project_relation,
     sort_relation,
 )
 from repro.engine.relation import Relation, SelectedArray
@@ -592,3 +595,73 @@ class TestMergeRules:
             else _partial_then_merge(spans, "topk", Limit(sort, limit))
         )
         assert_identical(merged, sort_relation(whole, keys, limit))
+
+
+class TestRepeatedSubtrees:
+    """Q1's ``sum_charge`` operand contains ``sum_disc_price``'s.  The
+    shared subtree is computed once per Project evaluation — never
+    reused across two relations or two spans."""
+
+    DISC = "(col('l_extendedprice') * (lit(1, int, s=0) - col('l_discount')))"
+    CHARGE = f"({DISC} * (lit(1, int, s=0) + col('l_tax')))"
+
+    @staticmethod
+    def _counted(monkeypatch) -> Counter:
+        from repro.sqlir import expr as expr_module
+
+        calls = Counter()
+        real = expr_module._eval_arith
+
+        def spy(node, ctx):
+            calls[repr(node)] += 1
+            return real(node, ctx)
+
+        monkeypatch.setattr(expr_module, "_eval_arith", spy)
+        return calls
+
+    def test_once_per_relation(self, monkeypatch):
+        price, discount, tax = (
+            col("l_extendedprice"), col("l_discount"), col("l_tax")
+        )
+        outputs = (
+            ("disc", price * (1 - discount)),
+            ("charge", col("l_extendedprice") * (1 - col("l_discount"))
+             * (1 + tax)),
+        )
+        calls = self._counted(monkeypatch)
+        rng = np.random.default_rng(38)
+        for _ in range(2):
+            raw = {
+                name: rng.integers(0, 10_000, 50)
+                for name in ("l_extendedprice", "l_discount", "l_tax")
+            }
+            rel = Relation({
+                name: TypedArray(values, Kind.INT, 2)
+                for name, values in raw.items()
+            })
+            out = project_relation(rel, outputs)
+            disc = raw["l_extendedprice"] * (100 - raw["l_discount"])
+            assert out.column("disc").scale == 4
+            assert out.column("disc").values.tolist() == disc.tolist()
+            assert out.column("charge").scale == 6
+            assert out.column("charge").values.tolist() == (
+                disc * (100 + raw["l_tax"])
+            ).tolist()
+        assert calls[self.DISC] == calls[self.CHARGE] == 2
+        assert calls["(lit(1, int, s=0) - col('l_discount'))"] == 2
+
+    def test_once_per_span(self, small_db, monkeypatch):
+        from repro import tpch
+        from repro.engine import Engine
+
+        plan = tpch.query(1)
+        host = Engine(small_db).execute_relation(plan)
+        calls = self._counted(monkeypatch)
+        Engine(small_db).execute_relation(plan)
+        assert calls[self.DISC] == calls[self.CHARGE] == 1
+        calls.clear()
+        streamed = Engine(
+            small_db, morsels=MorselConfig(morsel_rows=8192, n_workers=1)
+        ).execute_relation(plan)
+        assert calls[self.DISC] == calls[self.CHARGE] > 1
+        assert_identical(streamed, host)

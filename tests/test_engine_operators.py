@@ -1,4 +1,4 @@
-"""Vectorised operator kernels: joins, grouping, sorting."""
+"""Vectorised operator kernels: joins, grouping, sorting, aggregates."""
 
 import numpy as np
 import pytest
@@ -16,12 +16,16 @@ from repro.engine.operators.grouping import (
 )
 from repro.engine.operators import joins
 from repro.engine.operators.joins import inner_join_indices, semi_join_mask
+from repro.engine.operators import relational
+from repro.engine.operators.relational import aggregate_relation
 from repro.engine.operators.sorting import (
     is_ascending,
     multi_key_order,
     stable_order,
 )
-from repro.sqlir.expr import Kind, TypedArray
+from repro.engine.relation import Relation
+from repro.sqlir.expr import AggFunc, Kind, TypedArray, col
+from repro.sqlir.plan import Aggregate, AggSpec, Scan
 from repro.storage.stringheap import StringHeap
 
 keys_lists = st.lists(st.integers(0, 20), max_size=50)
@@ -370,6 +374,104 @@ class TestGrouping:
         assert got == reference
 
 
+_EXACT = 2**53
+
+
+@st.composite
+def _fixed_point_column(draw):
+    """Group keys (one-row groups among them) and int64 fixed-point
+    values whose ``max|v| * rows`` lands just under, at or over 2**53,
+    well over it (float partial sums round), or whose sums wrap int64."""
+    n = draw(st.integers(1, 40))
+    keys = draw(st.lists(
+        st.integers(0, draw(st.integers(0, 6))), min_size=n, max_size=n
+    ))
+    bound = draw(st.one_of(
+        st.integers(-2, 2).map(lambda d: _EXACT // n + d),
+        st.integers(-2, 2).map(lambda d: (_EXACT - 1) // n + d),
+        st.integers(54, 62).map(lambda e: 2**e // n),
+        st.sampled_from([I64.max // n, I64.max]),
+        st.integers(1, 1000),
+    ))
+    edges = [bound, -bound, bound - 1, 1 - bound]
+    if bound == I64.max:
+        edges.append(I64.min)
+    # Same-sign values near the edge make partial sums grow with the
+    # rows; mixed ones cancel.
+    near_edge = st.integers(max(1, bound - 7), bound)
+    values = draw(st.one_of(
+        st.lists(
+            st.one_of(st.sampled_from(edges), st.integers(-bound, bound)),
+            min_size=n, max_size=n,
+        ),
+        st.lists(near_edge, min_size=n, max_size=n),
+        st.lists(near_edge.map(lambda v: -v), min_size=n, max_size=n),
+    ))
+    scale = draw(st.integers(0, 4))
+    return (np.array(keys, dtype=np.int64),
+            np.array(values, dtype=np.int64), scale)
+
+
+class TestSharedSums:
+    @given(_fixed_point_column(), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_sum_and_avg_equal_the_float_reference(self, column, avg_first):
+        keys, values, scale = column
+        rel = Relation({
+            "k": TypedArray(keys, Kind.INT, 0),
+            "v": TypedArray(values, Kind.INT, scale),
+        })
+        specs = [AggSpec("s", AggFunc.SUM, col("v")),
+                 AggSpec("a", AggFunc.AVG, col("v"))]
+        if avg_first:
+            specs.reverse()
+        out, groups = aggregate_relation(
+            rel, Aggregate(Scan("t"), ("k",), tuple(specs))
+        )
+        # The reference: SUM wraps in int64, AVG sums the values as
+        # floats in row order, as np.add.at does.
+        rows = groups.group_of_row
+        sums = np.zeros(groups.n_groups, dtype=np.int64)
+        np.add.at(sums, rows, values)
+        float_sums = np.zeros(groups.n_groups, dtype=np.float64)
+        np.add.at(float_sums, rows, values.astype(np.float64))
+        counts = np.bincount(rows, minlength=groups.n_groups)
+        means = np.where(
+            counts == 0, 0.0, float_sums / np.maximum(counts, 1)
+        )
+        if scale:
+            means = means / 10**scale
+        got_sum, got_avg = out.column("s"), out.column("a")
+        assert (got_sum.kind, got_sum.scale) == (Kind.INT, scale)
+        assert got_sum.values.dtype == np.int64
+        assert got_sum.values.tobytes() == sums.tobytes()
+        assert (got_avg.kind, got_avg.scale) == (Kind.FLOAT, 0)
+        assert got_avg.values.dtype == np.float64
+        assert got_avg.values.tobytes() == means.tobytes()
+
+    def test_one_operand_is_summed_once(self, monkeypatch):
+        calls = []
+        real = relational.aggregate_sum
+        monkeypatch.setattr(
+            relational, "aggregate_sum",
+            lambda values, groups: calls.append(values.dtype)
+            or real(values, groups),
+        )
+        rel = Relation({
+            "k": TypedArray(np.array([0, 1, 0]), Kind.INT, 0),
+            "v": TypedArray(np.array([5, 7, 9]), Kind.INT, 2),
+            "f": TypedArray(np.array([0.5, 1.5, 2.0]), Kind.FLOAT, 0),
+        })
+        specs = tuple(
+            AggSpec(f"{func.value}_{name}", func, col(name))
+            for name in ("v", "f") for func in (AggFunc.SUM, AggFunc.AVG)
+        )
+        out, _ = aggregate_relation(rel, Aggregate(Scan("t"), ("k",), specs))
+        assert calls == [np.int64, np.float64]
+        assert out.column("avg_v").values.tolist() == [0.07, 0.07]
+        assert out.column("avg_f").values.tolist() == [1.25, 1.5]
+
+
 def _assert_routes_agree(keys: list[np.ndarray]) -> None:
     """``group_rows`` ≡ the sort route: values, dtypes, group count."""
     _assert_same_groups(group_rows(keys), grouping._group_sorted(keys))
@@ -408,6 +510,53 @@ class TestGroupingRoutes:
     @settings(max_examples=300, deadline=None)
     def test_direct_route_equals_sort_route(self, keys):
         _assert_routes_agree(keys)
+        # group_rows sends tiny grids elsewhere; the direct route itself
+        # must still agree on every grid within its budget.
+        grid = grouping._grid_cells(keys)
+        if grid is not None:
+            _assert_same_groups(
+                grouping._group_direct(*grid), grouping._group_sorted(keys)
+            )
+
+    @given(_key_sets(), st.integers(1, 50))
+    @settings(max_examples=300, deadline=None)
+    def test_tiny_route_equals_sort_route(self, keys, prefix):
+        # A first prefix shorter than the input makes the first-row
+        # search grow, chunk by chunk.
+        cell, cells = grouping._grid_cells(keys, grouping.RADIX_CELLS)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grouping, "_TINY_PREFIX", prefix)
+            got = grouping._group_tiny(cell, cells)
+        _assert_same_groups(got, grouping._group_sorted(keys))
+        assert got.counts.dtype == np.int64
+        assert got.counts.tolist() == np.bincount(got.group_of_row).tolist()
+        with pytest.raises(ValueError):
+            got.counts[0] = 7
+
+    def test_tiny_grids_take_the_tiny_route(self, monkeypatch):
+        tiny = []
+        real = grouping._group_tiny
+        monkeypatch.setattr(
+            grouping, "_group_tiny",
+            lambda cell, cells: tiny.append(cells) or real(cell, cells),
+        )
+        n = 3 * grouping._RUN_MIN_ROWS
+        rows = np.arange(n)
+        # Q1's 3 x 2 flag grid, one cell first seen on the last row (the
+        # prefix grows to the end), and the same keys in sorted order,
+        # which the run route would otherwise take.
+        flags = [rows % 3, rows % 2]
+        late = [rows % 3, np.where(rows == n - 1, 2, rows % 2)]
+        ordered = [np.sort(k) for k in flags]
+        edge = grouping._TINY_GRID_CELLS
+        for keys, cells in ((flags, 6), (late, 9), (ordered, 6),
+                            ([rows % edge], edge)):
+            tiny.clear()
+            _assert_routes_agree(keys)
+            assert tiny == [cells]
+        tiny.clear()
+        _assert_routes_agree([rows % (edge + 1)])
+        assert tiny == []
 
     @given(_key_sets(), st.sampled_from(["ascending", "blocks", "unsorted"]),
            st.integers(2, 5))

@@ -279,6 +279,33 @@ def test_device_fault_falls_back_bit_identical(tiny_db):
     assert get_degraded()["reason"] == "host fallback after device fault"
 
 
+def test_device_fault_rolls_back_the_work_done(tiny_db, monkeypatch):
+    """A device fault strikes once the subtree's first Table Task has
+    run, so the fallback has real device work to undo: Q6's one
+    subtree streamed its flash pages before the fault, and after the
+    rollback every device meter reads as if the device never ran."""
+    from repro.core.device import AquomanDevice, DeviceMeters
+
+    plan = tpch.query(6)
+    config = DeviceConfig(scale_ratio=1000.0 / 0.001)
+    streamed = []
+    real = AquomanDevice.run_table_task
+
+    def spy(device, *args):
+        out = real(device, *args)
+        streamed.append(device.meters.flash_bytes)
+        return out
+
+    monkeypatch.setattr(AquomanDevice, "run_table_task", spy)
+    set_fault_injector(_injector(device_fault_rate=1.0))
+    faulted = AquomanSimulator(tiny_db, config).run(plan, query="q06")
+    assert len(streamed) == 1 and streamed[0] > 0
+    assert faulted.device.meters == DeviceMeters()
+    assert faulted.trace.aquoman_flash_bytes == 0
+    assert faulted.tasks == []
+    assert not faulted.offloaded
+
+
 def test_worker_crash_budget_exhaustion_raises(small_db):
     plan = tpch.query(6)
     set_fault_injector(
