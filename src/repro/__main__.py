@@ -19,11 +19,11 @@ Commands:
   ``--ring-capacity`` sizes its span rings, and ``--json`` /
   ``--strict`` shape the report.
 
-``query`` and ``evaluate`` also accept ``--trace-out`` /
-``--metrics-out`` and ``--query-log FILE`` to append one wide event
-per query (add ``--qlog-sample-k`` / ``--qlog-trace-dir`` for
-tail-sampled full traces).  One :func:`_obs_session` runs that
-sequence for both.
+``query`` and ``evaluate`` also record a run two ways: ``--trace-out``
+writes its Chrome trace and ``--query-log FILE`` appends one wide event
+per query.  Every span in the trace carries its query's ``qid``, so
+one query's part of the trace is a filter over it.  One
+:func:`_obs_session` runs that sequence for both.
 
 SQL that does not parse or plan, or a plan the strict analyzer
 rejects, prints one ``error: …`` line on stderr and exits 2.  An
@@ -49,10 +49,8 @@ from repro.engine.morsel import (
     MorselConfig,
 )
 from repro.obs import (
-    METRICS,
     QueryLog,
     Tracer,
-    prometheus_text,
     set_global_tracer,
     set_query_log,
     validate_chrome_trace,
@@ -119,23 +117,9 @@ def _add_trace_out(parser: argparse.ArgumentParser) -> None:
 def _add_obs(parser: argparse.ArgumentParser) -> None:
     _add_trace_out(parser)
     parser.add_argument(
-        "--metrics-out", metavar="FILE",
-        help="write Prometheus text-exposition metrics",
-    )
-    parser.add_argument(
         "--query-log", metavar="FILE",
         help="append one wide event per query (JSONL): fingerprint, "
         "wall time, critical-path buckets, counters, faults",
-    )
-    parser.add_argument(
-        "--qlog-sample-k", type=int, default=0, metavar="K",
-        help="tail sampling: retain full Chrome traces for the "
-        "slowest K queries (plus all faulted / suspend-mispredicted "
-        "ones); 0 disables trace retention (default)",
-    )
-    parser.add_argument(
-        "--qlog-trace-dir", metavar="DIR",
-        help="directory for tail-sampled traces (with --qlog-sample-k)",
     )
 
 
@@ -164,28 +148,20 @@ def _obs_session(
 ) -> Iterator[Tracer | None]:
     """One command's observability session.
 
-    Yields a live tracer when any export was requested, else ``None``
-    and does nothing.  Around the block: fresh
-    metrics, the tracer installed as the ambient one (so module-level
-    spans — storage I/O, the analysis passes, injector fault instants —
-    land in the same timeline) and the query log installed; after it:
-    both uninstalled, the log summarised, a dropped-span warning, and
-    the ``--trace-out`` / ``--metrics-out`` exports stamped with
-    ``metadata`` (a dict the caller may fill in during the block).
+    Yields a live tracer when either record was requested, else
+    ``None`` and does nothing.  Around the block: the
+    tracer installed as the ambient one (so module-level spans —
+    storage I/O, the analysis passes, injector fault instants — land
+    in the same timeline) and the query log installed; after it: both
+    uninstalled, the log summarised, a dropped-span warning, and the
+    ``--trace-out`` export stamped with ``metadata`` (a dict the
+    caller may fill in during the block).
     """
-    query_log = args.query_log
-    if not (query_log or args.trace_out or args.metrics_out):
+    if not (args.query_log or args.trace_out):
         yield None
         return
-    METRICS.reset()
     tracer = Tracer()
-    log = None
-    if query_log:
-        log = QueryLog(
-            query_log,
-            sample_slowest_k=args.qlog_sample_k,
-            trace_dir=args.qlog_trace_dir,
-        )
+    log = QueryLog(args.query_log) if args.query_log else None
     set_global_tracer(tracer)
     set_query_log(log)
     try:
@@ -202,7 +178,7 @@ def _obs_session(
 
 
 def _export_obs(tracer: Tracer, args, **metadata) -> None:
-    if getattr(args, "trace_out", None):
+    if args.trace_out:
         doc = write_chrome_trace(tracer, args.trace_out,
                                  metadata=metadata)
         problems = validate_chrome_trace(doc)
@@ -212,10 +188,6 @@ def _export_obs(tracer: Tracer, args, **metadata) -> None:
             )
         print(f"chrome trace: {args.trace_out} "
               f"(load in chrome://tracing)", file=sys.stderr)
-    if getattr(args, "metrics_out", None):
-        with open(args.metrics_out, "w") as fh:
-            fh.write(prometheus_text(METRICS))
-        print(f"metrics: {args.metrics_out}", file=sys.stderr)
 
 
 def cmd_query(args) -> int:

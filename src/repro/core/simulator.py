@@ -544,8 +544,7 @@ class AquomanSimulator:
         # compiler, so only over the classes it can decide at plan
         # time: a heap guard tripping at run time is its miss, a group
         # spill or a DRAM overflow (AQ2xx's to bracket; the doctor
-        # scores those) is not.  A miss marks the query for
-        # tail-sampled retention.
+        # scores those) is not.
         predicted = compiled.suspend_reasons() & REAL_SUSPENSIONS
         scope.annotate(
             suspend={

@@ -11,13 +11,13 @@ this package is to the Python runtime's *actual* behaviour:
 ``metrics``
     :class:`MetricsRegistry` — process-wide counters / gauges /
     histograms (pages read and skipped, cache hits, suspensions,
-    rows per stage) updated at batch granularity from the hot paths.
+    rows per stage), keyed by name and updated at batch granularity
+    from the hot paths; each query's movement lands in its wide event.
 ``export``
     Chrome trace-event JSON (``chrome://tracing`` / Perfetto, one lane
-    per worker process and device stage) and Prometheus text
-    exposition; plus the validators the CI smoke job runs against
-    every export — one JSON-schema interpreter for the
-    Chrome trace and the wide event, one Prometheus grammar check.
+    per worker process and device stage), and the one JSON-schema
+    interpreter that validates both documents the package writes: the
+    Chrome trace and the wide event.
 ``critpath``
     Span-forest reconstruction and critical-path extraction — which
     lane gated a run, with per-lane utilization and bottleneck
@@ -27,6 +27,12 @@ this package is to the Python runtime's *actual* behaviour:
     The ambient state: per-query identity and the process-wide
     degraded flag (``context``); the query log and its wide events
     (``qlog``).
+
+A run is recorded twice, and only twice: one wide event per query
+(``--query-log``) and one Chrome trace of the whole run
+(``--trace-out``), whose spans each carry their query's ``qid``.
+Nothing here outlives the process: there is no scrape endpoint and no
+time series.
 
 Layering: this package imports nothing from the rest of ``repro`` (the
 executors, storage and analysis import *us*), so it can be threaded
@@ -57,9 +63,7 @@ from repro.obs.qlog import (
 )
 from repro.obs.export import (
     chrome_trace,
-    prometheus_text,
     validate_chrome_trace,
-    validate_prometheus_text,
     write_chrome_trace,
 )
 from repro.obs.metrics import (
@@ -106,12 +110,10 @@ __all__ = [
     "set_degraded",
     "set_query_context",
     "set_query_log",
-    "prometheus_text",
     "set_global_tracer",
     "traced",
     "validate_wide_event",
     "warn_dropped_spans",
     "validate_chrome_trace",
-    "validate_prometheus_text",
     "write_chrome_trace",
 ]

@@ -1,4 +1,4 @@
-"""The query log: one wide event per query, with tail sampling.
+"""The query log: one wide event per query.
 
 A **wide event** is the per-query ledger AQUOMAN's analysis is made
 of: one JSON object carrying the plan fingerprint, backend, wall time,
@@ -6,7 +6,10 @@ per-bucket critical-path attribution (:mod:`repro.obs.critpath`), the
 movement of every metric the query caused
 (:meth:`~repro.obs.metrics.MetricsRegistry.delta` — no cross-query
 bleed), fault/retry counts, suspend predictions vs. actuals, and the
-dropped-span count.  Events append to a JSONL file.
+spans the query lost to ring wrap-around.  Events append to a JSONL
+file.  The run's other record is its Chrome trace (``--trace-out``):
+every span in it carries its query's ``qid``, so one query's spans are
+a filter over the whole-run trace.
 
 **Ownership.**  :func:`query_scope` is entered by both
 :meth:`~repro.engine.executor.Engine.execute_relation` and
@@ -17,22 +20,12 @@ it as the ambient (so every span and fault instant is stamped with the
 (the simulator's inner :class:`~repro.core.simulator.HybridEngine`,
 re-entrant fragments) see an active context and become passive.
 
-**Tail sampling.**  Full Chrome traces are large; wide events are
-small.  With ``sample_slowest_k``/``trace_dir`` set, the log keeps
-complete traces only for queries that are (a) among the slowest *k* so
-far, (b) faulted, or (c) suspend-mispredicted — the three populations
-worth a deep dive — and evicts the trace of whichever query falls out
-of the slowest-*k* heap.  The wide-event row itself is always
-appended; its ``trace_path`` may point at an evicted file.
-
 Layering: imports sibling ``obs`` modules only, never the engine.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -47,12 +40,8 @@ from repro.obs.context import (
     sql_digest,
 )
 from repro.obs.critpath import analyze_records
-from repro.obs.export import chrome_trace, load_schema, validate_json
-from repro.obs.metrics import (
-    LATENCY_BUCKETS_MS,
-    METRICS,
-    MetricsRegistry,
-)
+from repro.obs.export import load_schema, validate_json
+from repro.obs.metrics import METRICS
 from repro.obs.spans import INSTANT
 
 __all__ = [
@@ -65,7 +54,7 @@ __all__ = [
     "warn_dropped_spans",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def warn_dropped_spans(n_dropped: int, where: str,
@@ -74,42 +63,27 @@ def warn_dropped_spans(n_dropped: int, where: str,
 
     Shared by ``doctor``, every ``--trace-out`` / ``--query-log`` run
     and wide-event emission so a truncated trace is never silently
-    presented as complete.
+    presented as complete.  The remedy names its command: only
+    ``repro doctor`` has ``--ring-capacity``; ``query``, ``evaluate``
+    and library callers reach the same knob through ``Tracer``.
     """
     if n_dropped <= 0:
         return
     print(
         f"WARNING: {n_dropped} spans dropped by ring wrap-around "
-        f"({where}); raise --ring-capacity for a complete trace",
+        f"({where}); the trace is incomplete (repro doctor "
+        f"--ring-capacity N, or Tracer(ring_capacity=N), records more)",
         file=stream if stream is not None else sys.stderr,
     )
 
 
 class QueryLog:
-    """Appends wide events to JSONL; optionally retains sampled traces."""
+    """Appends wide events to a JSONL file."""
 
-    def __init__(
-        self,
-        path: str,
-        *,
-        sample_slowest_k: int = 0,
-        trace_dir: str | None = None,
-        registry: MetricsRegistry | None = None,
-    ):
+    def __init__(self, path: str):
         self.path = path
-        self.sample_slowest_k = sample_slowest_k
-        self.trace_dir = trace_dir
-        self.registry = registry if registry is not None else METRICS
         self.n_emitted = 0
         self._fh: Any = None
-        # Per-backend fleet children, cached so emit() skips the
-        # registry get-or-create and label canonicalization each time.
-        self._fleet: dict[str, tuple[Any, Any]] = {}
-        # Min-heap of (wall_ms, query_id, trace_path): the root is the
-        # fastest retained query — first out when a slower one arrives.
-        self._slowest: list[tuple[float, int, str]] = []
-
-    # -- emission --------------------------------------------------------------
 
     def emit(self, doc: dict[str, Any]) -> None:
         # The handle stays open across queries (reopening per event
@@ -120,118 +94,11 @@ class QueryLog:
         self._fh.write(json.dumps(doc) + "\n")
         self._fh.flush()
         self.n_emitted += 1
-        self._record_fleet_metrics(doc)
-
-    def _record_fleet_metrics(self, doc: dict[str, Any]) -> None:
-        """Fold the finished query into the fleet instruments.
-
-        These ``query.*`` series are what ``--metrics-out`` exports
-        for a scraper to turn into QPS, p99 and fault/mispredict burn
-        rates (README "Metrics for a scraper").  Labels carry the
-        backend only — the fingerprint stays in the wide event, per the
-        cardinality policy (DESIGN.md §13).  Recording happens *after*
-        the event's own counter delta was collected, so a query's
-        ledger never contains its own fleet bookkeeping.
-        """
-        registry = self.registry
-        backend = str(doc.get("backend") or "unknown")
-        cached = self._fleet.get(backend)
-        if cached is None:
-            cached = (
-                registry.counter(
-                    "query.completed", "Queries finished (any outcome)"
-                ).labels(backend=backend),
-                registry.histogram(
-                    "query.latency_ms",
-                    "End-to-end query wall time (ms)",
-                    buckets=LATENCY_BUCKETS_MS,
-                ).labels(backend=backend),
-            )
-            self._fleet[backend] = cached
-        completed, latency = cached
-        completed.inc()
-        latency.observe(float(doc.get("wall_ms", 0.0)))
-        if doc.get("faults"):
-            registry.counter(
-                "query.faulted", "Queries that saw injected faults"
-            ).labels(backend=backend).inc()
-        suspend = doc.get("suspend") or {}
-        if suspend.get("mispredicted"):
-            registry.counter(
-                "query.suspend_mispredicted",
-                "Queries whose suspend prediction missed",
-            ).labels(backend=backend).inc()
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    # -- tail sampling ---------------------------------------------------------
-
-    def sampling_enabled(self) -> bool:
-        return bool(self.trace_dir) and self.sample_slowest_k > 0
-
-    def maybe_retain_trace(
-        self, doc: dict[str, Any],
-        records: list[tuple[str, tuple]],
-        epoch_ns: int,
-    ) -> str | None:
-        """Decide retention for one query's trace; write it if kept.
-
-        Returns the trace path when retained.  Faulted and
-        suspend-mispredicted queries are always kept (they never enter
-        the slowest-k heap, so they cannot be evicted by fast queries);
-        everything else competes on wall time.
-        """
-        if not self.sampling_enabled():
-            return None
-        faulted = bool(doc.get("faults"))
-        suspend = doc.get("suspend") or {}
-        mispredicted = bool(suspend.get("mispredicted"))
-        wall_ms = float(doc.get("wall_ms", 0.0))
-        keep_always = faulted or mispredicted
-        if not keep_always:
-            if (
-                len(self._slowest) >= self.sample_slowest_k
-                and wall_ms <= self._slowest[0][0]
-            ):
-                return None
-        path = self._write_trace(doc, records, epoch_ns)
-        if not keep_always:
-            heapq.heappush(
-                self._slowest, (wall_ms, doc["query_id"], path)
-            )
-            if len(self._slowest) > self.sample_slowest_k:
-                _, _, evicted = heapq.heappop(self._slowest)
-                try:
-                    os.unlink(evicted)
-                except OSError:
-                    pass
-        return path
-
-    def _write_trace(
-        self, doc: dict[str, Any],
-        records: list[tuple[str, tuple]],
-        epoch_ns: int,
-    ) -> str:
-        os.makedirs(self.trace_dir, exist_ok=True)
-        # query_id is process-monotonic; the fingerprint disambiguates
-        # runs from different processes sharing one trace dir.
-        path = os.path.join(
-            self.trace_dir,
-            f"q{doc['query_id']:06d}-{doc['fingerprint'][:8]}.trace.json",
-        )
-        trace_doc = chrome_trace(
-            records, epoch_ns, int(doc.get("spans_dropped", 0)),
-            metadata={
-                "query_id": doc["query_id"],
-                "fingerprint": doc["fingerprint"],
-            },
-        )
-        with open(path, "w") as fh:
-            json.dump(trace_doc, fh)
-        return path
 
 
 # The ambient query log: installed by the CLI for a run's duration so
@@ -264,7 +131,7 @@ class QueryScope:
     """
 
     __slots__ = ("ctx", "owner", "_log", "_tracer", "_t0_ns",
-                 "_delta", "_fault_base", "annotations")
+                 "_delta", "_span_mark", "_fault_base", "annotations")
 
     def __init__(self, ctx: QueryContext | None, owner: bool,
                  log: QueryLog | None, tracer: Any):
@@ -287,8 +154,13 @@ class QueryScope:
     # -- owner internals -------------------------------------------------------
 
     def _open(self) -> None:
-        self._delta = (
-            self._log.registry.delta() if self._log is not None else None
+        log = self._log
+        self._delta = METRICS.delta() if log is not None else None
+        tracer = self._tracer
+        self._span_mark = (
+            tracer.mark()
+            if log is not None and getattr(tracer, "enabled", False)
+            else None
         )
         injector = _get_injector()
         self._fault_base = (
@@ -302,7 +174,7 @@ class QueryScope:
         if log is None:
             return
         doc = self._build_event(t1_ns)
-        if getattr(self._tracer, "enabled", False):
+        if self._span_mark is not None:
             records = [
                 (lane, rec)
                 for lane, rec in self._tracer.records()
@@ -310,13 +182,8 @@ class QueryScope:
                 and (rec[3] == INSTANT or rec[2] + rec[3] <= t1_ns + 1)
             ]
             doc["critpath"] = _critpath_section(records)
-            trace_path = log.maybe_retain_trace(
-                doc, records, self._tracer.epoch_ns
-            )
-            if trace_path is not None:
-                doc["trace_path"] = trace_path
         warn_dropped_spans(
-            int(doc.get("spans_dropped", 0)),
+            doc["spans_dropped"],
             f"query {doc['query_id']} ({doc['query'] or 'unnamed'})",
         )
         log.emit(doc)
@@ -332,8 +199,10 @@ class QueryScope:
             "seed": ctx.seed,
             "ts_unix": time.time(),
             "wall_ms": (t1_ns - self._t0_ns) / 1e6,
-            "spans_dropped": int(
-                getattr(self._tracer, "n_dropped", 0) or 0
+            # This query's own loss, not the tracer's running total.
+            "spans_dropped": (
+                self._tracer.dropped_since(self._span_mark)
+                if self._span_mark is not None else 0
             ),
             "critpath": None,
             "counters": (
@@ -342,7 +211,6 @@ class QueryScope:
             "faults": self._fault_section(),
             "suspend": None,
             "analysis": None,
-            "trace_path": None,
         }
         # Well-known annotations land as top-level sections; the rest
         # ride in "annotations" untyped.

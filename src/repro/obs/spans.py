@@ -75,6 +75,11 @@ class _Ring:
         self.cursor = (self.cursor + 1) % self.capacity
         self.dropped += 1
 
+    @property
+    def appended(self) -> int:
+        """Records ever appended: those held plus those evicted."""
+        return len(self.records) + self.dropped
+
     def in_order(self) -> list[SpanRecord]:
         """Records oldest-first (un-rotating the ring)."""
         return self.records[self.cursor:] + self.records[:self.cursor]
@@ -202,6 +207,22 @@ class Tracer:
     @property
     def n_dropped(self) -> int:
         return sum(ring.dropped for ring in self._rings.values())
+
+    def mark(self) -> dict[str, int]:
+        """Records appended so far, per lane: the baseline of
+        :meth:`dropped_since`."""
+        return {lane: ring.appended for lane, ring in self._rings.items()}
+
+    def dropped_since(self, mark: dict[str, int]) -> int:
+        """Of the records appended since ``mark``, how many the rings
+        no longer hold.  A ring keeps its newest ``capacity`` records,
+        so a lane that took ``n`` since the mark lost ``n - capacity``
+        of them, if that is positive; evictions of older records are
+        not counted."""
+        return sum(
+            max(0, ring.appended - mark.get(lane, 0) - ring.capacity)
+            for lane, ring in self._rings.items()
+        )
 
     def total_ns(self, name: str) -> int:
         """Summed duration of every span with ``name`` (instants = 0)."""

@@ -76,7 +76,7 @@ def _load_heap(path: Path, count: int | None, label: str) -> StringHeap:
         raise ValueError(
             f"{label}: heap file holds {held} strings, manifest says {count}"
         )
-    return StringHeap.from_stored(payload, count)
+    return StringHeap.from_stored(payload, count, label)
 
 
 def _column_type(meta: dict, label: str) -> ColumnType:

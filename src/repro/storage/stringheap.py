@@ -119,6 +119,8 @@ class StringHeap:
         # table frames it in place: a NUL before and after the payload.
         self._stored: bytes | None = None
         self._framed = False
+        # What an error about the stored bytes names (``table.column``)
+        self._name = "string heap"
         self._strings: list[str] | None = []
         # None until the first look-up builds it from ``_strings``
         self._codes: dict[str, int] | None = {}
@@ -141,13 +143,18 @@ class StringHeap:
         return heap, codes
 
     @classmethod
-    def from_stored(cls, payload: bytes, count: int) -> "StringHeap":
+    def from_stored(
+        cls, payload: bytes, count: int, name: str = "string heap"
+    ) -> "StringHeap":
         """The heap of ``count`` code-ordered strings stored as
         ``payload``: UTF-8, separated by NUL bytes.  ``b""`` holds no
         string when ``count`` is 0 and the one string ``""`` when it is
         1; the caller has checked that ``payload`` holds ``count - 1``
-        separators.  Nothing is decoded here."""
+        separators.  Nothing is decoded or checked here: the first
+        split or LIKE checks the UTF-8 and raises ``ValueError``
+        naming ``name`` (the column's ``table.column``) if it is not."""
         heap = cls()
+        heap._name = name
         heap._stored = payload
         heap._strings = None
         heap._codes = None
@@ -173,7 +180,7 @@ class StringHeap:
         strings = self._strings
         if strings is None:
             strings = (
-                self._stored.decode().split("\x00") if self._count else []
+                self._decoded().split("\x00") if self._count else []
             )
             if self._framed:
                 strings = strings[1:-1]
@@ -182,6 +189,20 @@ class StringHeap:
             self._framed = False
         return strings
 
+    def _decoded(self) -> str:
+        """The stored form as text; invalid UTF-8 is a ``ValueError``
+        that names the column and the string's code.  (Framing checks
+        the bytes first, so a framed heap always decodes.)"""
+        stored = self._stored
+        try:
+            return stored.decode()
+        except UnicodeDecodeError as exc:
+            code = stored.count(b"\x00", 0, exc.start)
+            raise ValueError(
+                f"{self._name}: heap string {code} is not valid UTF-8 "
+                f"({exc.reason} at byte {exc.start})"
+            ) from None
+
     def _framed_from(self, start: int) -> bytes:
         """Codes ``start`` onward as NUL-framed UTF-8 (see
         :func:`like_verdicts`).  An unsplit heap frames its stored form
@@ -189,6 +210,8 @@ class StringHeap:
         stored = self._stored
         if stored is not None:
             if not self._framed:
+                if not stored.isascii():
+                    self._decoded()  # raises on invalid UTF-8
                 # Replaced, not kept beside: freeing the loaded bytes
                 # (and the first concatenation) raises glibc's dynamic
                 # mmap threshold as splitting did; a kept copy more

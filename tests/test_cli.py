@@ -7,7 +7,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.engine.procpool import process_backend_available
-from repro.obs import validate_chrome_trace, validate_prometheus_text
+from repro.obs import validate_chrome_trace, validate_wide_event
 
 
 class TestCli:
@@ -52,12 +52,21 @@ class TestCli:
         (["analyze", "99"], "invalid choice: 99 (choose from 1, 2,"),
         (["query", "6", "--sf", "0"], "--sf: must be a positive number"),
         (["chaos", "6"], "invalid choice: 'chaos'"),
+        # Observability flags that left with the Prometheus file and
+        # tail sampling: a run is its wide events and its Chrome trace.
+        (["query", "6", "--metrics-out", "m.prom"],
+         "unrecognized arguments: --metrics-out"),
+        (["query", "6", "--qlog-sample-k", "2"],
+         "unrecognized arguments: --qlog-sample-k"),
+        (["evaluate", "--qlog-trace-dir", "traces"],
+         "unrecognized arguments: --qlog-trace-dir"),
     ])
     def test_bad_argument_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
+        assert err.startswith("usage: ")
         assert message in err
         assert "Traceback" not in err
 
@@ -124,7 +133,7 @@ class TestCli:
                 out = capsys.readouterr().out
                 assert token.split()[0] in out, (command, token)
                 checked += 1
-        assert checked >= 8
+        assert checked >= 6
 
     def test_query_with_trace_out(self, capsys, tmp_path):
         trace = tmp_path / "q01.trace.json"
@@ -156,8 +165,6 @@ class TestQueryLogCli:
         ]
 
     def test_query_log_events_validate(self, capsys, tmp_path):
-        from repro.obs import validate_wide_event
-
         events = self._run_log(tmp_path)
         # host engine run + device simulator run
         assert [e["backend"] for e in events] == ["serial", "device"]
@@ -166,24 +173,18 @@ class TestQueryLogCli:
             assert event["critpath"] is not None
         assert "query log:" in capsys.readouterr().err
 
-    def test_tail_sampling_writes_traces(self, capsys, tmp_path):
+    def test_every_event_is_in_the_trace(self, capsys, tmp_path):
+        # The run's two records agree: each wide event's query_id is a
+        # span qid in the whole-run Chrome trace.
+        trace = tmp_path / "run.trace.json"
         events = self._run_log(
-            tmp_path,
-            extra=[
-                "--qlog-sample-k", "2",
-                "--qlog-trace-dir", str(tmp_path / "traces"),
-            ],
+            tmp_path, extra=["--trace-out", str(trace)]
         )
-        kept = [e for e in events if e["trace_path"]]
-        assert kept
-        for event in kept:
-            with open(event["trace_path"]) as fh:
-                doc = json.load(fh)
-            assert validate_chrome_trace(doc) == []
-
-    def test_metrics_out_carries_the_fleet_series(self, capsys, tmp_path):
-        metrics = tmp_path / "q06.prom"
-        self._run_log(tmp_path, extra=["--metrics-out", str(metrics)])
-        text = metrics.read_text()
-        assert validate_prometheus_text(text) == []
-        assert "repro_query_completed_total" in text
+        doc = json.loads(trace.read_text())
+        assert validate_chrome_trace(doc) == []
+        qids = {
+            e["args"]["qid"] for e in doc["traceEvents"]
+            if "qid" in e.get("args", {})
+        }
+        assert len(events) == 2
+        assert {e["query_id"] for e in events} <= qids

@@ -1,4 +1,4 @@
-"""The observability layer: spans, metrics, exporters."""
+"""The observability layer: spans, metrics, the Chrome exporter."""
 
 import json
 import threading
@@ -18,7 +18,6 @@ from repro.obs import (
     Tracer,
     chrome_trace,
     get_tracer,
-    prometheus_text,
     set_global_tracer,
     traced,
     validate_chrome_trace,
@@ -233,22 +232,6 @@ class TestChromeExport:
         assert validate_chrome_trace(negative) == [
             "$.traceEvents[0].dur: -5 is below the minimum 0"
         ]
-
-
-class TestPrometheusExport:
-    def test_text_exposition(self):
-        reg = MetricsRegistry()
-        reg.counter("flash.pages_read", "pages").inc(3)
-        reg.gauge("cache.hit_ratio").set(0.25)
-        reg.histogram("rows", buckets=(1.0, 10.0)).observe(5)
-        text = prometheus_text(reg)
-        assert "# TYPE repro_flash_pages_read_total counter" in text
-        assert "repro_flash_pages_read_total 3" in text
-        assert "repro_cache_hit_ratio 0.25" in text
-        assert 'repro_rows_bucket{le="10"} 1' in text
-        assert 'repro_rows_bucket{le="+Inf"} 1' in text
-        assert "repro_rows_count 1" in text
-        assert text.endswith("\n")
 
 
 class TestExecutorIntegration:

@@ -1,4 +1,4 @@
-"""Query-lifecycle wide events: ids, scopes, sampling.
+"""Query-lifecycle wide events: ids, scopes, per-query ledgers.
 
 The contract under test: every span and fault instant a query produces
 carries that query's ``qid`` — across the serial and process
@@ -9,7 +9,6 @@ the checked-in JSON schema.
 """
 
 import json
-import os
 
 import pytest
 
@@ -203,81 +202,6 @@ class TestMetricsDelta:
         assert delta.collect() == {"x.ms": {"count": 1, "sum": 4.0}}
 
 
-class TestFleetMetrics:
-    """``QueryLog.emit`` folds each query into the labeled ``query.*``
-    instruments a scraper of ``--metrics-out`` turns into QPS, p99 and
-    burn rates."""
-
-    @pytest.fixture()
-    def fleet(self, tmp_path):
-        registry = MetricsRegistry()
-        log = QueryLog(str(tmp_path / "qlog.jsonl"), registry=registry)
-        yield registry, log
-        log.close()
-
-    def test_one_labeled_child_per_backend(self, fleet):
-        registry, log = fleet
-        for qid, (backend, wall_ms) in enumerate(
-            [("serial", 3.0), ("process", 5.0), ("serial", 4.0)], 1
-        ):
-            log.emit({"query_id": qid, "backend": backend,
-                      "wall_ms": wall_ms})
-        snap = registry.snapshot()
-        assert snap["query.completed{backend=serial}"] == 2
-        assert snap["query.completed{backend=process}"] == 1
-        assert snap["query.latency_ms{backend=serial}"]["sum"] == 7.0
-        assert snap["query.latency_ms{backend=process}"]["count"] == 1
-        assert not any(k.startswith("query.faulted{") for k in snap)
-
-    def test_faulted_and_mispredicted_bump_their_counters(self, fleet):
-        registry, log = fleet
-        log.emit({"query_id": 1, "backend": "device", "wall_ms": 9.0,
-                  "faults": {"counts": {"device_fault": 1}},
-                  "suspend": {"mispredicted": True}})
-        log.emit({"query_id": 2, "backend": "device", "wall_ms": 9.0,
-                  "faults": None, "suspend": {"mispredicted": False}})
-        snap = registry.snapshot()
-        assert snap["query.completed{backend=device}"] == 2
-        assert snap["query.faulted{backend=device}"] == 1
-        assert snap["query.suspend_mispredicted{backend=device}"] == 1
-
-    def test_injected_faults_reach_the_fleet_counters(
-        self, small_db, tmp_path
-    ):
-        registry = MetricsRegistry()
-        log = QueryLog(str(tmp_path / "qlog.jsonl"), registry=registry)
-        set_query_log(log)
-        set_fault_injector(FaultInjector(FaultPlan(
-            seed=7, config=FaultConfig(device_fault_rate=1.0)
-        )))
-        try:
-            AquomanSimulator(small_db, DeviceConfig()).run(
-                tpch.query(6), query="q06"
-            )
-        finally:
-            set_fault_injector(None)
-            set_query_log(None)
-            log.close()
-            clear_degraded()  # the host fallback flipped it
-        snap = registry.snapshot()
-        assert snap["query.completed{backend=device}"] == 1
-        assert snap["query.faulted{backend=device}"] == 1
-
-    def test_own_ledger_excludes_fleet_bookkeeping(self, small_db, qlog):
-        # The log records into the same registry the event's counter
-        # delta is taken from; recording after collect() keeps a
-        # query's ledger free of its own query.* bookkeeping.
-        for _ in range(2):
-            Engine(small_db).execute_relation(tpch.query(6))
-        assert qlog.registry.snapshot()[
-            "query.completed{backend=serial}"
-        ] >= 2
-        for event in _events(qlog):
-            assert not any(
-                k.startswith("query.") for k in event["counters"]
-            )
-
-
 class TestQidPropagation:
     """Satellite 4: qid on 100% of spans and fault events."""
 
@@ -362,6 +286,7 @@ class TestQidPropagation:
         finally:
             set_fault_injector(None)
             set_global_tracer(None)
+            clear_degraded()  # the host fallback set it
         event = _events(qlog)[0]
         assert event["faults"]["counts"]["host_fallbacks"] >= 1
         fallbacks = [
@@ -422,95 +347,11 @@ class TestQueryLogFile:
     def test_two_runs_append_to_one_log(self, tmp_path):
         path = str(tmp_path / "qlog.jsonl")
         for wall in (100.0, 104.0):  # two runs append to one log
-            log = QueryLog(path, registry=MetricsRegistry())
+            log = QueryLog(path)
             log.emit({"query": "q06", "fingerprint": "a" * 16,
                       "wall_ms": wall})
             log.close()
         assert [e["wall_ms"] for e in _events(log)] == [100.0, 104.0]
-
-
-class TestTailSampling:
-    def _doc(self, qid, wall_ms, faults=None, mispredicted=False):
-        return {
-            "query_id": qid,
-            "query": f"q{qid:02d}",
-            "fingerprint": "f" * 16,
-            "wall_ms": wall_ms,
-            "spans_dropped": 0,
-            "faults": faults,
-            "suspend": {"mispredicted": mispredicted},
-        }
-
-    def _records(self):
-        return [
-            ("main", ("engine.query", None, 1000, 500, 0, 500, None)),
-        ]
-
-    def test_slowest_k_retention_and_eviction(self, tmp_path):
-        log = QueryLog(
-            str(tmp_path / "qlog.jsonl"),
-            sample_slowest_k=1,
-            trace_dir=str(tmp_path / "traces"),
-        )
-        kept = log.maybe_retain_trace(
-            self._doc(1, 10.0), self._records(), 0
-        )
-        assert kept and os.path.exists(kept)
-        # Faster query loses the k=1 contest: no trace written.
-        assert log.maybe_retain_trace(
-            self._doc(2, 1.0), self._records(), 0
-        ) is None
-        # Slower query wins and evicts the previous champion's file.
-        winner = log.maybe_retain_trace(
-            self._doc(3, 20.0), self._records(), 0
-        )
-        assert winner and os.path.exists(winner)
-        assert not os.path.exists(kept)
-
-    def test_faulted_and_mispredicted_always_kept(self, tmp_path):
-        log = QueryLog(
-            str(tmp_path / "qlog.jsonl"),
-            sample_slowest_k=1,
-            trace_dir=str(tmp_path / "traces"),
-        )
-        slow = log.maybe_retain_trace(
-            self._doc(1, 100.0), self._records(), 0
-        )
-        faulted = log.maybe_retain_trace(
-            self._doc(2, 0.1, faults={"counts": {"page_errors": 1}}),
-            self._records(), 0,
-        )
-        mispred = log.maybe_retain_trace(
-            self._doc(3, 0.1, mispredicted=True), self._records(), 0
-        )
-        # Fast but interesting queries are retained and never evict
-        # (or get evicted by) the slowest-k population.
-        assert faulted and os.path.exists(faulted)
-        assert mispred and os.path.exists(mispred)
-        assert slow and os.path.exists(slow)
-
-    def test_sampling_off_retains_nothing(self, tmp_path):
-        log = QueryLog(str(tmp_path / "qlog.jsonl"))
-        assert not log.sampling_enabled()
-        assert log.maybe_retain_trace(
-            self._doc(1, 10.0), self._records(), 0
-        ) is None
-
-    def test_retained_trace_is_valid_chrome_json(self, tmp_path):
-        from repro.obs import validate_chrome_trace
-
-        log = QueryLog(
-            str(tmp_path / "qlog.jsonl"),
-            sample_slowest_k=1,
-            trace_dir=str(tmp_path / "traces"),
-        )
-        path = log.maybe_retain_trace(
-            self._doc(1, 10.0), self._records(), 0
-        )
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert validate_chrome_trace(doc) == []
-        assert doc["otherData"]["query_id"] == 1
 
 
 class TestWideEventContent:
@@ -539,6 +380,24 @@ class TestWideEventContent:
             capsys.readouterr().err
         )
 
+    def test_spans_dropped_is_the_querys_own_loss(
+        self, tiny_db, qlog, capsys
+    ):
+        # Q21 wraps a 16-record ring; Q6's few spans then fit in it.
+        # Q6 evicts Q21's records, not its own: it lost nothing, and
+        # only Q21 warns.
+        tracer = Tracer(ring_capacity=16)
+        engine = Engine(tiny_db, tracer=tracer)
+        engine.execute_relation(tpch.query(21))
+        engine.execute_relation(tpch.query(6))
+        q21, q06 = _events(qlog)
+        assert q21["spans_dropped"] > 0
+        assert q06["spans_dropped"] == 0
+        assert tracer.n_dropped > q21["spans_dropped"]
+        err = capsys.readouterr().err
+        assert err.count("spans dropped") == 1
+        assert "query %d" % q21["query_id"] in err
+
     def test_analysis_annotation_lands_in_the_event(
         self, small_db, qlog
     ):
@@ -556,9 +415,7 @@ class TestSuspendMisprediction:
     CONFIG = DeviceConfig(scale_ratio=1000 / 0.01)
 
     def test_no_tpch_plan_is_flagged(self, small_db, tmp_path):
-        log = QueryLog(
-            str(tmp_path / "qlog.jsonl"), registry=MetricsRegistry()
-        )
+        log = QueryLog(str(tmp_path / "qlog.jsonl"))
         set_query_log(log)
         try:
             for n in sorted(tpch.ALL_QUERIES):
@@ -581,18 +438,14 @@ class TestSuspendMisprediction:
     def test_runtime_heap_guard_trip_is_flagged(self, small_db, tmp_path):
         """A compiler that thought Q13's comment heap fits, on a device
         whose guard says it does not."""
-        registry = MetricsRegistry()
-        log = QueryLog(
-            str(tmp_path / "qlog.jsonl"), registry=registry,
-            sample_slowest_k=1, trace_dir=str(tmp_path / "traces"),
-        )
+        log = QueryLog(str(tmp_path / "qlog.jsonl"))
         set_query_log(log)
         tracer = Tracer()
         try:
             sim = AquomanSimulator(small_db, self.CONFIG, tracer=tracer)
             sim.compiler = QueryCompiler(small_db, scale_ratio=1.0)
             result = sim.run(tpch.query(13), query="q13")
-            # Two ordinary queries compete for the one slowest-k slot.
+            # Two ordinary queries after it are not flagged.
             for n in (6, 1):
                 AquomanSimulator(
                     small_db, self.CONFIG, tracer=tracer
@@ -607,6 +460,3 @@ class TestSuspendMisprediction:
         }
         assert not q06["suspend"]["mispredicted"]
         assert not q01["suspend"]["mispredicted"]
-        snap = registry.snapshot()
-        assert snap["query.suspend_mispredicted{backend=device}"] == 1
-        assert os.path.exists(q13["trace_path"])  # pinned, not evicted

@@ -155,6 +155,23 @@ class TestHeapsSurviveSaveAndLoad:
         with pytest.raises(ValueError, match="repeats 1 of its 3 strings"):
             column.heap.lookup("a")
 
+    @pytest.mark.parametrize("read", [
+        lambda column: column.heap.verdicts("a_%"),
+        lambda column: column.heap.verdicts("%"),
+        lambda column: column.logical(),
+    ], ids=["like", "like_any", "decode"])
+    def test_invalid_utf8_is_refused_naming_the_column(
+        self, tmp_path, read
+    ):
+        save_catalog(_one_column_catalog(["ab", "ac", "ok"]), tmp_path)
+        _heap_files(tmp_path, payload=b"ab\xff\x00ab\xc3\x00ok")
+        # Loading checks nothing per string; the first read does.
+        column = load_catalog(tmp_path).table("t").column("s")
+        with pytest.raises(
+            ValueError, match=re.escape("t.s: heap string 0 is not valid")
+        ):
+            read(column)
+
     def test_manifest_without_heap_strings_loads_as_before(self, tmp_path):
         save_catalog(_one_column_catalog(["x", "", "y"]), tmp_path)
         _heap_files(tmp_path, heap_strings=None)
