@@ -189,9 +189,7 @@ def analyze_plan(
             with tracer.span("analysis.morsel"):
                 report.fragments = fragment_verdicts(plan, catalog, checker)
 
-    METRICS.counter(
-        "analysis.plans_analyzed", "analyze_plan invocations"
-    ).inc()
+    METRICS.counter("analysis.plans_analyzed").inc()
     return report
 
 

@@ -38,7 +38,11 @@ from repro.engine.operators.relational import (
     aggregate_relation,
     distinct_relation,
 )
-from repro.engine.relation import Relation, typed_array_from_column
+from repro.engine.relation import (
+    Relation,
+    key_values,
+    typed_array_from_column,
+)
 from repro.faults.injector import get_fault_injector
 from repro.flash.nand import FlashConfig
 from repro.obs import METRICS, NULL_TRACER, NullTracer, Tracer
@@ -239,13 +243,10 @@ class AquomanDevice:
         nbytes = touched * PAGE_BYTES
         self.meters.flash_bytes += nbytes
         self._inject_page_faults(extent, flags, touched)
-        METRICS.counter(
-            "device.flash_pages_read", "pages streamed off flash"
-        ).inc(touched)
-        METRICS.counter(
-            "device.flash_pages_skipped",
-            "fully-masked pages the Table Reader skipped",
-        ).inc(extent.n_pages - touched)
+        METRICS.counter("device.flash_pages_read").inc(touched)
+        METRICS.counter("device.flash_pages_skipped").inc(
+            extent.n_pages - touched
+        )
         return nbytes
 
     def _inject_page_faults(self, extent, flags, touched) -> None:
@@ -681,7 +682,7 @@ class AquomanDevice:
             # the grouping's count is their distinct count.
             widths = [4 if a.kind is Kind.STR else 8 for a in key_arrays]
             zipped, id_bytes = zip_group_columns(
-                [a.values for a in key_arrays], widths, groups
+                [key_values(a) for a in key_arrays], widths, groups
             )
             spilled_groups, spilled_rows = self.groupby_accel.spills(
                 zipped, groups.n_groups, group_id_bytes=id_bytes

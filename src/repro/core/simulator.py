@@ -50,6 +50,7 @@ from repro.engine.operators.relational import (
 )
 from repro.engine.relation import (
     Relation,
+    key_values,
     select_rows,
     typed_array_from_column,
 )
@@ -187,8 +188,8 @@ class DeviceExecutor:
 
         self.device.charge(left, plan.left_key)
         self.device.charge(right, plan.right_key)
-        left_keys = left.relation.column(plan.left_key).values
-        right_keys = right.relation.column(plan.right_key).values
+        left_keys = key_values(left.relation.column(plan.left_key))
+        right_keys = key_values(right.relation.column(plan.right_key))
 
         # Sort-merge: one side's sorted keys (plus RowIDs for inner
         # joins, plus residual columns) live in device DRAM, the other
@@ -438,9 +439,7 @@ class HybridEngine(Engine):
         self.tracer.instant(
             "device.suspend", lane="device", reason=reason.value
         )
-        METRICS.counter(
-            "device.suspensions", "subtrees rolled back to the host"
-        ).inc()
+        METRICS.counter("device.suspensions").inc()
 
     def _record(self, plan: Plan, op: OpTrace) -> None:
         decision = (
@@ -524,10 +523,7 @@ class AquomanSimulator:
         trace.aquoman_fault_stall_s = meters.fault_stall_s
         trace.groupby_spill_groups += meters.spilled_groups
         if meters.spilled_groups:
-            METRICS.counter(
-                "device.spilled_groups",
-                "group-by buckets spilled to the host",
-            ).inc(meters.spilled_groups)
+            METRICS.counter("device.spilled_groups").inc(meters.spilled_groups)
 
         total_rows = trace.rows_processed() + meters.rows_streamed
         trace.offload_fraction_rows = (

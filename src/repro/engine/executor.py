@@ -26,7 +26,11 @@ from repro.engine.operators.relational import (
     project_relation,
     sort_relation,
 )
-from repro.engine.relation import Relation, typed_array_from_column
+from repro.engine.relation import (
+    Relation,
+    key_values,
+    typed_array_from_column,
+)
 from repro.obs import METRICS, NULL_TRACER, NullTracer, Tracer
 from repro.obs.qlog import query_scope
 from repro.perf.trace import OpTrace, QueryTrace
@@ -150,9 +154,7 @@ class Engine:
 
         with self.tracer.span("analysis.gate", mode=self.analyze):
             report = analyze_plan(plan, self.catalog)
-        METRICS.counter(
-            "analysis.gates_run", "plans checked before execution"
-        ).inc()
+        METRICS.counter("analysis.gates_run").inc()
         if scope is not None:
             codes: dict[str, int] = {}
             for diagnostic in report.errors() + report.warnings():
@@ -280,8 +282,8 @@ class Engine:
         )
 
     def _join(self, plan: Join, left: Relation, right: Relation):
-        left_keys = left.column(plan.left_key).values
-        right_keys = right.column(plan.right_key).values
+        left_keys = key_values(left.column(plan.left_key))
+        right_keys = key_values(right.column(plan.right_key))
 
         residual = None if plan.residual is None else partial(
             self._residual_mask, left, right, plan.residual

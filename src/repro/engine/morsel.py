@@ -873,18 +873,10 @@ class MorselExecutor:
             )
         n_read = sum(pages_read.values())
         n_total = sum(pages_total.values())
-        METRICS.counter(
-            "flash.pages_read", "column pages actually fetched"
-        ).inc(n_read)
-        METRICS.counter(
-            "flash.pages_skipped", "fully-masked pages never fetched"
-        ).inc(n_total - n_read)
-        METRICS.counter(
-            "morsel.rows_streamed", "base rows fed through morsels"
-        ).inc(self.table.nrows)
-        METRICS.histogram(
-            "morsel.rows_out", "rows surviving one fragment"
-        ).observe(result.nrows)
+        METRICS.counter("flash.pages_read").inc(n_read)
+        METRICS.counter("flash.pages_skipped").inc(n_total - n_read)
+        METRICS.counter("morsel.rows_streamed").inc(self.table.nrows)
+        METRICS.histogram("morsel.rows_out").observe(result.nrows)
         op = OpTrace(
             "scan",
             rows_in=self.table.nrows,

@@ -59,17 +59,19 @@ def group_rows(key_columns: list[np.ndarray], nrows: int = 0) -> GroupedKeys:
     group (SQL's implicit group for aggregate-only queries).
 
     Five routes, chosen from the inputs alone, give the same numbering.
-    Integer keys become one mixed-radix cell per row in their value
-    grid, the product of the per-key spans ``max - min + 1``.  A grid
-    of at most ``_TINY_GRID_CELLS`` cells (Q1's flags) is counted and
-    gathered; cells that never decrease (a stored-sorted key, or a
-    selection of one) are runs, numbered by a prefix sum, once the
-    input is long enough for the test to pay (``_RUN_MIN_ROWS``); a
-    grid of at most ``DIRECT_SPAN_FACTOR`` cells per row is numbered
-    through a table indexed by the cell (the accelerator's look-up,
-    Sec. VI-C); anything else is sorted — the cells by radix passes
-    while the grid fits 48 bits, the key tuples (floats, wider grids)
-    by comparison.
+    A single ascending integer key of at least ``_RUN_MIN_ROWS`` rows
+    (a stored-sorted key, or a selection of one) is its own runs,
+    numbered by a prefix sum.  Otherwise integer keys become one
+    mixed-radix cell per row in their value grid, the product of the
+    per-key spans ``max - min + 1``.  A grid of at most
+    ``_TINY_GRID_CELLS`` cells (Q1's flags) is counted and gathered;
+    cells that never decrease are runs again, once the input is long
+    enough for the test to pay; a grid of at most
+    ``DIRECT_SPAN_FACTOR`` cells per row is numbered through a table
+    indexed by the cell (the accelerator's look-up, Sec. VI-C);
+    anything else is sorted — the cells by radix passes while the grid
+    fits 48 bits, the key tuples (floats, wider grids) by comparison,
+    after dropping each key that adds no groups to the first one's.
     """
     if not key_columns:
         return GroupedKeys(
@@ -84,17 +86,49 @@ def group_rows(key_columns: list[np.ndarray], nrows: int = 0) -> GroupedKeys:
             group_of_row=np.empty(0, dtype=np.int64),
             representative=np.empty(0, dtype=np.int64),
         )
+    runs = n >= _RUN_MIN_ROWS
+    if runs and len(keys) == 1 and keys[0].dtype.kind in "iu":
+        # One integer key's cells are in the key's own order.
+        if is_ascending(keys[0]):
+            return _group_runs(keys[0])
+        runs = False
     grid = _grid_cells(keys, RADIX_CELLS)
     if grid is None:
-        return _group_sorted(keys)
-    cell, cells = grid
+        return _group_tuples(keys)
+    return _group_grid(*grid, runs)
+
+
+def _group_grid(cell: np.ndarray, cells: int, runs: bool) -> GroupedKeys:
+    """Number grid cells by the tiny, run (if ``runs`` may be), direct
+    or sorted-cell route."""
     if cells <= _TINY_GRID_CELLS:
         return _group_tiny(cell, cells)
-    if n >= _RUN_MIN_ROWS and is_ascending(cell):
+    if runs and is_ascending(cell):
         return _group_runs(cell)
-    if cells <= DIRECT_SPAN_FACTOR * n:
+    if cells <= DIRECT_SPAN_FACTOR * len(cell):
         return _group_direct(cell, cells)
     return _group_sorted([cell], stable_order(cell, cells))
+
+
+def _group_tuples(keys: list[np.ndarray]) -> GroupedKeys:
+    """Sort key tuples off the grid.  When the first key alone fits
+    the direct budget, it is numbered first and every later key that
+    is constant within its groups — equal to its value at each row's
+    representative — is dropped, since it adds no groups (Q10's six
+    customer columns after ``c_custkey``): one gather and one compare
+    per key.  With none left, the first key's numbering is the
+    answer."""
+    first_grid = _grid_cells(keys[:1]) if len(keys) > 1 else None
+    if first_grid is not None:
+        first = _group_grid(*first_grid, len(keys[0]) >= _RUN_MIN_ROWS)
+        row_rep = first.representative[first.group_of_row]
+        keys = keys[:1] + [
+            key for key in keys[1:]
+            if not np.array_equal(key[row_rep], key)
+        ]
+        if len(keys) == 1:
+            return first
+    return _group_sorted(keys)
 
 
 def _group_tiny(cell: np.ndarray, cells: int) -> GroupedKeys:

@@ -2,9 +2,15 @@
 
 One kernel, :func:`inner_join_indices`, serves the monolithic engine,
 the morsel path and the device executor.  It finds, for every probe
-(left) row, the build (right) rows holding the same key, by one of two
-routes chosen from the inputs alone:
+(left) row, the build (right) rows holding the same key, by one of
+three routes chosen from the inputs alone:
 
+* **searched build** — integer build keys already in ascending order
+  (``l_orderkey``, a primary key, a selection of one in row order),
+  probed by few enough rows that ``len(left) * log2(len(right))`` is
+  small against ``len(right)``: two ``searchsorted`` calls into the
+  build side as it is, no table, no sort, no pass over the build side
+  beyond the ascending test.
 * **direct-address** — integer keys whose build-side span
   ``max - min + 1`` is at most ``DIRECT_SPAN_FACTOR`` cells per input
   row go through a table indexed by ``key - min``; each probe is one
@@ -15,11 +21,13 @@ routes chosen from the inputs alone:
   composite keys spanning ~10^12, spans beyond int64): sort the build
   side — by radix passes while its integer span fits 48 bits —,
   ``searchsorted`` the probe keys, the way MonetDB joins unsorted
-  inputs.  A unique integer build side needs one search and an
-  equality test per probe row.
+  inputs.  More than ``_ORDERED_PROBES`` unsorted probes are searched
+  in key order, each search bounded below by the last one's result,
+  and the results scattered back.  A unique integer build side needs one
+  search and an equality test per probe row.
 
 A duplicated build side describes the matches as ``(order, lo,
-counts)`` runs on either route, and one expansion turns them into pair
+counts)`` runs on every route, and one expansion turns them into pair
 lists; every route gives the same pairs in the same order.  Semi/anti
 joins reduce the pair list (or, when no residual predicate is
 involved, short-circuit to a membership test).
@@ -27,13 +35,25 @@ involved, short-circuit to a membership test).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.engine.operators.sorting import RADIX_CELLS, stable_order
+from repro.engine.operators.sorting import (
+    RADIX_CELLS,
+    is_ascending,
+    stable_order,
+)
 
 # Table cells the direct-address route may spend per input row
 # (len(left) + len(right)); keeps its scratch memory O(rows).
 DIRECT_SPAN_FACTOR = 4
+# An ascending build side is searched in place while
+# ``len(left) * log2(len(right) + 1) <= _SEARCH_FACTOR * len(right)``,
+# and more than ``_ORDERED_PROBES`` unsorted probes are searched in key
+# order (DESIGN.md, "Host join kernel", has the measurements).
+_SEARCH_FACTOR = 0.5
+_ORDERED_PROBES = 512
 
 _Pairs = tuple[np.ndarray, np.ndarray]
 
@@ -95,10 +115,31 @@ def inner_join_indices(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
 
+    if _searchable(left_keys, right_keys):
+        return _search_pairs(left_keys, right_keys, None)
     pairs = _join_direct(left_keys, right_keys)
     if pairs is None:
         pairs = _join_sorted(left_keys, right_keys)
     return pairs
+
+
+def _searchable(left_keys: np.ndarray, right_keys: np.ndarray) -> bool:
+    """Whether the build side is integer keys in ascending order that
+    the probes search in fewer steps than a pass over it takes.  The
+    size test is O(1) and comes first; the order test reads the build
+    side at most once.  Two integer dtypes whose common type is not an
+    integer (int64 against uint64 is float64) never qualify."""
+    if (
+        left_keys.dtype.kind not in "iu"
+        or right_keys.dtype.kind not in "iu"
+        or np.result_type(left_keys.dtype, right_keys.dtype).kind
+        not in "iu"
+    ):
+        return False
+    build = len(right_keys)
+    if len(left_keys) * math.log2(build + 1) > _SEARCH_FACTOR * build:
+        return False
+    return is_ascending(right_keys)
 
 
 def _join_direct(
@@ -140,25 +181,70 @@ def _join_sorted(left_keys: np.ndarray, right_keys: np.ndarray) -> _Pairs:
             np.subtract(right_keys, kmin, dtype=np.int64), span
         )
     sorted_right = right_keys[order]
-    lo = np.searchsorted(sorted_right, left_keys, side="left")
-    if (
+    # Unique integer build keys: a probe matches iff the key at its
+    # insertion point equals it.  (Float keys keep both searches: they
+    # bracket a NaN probe onto the build side's NaNs, which an equality
+    # test would not.)
+    unique = (
         _fits_int64(left_keys)
         and _fits_int64(right_keys)
         and not np.any(sorted_right[1:] == sorted_right[:-1])
-    ):
-        # Unique integer build keys: a probe matches iff the key at its
-        # insertion point equals it.  (Float keys keep both searches:
-        # they bracket a NaN probe onto the build side's NaNs, which an
-        # equality test would not.)
+    )
+    return _search_pairs(left_keys, sorted_right, order, unique)
+
+
+def _search_pairs(
+    left_keys: np.ndarray,
+    sorted_right: np.ndarray,
+    order: np.ndarray | None,
+    unique: bool = False,
+) -> _Pairs:
+    """Binary-search every probe key into ``sorted_right``, the build
+    keys in the order ``order`` (None: as stored, already ascending).
+    A ``unique`` build side takes one search and an equality test."""
+    probes, by_key = _probes(left_keys)
+    lo = _search(sorted_right, probes, by_key, "left")
+    if unique:
         np.minimum(lo, len(sorted_right) - 1, out=lo)
         li = np.flatnonzero(sorted_right[lo] == left_keys)
-        return li, order[lo[li]]
-    hi = np.searchsorted(sorted_right, left_keys, side="right")
+        right = lo[li]
+        return li, right if order is None else order[right]
+    hi = _search(sorted_right, probes, by_key, "right")
     return _expand(order, lo, hi - lo)
 
 
-def _expand(order: np.ndarray, lo: np.ndarray, counts: np.ndarray) -> _Pairs:
-    """Pair lists from per-left-row runs ``order[lo : lo + counts]``."""
+def _probes(left_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The probe keys in the order they are searched, and that order:
+    key order when over ``_ORDERED_PROBES`` of them are out of it —
+    NumPy then bounds each search below by the previous result —,
+    else as they are (order None)."""
+    if len(left_keys) <= _ORDERED_PROBES or is_ascending(left_keys):
+        return left_keys, None
+    by_key = np.argsort(left_keys)
+    return left_keys[by_key], by_key
+
+
+def _search(
+    sorted_right: np.ndarray,
+    probes: np.ndarray,
+    by_key: np.ndarray | None,
+    side: str,
+) -> np.ndarray:
+    """Insertion points of ``probes`` in ``sorted_right``, scattered
+    back to the left rows' order through ``by_key``."""
+    found = np.searchsorted(sorted_right, probes, side=side)
+    if by_key is None:
+        return found
+    scattered = np.empty_like(found)
+    scattered[by_key] = found
+    return scattered
+
+
+def _expand(
+    order: np.ndarray | None, lo: np.ndarray, counts: np.ndarray
+) -> _Pairs:
+    """Pair lists from per-left-row runs ``order[lo : lo + counts]``;
+    ``order`` None is the identity (a build side searched in place)."""
     total = int(counts.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -166,14 +252,14 @@ def _expand(order: np.ndarray, lo: np.ndarray, counts: np.ndarray) -> _Pairs:
     matched = np.flatnonzero(counts)
     if len(matched) == total:
         # At most one match per left row: no runs to enumerate.
-        return matched, order[lo[matched]]
-
-    left_out = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    starts = np.repeat(lo, counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return left_out, order[starts + within]
+        left_out, right = matched, lo[matched]
+    else:
+        left_out = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        within = np.arange(total, dtype=np.int64) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        right = np.repeat(lo, counts) + within
+    return left_out, right if order is None else order[right]
 
 
 def semi_join_mask(
@@ -181,7 +267,9 @@ def semi_join_mask(
 ) -> np.ndarray:
     """Boolean mask of left rows having at least one right match.
 
-    Integer keys inside the join's direct-address window test
+    A build side :func:`inner_join_indices` would search in place is
+    searched once per probe, a match being the key at the insertion
+    point; integer keys inside the join's direct-address window test
     membership in a bool table over that window; others use
     ``np.isin``.
     """
@@ -189,6 +277,10 @@ def semi_join_mask(
     right_keys = np.asarray(right_keys)
     if len(right_keys) == 0:
         return np.zeros(len(left_keys), dtype=np.bool_)
+    if _searchable(left_keys, right_keys):
+        at = _search(right_keys, *_probes(left_keys), "left")
+        np.minimum(at, len(right_keys) - 1, out=at)
+        return right_keys[at] == left_keys
     window = _probe_window(left_keys, right_keys)
     if window is None:
         return np.isin(left_keys, right_keys)

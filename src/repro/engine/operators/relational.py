@@ -25,7 +25,7 @@ from repro.engine.operators.grouping import (
 )
 from repro.engine.operators.joins import inner_join_indices, semi_join_mask
 from repro.engine.operators.sorting import multi_key_order
-from repro.engine.relation import Relation
+from repro.engine.relation import Relation, key_values, select_rows
 from repro.sqlir.expr import (
     AggFunc,
     EvalContext,
@@ -185,12 +185,13 @@ def aggregate_relation(
         [spec.expr for spec in plan.aggregates if spec.expr is not None],
     )
     key_arrays = [child.column(k) for k in plan.keys]
-    groups = group_rows([k.values for k in key_arrays], child.nrows)
+    groups = group_rows([key_values(k) for k in key_arrays], child.nrows)
 
     columns: dict[str, TypedArray] = {}
     for name, key in zip(plan.keys, key_arrays):
         columns[name] = TypedArray(
-            key.values[groups.representative], key.kind, key.scale, key.heap
+            select_rows(key, groups.representative).values,
+            key.kind, key.scale, key.heap,
         )
     sums = _GroupedSums(groups)
     for spec in plan.aggregates:
@@ -334,5 +335,5 @@ def sort_relation(
 
 def distinct_relation(rel: Relation) -> Relation:
     """One row per distinct tuple, in first-appearance order."""
-    groups = group_rows([arr.values for arr in rel.columns.values()])
+    groups = group_rows([key_values(arr) for arr in rel.columns.values()])
     return rel.take(np.sort(groups.representative))

@@ -54,15 +54,11 @@ class LruPageCache:
             return self._access_run(first_page, n_pages)
         finally:
             # Publish batched deltas so hot runs cost one update each.
-            METRICS.counter(
-                "pagecache.hits", "LRU page-cache hits"
-            ).inc(self.hits - hits_before)
-            METRICS.counter(
-                "pagecache.misses", "LRU page-cache misses"
-            ).inc(self.misses - misses_before)
-            METRICS.gauge(
-                "pagecache.hit_ratio", "hits / accesses, lifetime"
-            ).set(self.hit_rate)
+            METRICS.counter("pagecache.hits").inc(self.hits - hits_before)
+            METRICS.counter("pagecache.misses").inc(
+                self.misses - misses_before
+            )
+            METRICS.gauge("pagecache.hit_ratio").set(self.hit_rate)
 
     def _access_run(self, first_page: int, n_pages: int) -> int:
         run = range(first_page, first_page + n_pages)

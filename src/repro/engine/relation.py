@@ -124,6 +124,18 @@ def select_rows(
     )
 
 
+def key_values(arr: TypedArray) -> np.ndarray:
+    """``arr``'s values at the width they are stored in: a pending
+    selection is gathered at its source's width and not widened, nor
+    kept, so ``arr`` stays pending for later selections (unlike
+    :meth:`SelectedArray.stored`, which gathers a selection at the
+    evaluation width and keeps it).  What the join and grouping
+    kernels read: they subtract into int64 themselves."""
+    if isinstance(arr, SelectedArray) and not arr.gathered:
+        return arr.source if arr.rows is None else arr.source[arr.rows]
+    return arr.values
+
+
 @dataclass
 class Relation:
     """Ordered named columns, all the same length.

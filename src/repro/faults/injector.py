@@ -39,17 +39,18 @@ from repro.obs.context import set_degraded
 DEFAULT_N_CHANNELS = 8
 _EVENT_LOG_CAP = 100_000
 
-COUNTER_HELP = {
-    "page_errors": "flash pages that hit a transient read error",
-    "page_retries": "page read retries performed",
-    "latency_spikes": "page reads delayed by an injected spike",
-    "channel_stalls": "flash channels stalled by injection",
-    "worker_crashes": "morsel-worker exceptions injected",
-    "morsel_retries": "morsels re-executed after a worker crash",
-    "device_faults": "mid-task device faults injected",
-    "host_fallbacks": "subtrees re-executed on the host",
-    "unrecoverable": "faults that exhausted their retry budget",
-}
+# Each kind of fault event, counted as ``faults.<name>``.
+COUNTERS = (
+    "page_errors",  # flash pages that hit a transient read error
+    "page_retries",  # page read retries performed
+    "latency_spikes",  # page reads delayed by an injected spike
+    "channel_stalls",  # flash channels stalled by injection
+    "worker_crashes",  # morsel-worker exceptions injected
+    "morsel_retries",  # morsels re-executed after a worker crash
+    "device_faults",  # mid-task device faults injected
+    "host_fallbacks",  # subtrees re-executed on the host
+    "unrecoverable",  # faults that exhausted their retry budget
+)
 
 
 class NullFaultInjector:
@@ -87,7 +88,7 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, metrics=METRICS):
         self.plan = plan
         self.metrics = metrics
-        self.counts: dict[str, int] = {k: 0 for k in COUNTER_HELP}
+        self.counts: dict[str, int] = dict.fromkeys(COUNTERS, 0)
         self.backoff_s = 0.0
         self.stall_s = 0.0
         # (kind, site-or-page, detail) tuples; compared *sorted* by the
@@ -104,7 +105,7 @@ class FaultInjector:
     def _count(self, name: str, n: int = 1) -> None:
         if n:
             self.counts[name] += n
-            self.metrics.counter(f"faults.{name}", COUNTER_HELP[name]).inc(n)
+            self.metrics.counter(f"faults.{name}").inc(n)
 
     def _event(self, kind: str, site: str, detail: int = 0) -> None:
         if len(self.events) < _EVENT_LOG_CAP:
@@ -144,9 +145,7 @@ class FaultInjector:
             if len(self.events) < _EVENT_LOG_CAP:
                 self.events.append(tuple(event))
         if backoff:
-            self.metrics.gauge(
-                "faults.backoff_seconds", "total retry backoff charged"
-            ).add(backoff)
+            self.metrics.gauge("faults.backoff_seconds").add(backoff)
 
     # -- page-granular faults ------------------------------------------------
 
@@ -202,9 +201,7 @@ class FaultInjector:
         backoff = float(self.plan.backoff_seconds(out.retries).sum())
         self.backoff_s += backoff
         self.stall_s += float(per_page.sum())
-        self.metrics.gauge(
-            "faults.backoff_seconds", "total retry backoff charged"
-        ).add(backoff)
+        self.metrics.gauge("faults.backoff_seconds").add(backoff)
         for page in pages[out.retries > 0]:
             self._event("page-error", f"page{int(page)}", int(page))
         get_tracer().instant(

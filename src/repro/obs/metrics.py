@@ -8,13 +8,9 @@ column read or per operator, never per row, which keeps the cost well
 under the observability overhead budget (see
 ``benchmarks/test_obs_overhead.py``).
 
-The query thread writes the instruments; morsel workers are processes
-and ship their counts back to it.  The locks are for a reader on
-another thread (an embedding process rendering the registry while a
-query updates it).  A small lock per instrument gives that reader one
-consistent view (a histogram's sum and count from the same moment;
-``value += n`` is a read-modify-write even under the GIL); at batch
-granularity the lock is noise.
+The query thread writes and reads the instruments; morsel workers are
+processes and ship their counts back to it, so nothing updates an
+instrument from another thread and no update takes a lock.
 
 Instruments are keyed by name alone: there are no labeled families.
 What differs per query (backend, fingerprint, faults) lives in that
@@ -26,8 +22,6 @@ cached them keep recording.
 """
 
 from __future__ import annotations
-
-import threading
 
 __all__ = [
     "Counter",
@@ -41,74 +35,59 @@ __all__ = [
 class Counter:
     """Monotonically increasing count (pages read, suspensions...)."""
 
-    __slots__ = ("name", "help", "value", "_lock")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self.value = 0
-        self._lock = threading.Lock()  # readable from another thread
 
     def inc(self, n: int = 1) -> None:
-        with self._lock:
-            self.value += n
+        self.value += n
 
     def reset(self) -> None:
-        with self._lock:
-            self.value = 0
+        self.value = 0
 
 
 class Gauge:
     """A point-in-time level (cache hit ratio, DRAM residency...)."""
 
-    __slots__ = ("name", "help", "value", "_lock")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self.value = 0.0
-        self._lock = threading.Lock()  # readable from another thread
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self.value = value
+        self.value = value
 
     def add(self, delta: float) -> None:
-        with self._lock:
-            self.value += delta
+        self.value += delta
 
     def reset(self) -> None:
-        with self._lock:
-            self.value = 0.0
+        self.value = 0.0
 
 
 class Histogram:
     """A distribution's running ``count`` and ``sum`` (rows per
     fragment...); snapshots report its mean."""
 
-    __slots__ = ("name", "help", "sum", "count", "_lock")
+    __slots__ = ("name", "sum", "count")
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.help = help
         self.sum = 0.0
         self.count = 0
-        self._lock = threading.Lock()  # readable from another thread
 
     def observe(self, value: float) -> None:
-        with self._lock:
-            self.sum += value
-            self.count += 1
+        self.sum += value
+        self.count += 1
 
     def reset(self) -> None:
-        with self._lock:
-            self.sum = 0.0
-            self.count = 0
+        self.sum = 0.0
+        self.count = 0
 
     def totals(self) -> tuple[float, int]:
-        """Consistent ``(sum, count)`` under the lock."""
-        with self._lock:
-            return self.sum, self.count
+        return self.sum, self.count
 
     @property
     def mean(self) -> float:
@@ -121,31 +100,29 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
         self._sorted: tuple | None = ()
-        self._lock = threading.Lock()  # readable from another thread
 
-    def _get(self, name: str, cls, help: str):
-        with self._lock:
-            existing = self._instruments.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise TypeError(
-                        f"metric {name!r} already registered as "
-                        f"{type(existing).__name__}, not {cls.__name__}"
-                    )
-                return existing
-            instrument = cls(name, help)
-            self._instruments[name] = instrument
-            self._sorted = None
-            return instrument
+    def _get(self, name: str, cls):
+        existing = self._instruments.get(name)
+        if existing is not None:
+            if not isinstance(existing, cls):
+                raise TypeError(
+                    f"metric {name!r} already registered as "
+                    f"{type(existing).__name__}, not {cls.__name__}"
+                )
+            return existing
+        instrument = cls(name)
+        self._instruments[name] = instrument
+        self._sorted = None
+        return instrument
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get(name, Counter, help)
+    def counter(self, name: str) -> Counter:
+        return self._get(name, Counter)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get(name, Gauge, help)
+    def gauge(self, name: str) -> Gauge:
+        return self._get(name, Gauge)
 
-    def histogram(self, name: str, help: str = "") -> Histogram:
-        return self._get(name, Histogram, help)
+    def histogram(self, name: str) -> Histogram:
+        return self._get(name, Histogram)
 
     def instruments(self) -> tuple[Counter | Gauge | Histogram, ...]:
         """Every instrument, sorted by name.
@@ -155,11 +132,9 @@ class MetricsRegistry:
         """
         cached = self._sorted
         if cached is None:
-            with self._lock:
-                cached = self._sorted = tuple(sorted(
-                    self._instruments.values(),
-                    key=lambda m: m.name,
-                ))
+            cached = self._sorted = tuple(sorted(
+                self._instruments.values(), key=lambda m: m.name
+            ))
         return cached
 
     def snapshot(self) -> dict[str, float | dict]:

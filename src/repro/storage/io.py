@@ -146,9 +146,7 @@ def save_catalog(catalog: Catalog, directory: str | Path) -> Path:
                 columns_meta.append(meta)
         manifest["tables"][table_name] = columns_meta
 
-    METRICS.counter(
-        "io.bytes_written", "column-file bytes persisted"
-    ).inc(bytes_written)
+    METRICS.counter("io.bytes_written").inc(bytes_written)
     manifest_path = root / MANIFEST_NAME
     manifest_path.write_text(json.dumps(manifest, indent=2))
     return manifest_path
@@ -210,9 +208,7 @@ def load_catalog(directory: str | Path, *, mmap: bool = True) -> Catalog:
         primary_key = manifest["primary_keys"].get(table_name)
         catalog.add_table(Table(table_name, columns), primary_key)
 
-    METRICS.counter(
-        "io.bytes_loaded", "column-file bytes loaded or mapped"
-    ).inc(bytes_mapped)
+    METRICS.counter("io.bytes_loaded").inc(bytes_mapped)
 
     for table, column, ref_table, ref_column in manifest["foreign_keys"]:
         catalog.foreign_keys.append(

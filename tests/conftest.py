@@ -1,12 +1,22 @@
-"""Shared fixtures: small TPC-H catalogs, sized per test cost."""
+"""Shared fixtures: small TPC-H catalogs, sized per test cost.
+
+``HYPOTHESIS_PROFILE=long`` loads a profile of 2 000 examples per
+property: a property that fixes its own count keeps it unless it asks
+for the larger of the two, as the kernel route properties do (CI runs
+them once more under it).  Unset, Hypothesis keeps its defaults.
+"""
 
 import os
 import signal
 
 import pytest
+from hypothesis import settings
 
 from repro import tpch
 from repro.engine import procpool
+
+settings.register_profile("long", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

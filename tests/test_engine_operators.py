@@ -89,10 +89,20 @@ _KEY_DTYPES = [
     (np.uint8, np.uint8),
     (np.int32, np.int64),
     (np.int64, np.uint8),
+    (np.int8, np.int64),
+    (np.int64, np.int16),
+    (np.int16, np.int32),
+    (np.int64, np.uint64),
     (np.uint64, np.uint64),
     (np.float64, np.float64),
     (np.bool_, np.bool_),
 ]
+
+
+def _examples(n: int) -> int:
+    """``n`` examples, or more under a profile that asks for more (the
+    ``long`` profile of ``tests/conftest.py``)."""
+    return max(n, settings.default.max_examples)
 
 
 def _draw_keys(data, dtype) -> np.ndarray:
@@ -282,6 +292,114 @@ class TestInnerJoin:
                 mask = semi_join_mask(probe, right)
                 assert mask.dtype == np.bool_
                 assert np.array_equal(mask, np.isin(probe, right))
+
+
+class TestJoinRoutes:
+    """The searched build and ordered probes against the nested loop:
+    same pairs, same order, on every key width."""
+
+    @pytest.mark.parametrize("left_dtype, right_dtype", _KEY_DTYPES)
+    @given(data=st.data(), unique=st.booleans(),
+           sort_probes=st.booleans(), threshold=st.integers(0, 31))
+    @settings(max_examples=_examples(100), deadline=None)
+    def test_searched_build_equals_reference(
+        self, left_dtype, right_dtype, data, unique, sort_probes, threshold
+    ):
+        # Ascending build sides with and without duplicates; probes
+        # sorted or not, on both sides of the ordered-probe threshold.
+        right = np.sort(_draw_keys(data, right_dtype))
+        if unique:
+            right = np.unique(right)
+        left = _draw_keys(data, left_dtype)
+        if sort_probes:
+            left = np.sort(left)
+        integers = (
+            left.dtype.kind in "iu" and right.dtype.kind in "iu"
+            and np.result_type(left, right).kind in "iu"
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(joins, "_SEARCH_FACTOR", float(len(left) + 1))
+            patch.setattr(joins, "_ORDERED_PROBES", threshold)
+            if len(right):
+                assert joins._searchable(left, right) == integers
+            _assert_exact_pairs(left, right)
+            assert np.array_equal(
+                semi_join_mask(left, right), np.isin(left, right)
+            )
+
+    @given(_encoded_keys(), st.integers(0, 41), st.booleans())
+    @settings(max_examples=_examples(300), deadline=None)
+    def test_ordered_probes_on_the_sort_route(
+        self, keys, threshold, sort_probes
+    ):
+        left, right = keys
+        if sort_probes:
+            left = np.sort(left)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(joins, "_ORDERED_PROBES", threshold)
+            probes, by_key = joins._probes(left)
+            assert (by_key is not None) == (
+                len(left) > threshold and not is_ascending(left)
+            )
+            assert np.array_equal(
+                probes, left if by_key is None else np.sort(left)
+            )
+            _assert_exact_pairs(left, right)
+
+    def test_float_probes_in_key_order_keep_nan_matches(self):
+        right = np.array([np.nan, 0.5, -1.0, np.nan, 0.5, 2.0])
+        left = np.array([np.nan, 2.0, 0.5, -3.0, np.nan, 0.5, -1.0] * 3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(joins, "_ORDERED_PROBES", 0)
+            assert joins._probes(left)[1] is not None
+            li, ri = inner_join_indices(left, right)
+        want = [
+            (i, j)
+            for i, lv in enumerate(left.tolist())
+            for j, rv in enumerate(right.tolist())
+            if lv == rv or (np.isnan(lv) and np.isnan(rv))
+        ]
+        assert list(zip(li.tolist(), ri.tolist())) == want
+
+    def test_signed_against_uint64_keeps_its_route(self):
+        # NumPy compares int64 with uint64 as float64: the searched
+        # route must not see them.
+        right = np.arange(0, 600, 3, dtype=np.uint64)
+        left = np.array([-20, 0, 3, 5, 9, 9, 597, 598, 600], dtype=np.int64)
+        assert not joins._searchable(left, right)
+        assert joins._join_direct(left, right) is None
+        _assert_exact_pairs(left, right)
+        assert np.array_equal(
+            semi_join_mask(left, right), np.isin(left, right)
+        )
+        # The same keys as int64 on both sides are searched.
+        assert joins._searchable(left, right.astype(np.int64))
+
+    def test_route_follows_order_and_size(self, monkeypatch):
+        calls = []
+        real = joins._search_pairs
+        monkeypatch.setattr(
+            joins, "_search_pairs",
+            lambda left, right, order, unique=False:
+            calls.append(order is None) or real(left, right, order, unique),
+        )
+        build = np.repeat(np.arange(2000, dtype=np.int32), 3)  # 6 000
+        # 200 probes: 200 · log2(6 001) < 0.5 · 6 000; 1 334 are not.
+        few = np.arange(0, 4000, 20, dtype=np.int64)
+        many = np.arange(0, 4000, 3, dtype=np.int64)
+        for left, right, searched in (
+            (few, build, True),
+            (few[::-1], build, True),              # probe order is free
+            (many, build, False),                  # too many probes
+            (few, build[::-1], False),             # build not ascending
+            (few.astype(np.float64), build.astype(np.float64), False),
+        ):
+            calls.clear()
+            _assert_exact_pairs(left, right)
+            assert (True in calls) == searched
+            assert np.array_equal(
+                semi_join_mask(left, right), np.isin(left, right)
+            )
 
 
 class TestGrouping:
@@ -505,9 +623,38 @@ def _key_sets(draw):
     return keys
 
 
+@st.composite
+def _dependent_keys(draw):
+    """A first integer key, then keys that depend on it (wide, so the
+    tuples leave the grid), depend on it except on the last row, do
+    not depend on it, or are floats holding NaN."""
+    n = draw(st.integers(1, 40))
+    first = np.array(
+        draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    )
+    keys = [first]
+    for _ in range(draw(st.integers(1, 4))):
+        table = np.array(
+            draw(st.lists(st.integers(-3, 3), min_size=11, max_size=11))
+        )
+        dependent = table[first + 5] * 10**15
+        shape = draw(st.sampled_from(["depends", "last", "free", "nan"]))
+        if shape == "last":
+            dependent[-1] += 1
+        elif shape == "free":
+            dependent = np.array(draw(st.lists(
+                st.integers(-3, 3), min_size=n, max_size=n
+            ))) * 10**15
+        elif shape == "nan":
+            dependent = np.where(table[first + 5] > 0, np.nan,
+                                 table[first + 5] / 4)
+        keys.append(dependent)
+    return keys
+
+
 class TestGroupingRoutes:
     @given(_key_sets())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=_examples(300), deadline=None)
     def test_direct_route_equals_sort_route(self, keys):
         _assert_routes_agree(keys)
         # group_rows sends tiny grids elsewhere; the direct route itself
@@ -519,7 +666,7 @@ class TestGroupingRoutes:
             )
 
     @given(_key_sets(), st.integers(1, 50))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=_examples(300), deadline=None)
     def test_tiny_route_equals_sort_route(self, keys, prefix):
         # A first prefix shorter than the input makes the first-row
         # search grow, chunk by chunk.
@@ -560,7 +707,7 @@ class TestGroupingRoutes:
 
     @given(_key_sets(), st.sampled_from(["ascending", "blocks", "unsorted"]),
            st.integers(2, 5))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=_examples(300), deadline=None)
     def test_run_route_equals_sort_route(self, keys, layout, block):
         # Rows in key-tuple order, then each block of rows reversed
         # (ordered between blocks, not within them), or as drawn.
@@ -607,6 +754,65 @@ class TestGroupingRoutes:
         runs.clear()
         _assert_routes_agree([orderkey[: n - 1]])   # too short to test
         assert runs == []
+
+    @given(st.sampled_from([np.int8, np.int16, np.int32, np.int64,
+                            np.uint8, np.uint64]),
+           st.lists(st.integers(0, 120), min_size=1, max_size=40),
+           st.integers(1, 41))
+    @settings(max_examples=_examples(300), deadline=None)
+    def test_one_ascending_key_is_its_own_runs(self, dtype, values, least):
+        key = np.sort(np.array(values, dtype=dtype))
+        if dtype is np.uint64:
+            key += np.uint64(2**63)          # past int64: no grid at all
+        grids = []
+        real = grouping._grid_cells
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grouping, "_RUN_MIN_ROWS", least)
+            patch.setattr(
+                grouping, "_grid_cells",
+                lambda keys, budget=None: grids.append(1)
+                or real(keys, budget),
+            )
+            got = group_rows([key])
+        _assert_same_groups(got, grouping._group_sorted([key]))
+        # Long enough, the key is its runs: no grid cell computed.
+        assert (grids == []) == (len(key) >= least)
+
+    @given(_dependent_keys())
+    @settings(max_examples=_examples(300), deadline=None)
+    def test_dependent_keys_equal_sort_route(self, keys):
+        _assert_routes_agree(keys)
+
+    def test_keys_that_add_no_groups_are_dropped(self, monkeypatch):
+        sorted_keys = []
+        real = grouping._group_sorted
+        monkeypatch.setattr(
+            grouping, "_group_sorted",
+            lambda keys, order=None: sorted_keys.append(len(keys))
+            or real(keys, order),
+        )
+        rng = np.random.default_rng(10)
+        # Q10's shape: a customer key, then columns of the customer.
+        custkey = rng.integers(1, 300, 1000)
+        name = (custkey * 7919 % 1009).astype(np.int32)
+        balance = custkey * 10**15 - 3                  # grid past 2^48
+        for keys, sorted_width in (
+            ([custkey, name, balance], []),
+            ([custkey, name, balance, custkey * 0.5], []),
+        ):
+            sorted_keys.clear()
+            _assert_same_groups(group_rows(keys), real(keys))
+            assert sorted_keys == sorted_width
+        # One row breaks the dependency, on the last row, in a group
+        # first seen earlier: that key stays, the other goes.
+        broken = balance.copy()
+        broken[-1] += 1
+        assert custkey[-1] in custkey[:-1]
+        for extra in (broken, np.where(custkey % 5 == 0, np.nan, name)):
+            sorted_keys.clear()
+            keys = [custkey, name, extra]
+            _assert_same_groups(group_rows(keys), real(keys))
+            assert sorted_keys == [2]
 
     def test_degenerate_shapes(self):
         one_row = [np.array([7]), np.array([-3], dtype=np.int32)]

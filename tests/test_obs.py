@@ -1,7 +1,6 @@
 """The observability layer: spans, metrics, the Chrome exporter."""
 
 import json
-import threading
 import time
 
 import pytest
@@ -135,7 +134,7 @@ class TestSpans:
 class TestMetrics:
     def test_counter_gauge_histogram(self):
         reg = MetricsRegistry()
-        c = reg.counter("pages", "help text")
+        c = reg.counter("pages")
         c.inc()
         c.inc(4)
         g = reg.gauge("ratio")
@@ -163,21 +162,6 @@ class TestMetrics:
         assert reg.snapshot()["kept"] == 0
         c.inc(2)  # the cached reference must still be live
         assert reg.snapshot()["kept"] == 2
-
-    def test_concurrent_increments_are_exact(self):
-        reg = MetricsRegistry()
-        c = reg.counter("racy")
-
-        def work():
-            for _ in range(1000):
-                c.inc()
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert c.value == 4000
 
 
 class TestChromeExport:

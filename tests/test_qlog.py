@@ -186,16 +186,16 @@ class TestMetricsDelta:
 
     def test_delta_sees_only_movement(self):
         registry = MetricsRegistry()
-        registry.counter("x.before", "pre-baseline").inc(5)
+        registry.counter("x.before").inc(5)
         delta = registry.delta()
-        registry.counter("x.after", "post-baseline").inc(2)
-        registry.counter("x.before", "pre-baseline").inc(3)
+        registry.counter("x.after").inc(2)
+        registry.counter("x.before").inc(3)
         moved = delta.collect()
         assert moved == {"x.after": 2.0, "x.before": 3.0}
 
     def test_histogram_delta(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("x.ms", "latency")
+        hist = registry.histogram("x.ms")
         hist.observe(10.0)
         delta = registry.delta()
         hist.observe(4.0)
