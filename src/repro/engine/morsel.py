@@ -15,8 +15,18 @@ when an operator reads it, in the span or above the fragment — and
 page-skip accounting asks once per selection which pages those rows
 land on.  The rules:
 
-- Filter/Project chains concatenate in morsel order (row-wise pure
-  expressions commute with splitting);
+- a Filter/Project chain's span only selects, like the Row Selector
+  handing on a Row-Mask Vector: it runs the selector program and the
+  leftover predicate, charges the pages of the columns the fragment
+  needs, and returns the global ids of the rows it kept.  The merge
+  concatenates the ids in morsel order, cuts the needed base columns
+  once (or hands on the base columns whole when every span kept every
+  row), and runs the upper Filter/Project steps once — row-wise pure
+  expressions commute with splitting.  What each span's partial would
+  have held is derived there (its output rows times the output's bytes
+  per row), so ``peak_partial × workers``, the recorded peak host
+  bytes and the host model's ``sim_*`` numbers are those of per-span
+  materialisation;
 - group-by partials re-reduce through the same aggregate operator
   under :func:`merge_plan`: group numbering is first-appearance order,
   which composes under concatenation, and COUNT/INT-SUM/MIN/MAX are
@@ -51,9 +61,10 @@ the same (copy-on-write / page-cache-shared) column data.  Where the
 pool cannot be had (one worker, no ``fork``, every worker dead) the
 spans run inline.  The per-span work lives in :class:`SpanRunner`,
 which both the parent and the pool workers instantiate; partials cross
-the process boundary via :func:`pack_partial`/:func:`unpack_partial`,
-which serialise values but replace base-column string heaps with name
-tokens so the parent re-attaches its own heap objects.
+the process boundary via :func:`pack_partial`/:func:`unpack_partial` —
+a chain span's as its int64 row ids, any other as its columns' values,
+with base-column string heaps replaced by name tokens so the parent
+re-attaches its own heap objects.
 """
 
 from __future__ import annotations
@@ -392,7 +403,9 @@ class _SpanReads:
 class _Partial:
     """One morsel's output plus its I/O accounting."""
 
-    relation: Relation
+    # The span's rows under the fragment's terminal; None for a chain,
+    # whose span hands on ``rowids`` instead.
+    relation: Relation | None
     pages_read: dict[str, int]
     pages_total: dict[str, int]
     # Under fault injection only: global ids of the pages read, and the
@@ -401,6 +414,9 @@ class _Partial:
     stall_s: np.ndarray | None = None
     # The relation is the span's rows in partial shape, not reduced.
     passthrough: bool = False
+    # A chain span's selection: the ascending global ids of its rows
+    # that pass the bottom filter, before the upper steps.
+    rowids: np.ndarray | None = None
 
 
 class SpanRunner:
@@ -542,20 +558,33 @@ class SpanRunner:
         # per-morsel span costs no synchronisation.
         with self.tracer.span("morsel.span", lo=lo, hi=hi) as tspan:
             reads = _SpanReads(self.extents, lo, hi)
-            rel = self._base_relation(reads)
-            for step in self.upper_steps:
-                if isinstance(step, Filter):
-                    rel = filter_relation(rel, step.predicate)
-                else:
-                    rel = project_relation(rel, step.outputs)
+            local, streamed = self._select(reads)
+            if self.fragment.kind == "chain":
+                # A chain span hands on its selection: the merge cuts
+                # the columns once and applies the upper steps once.
+                rowids = self._charge(self.base_names, local, streamed,
+                                      reads)
+                if rowids is None:  # the whole window
+                    rowids = lo + local
+                rel = None
+                rows_out = len(local)
+            else:
+                rel = self._cut(self.base_names, local, streamed, reads)
+                rel = apply_steps(rel, self.upper_steps)
+                rows_out = rel.nrows
             pages_read, pages_total = reads.summary()
             injector = get_fault_injector()
             page_ids = stall = None
             if injector.enabled:
                 page_ids = reads.page_ids()
                 stall = injector.charge_page_reads(page_ids)
-            tspan.set(rows_out=rel.nrows,
+            # A chain span's rows_out is the rows it selected, before
+            # the upper steps, which run at the merge.
+            tspan.set(rows_out=rows_out,
                       pages_read=sum(pages_read.values()))
+            if rel is None:
+                return _Partial(None, pages_read, pages_total, page_ids,
+                                stall, rowids=rowids)
             partial, passthrough = self._partial(rel)
             return _Partial(partial, pages_read, pages_total, page_ids,
                             stall, passthrough)
@@ -584,8 +613,11 @@ class SpanRunner:
             )
         return partial, False
 
-    def _base_relation(self, reads: _SpanReads) -> Relation:
-        """The span's rows that pass the bottom filter.
+    def _select(
+        self, reads: _SpanReads
+    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The span's rows that pass the bottom filter, and the columns
+        streamed to find them.
 
         A span is a page-aligned window (``reads`` holds its ``[lo,
         hi)`` and what was read of it) plus one ascending
@@ -607,12 +639,40 @@ class SpanRunner:
             cut = self._cut(leftover_reads, local, streamed, reads)
             keep = np.flatnonzero(predicate_mask(cut, leftover))
             local = keep if len(local) == nrows else local[keep]
-        return self._cut(self.base_names, local, streamed, reads)
+        return local, streamed
 
     def _stream(self, name: str, reads: _SpanReads) -> np.ndarray:
         """The column's whole window: a view, charged every page."""
         reads.full(name)
         return self.table.column(name).slice_rows(reads.lo, reads.hi)
+
+    def _charge(
+        self,
+        names: list[str] | tuple[str, ...],
+        local: np.ndarray,
+        streamed: dict[str, np.ndarray],
+        reads: _SpanReads,
+    ) -> np.ndarray | None:
+        """Charge the named columns' pages under the window's ascending
+        ``local`` rows; their global ids, or None for the whole window.
+
+        Under a selection that is the whole window a column streams: a
+        slice, charged every page, and kept in ``streamed``.  Under any
+        other, a column not streamed is charged only the pages the rows
+        land on, so flash pages with no survivor are neither read nor
+        charged — the Table Reader's page skip, end to end.  A column
+        is charged under the selection it is first read under.
+        """
+        if len(local) == reads.hi - reads.lo:
+            for name in names:
+                if name not in streamed:
+                    streamed[name] = self._stream(name, reads)
+            return None
+        rowids = reads.lo + local  # once per selection
+        for name in names:
+            if name not in streamed:
+                reads.rows(name, rowids)
+        return rowids
 
     def _cut(
         self,
@@ -621,34 +681,31 @@ class SpanRunner:
         streamed: dict[str, np.ndarray],
         reads: _SpanReads,
     ) -> Relation:
-        """The named columns at the window's ascending ``local`` rows.
-
-        Under a selection that is the whole window a column streams: a
-        slice, charged every page, and kept in ``streamed``.  Under any
-        other, every column is the base column selected at the rows'
-        global ids, gathered when an operator reads it; one not
-        streamed is charged only the pages those rows land on, so flash
-        pages with no survivor are neither read nor charged — the Table
-        Reader's page skip, end to end.  A column is charged under the
-        selection it is first read under.
-        """
-        whole = len(local) == reads.hi - reads.lo
-        rowids = None
-        columns = {}
-        for name in names:
-            if whole:
-                if name not in streamed:
-                    streamed[name] = self._stream(name, reads)
-                columns[name] = typed_array_from_column(
+        """The named columns at the window's ascending ``local`` rows,
+        charged by :meth:`_charge`: streamed slices under the whole
+        window, else every column the base column selected at the rows'
+        global ids, gathered when an operator reads it."""
+        rowids = self._charge(names, local, streamed, reads)
+        if rowids is None:
+            return Relation({
+                name: typed_array_from_column(
                     self.table.column(name), streamed[name]
                 )
-                continue
-            if rowids is None:
-                rowids = reads.lo + local  # once per selection
-            if name not in streamed:
-                reads.rows(name, rowids)
-            columns[name] = select_rows(self.lifted[name], rowids)
-        return Relation(columns)
+                for name in names
+            })
+        return Relation({
+            name: select_rows(self.lifted[name], rowids) for name in names
+        })
+
+
+def apply_steps(rel: Relation, steps: tuple[Plan, ...]) -> Relation:
+    """``rel`` under a fragment's Filter/Project steps, bottom-up."""
+    for step in steps:
+        if isinstance(step, Filter):
+            rel = filter_relation(rel, step.predicate)
+        else:
+            rel = project_relation(rel, step.outputs)
+    return rel
 
 
 # ---------------------------------------------------------------------------
@@ -659,34 +716,37 @@ class SpanRunner:
 def pack_partial(partial: _Partial, heap_names: dict[int, str]) -> tuple:
     """Flatten a :class:`_Partial` for the worker→parent pipe.
 
-    Column values pickle as plain arrays (a view serialises only its
-    own data, never the mmap behind it).  String heaps do **not**
-    travel by content when they are base-column heaps: those become
-    ``("col", name)`` tokens the parent resolves against its own
-    catalog, so the merged relation carries the parent's heap objects
-    exactly as inline spans would.  Expression-built heaps
-    (e.g. substring outputs) are inlined in their stored form and
-    rebuilt verbatim.
+    A chain span ships its int64 row ids.  Column values pickle as
+    plain arrays (a view serialises only its own data, never the mmap
+    behind it).  String heaps do **not** travel by content when they
+    are base-column heaps: those become ``("col", name)`` tokens the
+    parent resolves against its own catalog, so the merged relation
+    carries the parent's heap objects exactly as inline spans would.
+    Expression-built heaps (e.g. substring outputs) are inlined in
+    their stored form and rebuilt verbatim.
     """
-    packed_columns = []
-    for name, arr in partial.relation.columns.items():
-        if arr.heap is None:
-            token = None
-        else:
-            # same-process lookup; the shipped token is the column
-            # name, never the id value
-            base_name = heap_names.get(id(arr.heap))
-            token = (
-                ("col", base_name)
-                if base_name is not None
-                else ("inline", *arr.heap.stored())
+    packed_columns = None
+    if partial.relation is not None:
+        packed_columns = []
+        for name, arr in partial.relation.columns.items():
+            if arr.heap is None:
+                token = None
+            else:
+                # same-process lookup; the shipped token is the column
+                # name, never the id value
+                base_name = heap_names.get(id(arr.heap))
+                token = (
+                    ("col", base_name)
+                    if base_name is not None
+                    else ("inline", *arr.heap.stored())
+                )
+            packed_columns.append(
+                (name, np.ascontiguousarray(arr.values), arr.kind,
+                 arr.scale, token)
             )
-        packed_columns.append(
-            (name, np.ascontiguousarray(arr.values), arr.kind,
-             arr.scale, token)
-        )
     return (
         packed_columns,
+        partial.rowids,
         partial.pages_read,
         partial.pages_total,
         partial.page_ids,
@@ -697,20 +757,23 @@ def pack_partial(partial: _Partial, heap_names: dict[int, str]) -> tuple:
 
 def unpack_partial(packed: tuple, table) -> _Partial:
     """Rebuild a worker's :class:`_Partial` against the parent catalog."""
-    (packed_columns, pages_read, pages_total, page_ids, stall_s,
+    (packed_columns, rowids, pages_read, pages_total, page_ids, stall_s,
      passthrough) = packed
-    columns: dict[str, TypedArray] = {}
-    for name, values, kind, scale, token in packed_columns:
-        if token is None:
-            heap = None
-        elif token[0] == "col":
-            heap = table.column(token[1]).heap
-        else:
-            heap = StringHeap.from_stored(*token[1:])
-        columns[name] = TypedArray(values, kind, scale, heap)
+    relation = None
+    if packed_columns is not None:
+        columns: dict[str, TypedArray] = {}
+        for name, values, kind, scale, token in packed_columns:
+            if token is None:
+                heap = None
+            elif token[0] == "col":
+                heap = table.column(token[1]).heap
+            else:
+                heap = StringHeap.from_stored(*token[1:])
+            columns[name] = TypedArray(values, kind, scale, heap)
+        relation = Relation(columns)
     return _Partial(
-        Relation(columns), pages_read, pages_total, page_ids, stall_s,
-        passthrough,
+        relation, pages_read, pages_total, page_ids, stall_s, passthrough,
+        rowids,
     )
 
 
@@ -764,12 +827,16 @@ class MorselExecutor:
             partials = self._execute(spans, backend)
             with self.tracer.span("morsel.merge",
                                   kind=self.fragment.kind):
-                result = _reduce(
-                    Relation.concat([p.relation for p in partials]),
-                    self.fragment, merge=True,
-                    subquery_executor=self.engine.scalar,
-                )
-            op = self._record(partials, result)
+                if self.fragment.kind == "chain":
+                    result, sizes = self._merge_chain(partials)
+                else:
+                    result = _reduce(
+                        Relation.concat([p.relation for p in partials]),
+                        self.fragment, merge=True,
+                        subquery_executor=self.engine.scalar,
+                    )
+                    sizes = [p.relation.nbytes() for p in partials]
+            op = self._record(partials, result, int(max(sizes)))
             fspan.set(rows_out=op.rows_out,
                       bytes_out=op.bytes_out,
                       passthrough_spans=sum(
@@ -839,12 +906,57 @@ class MorselExecutor:
             raise UnrecoverableFault(failure.message, site=failure.site)
         return partials
 
+    def _merge_chain(
+        self, partials: list[_Partial]
+    ) -> tuple[Relation, np.ndarray]:
+        """A chain's output from its spans' selections, and the bytes
+        of each span's partial as a span that cut its own columns would
+        have held them.
+
+        The needed base columns are cut once at the concatenated row
+        ids — or, when every span kept every row (as many ids as the
+        table has rows), are the lifted base columns themselves, read
+        whole as the concatenated slices were — and the upper steps run
+        once.  A span's partial is its output rows (its ids less what
+        an upper Filter drops, found from the span bounds in the
+        surviving positions) times the output's bytes per row, so the
+        recorded peak is the one per-span materialisation would give.
+        """
+        runner = self.runner
+        counts = [len(p.rowids) for p in partials]
+        rowids = np.concatenate([p.rowids for p in partials])
+        base = Relation({
+            name: runner.lifted[name] for name in runner.base_names
+        })
+        if len(rowids) == self.table.nrows:
+            rel = Relation({
+                name: TypedArray(arr.values, arr.kind, arr.scale, arr.heap)
+                for name, arr in base.columns.items()
+            })
+        else:
+            rel = base.take(rowids)
+        kept = None  # cut positions that pass the upper Filters
+        for step in runner.upper_steps:
+            if isinstance(step, Filter):
+                keep = np.flatnonzero(predicate_mask(rel, step.predicate))
+                rel = rel.take(keep)
+                kept = keep if kept is None else kept[keep]
+            else:
+                rel = project_relation(rel, step.outputs)
+        rows_out = np.asarray(counts, dtype=np.int64)
+        if kept is not None:
+            bounds = np.cumsum([0, *counts])
+            rows_out = np.diff(np.searchsorted(kept, bounds))
+        per_row = rel.nbytes() // rel.nrows if rel.nrows else 0
+        return rel, rows_out * per_row
+
     # -- trace -----------------------------------------------------------------------
 
     def _record(
-        self, partials: list[_Partial], result: Relation
+        self, partials: list[_Partial], result: Relation, peak_partial: int
     ) -> OpTrace:
-        """File the fragment in the query record; the op it filed."""
+        """File the fragment in the query record; the op it filed.
+        ``peak_partial`` is the largest span partial's bytes."""
         table = self.table.name
         pages_read: dict[str, int] = {}
         pages_total: dict[str, int] = {}
@@ -889,9 +1001,6 @@ class MorselExecutor:
             ),
         )
         self.trace.record_op(op)
-        peak_partial = max(
-            (p.relation.nbytes() for p in partials), default=0
-        )
         self.trace.observe_host_bytes(
             op.bytes_out + peak_partial * max(1, self.config.n_workers)
         )

@@ -28,7 +28,10 @@ three routes chosen from the inputs alone:
 
 A duplicated build side describes the matches as ``(order, lo,
 counts)`` runs on every route, and one expansion turns them into pair
-lists; every route gives the same pairs in the same order.  Semi/anti
+lists; every route gives the same pairs in the same order.  A signed
+key side against a uint64 one (NumPy's common type is float64) first
+becomes an int64 pair: uint64 keys past int64 match nothing and are
+left out, and every route compares the rest exactly.  Semi/anti
 joins reduce the pair list (or, when no residual predicate is
 involved, short-circuit to a membership test).
 """
@@ -115,12 +118,46 @@ def inner_join_indices(
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
 
+    if _mixed_sign(left_keys, right_keys):
+        left_rows, left_keys = _as_int64(left_keys)
+        right_rows, right_keys = _as_int64(right_keys)
+        li, ri = inner_join_indices(left_keys, right_keys)
+        return _rows(left_rows, li), _rows(right_rows, ri)
     if _searchable(left_keys, right_keys):
         return _search_pairs(left_keys, right_keys, None)
     pairs = _join_direct(left_keys, right_keys)
     if pairs is None:
         pairs = _join_sorted(left_keys, right_keys)
     return pairs
+
+
+def _mixed_sign(left_keys: np.ndarray, right_keys: np.ndarray) -> bool:
+    """Integer keys NumPy would compare as float64: a signed side
+    against a uint64 one, whose common type is not an integer."""
+    kinds = left_keys.dtype.kind + right_keys.dtype.kind
+    return kinds in ("iu", "ui") and np.result_type(
+        left_keys.dtype, right_keys.dtype
+    ).kind == "f"
+
+
+def _as_int64(keys: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """One side of a mixed-sign pair, to compare exactly as int64.
+
+    A uint64 key above 2⁶³ − 1 equals no signed key: such rows are
+    dropped, and the kept rows' ids come first (None: every row kept,
+    the signed side).  A negative signed key equals no uint64 key and
+    needs nothing: the uint64 keys left are all ≥ 0.
+    """
+    if keys.dtype.kind == "i":
+        return None, keys
+    rows = np.flatnonzero(keys <= np.iinfo(np.int64).max)
+    return rows, keys[rows].astype(np.int64)
+
+
+def _rows(rows: np.ndarray | None, at: np.ndarray) -> np.ndarray:
+    """Positions ``at`` of a side :func:`_as_int64` kept ``rows`` of,
+    as the side's own row ids."""
+    return at if rows is None else rows[at]
 
 
 def _searchable(left_keys: np.ndarray, right_keys: np.ndarray) -> bool:
@@ -277,6 +314,14 @@ def semi_join_mask(
     right_keys = np.asarray(right_keys)
     if len(right_keys) == 0:
         return np.zeros(len(left_keys), dtype=np.bool_)
+    if _mixed_sign(left_keys, right_keys):
+        left_rows, probes = _as_int64(left_keys)
+        matched = semi_join_mask(probes, _as_int64(right_keys)[1])
+        if left_rows is None:
+            return matched
+        mask = np.zeros(len(left_keys), dtype=np.bool_)
+        mask[left_rows] = matched
+        return mask
     if _searchable(left_keys, right_keys):
         at = _search(right_keys, *_probes(left_keys), "left")
         np.minimum(at, len(right_keys) - 1, out=at)

@@ -600,7 +600,8 @@ class TestMergeRules:
 class TestRepeatedSubtrees:
     """Q1's ``sum_charge`` operand contains ``sum_disc_price``'s.  The
     shared subtree is computed once per Project evaluation — never
-    reused across two relations or two spans."""
+    reused across two relations or two spans — and a streamed chain
+    evaluates its Project once, at the merge."""
 
     DISC = "(col('l_extendedprice') * (lit(1, int, s=0) - col('l_discount')))"
     CHARGE = f"({DISC} * (lit(1, int, s=0) + col('l_tax')))"
@@ -651,17 +652,41 @@ class TestRepeatedSubtrees:
         assert calls["(lit(1, int, s=0) - col('l_discount'))"] == 2
 
     def test_once_per_span(self, small_db, monkeypatch):
+        # Q1's SUMs alone are a mergeable aggregate: every span
+        # evaluates the Project under it, each time afresh.
+        from dataclasses import replace
+
+        from repro import tpch
+        from repro.engine import Engine
+
+        q01 = tpch.query(1).child
+        plan = replace(q01, aggregates=tuple(
+            spec for spec in q01.aggregates if spec.func is AggFunc.SUM
+        ))
+        host = Engine(small_db).execute_relation(plan)
+        calls = self._counted(monkeypatch)
+        Engine(small_db).execute_relation(plan)
+        assert calls[self.DISC] == calls[self.CHARGE] == 1
+        calls.clear()
+        config = MorselConfig(morsel_rows=8192, n_workers=1)
+        streamed = Engine(small_db, morsels=config).execute_relation(plan)
+        spans = config.spans_for(small_db.table("lineitem").nrows)
+        assert len(spans) > 1
+        assert calls[self.DISC] == calls[self.CHARGE] == len(spans)
+        assert_identical(streamed, host)
+
+    def test_once_per_chain(self, small_db, monkeypatch):
+        # Q1's AVGs keep its aggregate off the span path, so the
+        # Filter/Project under it streams as a chain: the spans select
+        # and the merge runs the Project once over their rows.
         from repro import tpch
         from repro.engine import Engine
 
         plan = tpch.query(1)
         host = Engine(small_db).execute_relation(plan)
         calls = self._counted(monkeypatch)
-        Engine(small_db).execute_relation(plan)
-        assert calls[self.DISC] == calls[self.CHARGE] == 1
-        calls.clear()
         streamed = Engine(
             small_db, morsels=MorselConfig(morsel_rows=8192, n_workers=1)
         ).execute_relation(plan)
-        assert calls[self.DISC] == calls[self.CHARGE] > 1
+        assert calls[self.DISC] == calls[self.CHARGE] == 1
         assert_identical(streamed, host)

@@ -99,6 +99,23 @@ _KEY_DTYPES = [
 ]
 
 
+# Keys where float64 loses int64/uint64 apart: about 2⁵³ (the last
+# integer float64 holds exactly) and 2⁶³ (past int64, and where int64
+# keys turn negative), with small keys beside them.
+_SIGNED_EDGES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**53 - 3, 2**53 + 3),
+    st.integers(2**63 - 4, 2**63 - 1),
+    st.integers(-(2**63), -(2**63) + 3),
+)
+_UNSIGNED_EDGES = st.one_of(
+    st.integers(0, 3),
+    st.integers(2**53 - 3, 2**53 + 3),
+    st.integers(2**63 - 4, 2**63 + 3),
+    st.integers(2**64 - 4, 2**64 - 1),
+)
+
+
 def _examples(n: int) -> int:
     """``n`` examples, or more under a profile that asks for more (the
     ``long`` profile of ``tests/conftest.py``)."""
@@ -360,6 +377,48 @@ class TestJoinRoutes:
             if lv == rv or (np.isnan(lv) and np.isnan(rv))
         ]
         assert list(zip(li.tolist(), ri.tolist())) == want
+
+    @given(data=st.data(), swap=st.booleans(), sort_build=st.booleans(),
+           search=st.booleans(), threshold=st.integers(0, 31))
+    @settings(max_examples=_examples(200), deadline=None)
+    def test_mixed_sign_keys_equal_reference(
+        self, data, swap, sort_build, search, threshold
+    ):
+        # int64 against uint64 on every route, either side the build:
+        # a uint64 key past int64 and a negative int64 key match
+        # nothing, the rest compare exactly.
+        signed = np.array(
+            data.draw(st.lists(_SIGNED_EDGES, max_size=30)), dtype=np.int64
+        )
+        unsigned = np.array(
+            data.draw(st.lists(_UNSIGNED_EDGES, max_size=30)),
+            dtype=np.uint64,
+        )
+        left, right = (unsigned, signed) if swap else (signed, unsigned)
+        if sort_build:
+            right = np.sort(right)
+        with pytest.MonkeyPatch.context() as patch:
+            if search:
+                patch.setattr(joins, "_SEARCH_FACTOR", float(len(left) + 1))
+            patch.setattr(joins, "_ORDERED_PROBES", threshold)
+            _assert_exact_pairs(left, right)
+            build = set(right.tolist())
+            assert semi_join_mask(left, right).tolist() == [
+                key in build for key in left.tolist()
+            ]
+
+    def test_signed_against_uint64_past_2_53(self):
+        # Compared as float64, 2⁵³ + 1 equals 2⁵³.
+        signed = np.array([2**53 + 1, 2**53 + 2], dtype=np.int64)
+        unsigned = np.array([2**53, 2**53 + 1, 2**53 + 2], dtype=np.uint64)
+        li, ri = inner_join_indices(signed, unsigned)
+        assert list(zip(li.tolist(), ri.tolist())) == [(0, 1), (1, 2)]
+        li, ri = inner_join_indices(unsigned, signed)
+        assert list(zip(li.tolist(), ri.tolist())) == [(1, 0), (2, 1)]
+        assert semi_join_mask(signed, unsigned).tolist() == [True, True]
+        assert semi_join_mask(unsigned, signed).tolist() == [
+            False, True, True
+        ]
 
     def test_signed_against_uint64_keeps_its_route(self):
         # NumPy compares int64 with uint64 as float64: the searched
