@@ -195,18 +195,15 @@ def _obs(tracer: Tracer | None,
 
 
 def _run_morsel_batch(state: _WorkerState, fragment: Any,
-                      spans: list, tracer: Tracer | None) -> list:
+                      spans: list, tracer: Tracer | None) -> tuple:
+    """One batch, run as one window by a runner of its own."""
     from repro.engine.morsel import SpanRunner, pack_partial
 
     runner = SpanRunner.for_catalog(
         state.catalog, state.layout(), fragment,
         tracer if tracer is not None else NULL_TRACER,
     )
-    heap_names = runner.heap_names()
-    return [
-        pack_partial(runner.run_span_safe(span), heap_names)
-        for span in spans
-    ]
+    return pack_partial(runner.run_window(spans), runner.heap_names())
 
 
 def _handle(state: _WorkerState, wid: int, msg: tuple) -> tuple:

@@ -1,6 +1,6 @@
-"""A streamed chain's spans only select; the merge cuts the columns once.
+"""A streamed chain's windows only select; the merge cuts the columns once.
 
-A span of a ``chain`` fragment (Filter/Project steps over a scan, no
+A window of a ``chain`` fragment (Filter/Project steps over a scan, no
 terminal) hands on the global ids of the rows it selected, and
 ``MorselExecutor`` cuts the base columns once and runs the upper steps
 once.  What the query record saw of each span — its partial's bytes,
@@ -8,10 +8,11 @@ which ``peak_partial × workers`` charges to ``peak_host_bytes`` and so
 to the host model — is derived at the merge.  These tests hold the
 recorded ``peak_host_bytes``, per-column flash pages and the result to
 a reference that materialises every span the way a span that cuts its
-own columns does (``SpanRunner._cut`` and the upper steps per span,
-then ``Relation.concat``): for every streamed chain of the 22 TPC-H
-plans at 8192 rows and at ``TUNED_MORSEL_ROWS``, and for two synthetic
-chains, on the serial and the process backend.
+own columns does (``test_window_accounting.reference_spans``: the
+span's own cut and upper steps, then ``Relation.concat``): for every
+streamed chain of the 22 TPC-H plans at 8192 rows and at
+``TUNED_MORSEL_ROWS``, and for two synthetic chains, on the serial and
+the process backend.
 """
 
 from collections import Counter
@@ -19,6 +20,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from test_procpool import assert_identical
+from test_window_accounting import reference_spans
 
 from repro import tpch
 from repro.engine import Engine, MorselConfig
@@ -26,18 +28,13 @@ from repro.engine import procpool
 from repro.engine.morsel import (
     TUNED_MORSEL_ROWS,
     MorselExecutor,
-    SpanRunner,
-    _SpanReads,
-    apply_steps,
     extract_fragment,
 )
 from repro.engine.relation import Relation
-from repro.obs import NULL_TRACER
 from repro.perf.trace import QueryTrace
 from repro.sqlir import col, lit, scan
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
-from repro.storage.layout import FlashLayout
 from repro.storage.table import Table
 from repro.storage.types import INT32, INT64
 
@@ -64,24 +61,15 @@ def _per_span_reference(db, fragment, spans, workers):
     """Every span materialised by itself, then concatenated: the
     result, each span's partial bytes, the peak the fragment charges,
     and the flash pages read and skipped per column."""
-    runner = SpanRunner.for_catalog(
-        db, FlashLayout(db), fragment, NULL_TRACER
-    )
     parts = []
     read: Counter = Counter()
     skipped: Counter = Counter()
-    for lo, hi in spans:
-        reads = _SpanReads(runner.extents, lo, hi)
-        local, streamed = runner._select(reads)
-        parts.append(apply_steps(
-            runner._cut(runner.base_names, local, streamed, reads),
-            runner.upper_steps,
-        ))
-        pages_read, pages_total = reads.summary()
-        for name, n in pages_read.items():
+    for span in reference_spans(db, fragment, [spans]):
+        parts.append(span.relation)
+        for name, n in span.pages_read.items():
             key = (fragment.scan.table, name)
             read[key] += n
-            skipped[key] += pages_total[name] - n
+            skipped[key] += span.pages_total[name] - n
     result = Relation.concat(parts)
     sizes = [part.nbytes() for part in parts]
     peak = result.nbytes() + max(sizes) * max(1, workers)

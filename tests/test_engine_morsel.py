@@ -20,7 +20,7 @@ from repro.engine.morsel import (
     TUNED_MORSEL_ROWS,
     Fragment,
     MorselConfig,
-    _SpanReads,
+    _WindowReads,
     _reduce,
     column_extents,
     extract_fragment,
@@ -211,9 +211,20 @@ class TestChannelMeter:
 
 
 def _lineitem_reads(layout, lo, hi):
-    """A span's page accounting over every lineitem column."""
+    """The page accounting of a window of one span over every lineitem
+    column."""
     names = [e.column for e in layout.extents() if e.table == "lineitem"]
-    return _SpanReads(column_extents(layout, "lineitem", names), lo, hi)
+    return _WindowReads(
+        column_extents(layout, "lineitem", names), [(lo, hi)]
+    )
+
+
+def _totals(reads) -> tuple[dict[str, int], dict[str, int]]:
+    """(pages read, pages in the window) per column."""
+    return tuple(
+        {name: sum(n) for name, n in counts.items()}
+        for counts in reads.summary()
+    )
 
 
 class TestSpanReads:
@@ -230,7 +241,7 @@ class TestSpanReads:
         nrows = tiny_db.table("lineitem").nrows
         reads = _lineitem_reads(layout, 0, nrows)
         reads.full("l_quantity")
-        pages_read, pages_total = reads.summary()
+        pages_read, pages_total = _totals(reads)
         per_page = layout.extent("lineitem", "l_quantity").rows_per_page()
         assert pages_read["l_quantity"] == pages_total["l_quantity"]
         assert pages_total["l_quantity"] == -(-nrows // per_page)
@@ -240,15 +251,16 @@ class TestSpanReads:
         per_page = layout.extent("lineitem", "l_orderkey").rows_per_page()
         rows = np.array([0, 1, per_page, per_page + 5], dtype=np.int64)
         reads.rows("l_orderkey", rows)
-        pages_read, _ = reads.summary()
+        pages_read, _ = _totals(reads)
         assert pages_read["l_orderkey"] == 2  # two distinct pages
-        assert len(reads.page_ids()) == 2
+        (ids,) = reads.page_ids()
+        assert len(ids) == 2
 
     def test_rows_then_full_is_full(self, layout):
         reads = _lineitem_reads(layout, 0, 8192)
         reads.full("l_orderkey")
         reads.rows("l_orderkey", np.array([3], dtype=np.int64))
-        pages_read, pages_total = reads.summary()
+        pages_read, pages_total = _totals(reads)
         assert pages_read["l_orderkey"] == pages_total["l_orderkey"]
 
 
@@ -276,15 +288,15 @@ class TestSpanReads:
         for name in ("l_quantity", "l_tax", "l_partkey", "l_discount"):
             reads.rows(name, rows)
         assert calls == [wide, narrow]
-        pages_read, _ = reads.summary()
+        pages_read, _ = _totals(reads)
         assert pages_read == {
             "l_quantity": 3, "l_tax": 3, "l_partkey": 2, "l_discount": 3
         }
         # Other row ids are another selection, and add to the column.
         reads.rows("l_tax", np.array([5 * wide], dtype=np.int64))
         assert calls == [wide, narrow, wide]
-        assert reads.summary()[0]["l_tax"] == 4
-        assert reads.summary()[0]["l_quantity"] == 3
+        assert _totals(reads)[0]["l_tax"] == 4
+        assert _totals(reads)[0]["l_quantity"] == 3
 
 
     @pytest.mark.parametrize(
@@ -304,8 +316,35 @@ class TestSpanReads:
         gathered.rows(column, np.arange(lo, nrows))
         streamed = _lineitem_reads(layout, lo, nrows)
         streamed.full(column)
-        assert gathered.summary() == streamed.summary()
-        assert np.array_equal(gathered.page_ids(), streamed.page_ids())
+        assert _totals(gathered) == _totals(streamed)
+        assert np.array_equal(
+            *(np.concatenate(r.page_ids()) for r in (gathered, streamed))
+        )
+
+
+    def test_window_answers_per_span(self, small_db):
+        """Three spans, one window: each span is charged its own pages
+        of the window's flags, and its own page ids."""
+        layout = FlashLayout(small_db)
+        spans = [(0, 8192), (8192, 16384), (16384, 20000)]
+        reads = _WindowReads(
+            column_extents(layout, "lineitem", ["l_quantity", "l_tax"]),
+            spans,
+        )
+        per_page = layout.extent("lineitem", "l_tax").rows_per_page()
+        reads.full("l_quantity")
+        rows = np.array([3, 5, per_page + 1, 16384, 19999])
+        reads.rows("l_tax", rows)
+        pages_read, pages_total = reads.summary()
+        whole = [8192 // per_page, 8192 // per_page, -(-3616 // per_page)]
+        assert pages_total["l_tax"] == whole
+        assert pages_read["l_quantity"] == whole
+        assert pages_read["l_tax"] == [2, 0, 2]
+        first = layout.extent("lineitem", "l_tax").first_page
+        tax = [ids[ids >= first] - first for ids in reads.page_ids()]
+        assert [t.tolist() for t in tax] == [
+            [0, 1], [], [16384 // per_page, 19999 // per_page]
+        ]
 
 
 class TestWholeWindow:
@@ -438,6 +477,8 @@ class TestSpanSetUp:
     ):
         from test_storage import _CountingScans
 
+        from repro.engine import Engine
+        from repro.obs import Tracer
         from repro.sqlir.expr import Like
 
         pattern = "%zq7 never asked before%"
@@ -447,11 +488,25 @@ class TestSpanSetUp:
         plan = scan("lineitem").filter(
             Like(col("l_comment"), pattern, negated=True)
         ).plan
-        engine = self._engine(small_db)
+        tracer = Tracer()
+        engine = Engine(small_db, tracer=tracer, morsels=MorselConfig(
+            morsel_rows=8192, n_workers=1
+        ))
         for _ in range(2):  # cold, then warm
             out = engine.execute_relation(plan)
             assert out.nrows == small_db.table("lineitem").nrows
             assert scans.counts == [heap.unique_count]
+        # Each run is one window over every modeled span, and the
+        # pattern's verdicts outlive it.
+        (fragment,) = {
+            rec[6]["morsels"] for _, rec in tracer.records()
+            if rec[0] == "morsel.fragment"
+        }
+        windows = [
+            rec[6]["spans"] for _, rec in tracer.records()
+            if rec[0] == "morsel.span"
+        ]
+        assert fragment > 4 and windows == [fragment, fragment]
 
 
 # -- partial → merge, under any span split ---------------------------------
@@ -652,12 +707,14 @@ class TestRepeatedSubtrees:
         assert calls["(lit(1, int, s=0) - col('l_discount'))"] == 2
 
     def test_once_per_span(self, small_db, monkeypatch):
-        # Q1's SUMs alone are a mergeable aggregate: every span
-        # evaluates the Project under it, each time afresh.
+        # Q1's SUMs alone are a mergeable aggregate: the Project under
+        # it runs in every window, once over the window's rows however
+        # many modeled spans the window holds.
         from dataclasses import replace
 
         from repro import tpch
         from repro.engine import Engine
+        from repro.obs import Tracer
 
         q01 = tpch.query(1).child
         plan = replace(q01, aggregates=tuple(
@@ -668,11 +725,18 @@ class TestRepeatedSubtrees:
         Engine(small_db).execute_relation(plan)
         assert calls[self.DISC] == calls[self.CHARGE] == 1
         calls.clear()
+        tracer = Tracer()
         config = MorselConfig(morsel_rows=8192, n_workers=1)
-        streamed = Engine(small_db, morsels=config).execute_relation(plan)
+        streamed = Engine(
+            small_db, tracer=tracer, morsels=config
+        ).execute_relation(plan)
         spans = config.spans_for(small_db.table("lineitem").nrows)
-        assert len(spans) > 1
-        assert calls[self.DISC] == calls[self.CHARGE] == len(spans)
+        windows = [
+            rec[6]["spans"] for _, rec in tracer.records()
+            if rec[0] == "morsel.span"
+        ]
+        assert len(spans) > 1 and windows == [len(spans)]
+        assert calls[self.DISC] == calls[self.CHARGE] == len(windows)
         assert_identical(streamed, host)
 
     def test_once_per_chain(self, small_db, monkeypatch):

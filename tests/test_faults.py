@@ -397,3 +397,84 @@ def test_degraded_flag_roundtrip():
     assert doc["seed"] == 3
     clear_degraded()
     assert get_degraded() is None
+
+
+# ---------------------------------------------------------------------------
+# A window faults as its spans did
+# ---------------------------------------------------------------------------
+
+# The seeds and rates the host-path tests above run, with their budgets.
+WINDOW_FAULTS = [
+    (3, {"page_error_rate": 0.05}),
+    (3, {"latency_spike_rate": 0.2}),
+    (3, {"channel_stall_rate": 0.5}),
+    (3, {"worker_crash_rate": 0.5}),
+    (7, {"page_error_rate": 1.0, "retry_budget": 0}),
+    (7, {"worker_crash_rate": 1.0}),
+    (0, {"page_error_rate": 0.02, "worker_crash_rate": 0.2}),
+    (1, {"page_error_rate": 0.02, "worker_crash_rate": 0.2}),
+]
+
+
+def _faulted_q6(db, backend, seed, rates, per_span):
+    """Q6 streamed under one injector: ``(result or None, the raised
+    site or None, injector, trace)``.  ``per_span`` runs every span by
+    itself (``test_window_accounting.reference_spans``) in place of the
+    windows, and the executor merges and records as usual."""
+    from test_window_accounting import as_partial, reference_spans, windows_of
+
+    from repro.engine.morsel import MorselExecutor
+    from repro.perf.trace import QueryTrace
+
+    def spans_alone(executor, spans, backend):
+        windows = windows_of(spans, backend, executor.config.n_workers)
+        return [
+            as_partial(span, executor.fragment.kind == "chain")
+            for span in reference_spans(
+                executor.engine.catalog, executor.fragment, windows
+            )
+        ]
+
+    injector = _injector(seed, **rates)
+    set_fault_injector(injector)
+    trace = QueryTrace()
+    engine = Engine(db, trace, morsels=MorselConfig(
+        parallel=True, morsel_rows=8192,
+        n_workers=2 if backend == "process" else 1, worker_backend=backend,
+    ))
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            if per_span:
+                patch.setattr(MorselExecutor, "_execute", spans_alone)
+            return engine.execute(tpch.query(6)), None, injector, trace
+    except UnrecoverableFault as fault:
+        return None, fault.site, injector, trace
+    finally:
+        set_fault_injector(None)
+        clear_degraded()
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+@pytest.mark.parametrize(
+    "seed, rates", WINDOW_FAULTS,
+    ids=[f"{seed}-" + "-".join(rates) for seed, rates in WINDOW_FAULTS],
+)
+def test_window_faults_like_its_spans(small_db, backend, seed, rates):
+    """A window checks and retries each span's site before it works and
+    charges each span's pages in span order: the same sites retried the
+    same number of times, the same unrecoverable site, the same stall
+    seconds as spans run one by one."""
+    out, site, injector, trace = _faulted_q6(
+        small_db, backend, seed, rates, per_span=False
+    )
+    want, want_site, spans, span_trace = _faulted_q6(
+        small_db, "serial", seed, rates, per_span=True
+    )
+    assert site == want_site
+    if site is not None and backend == "process":
+        return  # batches after the failing one ran on the other worker
+    assert injector.summary() == spans.summary()
+    assert injector.sorted_events() == spans.sorted_events()
+    assert trace.fault_stall_s == span_trace.fault_stall_s
+    if site is None:
+        assert out.equals(want.renamed(out.name))

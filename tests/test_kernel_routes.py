@@ -6,7 +6,8 @@ build side is searched, unsorted composite probes are searched in key
 order, a sorted group key is its own runs, keys that depend on the
 first one add no groups, and every key reaches the kernels through
 ``relation.key_values`` — a pending selection of a stored int32 key at
-int32 — on the host and the device path.
+int32, even one an expression read and widened first (Q09's
+``l_suppkey``) — on the host and the device path.
 """
 
 from collections import defaultdict
@@ -158,19 +159,47 @@ def test_q18_sorted_orderkey_is_its_own_runs(census):
     assert _routes(census, 18, "host", "aggregate", "l_orderkey") == {"runs"}
 
 
+def _key_names(node) -> tuple:
+    """The key columns a census node names, in kernel argument order."""
+    return node[4:6] if node[2] == "join" else node[3:]
+
+
 @pytest.mark.parametrize("path", ["host", "device"])
-def test_keys_reach_the_kernels_at_their_stored_width(census, path):
+def test_keys_reach_the_kernels_at_their_stored_width(
+    census, small_db, path
+):
     # Each join and group key is what ``key_values`` returned for it; a
     # key still pending selection from a column stored at int32 (any
-    # key but ``orderkey``) arrives at int32, not lifted to int64.
-    narrow = 0
+    # key but ``orderkey``) arrives at int32, not lifted to int64.  A
+    # key that is a stored column arrives at that column's dtype even
+    # when an expression read it (and so gathered it widened) first.
+    stored = {
+        column.name: column.values.dtype
+        for table in small_db.tables
+        for column in small_db.table(table).columns
+    }
+    narrow = named = 0
     for node, entries in census.keys.items():
         if node[1] != path:
             continue
-        for entry in entries:
+        names = _key_names(node)
+        for entry, name in zip(entries, names * (len(entries) // len(names))):
             assert entry is not None, node
             key, source = entry
             if source is not None:
                 assert key.dtype == source, node
                 narrow += source == np.int32
-    assert narrow > 0
+            if name in stored:
+                assert key.dtype == stored[name], (node, name)
+                named += 1
+    assert narrow > 0 and named > 0
+
+
+def test_q09_suppkey_joins_at_stored_width(census):
+    # The composite ``l_partkey * K + l_suppkey`` projection reads
+    # ``l_suppkey`` first; the join on it still gets the stored int32.
+    node = (9, "host", "join", "inner", "l_suppkey", "s_suppkey")
+    entries = census.keys[node]
+    assert entries
+    for key, source in entries:
+        assert key.dtype == source == np.int32

@@ -86,10 +86,55 @@ class TestTake:
         arr = out.column("i")
         first = arr.values
         assert arr.gathered and arr.values is first
-        # Selecting from a gathered column starts from its values.
+        # Selecting from a gathered column composes its rows with its
+        # source, as for a pending one: the selection is of the stored
+        # column again, at its stored width.
         again = select_rows(arr, np.array([1]))
-        assert again.source is first and again.rows.tolist() == [1]
-        assert again.values.tolist() == [30]
+        assert again.source is arr.source and again.rows.tolist() == [3]
+        assert not again.gathered and again.values.tolist() == [30]
+
+    def test_a_read_key_is_selected_at_its_stored_width(self):
+        """A narrow column an expression read (and widened) first is
+        still handed to a later kernel at its stored width once rows
+        are selected from it."""
+        from repro.engine.relation import key_values
+
+        stored = np.arange(10, dtype=np.int32) * 10
+        arr = SelectedArray(stored, None, np.int64, Kind.INT)
+        assert arr.values.dtype == np.int64  # read, so gathered widened
+        picked = select_rows(arr, np.array([7, 2]))
+        assert picked.source is stored
+        assert key_values(picked).dtype == np.int32
+        assert key_values(picked).tolist() == [70, 20]
+        assert picked.values.dtype == np.int64
+
+    def test_assigned_values_are_the_source(self):
+        arr = _relation().take(np.array([1, 3])).column("i")
+        arr.values = np.array([5, 6, 7])
+        picked = select_rows(arr, np.array([2, 0]))
+        assert picked.source is arr.values and picked.values.tolist() == [
+            7, 5
+        ]
+
+    def test_rows_between_is_views(self):
+        """A run of rows, as a window hands its spans to a reduce: the
+        same values as ``take`` of the range, nothing gathered, and
+        the columns that shared a row array share its slice."""
+        narrow = SelectedArray(
+            np.arange(10, dtype=np.int16), None, np.int64, Kind.INT
+        )
+        rel = _relation().take(np.arange(9, -1, -1))
+        rel = Relation({**rel.columns, "n": narrow})
+        part = rel.rows_between(2, 7)
+        assert sorted(_pending(part)) == sorted(rel.names)
+        assert part.column("n").source.base is narrow.source
+        rows = {id(part.column(name).rows) for name in ("i", "d", "b", "s")}
+        assert len(rows) == 1
+        want = rel.take(np.arange(2, 7))
+        for name in rel.names:
+            got, ref = part.column(name).values, want.column(name).values
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert rel.rows_between(0, rel.nrows) is rel
 
     def test_unread_columns_of_a_query_are_never_gathered(self, tiny_db):
         """A carried column is gathered where it is finally read — here
