@@ -37,10 +37,12 @@ from repro.core.tabletask import SwissknifeOp, TableTask, TaskOutput
 from repro.engine.operators.relational import (
     aggregate_relation,
     distinct_relation,
+    pair_relation,
 )
 from repro.engine.relation import (
     Relation,
     key_values,
+    select_rows,
     typed_array_from_column,
 )
 from repro.faults.injector import get_fault_injector
@@ -70,6 +72,7 @@ from repro.storage.layout import (
     PAGE_BYTES,
     ColumnExtent,
     FlashLayout,
+    selection_pages,
 )
 from repro.util.bitvector import BitVector
 from repro.util.units import GB
@@ -106,13 +109,70 @@ class DeviceMeters:
     fault_stall_s: float = 0.0  # injected stalls on the critical channel
 
 
+@dataclass(frozen=True)
+class RowIds:
+    """One base table's row id per stream row, in one of three shapes.
+
+    * *identity* (``ids`` is None): every row of the table in order —
+      a freshly opened table, and what a mask keeping every row leaves;
+    * *ordered*: ids that never decrease — what a mask leaves, and a
+      join's probe side (its pairs come left-row-major);
+    * *gathered*: anything else — a join's build side, the join-index
+      gather.
+
+    The shape answers the page-skip question: identity touches every
+    page, ordered ids binary-search the page bounds, and only gathered
+    ids scatter per row.
+    """
+
+    nrows: int
+    ids: np.ndarray | None = None
+    ordered: bool = True
+
+    @property
+    def is_identity(self) -> bool:
+        return self.ids is None
+
+    def array(self) -> np.ndarray:
+        """The row ids, spelled out."""
+        if self.ids is None:
+            return np.arange(self.nrows, dtype=np.int64)
+        return self.ids
+
+    def take(self, indices: np.ndarray, ordered: bool) -> "RowIds":
+        """The row ids of stream rows ``indices``; ``ordered`` says the
+        indices never decrease."""
+        if self.ids is None:
+            return RowIds(
+                len(indices), indices.astype(np.int64, copy=False), ordered
+            )
+        return RowIds(len(indices), self.ids[indices],
+                      ordered and self.ordered)
+
+    def at(self, values: np.ndarray) -> np.ndarray:
+        """A base column's values at these row ids, as a new int64
+        array."""
+        if self.ids is None:
+            return np.array(values, dtype=np.int64)
+        return values[self.ids].astype(np.int64, copy=False)
+
+    def touched_pages(self, extent: ColumnExtent) -> np.ndarray:
+        """One flag per page of ``extent``: does a row id land on it?"""
+        per_page = extent.rows_per_page()
+        if self.ids is None:
+            return np.ones(-(-extent.nrows // per_page), dtype=np.bool_)
+        if self.ordered:
+            return selection_pages(self.ids, 0, extent.nrows, per_page)
+        return extent.touched_pages(self.ids)
+
+
 @dataclass
 class DeviceStream:
     """What flows between pipeline stages, tasks and the join glue."""
 
     relation: Relation
     # base table -> RowID per current row (for join indices & page skip)
-    rowid_map: dict[str, np.ndarray]
+    rowid_map: dict[str, RowIds]
     # relation column -> (base table, base column) for pass-throughs
     origin: dict[str, tuple[str, str]]
     # base columns already read off flash somewhere in this lineage
@@ -128,23 +188,54 @@ class DeviceStream:
         key = (extent.table, extent.rows_per_page())
         flags = self.pages.get(key)
         if flags is None:
-            flags = self.pages[key] = extent.touched_pages(
-                self.rowid_map[extent.table]
-            )
+            flags = self.pages[key] = self.rowid_map[
+                extent.table
+            ].touched_pages(extent)
         return flags
 
-    def gathered(self, indices: np.ndarray) -> "DeviceStream":
+    def gathered(
+        self, indices: np.ndarray, ordered: bool = False
+    ) -> "DeviceStream":
+        """The rows at ``indices``; ``ordered`` says they never
+        decrease."""
         return DeviceStream(
             relation=self.relation.take(indices),
             rowid_map={
-                t: ids[indices] for t, ids in self.rowid_map.items()
+                t: ids.take(indices, ordered)
+                for t, ids in self.rowid_map.items()
             },
             origin=dict(self.origin),
             charged=self.charged,
         )
 
     def masked(self, keep: np.ndarray) -> "DeviceStream":
-        return self.gathered(np.flatnonzero(keep))
+        """The rows ``keep`` flags.  Keeping every row changes nothing:
+        an identity map stays identity (the join-index shortcut asks)."""
+        rows = np.flatnonzero(keep)
+        if len(rows) == self.relation.nrows:
+            return self
+        return self.gathered(rows, ordered=True)
+
+    def paired(
+        self, right: "DeviceStream", li: np.ndarray, ri: np.ndarray
+    ) -> "DeviceStream":
+        """Inner-join pairs ``(li, ri)``, left-row-major: the probe
+        side's row ids keep their order, the build side's are
+        gathered."""
+        rowid_map = {
+            t: ids.take(li, ordered=True)
+            for t, ids in self.rowid_map.items()
+        }
+        rowid_map.update(
+            {t: ids.take(ri, ordered=False)
+             for t, ids in right.rowid_map.items()}
+        )
+        return DeviceStream(
+            relation=pair_relation(self.relation, right.relation, li, ri),
+            rowid_map=rowid_map,
+            origin={**self.origin, **right.origin},
+            charged=self.charged | right.charged,
+        )
 
 
 class AquomanDevice:
@@ -222,7 +313,7 @@ class AquomanDevice:
         extent = self.layout.extent(table, column)
         rowids = stream.rowid_map.get(table)
         if rowids is None or (
-            whole_if_all_rows and len(rowids) == extent.nrows
+            whole_if_all_rows and rowids.nrows == extent.nrows
         ):
             self.charge_pages(extent)
         else:
@@ -384,7 +475,7 @@ class AquomanDevice:
             relation=Relation({
                 n: typed_array_from_column(base.column(n)) for n in names
             }),
-            rowid_map={task.table: np.arange(base.nrows, dtype=np.int64)},
+            rowid_map={task.table: RowIds(base.nrows)},
             origin={n: (task.table, n) for n in names},
             charged=set(),
         )
@@ -461,7 +552,9 @@ class AquomanDevice:
         if ROWID in refs:
             # One base table underneath: its row ids are the stream's.
             (rowids,) = stream.rowid_map.values()
-            columns = {**columns, ROWID: TypedArray(rowids, Kind.INT, 0)}
+            columns = {
+                **columns, ROWID: TypedArray(rowids.array(), Kind.INT, 0)
+            }
 
         with self.tracer.span(
             "device.transformer", lane="device.transformer",
@@ -678,14 +771,17 @@ class AquomanDevice:
             # The hash-table model: spills counted against 1024
             # buckets.  Spilled rows are accumulated by the host
             # (Sec. VI-E); the functional result above is exact.  The
-            # zipped identifiers are one-to-one with the key tuples, so
-            # the grouping's count is their distinct count.
+            # host numbered the groups in first-appearance order, as
+            # the hardware does, so the buckets are claimed group by
+            # group: one zipped identifier per group, from its first row.
             widths = [4 if a.kind is Kind.STR else 8 for a in key_arrays]
             zipped, id_bytes = zip_group_columns(
-                [key_values(a) for a in key_arrays], widths, groups
+                [key_values(select_rows(a, groups.representative))
+                 for a in key_arrays],
+                widths,
             )
             spilled_groups, spilled_rows = self.groupby_accel.spills(
-                zipped, groups.n_groups, group_id_bytes=id_bytes
+                zipped, groups.counts, group_id_bytes=id_bytes
             )
             self.meters.spilled_groups += spilled_groups
             self.meters.spilled_rows += spilled_rows

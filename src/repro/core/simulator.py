@@ -35,7 +35,12 @@ from repro.core.compiler import (
     SuspendReason,
     unary_chain,
 )
-from repro.core.device import AquomanDevice, DeviceConfig, DeviceStream
+from repro.core.device import (
+    AquomanDevice,
+    DeviceConfig,
+    DeviceStream,
+    RowIds,
+)
 from repro.core.memory import MemoryExceeded
 from repro.core.tabletask import TableTask
 from repro.faults.errors import DeviceFault
@@ -46,7 +51,6 @@ from repro.engine.executor import Engine
 from repro.engine.operators.relational import (
     join_keep,
     join_pairs,
-    pair_relation,
 )
 from repro.engine.relation import (
     Relation,
@@ -217,7 +221,7 @@ class DeviceExecutor:
         )
         if plan.kind is JoinKind.INNER:
             li, ri, _ = join_pairs(left_keys, right_keys, residual)
-            out = self._pair(left, right, li, ri)
+            out = left.paired(right, li, ri)
             # Matched RowID pairs persist for the query's lifetime
             # (the backward pointers of Sec. VI-D).
             self._allocate("join-pairs", len(li) * 16)
@@ -236,24 +240,7 @@ class DeviceExecutor:
         li: np.ndarray, ri: np.ndarray,
     ) -> np.ndarray:
         return self.device.row_mask(
-            self._pair(left, right, li, ri), predicate,
-            self.scalar_executor,
-        )
-
-    def _pair(
-        self, left: DeviceStream, right: DeviceStream, li, ri
-    ) -> DeviceStream:
-        rowid_map = {t: ids[li] for t, ids in left.rowid_map.items()}
-        rowid_map.update(
-            {t: ids[ri] for t, ids in right.rowid_map.items()}
-        )
-        origin = dict(left.origin)
-        origin.update(right.origin)
-        return DeviceStream(
-            relation=pair_relation(left.relation, right.relation, li, ri),
-            rowid_map=rowid_map,
-            origin=origin,
-            charged=left.charged | right.charged,
+            left.paired(right, li, ri), predicate, self.scalar_executor,
         )
 
     def _try_join_index(
@@ -275,20 +262,14 @@ class DeviceExecutor:
         fk = self.catalog.foreign_key_for(fk_table, fk_column)
         if fk is None:
             return None
-        # The right side must be the referenced table, bare and whole.
-        right_tables = list(right.rowid_map)
-        if right_tables != [fk.ref_table]:
+        # The right side must be the referenced table, bare and whole:
+        # every row in order is the identity map, nothing else.
+        if list(right.rowid_map) != [fk.ref_table]:
             return None
-        ref_nrows = self.catalog.table(fk.ref_table).nrows
-        if len(right.rowid_map[fk.ref_table]) != ref_nrows:
+        if not right.rowid_map[fk.ref_table].is_identity:
             return None
         if right.origin.get(plan.right_key) != (fk.ref_table,
                                                 fk.ref_column):
-            return None
-        if not np.array_equal(
-            right.rowid_map[fk.ref_table],
-            np.arange(ref_nrows, dtype=np.int64),
-        ):
             return None
         # Every right column must be a flash-resident base column of
         # the referenced table (renames are fine, computed columns
@@ -300,10 +281,9 @@ class DeviceExecutor:
 
         index_column = join_index_name(fk_column)
         self.device.charge_base(left, fk_table, index_column)
-        left_rowids = left.rowid_map[fk_table]
         base = self.catalog.table(fk_table)
-        right_rowids = base.column(index_column).values[left_rowids].astype(
-            np.int64, copy=False
+        right_rowids = left.rowid_map[fk_table].at(
+            base.column(index_column).values
         )
 
         columns = dict(left.relation.columns)
@@ -320,7 +300,9 @@ class DeviceExecutor:
             origin[name] = (fk.ref_table, base_name)
 
         rowid_map = dict(left.rowid_map)
-        rowid_map[fk.ref_table] = right_rowids
+        rowid_map[fk.ref_table] = RowIds(
+            len(right_rowids), right_rowids, ordered=False
+        )
         out = DeviceStream(
             relation=Relation(columns),
             rowid_map=rowid_map,

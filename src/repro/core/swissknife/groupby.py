@@ -18,12 +18,8 @@ The model reproduces the two behaviours the evaluation leans on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # the host's kernel; core imports it only to type
-    from repro.engine.operators.grouping import GroupedKeys
 
 HASH_BUCKETS = 1024
 MAX_GROUP_ID_BYTES = 16
@@ -118,38 +114,38 @@ class AggregateGroupBy:
                 n_spilled_groups=len(np.unique(group_ids)),
             )
 
-        group_ids = group_ids.astype(np.int64)
-        wins, _ = self._claims(group_ids)
-        spilled_rows = np.flatnonzero(~wins)
-        n_spilled_groups = (
-            len(np.unique(group_ids[spilled_rows])) if len(spilled_rows) else 0
-        )
-
-        winning = np.flatnonzero(wins)
-        win_groups = group_ids[winning]
         # Group numbers assigned in first-appearance order (Sec. VI-C).
-        unique_ids, inverse = np.unique(win_groups, return_inverse=True)
-        first_row = np.full(len(unique_ids), n, dtype=np.int64)
-        np.minimum.at(first_row, inverse, winning)
-        rank = np.argsort(np.argsort(first_row, kind="stable"))
-        gnum = rank[inverse]
-        ordered_ids = np.empty(len(unique_ids), dtype=np.int64)
-        ordered_ids[rank] = unique_ids
+        unique_ids, first_row, inverse = np.unique(
+            group_ids.astype(np.int64), return_index=True,
+            return_inverse=True,
+        )
+        order = np.argsort(first_row, kind="stable")
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        group_of_row = rank[inverse]
+        wins, _ = self._claims(unique_ids[order])
+        row_wins = wins[group_of_row]
+        spilled_rows = np.flatnonzero(~row_wins)
 
-        counts = np.zeros(len(unique_ids), dtype=np.int64)
-        np.add.at(counts, gnum, 1)
+        # The winners keep their order; rows of a losing group spill.
+        winners = np.flatnonzero(wins)
+        renumber = np.cumsum(wins) - 1
+        winning = np.flatnonzero(row_wins)
+        gnum = renumber[group_of_row[winning]]
+        ordered_ids = unique_ids[order[winners]]
+        counts = np.bincount(gnum, minlength=len(winners))
 
         aggregates: dict[str, np.ndarray] = {}
         for name, func in funcs.items():
             values = columns[name][winning].astype(np.int64)
             if func == "sum":
-                out = np.zeros(len(unique_ids), dtype=np.int64)
+                out = np.zeros(len(winners), dtype=np.int64)
                 np.add.at(out, gnum, values)
             elif func == "min":
-                out = np.full(len(unique_ids), np.iinfo(np.int64).max)
+                out = np.full(len(winners), np.iinfo(np.int64).max)
                 np.minimum.at(out, gnum, values)
             elif func == "max":
-                out = np.full(len(unique_ids), np.iinfo(np.int64).min)
+                out = np.full(len(winners), np.iinfo(np.int64).min)
                 np.maximum.at(out, gnum, values)
             elif func == "cnt":
                 out = counts.copy()
@@ -162,49 +158,45 @@ class AggregateGroupBy:
             aggregates=aggregates,
             counts=counts,
             spilled_rows=spilled_rows,
-            n_spilled_groups=n_spilled_groups,
+            n_spilled_groups=len(wins) - len(winners),
         )
 
     def spills(
-        self, group_ids: np.ndarray, n_distinct: int,
+        self, group_ids: np.ndarray, counts: np.ndarray,
         group_id_bytes: int = 8,
     ) -> tuple[int, int]:
-        """``(n_spilled_groups, n_spilled_rows)`` of :meth:`run` on
-        ``group_ids``, which hold ``n_distinct`` distinct identifiers,
-        without reducing the winners.
+        """``(n_spilled_groups, n_spilled_rows)`` of :meth:`run`, from
+        one zipped identifier per group (in group-number order) and the
+        group's row count, without reducing the winners.
 
-        A bucket's owner wins on every row and any other identifier
-        spills on every row, so the spilled groups are the distinct
-        identifiers less the claimed buckets.
+        A bucket's owner wins on every row and any other group spills
+        on every row, so the spilled groups are the groups less the
+        claimed buckets, and the spilled rows are the rows less those
+        of the winning groups.  Groups may share an identifier; each
+        then wins or spills with it.
         """
-        n = len(group_ids)
+        n = int(counts.sum())
         self.rows_reduced += n
         if group_id_bytes > self.max_group_id_bytes:
-            return n_distinct, n
+            return len(group_ids), n
         wins, claimed = self._claims(group_ids.astype(np.int64))
-        return (
-            n_distinct - int(np.count_nonzero(claimed)),
-            n - int(np.count_nonzero(wins)),
-        )
+        return len(group_ids) - claimed, n - int(counts[wins].sum())
 
-    def _claims(self, group_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row: does its identifier own its bucket?  Per bucket: is
-        it claimed?  The first identifier to reach a bucket owns it (the
-        hardware keeps one and spills the rest, Sec. VI-C)."""
-        n = len(group_ids)
+    def _claims(self, group_ids: np.ndarray) -> tuple[np.ndarray, int]:
+        """Per group: does its identifier own its bucket?  And how many
+        buckets are claimed.  ``group_ids`` holds one identifier per
+        group number; the first group number to reach a bucket owns it
+        (the hardware numbers groups as they arrive, keeps one
+        identifier per bucket and spills the rest, Sec. VI-C)."""
         buckets = bucket_of(group_ids, self.n_buckets)
-        first_claim = np.full(self.n_buckets, n, dtype=np.int64)
-        np.minimum.at(first_claim, buckets, np.arange(n, dtype=np.int64))
-        claimed = first_claim < n
-        bucket_owner = np.full(self.n_buckets, -1, dtype=np.int64)
-        bucket_owner[claimed] = group_ids[first_claim[claimed]]
-        return bucket_owner[buckets] == group_ids, claimed
+        claimed, first = np.unique(buckets, return_index=True)
+        bucket_owner = np.empty(self.n_buckets, dtype=np.int64)
+        bucket_owner[claimed] = group_ids[first]
+        return bucket_owner[buckets] == group_ids, len(claimed)
 
 
 def zip_group_columns(
-    key_columns: list[np.ndarray],
-    widths: list[int],
-    groups: GroupedKeys | None = None,
+    key_columns: list[np.ndarray], widths: list[int]
 ) -> tuple[np.ndarray, int]:
     """The Column Zipper: pack key columns into one composite identifier.
 
@@ -214,8 +206,8 @@ def zip_group_columns(
     surrogate (the model equivalent of a wider zip): the rank of each
     row's key tuple among the distinct tuples in sorted order, while
     still reporting the true zipped byte width for the 16-byte rule.
-    ``groups``, the host's numbering of the same key tuples, lets that
-    rank come from its representative tuples alone.
+    Zipping one representative row per group gives each group's
+    identifier: the surrogate ranks the same distinct tuples.
     """
     if not key_columns:
         return np.zeros(0, dtype=np.int64), 0
@@ -225,12 +217,6 @@ def zip_group_columns(
         for col, width in zip(key_columns, widths):
             packed = (packed << np.uint64(8 * width)) | col.astype(np.uint64)
         return packed.astype(np.int64), total_bytes
-    if groups is None:
-        stacked = np.stack([c.astype(np.int64) for c in key_columns])
-        _, surrogate = np.unique(stacked, axis=1, return_inverse=True)
-        return surrogate.astype(np.int64), total_bytes
-    # One lexsort of the G representatives (its last key sorts first).
-    tuples = [c[groups.representative].astype(np.int64) for c in key_columns]
-    rank = np.empty(groups.n_groups, dtype=np.int64)
-    rank[np.lexsort(tuples[::-1])] = np.arange(groups.n_groups)
-    return rank[groups.group_of_row], total_bytes
+    stacked = np.stack([c.astype(np.int64) for c in key_columns])
+    _, surrogate = np.unique(stacked, axis=1, return_inverse=True)
+    return surrogate.astype(np.int64), total_bytes

@@ -126,7 +126,12 @@ from repro.sqlir.plan import (
     Scan,
     Sort,
 )
-from repro.storage.layout import PAGE_BYTES, ColumnExtent, FlashLayout
+from repro.storage.layout import (
+    PAGE_BYTES,
+    ColumnExtent,
+    FlashLayout,
+    selection_pages,
+)
 from repro.storage.stringheap import StringHeap
 
 # An 8 KB page of 1-byte values holds 8192 rows, and every wider value
@@ -319,25 +324,6 @@ def column_extents(
         extent = layout.extent(table, name)
         extents[name] = (extent, extent.rows_per_page())
     return extents
-
-
-def selection_pages(
-    rowids: np.ndarray, lo: int, hi: int, per_page: int
-) -> np.ndarray:
-    """One flag per page of rows ``[lo, hi)``: does a selected row land on it?
-
-    The Table Reader's page-skip question for a window's selection,
-    which is *ascending*: the page boundaries are binary-searched in the row
-    ids, O(pages · log rows), and the window check is the first and the
-    last id.  :meth:`ColumnExtent.touched_pages` is the general answer
-    (unsorted, repeated ids — the device's row-id maps) and scatters per
-    row; the two agree on every ascending selection.
-    """
-    if len(rowids) and (rowids[0] < lo or rowids[-1] >= hi):
-        raise IndexError("bit index out of range")
-    bounds = np.arange(lo // per_page, -(-hi // per_page) + 1) * per_page
-    at = np.searchsorted(rowids, bounds)
-    return at[1:] > at[:-1]
 
 
 class _WindowReads:

@@ -61,8 +61,8 @@ class ColumnExtent:
         ``first_row // rows_per_page + i``.  A row id outside the window
         is an ``IndexError``.  Cost is linear in ``len(rowids)``: one
         scatter, no sort and no per-row temporary.  (A selection known
-        to ascend — every morsel span's — is answered per page instead,
-        by ``repro.engine.morsel.selection_pages``.)
+        never to descend — every morsel span's, a device mask's — is
+        answered per page instead, by :func:`selection_pages`.)
         """
         per_page = self.rows_per_page()
         stop = self.nrows if n_rows is None else first_row + n_rows
@@ -81,6 +81,26 @@ class ColumnExtent:
         """Physical page holding the given 32-row vector's first value."""
         per_page = self.rows_per_page()
         return self.first_page + (row_vector_id * ROW_VECTOR_SIZE) // per_page
+
+
+def selection_pages(
+    rowids: np.ndarray, lo: int, hi: int, per_page: int
+) -> np.ndarray:
+    """One flag per page of rows ``[lo, hi)``: does a selected row land on it?
+
+    The Table Reader's page-skip question for a selection whose row ids
+    never decrease (repeats are fine): the page boundaries are
+    binary-searched in the row ids, O(pages · log rows), and the window
+    check is the first and the last id.
+    :meth:`ColumnExtent.touched_pages` is the general answer (unsorted
+    ids) and scatters per row; the two agree on every non-decreasing
+    selection.
+    """
+    if len(rowids) and (rowids[0] < lo or rowids[-1] >= hi):
+        raise IndexError("bit index out of range")
+    bounds = np.arange(lo // per_page, -(-hi // per_page) + 1) * per_page
+    at = np.searchsorted(rowids, bounds)
+    return at[1:] > at[:-1]
 
 
 class FlashLayout:

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.swissknife.groupby import (
+    HASH_BUCKETS,
+    MAX_GROUP_ID_BYTES,
     AggregateGroupBy,
     bucket_of,
     zip_group_columns,
@@ -20,6 +22,8 @@ from repro.core.swissknife.topk import (
     bitonic_sort,
     vector_compare_and_swap,
 )
+from repro.engine.operators.grouping import group_rows
+from test_engine_operators import _examples
 
 
 class TestAggregateGroupBy:
@@ -120,9 +124,113 @@ class TestAggregateGroupBy:
             gids, {"v": np.ones(len(gids), dtype=np.int64)}, {"v": "cnt"},
             group_id_bytes=id_bytes,
         )
+        groups = group_rows([gids])
         assert AggregateGroupBy(n_buckets=buckets).spills(
-            gids, len(set(raw)), group_id_bytes=id_bytes
+            gids[groups.representative], groups.counts,
+            group_id_bytes=id_bytes,
         ) == (result.n_spilled_groups, len(result.spilled_rows))
+
+
+def _per_row_spills(
+    ids: np.ndarray, n_groups: int, n_buckets: int, id_bytes: int
+) -> tuple[int, int]:
+    """The spill count row by row, kept as the reference for the
+    per-group claims: the first *row* to reach a bucket owns it for its
+    identifier, a row wins when its identifier owns its bucket, and the
+    spilled groups are the groups less the claimed buckets."""
+    n = len(ids)
+    if id_bytes > MAX_GROUP_ID_BYTES:
+        return n_groups, n
+    buckets = bucket_of(ids, n_buckets)
+    first_claim = np.full(n_buckets, n, dtype=np.int64)
+    np.minimum.at(first_claim, buckets, np.arange(n, dtype=np.int64))
+    claimed = first_claim < n
+    owner = np.full(n_buckets, -1, dtype=np.int64)
+    owner[claimed] = ids[first_claim[claimed]]
+    wins = owner[buckets] == ids
+    return (
+        n_groups - int(np.count_nonzero(claimed)),
+        n - int(np.count_nonzero(wins)),
+    )
+
+
+def _group_spills(columns, widths, n_buckets):
+    """(per-group claims, per-row reference) for one set of key
+    columns, zipped the way the device zips them."""
+    groups = group_rows(columns)
+    per_group, id_bytes = zip_group_columns(
+        [c[groups.representative] for c in columns], widths
+    )
+    per_row, row_bytes = zip_group_columns(columns, widths)
+    assert id_bytes == row_bytes
+    claims = AggregateGroupBy(n_buckets=n_buckets).spills(
+        per_group, groups.counts, group_id_bytes=id_bytes
+    )
+    return claims, _per_row_spills(
+        per_row, groups.n_groups, n_buckets, id_bytes
+    )
+
+
+@st.composite
+def _key_columns(draw):
+    """1–3 key columns of physical width 4 or 8 (zips of 4 to 24
+    bytes: packed, surrogate, and too wide to hash).  Values come from
+    small pools, so groups repeat; a 4-byte column may hold values past
+    32 bits, so two distinct tuples can pack to one identifier."""
+    n = draw(st.integers(1, 80))
+    columns, widths = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        width = draw(st.sampled_from([4, 8]))
+        pool = draw(st.lists(
+            st.one_of(
+                st.sampled_from([0, 1, 2, 2**32, 2**32 + 1, -1]),
+                st.integers(-(2**40), 2**40),
+            ),
+            min_size=1, max_size=6,
+        ))
+        picks = draw(st.lists(st.sampled_from(pool), min_size=n,
+                              max_size=n))
+        columns.append(np.array(picks, dtype=np.int64))
+        widths.append(width)
+    return columns, widths
+
+
+class TestSpillClaims:
+    """The bucket claims made group by group equal the row-by-row
+    rule: groups are numbered in first-appearance order, so the first
+    group number in a bucket is the group of its first row."""
+
+    @given(_key_columns(), st.sampled_from([2, 16, HASH_BUCKETS]))
+    @settings(max_examples=_examples(300), deadline=None)
+    def test_per_group_claims_equal_the_per_row_rule(self, case, buckets):
+        columns, widths = case
+        claims, reference = _group_spills(columns, widths, buckets)
+        assert claims == reference
+
+    @pytest.mark.parametrize("buckets", [2, 16, HASH_BUCKETS])
+    def test_two_groups_sharing_one_identifier(self, buckets):
+        # (0, 2**32) and (1, 0) pack to the same 8 bytes.
+        columns = [np.array([0, 1, 0, 1, 7]),
+                   np.array([2**32, 0, 2**32, 0, 3])]
+        per_row, _ = zip_group_columns(columns, [4, 4])
+        assert per_row[0] == per_row[1] != per_row[4]
+        claims, reference = _group_spills(columns, [4, 4], buckets)
+        assert claims == reference
+        assert claims[1] == 0  # both win with their shared identifier
+
+    @pytest.mark.parametrize("widths, id_bytes", [([8, 8], 16),
+                                                   ([8, 8, 8], 24)])
+    def test_surrogate_and_too_wide_routes(self, widths, id_bytes):
+        rng = np.random.default_rng(len(widths))
+        columns = [rng.integers(-5, 5, 200) for _ in widths]
+        _, got_bytes = zip_group_columns(columns, widths)
+        assert got_bytes == id_bytes
+        for buckets in (2, 16, HASH_BUCKETS):
+            claims, reference = _group_spills(columns, widths, buckets)
+            assert claims == reference
+        if id_bytes > MAX_GROUP_ID_BYTES:
+            groups = group_rows(columns)
+            assert claims == (groups.n_groups, 200)
 
 
 class TestZipGroupColumns:
@@ -150,10 +258,9 @@ class TestZipGroupColumns:
     def test_wide_surrogate_from_the_groups_equals_the_factorised_one(
         self, data
     ):
-        """The rank of the representatives' tuples, gathered through
-        the host's grouping, is the surrogate ``np.unique`` gives."""
-        from repro.engine.operators.grouping import group_rows
-
+        """The surrogates of the representatives' tuples, gathered
+        through the host's grouping, are those ``np.unique`` gives
+        every row: what lets the device zip one tuple per group."""
         n = data.draw(st.integers(1, 60))
         columns = []
         for _ in range(data.draw(st.integers(2, 4))):
@@ -174,12 +281,13 @@ class TestZipGroupColumns:
             columns.append(np.array(picks, dtype=dtype))
         widths = [8] * len(columns)
         factorised, width = zip_group_columns(columns, widths)
+        groups = group_rows(columns)
         ranked, ranked_width = zip_group_columns(
-            columns, widths, group_rows(columns)
+            [c[groups.representative] for c in columns], widths
         )
         assert width == ranked_width == 8 * len(columns)
         assert ranked.dtype == factorised.dtype == np.int64
-        assert np.array_equal(ranked, factorised)
+        assert np.array_equal(ranked[groups.group_of_row], factorised)
 
 
 class TestTopK:

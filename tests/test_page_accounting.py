@@ -2,12 +2,14 @@
 
 Two halves.  The property half checks ``ColumnExtent.touched_pages``
 against the route it replaced (sort + de-duplicate the row ids, build an
-``nrows``-long bit vector, OR it per page), and the span path's
-``selection_pages`` against ``touched_pages``.  The golden half pins what
-the accounting *charges* — flash bytes, page counters, the morsel
-trace's per-column page dicts and the fault injector's event log — to
-numbers recorded at the commit before the primitive existed, so a
-faster accounting that charges different pages cannot pass.
+``nrows``-long bit vector, OR it per page), ``selection_pages`` (the
+answer for row ids that never decrease) against ``touched_pages``, and
+the device stream's row-id shapes against explicit row-id arrays.  The
+golden half pins what the accounting *charges* — flash bytes, page
+counters, the morsel trace's per-column page dicts and the fault
+injector's event log — to numbers recorded at the commit before the
+primitive existed, so a faster accounting that charges different pages
+cannot pass.
 
 ``python tests/test_page_accounting.py`` rewrites the golden file from
 whatever ``repro`` is on ``PYTHONPATH``; only run it against a commit
@@ -24,18 +26,25 @@ from hypothesis import strategies as st
 
 from repro import tpch
 from repro.core import AquomanDevice, AquomanSimulator, DeviceConfig
-from repro.core.device import DeviceStream
+from repro.core import device as device_module
+from repro.core.device import DeviceStream, RowIds
 from repro.engine import Engine, MorselConfig
 from repro.engine.relation import Relation
-from repro.engine.morsel import TUNED_MORSEL_ROWS, selection_pages
+from repro.engine.morsel import TUNED_MORSEL_ROWS
 from repro.faults.injector import FaultInjector, set_fault_injector
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.obs import METRICS
 from repro.perf.trace import QueryTrace
 from repro.sqlir import AggFunc, col, lit, scan
 from repro.sqlir.expr import Kind, TypedArray
-from repro.storage.layout import PAGE_BYTES, ColumnExtent, FlashLayout
+from repro.storage.layout import (
+    PAGE_BYTES,
+    ColumnExtent,
+    FlashLayout,
+    selection_pages,
+)
 from repro.util.bitvector import BitVector
+from test_engine_operators import _examples
 
 GOLDEN = Path(__file__).parent / "fixtures" / "page_accounting_golden.json"
 SF, SEED = 0.01, 1
@@ -258,20 +267,26 @@ class TestTouchedPages:
             )
 
 
-# -- the span path's answer for an ascending selection --------------------------
+# -- the answer for row ids that never decrease ------------------------------
 
 
 @st.composite
-def _ascending_selections(draw):
+def _ordered_selections(draw):
     """A page-aligned window that ends anywhere (a table's last span is
-    no multiple of the page) and sorted unique row ids inside it."""
+    no multiple of the page) and non-decreasing row ids inside it:
+    unique, as a span's selection, or repeated, as the probe side of a
+    device join."""
     width = draw(st.sampled_from([1, 4, 8]))
     per_page = PAGE_BYTES // width
     lo = draw(st.integers(0, 3)) * per_page
     hi = lo + draw(st.integers(1, 3 * per_page + 5))
-    rowids = draw(st.sets(st.integers(lo, hi - 1), max_size=60))
+    rowids = draw(st.lists(st.integers(lo, hi - 1), max_size=60))
     # The first and the last row of the window, more often than chance.
-    rowids |= draw(st.sets(st.sampled_from([lo, hi - 1])))
+    rowids += draw(st.lists(st.sampled_from([lo, hi - 1]), max_size=2))
+    if draw(st.booleans()):
+        rowids = list(set(rowids))
+    elif rowids:  # some ids again, each one or more times
+        rowids += draw(st.lists(st.sampled_from(rowids), max_size=20))
     return (
         _extent(hi + draw(st.integers(0, 5)), width), lo, hi,
         np.array(sorted(rowids), dtype=np.int64),
@@ -280,10 +295,11 @@ def _ascending_selections(draw):
 
 class TestSelectionPages:
     """``selection_pages`` ≡ ``ColumnExtent.touched_pages`` wherever the
-    row ids ascend — which a span's selection always does."""
+    row ids never decrease — a span's selection, a device mask, the
+    probe side of a device join."""
 
-    @given(_ascending_selections())
-    @settings(max_examples=300, deadline=None)
+    @given(_ordered_selections())
+    @settings(max_examples=_examples(300), deadline=None)
     def test_equals_the_general_answer(self, case):
         extent, lo, hi, rowids = case
         flags = selection_pages(rowids, lo, hi, extent.rows_per_page())
@@ -324,7 +340,10 @@ class TestSelectionMemo:
             relation=Relation(
                 {"x": TypedArray(np.asarray(rowids), Kind.INT, 0)}
             ),
-            rowid_map={"lineitem": np.asarray(rowids, dtype=np.int64)},
+            rowid_map={"lineitem": RowIds(
+                len(rowids), np.asarray(rowids, dtype=np.int64),
+                ordered=False,
+            )},
             origin={},
             charged=set(),
         )
@@ -347,17 +366,170 @@ class TestSelectionMemo:
         assert rel.masked(np.array([True, False, True])).pages == {}
 
     def test_query_scans_row_ids_once_per_width(self, db, monkeypatch):
-        """Q1 reads six columns of two widths under one selection."""
+        """Q1 reads six columns of two widths under one selection: one
+        page-skip answer per value width, counted on both routes (the
+        per-row scatter and the per-page search).  Its mask leaves the
+        row ids in order, so both answers are searched."""
         calls = []
-        real = ColumnExtent.touched_pages
+        scatter = ColumnExtent.touched_pages
+        search = device_module.selection_pages
 
-        def counting(self, rowids, *args):
-            calls.append(self.column)
-            return real(self, rowids, *args)
+        def counting_scatter(self, rowids, *args):
+            calls.append(("scatter", self.rows_per_page()))
+            return scatter(self, rowids, *args)
 
-        monkeypatch.setattr(ColumnExtent, "touched_pages", counting)
+        def counting_search(rowids, lo, hi, per_page):
+            calls.append(("search", per_page))
+            return search(rowids, lo, hi, per_page)
+
+        monkeypatch.setattr(ColumnExtent, "touched_pages", counting_scatter)
+        monkeypatch.setattr(
+            device_module, "selection_pages", counting_search
+        )
         AquomanSimulator(db, _device_config()).run(PLANS["q01"])
-        assert len(calls) == 2
+        assert len(calls) == len({per_page for _, per_page in calls}) == 2
+        assert {route for route, _ in calls} == {"search"}
+
+
+class TestRowIdShapes:
+    """A stream's row-id shapes (identity, ordered, gathered) answer
+    the page-skip question as explicit row-id arrays do under the
+    per-row scatter, over chains of masks, join pairs and join-index
+    gathers."""
+
+    TABLES = ("lineitem", "orders", "customer", "part", "supplier")
+
+    @staticmethod
+    def _opened(db, table):
+        n = db.table(table).nrows
+        stream = DeviceStream(
+            relation=Relation(
+                {table: TypedArray(np.arange(n), Kind.INT, 0)}
+            ),
+            rowid_map={table: RowIds(n)},
+            origin={},
+            charged=set(),
+        )
+        return stream, {table: np.arange(n, dtype=np.int64)}
+
+    @staticmethod
+    def _keep(data, rng, n):
+        """A mask: every row, none, a clustered run or a scatter."""
+        kind = data.draw(st.sampled_from(["all", "none", "run", "sparse"]))
+        if kind in ("all", "none"):
+            return np.full(n, kind == "all")
+        if kind == "run":
+            lo = int(rng.integers(0, n + 1))
+            keep = np.zeros(n, dtype=np.bool_)
+            keep[lo:lo + int(rng.integers(0, n // 4 + 2))] = True
+            return keep
+        return rng.random(n) < data.draw(st.sampled_from([0.001, 0.3]))
+
+    def _step(self, db, data, rng, stream, ref):
+        op = data.draw(st.sampled_from(["mask", "pair", "index"]))
+        n = stream.relation.nrows
+        free = [t for t in self.TABLES if t not in ref]
+        if op == "mask":
+            keep = self._keep(data, rng, n)
+            rows = np.flatnonzero(keep)
+            return stream.masked(keep), {
+                t: ids[rows] for t, ids in ref.items()
+            }
+        if not free:
+            return stream, ref
+        other = data.draw(st.sampled_from(free))
+        if op == "pair":
+            right, right_ref = self._opened(db, other)
+            right_keep = self._keep(data, rng, right.relation.nrows)
+            right = right.masked(right_keep)
+            right_ref = {other: right_ref[other][right_keep]}
+            n_right = right.relation.nrows
+            m = int(rng.integers(0, 3 * n + 1)) if n and n_right else 0
+            # Left-row-major pairs: the probe side's rows never
+            # decrease and repeat; the build side's are anywhere.
+            li = np.sort(rng.integers(0, max(n, 1), m))
+            ri = rng.integers(0, max(n_right, 1), m)
+            out = stream.paired(right, li, ri)
+            return out, {
+                **{t: ids[li] for t, ids in ref.items()},
+                other: right_ref[other][ri],
+            }
+        # A join-index gather: a foreign-key row-id column of one of
+        # the stream's tables, read at that table's row ids.
+        table = data.draw(st.sampled_from(sorted(ref)))
+        index = rng.integers(
+            0, db.table(other).nrows, db.table(table).nrows
+        )
+        gathered = stream.rowid_map[table].at(index)
+        out = DeviceStream(
+            relation=stream.relation,
+            rowid_map={
+                **stream.rowid_map,
+                other: RowIds(len(gathered), gathered, ordered=False),
+            },
+            origin={},
+            charged=set(),
+        )
+        return out, {**ref, other: index[ref[table]]}
+
+    @staticmethod
+    def _check(db, layout, stream, ref):
+        explicit = DeviceStream(
+            relation=stream.relation,
+            rowid_map={
+                t: RowIds(len(ids), ids, ordered=False)
+                for t, ids in ref.items()
+            },
+            origin={},
+            charged=set(),
+        )
+        shaped_device = AquomanDevice(db, layout=layout)
+        explicit_device = AquomanDevice(db, layout=layout)
+        for table, ids in ref.items():
+            shape = stream.rowid_map[table]
+            assert shape.nrows == len(ids)
+            if shape.is_identity:
+                assert np.array_equal(ids, np.arange(db.table(table).nrows))
+            elif shape.ordered:
+                assert np.all(np.diff(ids) >= 0)
+            assert np.array_equal(shape.array(), ids)
+            for column in db.table(table).column_names[:3]:
+                extent = layout.extent(table, column)
+                assert np.array_equal(
+                    stream.touched_pages(extent),
+                    extent.touched_pages(ids),
+                )
+                for whole in (True, False):
+                    shaped_device.charge_base(stream, table, column, whole)
+                    explicit_device.charge_base(
+                        explicit, table, column, whole
+                    )
+                    assert (shaped_device.meters.flash_bytes
+                            == explicit_device.meters.flash_bytes)
+
+    @given(st.data())
+    @settings(max_examples=_examples(60), deadline=None)
+    def test_shapes_charge_what_explicit_row_ids_charge(self, db, data):
+        layout = FlashLayout(db)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        stream, ref = self._opened(
+            db, data.draw(st.sampled_from(["lineitem", "orders"]))
+        )
+        self._check(db, layout, stream, ref)
+        for _ in range(data.draw(st.integers(1, 5))):
+            stream, ref = self._step(db, data, rng, stream, ref)
+            self._check(db, layout, stream, ref)
+
+    def test_a_mask_keeping_every_row_keeps_identity(self, db):
+        stream, _ = self._opened(db, "orders")
+        n = stream.relation.nrows
+        assert stream.masked(np.ones(n, bool)).rowid_map[
+            "orders"
+        ].is_identity
+        keep = np.ones(n, bool)
+        keep[n // 2] = False
+        dropped = stream.masked(keep).rowid_map["orders"]
+        assert not dropped.is_identity and dropped.ordered
 
 
 class TestSharedLayout:

@@ -5,14 +5,18 @@ TPC-H query, hybrid device+host execution returns *bit-identical*
 results to the pure-software baseline.
 """
 
+import numpy as np
 import pytest
 
 from repro import tpch
 from repro.core import AquomanSimulator, DeviceConfig
 from repro.core.compiler import SuspendReason
-from repro.core.device import AquomanDevice
+from repro.core.device import ROWID, AquomanDevice
 from repro.core.simulator import DeviceExecutor
+from repro.core.tabletask import TableTask
 from repro.engine import Engine
+from repro.engine.relation import Relation
+from repro.sqlir.expr import Kind, TypedArray
 from repro.sqlir import AggFunc, JoinKind, col, lit, lit_date, scan
 from repro.util.units import GB, MB
 
@@ -273,3 +277,75 @@ class TestMemoryRelease:
             gc.garbage.clear()
             gc.enable()
         assert sum(parked.values()) == 0
+
+
+class TestJoinIndexIdentity:
+    """The join-index shortcut takes a referenced side whose row ids
+    are its table's identity map.  A mask that keeps every row leaves
+    that map as it is; one that drops a row does not."""
+
+    ORDERS = ("o_orderkey", "o_totalprice")
+
+    def _plan(self, orders):
+        return (
+            scan("lineitem", ("l_orderkey", "l_quantity"))
+            .join(orders, "l_orderkey", "o_orderkey")
+            .plan
+        )
+
+    def _run(self, db, config, orders, monkeypatch):
+        """(shortcut taken per join, sorter bytes) of one plan."""
+        taken = []
+        real = DeviceExecutor._try_join_index
+
+        def spy(self, *args):
+            out = real(self, *args)
+            taken.append(out is not None)
+            return out
+
+        monkeypatch.setattr(DeviceExecutor, "_try_join_index", spy)
+        device = AquomanDevice(db, config)
+        DeviceExecutor(device, Engine(db).scalar).run(self._plan(orders))
+        return taken, device.meters.sorter_bytes
+
+    def test_filter_keeping_every_row_takes_the_shortcut(
+        self, tiny_db, config, monkeypatch
+    ):
+        orders = scan("orders", self.ORDERS).filter(
+            col("o_orderkey") > lit(0)
+        )
+        assert self._run(tiny_db, config, orders, monkeypatch) == (
+            [True], 0
+        )
+
+    def test_filter_dropping_one_row_sorts(
+        self, tiny_db, config, monkeypatch
+    ):
+        first = int(tiny_db.table("orders").column("o_orderkey").values[0])
+        orders = scan("orders", self.ORDERS).filter(
+            col("o_orderkey") != lit(first)
+        )
+        taken, sorter_bytes = self._run(
+            tiny_db, config, orders, monkeypatch
+        )
+        assert taken == [False] and sorter_bytes > 0
+
+    @pytest.mark.parametrize("drop, taken", [(False, True), (True, False)])
+    def test_mask_source(self, tiny_db, config, drop, taken):
+        """A ``mask_src`` naming every row (in any order: the mask is a
+        set) is the whole table; one row short, it is not."""
+        device = AquomanDevice(tiny_db, config)
+        rowids = np.arange(tiny_db.table("orders").nrows)[::-1]
+        device.store_intermediate("keep", Relation({
+            ROWID: TypedArray(rowids[int(drop):], Kind.INT, 0)
+        }))
+        left = device.run_table_task(
+            TableTask(table="lineitem", columns=("l_orderkey", "l_quantity"))
+        )
+        right = device.run_table_task(
+            TableTask(table="orders", columns=self.ORDERS, mask_src="keep")
+        )
+        executor = DeviceExecutor(device, Engine(tiny_db).scalar)
+        plan = self._plan(scan("orders", self.ORDERS))
+        out = executor._try_join_index(plan, left, right)
+        assert (out is not None) is taken
