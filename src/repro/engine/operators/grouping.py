@@ -24,6 +24,11 @@ _RUN_MIN_ROWS = 4096
 _TINY_GRID_CELLS = 64
 _TINY_PREFIX = 256
 
+# The direct route numbers groups from each cell's first row when the
+# grid has at most one cell per this many rows (DESIGN.md, "Host
+# grouping kernel").
+_CELL_NUMBER_ROWS = 16
+
 
 @dataclass
 class GroupedKeys:
@@ -150,15 +155,24 @@ def _group_tiny(cell: np.ndarray, cells: int) -> GroupedKeys:
         if stop >= n or np.count_nonzero(first < n) == n_groups:
             break
         start, stop = stop, stop * 4
-    # Cells no row lands on keep ``n`` and sort after the groups.
-    in_order = np.argsort(first)[:n_groups]
-    number = np.empty(cells, dtype=np.int64)
-    number[in_order] = np.arange(n_groups, dtype=np.int64)
-    groups = GroupedKeys(number[cell], first[in_order])
+    groups, in_order = _number_cells(cell, first, n_groups)
     counts = per_cell[in_order]
     counts.flags.writeable = False
     groups.counts = counts
     return groups
+
+
+def _number_cells(
+    cell: np.ndarray, first: np.ndarray, n_groups: int
+) -> tuple[GroupedKeys, np.ndarray]:
+    """Number groups from each cell's first row (``len(cell)`` where no
+    row lands): one sort of the grid, one gather over the rows.  Also
+    the cells in group order."""
+    # Cells no row lands on keep ``len(cell)`` and sort after the groups.
+    in_order = np.argsort(first)[:n_groups]
+    number = np.empty(len(first), dtype=np.int64)
+    number[in_order] = np.arange(n_groups, dtype=np.int64)
+    return GroupedKeys(number[cell], first[in_order]), in_order
 
 
 def _group_runs(cell: np.ndarray) -> GroupedKeys:
@@ -193,10 +207,22 @@ def _grid_cells(
 
 
 def _group_direct(cell: np.ndarray, cells: int) -> GroupedKeys:
-    """Number groups through a table over the grid cells: O(rows)."""
-    rows = np.arange(len(cell), dtype=np.int64)
-    # Only cells some row lands on are ever read, so no fill.  Scattered
-    # back to front, the write that survives in a cell is its first row.
+    """Number groups through a table over the grid cells: O(rows).
+
+    Scattered back to front, the write that survives in a cell is its
+    first row.  A grid at least ``_CELL_NUMBER_ROWS`` times smaller
+    than the rows is then numbered from those first rows, a sort of the
+    grid; a larger one finds the first rows among the rows and numbers
+    them in row order, two more passes over the rows."""
+    n = len(cell)
+    rows = np.arange(n, dtype=np.int64)
+    if cells * _CELL_NUMBER_ROWS <= n:
+        first = np.full(cells, n, dtype=np.int64)
+        first[cell[::-1]] = rows[::-1]
+        return _number_cells(
+            cell, first, int(np.count_nonzero(first < n))
+        )[0]
+    # Only cells some row lands on are ever read, so no fill.
     table = np.empty(cells, dtype=np.int64)
     table[cell[::-1]] = rows[::-1]
     representative = np.flatnonzero(table[cell] == rows)

@@ -203,35 +203,6 @@ def aggregate_relation(
     return out, groups
 
 
-def partial_rows(child: Relation, plan: Aggregate) -> Relation:
-    """Every row of ``child`` as the partial aggregate of its own group.
-
-    The columns :func:`aggregate_relation` would give if no two rows
-    shared a group (keys, then 1 for a COUNT and the evaluated operand
-    for SUM / MIN / MAX), without grouping: what a span hands the merge
-    when reducing it would not shrink it.  Only for the aggregates the
-    morsel merge re-reduces; HAVING waits for the merge.
-    """
-    ctx = _context(
-        child, None,
-        [spec.expr for spec in plan.aggregates if spec.expr is not None],
-    )
-    columns = {name: child.column(name) for name in plan.keys}
-    for spec in plan.aggregates:
-        if spec.func is AggFunc.COUNT:
-            columns[spec.name] = TypedArray(
-                np.ones(child.nrows, dtype=np.int64), Kind.INT, 0
-            )
-        elif spec.func in (AggFunc.SUM, AggFunc.MIN, AggFunc.MAX):
-            values = evaluate(spec.expr, ctx)
-            columns[spec.name] = TypedArray(
-                _numeric(values), values.kind, values.scale
-            )
-        else:
-            raise NotImplementedError(spec.func)
-    return Relation(columns)
-
-
 def _numeric(arr: TypedArray) -> np.ndarray:
     if arr.kind is Kind.FLOAT:
         return arr.values.astype(np.float64, copy=False)

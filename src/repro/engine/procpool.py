@@ -11,9 +11,9 @@ per dispatch are the fragment description, ``[lo, hi)`` span
 batches, and the serialized partials coming back.
 
 Dispatch is **batched**: :func:`make_batches` sends several morsels
-per IPC round-trip (a :data:`DISPATCH_ROUNDS`-deep queue per worker),
-amortising the per-message cost the same way bigger morsels amortise
-per-span overhead.
+per IPC round-trip (:data:`DISPATCH_ROUNDS` batches per worker, one),
+amortising the per-message and per-window cost the same way bigger
+morsels amortise per-span overhead.
 
 Workers repatriate their observability state with every reply: span
 records from a per-batch :class:`~repro.obs.spans.Tracer` (Linux's
@@ -74,10 +74,14 @@ __all__ = [
     "process_backend_available",
 ]
 
-# Batches queued per worker per fragment: deep enough to keep workers
-# busy while the parent unpacks earlier results, shallow enough that a
-# slow batch cannot strand much work behind one worker.
-DISPATCH_ROUNDS = 4
+# Batches queued per worker per fragment.  A batch runs as one window,
+# which pays a fixed cost (selector set-up, page split, partial,
+# pickling) once, so one batch per worker is the fastest rule measured:
+# ``engine.procpool_pass_s`` of a traced ``tpch_stream`` run at SF 0.05,
+# 2 workers, three runs each, 0.158 / 0.153 / 0.162 s at one round,
+# 0.186 / 0.174 / 0.173 at two and 0.192 / 0.197 / 0.201 at four
+# (DESIGN.md §10).
+DISPATCH_ROUNDS = 1
 _WORKER_LANE = "proc-worker-{wid}"
 
 

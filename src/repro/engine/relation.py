@@ -180,31 +180,6 @@ class Relation:
             for name, arr in self.columns.items()
         })
 
-    def rows_between(self, lo: int, hi: int) -> "Relation":
-        """The rows ``[lo, hi)`` as views: a slice of every column, of
-        its source while it is pending, of its rows while it selects;
-        nothing is gathered, and columns that shared a row array share
-        its slice."""
-        if lo == 0 and hi == self.nrows:
-            return self
-        columns: dict[str, TypedArray] = {}
-        cut: dict[int, np.ndarray] = {}  # id(rows) -> rows[lo:hi]
-        for name, arr in self.columns.items():
-            if isinstance(arr, SelectedArray) and not arr.gathered:
-                source, rows = arr.source, arr.rows
-                if rows is None:
-                    source = source[lo:hi]
-                else:
-                    rows = cut.setdefault(id(rows), rows[lo:hi])
-                columns[name] = SelectedArray(
-                    source, rows, arr.dtype, arr.kind, arr.scale, arr.heap
-                )
-            else:
-                columns[name] = TypedArray(
-                    arr.values[lo:hi], arr.kind, arr.scale, arr.heap
-                )
-        return Relation(columns)
-
     def mask(self, keep: np.ndarray) -> "Relation":
         """Boolean row filter: the mask is scanned once, into the row
         indices every column is selected at."""

@@ -31,6 +31,13 @@ def small_db():
     return tpch.generate(0.01)
 
 
+@pytest.fixture(scope="session")
+def sf05_db():
+    """The benchmark's catalog (~300k lineitems, seed 1): where Q18's
+    HAVING keeps orders and its groups split across spans."""
+    return tpch.generate(0.05, 1)
+
+
 @pytest.fixture()
 def dead_worker_pool(small_db):
     """``small_db``'s two-worker pool with worker 0 SIGKILLed.

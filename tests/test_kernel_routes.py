@@ -2,8 +2,9 @@
 
 The route properties in ``test_engine_operators.py`` prove every route
 exact; this census proves the queries reach the fast ones: a sorted
-build side is searched, unsorted composite probes are searched in key
-order, a sorted group key is its own runs, keys that depend on the
+build side is searched, a few build keys are searched into a sorted
+probe side (Q18 at SF 0.05), unsorted composite probes are searched in
+key order, a sorted group key is its own runs, keys that depend on the
 first one add no groups, and every key reaches the kernels through
 ``relation.key_values`` — a pending selection of a stored int32 key at
 int32, even one an expression read and widened first (Q09's
@@ -38,6 +39,10 @@ class _Census:
         for module in (executor, simulator, relational, device):
             self._key_values(patch, module)
         self._route(patch, joins, "_searchable", lambda hit: hit, "searched")
+        self._route(
+            patch, joins, "_probes_searchable", lambda hit: hit,
+            "searched probes",
+        )
         self._route(
             patch, joins, "_probes", lambda out: out[1] is not None, "ordered"
         )
@@ -157,6 +162,23 @@ def test_q10_customer_columns_add_no_groups(census):
 
 def test_q18_sorted_orderkey_is_its_own_runs(census):
     assert _routes(census, 18, "host", "aggregate", "l_orderkey") == {"runs"}
+
+
+def test_q18_searches_its_few_orders_into_sorted_lineitem(sf05_db):
+    # At SF 0.01 no order passes Q18's HAVING and its joins have empty
+    # build sides; at SF 0.05 two do.  Each is searched into the sorted
+    # probe side: the orders for the IN list, the lines for the join.
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _Census(patch)
+        seen.query = 18
+        Engine(sf05_db).execute_relation(tpch.query(18))
+    for node in (
+        ("semi", "o_orderkey", "@sq1.l_orderkey"),
+        ("inner", "l_orderkey", "o_orderkey"),
+    ):
+        assert _routes(seen, 18, "host", "join", *node) == {
+            "searched probes"
+        }
 
 
 def _key_names(node) -> tuple:

@@ -116,26 +116,6 @@ class TestTake:
             7, 5
         ]
 
-    def test_rows_between_is_views(self):
-        """A run of rows, as a window hands its spans to a reduce: the
-        same values as ``take`` of the range, nothing gathered, and
-        the columns that shared a row array share its slice."""
-        narrow = SelectedArray(
-            np.arange(10, dtype=np.int16), None, np.int64, Kind.INT
-        )
-        rel = _relation().take(np.arange(9, -1, -1))
-        rel = Relation({**rel.columns, "n": narrow})
-        part = rel.rows_between(2, 7)
-        assert sorted(_pending(part)) == sorted(rel.names)
-        assert part.column("n").source.base is narrow.source
-        rows = {id(part.column(name).rows) for name in ("i", "d", "b", "s")}
-        assert len(rows) == 1
-        want = rel.take(np.arange(2, 7))
-        for name in rel.names:
-            got, ref = part.column(name).values, want.column(name).values
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        assert rel.rows_between(0, rel.nrows) is rel
-
     def test_unread_columns_of_a_query_are_never_gathered(self, tiny_db):
         """A carried column is gathered where it is finally read — here
         by nobody: the engine's output still selects from the base."""
