@@ -28,9 +28,9 @@ call run all four.
 
 Layering: this package imports ``sqlir``, ``storage`` and ``core``
 compile-time modules only — never ``repro.engine`` or the simulator.
-The engine and simulator import *us* (``engine.morsel`` for merge
-verdicts, ``core.simulator`` for :func:`subtree_reduces`), so any
-import in the other direction would cycle.
+The engine imports *us* (``engine.morsel`` for merge verdicts), so
+any import in the other direction would cycle.  The offload-root rule
+:func:`subtree_reduces` is the compiler's, re-exported here.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from repro.core.compiler import (
     CompiledQuery,
     QueryCompiler,
     SuspendReason,
+    subtree_reduces,
 )
 from repro.core.swissknife.groupby import (
     HASH_BUCKETS,
@@ -87,16 +88,6 @@ _REASON_CODES = {
     SuspendReason.GROUP_SPILL: "AQ203",
     SuspendReason.DRAM_EXCEEDED: "AQ204",
 }
-
-
-def subtree_reduces(plan: Plan) -> bool:
-    """Worth offloading only if the subtree reduces or transforms data
-    beyond column renames (a bare streamed scan saves the host
-    nothing — the bytes still transit host memory)."""
-    return any(
-        isinstance(node, (Filter, Join, Aggregate, Distinct))
-        for node in plan.walk()
-    )
 
 
 class Verdict(Enum):
@@ -229,11 +220,8 @@ class SuspendPredictor:
         roots: set[Plan] = set()
         executed_roots: list[Plan] = []
         for unit in units:
-            for root in unit.offload_roots():
-                roots.add(root)
-                decision = unit.decisions[root]
-                if subtree_reduces(root) or decision.stream_for_assist:
-                    executed_roots.append(root)
+            roots.update(unit.offload_roots())
+            executed_roots.extend(unit.device_roots)
 
         compiled_reasons = compiled.suspend_reasons()
         predictions = {

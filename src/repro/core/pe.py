@@ -120,43 +120,39 @@ class PE:
         outputs: list[np.ndarray] = []
         in_cursor = 0
 
-        def read(rs: int) -> np.ndarray:
-            nonlocal in_cursor
+        for instr in self.program.instructions:
+            # Operand read: rf[0] pops the input stream.
+            rs = instr.rs
             if rs == 0:
                 if in_cursor >= len(inputs):
                     raise RuntimeError("PE read past the end of its input")
                 value = inputs[in_cursor]
                 in_cursor += 1
-                return value
-            value = regs[rs]
-            if value is None:
-                raise RuntimeError(f"PE read uninitialised register {rs}")
-            return value
-
-        def write(rd: int, value: np.ndarray) -> None:
-            if rd == 0:
-                outputs.append(value)
             else:
-                regs[rd] = value
+                value = regs[rs]
+                if value is None:
+                    raise RuntimeError(f"PE read uninitialised register {rs}")
 
-        for instr in self.program.instructions:
-            if instr.opcode is Opcode.PASS:
-                write(instr.rd, read(instr.rs))
-            elif instr.opcode is Opcode.COPY:
-                value = read(instr.rs)
-                write(instr.rd, value)
+            opcode = instr.opcode
+            if opcode is Opcode.STORE:
                 op_fifo.append(value)
-            elif instr.opcode is Opcode.STORE:
-                op_fifo.append(read(instr.rs))
-            else:
-                first = read(instr.rs)
+                continue
+            if opcode is Opcode.COPY:
+                op_fifo.append(value)
+            elif opcode is not Opcode.PASS:
                 if instr.imm is not None:
                     second: np.ndarray | int = instr.imm
                 else:
                     if not op_fifo:
                         raise RuntimeError("PE ALU op with empty operand FIFO")
                     second = op_fifo.pop(0)
-                write(instr.rd, _alu(instr.opcode, first, second))
+                value = _alu(opcode, value, second)
+
+            # Result write: rf[0] pushes the output stream.
+            if instr.rd == 0:
+                outputs.append(value)
+            else:
+                regs[instr.rd] = value
 
         if in_cursor != len(inputs):
             raise RuntimeError(
