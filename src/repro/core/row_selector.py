@@ -165,12 +165,13 @@ def _as_column_predicate(
 ) -> ColumnPredicate | None:
     if not isinstance(expr, Compare):
         return None
-    sides = [(expr.left, expr.right, expr.op), (expr.right, expr.left,
-                                                expr.op.flip())]
-    for column_side, literal_side, op in sides:
+    for column_side, literal_side, flipped in (
+        (expr.left, expr.right, False), (expr.right, expr.left, True)
+    ):
         if isinstance(column_side, ColumnRef) and isinstance(
             literal_side, Literal
         ):
+            op = expr.op.flip() if flipped else expr.op
             if literal_side.kind is Kind.STR:
                 return None  # string equality goes through the regex path
             if column_side.name in string_columns:
