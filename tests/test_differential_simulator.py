@@ -3,12 +3,14 @@
 Hypothesis generates small random catalogs and random plan trees
 (filters, projects, joins, aggregates in varying shapes); the hybrid
 device+host simulator must return exactly what the software engine
-returns, whatever the offload boundary turned out to be.
+returns, whatever the offload boundary turned out to be.  CI runs
+both again under the ``long`` Hypothesis profile.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_engine_operators import _examples
 
 from repro.core import AquomanSimulator, DeviceConfig
 from repro.engine import Engine
@@ -131,7 +133,7 @@ def plans(draw):
 
 class TestDifferential:
     @given(catalogs(), plans(), st.sampled_from([1.0, 1e3, 1e6]))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=_examples(60), deadline=None)
     def test_simulator_matches_engine(self, catalog, plan, ratio):
         baseline = Engine(catalog).execute(plan)
         config = DeviceConfig(dram_bytes=40 * GB, scale_ratio=ratio)
@@ -142,7 +144,7 @@ class TestDifferential:
             assert result.tasks
 
     @given(catalogs(), plans())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=_examples(30), deadline=None)
     def test_tiny_dram_always_falls_back_correctly(self, catalog, plan):
         baseline = Engine(catalog).execute(plan)
         config = DeviceConfig(dram_bytes=1 << 20, scale_ratio=1e9)
